@@ -172,10 +172,7 @@ def cmd_train(cfg: dict, args) -> int:
 
     if policy == "counter":
         model = new_gcn_model(seed=seed)
-        partitions = [
-            partition_graph(s.graph, k=min(clusters, s.graph.n_nodes), seed=seed)
-            for s in samples
-        ]
+        partitions = [partition_graph(s.graph, k=min(clusters, s.graph.n_nodes)) for s in samples]
     else:
         model = new_gated_model(seed=seed)
         partitions = None

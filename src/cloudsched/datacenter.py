@@ -18,7 +18,6 @@ from .workload import WorkloadRequest
 class VmState(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
-    PAUSED = "paused"
     FINISHED = "finished"
 
 
@@ -71,7 +70,7 @@ class VirtualMachine:
 
 @dataclass(frozen=True)
 class SnapshotEntry:
-    """Live free resources of one PM, as handed to schedulers."""
+    """Live free resources of one PM, as handed to schedulers and billing."""
 
     free_cores: int
     free_ram: int
@@ -161,24 +160,19 @@ def _check_fit(pm: PhysicalMachine, free_cores: int, free_ram: int, request: Wor
 
 
 def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
-    """Start (or resume) a VM on a PM, booting the PM if needed."""
+    """Start a pending VM on a PM, booting the PM if needed."""
     vm = state.vms.get(vm_id)
     if vm is None:
         raise NotFoundError(f"unknown VM {vm_id!r}")
     pm = state.pm(pm_id)
-    if vm.state not in (VmState.PENDING, VmState.PAUSED):
+    if vm.state is not VmState.PENDING:
         raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot place")
 
     used_cores, used_ram = _used(state, pm_id)
     _check_fit(pm, pm.cores - used_cores, pm.ram - used_ram, vm.request)
 
     vms = dict(state.vms)
-    vms[vm_id] = replace(
-        vm,
-        state=VmState.RUNNING,
-        placed_on=pm_id,
-        start_hour=vm.start_hour if vm.start_hour is not None else state.clock,
-    )
+    vms[vm_id] = replace(vm, state=VmState.RUNNING, placed_on=pm_id, start_hour=state.clock)
     placements = dict(state.placements)
     placements[vm_id] = pm_id
     return replace(
@@ -206,24 +200,6 @@ def remove_finished(state: DatacenterState) -> tuple[DatacenterState, list[str]]
     still_hosting = set(placements.values())
     powered = frozenset(pm for pm in state.powered_on if pm in still_hosting)
     return replace(state, vms=vms, placements=placements, powered_on=powered), finished
-
-
-def pause(state: DatacenterState, vm_id: str) -> DatacenterState:
-    """Suspend a running VM, releasing its resources until re-placed."""
-    vm = state.vms.get(vm_id)
-    if vm is None:
-        raise NotFoundError(f"unknown VM {vm_id!r}")
-    if vm.state is not VmState.RUNNING:
-        raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot pause")
-    src = vm.placed_on
-    vms = dict(state.vms)
-    vms[vm_id] = replace(vm, state=VmState.PAUSED, placed_on=None)
-    placements = dict(state.placements)
-    del placements[vm_id]
-    powered = state.powered_on
-    if src not in set(placements.values()):
-        powered = powered - {src}
-    return replace(state, vms=vms, placements=placements, powered_on=powered)
 
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:

@@ -12,11 +12,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .datacenter import DatacenterState
+from .datacenter import ResourceSnapshot
 from .errors import CoverageError, DomainError, TraceFormatError
 
 WATTS_PER_KW = 1000.0
@@ -74,47 +74,34 @@ def pm_power(utilisation: float, powered_on: bool, model: PowerModel = DEFAULT_P
 
 
 def step_energy(
-    state: DatacenterState,
+    snapshot: ResourceSnapshot,
     model: PowerModel = DEFAULT_POWER_MODEL,
-    migrations: int | Sequence[str] = 0,
+    migrations: Sequence[str] = (),
     dt: float = 1.0,
 ) -> tuple[dict[str, EnergyBreakdown], EnergyBreakdown]:
     """Energy drawn over one interval, per PM and aggregated.
 
-    `migrations` is either a bare count or the list of destination PM ids;
-    with ids, each 0.01 kWh (default) penalty lands on the destination's
-    extra component so it can be billed at that PM's location.
+    `migrations` lists the destination PM id of each migration; each
+    0.01 kWh (default) penalty lands on the destination's extra component
+    so it can be billed at that PM's location.
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
-    if isinstance(migrations, int):
-        migration_count = migrations
-        dst_ids: tuple[str, ...] = ()
-    else:
-        dst_ids = tuple(migrations)
-        migration_count = len(dst_ids)
 
     per_pm: dict[str, EnergyBreakdown] = {}
-    for pm in state.pms:
-        used_cores = sum(
-            state.vms[v].request.cores
-            for v, placed in state.placements.items()
-            if placed == pm.id
-        )
-        watts = pm_power(used_cores / pm.cores, pm.id in state.powered_on, model)
+    for pm_id, entry in snapshot.items():
+        watts = pm_power(entry.utilisation, entry.powered_on, model)
         processor = watts * dt / WATTS_PER_KW
         cooling = model.cooling_coefficient * processor
         extra = model.extra_coefficient * processor
-        extra += model.migration_penalty * sum(1 for d in dst_ids if d == pm.id)
-        per_pm[pm.id] = EnergyBreakdown.make(processor, cooling, extra)
+        extra += model.migration_penalty * migrations.count(pm_id)
+        per_pm[pm_id] = EnergyBreakdown.make(processor, cooling, extra)
 
-    agg_processor = sum(b.processor for b in per_pm.values())
-    agg_cooling = sum(b.cooling for b in per_pm.values())
-    agg_extra = sum(b.extra for b in per_pm.values())
-    if not dst_ids:
-        # Bare count: penalties appear in the aggregate only.
-        agg_extra += model.migration_penalty * migration_count
-    aggregate = EnergyBreakdown.make(agg_processor, agg_cooling, agg_extra)
+    aggregate = EnergyBreakdown.make(
+        sum(b.processor for b in per_pm.values()),
+        sum(b.cooling for b in per_pm.values()),
+        sum(b.extra for b in per_pm.values()),
+    )
     return per_pm, aggregate
 
 
@@ -163,7 +150,7 @@ def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> 
 
 
 def load_price_series(content: bytes | str) -> PriceSeries:
-    """Parse the `hour,<loc>,...` CSV format, checking coverage and signs."""
+    """Parse the `hour,<loc>,...` CSV format, checking coverage, signs and finiteness."""
     if isinstance(content, bytes):
         content = content.decode("utf-8")
     rows = list(csv.reader(io.StringIO(content)))
@@ -192,6 +179,8 @@ def load_price_series(content: bytes | str) -> PriceSeries:
                 f"missing hour {expected_hour} (found {hour})", line=lineno
             )
         for loc, value in zip(locations, values):
+            if not math.isfinite(value):
+                raise TraceFormatError(f"non-finite price for {loc!r}", line=lineno)
             if value < 0:
                 raise TraceFormatError(f"negative price for {loc!r}", line=lineno)
             columns[loc].append(value)
@@ -211,13 +200,3 @@ def price_series_to_csv(series: PriceSeries) -> str:
         cells = [str(hour)] + [repr(series.prices[loc][hour]) for loc in locations]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def energy_cost(
-    series: Iterable[tuple[str, str, int, EnergyBreakdown]], prices: PriceSeries
-) -> float:
-    """Total cost of a (pm, location, hour, breakdown) series at the given prices."""
-    cost = 0.0
-    for _pm, location, hour, breakdown in series:
-        cost += breakdown.total * prices.price(location, hour)
-    return cost

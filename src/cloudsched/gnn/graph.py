@@ -127,17 +127,15 @@ class ClusterPartition:
         return [i for i, c in enumerate(self.cluster_of) if c == cluster_id]
 
 
-def partition_graph(graph: StateGraph, k: int, seed: int = 0) -> ClusterPartition:
+def partition_graph(graph: StateGraph, k: int) -> ClusterPartition:
     """Greedy balanced edge-cut partition into k clusters.
 
     Clusters are seeded with the highest-degree nodes, preferring seeds
     not adjacent to one another so separate components get separate
     clusters; then each remaining node joins the cluster it has the most
     edges into (ties: smaller cluster, then lower cluster id).  Fully
-    deterministic; `seed` is accepted for interface stability but the
-    index tie-breaks leave it nothing to decide.
+    deterministic: index tie-breaks leave nothing to chance.
     """
-    del seed
     n = graph.n_nodes
     if not 1 <= k <= n:
         raise DomainError(f"k={k} outside [1, {n}]")

@@ -297,6 +297,8 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
         flat = np.asarray(values, dtype=float)
         if flat.size != arr.size:
             raise TraceFormatError(f"parameter {name!r} has {flat.size} values, expected {arr.size}")
+        if not np.isfinite(flat).all():
+            raise TraceFormatError(f"parameter {name!r} has non-finite values")
         arr[...] = flat.reshape(arr.shape)
     return model
 

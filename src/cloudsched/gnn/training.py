@@ -149,10 +149,6 @@ def sample_loss(model, sample: TrainSample) -> float:
     return (score - sample.label) ** 2
 
 
-def clone_model(model):
-    return copy.deepcopy(model)
-
-
 def _choose_clusters(
     partition: ClusterPartition, sample: TrainSample, batch_clusters: int, rng
 ) -> list[int]:
@@ -174,15 +170,12 @@ def train(
     """SGD on squared error; returns (trained copy, per-epoch mean loss)."""
     if not dataset:
         raise DomainError("dataset must be non-empty")
-    model = clone_model(model)
+    model = copy.deepcopy(model)
     rng = np.random.default_rng(config.seed)
 
     use_clusters = isinstance(model, GcnModel)
     if use_clusters and partitions is None:
-        partitions = [
-            partition_graph(s.graph, k=min(2, s.graph.n_nodes), seed=config.seed)
-            for s in dataset
-        ]
+        partitions = [partition_graph(s.graph, k=min(2, s.graph.n_nodes)) for s in dataset]
 
     losses = []
     for epoch in range(config.epochs):

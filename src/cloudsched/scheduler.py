@@ -1,11 +1,13 @@
 """Placement policies: map (resources, requests) to scheduling decisions.
 
-Four interchangeable policies share one driver: pending requests are
+Five interchangeable policies share one driver: pending requests are
 processed in arrival order against a working copy of the resource
-snapshot, so a single step can fill a PM.  The learned policies score
-feasible PMs with a graph network and take the argmin (ties go to the
-first PM in snapshot order); the consolidator then tries to empty one
-underloaded PM per step when the predicted saving is positive.
+snapshot, so a single step can fill a PM.  `Policy.score` is the one
+place a policy's rule lives: it maps the feasible PMs for one request to
+scores and the driver takes the argmin (ties go to the first PM in
+snapshot order).  The learned policies score with a graph network; the
+consolidator then tries to empty one underloaded PM per step when the
+predicted saving is positive.
 """
 
 from __future__ import annotations
@@ -54,16 +56,41 @@ class Policy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
+        if self.kind in MODEL_POLICIES:
+            expected = GcnModel if self.kind == "counter" else GatedModel
+            if not isinstance(self.model, expected):
+                raise ConfigError(f"policy {self.kind!r} needs a {expected.__name__} attached")
         self._rng = np.random.default_rng(self.rng_seed)
 
-    def require_model(self):
-        if self.model is None:
-            raise ConfigError(f"policy {self.kind!r} needs a model attached")
-        expected = GcnModel if self.kind == "counter" else GatedModel
-        if not isinstance(self.model, expected):
-            raise ConfigError(
-                f"policy {self.kind!r} needs a {expected.__name__}, got {type(self.model).__name__}"
-            )
+    @property
+    def logs_scores(self) -> bool:
+        """Score logging covers the learned policies only."""
+        return self.record_scores and self.kind in MODEL_POLICIES
+
+    def score(
+        self,
+        working: ResourceSnapshot,
+        request: WorkloadRequest,
+        candidates: Sequence[str],
+        price_now: dict[str, float] | None = None,
+    ) -> dict[str, float]:
+        """Score the feasible PMs for one request; the lowest score wins.
+
+        `candidates` is the non-empty list, in snapshot order, of the PMs
+        in `working` that can host the request; the graph networks read
+        the same feasibility off `working` through the state graph.
+        first_fit and random pick without scoring, so they return their
+        pick alone (random draws once per request).
+        """
+        if self.kind == "first_fit":
+            return {candidates[0]: 0.0}
+        if self.kind == "random":
+            return {candidates[int(self._rng.integers(len(candidates)))]: 0.0}
+        if self.kind == "best_fit_energy":
+            return {pm: incremental_energy(working[pm], request, self.power) for pm in candidates}
+        graph = build_state_graph(working, [request], price_now)
+        node_scores = score_placements(self.model, graph, len(working))
+        return {graph.node_ids[node]: s for node, s in node_scores.items()}
 
 
 def incremental_energy(
@@ -94,29 +121,6 @@ def _after_placement(entry: SnapshotEntry, request: WorkloadRequest) -> Snapshot
     )
 
 
-def _model_scores(
-    model, working: ResourceSnapshot, request: WorkloadRequest, price_now
-) -> dict[str, float]:
-    graph = build_state_graph(working, [request], price_now)
-    vm_node = len(working)
-    node_scores = score_placements(model, graph, vm_node)
-    return {graph.node_ids[node]: s for node, s in node_scores.items()}
-
-
-def counter_score(
-    model: GcnModel, snapshot: ResourceSnapshot, request: WorkloadRequest, price_now=None
-) -> dict[str, float]:
-    """Cluster-GCN scores over feasible PMs for one request."""
-    return _model_scores(model, snapshot, request, price_now)
-
-
-def hunter_score(
-    model: GatedModel, snapshot: ResourceSnapshot, request: WorkloadRequest, price_now=None
-) -> dict[str, float]:
-    """Gated-network scores over feasible PMs for one request."""
-    return _model_scores(model, snapshot, request, price_now)
-
-
 def _argmin(scores: dict[str, float], order: Sequence[str]) -> str:
     best_pm = None
     best = None
@@ -138,9 +142,6 @@ def schedule(
     recorder: SampleRecorder | None = None,
 ) -> ScheduleDecision:
     """Assign each pending request per the policy, or defer it."""
-    if policy.kind in MODEL_POLICIES:
-        policy.require_model()
-
     working = dict(snapshot)
     order = list(working)
     decision = ScheduleDecision()
@@ -150,25 +151,10 @@ def schedule(
         if not candidates:
             decision.deferred.append(request.id)
             continue
-
-        if policy.kind == "first_fit":
-            chosen = candidates[0]
-        elif policy.kind == "best_fit_energy":
-            deltas = {
-                pm: incremental_energy(working[pm], request, policy.power)
-                for pm in candidates
-            }
-            chosen = _argmin(deltas, order)
-        elif policy.kind == "random":
-            chosen = candidates[int(policy._rng.integers(len(candidates)))]
-        else:
-            scores = _model_scores(policy.model, working, request, price_now)
-            if not scores:
-                decision.deferred.append(request.id)
-                continue
-            chosen = _argmin(scores, order)
-            if policy.record_scores:
-                decision.scores[request.id] = dict(scores)
+        scores = policy.score(working, request, candidates, price_now)
+        chosen = _argmin(scores, order)
+        if policy.logs_scores:
+            decision.scores[request.id] = scores
 
         if recorder is not None:
             graph = build_state_graph(working, [request], price_now)
@@ -201,16 +187,15 @@ def consolidate(
     """
     if policy.kind not in MODEL_POLICIES:
         return []
-    policy.require_model()
 
     snap = dc_snapshot(state)
     order = list(snap)
-    candidates = sorted(
+    underloaded = sorted(
         (pm for pm in order if snap[pm].powered_on and snap[pm].utilisation < threshold),
         key=lambda pm: (snap[pm].utilisation, order.index(pm)),
     )
 
-    for source in candidates:
+    for source in underloaded:
         vms = sorted(
             (vm for vm in state.vms.values() if vm.placed_on == source),
             key=lambda v: (-v.request.cores, v.id),
@@ -222,25 +207,19 @@ def consolidate(
             continue
 
         plan: list[tuple[str, str]] = []
-        feasible_plan = True
         for vm in vms:
-            remaining = max(
-                1, vm.start_hour + vm.request.duration - state.clock
-            )
-            scoring_request = dc_replace(vm.request, duration=remaining)
-            scores = _model_scores(policy.model, working, scoring_request, price_now)
-            if not scores:
-                feasible_plan = False
+            candidates = [pm for pm in working if feasible(working[pm], vm.request)]
+            if not candidates:
                 break
-            dst = _argmin(scores, order)
+            remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
+            scoring_request = dc_replace(vm.request, duration=remaining)
+            dst = _argmin(policy.score(working, scoring_request, candidates, price_now), order)
             plan.append((vm.id, dst))
             working[dst] = _after_placement(working[dst], vm.request)
-
-        if not feasible_plan or not plan:
-            continue
-        saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
-        if saving > 0:
-            return plan
+        else:  # every VM found a destination
+            saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
+            if plan and saving > 0:
+                return plan
     return []
 
 

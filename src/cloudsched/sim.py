@@ -171,16 +171,13 @@ def _load_policy(config: SimConfig) -> Policy:
         if config.model_path is None:
             raise ConfigError(f"policy {config.policy!r} needs a model or model_path")
         model = load_model(config.model_path)
-    policy = Policy(
+    return Policy(
         kind=config.policy,
         model=model,
         rng_seed=config.seed,
         power=config.power,
         record_scores=config.log_scores,
     )
-    if config.policy in MODEL_POLICIES:
-        policy.require_model()
-    return policy
 
 
 def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> SimResult:
@@ -233,8 +230,9 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
+        snap_after = snapshot(state)
         per_pm, aggregate = step_energy(
-            state, config.power, migrations=[dst for _, dst in migrations], dt=1.0
+            snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
         hour_cost = 0.0
         for pm in state.pms:
@@ -259,7 +257,6 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         result.hourly.append(hourly)
         result.totals = result.totals.plus(hourly)
 
-        snap_after = snapshot(state)
         result.utilisation.append([snap_after[pm].utilisation for pm in result.pm_ids])
         result.powered_on.append([snap_after[pm].powered_on for pm in result.pm_ids])
         result.prices_by_hour.append(

@@ -122,6 +122,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "loc-" in err and "hour 1" in err
 
+    def test_non_finite_price_is_config_error(self, tiny_files, tmp_path, capsys):
+        (tiny_files["dir"] / "nan.csv").write_text("hour,loc-0,loc-1\n0,nan,0.1\n1,0.1,0.1\n")
+        args = tiny_simulate_args(tiny_files, tmp_path / "out")
+        args[args.index("--price-file") + 1] = str(tiny_files["dir"] / "nan.csv")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "line 2" in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     def test_counter_without_model_is_config_error(self, tiny_files, tmp_path):
         args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--policy", "counter"])
         assert main(args) == 2
@@ -287,3 +296,13 @@ def test_log_scores_flag_adds_scores(tiny_files, tmp_path):
     assert any("scores" in e for e in events)
     scored = next(e for e in events if "scores" in e)
     assert set(scored["scores"]["vm-a"]) <= {"pm-0", "pm-1"}
+
+
+def test_log_scores_flag_skips_heuristics(tiny_files, tmp_path):
+    out = tmp_path / "out"
+    args = tiny_simulate_args(
+        tiny_files, out, extra=["--policy", "best_fit_energy", "--log-scores"]
+    )
+    assert main(args) == 0
+    events = [json.loads(line) for line in (out / "decisions.jsonl").read_text().splitlines()]
+    assert events and not any("scores" in e for e in events)

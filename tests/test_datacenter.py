@@ -10,7 +10,6 @@ from cloudsched.datacenter import (
     feasible,
     migrate,
     new_datacenter,
-    pause,
     place,
     remove_finished,
     snapshot,
@@ -114,9 +113,9 @@ class TestPlace:
         state = admit(with_clock(new_datacenter(2), 4), req(duration=10))
         state = place(state, "vm-x", "pm-0")
         assert state.vms["vm-x"].start_hour == 4
-        state = pause(with_clock(state, 6), "vm-x")
-        state = place(with_clock(state, 7), "vm-x", "pm-1")
-        assert state.vms["vm-x"].start_hour == 4  # resume keeps the original start
+        with pytest.raises(DomainError):  # a running VM is never placed again
+            place(with_clock(state, 7), "vm-x", "pm-1")
+        assert state.vms["vm-x"].start_hour == 4
 
 
 class TestRemoveFinished:
@@ -203,7 +202,7 @@ def test_state_dump_stable():
 
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["admit_place", "migrate", "finish", "tick", "pause"]),
+        st.sampled_from(["admit_place", "migrate", "finish", "tick"]),
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=1, max_value=32),
         st.integers(min_value=1, max_value=24),
@@ -236,10 +235,6 @@ def test_random_operations_keep_invariants(ops, pm_count):
                 state, _ = remove_finished(state)
             elif kind == "tick":
                 state = with_clock(state, state.clock + 1)
-            elif kind == "pause":
-                running = [v.id for v in state.vms.values() if v.state is VmState.RUNNING]
-                if running:
-                    state = pause(state, running[-1])
         except (CapacityError, DomainError, NotFoundError):
             assert state_dump(state) == before  # failed ops change nothing
         validate(state)

@@ -2,13 +2,11 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.datacenter import DEFAULT_PM_TEMPLATE, admit, new_datacenter, place
+from cloudsched.datacenter import DEFAULT_PM_TEMPLATE, admit, new_datacenter, place, snapshot
 from cloudsched.energy import (
     DEFAULT_POWER_MODEL,
     EnergyBreakdown,
     PowerModel,
-    PriceSeries,
-    energy_cost,
     generate_price_series,
     load_price_series,
     pm_power,
@@ -55,7 +53,7 @@ class TestStepEnergy:
             WorkloadRequest(id="w", cpu_frequency=2000, cores=1, ram=1, duration=4, arrival=0),
         )
         state = place(state, "w", "pm-0")
-        per_pm, agg = step_energy(state, DEFAULT_POWER_MODEL, migrations=0, dt=1.0)
+        per_pm, agg = step_energy(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
         watts = 100.0 + 100.0 * (1 / 32)
         assert agg.processor == approx(watts / 1000)
         assert agg.cooling == approx(0.3 * watts / 1000)
@@ -73,50 +71,24 @@ class TestStepEnergy:
         assert b.total == approx(0.135)
 
     def test_all_off_zero(self):
-        _, agg = step_energy(new_datacenter(3))
+        _, agg = step_energy(snapshot(new_datacenter(3)))
         assert agg == EnergyBreakdown.make(0.0, 0.0, 0.0)
 
     def test_migration_penalty_isolated(self):
-        _, agg = step_energy(new_datacenter(2), migrations=2)
+        _, agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-0", "pm-1"])
         assert agg.extra == approx(0.02)
         assert agg.total == approx(0.02)
         assert agg.processor == 0.0
 
     def test_penalty_lands_on_destination(self):
-        per_pm, agg = step_energy(new_datacenter(2), migrations=["pm-1"])
+        per_pm, agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-1"])
         assert per_pm["pm-1"].extra == approx(0.01)
         assert per_pm["pm-0"].extra == 0.0
         assert agg.extra == approx(0.01)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(DomainError):
-            step_energy(new_datacenter(1), dt=0.0)
-
-
-class TestEnergyCost:
-    def series(self):
-        return PriceSeries(prices={"loc-0": (0.10,), "loc-1": (0.20,)}, horizon=1)
-
-    def test_unit_arithmetic(self):
-        rows = [("pm-0", "loc-0", 0, EnergyBreakdown.make(0.1, 0.0, 0.0))]
-        assert energy_cost(rows, self.series()) == approx(0.01)
-
-    def test_zero_series(self):
-        assert energy_cost([], self.series()) == 0.0
-
-    def test_price_linearity_across_pms(self):
-        b = EnergyBreakdown.make(0.05, 0.015, 0.0025)
-        rows = [("pm-0", "loc-0", 0, b), ("pm-1", "loc-1", 0, b)]
-        cost = energy_cost(rows, self.series())
-        pm0 = b.total * 0.10
-        assert cost == approx(pm0 * 3)  # pm-1 contributes exactly double pm-0
-
-    def test_missing_price_named(self):
-        rows = [("pm-0", "loc-9", 0, EnergyBreakdown.make(0.1, 0.0, 0.0))]
-        with pytest.raises(CoverageError) as err:
-            energy_cost(rows, self.series())
-        assert err.value.location == "loc-9"
-        assert err.value.hour == 0
+            step_energy(snapshot(new_datacenter(1)), dt=0.0)
 
 
 class TestGeneratePriceSeries:
@@ -150,6 +122,11 @@ class TestLoadPriceSeries:
         with pytest.raises(TraceFormatError, match="missing hour 2"):
             load_price_series("hour,a\n0,0.1\n1,0.1\n3,0.1\n")
 
+    def test_non_finite_price(self):
+        for cell in ("nan", "inf", "-inf"):
+            with pytest.raises(TraceFormatError, match="line 2: non-finite price for 'loc-0'"):
+                load_price_series(f"hour,loc-0\n0,{cell}\n1,0.1\n")
+
     def test_ragged_row(self):
         with pytest.raises(TraceFormatError, match="line 3"):
             load_price_series("hour,a,b\n0,0.1,0.2\n1,0.1\n")
@@ -166,7 +143,7 @@ class TestLoadPriceSeries:
             series.price("zz", 0)
 
 
-def make_state(core_counts):
+def make_snapshot(core_counts):
     """One 32-core PM per entry, hosting a VM with the given core count (0 = off)."""
     state = new_datacenter(max(len(core_counts), 1), replace(DEFAULT_PM_TEMPLATE, ram=64))
     for i, cores in enumerate(core_counts):
@@ -176,7 +153,7 @@ def make_state(core_counts):
             )
             state = admit(state, r)
             state = place(state, f"w{i}", f"pm-{i}")
-    return state
+    return snapshot(state)
 
 
 core_lists = st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_size=5)
@@ -185,17 +162,17 @@ core_lists = st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_si
 @settings(max_examples=40, deadline=None)
 @given(core_lists)
 def test_additivity_two_hours(cores):
-    state = make_state(cores)
-    _, two = step_energy(state, dt=2.0)
-    _, one = step_energy(state, dt=1.0)
+    snap = make_snapshot(cores)
+    _, two = step_energy(snap, dt=2.0)
+    _, one = step_energy(snap, dt=1.0)
     assert two.total == pytest.approx(2 * one.total, rel=REL)
 
 
 @settings(max_examples=40, deadline=None)
 @given(core_lists)
 def test_eq1_closure_and_lower_bound(cores):
-    state = make_state(cores)
-    per_pm, agg = step_energy(state, dt=1.0)
+    snap = make_snapshot(cores)
+    per_pm, agg = step_energy(snap, dt=1.0)
     assert agg.total == pytest.approx(agg.processor + agg.cooling + agg.extra, rel=REL)
     for b in per_pm.values():
         assert b.total == pytest.approx(b.processor + b.cooling + b.extra, rel=REL)
@@ -213,25 +190,9 @@ def test_monotone_in_utilisation(a, b):
     hi = [max(x, y) for x, y in zip(a, b)]
     if [bool(x) for x in lo] != [bool(x) for x in hi]:
         return  # power-on sets differ; monotonicity contract does not apply
-    _, lo_agg = step_energy(make_state(lo))
-    _, hi_agg = step_energy(make_state(hi))
+    _, lo_agg = step_energy(make_snapshot(lo))
+    _, hi_agg = step_energy(make_snapshot(hi))
     assert hi_agg.processor >= lo_agg.processor - 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-def test_cost_scales_linearly_with_prices(scale):
-    series = generate_price_series(["loc-0"], 4, seed=1)
-    scaled = PriceSeries(
-        prices={"loc-0": tuple(p * scale for p in series.prices["loc-0"])}, horizon=4
-    )
-    rows = [
-        ("pm-0", "loc-0", h, EnergyBreakdown.make(0.1 + h / 100, 0.03, 0.005))
-        for h in range(4)
-    ]
-    assert energy_cost(rows, scaled) == pytest.approx(
-        scale * energy_cost(rows, series), rel=1e-12
-    )
 
 
 def test_power_model_validation():

@@ -132,8 +132,9 @@ class TestPartitionGraph:
             assert all(p.members(c) for c in range(k))
 
     def test_deterministic(self):
-        g = two_triangles()
-        assert partition_graph(g, k=2, seed=1) == partition_graph(g, k=2, seed=99)
+        g = build_state_graph(snapshot(new_datacenter(5)), [request()])
+        assert partition_graph(g, k=3) == partition_graph(g, k=3)
+        assert partition_graph(two_triangles(), k=2) == partition_graph(two_triangles(), k=2)
 
 
 def test_cluster_partition_validation():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,14 @@ class TestCheckpoints:
         assert back.steps == m.steps
         g = self.graph()
         assert score_placements(m, g, 3) == score_placements(back, g, 3)
+
+    def test_rejects_non_finite_parameters(self):
+        for value in ("NaN", "Infinity"):
+            doc = json.loads(model_to_json(new_gcn_model(seed=0)))
+            doc["params"][0][3] = value
+            text = json.dumps(doc).replace(f'"{value}"', value)
+            with pytest.raises(TraceFormatError, match="'W0'"):
+                model_from_json(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(TraceFormatError):

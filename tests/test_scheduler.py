@@ -19,8 +19,6 @@ from cloudsched.scheduler import (
     _argmin,
     collect_training_data,
     consolidate,
-    counter_score,
-    hunter_score,
     incremental_energy,
     schedule,
 )
@@ -111,6 +109,16 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             schedule(Policy("counter"), snapshot(new_datacenter(1)), [req()])
 
+    def test_heuristic_scores(self):
+        snap = {"pm-0": entry(), "pm-1": entry(free_cores=16, free_ram=8, powered_on=True)}
+        r = req()
+        assert Policy("first_fit").score(snap, r, ["pm-1", "pm-0"]) == {"pm-1": 0.0}
+        assert Policy("best_fit_energy").score(snap, r, ["pm-0", "pm-1"]) == {
+            pm: incremental_energy(snap[pm], r, DEFAULT_POWER_MODEL) for pm in snap
+        }
+        picks = [Policy("random", rng_seed=5).score(snap, r, ["pm-0", "pm-1"]) for _ in range(2)]
+        assert picks[0] == picks[1] and len(picks[0]) == 1
+
     def test_wrong_model_kind_rejected(self):
         with pytest.raises(ConfigError):
             schedule(
@@ -137,28 +145,30 @@ class TestModelScores:
         policy = Policy("counter", model=new_gcn_model(seed=1))
         d = schedule(policy, snap, [req(freq=3500)])
         assert d.deferred == ["vm-0"]
-        assert counter_score(policy.model, snap, req(freq=3500)) == {}
+        assert d.assignments == [] and d.scores == {}
 
     def test_single_feasible_pm_chosen(self):
         snap = {
             "pm-0": entry(free_cores=2),
             "pm-1": entry(),
         }
-        scores = counter_score(new_gcn_model(seed=1), snap, req(cores=8))
+        policy = Policy("counter", model=new_gcn_model(seed=1))
+        scores = policy.score(snap, req(cores=8), ["pm-1"])
         assert list(scores) == ["pm-1"]
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
-        model = new_gcn_model(seed=2)
-        scores = counter_score(model, snap, req())
+        policy = Policy("counter", model=new_gcn_model(seed=2))
+        scores = policy.score(snap, req(), list(snap))
         values = list(scores.values())
         assert max(values) - min(values) <= 1e-9  # feature-identical PMs
-        d = schedule(Policy("counter", model=model), snap, [req()])
+        d = schedule(policy, snap, [req()])
         assert d.assignments == [("vm-0", "pm-0")]
 
     def test_hunter_score_runs(self):
         snap = snapshot(new_datacenter(2))
-        scores = hunter_score(new_gated_model(seed=1), snap, req())
+        policy = Policy("hunter", model=new_gated_model(seed=1))
+        scores = policy.score(snap, req(), list(snap))
         assert set(scores) == {"pm-0", "pm-1"}
 
     def test_argmin_invariant_to_constant_shift(self):
@@ -217,6 +227,8 @@ class TestConsolidate:
         state = self.state_two_light_pms()
         assert consolidate(Policy("first_fit"), state) == []
         assert consolidate(Policy("best_fit_energy"), state) == []
+        # an attached model does not turn consolidation on for a heuristic
+        assert consolidate(Policy("first_fit", model=new_gcn_model(seed=1)), state) == []
 
 
 class TestCollectTrainingData:
