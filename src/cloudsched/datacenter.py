@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable
 
 from .errors import CapacityError, DomainError, NotFoundError
 from .workload import WorkloadRequest
@@ -123,14 +124,18 @@ def admit(state: DatacenterState, request: WorkloadRequest) -> DatacenterState:
     return replace(state, vms=vms)
 
 
-def _used(state: DatacenterState, pm_id: str) -> tuple[int, int]:
-    cores = ram = 0
-    for vm_id, placed in state.placements.items():
-        if placed == pm_id:
+def _usage(state: DatacenterState, pm_ids: Iterable[str] | None = None) -> dict[str, list[int]]:
+    """Used [cores, RAM] of the given PMs (default: all), in one pass over the placements."""
+    if pm_ids is None:
+        pm_ids = (pm.id for pm in state.pms)
+    usage = {pm_id: [0, 0] for pm_id in pm_ids}
+    for vm_id, pm_id in state.placements.items():
+        used = usage.get(pm_id)
+        if used is not None:
             req = state.vms[vm_id].request
-            cores += req.cores
-            ram += req.ram
-    return cores, ram
+            used[0] += req.cores
+            used[1] += req.ram
+    return usage
 
 
 def feasible(entry: SnapshotEntry, request: WorkloadRequest) -> bool:
@@ -168,7 +173,7 @@ def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
     if vm.state is not VmState.PENDING:
         raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot place")
 
-    used_cores, used_ram = _used(state, pm_id)
+    used_cores, used_ram = _usage(state, [pm_id])[pm_id]
     _check_fit(pm, pm.cores - used_cores, pm.ram - used_ram, vm.request)
 
     vms = dict(state.vms)
@@ -214,7 +219,7 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     if dst_pm == src:
         raise DomainError(f"VM {vm_id!r} already on {dst_pm}")
 
-    used_cores, used_ram = _used(state, dst_pm)
+    used_cores, used_ram = _usage(state, [dst_pm])[dst_pm]
     _check_fit(dst, dst.cores - used_cores, dst.ram - used_ram, vm.request)
 
     vms = dict(state.vms)
@@ -229,9 +234,10 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:
     """Pure read of per-PM free resources, in PM index order."""
+    usage = _usage(state)
     snap: ResourceSnapshot = {}
     for pm in state.pms:
-        used_cores, used_ram = _used(state, pm.id)
+        used_cores, used_ram = usage[pm.id]
         snap[pm.id] = SnapshotEntry(
             free_cores=pm.cores - used_cores,
             free_ram=pm.ram - used_ram,
@@ -247,8 +253,9 @@ def snapshot(state: DatacenterState) -> ResourceSnapshot:
 
 def validate(state: DatacenterState) -> None:
     """Raise DomainError if any structural invariant is broken (test hook)."""
+    usage = _usage(state)
     for pm in state.pms:
-        used_cores, used_ram = _used(state, pm.id)
+        used_cores, used_ram = usage[pm.id]
         if used_cores > pm.cores:
             raise DomainError(f"{pm.id}: core capacity exceeded ({used_cores}/{pm.cores})")
         if used_ram > pm.ram:

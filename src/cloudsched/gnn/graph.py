@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..datacenter import ResourceSnapshot, feasible
+from ..datacenter import ResourceSnapshot
 from ..errors import DomainError
 from ..workload import WorkloadRequest
 
@@ -56,37 +56,44 @@ def build_state_graph(
     n_pm = len(pm_ids)
     n = n_pm + len(pending)
 
-    features = np.zeros((n, FEATURE_DIM))
-    for i, pm_id in enumerate(pm_ids):
-        e = snapshot[pm_id]
-        price = 0.0
-        if price_now:
-            price = price_now.get(e.location, 0.0)
-        features[i] = (
-            e.free_cores / e.cores,
-            e.free_ram / e.ram,
-            e.utilisation,
-            1.0 if e.powered_on else 0.0,
-            price / NORM_PRICE,
-        )
-    for j, req in enumerate(pending):
-        features[n_pm + j] = (
-            req.cores / NORM_CORES,
-            req.ram / NORM_RAM_GIB,
-            (req.cpu_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ,
-            req.duration / NORM_DURATION_H,
-            0.0,
-        )
+    def price(location: str) -> float:
+        return price_now.get(location, 0.0) if price_now else 0.0
 
+    pms = np.array(
+        [
+            (e.free_cores, e.cores, e.free_ram, e.ram, e.utilisation, e.powered_on,
+             price(e.location), e.max_frequency)
+            for e in snapshot.values()
+        ],
+        dtype=float,
+    ).reshape(n_pm, 8)
+    free_cores, cores, free_ram, ram, utilisation, powered_on, prices, max_frequency = pms.T
+    vms = np.array(
+        [(r.cores, r.ram, r.cpu_frequency, r.duration) for r in pending], dtype=float
+    ).reshape(len(pending), 4)
+    req_cores, req_ram, req_frequency, req_duration = vms.T
+
+    features = np.zeros((n, FEATURE_DIM))
+    features[:n_pm, 0] = free_cores / cores
+    features[:n_pm, 1] = free_ram / ram
+    features[:n_pm, 2] = utilisation
+    features[:n_pm, 3] = powered_on
+    features[:n_pm, 4] = prices / NORM_PRICE
+    features[n_pm:, 0] = req_cores / NORM_CORES
+    features[n_pm:, 1] = req_ram / NORM_RAM_GIB
+    features[n_pm:, 2] = (req_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ
+    features[n_pm:, 3] = req_duration / NORM_DURATION_H
+
+    # The same test as datacenter.feasible, for every (VM, PM) pair at once.
+    fits = (
+        (free_cores[None, :] >= req_cores[:, None])
+        & (free_ram[None, :] >= req_ram[:, None])
+        & (max_frequency[None, :] >= req_frequency[:, None])
+    )
     adjacency = np.zeros((n, n))
-    for i in range(n_pm):
-        for j in range(i + 1, n_pm):
-            adjacency[i, j] = adjacency[j, i] = 1.0
-    for j, req in enumerate(pending):
-        v = n_pm + j
-        for i, pm_id in enumerate(pm_ids):
-            if feasible(snapshot[pm_id], req):
-                adjacency[i, v] = adjacency[v, i] = 1.0
+    adjacency[:n_pm, :n_pm] = 1.0 - np.eye(n_pm)
+    adjacency[n_pm:, :n_pm] = fits
+    adjacency[:n_pm, n_pm:] = fits.T
 
     return StateGraph(
         node_ids=tuple(pm_ids) + tuple(r.id for r in pending),
@@ -97,7 +104,14 @@ def build_state_graph(
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Return D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I."""
+    """Return D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
+
+    This public entry point validates its input: A must be square,
+    symmetric, 0/1 with a zero diagonal.  The model forwards and the
+    trainer call the unchecked `_normalize` directly, because a
+    `StateGraph`'s adjacency, and any cluster restriction of it, is valid
+    by construction.
+    """
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("adjacency must be square")
@@ -107,8 +121,12 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise DomainError("adjacency diagonal must be zero")
     if not np.all((a == 0) | (a == 1)):
         raise DomainError("adjacency entries must be 0 or 1")
+    return _normalize(a)
 
-    a_loop = a + np.eye(a.shape[0])
+
+def _normalize(adjacency: np.ndarray) -> np.ndarray:
+    """`normalize_adjacency` without the input checks."""
+    a_loop = adjacency + np.eye(adjacency.shape[0])
     inv_sqrt_deg = 1.0 / np.sqrt(a_loop.sum(axis=1))
     return a_loop * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 

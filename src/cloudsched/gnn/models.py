@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DomainError, ShapeError, TraceFormatError
-from .graph import FEATURE_DIM, ClusterPartition, StateGraph, normalize_adjacency
+from .graph import FEATURE_DIM, ClusterPartition, StateGraph, _normalize
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -183,7 +183,7 @@ def gcn_forward(
     else:
         partition, clusters = restrict_to
         _, feats, adj = restrict_graph(graph, partition, clusters)
-    a_hat = normalize_adjacency(adj)
+    a_hat = _normalize(adj)
     hs, _ = gcn_layers(model, a_hat, feats)
     return hs[-1]
 
@@ -216,7 +216,7 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray):
 def gated_forward(model: GatedModel, graph: StateGraph) -> np.ndarray:
     """Node embeddings after K gated propagation rounds over the full graph."""
     _check_feature_dim(model, graph)
-    a_hat = normalize_adjacency(graph.adjacency)
+    a_hat = _normalize(graph.adjacency)
     h0 = pad_features(graph.features, model.hidden)
     h, _ = gated_steps(model, a_hat, h0)
     return h
@@ -273,27 +273,54 @@ def model_to_json(model: GcnModel | GatedModel) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
+def _checkpoint_field(doc: dict, key: str):
+    if key not in doc:
+        raise TraceFormatError(f"checkpoint has no {key!r}")
+    return doc[key]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(value, key: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise TraceFormatError(f"checkpoint {key!r} must hold positive integers")
+    return value
+
+
 def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"invalid checkpoint JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise TraceFormatError("checkpoint must be a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
         raise TraceFormatError(f"unsupported checkpoint schema {doc.get('schema_version')!r}")
     kind = doc.get("kind")
-    if kind == "gcn":
-        model = new_gcn_model(seed=0, dims=tuple(doc["dims"]))
-    elif kind == "gated":
-        model = new_gated_model(seed=0, hidden=int(doc["dims"][1]), steps=int(doc["steps"]))
-    else:
+    if kind not in ("gcn", "gated"):
         raise TraceFormatError(f"unknown model kind {kind!r}")
-    params = doc["params"]
+    dims = _checkpoint_field(doc, "dims")
+    if not isinstance(dims, list) or len(dims) < 2:
+        raise TraceFormatError("checkpoint 'dims' must list at least two sizes")
+    dims = [_positive_int(d, "dims") for d in dims]
+    if kind == "gcn":
+        model = new_gcn_model(seed=0, dims=tuple(dims))
+    else:
+        steps = _positive_int(_checkpoint_field(doc, "steps"), "steps")
+        model = new_gated_model(seed=0, hidden=dims[1], steps=steps)
+    params = _checkpoint_field(doc, "params")
+    if not isinstance(params, list):
+        raise TraceFormatError("checkpoint 'params' must be a list of arrays")
     names = [name for name, _ in model.parameters()]
     if len(params) != len(names):
         raise TraceFormatError(
             f"checkpoint has {len(params)} parameter arrays, expected {len(names)}"
         )
     for (name, arr), values in zip(model.parameters(), params):
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
+            raise TraceFormatError(f"parameter {name!r} must be a list of numbers")
         flat = np.asarray(values, dtype=float)
         if flat.size != arr.size:
             raise TraceFormatError(f"parameter {name!r} has {flat.size} values, expected {arr.size}")

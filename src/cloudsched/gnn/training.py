@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DivergenceError, DomainError
-from .graph import ClusterPartition, StateGraph, normalize_adjacency, partition_graph
+from .graph import ClusterPartition, StateGraph, _normalize, partition_graph
 from .models import (
     GatedModel,
     GcnModel,
@@ -94,9 +94,14 @@ def gated_loss_and_grads(model: GatedModel, a_hat, feats, vm_pos, pm_pos, label)
     h0 = pad_features(feats, model.hidden)
     h_last, caches = gated_steps(model, a_hat, h0)
     loss, d_h, d_rw, d_rb = _pair_backward(model, h_last, feats, vm_pos, pm_pos, label)
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
-    grads["readout_w"] = d_rw
-    grads["readout_b"] = d_rb
+    grads = {"readout_w": d_rw, "readout_b": d_rb}
+
+    def add(name: str, grad: np.ndarray) -> None:
+        # The last step assigns, earlier steps accumulate: no zero buffers.
+        if name in grads:
+            grads[name] += grad
+        else:
+            grads[name] = grad
 
     for cache in reversed(caches):
         h_prev, m = cache["h_prev"], cache["m"]
@@ -107,28 +112,28 @@ def gated_loss_and_grads(model: GatedModel, a_hat, feats, vm_pos, pm_pos, label)
         dh_prev = d_h * (1.0 - z)
 
         dpc = dc * (1.0 - c * c)
-        grads["w_c"] += m.T @ dpc
-        grads["u_c"] += (r * h_prev).T @ dpc
-        grads["b_c"] += dpc.sum(axis=0)
+        add("w_c", m.T @ dpc)
+        add("u_c", (r * h_prev).T @ dpc)
+        add("b_c", dpc.sum(axis=0))
         dm = dpc @ model.w_c.T
         d_rh = dpc @ model.u_c.T
         dh_prev += d_rh * r
 
         dpr = (d_rh * h_prev) * r * (1.0 - r)
-        grads["w_r"] += m.T @ dpr
-        grads["u_r"] += h_prev.T @ dpr
-        grads["b_r"] += dpr.sum(axis=0)
+        add("w_r", m.T @ dpr)
+        add("u_r", h_prev.T @ dpr)
+        add("b_r", dpr.sum(axis=0))
         dm += dpr @ model.w_r.T
         dh_prev += dpr @ model.u_r.T
 
         dpz = dz_gate * z * (1.0 - z)
-        grads["w_z"] += m.T @ dpz
-        grads["u_z"] += h_prev.T @ dpz
-        grads["b_z"] += dpz.sum(axis=0)
+        add("w_z", m.T @ dpz)
+        add("u_z", h_prev.T @ dpz)
+        add("b_z", dpz.sum(axis=0))
         dm += dpz @ model.w_z.T
         dh_prev += dpz @ model.u_z.T
 
-        grads["w_msg"] += (a_hat @ h_prev).T @ dm
+        add("w_msg", (a_hat @ h_prev).T @ dm)
         dh_prev += a_hat @ (dm @ model.w_msg.T)
         d_h = dh_prev
     return loss, grads
@@ -136,7 +141,7 @@ def gated_loss_and_grads(model: GatedModel, a_hat, feats, vm_pos, pm_pos, label)
 
 def sample_loss(model, sample: TrainSample) -> float:
     """Full-graph squared error for one sample (used by the gradient check)."""
-    a_hat = normalize_adjacency(sample.graph.adjacency)
+    a_hat = _normalize(sample.graph.adjacency)
     feats = sample.graph.features
     if isinstance(model, GcnModel):
         hs, _ = gcn_layers(model, a_hat, feats)
@@ -161,13 +166,31 @@ def _choose_clusters(
     return sorted(forced)
 
 
+def _sample_graph(
+    sample: TrainSample, partition: ClusterPartition | None, selected: tuple[int, ...] | None
+):
+    """(a_hat, features, vm position, pm position) of one training step's graph."""
+    if partition is None:
+        graph = sample.graph
+        return _normalize(graph.adjacency), graph.features, sample.vm_node, sample.pm_node
+    nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
+    return _normalize(adj), feats, nodes.index(sample.vm_node), nodes.index(sample.pm_node)
+
+
 def train(
     model: GcnModel | GatedModel,
     dataset: Sequence[TrainSample],
     partitions: Sequence[ClusterPartition] | None = None,
     config: TrainConfig = TrainConfig(),
 ) -> tuple[GcnModel | GatedModel, list[float]]:
-    """SGD on squared error; returns (trained copy, per-epoch mean loss)."""
+    """SGD on squared error; returns (trained copy, per-epoch mean loss).
+
+    Each sample's normalised graph (for the GCN, its restriction to the
+    selected clusters) is built once, on first use, and reused in later
+    epochs.  The clusters are still drawn every step, so the RNG stream,
+    and with it the trained parameters, match a loop that rebuilds the
+    graph every time.
+    """
     if not dataset:
         raise DomainError("dataset must be non-empty")
     model = copy.deepcopy(model)
@@ -176,33 +199,24 @@ def train(
     use_clusters = isinstance(model, GcnModel)
     if use_clusters and partitions is None:
         partitions = [partition_graph(s.graph, k=min(2, s.graph.n_nodes)) for s in dataset]
+    loss_and_grads = gcn_loss_and_grads if use_clusters else gated_loss_and_grads
 
+    graphs: dict[tuple[int, tuple[int, ...] | None], tuple] = {}
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         epoch_loss = 0.0
         for idx in order:
-            sample = dataset[int(idx)]
+            idx = int(idx)
+            sample = dataset[idx]
+            partition, selected = None, None
             if use_clusters:
-                partition = partitions[int(idx)]
-                selected = _choose_clusters(partition, sample, config.batch_clusters, rng)
-                nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
-                vm_pos = nodes.index(sample.vm_node)
-                pm_pos = nodes.index(sample.pm_node)
-                a_hat = normalize_adjacency(adj)
-                loss, grads = gcn_loss_and_grads(
-                    model, a_hat, feats, vm_pos, pm_pos, sample.label
-                )
-            else:
-                a_hat = normalize_adjacency(sample.graph.adjacency)
-                loss, grads = gated_loss_and_grads(
-                    model,
-                    a_hat,
-                    sample.graph.features,
-                    sample.vm_node,
-                    sample.pm_node,
-                    sample.label,
-                )
+                partition = partitions[idx]
+                selected = tuple(_choose_clusters(partition, sample, config.batch_clusters, rng))
+            key = (idx, selected)
+            if key not in graphs:
+                graphs[key] = _sample_graph(sample, partition, selected)
+            loss, grads = loss_and_grads(model, *graphs[key], sample.label)
             for name, arr in model.parameters():
                 arr -= config.learning_rate * grads[name]
             epoch_loss += loss
@@ -214,7 +228,7 @@ def train(
 
 
 def analytic_grads(model, sample: TrainSample) -> dict[str, np.ndarray]:
-    a_hat = normalize_adjacency(sample.graph.adjacency)
+    a_hat = _normalize(sample.graph.adjacency)
     if isinstance(model, GcnModel):
         _, grads = gcn_loss_and_grads(
             model, a_hat, sample.graph.features, sample.vm_node, sample.pm_node, sample.label

@@ -195,11 +195,13 @@ def consolidate(
         key=lambda pm: (snap[pm].utilisation, order.index(pm)),
     )
 
+    hosted: dict[str, list] = {}
+    for vm in state.vms.values():
+        if vm.placed_on is not None:
+            hosted.setdefault(vm.placed_on, []).append(vm)
+
     for source in underloaded:
-        vms = sorted(
-            (vm for vm in state.vms.values() if vm.placed_on == source),
-            key=lambda v: (-v.request.cores, v.id),
-        )
+        vms = sorted(hosted.get(source, []), key=lambda v: (-v.request.cores, v.id))
         working = {
             pm: snap[pm] for pm in order if pm != source and snap[pm].powered_on
         }

@@ -174,7 +174,9 @@ def derive_request(trace: VmTrace, arrival: int, request_id: str | None = None) 
         raise DomainError(f"trace {trace.vm_name!r} has no samples")
 
     cores = max(s.cores for s in trace.samples)
-    cores = min(max(cores, 1), MAX_PM_CORES)
+    if cores < 1:
+        raise TraceFormatError(f"trace {trace.vm_name!r}: no sample has a positive CPU core count")
+    cores = min(cores, MAX_PM_CORES)
     per_core = max(
         (s.provisioned_capacity_mhz / s.cores) for s in trace.samples if s.cores > 0
     )

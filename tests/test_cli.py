@@ -156,6 +156,40 @@ class TestSimulate:
         doc = json.loads((out / "result.json").read_text())
         assert doc["placed"] == 1 and doc["deferred"] == 0
 
+    def test_all_zero_core_trace_is_config_error(self, tmp_path, capsys):
+        tracedir = tmp_path / "traces"
+        tracedir.mkdir()
+        (tracedir / "idle.csv").write_text(
+            "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
+            "CPU usage [MHZ];Memory capacity provisioned [KB]\n"
+            "0;0;4000;100;1048576\n3600000;0;4000;100;1048576\n"
+        )
+        args = ["simulate", "--trace-dir", str(tracedir), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'idle'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2, 3]\n",
+            '{"schema_version": 1, "kind": "gcn", "params": []}\n',
+            '{"schema_version": 1, "kind": "gcn", "dims": [5, 2], "params": '
+            '[["x"], [0.0, 0.0], [0.0], [0.0]]}\n',
+        ],
+        ids=["array", "no-dims", "string-param"],
+    )
+    def test_malformed_checkpoint_is_config_error(self, tiny_files, tmp_path, capsys, text):
+        bad = tiny_files["dir"] / "bad.json"
+        bad.write_text(text)
+        args = tiny_simulate_args(
+            tiny_files, tmp_path / "out", extra=["--policy", "counter", "--model", str(bad)]
+        )
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "qos.json").exists()
+
 
 class TestCompare:
     def test_two_heuristics(self, tiny_files, tmp_path):

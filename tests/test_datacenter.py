@@ -20,6 +20,8 @@ from cloudsched.datacenter import (
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.workload import WorkloadRequest
 
+from slow_reference import snapshot_by_pm_scan
+
 BIG_RAM = replace(DEFAULT_PM_TEMPLATE, ram=64)
 
 
@@ -238,3 +240,4 @@ def test_random_operations_keep_invariants(ops, pm_count):
         except (CapacityError, DomainError, NotFoundError):
             assert state_dump(state) == before  # failed ops change nothing
         validate(state)
+        assert snapshot(state) == snapshot_by_pm_scan(state)

@@ -1,0 +1,54 @@
+"""Byte-level goldens for all five policies on one seeded scenario.
+
+The scenario (16 PMs, 128 VMs, 48 hours, seed 1) both defers requests
+and, under the learned policies, consolidates, so every stage of the
+hour loop shows up in the outputs.  `policy_goldens.json` holds the
+sha256 of each output file; the learned policies load the checkpoints
+committed next to it.  Regenerate (only in a change that is meant to
+alter outputs) with:
+
+    PYTHONPATH=src python tests/test_goldens.py > tests/data/policy_goldens.json
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cloudsched.gnn.models import load_model
+from cloudsched.scheduler import MODEL_POLICIES, POLICY_KINDS
+from cloudsched.sim import SimConfig, decision_log_jsonl, energy_report_csv, result_to_json, run
+
+DATA = Path(__file__).parent / "data"
+SCENARIO = dict(pm_count=16, vm_count=128, horizon=48, seed=1)
+
+
+def policy_outputs(policy: str) -> tuple[dict[str, str], object]:
+    model = load_model(DATA / f"{policy}.json") if policy in MODEL_POLICIES else None
+    result = run(SimConfig(policy=policy, model=model, **SCENARIO))
+    outputs = {
+        "result.json": result_to_json(result),
+        "energy_report.csv": energy_report_csv(result),
+        "decisions.jsonl": decision_log_jsonl(result),
+    }
+    return outputs, result
+
+
+def digests(outputs: dict[str, str]) -> dict[str, str]:
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in outputs.items()}
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_policy_outputs_match_golden(policy):
+    goldens = json.loads((DATA / "policy_goldens.json").read_text())
+    outputs, result = policy_outputs(policy)
+    assert result.deferred > 0
+    if policy in MODEL_POLICIES:
+        assert result.migration_count > 0
+    assert digests(outputs) == goldens[policy]
+
+
+if __name__ == "__main__":
+    doc = {policy: digests(policy_outputs(policy)[0]) for policy in POLICY_KINDS}
+    print(json.dumps(doc, indent=2, sort_keys=True))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cloudsched.datacenter import new_datacenter, snapshot
+from cloudsched.datacenter import SnapshotEntry, new_datacenter, snapshot
 from cloudsched.errors import DomainError
 from cloudsched.gnn.graph import (
     ClusterPartition,
@@ -14,6 +15,8 @@ from cloudsched.gnn.graph import (
     partition_graph,
 )
 from cloudsched.workload import WorkloadRequest
+
+from slow_reference import build_state_graph_by_element
 
 
 def request(freq=2000, cores=4, ram=8, duration=24):
@@ -47,6 +50,59 @@ class TestBuildStateGraph:
             graph.features[1], [8 / 32, 4 / 64, (2500 - 1600) / 1800, 12 / 48, 0.0]
         )
         assert graph.kinds == ("pm", "vm")
+
+
+@st.composite
+def snapshot_entries(draw, index):
+    cores = draw(st.sampled_from([8, 16, 32]))
+    ram = draw(st.sampled_from([16, 64]))
+    free_cores = draw(st.integers(0, cores))
+    return SnapshotEntry(
+        free_cores=free_cores,
+        free_ram=draw(st.integers(0, ram)),
+        max_frequency=draw(st.integers(1600, 3400)),
+        powered_on=draw(st.booleans()),
+        utilisation=(cores - free_cores) / cores,
+        cores=cores,
+        ram=ram,
+        location=f"loc-{index}",
+    )
+
+
+@st.composite
+def graph_inputs(draw):
+    n_pm = draw(st.integers(1, 6))
+    snap = {f"pm-{i}": draw(snapshot_entries(i)) for i in range(n_pm)}
+    # requests up to 40 cores / 70 GiB / 3500 MHz: some fit nowhere
+    pending = [
+        WorkloadRequest(
+            id=f"vm-{j}",
+            cpu_frequency=draw(st.integers(1600, 3500)),
+            cores=draw(st.integers(1, 40)),
+            ram=draw(st.integers(1, 70)),
+            duration=draw(st.integers(1, 48)),
+            arrival=0,
+        )
+        for j in range(draw(st.integers(0, 4)))
+    ]
+    # None, or prices for a subset of the locations (the rest are missing)
+    priced = draw(st.none() | st.lists(st.integers(0, n_pm - 1), unique=True))
+    price_now = None
+    if priced is not None:
+        price_now = {f"loc-{i}": draw(st.floats(0.0, 0.15)) for i in priced}
+    return snap, pending, price_now
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_inputs())
+def test_build_state_graph_matches_element_loop(inputs):
+    fast = build_state_graph(*inputs)
+    slow = build_state_graph_by_element(*inputs)
+    assert fast.node_ids == slow.node_ids and fast.kinds == slow.kinds
+    assert fast.features.dtype == slow.features.dtype == np.float64
+    assert fast.adjacency.dtype == slow.adjacency.dtype == np.float64
+    assert fast.features.tobytes() == slow.features.tobytes()
+    assert fast.adjacency.tobytes() == slow.adjacency.tobytes()
 
 
 class TestNormalizeAdjacency:

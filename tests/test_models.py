@@ -207,3 +207,36 @@ class TestCheckpoints:
             model_from_json('{"schema_version": 99}')
         with pytest.raises(TraceFormatError):
             model_from_json('{"schema_version": 1, "kind": "mlp"}')
+
+    @pytest.mark.parametrize("kind", ["gcn", "gated"])
+    def test_rejects_malformed_structure(self, kind):
+        model = new_gcn_model(seed=0) if kind == "gcn" else new_gated_model(seed=0)
+        good = json.loads(model_to_json(model))
+        assert isinstance(model_from_json(json.dumps(good)), type(model))
+
+        def broken(**changes):
+            doc = dict(good)
+            for key, value in changes.items():
+                if value is None:
+                    doc.pop(key, None)
+                else:
+                    doc[key] = value
+            return json.dumps(doc)
+
+        params_with_string = [list(p) for p in good["params"]]
+        params_with_string[0][0] = "0.5"
+        cases = [
+            "[1, 2, 3]",
+            broken(dims=None),
+            broken(dims=[5]),
+            broken(dims=[5, "16"]),
+            broken(params=None),
+            broken(params={"W0": []}),
+            broken(params=params_with_string),
+            broken(params=good["params"][:-1] + [0.0]),
+        ]
+        if kind == "gated":
+            cases += [broken(steps=None), broken(steps=0), broken(steps=1.5)]
+        for text in cases:
+            with pytest.raises(TraceFormatError):
+                model_from_json(text)

@@ -12,6 +12,8 @@ from cloudsched.gnn.training import (
     train,
 )
 
+from slow_reference import train_uncached
+
 
 def random_sample(seed, n=5, label=0.1):
     rng = np.random.default_rng(seed)
@@ -113,6 +115,18 @@ class TestTrain:
             config=TrainConfig(epochs=5, batch_clusters=2),
         )
         assert len(losses) == 5
+
+    def test_cached_graphs_match_uncached_loop(self):
+        # batch_clusters=2 on k=3 draws an extra cluster per step, so the
+        # cache keys vary and the RNG stream must stay in the uncached order.
+        data = [random_sample(40 + i, n=7, label=0.1 * i) for i in range(4)]
+        parts = [partition_graph(s.graph, k=3) for s in data]
+        config = TrainConfig(epochs=6, batch_clusters=2, seed=5)
+        for model in (new_gcn_model(seed=2), new_gated_model(seed=2)):
+            fast, fast_losses = train(model, data, partitions=parts, config=config)
+            slow, slow_losses = train_uncached(model, data, partitions=parts, config=config)
+            assert fast_losses == slow_losses
+            assert model_to_json(fast) == model_to_json(slow)
 
     def test_label_validation(self):
         with pytest.raises(DomainError):

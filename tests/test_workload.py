@@ -132,6 +132,12 @@ class TestDeriveRequest:
         with pytest.raises(DomainError):
             derive_request(VmTrace("t", ()), arrival=0)
 
+    def test_all_zero_cores_names_trace(self):
+        content = HEADER + "\n0;0;4000;100;1048576\n3600000;0;4000;100;1048576\n"
+        trace = parse_trace_file(content, name="idle-vm")
+        with pytest.raises(TraceFormatError, match="'idle-vm'"):
+            derive_request(trace, arrival=0)
+
     @given(trace_samples)
     def test_never_exceeds_largest_pm(self, raw):
         req = derive_request(build_trace(raw), arrival=0)
