@@ -270,43 +270,3 @@ def validate(state: DatacenterState) -> None:
     for pm in state.pms:
         if (pm.id in state.powered_on) != (pm.id in hosting):
             raise DomainError(f"{pm.id}: power status out of step with hosting")
-
-
-def state_dump(state: DatacenterState) -> dict:
-    """JSON-ready snapshot of the full state with stable key ordering."""
-    return {
-        "clock": state.clock,
-        "pms": [
-            {
-                "id": pm.id,
-                "location": pm.location,
-                "cores": pm.cores,
-                "max_frequency": pm.max_frequency,
-                "min_frequency": pm.min_frequency,
-                "ram": pm.ram,
-                "peak_power": pm.peak_power,
-                "idle_power": pm.idle_power,
-                "powered_on": pm.id in state.powered_on,
-            }
-            for pm in state.pms
-        ],
-        "vms": [
-            {
-                "id": vm.id,
-                "state": vm.state.value,
-                "placed_on": vm.placed_on,
-                "start_hour": vm.start_hour,
-                "migrations": vm.migrations,
-                "request": {
-                    "id": vm.request.id,
-                    "cpu_frequency": vm.request.cpu_frequency,
-                    "cores": vm.request.cores,
-                    "ram": vm.request.ram,
-                    "duration": vm.request.duration,
-                    "arrival": vm.request.arrival,
-                },
-            }
-            for vm in sorted(state.vms.values(), key=lambda v: v.id)
-        ],
-        "placements": {k: state.placements[k] for k in sorted(state.placements)},
-    }

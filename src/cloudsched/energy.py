@@ -191,12 +191,3 @@ def load_price_series(content: bytes | str) -> PriceSeries:
     return PriceSeries(
         prices={loc: tuple(vals) for loc, vals in columns.items()}, horizon=horizon
     )
-
-
-def price_series_to_csv(series: PriceSeries) -> str:
-    locations = list(series.prices)
-    lines = ["hour," + ",".join(locations)]
-    for hour in range(series.horizon):
-        cells = [str(hour)] + [repr(series.prices[loc][hour]) for loc in locations]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

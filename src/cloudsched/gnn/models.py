@@ -9,6 +9,7 @@ numpy: the graphs here stay well under a hundred nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -23,7 +24,17 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-@dataclass
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+@dataclass(eq=False)
 class GcnModel:
     """Stacked graph convolutions (ReLU, identity on last) + pair readout.
 
@@ -33,17 +44,26 @@ class GcnModel:
     (the self-loop weight equals the neighbour weight, so a node's own
     features cancel out of its row), and the scorer could no longer tell
     a powered-on PM from a powered-off one.
+
+    All parameters live in one float64 vector, `flat`, in `parameters()`
+    order; every named array is a view into it.  Copy a model with
+    `copy()` (which re-binds the views), not `copy.deepcopy`.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    readout_w: np.ndarray  # (2 * (embedding_dim + feature_dim), 1)
-    readout_b: np.ndarray  # (1,)
+    dims: tuple[int, ...]
+    flat: np.ndarray
     kind: str = field(default="gcn", init=False)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+    def __post_init__(self):
+        d = self.dims
+        shapes = []
+        for i in range(len(d) - 1):
+            shapes += [(d[i], d[i + 1]), (d[i + 1],)]
+        shapes += [(2 * (d[-1] + d[0]), 1), (1,)]
+        views = _views(self.flat, shapes)
+        self.weights = views[0:-2:2]
+        self.biases = views[1:-2:2]
+        self.readout_w, self.readout_b = views[-2:]  # (2 * (embedding + feature dim), 1), (1,)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         params = []
@@ -54,33 +74,46 @@ class GcnModel:
         params.append(("readout_b", self.readout_b))
         return params
 
+    def with_flat(self, flat: np.ndarray) -> "GcnModel":
+        """A model of the same shape over another parameter vector."""
+        return GcnModel(self.dims, flat)
 
-@dataclass
+    def copy(self) -> "GcnModel":
+        return self.with_flat(self.flat.copy())
+
+
+@dataclass(eq=False)
 class GatedModel:
-    """GRU-gated message passing unrolled for a fixed number of steps."""
+    """GRU-gated message passing unrolled for a fixed number of steps.
 
-    w_msg: np.ndarray  # (hidden, hidden)
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_c: np.ndarray
-    u_c: np.ndarray
-    b_c: np.ndarray
+    `flat` holds w_msg, then one [w_g, u_g, b_g] block per gate g in
+    z, r, c order, then the readout.  The blocks are equally long, so
+    `W`, `U` (3, hidden, hidden) and `B` (3, hidden) stack the three gates
+    as strided views, and one batched product covers all of them.  As for
+    `GcnModel`, every named array is a view into `flat`.
+    """
+
+    hidden: int
     steps: int
-    readout_w: np.ndarray
-    readout_b: np.ndarray
+    flat: np.ndarray
     kind: str = field(default="gated", init=False)
 
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError("propagation steps must be >= 1")
-
-    @property
-    def hidden(self) -> int:
-        return self.w_msg.shape[0]
+        h = self.hidden
+        block = 2 * h * h + h
+        self.w_msg = self.flat[: h * h].reshape(h, h)
+        gates = self.flat[h * h : h * h + 3 * block].reshape(3, block)
+        self.W = gates[:, : h * h].reshape(3, h, h)
+        self.U = gates[:, h * h : 2 * h * h].reshape(3, h, h)
+        self.B = gates[:, 2 * h * h :]
+        self.w_z, self.w_r, self.w_c = self.W
+        self.u_z, self.u_r, self.u_c = self.U
+        self.b_z, self.b_r, self.b_c = self.B
+        self.readout_w, self.readout_b = _views(
+            self.flat[h * h + 3 * block :], [(2 * (h + FEATURE_DIM), 1), (1,)]
+        )
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         return [
@@ -98,28 +131,35 @@ class GatedModel:
             ("readout_b", self.readout_b),
         ]
 
+    def with_flat(self, flat: np.ndarray) -> "GatedModel":
+        """A model of the same shape over another parameter vector."""
+        return GatedModel(self.hidden, self.steps, flat)
+
+    def copy(self) -> "GatedModel":
+        return self.with_flat(self.flat.copy())
+
+
+def _pack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
 
 def new_gcn_model(seed: int, dims: Sequence[int] = (FEATURE_DIM, 16, 16)) -> GcnModel:
     rng = np.random.default_rng(seed)
     weights = [_glorot(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
     readout_w = _glorot(rng, 2 * (dims[-1] + dims[0]), 1)
-    return GcnModel(weights=weights, biases=biases, readout_w=readout_w, readout_b=np.zeros(1))
+    layers = [a for pair in zip(weights, biases) for a in pair]
+    return GcnModel(tuple(dims), _pack(layers + [readout_w, np.zeros(1)]))
 
 
 def new_gated_model(seed: int, hidden: int = 16, steps: int = 2) -> GatedModel:
     rng = np.random.default_rng(seed)
-    g = lambda: _glorot(rng, hidden, hidden)
-    model = GatedModel(
-        w_msg=g(),
-        w_z=g(), u_z=g(), b_z=np.zeros(hidden),
-        w_r=g(), u_r=g(), b_r=np.zeros(hidden),
-        w_c=g(), u_c=g(), b_c=np.zeros(hidden),
-        steps=steps,
-        readout_w=_glorot(rng, 2 * (hidden + FEATURE_DIM), 1),
-        readout_b=np.zeros(1),
-    )
-    return model
+    w_msg = _glorot(rng, hidden, hidden)
+    gates = []
+    for _ in range(3):  # z, r, c
+        gates += [_glorot(rng, hidden, hidden), _glorot(rng, hidden, hidden), np.zeros(hidden)]
+    readout_w = _glorot(rng, 2 * (hidden + FEATURE_DIM), 1)
+    return GatedModel(hidden, steps, _pack([w_msg] + gates + [readout_w, np.zeros(1)]))
 
 
 def restrict_graph(
@@ -155,20 +195,29 @@ def _check_feature_dim(model, graph: StateGraph):
         raise ShapeError(f"cannot pad {d} features into hidden size {model.hidden}")
 
 
-def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray):
-    """Run all layers with caches: returns (activations list, pre-activations list)."""
+def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None):
+    """Run all layers with caches: returns (activations, propagated, pre-activations).
+
+    Layer l maps hs[l] to hs[l + 1] through ahs[l] = a_hat @ hs[l] and
+    zs[l] = ahs[l] @ W_l + b_l.  `a_feats`, when given, is a_hat @ feats.
+    """
     if feats.shape[1] != model.weights[0].shape[0]:
         raise ShapeError(
             f"features dim {feats.shape[1]} != first layer dim {model.weights[0].shape[0]}"
         )
-    hs = [feats]
-    zs = []
+    hs, ahs, zs = [feats], [], []
+    ah = np.dot(a_hat, feats) if a_feats is None else a_feats
     last = len(model.weights) - 1
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a_hat @ hs[-1] @ w + b
+        z = np.dot(ah, w) + b
+        ahs.append(ah)
         zs.append(z)
-        hs.append(np.maximum(z, 0.0) if layer < last else z)
-    return hs, zs
+        if layer < last:
+            hs.append(np.maximum(z, 0.0))
+            ah = np.dot(a_hat, hs[-1])
+        else:
+            hs.append(z)
+    return hs, ahs, zs
 
 
 def gcn_forward(
@@ -184,7 +233,7 @@ def gcn_forward(
         partition, clusters = restrict_to
         _, feats, adj = restrict_graph(graph, partition, clusters)
     a_hat = _normalize(adj)
-    hs, _ = gcn_layers(model, a_hat, feats)
+    hs, _, _ = gcn_layers(model, a_hat, feats)
     return hs[-1]
 
 
@@ -198,17 +247,31 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray):
-    """Unroll the GRU propagation, caching per-step tensors for backprop."""
+def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None):
+    """Unroll the GRU propagation, caching per-step tensors for backprop.
+
+    One batched product gives m @ w_g for all three gates and another
+    h @ u_g for z and r; each slice is the same matrix product as an
+    unstacked gate, so the results are too.  `a_h0`, when given, is
+    a_hat @ h0.  Each cache is (h_prev, a_hat @ h_prev, m, [z, r], r * h_prev, c).
+    """
+    u_zr, b_zr = model.U[:2], model.B[:2, None]
     caches = []
     h = h0
-    for _ in range(model.steps):
-        m = a_hat @ h @ model.w_msg
-        z = _sigmoid(m @ model.w_z + h @ model.u_z + model.b_z)
-        r = _sigmoid(m @ model.w_r + h @ model.u_r + model.b_r)
-        c = np.tanh(m @ model.w_c + (r * h) @ model.u_c + model.b_c)
+    ah = np.dot(a_hat, h0) if a_h0 is None else a_h0
+    for step in range(model.steps):
+        if step:
+            ah = np.dot(a_hat, h)
+        m = np.dot(ah, model.w_msg)
+        mw = np.matmul(m, model.W)
+        zr = mw[:2] + np.matmul(h, u_zr)
+        zr += b_zr
+        zr = _sigmoid(zr)
+        z, r = zr
+        rh = r * h
+        c = np.tanh(mw[2] + np.dot(rh, model.u_c) + model.b_c)
         h_next = (1.0 - z) * h + z * c
-        caches.append({"h_prev": h, "m": m, "z": z, "r": r, "c": c})
+        caches.append((h, ah, m, zr, rh, c))
         h = h_next
     return h, caches
 
@@ -270,7 +333,7 @@ def model_to_json(model: GcnModel | GatedModel) -> str:
     else:
         doc["dims"] = [FEATURE_DIM, model.hidden]
         doc["steps"] = model.steps
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _checkpoint_field(doc: dict, key: str):

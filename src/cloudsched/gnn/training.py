@@ -10,9 +10,8 @@ are per-sample SGD, deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,104 +51,125 @@ class TrainConfig:
     seed: int = 0
 
 
-def _pair_backward(model, h_last, feats, vm_pos, pm_pos, label):
-    """Readout + loss backward; returns (loss, dH_last, readout grads).
+class StepGraph(NamedTuple):
+    """One training step's graph, built once per (sample, selected clusters).
+
+    `inputs` is the network's input (the features, zero-padded to the
+    hidden size for the gated model) and `a_inputs` is a_hat @ inputs.
+    """
+
+    a_hat: np.ndarray
+    feats: np.ndarray
+    inputs: np.ndarray
+    a_inputs: np.ndarray
+    vm_pos: int
+    pm_pos: int
+
+
+def _pair_backward(model, grads, h_last, g: StepGraph, label):
+    """Readout + loss backward; writes the readout grads, returns (loss, dH_last).
 
     The raw-feature segments of the pair vector are inputs, so only the
     embedding segments propagate gradient back into the network.
     """
     e = h_last.shape[1]
-    f = feats.shape[1]
-    pair = pair_vector(h_last, feats, vm_pos, pm_pos)
+    f = g.feats.shape[1]
+    pair = pair_vector(h_last, g.feats, g.vm_pos, g.pm_pos)
     score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     resid = score - label
-    loss = resid * resid
 
     ds = 2.0 * resid
-    d_readout_w = (pair * ds)[:, None]
-    d_readout_b = np.array([ds])
+    np.multiply(pair, ds, out=grads.readout_w[:, 0])
+    grads.readout_b[0] = ds
     dpair = model.readout_w[:, 0] * ds
     d_h = np.zeros_like(h_last)
-    d_h[vm_pos] += dpair[:e]
-    d_h[pm_pos] += dpair[e + f : 2 * e + f]
-    return loss, d_h, d_readout_w, d_readout_b
+    d_h[g.vm_pos] += dpair[:e]
+    d_h[g.pm_pos] += dpair[e + f : 2 * e + f]
+    return resid * resid, d_h
 
 
-def gcn_loss_and_grads(model: GcnModel, a_hat, feats, vm_pos, pm_pos, label):
-    hs, zs = gcn_layers(model, a_hat, feats)
-    loss, d_h, d_rw, d_rb = _pair_backward(model, hs[-1], feats, vm_pos, pm_pos, label)
-    grads = {"readout_w": d_rw, "readout_b": d_rb}
+def gcn_loss_and_grads(model: GcnModel, grads: GcnModel, g: StepGraph, label: float) -> float:
+    """Squared error of one step; writes every gradient into `grads` (same layout)."""
+    hs, ahs, zs = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)
+    loss, d_h = _pair_backward(model, grads, hs[-1], g, label)
 
     last = len(model.weights) - 1
     for layer in range(last, -1, -1):
         dz = d_h if layer == last else d_h * (zs[layer] > 0)
-        ah = a_hat @ hs[layer]
-        grads[f"W{layer}"] = ah.T @ dz
-        grads[f"b{layer}"] = dz.sum(axis=0)
-        d_h = a_hat @ (dz @ model.weights[layer].T)  # a_hat is symmetric
-    return loss, grads
+        np.dot(ahs[layer].T, dz, out=grads.weights[layer])
+        np.add.reduce(dz, 0, out=grads.biases[layer])
+        if layer:  # nothing reads the gradient of the input features
+            d_h = np.dot(g.a_hat, np.dot(dz, model.weights[layer].T))  # a_hat is symmetric
+    return loss
 
 
-def gated_loss_and_grads(model: GatedModel, a_hat, feats, vm_pos, pm_pos, label):
-    h0 = pad_features(feats, model.hidden)
-    h_last, caches = gated_steps(model, a_hat, h0)
-    loss, d_h, d_rw, d_rb = _pair_backward(model, h_last, feats, vm_pos, pm_pos, label)
-    grads = {"readout_w": d_rw, "readout_b": d_rb}
+def gated_loss_and_grads(model: GatedModel, grads: GatedModel, g: StepGraph, label: float) -> float:
+    """Squared error of one step; writes every gradient into `grads` (same layout).
 
-    def add(name: str, grad: np.ndarray) -> None:
-        # The last step assigns, earlier steps accumulate: no zero buffers.
-        if name in grads:
-            grads[name] += grad
+    The gate gradients are stacked like the parameters: `dp` holds the
+    pre-activation gradients of z, r and c, and one batched product each
+    gives dW, dU[:2] and the messages' gradient.  The last unrolled step
+    assigns each gradient, earlier steps add to it, in the order of an
+    unstacked loop.
+    """
+    h_last, caches = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
+    loss, d_h = _pair_backward(model, grads, h_last, g, label)
+
+    w_t = model.W.transpose(0, 2, 1)
+    u_zr_t = model.U[:2].transpose(0, 2, 1)
+    u_c_t = model.u_c.T
+    w_msg_t = model.w_msg.T
+    dp = np.empty((3,) + h_last.shape)
+    dp_zr, dp_c = dp[:2], dp[2]
+    last = len(caches) - 1
+    for step in range(last, -1, -1):
+        h_prev, ah, m, zr, rh, c = caches[step]
+        z, r = zr
+
+        np.multiply(d_h, c - h_prev, out=dp[0])
+        np.multiply(d_h * z, 1.0 - c * c, out=dp_c)
+        d_rh = np.dot(dp_c, u_c_t)
+        np.multiply(d_rh, h_prev, out=dp[1])
+        dp_zr *= zr
+        one_minus_zr = 1.0 - zr
+        dp_zr *= one_minus_zr
+
+        dmw = np.matmul(dp, w_t)
+        dm = dmw[2] + dmw[1]
+        dm += dmw[0]
+        if step == last:
+            np.matmul(m.T, dp, out=grads.W)
+            np.matmul(h_prev.T, dp_zr, out=grads.U[:2])
+            np.dot(rh.T, dp_c, out=grads.u_c)
+            np.add.reduce(dp, 1, out=grads.B)
+            np.dot(ah.T, dm, out=grads.w_msg)
         else:
-            grads[name] = grad
+            grads.W += np.matmul(m.T, dp)
+            grads.U[:2] += np.matmul(h_prev.T, dp_zr)
+            grads.u_c += np.dot(rh.T, dp_c)
+            grads.B += np.add.reduce(dp, 1)
+            grads.w_msg += np.dot(ah.T, dm)
+        if step == 0:  # nothing reads the gradient of the padded input
+            break
 
-    for cache in reversed(caches):
-        h_prev, m = cache["h_prev"], cache["m"]
-        z, r, c = cache["z"], cache["r"], cache["c"]
-
-        dz_gate = d_h * (c - h_prev)
-        dc = d_h * z
-        dh_prev = d_h * (1.0 - z)
-
-        dpc = dc * (1.0 - c * c)
-        add("w_c", m.T @ dpc)
-        add("u_c", (r * h_prev).T @ dpc)
-        add("b_c", dpc.sum(axis=0))
-        dm = dpc @ model.w_c.T
-        d_rh = dpc @ model.u_c.T
+        dh_prev = d_h * one_minus_zr[0]
         dh_prev += d_rh * r
-
-        dpr = (d_rh * h_prev) * r * (1.0 - r)
-        add("w_r", m.T @ dpr)
-        add("u_r", h_prev.T @ dpr)
-        add("b_r", dpr.sum(axis=0))
-        dm += dpr @ model.w_r.T
-        dh_prev += dpr @ model.u_r.T
-
-        dpz = dz_gate * z * (1.0 - z)
-        add("w_z", m.T @ dpz)
-        add("u_z", h_prev.T @ dpz)
-        add("b_z", dpz.sum(axis=0))
-        dm += dpz @ model.w_z.T
-        dh_prev += dpz @ model.u_z.T
-
-        add("w_msg", (a_hat @ h_prev).T @ dm)
-        dh_prev += a_hat @ (dm @ model.w_msg.T)
+        dhu = np.matmul(dp_zr, u_zr_t)
+        dh_prev += dhu[1]
+        dh_prev += dhu[0]
+        dh_prev += np.dot(g.a_hat, np.dot(dm, w_msg_t))
         d_h = dh_prev
-    return loss, grads
+    return loss
 
 
 def sample_loss(model, sample: TrainSample) -> float:
     """Full-graph squared error for one sample (used by the gradient check)."""
-    a_hat = _normalize(sample.graph.adjacency)
-    feats = sample.graph.features
+    g = _sample_graph(model, sample)
     if isinstance(model, GcnModel):
-        hs, _ = gcn_layers(model, a_hat, feats)
-        h_last = hs[-1]
+        h_last = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)[0][-1]
     else:
-        h0 = pad_features(feats, model.hidden)
-        h_last, _ = gated_steps(model, a_hat, h0)
-    pair = pair_vector(h_last, feats, sample.vm_node, sample.pm_node)
+        h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
+    pair = pair_vector(h_last, g.feats, g.vm_pos, g.pm_pos)
     score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     return (score - sample.label) ** 2
 
@@ -167,14 +187,21 @@ def _choose_clusters(
 
 
 def _sample_graph(
-    sample: TrainSample, partition: ClusterPartition | None, selected: tuple[int, ...] | None
-):
-    """(a_hat, features, vm position, pm position) of one training step's graph."""
+    model,
+    sample: TrainSample,
+    partition: ClusterPartition | None = None,
+    selected: tuple[int, ...] | None = None,
+) -> StepGraph:
+    """The graph of one training step: the full graph, or its selected clusters."""
     if partition is None:
-        graph = sample.graph
-        return _normalize(graph.adjacency), graph.features, sample.vm_node, sample.pm_node
-    nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
-    return _normalize(adj), feats, nodes.index(sample.vm_node), nodes.index(sample.pm_node)
+        feats, adj = sample.graph.features, sample.graph.adjacency
+        vm_pos, pm_pos = sample.vm_node, sample.pm_node
+    else:
+        nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
+        vm_pos, pm_pos = nodes.index(sample.vm_node), nodes.index(sample.pm_node)
+    a_hat = _normalize(adj)
+    inputs = feats if isinstance(model, GcnModel) else pad_features(feats, model.hidden)
+    return StepGraph(a_hat, feats, inputs, np.dot(a_hat, inputs), vm_pos, pm_pos)
 
 
 def train(
@@ -186,14 +213,17 @@ def train(
     """SGD on squared error; returns (trained copy, per-epoch mean loss).
 
     Each sample's normalised graph (for the GCN, its restriction to the
-    selected clusters) is built once, on first use, and reused in later
-    epochs.  The clusters are still drawn every step, so the RNG stream,
-    and with it the trained parameters, match a loop that rebuilds the
-    graph every time.
+    selected clusters) and its propagated input are built once, on first
+    use, and reused in later epochs.  The clusters are still drawn every
+    step, so the RNG stream, and with it the trained parameters, match a
+    loop that rebuilds the graph every time.  Each step writes all
+    gradients into one buffer laid out like the model's flat parameter
+    vector, and the update is one elementwise `flat -= lr * grads`.
     """
     if not dataset:
         raise DomainError("dataset must be non-empty")
-    model = copy.deepcopy(model)
+    model = model.copy()
+    grads = model.with_flat(np.empty_like(model.flat))
     rng = np.random.default_rng(config.seed)
 
     use_clusters = isinstance(model, GcnModel)
@@ -201,7 +231,7 @@ def train(
         partitions = [partition_graph(s.graph, k=min(2, s.graph.n_nodes)) for s in dataset]
     loss_and_grads = gcn_loss_and_grads if use_clusters else gated_loss_and_grads
 
-    graphs: dict[tuple[int, tuple[int, ...] | None], tuple] = {}
+    graphs: dict[tuple[int, tuple[int, ...] | None], StepGraph] = {}
     losses = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -215,11 +245,9 @@ def train(
                 selected = tuple(_choose_clusters(partition, sample, config.batch_clusters, rng))
             key = (idx, selected)
             if key not in graphs:
-                graphs[key] = _sample_graph(sample, partition, selected)
-            loss, grads = loss_and_grads(model, *graphs[key], sample.label)
-            for name, arr in model.parameters():
-                arr -= config.learning_rate * grads[name]
-            epoch_loss += loss
+                graphs[key] = _sample_graph(model, sample, partition, selected)
+            epoch_loss += loss_and_grads(model, grads, graphs[key], sample.label)
+            model.flat -= config.learning_rate * grads.flat
         mean_loss = epoch_loss / len(dataset)
         if not np.isfinite(mean_loss):
             raise DivergenceError(epoch)
@@ -228,16 +256,10 @@ def train(
 
 
 def analytic_grads(model, sample: TrainSample) -> dict[str, np.ndarray]:
-    a_hat = _normalize(sample.graph.adjacency)
-    if isinstance(model, GcnModel):
-        _, grads = gcn_loss_and_grads(
-            model, a_hat, sample.graph.features, sample.vm_node, sample.pm_node, sample.label
-        )
-    else:
-        _, grads = gated_loss_and_grads(
-            model, a_hat, sample.graph.features, sample.vm_node, sample.pm_node, sample.label
-        )
-    return grads
+    grads = model.with_flat(np.empty_like(model.flat))
+    loss_and_grads = gcn_loss_and_grads if isinstance(model, GcnModel) else gated_loss_and_grads
+    loss_and_grads(model, grads, _sample_graph(model, sample), sample.label)
+    return dict(grads.parameters())
 
 
 def gradient_check(model, sample: TrainSample, epsilon: float = 1e-5) -> float:

@@ -359,7 +359,7 @@ def result_to_json(result: SimResult) -> str:
         "deferred": result.deferred,
         "migrations": result.migration_count,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _breakdown_dict(b: EnergyBreakdown) -> dict:
@@ -382,7 +382,7 @@ def qos_to_json(report: QoSReport) -> str:
         "deferred": report.deferred,
         "migrated": report.migrated,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def energy_report_csv(result: SimResult) -> str:
@@ -397,7 +397,9 @@ def energy_report_csv(result: SimResult) -> str:
 
 
 def decision_log_jsonl(result: SimResult) -> str:
-    return "".join(json.dumps(event, sort_keys=True) + "\n" for event in result.events)
+    return "".join(
+        json.dumps(event, sort_keys=True, allow_nan=False) + "\n" for event in result.events
+    )
 
 
 def comparison_to_csv(table: ComparisonTable) -> str:

@@ -129,13 +129,13 @@ def parse_trace_file(content: bytes | str, name: str = "trace") -> VmTrace:
                 f"expected at least {width} columns, got {len(cells)}", line=lineno
             )
         try:
-            ts = int(float(cells[col_index["timestamp [ms]"]]))
-            cores = int(float(cells[col_index["cpu cores"]]))
-            capacity = float(cells[col_index["cpu capacity provisioned [mhz]"]])
-            usage = float(cells[col_index["cpu usage [mhz]"]])
-            memory = float(cells[col_index["memory capacity provisioned [kb]"]])
+            values = [float(cells[col_index[column]]) for column in _REQUIRED_COLUMNS]
         except ValueError:
             raise TraceFormatError("non-numeric cell", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise TraceFormatError("non-finite cell", line=lineno)
+        ts_value, cores_value, capacity, usage, memory = values
+        ts, cores = int(ts_value), int(cores_value)
         if last_ts is not None and ts <= last_ts:
             raise TraceFormatError(
                 f"timestamp {ts} not increasing (previous {last_ts})", line=lineno
@@ -147,20 +147,6 @@ def parse_trace_file(content: bytes | str, name: str = "trace") -> VmTrace:
         samples.append(TraceSample(ts, cores, capacity, usage, memory))
 
     return VmTrace(vm_name=name, samples=tuple(samples), clamped_rows=clamped)
-
-
-def serialize_trace(trace: VmTrace) -> str:
-    """Write a VmTrace back to the Bitbrains column layout it was read from."""
-    out = [
-        "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
-        "CPU usage [MHZ];Memory capacity provisioned [KB]"
-    ]
-    for s in trace.samples:
-        out.append(
-            f"{s.timestamp_ms};{s.cores};{s.provisioned_capacity_mhz!r};"
-            f"{s.cpu_usage_mhz!r};{s.provisioned_memory_kb!r}"
-        )
-    return "\n".join(out) + "\n"
 
 
 def derive_request(trace: VmTrace, arrival: int, request_id: str | None = None) -> WorkloadRequest:
@@ -242,7 +228,7 @@ def workload_to_json(workload: WorkloadSet) -> str:
         }
         for r in workload.requests
     ]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:

@@ -6,8 +6,6 @@ Each function here is the plain loop that a vectorised or cached path in
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from cloudsched.datacenter import SnapshotEntry, feasible
@@ -23,8 +21,15 @@ from cloudsched.gnn.graph import (
     normalize_adjacency,
     partition_graph,
 )
-from cloudsched.gnn.models import GcnModel, restrict_graph
-from cloudsched.gnn.training import _choose_clusters, gated_loss_and_grads, gcn_loss_and_grads
+from cloudsched.gnn.models import (
+    GcnModel,
+    model_from_json,
+    model_to_json,
+    pad_features,
+    pair_vector,
+    restrict_graph,
+)
+from cloudsched.gnn.training import _choose_clusters
 
 
 def snapshot_by_pm_scan(state) -> dict[str, SnapshotEntry]:
@@ -95,9 +100,126 @@ def build_state_graph_by_element(snapshot, pending, price_now=None) -> StateGrap
     )
 
 
+def _gcn_layers(model, a_hat, feats):
+    hs = [feats]
+    zs = []
+    last = len(model.weights) - 1
+    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a_hat @ hs[-1] @ w + b
+        zs.append(z)
+        hs.append(np.maximum(z, 0.0) if layer < last else z)
+    return hs, zs
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _gated_steps(model, a_hat, h0):
+    caches = []
+    h = h0
+    for _ in range(model.steps):
+        m = a_hat @ h @ model.w_msg
+        z = _sigmoid(m @ model.w_z + h @ model.u_z + model.b_z)
+        r = _sigmoid(m @ model.w_r + h @ model.u_r + model.b_r)
+        c = np.tanh(m @ model.w_c + (r * h) @ model.u_c + model.b_c)
+        h_next = (1.0 - z) * h + z * c
+        caches.append({"h_prev": h, "m": m, "z": z, "r": r, "c": c})
+        h = h_next
+    return h, caches
+
+
+def _pair_backward(model, h_last, feats, vm_pos, pm_pos, label):
+    e = h_last.shape[1]
+    f = feats.shape[1]
+    pair = pair_vector(h_last, feats, vm_pos, pm_pos)
+    score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
+    resid = score - label
+    loss = resid * resid
+
+    ds = 2.0 * resid
+    d_readout_w = (pair * ds)[:, None]
+    d_readout_b = np.array([ds])
+    dpair = model.readout_w[:, 0] * ds
+    d_h = np.zeros_like(h_last)
+    d_h[vm_pos] += dpair[:e]
+    d_h[pm_pos] += dpair[e + f : 2 * e + f]
+    return loss, d_h, d_readout_w, d_readout_b
+
+
+def gcn_loss_and_grads(model, a_hat, feats, vm_pos, pm_pos, label):
+    """Loss and a dict of gradients, one `@` per product, every gradient computed."""
+    hs, zs = _gcn_layers(model, a_hat, feats)
+    loss, d_h, d_rw, d_rb = _pair_backward(model, hs[-1], feats, vm_pos, pm_pos, label)
+    grads = {"readout_w": d_rw, "readout_b": d_rb}
+
+    last = len(model.weights) - 1
+    for layer in range(last, -1, -1):
+        dz = d_h if layer == last else d_h * (zs[layer] > 0)
+        ah = a_hat @ hs[layer]
+        grads[f"W{layer}"] = ah.T @ dz
+        grads[f"b{layer}"] = dz.sum(axis=0)
+        d_h = a_hat @ (dz @ model.weights[layer].T)
+    return loss, grads
+
+
+def gated_loss_and_grads(model, a_hat, feats, vm_pos, pm_pos, label):
+    """Loss and a dict of gradients, one product per gate and parameter."""
+    h0 = pad_features(feats, model.hidden)
+    h_last, caches = _gated_steps(model, a_hat, h0)
+    loss, d_h, d_rw, d_rb = _pair_backward(model, h_last, feats, vm_pos, pm_pos, label)
+    grads = {"readout_w": d_rw, "readout_b": d_rb}
+
+    def add(name, grad):
+        if name in grads:
+            grads[name] += grad
+        else:
+            grads[name] = grad
+
+    for cache in reversed(caches):
+        h_prev, m = cache["h_prev"], cache["m"]
+        z, r, c = cache["z"], cache["r"], cache["c"]
+
+        dz_gate = d_h * (c - h_prev)
+        dc = d_h * z
+        dh_prev = d_h * (1.0 - z)
+
+        dpc = dc * (1.0 - c * c)
+        add("w_c", m.T @ dpc)
+        add("u_c", (r * h_prev).T @ dpc)
+        add("b_c", dpc.sum(axis=0))
+        dm = dpc @ model.w_c.T
+        d_rh = dpc @ model.u_c.T
+        dh_prev += d_rh * r
+
+        dpr = (d_rh * h_prev) * r * (1.0 - r)
+        add("w_r", m.T @ dpr)
+        add("u_r", h_prev.T @ dpr)
+        add("b_r", dpr.sum(axis=0))
+        dm += dpr @ model.w_r.T
+        dh_prev += dpr @ model.u_r.T
+
+        dpz = dz_gate * z * (1.0 - z)
+        add("w_z", m.T @ dpz)
+        add("u_z", h_prev.T @ dpz)
+        add("b_z", dpz.sum(axis=0))
+        dm += dpz @ model.w_z.T
+        dh_prev += dpz @ model.u_z.T
+
+        add("w_msg", (a_hat @ h_prev).T @ dm)
+        dh_prev += a_hat @ (dm @ model.w_msg.T)
+        d_h = dh_prev
+    return loss, grads
+
+
 def train_uncached(model, dataset, partitions=None, config=None):
-    """Per-sample SGD that restricts and normalises every sample's graph every step."""
-    model = copy.deepcopy(model)
+    """Per-sample SGD that restricts and normalises every sample's graph every
+    step and updates one parameter array at a time.
+
+    The model is copied through its checkpoint, and the kernels above are
+    this module's own, so the comparison does not lean on the code under test.
+    """
+    model = model_from_json(model_to_json(model))
     rng = np.random.default_rng(config.seed)
     use_clusters = isinstance(model, GcnModel)
     if use_clusters and partitions is None:

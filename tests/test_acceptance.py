@@ -27,13 +27,13 @@ from cloudsched.datacenter import (
 from cloudsched.energy import pm_power
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.gnn.graph import partition_graph
-from cloudsched.gnn.models import new_gated_model, new_gcn_model
+from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model
 from cloudsched.gnn.training import TrainConfig, TrainSample, gradient_check, train
 from cloudsched.scheduler import Policy, collect_training_data, schedule
 from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.workload import WorkloadRequest
 
-from conftest import tiny_config, tiny_requests
+from conftest import DATA, tiny_config, tiny_requests
 
 from dataclasses import replace
 
@@ -50,6 +50,14 @@ def trained_models():
     counter, _ = train(new_gcn_model(seed=1), samples, partitions=partitions, config=cfg)
     hunter, _ = train(new_gated_model(seed=1), samples, config=cfg)
     return {"counter": counter, "hunter": hunter}
+
+
+def test_trained_models_match_committed_checkpoints(trained_models):
+    # The fixture is the seed-0 training recipe, so its models serialise to
+    # the committed checkpoints byte for byte.
+    for policy in ("counter", "hunter"):
+        expected = (DATA / f"{policy}.json").read_text(encoding="utf-8")
+        assert model_to_json(trained_models[policy]) == expected, policy
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +150,7 @@ def _relu_kink_free(model, sample, margin=1e-3) -> bool:
     from cloudsched.gnn.models import gcn_layers
 
     a_hat = normalize_adjacency(sample.graph.adjacency)
-    _, zs = gcn_layers(model, a_hat, sample.graph.features)
+    _, _, zs = gcn_layers(model, a_hat, sample.graph.features)
     return all(np.abs(z).min() > margin for z in zs[:-1])
 
 

@@ -170,6 +170,24 @@ class TestSimulate:
         assert err.count("error:") == 1 and "'idle'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "row",
+        ["3600000;4;nan;100;1048576", "3600000;4;4000;100;inf", "inf;4;4000;100;1048576"],
+        ids=["nan-capacity", "inf-memory", "inf-timestamp"],
+    )
+    def test_non_finite_trace_cell_is_config_error(self, tmp_path, capsys, row):
+        tracedir = tmp_path / "traces"
+        tracedir.mkdir()
+        (tracedir / "vm.csv").write_text(
+            "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
+            "CPU usage [MHZ];Memory capacity provisioned [KB]\n"
+            "0;4;4000;100;1048576\n" + row + "\n"
+        )
+        args = ["simulate", "--trace-dir", str(tracedir), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "line 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[1, 2, 3]\n",

@@ -13,13 +13,13 @@ from cloudsched.datacenter import (
     place,
     remove_finished,
     snapshot,
-    state_dump,
     validate,
     with_clock,
 )
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.workload import WorkloadRequest
 
+from helpers import state_dump
 from slow_reference import snapshot_by_pm_scan
 
 BIG_RAM = replace(DEFAULT_PM_TEMPLATE, ram=64)

@@ -10,11 +10,12 @@ from cloudsched.energy import (
     generate_price_series,
     load_price_series,
     pm_power,
-    price_series_to_csv,
     step_energy,
 )
 from cloudsched.errors import CoverageError, DomainError, TraceFormatError
 from cloudsched.workload import WorkloadRequest
+
+from helpers import price_series_to_csv
 
 REL = 1e-9
 

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from cloudsched.energy import PriceSeries
+from cloudsched.energy import EnergyBreakdown, PriceSeries
 from cloudsched.errors import ConfigError, CoverageError
+from cloudsched.gnn.models import model_to_json, new_gated_model
 from cloudsched.sim import (
     QoSReport,
     SimConfig,
@@ -13,10 +15,11 @@ from cloudsched.sim import (
     compute_qos,
     decision_log_jsonl,
     energy_report_csv,
+    qos_to_json,
     result_to_json,
     run,
 )
-from cloudsched.workload import WorkloadRequest
+from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
 
@@ -208,3 +211,46 @@ class TestSerialization:
         doc = json.loads(result_to_json(run(tiny_config())))
         assert doc["placed"] == 3
         assert doc["totals"]["total_kwh"] == pytest.approx(0.57375, rel=REL)
+
+
+NAN = float("nan")
+
+
+def _nan_result():
+    result = run(tiny_config())
+    result.totals = EnergyBreakdown.make(NAN, 0.0, 0.0)
+    return result
+
+
+def _nan_event():
+    result = run(tiny_config())
+    result.events[0]["score"] = NAN
+    return result
+
+
+def _nan_model():
+    model = new_gated_model(seed=0)
+    model.readout_b[0] = NAN
+    return model
+
+
+def _nan_workload():
+    request = WorkloadRequest(id="vm-0", cpu_frequency=NAN, cores=1, ram=1, duration=1, arrival=0)
+    return WorkloadSet(requests=(request,), source="synthetic")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda: result_to_json(_nan_result()),
+        lambda: qos_to_json(replace(compute_qos(run(tiny_config())), total_cost=NAN)),
+        lambda: decision_log_jsonl(_nan_event()),
+        lambda: model_to_json(_nan_model()),
+        lambda: workload_to_json(_nan_workload()),
+    ],
+    ids=["result", "qos", "decisions", "checkpoint", "workload"],
+)
+def test_json_writers_reject_nan(write):
+    # JSON has no NaN: a writer raises rather than emit a non-standard token.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write()

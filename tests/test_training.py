@@ -116,17 +116,44 @@ class TestTrain:
         )
         assert len(losses) == 5
 
-    def test_cached_graphs_match_uncached_loop(self):
+    def assert_matches_uncached_loop(self, model):
         # batch_clusters=2 on k=3 draws an extra cluster per step, so the
         # cache keys vary and the RNG stream must stay in the uncached order.
+        # The reference has its own unstacked kernels and per-array update.
         data = [random_sample(40 + i, n=7, label=0.1 * i) for i in range(4)]
         parts = [partition_graph(s.graph, k=3) for s in data]
         config = TrainConfig(epochs=6, batch_clusters=2, seed=5)
+        fast, fast_losses = train(model, data, partitions=parts, config=config)
+        slow, slow_losses = train_uncached(model, data, partitions=parts, config=config)
+        assert fast_losses == slow_losses
+        assert model_to_json(fast) == model_to_json(slow)
+
+    def test_cached_graphs_match_uncached_loop(self):
         for model in (new_gcn_model(seed=2), new_gated_model(seed=2)):
-            fast, fast_losses = train(model, data, partitions=parts, config=config)
-            slow, slow_losses = train_uncached(model, data, partitions=parts, config=config)
-            assert fast_losses == slow_losses
-            assert model_to_json(fast) == model_to_json(slow)
+            self.assert_matches_uncached_loop(model)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            new_gcn_model(seed=2, dims=(5, 8, 6, 4)),
+            new_gated_model(seed=2, steps=1),
+            new_gated_model(seed=2, steps=3),
+            new_gated_model(seed=2, hidden=8),
+        ],
+        ids=["gcn-3-layer", "gated-1-step", "gated-3-step", "gated-hidden-8"],
+    )
+    def test_other_shapes_match_uncached_loop(self, model):
+        # Layouts of the flat parameter vector and stacked gates beyond the defaults.
+        self.assert_matches_uncached_loop(model)
+
+    @pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
+    def test_trained_copy_shares_no_memory(self, make_model):
+        init = make_model(seed=2)
+        trained, _ = train(init, self.dataset([0.1]), config=TrainConfig(epochs=1))
+        assert not np.shares_memory(trained.flat, init.flat)
+        for (name, a), (_, b) in zip(trained.parameters(), init.parameters()):
+            assert np.shares_memory(a, trained.flat), name
+            assert not np.shares_memory(a, b), name
 
     def test_label_validation(self):
         with pytest.raises(DomainError):

@@ -10,10 +10,11 @@ from cloudsched.workload import (
     derive_request,
     generate_synthetic,
     parse_trace_file,
-    serialize_trace,
     workload_from_json,
     workload_to_json,
 )
+
+from helpers import serialize_trace
 
 HEADER = (
     "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
@@ -58,6 +59,16 @@ class TestParseTraceFile:
     def test_non_numeric_cell_reports_line(self):
         content = HEADER + "\n0;4;1000;500;1048576\n300000;oops;1000;500;1048576\n"
         with pytest.raises(TraceFormatError, match="line 3"):
+            parse_trace_file(content)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["300000;4;nan;500;1048576", "300000;4;1000;500;inf", "inf;4;1000;500;1048576"],
+        ids=["nan-capacity", "inf-memory", "inf-timestamp"],
+    )
+    def test_non_finite_cell_reports_line(self, row):
+        content = HEADER + "\n0;4;1000;500;1048576\n" + row + "\n"
+        with pytest.raises(TraceFormatError, match="line 3: non-finite cell"):
             parse_trace_file(content)
 
     def test_empty_file(self):
