@@ -34,7 +34,7 @@ from .sim import (
     result_to_json,
     run,
 )
-from .util import atomic_write_text
+from .util import atomic_write_text, is_finite_number
 from .workload import generate_synthetic, workload_to_json
 
 log = logging.getLogger("cloudsched")
@@ -107,6 +107,10 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
             return flag
         return cfg.get(key, default)
 
+    threshold = cfg.get("consolidation_threshold", 0.25)
+    if not is_finite_number(threshold):
+        raise ConfigError(f"consolidation_threshold must be a finite number, got {threshold!r}")
+
     return SimConfig(
         pm_count=pick(getattr(args, "pm_count", None), "pm_count", 8),
         pm_template=template,
@@ -119,7 +123,7 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
         trace_dir=pick(getattr(args, "trace_dir", None), "trace_dir", None),
         price_file=pick(getattr(args, "price_file", None), "price_file", None),
         seed=pick(args.seed, "seed", 0),
-        consolidation_threshold=cfg.get("consolidation_threshold", 0.25),
+        consolidation_threshold=threshold,
         log_scores=bool(args.log_scores or cfg.get("log_scores", False)),
     )
 

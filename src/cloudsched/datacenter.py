@@ -12,7 +12,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, NotFoundError
+from .util import is_finite_number
 from .workload import WorkloadRequest
 
 
@@ -34,6 +37,10 @@ class PhysicalMachine:
     idle_power: float
 
     def __post_init__(self):
+        numbers = ("cores", "max_frequency", "min_frequency", "ram", "peak_power", "idle_power")
+        for name in numbers:
+            if not is_finite_number(getattr(self, name)):
+                raise DomainError(f"{self.id}: {name} must be a finite number")
         if not (0 < self.idle_power <= self.peak_power):
             raise DomainError(f"{self.id}: need 0 < idle_power <= peak_power")
         if self.min_frequency > self.max_frequency:
@@ -69,21 +76,60 @@ class VirtualMachine:
     migrations: int = 0
 
 
-@dataclass(frozen=True)
-class SnapshotEntry:
-    """Live free resources of one PM, as handed to schedulers and billing."""
+@dataclass(eq=False)
+class ResourceSnapshot:
+    """Live resources of every PM as columns, one array per field in PM order.
 
-    free_cores: int
-    free_ram: int
-    max_frequency: int
-    powered_on: bool
-    utilisation: float  # allocated-core fraction
-    cores: int
-    ram: int
-    location: str
+    Schedulers and billing read it; `schedule` and `consolidate` work on a
+    `copy()` and update it in place with `place`.  Utilisation is the
+    allocated-core fraction, computed as int / int like `used / cores`.
+    """
 
+    pm_ids: tuple[str, ...]
+    locations: tuple[str, ...]
+    free_cores: np.ndarray  # int
+    cores: np.ndarray
+    free_ram: np.ndarray  # int, GiB
+    ram: np.ndarray
+    max_frequency: np.ndarray  # int, MHz
+    powered_on: np.ndarray  # bool
+    utilisation: np.ndarray  # float
 
-ResourceSnapshot = dict[str, SnapshotEntry]
+    _COLUMNS = (
+        "free_cores", "cores", "free_ram", "ram", "max_frequency", "powered_on", "utilisation"
+    )
+
+    def __len__(self) -> int:
+        return len(self.pm_ids)
+
+    def fits(self, request: WorkloadRequest) -> np.ndarray:
+        """Mask of the PMs with the cores, RAM and frequency the request needs."""
+        return (
+            (self.free_cores >= request.cores)
+            & (self.free_ram >= request.ram)
+            & (self.max_frequency >= request.cpu_frequency)
+        )
+
+    def take(self, rows: np.ndarray) -> "ResourceSnapshot":
+        """A new snapshot of the given rows, in the given order."""
+        picked = rows.tolist()
+        return ResourceSnapshot(
+            tuple(map(self.pm_ids.__getitem__, picked)),
+            tuple(map(self.locations.__getitem__, picked)),
+            *(getattr(self, c)[rows] for c in self._COLUMNS),
+        )
+
+    def copy(self) -> "ResourceSnapshot":
+        return ResourceSnapshot(
+            self.pm_ids, self.locations, *(getattr(self, c).copy() for c in self._COLUMNS)
+        )
+
+    def place(self, row: int, request: WorkloadRequest) -> None:
+        """Book the request on one PM of this (working) snapshot, in place."""
+        self.free_cores[row] -= request.cores
+        self.free_ram[row] -= request.ram
+        self.powered_on[row] = True
+        self.utilisation[row] = (self.cores[row] - self.free_cores[row]) / self.cores[row]
 
 
 @dataclass(frozen=True)
@@ -136,15 +182,6 @@ def _usage(state: DatacenterState, pm_ids: Iterable[str] | None = None) -> dict[
             used[0] += req.cores
             used[1] += req.ram
     return usage
-
-
-def feasible(entry: SnapshotEntry, request: WorkloadRequest) -> bool:
-    """True iff the PM has the cores, RAM and frequency the request needs."""
-    return (
-        entry.free_cores >= request.cores
-        and entry.free_ram >= request.ram
-        and entry.max_frequency >= request.cpu_frequency
-    )
 
 
 def _check_fit(pm: PhysicalMachine, free_cores: int, free_ram: int, request: WorkloadRequest):
@@ -234,21 +271,22 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:
     """Pure read of per-PM free resources, in PM index order."""
-    usage = _usage(state)
-    snap: ResourceSnapshot = {}
-    for pm in state.pms:
-        used_cores, used_ram = usage[pm.id]
-        snap[pm.id] = SnapshotEntry(
-            free_cores=pm.cores - used_cores,
-            free_ram=pm.ram - used_ram,
-            max_frequency=pm.max_frequency,
-            powered_on=pm.id in state.powered_on,
-            utilisation=used_cores / pm.cores,
-            cores=pm.cores,
-            ram=pm.ram,
-            location=pm.location,
-        )
-    return snap
+    pms = state.pms
+    n = len(pms)
+    cores = np.fromiter((pm.cores for pm in pms), int, n)
+    ram = np.fromiter((pm.ram for pm in pms), int, n)
+    used = np.array(list(_usage(state).values()), dtype=int).reshape(n, 2)
+    return ResourceSnapshot(
+        pm_ids=tuple(pm.id for pm in pms),
+        locations=tuple(pm.location for pm in pms),
+        free_cores=cores - used[:, 0],
+        cores=cores,
+        free_ram=ram - used[:, 1],
+        ram=ram,
+        max_frequency=np.fromiter((pm.max_frequency for pm in pms), int, n),
+        powered_on=np.fromiter((pm.id in state.powered_on for pm in pms), bool, n),
+        utilisation=used[:, 0] / cores,
+    )
 
 
 def validate(state: DatacenterState) -> None:

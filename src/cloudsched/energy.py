@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .datacenter import ResourceSnapshot
 from .errors import CoverageError, DomainError, TraceFormatError
+from .util import is_finite_number
 
 WATTS_PER_KW = 1000.0
 
@@ -31,6 +33,9 @@ class PowerModel:
     migration_penalty: float = 0.01  # kWh per migration
 
     def __post_init__(self):
+        for name, value in self.__dict__.items():
+            if not is_finite_number(value):
+                raise DomainError(f"power {name} must be a finite number")
         if not (0 < self.idle_power <= self.peak_power):
             raise DomainError("need 0 < idle_power <= peak_power")
         if min(self.cooling_coefficient, self.extra_coefficient, self.migration_penalty) < 0:
@@ -64,13 +69,19 @@ class EnergyBreakdown:
 ZERO_ENERGY = EnergyBreakdown.make(0.0, 0.0, 0.0)
 
 
-def pm_power(utilisation: float, powered_on: bool, model: PowerModel = DEFAULT_POWER_MODEL) -> float:
-    """Instantaneous draw in watts: linear between idle and peak, 0 when off."""
-    if not 0.0 <= utilisation <= 1.0:
-        raise DomainError(f"utilisation {utilisation} outside [0, 1]")
-    if not powered_on:
-        return 0.0
-    return model.idle_power + (model.peak_power - model.idle_power) * utilisation
+def pm_power(utilisation, powered_on, model: PowerModel = DEFAULT_POWER_MODEL):
+    """Instantaneous draw in watts: linear between idle and peak, 0 when off.
+
+    Works elementwise on arrays (returning an array) as well as on one PM
+    (returning a float).
+    """
+    util = np.asarray(utilisation, dtype=float)
+    inside = (0.0 <= util) & (util <= 1.0)
+    if not inside.all():
+        raise DomainError(f"utilisation {util[~inside]} outside [0, 1]")
+    draw = model.idle_power + (model.peak_power - model.idle_power) * util
+    watts = np.where(powered_on, draw, 0.0)
+    return watts if watts.ndim else float(watts)
 
 
 def step_energy(
@@ -83,25 +94,24 @@ def step_energy(
 
     `migrations` lists the destination PM id of each migration; each
     0.01 kWh (default) penalty lands on the destination's extra component
-    so it can be billed at that PM's location.
+    so it can be billed at that PM's location.  The per-PM parts are
+    computed elementwise over the snapshot's columns; the aggregates add
+    them up one PM at a time, in PM order.
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
 
-    per_pm: dict[str, EnergyBreakdown] = {}
-    for pm_id, entry in snapshot.items():
-        watts = pm_power(entry.utilisation, entry.powered_on, model)
-        processor = watts * dt / WATTS_PER_KW
-        cooling = model.cooling_coefficient * processor
-        extra = model.extra_coefficient * processor
-        extra += model.migration_penalty * migrations.count(pm_id)
-        per_pm[pm_id] = EnergyBreakdown.make(processor, cooling, extra)
-
-    aggregate = EnergyBreakdown.make(
-        sum(b.processor for b in per_pm.values()),
-        sum(b.cooling for b in per_pm.values()),
-        sum(b.extra for b in per_pm.values()),
-    )
+    watts = pm_power(snapshot.utilisation, snapshot.powered_on, model)
+    processor = watts * dt / WATTS_PER_KW
+    cooling = model.cooling_coefficient * processor
+    arrivals = Counter(migrations)
+    extra = model.extra_coefficient * processor
+    extra += model.migration_penalty * np.array([arrivals[pm] for pm in snapshot.pm_ids])
+    columns = (processor.tolist(), cooling.tolist(), extra.tolist())
+    per_pm = {
+        pm_id: EnergyBreakdown.make(p, c, e) for pm_id, p, c, e in zip(snapshot.pm_ids, *columns)
+    }
+    aggregate = EnergyBreakdown.make(*(sum(column) for column in columns))
     return per_pm, aggregate
 
 

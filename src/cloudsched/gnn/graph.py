@@ -39,56 +39,48 @@ class StateGraph:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    def pm_nodes(self) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == "pm"]
 
-    def vm_nodes(self) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == "vm"]
+def pm_prices(snapshot: ResourceSnapshot, price_now: dict[str, float] | None) -> np.ndarray:
+    """The current price at each PM's location, in snapshot order (0 where unpriced)."""
+    price_now = price_now or {}
+    return np.array([price_now.get(location, 0.0) for location in snapshot.locations], dtype=float)
 
 
 def build_state_graph(
     snapshot: ResourceSnapshot,
     pending: Sequence[WorkloadRequest],
-    price_now: dict[str, float] | None = None,
+    prices: np.ndarray | None = None,
 ) -> StateGraph:
-    """Assemble the graph a scheduler scores: PM clique + feasible VM-PM edges."""
-    pm_ids = list(snapshot)
-    n_pm = len(pm_ids)
+    """Assemble the graph a scheduler scores: PM clique + feasible VM-PM edges.
+
+    The PM rows come straight from the snapshot's columns; `prices` is
+    `pm_prices(snapshot, price_now)`, or None for no prices.
+    """
+    n_pm = len(snapshot)
     n = n_pm + len(pending)
 
-    def price(location: str) -> float:
-        return price_now.get(location, 0.0) if price_now else 0.0
-
-    pms = np.array(
-        [
-            (e.free_cores, e.cores, e.free_ram, e.ram, e.utilisation, e.powered_on,
-             price(e.location), e.max_frequency)
-            for e in snapshot.values()
-        ],
-        dtype=float,
-    ).reshape(n_pm, 8)
-    free_cores, cores, free_ram, ram, utilisation, powered_on, prices, max_frequency = pms.T
     vms = np.array(
         [(r.cores, r.ram, r.cpu_frequency, r.duration) for r in pending], dtype=float
     ).reshape(len(pending), 4)
     req_cores, req_ram, req_frequency, req_duration = vms.T
 
     features = np.zeros((n, FEATURE_DIM))
-    features[:n_pm, 0] = free_cores / cores
-    features[:n_pm, 1] = free_ram / ram
-    features[:n_pm, 2] = utilisation
-    features[:n_pm, 3] = powered_on
-    features[:n_pm, 4] = prices / NORM_PRICE
+    features[:n_pm, 0] = snapshot.free_cores / snapshot.cores
+    features[:n_pm, 1] = snapshot.free_ram / snapshot.ram
+    features[:n_pm, 2] = snapshot.utilisation
+    features[:n_pm, 3] = snapshot.powered_on
+    if prices is not None:
+        features[:n_pm, 4] = prices / NORM_PRICE
     features[n_pm:, 0] = req_cores / NORM_CORES
     features[n_pm:, 1] = req_ram / NORM_RAM_GIB
     features[n_pm:, 2] = (req_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ
     features[n_pm:, 3] = req_duration / NORM_DURATION_H
 
-    # The same test as datacenter.feasible, for every (VM, PM) pair at once.
+    # ResourceSnapshot.fits for every (VM, PM) pair at once.
     fits = (
-        (free_cores[None, :] >= req_cores[:, None])
-        & (free_ram[None, :] >= req_ram[:, None])
-        & (max_frequency[None, :] >= req_frequency[:, None])
+        (snapshot.free_cores[None, :] >= req_cores[:, None])
+        & (snapshot.free_ram[None, :] >= req_ram[:, None])
+        & (snapshot.max_frequency[None, :] >= req_frequency[:, None])
     )
     adjacency = np.zeros((n, n))
     adjacency[:n_pm, :n_pm] = 1.0 - np.eye(n_pm)
@@ -96,7 +88,7 @@ def build_state_graph(
     adjacency[:n_pm, n_pm:] = fits.T
 
     return StateGraph(
-        node_ids=tuple(pm_ids) + tuple(r.id for r in pending),
+        node_ids=snapshot.pm_ids + tuple(r.id for r in pending),
         kinds=("pm",) * n_pm + ("vm",) * len(pending),
         features=features,
         adjacency=adjacency,

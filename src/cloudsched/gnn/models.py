@@ -298,23 +298,31 @@ def pair_vector(
     return np.concatenate([h[vm_pos], feats[vm_pos], h[pm_pos], feats[pm_pos]])
 
 
-def readout_score(model, pair: np.ndarray) -> float:
-    return float(pair @ model.readout_w[:, 0] + model.readout_b[0])
-
-
 def score_placements(
     model: GcnModel | GatedModel, graph: StateGraph, vm_node: int
 ) -> dict[int, float]:
-    """Score every PM connected to the VM node; unconnected PMs are omitted."""
+    """Score every PM connected to the VM node; unconnected PMs are omitted.
+
+    One `pair_vector` row per connected PM, read out with one `np.vecdot`:
+    it takes the same per-row dot product as `pair @ readout_w[:, 0]`, so
+    every score is bit-identical to the per-pair readout (the
+    matrix-vector product `P @ readout_w` is not).
+    """
     if not 0 <= vm_node < graph.n_nodes or graph.kinds[vm_node] != "vm":
         raise DomainError(f"node {vm_node} is not a VM node")
     h = embed(model, graph)
-    scores: dict[int, float] = {}
-    for pm_node in graph.pm_nodes():
-        if graph.adjacency[vm_node, pm_node]:
-            pair = pair_vector(h, graph.features, vm_node, pm_node)
-            scores[pm_node] = readout_score(model, pair)
-    return scores
+    linked = np.flatnonzero(graph.adjacency[vm_node]).tolist()
+    pms = [node for node in linked if graph.kinds[node] == "pm"]
+    if not pms:
+        return {}
+    n_h, n_x = h.shape[1], graph.features.shape[1]
+    pairs = np.empty((len(pms), 2 * (n_h + n_x)))
+    pairs[:, :n_h] = h[vm_node]
+    pairs[:, n_h : n_h + n_x] = graph.features[vm_node]
+    pairs[:, n_h + n_x : 2 * n_h + n_x] = h[pms]
+    pairs[:, 2 * n_h + n_x :] = graph.features[pms]
+    scores = np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
+    return dict(zip(pms, scores.tolist()))
 
 
 # Checkpoint format: parameters are flattened row-major in the order given

@@ -5,9 +5,11 @@ processed in arrival order against a working copy of the resource
 snapshot, so a single step can fill a PM.  `Policy.score` is the one
 place a policy's rule lives: it maps the feasible PMs for one request to
 scores and the driver takes the argmin (ties go to the first PM in
-snapshot order).  The learned policies score with a graph network; the
-consolidator then tries to empty one underloaded PM per step when the
-predicted saving is positive.
+snapshot order).  The working copy is columnar: a request's candidates
+are one vectorised mask and a placement updates one row in place.  The
+learned policies score with a graph network; the consolidator then tries
+to empty one underloaded PM per step when the predicted saving is
+positive.
 """
 
 from __future__ import annotations
@@ -17,16 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datacenter import (
-    DatacenterState,
-    ResourceSnapshot,
-    SnapshotEntry,
-    feasible,
-    snapshot as dc_snapshot,
-)
+from .datacenter import DatacenterState, ResourceSnapshot, snapshot as dc_snapshot
 from .energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from .errors import ConfigError, DomainError
-from .gnn.graph import build_state_graph
+from .gnn.graph import build_state_graph, pm_prices
 from .gnn.models import GatedModel, GcnModel, score_placements
 from .gnn.training import TrainSample
 from .workload import WorkloadRequest
@@ -71,64 +67,61 @@ class Policy:
         self,
         working: ResourceSnapshot,
         request: WorkloadRequest,
-        candidates: Sequence[str],
-        price_now: dict[str, float] | None = None,
-    ) -> dict[str, float]:
+        candidates: np.ndarray,
+        prices: np.ndarray | None,
+    ) -> dict[int, float]:
         """Score the feasible PMs for one request; the lowest score wins.
 
-        `candidates` is the non-empty list, in snapshot order, of the PMs
-        in `working` that can host the request; the graph networks read
-        the same feasibility off `working` through the state graph.
+        `candidates` holds the ascending row numbers of the PMs in
+        `working` that can host the request, and `prices` the current
+        price at each PM of `working` (None: unpriced); the graph
+        networks read the same feasibility off `working` through the
+        state graph.  Scores are keyed by row, in ascending row order.
         first_fit and random pick without scoring, so they return their
         pick alone (random draws once per request).
         """
         if self.kind == "first_fit":
-            return {candidates[0]: 0.0}
+            return {int(candidates[0]): 0.0}
         if self.kind == "random":
-            return {candidates[int(self._rng.integers(len(candidates)))]: 0.0}
+            return {int(candidates[int(self._rng.integers(len(candidates)))]): 0.0}
         if self.kind == "best_fit_energy":
-            return {pm: incremental_energy(working[pm], request, self.power) for pm in candidates}
-        graph = build_state_graph(working, [request], price_now)
-        node_scores = score_placements(self.model, graph, len(working))
-        return {graph.node_ids[node]: s for node, s in node_scores.items()}
+            energy = incremental_energy(working, candidates, request, self.power)
+            return dict(zip(candidates.tolist(), energy.tolist()))
+        graph = build_state_graph(working, [request], prices)
+        return score_placements(self.model, graph, len(working))
 
 
 def incremental_energy(
-    entry: SnapshotEntry, request: WorkloadRequest, power: PowerModel, dt: float = 1.0
-) -> float:
-    """Total-energy delta (kWh) of hosting the request for `dt` hours.
+    snap: ResourceSnapshot,
+    rows: np.ndarray,
+    request: WorkloadRequest,
+    power: PowerModel,
+    dt: float = 1.0,
+) -> np.ndarray:
+    """Total-energy delta (kWh) of hosting the request for `dt` hours, per PM row.
 
     Includes the idle block if the PM has to boot, plus the proportional
     cooling/extra overheads; this is both the best-fit objective and the
     training label.
     """
-    before = pm_power(entry.utilisation, entry.powered_on, power)
-    used = entry.cores - entry.free_cores
-    after_util = (used + request.cores) / entry.cores
+    before = pm_power(snap.utilisation[rows], snap.powered_on[rows], power)
+    cores = snap.cores[rows]
+    used = cores - snap.free_cores[rows]
+    after_util = (used + request.cores) / cores
     after = pm_power(after_util, True, power)
     overhead = 1.0 + power.cooling_coefficient + power.extra_coefficient
     return (after - before) * dt / 1000.0 * overhead
 
 
-def _after_placement(entry: SnapshotEntry, request: WorkloadRequest) -> SnapshotEntry:
-    used = entry.cores - entry.free_cores + request.cores
-    return dc_replace(
-        entry,
-        free_cores=entry.free_cores - request.cores,
-        free_ram=entry.free_ram - request.ram,
-        powered_on=True,
-        utilisation=used / entry.cores,
-    )
-
-
-def _argmin(scores: dict[str, float], order: Sequence[str]) -> str:
-    best_pm = None
+def _argmin(scores: dict[int, float]) -> int:
+    """The row with the lowest score: a strict `<` scan in row order."""
+    best_row = None
     best = None
-    for pm_id in order:
-        if pm_id in scores and (best is None or scores[pm_id] < best):
-            best = scores[pm_id]
-            best_pm = pm_id
-    return best_pm
+    for row, score in scores.items():
+        if best is None or score < best:
+            best = score
+            best_row = row
+    return best_row
 
 
 SampleRecorder = Callable[[TrainSample], None]
@@ -142,33 +135,31 @@ def schedule(
     recorder: SampleRecorder | None = None,
 ) -> ScheduleDecision:
     """Assign each pending request per the policy, or defer it."""
-    working = dict(snapshot)
-    order = list(working)
+    working = snapshot.copy()
+    prices = pm_prices(working, price_now)
     decision = ScheduleDecision()
 
     for request in sorted(pending, key=lambda r: (r.arrival, r.id)):
-        candidates = [pm for pm in order if feasible(working[pm], request)]
-        if not candidates:
+        candidates = np.flatnonzero(working.fits(request))
+        if not candidates.size:
             decision.deferred.append(request.id)
             continue
-        scores = policy.score(working, request, candidates, price_now)
-        chosen = _argmin(scores, order)
+        scores = policy.score(working, request, candidates, prices)
+        chosen = _argmin(scores)
         if policy.logs_scores:
-            decision.scores[request.id] = scores
+            decision.scores[request.id] = {working.pm_ids[row]: s for row, s in scores.items()}
 
         if recorder is not None:
-            graph = build_state_graph(working, [request], price_now)
+            graph = build_state_graph(working, [request], prices)
+            label = incremental_energy(working, np.array([chosen]), request, policy.power)
             recorder(
                 TrainSample(
-                    graph=graph,
-                    vm_node=len(working),
-                    pm_node=order.index(chosen),
-                    label=incremental_energy(working[chosen], request, policy.power),
+                    graph=graph, vm_node=len(working), pm_node=chosen, label=float(label[0])
                 )
             )
 
-        decision.assignments.append((request.id, chosen))
-        working[chosen] = _after_placement(working[chosen], request)
+        decision.assignments.append((request.id, working.pm_ids[chosen]))
+        working.place(chosen, request)
 
     return decision
 
@@ -178,22 +169,24 @@ def consolidate(
     state: DatacenterState,
     price_now: dict[str, float] | None = None,
     threshold: float = CONSOLIDATION_THRESHOLD,
+    snap: ResourceSnapshot | None = None,
 ) -> list[tuple[str, str]]:
     """Plan migrations emptying at most one underloaded PM this step.
 
     Only the learned policies consolidate.  A PM below the utilisation
     threshold is emptied only if every VM fits on other powered-on PMs
-    and the reclaimed idle energy beats the migration penalties.
+    and the reclaimed idle energy beats the migration penalties.  `snap`
+    is `snapshot(state)` when the caller already holds it.
     """
     if policy.kind not in MODEL_POLICIES:
         return []
 
-    snap = dc_snapshot(state)
-    order = list(snap)
-    underloaded = sorted(
-        (pm for pm in order if snap[pm].powered_on and snap[pm].utilisation < threshold),
-        key=lambda pm: (snap[pm].utilisation, order.index(pm)),
-    )
+    if snap is None:
+        snap = dc_snapshot(state)
+    on = np.flatnonzero(snap.powered_on)
+    low = on[snap.utilisation[on] < threshold]
+    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
+    prices = pm_prices(snap, price_now)
 
     hosted: dict[str, list] = {}
     for vm in state.vms.values():
@@ -201,23 +194,23 @@ def consolidate(
             hosted.setdefault(vm.placed_on, []).append(vm)
 
     for source in underloaded:
-        vms = sorted(hosted.get(source, []), key=lambda v: (-v.request.cores, v.id))
-        working = {
-            pm: snap[pm] for pm in order if pm != source and snap[pm].powered_on
-        }
-        if not working:
-            continue
+        vms = sorted(hosted.get(snap.pm_ids[source], []), key=lambda v: (-v.request.cores, v.id))
+        rows = on[on != source]
+        if not vms or not snap.fits(vms[0].request)[rows].any():
+            continue  # the first VM has nowhere to go, so no plan empties this PM
+        working = snap.take(rows)
+        working_prices = prices[rows]
 
         plan: list[tuple[str, str]] = []
         for vm in vms:
-            candidates = [pm for pm in working if feasible(working[pm], vm.request)]
-            if not candidates:
+            candidates = np.flatnonzero(working.fits(vm.request))
+            if not candidates.size:
                 break
             remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
             scoring_request = dc_replace(vm.request, duration=remaining)
-            dst = _argmin(policy.score(working, scoring_request, candidates, price_now), order)
-            plan.append((vm.id, dst))
-            working[dst] = _after_placement(working[dst], vm.request)
+            dst = _argmin(policy.score(working, scoring_request, candidates, working_prices))
+            plan.append((vm.id, working.pm_ids[dst]))
+            working.place(dst, vm.request)
         else:  # every VM found a destination
             saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
             if plan and saving > 0:

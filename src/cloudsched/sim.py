@@ -2,7 +2,9 @@
 
 Each hour: retire finished VMs, deliver arrivals, snapshot resources,
 schedule, execute placements and consolidation migrations, then bill the
-energy drawn over the hour at each PM location's current price.
+energy drawn over the hour at each PM location's current price.  The
+post-placement snapshot serves both consolidation and, when no VM
+migrates, billing.
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
         for vm_id, pm_id in decision.assignments:
             state = place(state, vm_id, pm_id)
+        snap_placed = snapshot(state)
         migrations = consolidate(
-            policy, state, price_now, threshold=config.consolidation_threshold
+            policy, state, price_now, threshold=config.consolidation_threshold, snap=snap_placed
         )
         for vm_id, dst in migrations:
             state = migrate(state, vm_id, dst)
@@ -230,21 +233,21 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
-        snap_after = snapshot(state)
+        snap_after = snapshot(state) if migrations else snap_placed
         per_pm, aggregate = step_energy(
             snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
         hour_cost = 0.0
-        for pm in state.pms:
-            price = price_now[pm.location]
-            breakdown = per_pm[pm.id]
+        for pm_id, location in zip(snap_after.pm_ids, snap_after.locations):
+            price = price_now[location]
+            breakdown = per_pm[pm_id]
             cost = breakdown.total * price
             hour_cost += cost
             result.pm_energy_rows.append(
                 (
                     hour,
-                    pm.id,
-                    pm.location,
+                    pm_id,
+                    location,
                     EnergyBreakdown.make(
                         breakdown.processor, breakdown.cooling, breakdown.extra, cost
                     ),
@@ -257,8 +260,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         result.hourly.append(hourly)
         result.totals = result.totals.plus(hourly)
 
-        result.utilisation.append([snap_after[pm].utilisation for pm in result.pm_ids])
-        result.powered_on.append([snap_after[pm].powered_on for pm in result.pm_ids])
+        result.utilisation.append(snap_after.utilisation.tolist())
+        result.powered_on.append(snap_after.powered_on.tolist())
         result.prices_by_hour.append(
             {loc: price_now[loc] for loc in sorted(set(locations))}
         )

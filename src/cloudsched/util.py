@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or a finite float (bools are not numbers here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -240,6 +240,10 @@ def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
         raise TraceFormatError("workload JSON must be an array of request objects")
     requests = []
     for i, row in enumerate(rows):
+        if isinstance(row, dict):
+            for key, value in row.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise TraceFormatError(f"non-finite {key!r} in request object at index {i}")
         try:
             requests.append(
                 WorkloadRequest(

@@ -1,14 +1,85 @@
-"""Serialisers that only the tests need: state dumps and input-file writers.
+"""Snapshot constructors and serialisers that only the tests need.
 
-Each writes a structure back out in a stable, comparable form, so tests
-can check purity (a state is unchanged) and parser round trips.
+`snapshot_from_entries` assembles a columnar resource snapshot from one
+plain dict per PM.  The serialisers write a structure back out in a
+stable, comparable form, so tests can check purity (a state is
+unchanged) and parser round trips.
 """
 
 from __future__ import annotations
 
-from cloudsched.datacenter import DatacenterState
+import numpy as np
+from hypothesis import strategies as st
+
+from cloudsched.datacenter import DatacenterState, ResourceSnapshot
 from cloudsched.energy import PriceSeries
 from cloudsched.workload import VmTrace
+
+
+def entry(free_cores=32, free_ram=16, powered_on=False, cores=32, ram=16, freq=3400, loc="loc-0"):
+    """One PM's row of a snapshot, as a plain dict."""
+    return dict(
+        free_cores=free_cores,
+        cores=cores,
+        free_ram=free_ram,
+        ram=ram,
+        max_frequency=freq,
+        powered_on=powered_on,
+        location=loc,
+    )
+
+
+def snapshot_from_entries(entries: dict[str, dict]) -> ResourceSnapshot:
+    """The columnar snapshot of per-PM `entry` dicts, in the dict's order.
+
+    Utilisation is each PM's `(cores - free_cores) / cores`, int / int.
+    """
+    rows = list(entries.values())
+
+    def column(name, dtype):
+        return np.array([row[name] for row in rows], dtype=dtype)
+
+    return ResourceSnapshot(
+        pm_ids=tuple(entries),
+        locations=tuple(row["location"] for row in rows),
+        free_cores=column("free_cores", int),
+        cores=column("cores", int),
+        free_ram=column("free_ram", int),
+        ram=column("ram", int),
+        max_frequency=column("max_frequency", int),
+        powered_on=column("powered_on", bool),
+        utilisation=np.array(
+            [(row["cores"] - row["free_cores"]) / row["cores"] for row in rows], dtype=float
+        ),
+    )
+
+
+def snapshot_columns(snap: ResourceSnapshot) -> dict:
+    """Every field of a snapshot as plain values, each column with its dtype, for `==`."""
+    doc = {"pm_ids": snap.pm_ids, "locations": snap.locations}
+    for name in ResourceSnapshot._COLUMNS:
+        column = getattr(snap, name)
+        doc[name] = (column.dtype.str, column.tolist())
+    return doc
+
+
+@st.composite
+def pm_entries(draw, min_pms: int = 1, max_pms: int = 6) -> dict[str, dict]:
+    """Hypothesis: `entry` dicts for pm-0.. with mixed sizes, loads and power states."""
+    entries = {}
+    for i in range(draw(st.integers(min_pms, max_pms))):
+        cores = draw(st.sampled_from([8, 16, 32]))
+        ram = draw(st.sampled_from([16, 64]))
+        entries[f"pm-{i}"] = entry(
+            free_cores=draw(st.integers(0, cores)),
+            free_ram=draw(st.integers(0, ram)),
+            powered_on=draw(st.booleans()),
+            cores=cores,
+            ram=ram,
+            freq=draw(st.integers(1600, 3400)),
+            loc=f"loc-{i}",
+        )
+    return entries
 
 
 def state_dump(state: DatacenterState) -> dict:

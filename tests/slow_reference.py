@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from cloudsched.datacenter import SnapshotEntry, feasible
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
     FREQ_BASE_MHZ,
@@ -23,6 +22,8 @@ from cloudsched.gnn.graph import (
 )
 from cloudsched.gnn.models import (
     GcnModel,
+    gated_forward,
+    gcn_forward,
     model_from_json,
     model_to_json,
     pad_features,
@@ -31,46 +32,55 @@ from cloudsched.gnn.models import (
 )
 from cloudsched.gnn.training import _choose_clusters
 
+from helpers import entry, snapshot_from_entries
 
-def snapshot_by_pm_scan(state) -> dict[str, SnapshotEntry]:
+
+def snapshot_by_pm_scan(state):
     """Per-PM free resources, rescanning every placement for each PM."""
-    snap = {}
+    entries = {}
     for pm in state.pms:
         used_cores = used_ram = 0
         for vm_id, placed in state.placements.items():
             if placed == pm.id:
                 used_cores += state.vms[vm_id].request.cores
                 used_ram += state.vms[vm_id].request.ram
-        snap[pm.id] = SnapshotEntry(
+        entries[pm.id] = entry(
             free_cores=pm.cores - used_cores,
             free_ram=pm.ram - used_ram,
-            max_frequency=pm.max_frequency,
             powered_on=pm.id in state.powered_on,
-            utilisation=used_cores / pm.cores,
             cores=pm.cores,
             ram=pm.ram,
-            location=pm.location,
+            freq=pm.max_frequency,
+            loc=pm.location,
         )
-    return snap
+    return snapshot_from_entries(entries)
 
 
-def build_state_graph_by_element(snapshot, pending, price_now=None) -> StateGraph:
-    """The state graph filled one feature row and one edge at a time."""
-    pm_ids = list(snapshot)
+def _fits(e, req) -> bool:
+    return (
+        e["free_cores"] >= req.cores
+        and e["free_ram"] >= req.ram
+        and e["max_frequency"] >= req.cpu_frequency
+    )
+
+
+def build_state_graph_by_element(entries, pending, price_now=None) -> StateGraph:
+    """The state graph of per-PM `entry` dicts, filled one row and one edge at a time."""
+    pm_ids = list(entries)
     n_pm = len(pm_ids)
     n = n_pm + len(pending)
 
     features = np.zeros((n, FEATURE_DIM))
     for i, pm_id in enumerate(pm_ids):
-        e = snapshot[pm_id]
+        e = entries[pm_id]
         price = 0.0
         if price_now:
-            price = price_now.get(e.location, 0.0)
+            price = price_now.get(e["location"], 0.0)
         features[i] = (
-            e.free_cores / e.cores,
-            e.free_ram / e.ram,
-            e.utilisation,
-            1.0 if e.powered_on else 0.0,
+            e["free_cores"] / e["cores"],
+            e["free_ram"] / e["ram"],
+            (e["cores"] - e["free_cores"]) / e["cores"],
+            1.0 if e["powered_on"] else 0.0,
             price / NORM_PRICE,
         )
     for j, req in enumerate(pending):
@@ -89,7 +99,7 @@ def build_state_graph_by_element(snapshot, pending, price_now=None) -> StateGrap
     for j, req in enumerate(pending):
         v = n_pm + j
         for i, pm_id in enumerate(pm_ids):
-            if feasible(snapshot[pm_id], req):
+            if _fits(entries[pm_id], req):
                 adjacency[i, v] = adjacency[v, i] = 1.0
 
     return StateGraph(
@@ -98,6 +108,17 @@ def build_state_graph_by_element(snapshot, pending, price_now=None) -> StateGrap
         features=features,
         adjacency=adjacency,
     )
+
+
+def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
+    """Every connected PM's score from its own `pair_vector` and one dot each."""
+    h = gcn_forward(model, graph) if isinstance(model, GcnModel) else gated_forward(model, graph)
+    scores = {}
+    for pm_node, kind in enumerate(graph.kinds):
+        if kind == "pm" and graph.adjacency[vm_node, pm_node]:
+            pair = pair_vector(h, graph.features, vm_node, pm_node)
+            scores[pm_node] = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
+    return scores
 
 
 def _gcn_layers(model, a_hat, feats):

@@ -131,6 +131,35 @@ class TestSimulate:
         assert err.count("error:") == 1 and "line 2" in err
         assert not (tmp_path / "out" / "qos.json").exists()
 
+    def test_non_finite_workload_field_is_config_error(self, tiny_files, tmp_path, capsys):
+        text = tiny_files["workload"].read_text()
+        tiny_files["workload"].write_text(text.replace('"cores": 8', '"cores": Infinity', 1))
+        assert main(tiny_simulate_args(tiny_files, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "index 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
+    @pytest.mark.parametrize(
+        "yaml_text",
+        [
+            "power:\n  cooling_coefficient: .nan\n",
+            "power:\n  peak_power: .inf\n",
+            "pm:\n  peak_power: .nan\n",
+            "pm:\n  cores: .inf\n",
+            "consolidation_threshold: .nan\n",
+            "consolidation_threshold: -.inf\n",
+        ],
+        ids=["power-nan", "power-inf", "pm-nan", "pm-inf", "threshold-nan", "threshold-inf"],
+    )
+    def test_non_finite_config_value_is_config_error(self, tiny_files, tmp_path, capsys, yaml_text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     def test_counter_without_model_is_config_error(self, tiny_files, tmp_path):
         args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--policy", "counter"])
         assert main(args) == 2

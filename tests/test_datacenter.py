@@ -1,13 +1,12 @@
+import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from cloudsched.datacenter import (
     DEFAULT_PM_TEMPLATE,
-    SnapshotEntry,
     VmState,
     admit,
-    feasible,
     migrate,
     new_datacenter,
     place,
@@ -19,7 +18,7 @@ from cloudsched.datacenter import (
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.workload import WorkloadRequest
 
-from helpers import state_dump
+from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
 from slow_reference import snapshot_by_pm_scan
 
 BIG_RAM = replace(DEFAULT_PM_TEMPLATE, ram=64)
@@ -51,31 +50,26 @@ class TestNewDatacenter:
 
     def test_fresh_snapshot_all_idle(self):
         snap = snapshot(new_datacenter(3))
-        assert all(e.utilisation == 0.0 and not e.powered_on for e in snap.values())
+        assert not snap.utilisation.any() and not snap.powered_on.any()
         validate(new_datacenter(3))
 
 
 class TestFeasible:
-    def entry(self, free_cores=32, free_ram=64, max_freq=3400):
-        return SnapshotEntry(
-            free_cores=free_cores,
-            free_ram=free_ram,
-            max_frequency=max_freq,
-            powered_on=False,
-            utilisation=0.0,
-            cores=32,
-            ram=64,
-            location="loc-0",
-        )
+    def fits(self, request, free_cores=32, free_ram=64):
+        """ResourceSnapshot.fits on a one-PM snapshot (32 cores, 64 GiB, 3400 MHz)."""
+        pm = entry(free_cores=free_cores, free_ram=free_ram, ram=64)
+        mask = snapshot_from_entries({"pm-0": pm}).fits(request)
+        assert mask.dtype == bool and mask.shape == (1,)
+        return bool(mask[0])
 
     def test_all_margins_positive(self):
-        assert feasible(self.entry(), req(cores=4, ram=8, freq=2000))
+        assert self.fits(req(cores=4, ram=8, freq=2000))
 
     def test_frequency_over_table_max(self):
-        assert not feasible(self.entry(), req(cores=1, ram=1, freq=3500))
+        assert not self.fits(req(cores=1, ram=1, freq=3500))
 
     def test_boundary_inclusive(self):
-        assert feasible(self.entry(free_cores=4, free_ram=8), req(cores=4, ram=8, freq=3400))
+        assert self.fits(req(cores=4, ram=8, freq=3400), free_cores=4, free_ram=8)
 
 
 class TestPlace:
@@ -84,7 +78,7 @@ class TestPlace:
         for i in range(32):
             state = admit(state, req(id=f"vm-{i:02d}", cores=1, ram=1))
             state = place(state, f"vm-{i:02d}", "pm-0")
-        assert snapshot(state)["pm-0"].utilisation == 1.0
+        assert snapshot(state).utilisation[0] == 1.0
         validate(state)
 
     def test_pigeonhole_33rd(self):
@@ -178,17 +172,37 @@ class TestSnapshot:
     def test_fresh_8pm(self):
         snap = snapshot(new_datacenter(8))
         assert len(snap) == 8
-        assert all(e.free_cores == 32 for e in snap.values())
+        assert snap.pm_ids == tuple(f"pm-{i}" for i in range(8))
+        assert (snap.free_cores == 32).all()
 
     def test_half_utilisation(self):
         state = admit(new_datacenter(2), req(cores=16, ram=8))
         state = place(state, "vm-x", "pm-0")
-        assert snapshot(state)["pm-0"].utilisation == 0.5
+        assert snapshot(state).utilisation.tolist() == [0.5, 0.0]
 
     def test_purity(self):
         state = admit(new_datacenter(2), req())
         state = place(state, "vm-x", "pm-0")
-        assert snapshot(state) == snapshot(state)
+        assert snapshot_columns(snapshot(state)) == snapshot_columns(snapshot(state))
+
+    def test_working_copy_place_matches_fresh_snapshot(self):
+        state = admit(admit(new_datacenter(3), req()), req(id="vm-y", cores=6, ram=2))
+        state = place(state, "vm-x", "pm-1")
+        snap = snapshot(state)
+        working = snap.copy()
+        working.place(1, req(id="vm-y", cores=6, ram=2))
+        # the copy shares no column with the snapshot
+        assert snapshot_columns(snap) == snapshot_columns(snapshot(state))
+        assert snapshot_columns(working) == snapshot_columns(snapshot(place(state, "vm-y", "pm-1")))
+
+    def test_take_selects_rows_in_order(self):
+        state = place(admit(new_datacenter(3), req()), "vm-x", "pm-2")
+        snap = snapshot(state)
+        sub = snap.take(np.array([2, 0]))
+        assert sub.pm_ids == ("pm-2", "pm-0") and sub.locations == ("loc-2", "loc-0")
+        assert sub.free_cores.tolist() == [28, 32] and sub.powered_on.tolist() == [True, False]
+        sub.place(1, req())
+        assert snapshot_columns(snap) == snapshot_columns(snapshot(state))
 
 
 def test_state_dump_stable():
@@ -240,4 +254,4 @@ def test_random_operations_keep_invariants(ops, pm_count):
         except (CapacityError, DomainError, NotFoundError):
             assert state_dump(state) == before  # failed ops change nothing
         validate(state)
-        assert snapshot(state) == snapshot_by_pm_scan(state)
+        assert snapshot_columns(snapshot(state)) == snapshot_columns(snapshot_by_pm_scan(state))

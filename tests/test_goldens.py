@@ -4,7 +4,10 @@ The scenario (16 PMs, 128 VMs, 48 hours, seed 1) both defers requests
 and, under the learned policies, consolidates, so every stage of the
 hour loop shows up in the outputs.  `policy_goldens.json` holds the
 sha256 of each output file; the learned policies load the checkpoints
-committed next to it.  Regenerate (only in a change that is meant to
+committed next to it.  Under `log_scores` it also holds the learned
+policies' `decisions.jsonl` with `--log-scores` on: those files carry
+every score at full precision, so they pin the readout to the last bit,
+not only through the argmin.  Regenerate (only in a change that is meant to
 alter outputs) with:
 
     PYTHONPATH=src python tests/test_goldens.py > tests/data/policy_goldens.json
@@ -24,9 +27,9 @@ DATA = Path(__file__).parent / "data"
 SCENARIO = dict(pm_count=16, vm_count=128, horizon=48, seed=1)
 
 
-def policy_outputs(policy: str) -> tuple[dict[str, str], object]:
+def policy_outputs(policy: str, log_scores: bool = False) -> tuple[dict[str, str], object]:
     model = load_model(DATA / f"{policy}.json") if policy in MODEL_POLICIES else None
-    result = run(SimConfig(policy=policy, model=model, **SCENARIO))
+    result = run(SimConfig(policy=policy, model=model, log_scores=log_scores, **SCENARIO))
     outputs = {
         "result.json": result_to_json(result),
         "energy_report.csv": energy_report_csv(result),
@@ -49,6 +52,18 @@ def test_policy_outputs_match_golden(policy):
     assert digests(outputs) == goldens[policy]
 
 
+def logged_score_digests(policy: str) -> dict[str, str]:
+    outputs, _ = policy_outputs(policy, log_scores=True)
+    return digests({"decisions.jsonl": outputs["decisions.jsonl"]})
+
+
+@pytest.mark.parametrize("policy", MODEL_POLICIES)
+def test_logged_scores_match_golden(policy):
+    goldens = json.loads((DATA / "policy_goldens.json").read_text())
+    assert logged_score_digests(policy) == goldens["log_scores"][policy]
+
+
 if __name__ == "__main__":
     doc = {policy: digests(policy_outputs(policy)[0]) for policy in POLICY_KINDS}
+    doc["log_scores"] = {policy: logged_score_digests(policy) for policy in MODEL_POLICIES}
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.datacenter import SnapshotEntry, new_datacenter, snapshot
+from cloudsched.datacenter import new_datacenter, snapshot
 from cloudsched.errors import DomainError
 from cloudsched.gnn.graph import (
     ClusterPartition,
@@ -13,9 +13,11 @@ from cloudsched.gnn.graph import (
     cut_edges,
     normalize_adjacency,
     partition_graph,
+    pm_prices,
 )
 from cloudsched.workload import WorkloadRequest
 
+from helpers import pm_entries, snapshot_from_entries
 from slow_reference import build_state_graph_by_element
 
 
@@ -43,8 +45,8 @@ class TestBuildStateGraph:
 
     def test_feature_rows(self):
         snap = snapshot(new_datacenter(1))
-        price = {"loc-0": 0.12}
-        graph = build_state_graph(snap, [request(freq=2500, cores=8, ram=4, duration=12)], price)
+        prices = pm_prices(snap, {"loc-0": 0.12})
+        graph = build_state_graph(snap, [request(freq=2500, cores=8, ram=4, duration=12)], prices)
         np.testing.assert_allclose(graph.features[0], [1.0, 1.0, 0.0, 0.0, 0.12 / 0.15])
         np.testing.assert_allclose(
             graph.features[1], [8 / 32, 4 / 64, (2500 - 1600) / 1800, 12 / 48, 0.0]
@@ -53,26 +55,9 @@ class TestBuildStateGraph:
 
 
 @st.composite
-def snapshot_entries(draw, index):
-    cores = draw(st.sampled_from([8, 16, 32]))
-    ram = draw(st.sampled_from([16, 64]))
-    free_cores = draw(st.integers(0, cores))
-    return SnapshotEntry(
-        free_cores=free_cores,
-        free_ram=draw(st.integers(0, ram)),
-        max_frequency=draw(st.integers(1600, 3400)),
-        powered_on=draw(st.booleans()),
-        utilisation=(cores - free_cores) / cores,
-        cores=cores,
-        ram=ram,
-        location=f"loc-{index}",
-    )
-
-
-@st.composite
 def graph_inputs(draw):
-    n_pm = draw(st.integers(1, 6))
-    snap = {f"pm-{i}": draw(snapshot_entries(i)) for i in range(n_pm)}
+    entries = draw(pm_entries())
+    n_pm = len(entries)
     # requests up to 40 cores / 70 GiB / 3500 MHz: some fit nowhere
     pending = [
         WorkloadRequest(
@@ -90,14 +75,16 @@ def graph_inputs(draw):
     price_now = None
     if priced is not None:
         price_now = {f"loc-{i}": draw(st.floats(0.0, 0.15)) for i in priced}
-    return snap, pending, price_now
+    return entries, pending, price_now
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_inputs())
 def test_build_state_graph_matches_element_loop(inputs):
-    fast = build_state_graph(*inputs)
-    slow = build_state_graph_by_element(*inputs)
+    entries, pending, price_now = inputs
+    snap = snapshot_from_entries(entries)
+    fast = build_state_graph(snap, pending, pm_prices(snap, price_now))
+    slow = build_state_graph_by_element(entries, pending, price_now)
     assert fast.node_ids == slow.node_ids and fast.kinds == slow.kinds
     assert fast.features.dtype == slow.features.dtype == np.float64
     assert fast.adjacency.dtype == slow.adjacency.dtype == np.float64

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudsched.datacenter import new_datacenter, snapshot
 from cloudsched.errors import DomainError, ShapeError, TraceFormatError
@@ -19,6 +21,14 @@ from cloudsched.gnn.models import (
     score_placements,
 )
 from cloudsched.workload import WorkloadRequest
+
+from helpers import pm_entries, snapshot_from_entries
+from slow_reference import score_placements_by_pair
+
+CHECKPOINTS = {
+    name: model_from_json((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    for name in ("counter", "hunter")
+}
 
 
 def request(id="vm-0", freq=2000, cores=4, ram=8):
@@ -172,6 +182,42 @@ class TestScorePlacements:
         g = build_state_graph(snapshot(new_datacenter(2)), [request()])
         scores = score_placements(new_gated_model(seed=1), g, vm_node=2)
         assert len(scores) == 2
+
+
+@st.composite
+def scored_graphs(draw):
+    """A state graph over 8-40 PMs with 1-3 pending VMs, the last fitting nowhere."""
+    entries = draw(pm_entries(min_pms=8, max_pms=40))
+    snap = snapshot_from_entries(entries)
+    pending = [
+        WorkloadRequest(
+            id=f"vm-{j}",
+            cpu_frequency=draw(st.integers(1600, 3400)),
+            cores=draw(st.sampled_from([1, 2, 4, 8, 16])),
+            ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
+            duration=draw(st.integers(1, 48)),
+            arrival=0,
+        )
+        for j in range(draw(st.integers(0, 2)))
+    ]
+    pending.append(request(id="vm-nowhere", freq=3500))
+    prices = np.array([draw(st.floats(0.0, 0.15)) for _ in entries])
+    return build_state_graph(snap, pending, prices), len(entries)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+@settings(max_examples=60, deadline=None)
+@given(scored_graphs())
+def test_score_placements_matches_per_pair_readout_bit_for_bit(name, inputs):
+    model = CHECKPOINTS[name]
+    graph, n_pm = inputs
+    for vm_node in range(n_pm, graph.n_nodes):
+        fast = score_placements(model, graph, vm_node)
+        slow = score_placements_by_pair(model, graph, vm_node)
+        assert list(fast) == list(slow)
+        assert [type(k) for k in fast] == [int] * len(fast)
+        assert [s.hex() for s in fast.values()] == [s.hex() for s in slow.values()]
+    assert fast == {}  # the last VM fits nowhere
 
 
 class TestCheckpoints:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloudsched.datacenter import (
-    SnapshotEntry,
     admit,
     migrate,
     new_datacenter,
@@ -25,23 +24,16 @@ from cloudsched.scheduler import (
 from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
+from helpers import entry, snapshot_columns, snapshot_from_entries
+
 
 def req(id="vm-0", cores=4, ram=4, freq=2000, duration=8, arrival=0):
     return WorkloadRequest(id=id, cpu_frequency=freq, cores=cores, ram=ram,
                            duration=duration, arrival=arrival)
 
 
-def entry(free_cores=32, free_ram=16, powered_on=False, cores=32, ram=16, freq=3400, loc="loc-0"):
-    return SnapshotEntry(
-        free_cores=free_cores,
-        free_ram=free_ram,
-        max_frequency=freq,
-        powered_on=powered_on,
-        utilisation=(cores - free_cores) / cores,
-        cores=cores,
-        ram=ram,
-        location=loc,
-    )
+def rows(*indices):
+    return np.array(indices, dtype=int)
 
 
 def zeroed(model):
@@ -52,7 +44,8 @@ def zeroed(model):
 
 def reference_first_fit(snap, pending):
     """Independent spec of first-fit: lowest PM in snapshot order that fits."""
-    free = {pm: [e.free_cores, e.free_ram, e.max_frequency] for pm, e in snap.items()}
+    columns = (snap.free_cores.tolist(), snap.free_ram.tolist(), snap.max_frequency.tolist())
+    free = {pm: list(row) for pm, *row in zip(snap.pm_ids, *columns)}
     assignments, deferred = [], []
     for r in sorted(pending, key=lambda r: (r.arrival, r.id)):
         for pm in free:
@@ -82,18 +75,18 @@ class TestSchedule:
         assert d.assignments == [("vm-0", "pm-0"), ("vm-1", "pm-0"), ("vm-2", "pm-1")]
 
     def test_best_fit_prefers_powered_on_pm(self):
-        snap = {
+        snap = snapshot_from_entries({
             "pm-0": entry(),  # empty, off
             "pm-1": entry(free_cores=16, free_ram=8, powered_on=True),  # half full, on
-        }
+        })
         r = req(cores=4, ram=2)
         # oracle: compute both deltas directly from the power model
         off_delta = pm_power(4 / 32, True) - pm_power(0.0, False)
         on_delta = pm_power(20 / 32, True) - pm_power(16 / 32, True)
         assert on_delta < off_delta
-        assert incremental_energy(snap["pm-1"], r, DEFAULT_POWER_MODEL) < incremental_energy(
-            snap["pm-0"], r, DEFAULT_POWER_MODEL
-        )
+        off_energy, on_energy = incremental_energy(snap, rows(0, 1), r, DEFAULT_POWER_MODEL)
+        assert on_energy < off_energy
+        assert on_energy == pytest.approx(on_delta / 1000.0 * 1.35, rel=1e-12)
         d = schedule(Policy("best_fit_energy"), snap, [r])
         assert d.assignments == [("vm-0", "pm-1")]
 
@@ -110,13 +103,18 @@ class TestSchedule:
             schedule(Policy("counter"), snapshot(new_datacenter(1)), [req()])
 
     def test_heuristic_scores(self):
-        snap = {"pm-0": entry(), "pm-1": entry(free_cores=16, free_ram=8, powered_on=True)}
+        entries = {"pm-0": entry(), "pm-1": entry(free_cores=16, free_ram=8, powered_on=True)}
+        snap = snapshot_from_entries(entries)
         r = req()
-        assert Policy("first_fit").score(snap, r, ["pm-1", "pm-0"]) == {"pm-1": 0.0}
-        assert Policy("best_fit_energy").score(snap, r, ["pm-0", "pm-1"]) == {
-            pm: incremental_energy(snap[pm], r, DEFAULT_POWER_MODEL) for pm in snap
+        assert Policy("first_fit").score(snap, r, rows(1), None) == {1: 0.0}
+        energies = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
+        assert energies == {
+            row: incremental_energy(snap, rows(row), r, DEFAULT_POWER_MODEL).item()
+            for row in (0, 1)
         }
-        picks = [Policy("random", rng_seed=5).score(snap, r, ["pm-0", "pm-1"]) for _ in range(2)]
+        assert all(type(k) is int and type(v) is float for k, v in energies.items())
+        policies = [Policy("random", rng_seed=5) for _ in range(2)]
+        picks = [p.score(snap, r, rows(0, 1), None) for p in policies]
         assert picks[0] == picks[1] and len(picks[0]) == 1
 
     def test_wrong_model_kind_rejected(self):
@@ -148,18 +146,18 @@ class TestModelScores:
         assert d.assignments == [] and d.scores == {}
 
     def test_single_feasible_pm_chosen(self):
-        snap = {
+        snap = snapshot_from_entries({
             "pm-0": entry(free_cores=2),
             "pm-1": entry(),
-        }
+        })
         policy = Policy("counter", model=new_gcn_model(seed=1))
-        scores = policy.score(snap, req(cores=8), ["pm-1"])
-        assert list(scores) == ["pm-1"]
+        scores = policy.score(snap, req(cores=8), rows(1), np.zeros(2))
+        assert list(scores) == [1]
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
         policy = Policy("counter", model=new_gcn_model(seed=2))
-        scores = policy.score(snap, req(), list(snap))
+        scores = policy.score(snap, req(), rows(0, 1, 2), np.zeros(3))
         values = list(scores.values())
         assert max(values) - min(values) <= 1e-9  # feature-identical PMs
         d = schedule(policy, snap, [req()])
@@ -168,14 +166,17 @@ class TestModelScores:
     def test_hunter_score_runs(self):
         snap = snapshot(new_datacenter(2))
         policy = Policy("hunter", model=new_gated_model(seed=1))
-        scores = policy.score(snap, req(), list(snap))
-        assert set(scores) == {"pm-0", "pm-1"}
+        scores = policy.score(snap, req(), rows(0, 1), np.zeros(2))
+        assert set(scores) == {0, 1}
 
     def test_argmin_invariant_to_constant_shift(self):
-        scores = {"pm-0": 0.4, "pm-1": 0.1, "pm-2": 0.2}
+        scores = {0: 0.4, 1: 0.1, 2: 0.2}
         shifted = {k: v + 123.0 for k, v in scores.items()}
-        order = ["pm-0", "pm-1", "pm-2"]
-        assert _argmin(scores, order) == _argmin(shifted, order) == "pm-1"
+        assert _argmin(scores) == _argmin(shifted) == 1
+
+    def test_argmin_ties_go_to_the_first_row(self):
+        assert _argmin({2: 0.5, 4: 0.1, 7: 0.1}) == 4
+        assert _argmin({3: 0.0, 5: -0.0}) == 3
 
 
 class TestConsolidate:
@@ -223,6 +224,13 @@ class TestConsolidate:
         policy = Policy("counter", model=new_gcn_model(seed=1))
         assert consolidate(policy, state) == []
 
+    def test_given_snapshot_is_read_not_changed(self):
+        state = self.state_two_light_pms()
+        policy = Policy("counter", model=new_gcn_model(seed=1))
+        snap = snapshot(state)
+        assert consolidate(policy, state, snap=snap) == consolidate(policy, state)
+        assert snapshot_columns(snap) == snapshot_columns(snapshot(state))
+
     def test_heuristics_skip_consolidation(self):
         state = self.state_two_light_pms()
         assert consolidate(Policy("first_fit"), state) == []
@@ -253,6 +261,18 @@ class TestCollectTrainingData:
             np.testing.assert_array_equal(s.graph.features, t.graph.features)
             np.testing.assert_array_equal(s.graph.adjacency, t.graph.adjacency)
 
+    def test_sample_graphs_do_not_follow_the_working_copy(self):
+        samples = []
+        pending = [req(id=f"vm-{i}", cores=16, ram=8) for i in range(3)]
+        snap = snapshot(new_datacenter(2))
+        d = schedule(Policy("first_fit"), snap, pending, recorder=samples.append)
+        assert [(s.vm_node, s.pm_node) for s in samples] == [(2, 0), (2, 0), (2, 1)]
+        # the first sample still shows both PMs empty after all three placements
+        assert samples[0].graph.features[:2, 0].tolist() == [1.0, 1.0]
+        assert samples[1].graph.features[:2, 0].tolist() == [0.5, 1.0]
+        assert samples[2].graph.features[:2, 0].tolist() == [0.0, 1.0]
+        assert len(d.assignments) == 3
+
     def test_model_teacher_rejected(self):
         with pytest.raises(ConfigError):
             collect_training_data(self.scenario(), teacher="counter", episodes=1, seed=0)
@@ -281,7 +301,7 @@ snapshot_strategy = st.lists(
 )
 
 
-def build_snapshot(entries):
+def build_entries(entries):
     return {
         f"pm-{i}": entry(free_cores=fc, free_ram=fr, powered_on=on)
         for i, (fc, fr, on) in enumerate(entries)
@@ -298,7 +318,7 @@ def build_pending(rows):
 @settings(max_examples=60, deadline=None)
 @given(snapshot_strategy, pending_strategy)
 def test_first_fit_matches_reference(entries, rows):
-    snap = build_snapshot(entries)
+    snap = snapshot_from_entries(build_entries(entries))
     pending = build_pending(rows)
     d = schedule(Policy("first_fit"), snap, pending)
     ref_assignments, ref_deferred = reference_first_fit(snap, pending)
@@ -309,10 +329,13 @@ def test_first_fit_matches_reference(entries, rows):
 @settings(max_examples=40, deadline=None)
 @given(snapshot_strategy, pending_strategy, st.sampled_from(["first_fit", "best_fit_energy", "random", "counter"]))
 def test_policy_totality_and_sequential_feasibility(entries, rows, kind):
-    snap = build_snapshot(entries)
+    pms = build_entries(entries)
+    snap = snapshot_from_entries(pms)
     pending = build_pending(rows)
     model = new_gcn_model(seed=1) if kind == "counter" else None
     d = schedule(Policy(kind, model=model, rng_seed=7), snap, pending)
+    # scheduling works on a copy
+    assert snapshot_columns(snap) == snapshot_columns(snapshot_from_entries(pms))
 
     placed = {vm for vm, _ in d.assignments}
     deferred = set(d.deferred)
@@ -320,11 +343,11 @@ def test_policy_totality_and_sequential_feasibility(entries, rows, kind):
     assert placed & deferred == set()
 
     # replaying assignments in order never exceeds capacity
-    free = {pm: [e.free_cores, e.free_ram] for pm, e in snap.items()}
+    free = {pm: [e["free_cores"], e["free_ram"]] for pm, e in pms.items()}
     by_id = {r.id: r for r in pending}
     for vm, pm in d.assignments:
         r = by_id[vm]
         free[pm][0] -= r.cores
         free[pm][1] -= r.ram
         assert free[pm][0] >= 0 and free[pm][1] >= 0
-        assert snap[pm].max_frequency >= r.cpu_frequency
+        assert pms[pm]["max_frequency"] >= r.cpu_frequency

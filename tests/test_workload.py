@@ -219,6 +219,15 @@ class TestWorkloadJson:
         with pytest.raises(TraceFormatError, match="index 0"):
             workload_from_json('[{"id": "x"}]')
 
+    @pytest.mark.parametrize("key", ["cores", "ram", "cpu_frequency", "duration", "arrival"])
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_field_names_index(self, key, value):
+        rows = json.loads(workload_to_json(generate_synthetic(2, 4, seed=0)))
+        text = json.dumps(rows).replace(f'"{key}": {rows[1][key]}', f'"{key}": {value}', 1)
+        assert value in text
+        with pytest.raises(TraceFormatError, match=f"non-finite '{key}'.*index 1"):
+            workload_from_json(text)
+
 
 def test_request_validation():
     from cloudsched.workload import WorkloadRequest
