@@ -4,13 +4,17 @@ DatacenterState is a value: every operation takes a state and returns a
 new one (or raises, leaving the input untouched), so a failed call can
 never corrupt the live inventory.  The simulation loop owns exactly one
 state at a time.
+
+The state holds each PM's resources as the columns of a
+`ResourceSnapshot`.  `place`, `migrate` and `remove_finished` check a
+request against its PM's row, then update that row in a copy of the
+columns, so no operation rescans the VMs; `snapshot` is a column copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -80,9 +84,12 @@ class VirtualMachine:
 class ResourceSnapshot:
     """Live resources of every PM as columns, one array per field in PM order.
 
-    Schedulers and billing read it; `schedule` and `consolidate` work on a
-    `copy()` and update it in place with `place`.  Utilisation is the
-    allocated-core fraction, computed as int / int like `used / cores`.
+    A `DatacenterState` holds one as its resource state.  Schedulers and
+    billing read a `copy()`; `schedule` and `consolidate` update theirs in
+    place with `place`.  Utilisation is the allocated-core fraction,
+    computed as int / int like `used / cores`, and a PM is powered on
+    exactly when some of its cores are allocated (every request takes at
+    least one core, so that is when it hosts a VM).
     """
 
     pm_ids: tuple[str, ...]
@@ -126,9 +133,16 @@ class ResourceSnapshot:
 
     def place(self, row: int, request: WorkloadRequest) -> None:
         """Book the request on one PM of this (working) snapshot, in place."""
-        self.free_cores[row] -= request.cores
-        self.free_ram[row] -= request.ram
-        self.powered_on[row] = True
+        self._book(row, request.cores, request.ram)
+
+    def release(self, row: int, request: WorkloadRequest) -> None:
+        """Give the request's cores and RAM back to one PM, in place."""
+        self._book(row, -request.cores, -request.ram)
+
+    def _book(self, row: int, cores: int, ram: int) -> None:
+        self.free_cores[row] -= cores
+        self.free_ram[row] -= ram
+        self.powered_on[row] = self.free_cores[row] < self.cores[row]
         self.utilisation[row] = (self.cores[row] - self.free_cores[row]) / self.cores[row]
 
 
@@ -136,15 +150,15 @@ class ResourceSnapshot:
 class DatacenterState:
     pms: tuple[PhysicalMachine, ...]
     vms: dict[str, VirtualMachine]
-    placements: dict[str, str]  # vm id -> pm id
-    powered_on: frozenset[str]
+    resources: ResourceSnapshot  # row i is pms[i]; never changed once the state is built
     clock: int = 0
 
-    def pm(self, pm_id: str) -> PhysicalMachine:
-        for pm in self.pms:
-            if pm.id == pm_id:
-                return pm
-        raise NotFoundError(f"unknown PM {pm_id!r}")
+    def row(self, pm_id: str) -> int:
+        """The PM's row in `pms` and in the resource columns."""
+        try:
+            return self.resources.pm_ids.index(pm_id)
+        except ValueError:
+            raise NotFoundError(f"unknown PM {pm_id!r}") from None
 
 
 def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLATE) -> DatacenterState:
@@ -154,7 +168,20 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
     pms = tuple(
         replace(template, id=f"pm-{i}", location=f"loc-{i}") for i in range(pm_count)
     )
-    return DatacenterState(pms=pms, vms={}, placements={}, powered_on=frozenset(), clock=0)
+    cores = np.fromiter((pm.cores for pm in pms), int, pm_count)
+    ram = np.fromiter((pm.ram for pm in pms), int, pm_count)
+    resources = ResourceSnapshot(
+        pm_ids=tuple(pm.id for pm in pms),
+        locations=tuple(pm.location for pm in pms),
+        free_cores=cores.copy(),
+        cores=cores,
+        free_ram=ram.copy(),
+        ram=ram,
+        max_frequency=np.fromiter((pm.max_frequency for pm in pms), int, pm_count),
+        powered_on=np.zeros(pm_count, dtype=bool),
+        utilisation=np.zeros(pm_count),
+    )
+    return DatacenterState(pms=pms, vms={}, resources=resources, clock=0)
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
@@ -170,34 +197,24 @@ def admit(state: DatacenterState, request: WorkloadRequest) -> DatacenterState:
     return replace(state, vms=vms)
 
 
-def _usage(state: DatacenterState, pm_ids: Iterable[str] | None = None) -> dict[str, list[int]]:
-    """Used [cores, RAM] of the given PMs (default: all), in one pass over the placements."""
-    if pm_ids is None:
-        pm_ids = (pm.id for pm in state.pms)
-    usage = {pm_id: [0, 0] for pm_id in pm_ids}
-    for vm_id, pm_id in state.placements.items():
-        used = usage.get(pm_id)
-        if used is not None:
-            req = state.vms[vm_id].request
-            used[0] += req.cores
-            used[1] += req.ram
-    return usage
-
-
-def _check_fit(pm: PhysicalMachine, free_cores: int, free_ram: int, request: WorkloadRequest):
+def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
+    pm_id = resources.pm_ids[row]
+    free_cores = int(resources.free_cores[row])
     if free_cores < request.cores:
         raise CapacityError(
             "cores",
-            f"{pm.id}: {request.cores} cores requested, {free_cores} free",
+            f"{pm_id}: {request.cores} cores requested, {free_cores} free",
         )
+    free_ram = int(resources.free_ram[row])
     if free_ram < request.ram:
         raise CapacityError(
-            "ram", f"{pm.id}: {request.ram} GiB requested, {free_ram} free"
+            "ram", f"{pm_id}: {request.ram} GiB requested, {free_ram} free"
         )
-    if pm.max_frequency < request.cpu_frequency:
+    max_frequency = int(resources.max_frequency[row])
+    if max_frequency < request.cpu_frequency:
         raise CapacityError(
             "frequency",
-            f"{pm.id}: {request.cpu_frequency} MHz requested, max {pm.max_frequency}",
+            f"{pm_id}: {request.cpu_frequency} MHz requested, max {max_frequency}",
         )
 
 
@@ -206,20 +223,16 @@ def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
     vm = state.vms.get(vm_id)
     if vm is None:
         raise NotFoundError(f"unknown VM {vm_id!r}")
-    pm = state.pm(pm_id)
+    row = state.row(pm_id)
     if vm.state is not VmState.PENDING:
         raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot place")
-
-    used_cores, used_ram = _usage(state, [pm_id])[pm_id]
-    _check_fit(pm, pm.cores - used_cores, pm.ram - used_ram, vm.request)
+    _check_fit(state.resources, row, vm.request)
 
     vms = dict(state.vms)
     vms[vm_id] = replace(vm, state=VmState.RUNNING, placed_on=pm_id, start_hour=state.clock)
-    placements = dict(state.placements)
-    placements[vm_id] = pm_id
-    return replace(
-        state, vms=vms, placements=placements, powered_on=state.powered_on | {pm_id}
-    )
+    resources = state.resources.copy()
+    resources.place(row, vm.request)
+    return replace(state, vms=vms, resources=resources)
 
 
 def remove_finished(state: DatacenterState) -> tuple[DatacenterState, list[str]]:
@@ -235,13 +248,12 @@ def remove_finished(state: DatacenterState) -> tuple[DatacenterState, list[str]]
     finished.sort()
 
     vms = dict(state.vms)
-    placements = dict(state.placements)
+    resources = state.resources.copy()
     for vm_id in finished:
-        vms[vm_id] = replace(vms[vm_id], state=VmState.FINISHED, placed_on=None)
-        del placements[vm_id]
-    still_hosting = set(placements.values())
-    powered = frozenset(pm for pm in state.powered_on if pm in still_hosting)
-    return replace(state, vms=vms, placements=placements, powered_on=powered), finished
+        vm = vms[vm_id]
+        resources.release(state.row(vm.placed_on), vm.request)
+        vms[vm_id] = replace(vm, state=VmState.FINISHED, placed_on=None)
+    return replace(state, vms=vms, resources=resources), finished
 
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
@@ -251,60 +263,65 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
         raise NotFoundError(f"unknown VM {vm_id!r}")
     if vm.state is not VmState.RUNNING:
         raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot migrate")
-    dst = state.pm(dst_pm)
-    src = vm.placed_on
-    if dst_pm == src:
+    dst = state.row(dst_pm)
+    if dst_pm == vm.placed_on:
         raise DomainError(f"VM {vm_id!r} already on {dst_pm}")
-
-    used_cores, used_ram = _usage(state, [dst_pm])[dst_pm]
-    _check_fit(dst, dst.cores - used_cores, dst.ram - used_ram, vm.request)
+    _check_fit(state.resources, dst, vm.request)
 
     vms = dict(state.vms)
     vms[vm_id] = replace(vm, placed_on=dst_pm, migrations=vm.migrations + 1)
-    placements = dict(state.placements)
-    placements[vm_id] = dst_pm
-    powered = state.powered_on | {dst_pm}
-    if src not in set(placements.values()):
-        powered = powered - {src}
-    return replace(state, vms=vms, placements=placements, powered_on=powered)
+    resources = state.resources.copy()
+    resources.release(state.row(vm.placed_on), vm.request)
+    resources.place(dst, vm.request)
+    return replace(state, vms=vms, resources=resources)
 
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:
-    """Pure read of per-PM free resources, in PM index order."""
-    pms = state.pms
-    n = len(pms)
-    cores = np.fromiter((pm.cores for pm in pms), int, n)
-    ram = np.fromiter((pm.ram for pm in pms), int, n)
-    used = np.array(list(_usage(state).values()), dtype=int).reshape(n, 2)
-    return ResourceSnapshot(
-        pm_ids=tuple(pm.id for pm in pms),
-        locations=tuple(pm.location for pm in pms),
-        free_cores=cores - used[:, 0],
-        cores=cores,
-        free_ram=ram - used[:, 1],
-        ram=ram,
-        max_frequency=np.fromiter((pm.max_frequency for pm in pms), int, n),
-        powered_on=np.fromiter((pm.id in state.powered_on for pm in pms), bool, n),
-        utilisation=used[:, 0] / cores,
-    )
+    """Per-PM free resources, in PM index order: a copy the caller may change."""
+    return state.resources.copy()
 
 
 def validate(state: DatacenterState) -> None:
-    """Raise DomainError if any structural invariant is broken (test hook)."""
-    usage = _usage(state)
-    for pm in state.pms:
-        used_cores, used_ram = usage[pm.id]
-        if used_cores > pm.cores:
-            raise DomainError(f"{pm.id}: core capacity exceeded ({used_cores}/{pm.cores})")
-        if used_ram > pm.ram:
-            raise DomainError(f"{pm.id}: ram capacity exceeded ({used_ram}/{pm.ram})")
-    hosting = set(state.placements.values())
+    """Raise DomainError if any structural invariant is broken (test hook).
+
+    Besides capacity and placement consistency, every resource column
+    must equal a rescan of the running VMs.
+    """
+    pms = state.pms
+    n = len(pms)
+    used_cores = np.zeros(n, dtype=int)
+    used_ram = np.zeros(n, dtype=int)
     for vm in state.vms.values():
-        if vm.state is VmState.RUNNING:
-            if vm.placed_on is None or state.placements.get(vm.id) != vm.placed_on:
-                raise DomainError(f"{vm.id}: running VM placement mismatch")
-        elif vm.id in state.placements:
-            raise DomainError(f"{vm.id}: non-running VM present in placements")
-    for pm in state.pms:
-        if (pm.id in state.powered_on) != (pm.id in hosting):
-            raise DomainError(f"{pm.id}: power status out of step with hosting")
+        if (vm.state is VmState.RUNNING) != (vm.placed_on is not None):
+            raise DomainError(f"{vm.id}: {vm.state.value} VM placement mismatch")
+        if vm.placed_on is not None:
+            row = state.row(vm.placed_on)
+            used_cores[row] += vm.request.cores
+            used_ram[row] += vm.request.ram
+    for pm, cores, ram in zip(pms, used_cores.tolist(), used_ram.tolist()):
+        if cores > pm.cores:
+            raise DomainError(f"{pm.id}: core capacity exceeded ({cores}/{pm.cores})")
+        if ram > pm.ram:
+            raise DomainError(f"{pm.id}: ram capacity exceeded ({ram}/{pm.ram})")
+
+    res = state.resources
+    if res.pm_ids != tuple(pm.id for pm in pms) or res.locations != tuple(
+        pm.location for pm in pms
+    ):
+        raise DomainError("resource rows out of step with the PMs")
+    cores = np.array([pm.cores for pm in pms])
+    ram = np.array([pm.ram for pm in pms])
+    expected = {
+        "cores": cores,
+        "ram": ram,
+        "max_frequency": np.array([pm.max_frequency for pm in pms]),
+        "free_cores": cores - used_cores,
+        "free_ram": ram - used_ram,
+        "powered_on": used_cores > 0,
+        "utilisation": used_cores / cores,
+    }
+    for name, column in expected.items():
+        stale = np.flatnonzero(getattr(res, name) != column)
+        if stale.size:
+            what = "power status" if name == "powered_on" else name
+            raise DomainError(f"{res.pm_ids[stale[0]]}: {what} out of step with hosting")

@@ -89,14 +89,16 @@ def step_energy(
     model: PowerModel = DEFAULT_POWER_MODEL,
     migrations: Sequence[str] = (),
     dt: float = 1.0,
-) -> tuple[dict[str, EnergyBreakdown], EnergyBreakdown]:
-    """Energy drawn over one interval, per PM and aggregated.
+) -> tuple[tuple[list[float], list[float], list[float]], EnergyBreakdown]:
+    """Energy drawn over one interval: the per-PM parts and their aggregate.
 
-    `migrations` lists the destination PM id of each migration; each
-    0.01 kWh (default) penalty lands on the destination's extra component
-    so it can be billed at that PM's location.  The per-PM parts are
-    computed elementwise over the snapshot's columns; the aggregates add
-    them up one PM at a time, in PM order.
+    Returns the (processor, cooling, extra) kWh of every PM as three
+    lists in snapshot order, and the aggregate breakdown.  `migrations`
+    lists the destination PM id of each migration; each 0.01 kWh
+    (default) penalty lands on the destination's extra component so it
+    can be billed at that PM's location.  The per-PM parts are computed
+    elementwise over the snapshot's columns; the aggregates add them up
+    one PM at a time, in PM order.
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
@@ -108,11 +110,7 @@ def step_energy(
     extra = model.extra_coefficient * processor
     extra += model.migration_penalty * np.array([arrivals[pm] for pm in snapshot.pm_ids])
     columns = (processor.tolist(), cooling.tolist(), extra.tolist())
-    per_pm = {
-        pm_id: EnergyBreakdown.make(p, c, e) for pm_id, p, c, e in zip(snapshot.pm_ids, *columns)
-    }
-    aggregate = EnergyBreakdown.make(*(sum(column) for column in columns))
-    return per_pm, aggregate
+    return columns, EnergyBreakdown.make(*(sum(column) for column in columns))
 
 
 @dataclass(frozen=True)

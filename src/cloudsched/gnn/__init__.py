@@ -4,7 +4,6 @@ from .graph import (
     ClusterPartition,
     StateGraph,
     build_state_graph,
-    cut_edges,
     normalize_adjacency,
     partition_graph,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterPartition",
     "StateGraph",
     "build_state_graph",
-    "cut_edges",
     "normalize_adjacency",
     "partition_graph",
     "GatedModel",

@@ -186,13 +186,3 @@ def partition_graph(graph: StateGraph, k: int) -> ClusterPartition:
 
     return ClusterPartition(cluster_of=tuple(cluster_of), k=k)
 
-
-def cut_edges(graph: StateGraph, partition: ClusterPartition) -> int:
-    """Number of edges crossing cluster boundaries (diagnostic)."""
-    a = graph.adjacency
-    count = 0
-    for i in range(graph.n_nodes):
-        for j in range(i + 1, graph.n_nodes):
-            if a[i, j] and partition.cluster_of[i] != partition.cluster_of[j]:
-                count += 1
-    return count

@@ -220,20 +220,10 @@ def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=No
     return hs, ahs, zs
 
 
-def gcn_forward(
-    model: GcnModel,
-    graph: StateGraph,
-    restrict_to: tuple[ClusterPartition, int | Iterable[int]] | None = None,
-) -> np.ndarray:
-    """Node embeddings; with `restrict_to`, rows cover the selected clusters only."""
+def gcn_forward(model: GcnModel, graph: StateGraph) -> np.ndarray:
+    """Node embeddings after the GCN layers over the full graph."""
     _check_feature_dim(model, graph)
-    if restrict_to is None:
-        feats, adj = graph.features, graph.adjacency
-    else:
-        partition, clusters = restrict_to
-        _, feats, adj = restrict_graph(graph, partition, clusters)
-    a_hat = _normalize(adj)
-    hs, _, _ = gcn_layers(model, a_hat, feats)
+    hs, _, _ = gcn_layers(model, _normalize(graph.adjacency), graph.features)
     return hs[-1]
 
 

@@ -169,20 +169,17 @@ def consolidate(
     state: DatacenterState,
     price_now: dict[str, float] | None = None,
     threshold: float = CONSOLIDATION_THRESHOLD,
-    snap: ResourceSnapshot | None = None,
 ) -> list[tuple[str, str]]:
     """Plan migrations emptying at most one underloaded PM this step.
 
     Only the learned policies consolidate.  A PM below the utilisation
     threshold is emptied only if every VM fits on other powered-on PMs
-    and the reclaimed idle energy beats the migration penalties.  `snap`
-    is `snapshot(state)` when the caller already holds it.
+    and the reclaimed idle energy beats the migration penalties.
     """
     if policy.kind not in MODEL_POLICIES:
         return []
 
-    if snap is None:
-        snap = dc_snapshot(state)
+    snap = dc_snapshot(state)
     on = np.flatnonzero(snap.powered_on)
     low = on[snap.utilisation[on] < threshold]
     underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]

@@ -2,9 +2,8 @@
 
 Each hour: retire finished VMs, deliver arrivals, snapshot resources,
 schedule, execute placements and consolidation migrations, then bill the
-energy drawn over the hour at each PM location's current price.  The
-post-placement snapshot serves both consolidation and, when no VM
-migrates, billing.
+energy drawn over the hour at each PM location's current price from a
+second snapshot.
 """
 
 from __future__ import annotations
@@ -219,9 +218,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
         for vm_id, pm_id in decision.assignments:
             state = place(state, vm_id, pm_id)
-        snap_placed = snapshot(state)
         migrations = consolidate(
-            policy, state, price_now, threshold=config.consolidation_threshold, snap=snap_placed
+            policy, state, price_now, threshold=config.consolidation_threshold
         )
         for vm_id, dst in migrations:
             state = migrate(state, vm_id, dst)
@@ -233,26 +231,19 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
-        snap_after = snapshot(state) if migrations else snap_placed
-        per_pm, aggregate = step_energy(
+        snap_after = snapshot(state)
+        (processor, cooling, extra), aggregate = step_energy(
             snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
         hour_cost = 0.0
-        for pm_id, location in zip(snap_after.pm_ids, snap_after.locations):
+        rows = zip(snap_after.pm_ids, snap_after.locations, processor, cooling, extra)
+        for pm_id, location, p, c, e in rows:
             price = price_now[location]
-            breakdown = per_pm[pm_id]
-            cost = breakdown.total * price
+            total = p + c + e
+            cost = total * price
             hour_cost += cost
             result.pm_energy_rows.append(
-                (
-                    hour,
-                    pm_id,
-                    location,
-                    EnergyBreakdown.make(
-                        breakdown.processor, breakdown.cooling, breakdown.extra, cost
-                    ),
-                    price,
-                )
+                (hour, pm_id, location, EnergyBreakdown(p, c, e, total, cost), price)
             )
         hourly = EnergyBreakdown.make(
             aggregate.processor, aggregate.cooling, aggregate.extra, hour_cost

@@ -1,9 +1,10 @@
-"""Snapshot constructors and serialisers that only the tests need.
+"""Snapshot constructors, serialisers and graph diagnostics that only the tests need.
 
 `snapshot_from_entries` assembles a columnar resource snapshot from one
 plain dict per PM.  The serialisers write a structure back out in a
 stable, comparable form, so tests can check purity (a state is
-unchanged) and parser round trips.
+unchanged) and parser round trips.  `cut_edges` and
+`gcn_forward_restricted` inspect a cluster partition.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from cloudsched.datacenter import DatacenterState, ResourceSnapshot
 from cloudsched.energy import PriceSeries
+from cloudsched.gnn.graph import ClusterPartition, StateGraph, normalize_adjacency
+from cloudsched.gnn.models import GcnModel, gcn_layers, restrict_graph
 from cloudsched.workload import VmTrace
 
 
@@ -82,8 +85,14 @@ def pm_entries(draw, min_pms: int = 1, max_pms: int = 6) -> dict[str, dict]:
     return entries
 
 
+def powered_on(state: DatacenterState) -> set[str]:
+    """Ids of the PMs whose power-state column is on."""
+    res = state.resources
+    return {pm_id for pm_id, on in zip(res.pm_ids, res.powered_on.tolist()) if on}
+
+
 def state_dump(state: DatacenterState) -> dict:
-    """JSON-ready snapshot of the full state with stable key ordering."""
+    """Plain-value dump of the full state, resource columns included, with stable key ordering."""
     return {
         "clock": state.clock,
         "pms": [
@@ -96,7 +105,6 @@ def state_dump(state: DatacenterState) -> dict:
                 "ram": pm.ram,
                 "peak_power": pm.peak_power,
                 "idle_power": pm.idle_power,
-                "powered_on": pm.id in state.powered_on,
             }
             for pm in state.pms
         ],
@@ -118,8 +126,28 @@ def state_dump(state: DatacenterState) -> dict:
             }
             for vm in sorted(state.vms.values(), key=lambda v: v.id)
         ],
-        "placements": {k: state.placements[k] for k in sorted(state.placements)},
+        "resources": snapshot_columns(state.resources),
     }
+
+
+def cut_edges(graph: StateGraph, partition: ClusterPartition) -> int:
+    """Number of edges crossing cluster boundaries."""
+    a = graph.adjacency
+    count = 0
+    for i in range(graph.n_nodes):
+        for j in range(i + 1, graph.n_nodes):
+            if a[i, j] and partition.cluster_of[i] != partition.cluster_of[j]:
+                count += 1
+    return count
+
+
+def gcn_forward_restricted(
+    model: GcnModel, graph: StateGraph, partition: ClusterPartition, clusters
+) -> np.ndarray:
+    """GCN node embeddings of the selected clusters, propagated on their subgraph only."""
+    _, feats, adj = restrict_graph(graph, partition, clusters)
+    hs, _, _ = gcn_layers(model, normalize_adjacency(adj), feats)
+    return hs[-1]
 
 
 def serialize_trace(trace: VmTrace) -> str:

@@ -36,18 +36,16 @@ from helpers import entry, snapshot_from_entries
 
 
 def snapshot_by_pm_scan(state):
-    """Per-PM free resources, rescanning every placement for each PM."""
+    """Per-PM free resources, rescanning every VM's `placed_on` for each PM."""
     entries = {}
     for pm in state.pms:
-        used_cores = used_ram = 0
-        for vm_id, placed in state.placements.items():
-            if placed == pm.id:
-                used_cores += state.vms[vm_id].request.cores
-                used_ram += state.vms[vm_id].request.ram
+        hosted = [vm.request for vm in state.vms.values() if vm.placed_on == pm.id]
+        used_cores = sum(r.cores for r in hosted)
+        used_ram = sum(r.ram for r in hosted)
         entries[pm.id] = entry(
             free_cores=pm.cores - used_cores,
             free_ram=pm.ram - used_ram,
-            powered_on=pm.id in state.powered_on,
+            powered_on=bool(hosted),
             cores=pm.cores,
             ram=pm.ram,
             freq=pm.max_frequency,

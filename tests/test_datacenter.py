@@ -18,7 +18,7 @@ from cloudsched.datacenter import (
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.workload import WorkloadRequest
 
-from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
+from helpers import entry, powered_on, snapshot_columns, snapshot_from_entries, state_dump
 from slow_reference import snapshot_by_pm_scan
 
 BIG_RAM = replace(DEFAULT_PM_TEMPLATE, ram=64)
@@ -37,7 +37,7 @@ class TestNewDatacenter:
         assert all(pm.cores == 32 for pm in state.pms)
         assert [pm.id for pm in state.pms] == [f"pm-{i}" for i in range(8)]
         assert len({pm.location for pm in state.pms}) == 8
-        assert state.powered_on == frozenset()
+        assert powered_on(state) == set()
         assert state.clock == 0
 
     def test_single_pm(self):
@@ -93,9 +93,9 @@ class TestPlace:
 
     def test_boot_on_demand(self):
         state = admit(new_datacenter(2), req())
-        assert "pm-1" not in state.powered_on
+        assert "pm-1" not in powered_on(state)
         state = place(state, "vm-x", "pm-1")
-        assert "pm-1" in state.powered_on
+        assert "pm-1" in powered_on(state)
 
     def test_unknown_ids(self):
         state = new_datacenter(1)
@@ -121,7 +121,7 @@ class TestRemoveFinished:
         state, finished = remove_finished(with_clock(state, 1))
         assert finished == ["vm-x"]
         assert state.vms["vm-x"].state is VmState.FINISHED
-        assert state.powered_on == frozenset()
+        assert powered_on(state) == set()
 
     def test_48h_still_running_at_47(self):
         state = admit(new_datacenter(1), req(duration=48))
@@ -143,8 +143,8 @@ class TestMigrate:
 
     def test_consolidation_base_case(self):
         state = migrate(self.two_pm_one_vm(), "vm-x", "pm-1")
-        assert state.powered_on == frozenset({"pm-1"})
-        assert state.placements["vm-x"] == "pm-1"
+        assert powered_on(state) == {"pm-1"}
+        assert state.vms["vm-x"].placed_on == "pm-1"
 
     def test_full_destination_atomic(self):
         state = new_datacenter(2, BIG_RAM)
@@ -155,6 +155,13 @@ class TestMigrate:
         before = state_dump(state)
         with pytest.raises(CapacityError):
             migrate(state, "vm-x", "pm-1")
+        assert state_dump(state) == before
+
+    def test_unknown_destination_changes_nothing(self):
+        state = self.two_pm_one_vm()
+        before = state_dump(state)
+        with pytest.raises(NotFoundError):
+            migrate(state, "vm-x", "pm-9")
         assert state_dump(state) == before
 
     def test_migration_counter(self):
@@ -209,8 +216,34 @@ def test_state_dump_stable():
     state = admit(new_datacenter(2), req())
     state = place(state, "vm-x", "pm-0")
     dump = state_dump(state)
-    assert list(dump) == ["clock", "pms", "vms", "placements"]
-    assert dump["placements"] == {"vm-x": "pm-0"}
+    assert list(dump) == ["clock", "pms", "vms", "resources"]
+    assert [vm["placed_on"] for vm in dump["vms"]] == ["pm-0"]
+    assert dump["resources"]["free_cores"][1] == [28, 32]
+    assert dump["resources"]["powered_on"][1] == [True, False]
+
+
+class TestValidate:
+    def one_vm_state(self):
+        return place(admit(new_datacenter(2), req(cores=4, ram=8)), "vm-x", "pm-0")
+
+    def with_column(self, state, name, row, value):
+        """The state with one resource cell overwritten, its input untouched."""
+        resources = state.resources.copy()
+        getattr(resources, name)[row] = value
+        return replace(state, resources=resources)
+
+    @pytest.mark.parametrize("name,value", [("free_cores", 29), ("free_ram", 16)])
+    def test_free_column_out_of_step_with_running_vms(self, name, value):
+        state = self.one_vm_state()
+        validate(state)
+        with pytest.raises(DomainError, match=name):
+            validate(self.with_column(state, name, 0, value))
+
+    @pytest.mark.parametrize("row,value", [(0, False), (1, True)])
+    def test_power_column_out_of_step_with_hosting(self, row, value):
+        state = self.one_vm_state()
+        with pytest.raises(DomainError, match="power status"):
+            validate(self.with_column(state, "powered_on", row, value))
 
 
 # Random operation sequences: capacity safety, placement-map consistency,
@@ -240,6 +273,7 @@ def test_random_operations_keep_invariants(ops, pm_count):
             counter += 1
             state = admit(state, r)
         before = state_dump(state)
+        given = state
         try:
             if kind == "admit_place":
                 state = place(state, r.id, pm_id)
@@ -253,5 +287,7 @@ def test_random_operations_keep_invariants(ops, pm_count):
                 state = with_clock(state, state.clock + 1)
         except (CapacityError, DomainError, NotFoundError):
             assert state_dump(state) == before  # failed ops change nothing
+        else:
+            assert state_dump(given) == before  # nor do successful ops change their input
         validate(state)
         assert snapshot_columns(snapshot(state)) == snapshot_columns(snapshot_by_pm_scan(state))

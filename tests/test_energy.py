@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
@@ -54,13 +56,14 @@ class TestStepEnergy:
             WorkloadRequest(id="w", cpu_frequency=2000, cores=1, ram=1, duration=4, arrival=0),
         )
         state = place(state, "w", "pm-0")
-        per_pm, agg = step_energy(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
+        columns, agg = step_energy(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
         watts = 100.0 + 100.0 * (1 / 32)
         assert agg.processor == approx(watts / 1000)
         assert agg.cooling == approx(0.3 * watts / 1000)
         assert agg.extra == approx(0.05 * watts / 1000)
         assert agg.total == approx(1.35 * watts / 1000)
-        assert per_pm["pm-0"].total == approx(agg.total)
+        assert columns == ([agg.processor], [agg.cooling], [agg.extra])
+        assert sum(column[0] for column in columns) == approx(agg.total)
 
     def test_exact_idle_arithmetic(self):
         # the stated constants: idle-on PM for 1 h, k=0.3, eta=0.05
@@ -82,9 +85,10 @@ class TestStepEnergy:
         assert agg.processor == 0.0
 
     def test_penalty_lands_on_destination(self):
-        per_pm, agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-1"])
-        assert per_pm["pm-1"].extra == approx(0.01)
-        assert per_pm["pm-0"].extra == 0.0
+        (processor, _, extra), agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-1"])
+        assert extra[1] == approx(0.01)
+        assert extra[0] == 0.0
+        assert processor == [0.0, 0.0]
         assert agg.extra == approx(0.01)
 
     def test_dt_must_be_positive(self):
@@ -173,10 +177,12 @@ def test_additivity_two_hours(cores):
 @given(core_lists)
 def test_eq1_closure_and_lower_bound(cores):
     snap = make_snapshot(cores)
-    per_pm, agg = step_energy(snap, dt=1.0)
+    columns, agg = step_energy(snap, dt=1.0)
     assert agg.total == pytest.approx(agg.processor + agg.cooling + agg.extra, rel=REL)
-    for b in per_pm.values():
-        assert b.total == pytest.approx(b.processor + b.cooling + b.extra, rel=REL)
+    assert all(len(column) == len(cores) for column in columns)
+    assert (agg.processor, agg.cooling, agg.extra) == tuple(sum(column) for column in columns)
+    per_pm_totals = [p + c + e for p, c, e in zip(*columns)]
+    assert agg.total == pytest.approx(math.fsum(per_pm_totals), rel=REL)
     powered = sum(1 for c in cores if c)
     assert agg.processor >= powered * 100.0 / 1000.0 - 1e-12
 

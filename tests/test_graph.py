@@ -10,14 +10,13 @@ from cloudsched.gnn.graph import (
     ClusterPartition,
     StateGraph,
     build_state_graph,
-    cut_edges,
     normalize_adjacency,
     partition_graph,
     pm_prices,
 )
 from cloudsched.workload import WorkloadRequest
 
-from helpers import pm_entries, snapshot_from_entries
+from helpers import cut_edges, pm_entries, snapshot_from_entries
 from slow_reference import build_state_graph_by_element
 
 

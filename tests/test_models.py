@@ -22,7 +22,7 @@ from cloudsched.gnn.models import (
 )
 from cloudsched.workload import WorkloadRequest
 
-from helpers import pm_entries, snapshot_from_entries
+from helpers import gcn_forward_restricted, pm_entries, snapshot_from_entries
 from slow_reference import score_placements_by_pair
 
 CHECKPOINTS = {
@@ -98,7 +98,7 @@ class TestGcnForward:
         full = gcn_forward(m, g)
         for cluster in range(2):
             nodes, _, _ = restrict_graph(g, part, cluster)
-            restricted = gcn_forward(m, g, restrict_to=(part, cluster))
+            restricted = gcn_forward_restricted(m, g, part, cluster)
             np.testing.assert_allclose(restricted, full[nodes], atol=1e-12)
 
     def test_permutation_equivariance(self):
