@@ -3,13 +3,13 @@
 
 Runs every policy over the same 10 workload/price realizations and
 reports per-seed results plus medians, mirroring the headline
-energy/utilisation comparison.  Expects checkpoints from
-scripts/train_models.py (trains them on the fly if missing).
+energy/utilisation comparison.  The learned policies read
+<out>/model_<name>.json, as `cloudsched train --policy <name> --seed 0
+--out <out>` writes it.
 """
 
 import argparse
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
@@ -35,12 +35,12 @@ def main():
             continue
         path = out / f"model_{name}.json"
         if not path.exists():
-            print(f"{path} missing; training models first")
-            subprocess.run(
-                [sys.executable, str(Path(__file__).parent / "train_models.py"),
-                 "--out", str(out)],
-                check=True,
+            print(
+                f"error: {path} missing; run "
+                f"`cloudsched train --policy {name} --seed 0 --out {out}` first",
+                file=sys.stderr,
             )
+            return 2
         models[name] = load_model(path)
 
     rows = []
@@ -76,7 +76,8 @@ def main():
         saving = 100 * (medians["hunter"] - medians["counter"]) / medians["hunter"]
         print(f"counter vs hunter:    {saving:+.1f}% median energy")
     print(f"\nper-seed rows written to {out / 'seed_sweep.csv'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -44,7 +44,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
-_PM_KEYS = {"cores", "ram", "max_frequency", "min_frequency", "peak_power", "idle_power"}
+_PM_KEYS = {"cores", "ram", "max_frequency"}
 _POWER_KEYS = {
     "idle_power",
     "peak_power",
@@ -160,25 +160,29 @@ def cmd_train(cfg: dict, args) -> int:
         raise ConfigError(f"--policy must be one of {MODEL_POLICIES}, got {policy!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     tcfg = cfg.get("training", {})
+    defaults = TrainConfig()
     episodes = args.episodes if args.episodes is not None else tcfg.get("episodes", 3)
-    epochs = args.epochs if args.epochs is not None else tcfg.get("epochs", 200)
-    lr = args.lr if args.lr is not None else tcfg.get("learning_rate", 0.01)
+    epochs = args.epochs if args.epochs is not None else tcfg.get("epochs", defaults.epochs)
+    lr = args.lr if args.lr is not None else tcfg.get("learning_rate", defaults.learning_rate)
     batch_clusters = (
         args.batch_clusters
         if args.batch_clusters is not None
-        else tcfg.get("batch_clusters", 1)
+        else tcfg.get("batch_clusters", defaults.batch_clusters)
     )
     clusters = args.clusters if args.clusters is not None else tcfg.get("clusters", 2)
 
+    # The scenario (workload and prices) uses the seed itself; teacher
+    # collection, model init and SGD each get their own offset from it, so
+    # `--seed 0` is the recipe of the committed checkpoints.
     scenario = _build_sim_config(cfg, args)
-    samples = collect_training_data(scenario, episodes=episodes, seed=seed)
+    samples = collect_training_data(scenario, episodes=episodes, seed=100 + seed)
     log.info("collected %d training samples from %d episodes", len(samples), episodes)
 
     if policy == "counter":
-        model = new_gcn_model(seed=seed)
+        model = new_gcn_model(seed=1 + seed)
         partitions = [partition_graph(s.graph, k=min(clusters, s.graph.n_nodes)) for s in samples]
     else:
-        model = new_gated_model(seed=seed)
+        model = new_gated_model(seed=1 + seed)
         partitions = None
 
     trained, losses = train(
@@ -186,7 +190,7 @@ def cmd_train(cfg: dict, args) -> int:
         samples,
         partitions=partitions,
         config=TrainConfig(
-            epochs=epochs, learning_rate=lr, batch_clusters=batch_clusters, seed=seed
+            epochs=epochs, learning_rate=lr, batch_clusters=batch_clusters, seed=2 + seed
         ),
     )
 

@@ -35,38 +35,28 @@ class PhysicalMachine:
     location: str
     cores: int
     max_frequency: int  # MHz
-    min_frequency: int
     ram: int  # GiB
-    peak_power: float  # watts
-    idle_power: float
 
     def __post_init__(self):
-        numbers = ("cores", "max_frequency", "min_frequency", "ram", "peak_power", "idle_power")
-        for name in numbers:
+        for name in ("cores", "max_frequency", "ram"):
             if not is_finite_number(getattr(self, name)):
                 raise DomainError(f"{self.id}: {name} must be a finite number")
-        if not (0 < self.idle_power <= self.peak_power):
-            raise DomainError(f"{self.id}: need 0 < idle_power <= peak_power")
-        if self.min_frequency > self.max_frequency:
-            raise DomainError(f"{self.id}: min_frequency > max_frequency")
         if self.cores < 1 or self.ram < 1:
             raise DomainError(f"{self.id}: cores and ram must be >= 1")
 
 
-# Default server template for the 8-PM scenario: 32 cores, 1600-3400 MHz,
-# 100 W idle / 200 W peak.  RAM is configured per-server in the 16-64 GiB
-# range; 16 GiB is the default because it puts default-scenario totals in
-# the intended ~100-120 kWh regime (64 GiB leaves RAM unconstrained and
-# roughly halves that).
+# Default server template for the 8-PM scenario: 32 cores at up to
+# 3400 MHz.  Server power is not a PM field: every PM draws what the
+# simulation's `PowerModel` (the config's `power:` section) says.  RAM is
+# configured per-server in the 16-64 GiB range; 16 GiB is the default
+# because it puts default-scenario totals in the intended ~100-120 kWh
+# regime (64 GiB leaves RAM unconstrained and roughly halves that).
 DEFAULT_PM_TEMPLATE = PhysicalMachine(
     id="pm-template",
     location="loc-template",
     cores=32,
     max_frequency=3400,
-    min_frequency=1600,
     ram=16,
-    peak_power=200.0,
-    idle_power=100.0,
 )
 
 

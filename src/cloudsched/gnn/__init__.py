@@ -18,13 +18,11 @@ from .models import (
     new_gated_model,
     new_gcn_model,
     restrict_graph,
-    save_model,
     score_placements,
 )
 from .training import (
     TrainConfig,
     TrainSample,
-    gradient_check,
     loss_trace_to_csv,
     train,
 )
@@ -45,11 +43,9 @@ __all__ = [
     "new_gated_model",
     "new_gcn_model",
     "restrict_graph",
-    "save_model",
     "score_placements",
     "TrainConfig",
     "TrainSample",
-    "gradient_check",
     "loss_trace_to_csv",
     "train",
 ]

@@ -16,15 +16,22 @@ import numpy as np
 
 from ..datacenter import ResourceSnapshot
 from ..errors import DomainError
-from ..workload import WorkloadRequest
+from ..workload import (
+    DURATION_MAX_H,
+    FREQ_MAX_MHZ,
+    FREQ_MIN_MHZ,
+    MAX_PM_CORES,
+    MAX_PM_RAM_GIB,
+    WorkloadRequest,
+)
 
 FEATURE_DIM = 5
-# Normalization constants from the largest-PM envelope.
-NORM_CORES = 32.0
-NORM_RAM_GIB = 64.0
-NORM_DURATION_H = 48.0
-FREQ_BASE_MHZ = 1600.0
-FREQ_SPAN_MHZ = 1800.0
+# Normalization constants from the workload generator's largest-PM envelope.
+NORM_CORES = float(MAX_PM_CORES)
+NORM_RAM_GIB = float(MAX_PM_RAM_GIB)
+NORM_DURATION_H = float(DURATION_MAX_H)
+FREQ_BASE_MHZ = float(FREQ_MIN_MHZ)
+FREQ_SPAN_MHZ = float(FREQ_MAX_MHZ - FREQ_MIN_MHZ)
 NORM_PRICE = 0.15  # upper bound of the synthetic price generator
 
 
@@ -132,9 +139,6 @@ class ClusterPartition:
         seen = set(self.cluster_of)
         if seen != set(range(self.k)):
             raise DomainError("every cluster must be non-empty and ids contiguous")
-
-    def members(self, cluster_id: int) -> list[int]:
-        return [i for i, c in enumerate(self.cluster_of) if c == cluster_id]
 
 
 def partition_graph(graph: StateGraph, k: int) -> ClusterPartition:

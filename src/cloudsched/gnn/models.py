@@ -391,12 +391,6 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     return model
 
 
-def save_model(model: GcnModel | GatedModel, path) -> None:
-    from ..util import atomic_write_text
-
-    atomic_write_text(path, model_to_json(model))
-
-
 def load_model(path) -> GcnModel | GatedModel:
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_json(fh.read())

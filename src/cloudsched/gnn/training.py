@@ -1,4 +1,4 @@
-"""Supervised training of the placement scorers, with gradient verification.
+"""Supervised training of the placement scorers.
 
 Labels are realized incremental-energy observations gathered from
 heuristic-driven episodes; the loss is plain squared error on the pair
@@ -162,18 +162,6 @@ def gated_loss_and_grads(model: GatedModel, grads: GatedModel, g: StepGraph, lab
     return loss
 
 
-def sample_loss(model, sample: TrainSample) -> float:
-    """Full-graph squared error for one sample (used by the gradient check)."""
-    g = _sample_graph(model, sample)
-    if isinstance(model, GcnModel):
-        h_last = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)[0][-1]
-    else:
-        h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
-    pair = pair_vector(h_last, g.feats, g.vm_pos, g.pm_pos)
-    score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
-    return (score - sample.label) ** 2
-
-
 def _choose_clusters(
     partition: ClusterPartition, sample: TrainSample, batch_clusters: int, rng
 ) -> list[int]:
@@ -253,33 +241,6 @@ def train(
             raise DivergenceError(epoch)
         losses.append(mean_loss)
     return model, losses
-
-
-def analytic_grads(model, sample: TrainSample) -> dict[str, np.ndarray]:
-    grads = model.with_flat(np.empty_like(model.flat))
-    loss_and_grads = gcn_loss_and_grads if isinstance(model, GcnModel) else gated_loss_and_grads
-    loss_and_grads(model, grads, _sample_graph(model, sample), sample.label)
-    return dict(grads.parameters())
-
-
-def gradient_check(model, sample: TrainSample, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    grads = analytic_grads(model, sample)
-    worst = 0.0
-    for name, arr in model.parameters():
-        flat = arr.reshape(-1)
-        g_flat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            up = sample_loss(model, sample)
-            flat[i] = original - epsilon
-            down = sample_loss(model, sample)
-            flat[i] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(1e-8, abs(g_flat[i]) + abs(numeric))
-            worst = max(worst, abs(g_flat[i] - numeric) / denom)
-    return worst
 
 
 def loss_trace_to_csv(losses: Sequence[float]) -> str:

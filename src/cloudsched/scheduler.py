@@ -215,30 +215,23 @@ def consolidate(
     return []
 
 
-def collect_training_data(
-    scenario,
-    teacher: str = "best_fit_energy",
-    episodes: int = 1,
-    seed: int = 0,
-) -> list[TrainSample]:
+def collect_training_data(scenario, episodes: int = 1, seed: int = 0) -> list[TrainSample]:
     """Gather (graph, pair, realized-energy) samples from teacher episodes.
 
-    Each episode re-runs the scenario with a reseeded workload; one
-    sample is recorded per successful placement.  Pure function of
-    (scenario, teacher, episodes, seed).
+    The teacher is the best_fit_energy heuristic.  Each episode re-runs
+    the scenario with a reseeded workload; one sample is recorded per
+    successful placement.  Pure function of (scenario, episodes, seed).
     """
     from . import sim  # placed here: sim drives the scheduler, not vice versa
 
     if episodes < 1:
         raise DomainError("episodes must be >= 1")
-    if teacher in MODEL_POLICIES:
-        raise ConfigError("teacher must be a heuristic policy")
 
     samples: list[TrainSample] = []
     for episode in range(episodes):
         cfg = dc_replace(
             scenario,
-            policy=teacher,
+            policy="best_fit_energy",
             model=None,
             model_path=None,
             workload_seed=seed + episode,

@@ -71,7 +71,6 @@ class SimConfig:
     workload_seed: int | None = None  # None: fall back to seed
     prices: PriceSeries | None = None
     price_file: str | None = None
-    price_seed: int | None = None  # None: fall back to seed
     seed: int = 0
     consolidation_threshold: float = CONSOLIDATION_THRESHOLD
     log_scores: bool = False
@@ -155,8 +154,7 @@ def _load_prices(config: SimConfig, locations: tuple[str, ...]) -> PriceSeries:
         with open(config.price_file, "r", encoding="utf-8") as fh:
             series = load_price_series(fh.read())
     else:
-        seed = config.price_seed if config.price_seed is not None else config.seed
-        series = generate_price_series(locations, config.horizon, seed)
+        series = generate_price_series(locations, config.horizon, config.seed)
 
     for location in locations:
         if location not in series.prices:

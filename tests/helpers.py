@@ -4,7 +4,8 @@
 plain dict per PM.  The serialisers write a structure back out in a
 stable, comparable form, so tests can check purity (a state is
 unchanged) and parser round trips.  `cut_edges` and
-`gcn_forward_restricted` inspect a cluster partition.
+`gcn_forward_restricted` inspect a cluster partition.  `gradient_check`
+compares the training code's analytic gradients with central differences.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from hypothesis import strategies as st
 from cloudsched.datacenter import DatacenterState, ResourceSnapshot
 from cloudsched.energy import PriceSeries
 from cloudsched.gnn.graph import ClusterPartition, StateGraph, normalize_adjacency
-from cloudsched.gnn.models import GcnModel, gcn_layers, restrict_graph
+from cloudsched.gnn.models import GcnModel, gated_steps, gcn_layers, pair_vector, restrict_graph
+from cloudsched.gnn.training import (
+    TrainSample,
+    _sample_graph,
+    gated_loss_and_grads,
+    gcn_loss_and_grads,
+)
 from cloudsched.workload import VmTrace
 
 
@@ -101,10 +108,7 @@ def state_dump(state: DatacenterState) -> dict:
                 "location": pm.location,
                 "cores": pm.cores,
                 "max_frequency": pm.max_frequency,
-                "min_frequency": pm.min_frequency,
                 "ram": pm.ram,
-                "peak_power": pm.peak_power,
-                "idle_power": pm.idle_power,
             }
             for pm in state.pms
         ],
@@ -148,6 +152,45 @@ def gcn_forward_restricted(
     _, feats, adj = restrict_graph(graph, partition, clusters)
     hs, _, _ = gcn_layers(model, normalize_adjacency(adj), feats)
     return hs[-1]
+
+
+def sample_loss(model, sample: TrainSample) -> float:
+    """Full-graph squared error for one sample (used by the gradient check)."""
+    g = _sample_graph(model, sample)
+    if isinstance(model, GcnModel):
+        h_last = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)[0][-1]
+    else:
+        h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
+    pair = pair_vector(h_last, g.feats, g.vm_pos, g.pm_pos)
+    score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
+    return (score - sample.label) ** 2
+
+
+def analytic_grads(model, sample: TrainSample) -> dict[str, np.ndarray]:
+    grads = model.with_flat(np.empty_like(model.flat))
+    loss_and_grads = gcn_loss_and_grads if isinstance(model, GcnModel) else gated_loss_and_grads
+    loss_and_grads(model, grads, _sample_graph(model, sample), sample.label)
+    return dict(grads.parameters())
+
+
+def gradient_check(model, sample: TrainSample, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    grads = analytic_grads(model, sample)
+    worst = 0.0
+    for name, arr in model.parameters():
+        flat = arr.reshape(-1)
+        g_flat = grads[name].reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + epsilon
+            up = sample_loss(model, sample)
+            flat[i] = original - epsilon
+            down = sample_loss(model, sample)
+            flat[i] = original
+            numeric = (up - down) / (2.0 * epsilon)
+            denom = max(1e-8, abs(g_flat[i]) + abs(numeric))
+            worst = max(worst, abs(g_flat[i] - numeric) / denom)
+    return worst
 
 
 def serialize_trace(trace: VmTrace) -> str:

@@ -2,7 +2,8 @@
 
 Criteria 1-2 are directional (medians over 10 shared-seed runs); the rest
 are exact or tolerance-pinned.  The learned policies are trained once per
-session from heuristic-teacher episodes on the default scenario.
+module by `cloudsched train --seed 0`, from heuristic-teacher episodes on
+the default scenario.
 """
 
 import itertools
@@ -26,14 +27,14 @@ from cloudsched.datacenter import (
 )
 from cloudsched.energy import pm_power
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
-from cloudsched.gnn.graph import partition_graph
-from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model
-from cloudsched.gnn.training import TrainConfig, TrainSample, gradient_check, train
-from cloudsched.scheduler import Policy, collect_training_data, schedule
+from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
+from cloudsched.gnn.training import TrainSample
+from cloudsched.scheduler import Policy, schedule
 from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.workload import WorkloadRequest
 
 from conftest import DATA, tiny_config, tiny_requests
+from helpers import gradient_check
 
 from dataclasses import replace
 
@@ -42,22 +43,23 @@ REL = 1e-9
 
 
 @pytest.fixture(scope="module")
-def trained_models():
-    scenario = SimConfig(seed=0)
-    samples = collect_training_data(scenario, episodes=3, seed=100)
-    partitions = [partition_graph(s.graph, k=2) for s in samples]
-    cfg = TrainConfig(epochs=200, learning_rate=0.01, batch_clusters=1, seed=2)
-    counter, _ = train(new_gcn_model(seed=1), samples, partitions=partitions, config=cfg)
-    hunter, _ = train(new_gated_model(seed=1), samples, config=cfg)
-    return {"counter": counter, "hunter": hunter}
-
-
-def test_trained_models_match_committed_checkpoints(trained_models):
-    # The fixture is the seed-0 training recipe, so its models serialise to
-    # the committed checkpoints byte for byte.
+def trained_checkpoints(tmp_path_factory):
+    """Both checkpoints as `cloudsched train --seed 0` writes them."""
+    out = tmp_path_factory.mktemp("trained")
     for policy in ("counter", "hunter"):
-        expected = (DATA / f"{policy}.json").read_text(encoding="utf-8")
-        assert model_to_json(trained_models[policy]) == expected, policy
+        assert main(["train", "--policy", policy, "--seed", "0", "--out", str(out)]) == 0
+    return {policy: out / f"model_{policy}.json" for policy in ("counter", "hunter")}
+
+
+@pytest.fixture(scope="module")
+def trained_models(trained_checkpoints):
+    return {policy: load_model(path) for policy, path in trained_checkpoints.items()}
+
+
+def test_trained_models_match_committed_checkpoints(trained_checkpoints):
+    # `cloudsched train --seed 0` is the recipe of the committed checkpoints.
+    for policy, path in trained_checkpoints.items():
+        assert path.read_bytes() == (DATA / f"{policy}.json").read_bytes(), policy
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import pytest
 
 from cloudsched.cli import build_parser, main
 from cloudsched.gnn.models import load_model, new_gcn_model, model_to_json, score_placements
+from cloudsched.util import atomic_write_text
 from cloudsched.workload import workload_to_json
 
 from conftest import tiny_requests
@@ -80,7 +81,7 @@ class TestTrain:
     def test_zero_lr_keeps_initial_weights(self, tmp_path):
         assert main(self.base_args(tmp_path, extra=["--lr", "0"])) == 0
         saved = (tmp_path / "model_counter.json").read_text()
-        assert saved == model_to_json(new_gcn_model(seed=5))
+        assert saved == model_to_json(new_gcn_model(seed=1 + 5))
 
     def test_same_seed_identical_loss_csv(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -144,7 +145,7 @@ class TestSimulate:
         [
             "power:\n  cooling_coefficient: .nan\n",
             "power:\n  peak_power: .inf\n",
-            "pm:\n  peak_power: .nan\n",
+            "pm:\n  ram: .nan\n",
             "pm:\n  cores: .inf\n",
             "consolidation_threshold: .nan\n",
             "consolidation_threshold: -.inf\n",
@@ -304,6 +305,19 @@ class TestConfigFile:
         cfg.write_text("pm:\n  wheels: 4\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value", [("peak_power", 300), ("idle_power", 50), ("min_frequency", 1000)]
+    )
+    def test_pm_power_and_frequency_keys_rejected(self, tiny_files, tmp_path, capsys, key, value):
+        # Server power comes from the `power:` section; these PM keys set nothing.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"pm:\n  {key}: {value}\n")
+        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and key in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     def test_file_values_used_and_flags_override(self, tiny_files, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
@@ -364,10 +378,8 @@ class TestHelp:
 
 
 def test_log_scores_flag_adds_scores(tiny_files, tmp_path):
-    from cloudsched.gnn.models import save_model
-
     checkpoint = tmp_path / "model.json"
-    save_model(new_gcn_model(seed=0), checkpoint)
+    atomic_write_text(checkpoint, model_to_json(new_gcn_model(seed=0)))
     out = tmp_path / "out"
     args = tiny_simulate_args(
         tiny_files, out, extra=["--policy", "counter", "--model", str(checkpoint), "--log-scores"]

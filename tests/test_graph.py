@@ -171,7 +171,7 @@ class TestPartitionGraph:
         for k in range(1, g.n_nodes + 1):
             p = partition_graph(g, k=k)
             assert p.k == k
-            assert all(p.members(c) for c in range(k))
+            assert set(p.cluster_of) == set(range(k))
 
     def test_deterministic(self):
         g = build_state_graph(snapshot(new_datacenter(5)), [request()])

@@ -273,10 +273,6 @@ class TestCollectTrainingData:
         assert samples[2].graph.features[:2, 0].tolist() == [0.0, 1.0]
         assert len(d.assignments) == 3
 
-    def test_model_teacher_rejected(self):
-        with pytest.raises(ConfigError):
-            collect_training_data(self.scenario(), teacher="counter", episodes=1, seed=0)
-
 
 # -- Properties over random scenarios ---------------------------------------
 

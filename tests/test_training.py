@@ -4,14 +4,9 @@ import pytest
 from cloudsched.errors import DivergenceError, DomainError
 from cloudsched.gnn.graph import StateGraph, partition_graph
 from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model
-from cloudsched.gnn.training import (
-    TrainConfig,
-    TrainSample,
-    gradient_check,
-    loss_trace_to_csv,
-    train,
-)
+from cloudsched.gnn.training import TrainConfig, TrainSample, loss_trace_to_csv, train
 
+from helpers import gradient_check
 from slow_reference import train_uncached
 
 
