@@ -13,6 +13,7 @@ import statistics
 import sys
 from pathlib import Path
 
+from cloudsched.errors import SimulatorError
 from cloudsched.gnn.models import load_model
 from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.util import atomic_write_text
@@ -41,7 +42,11 @@ def main():
                 file=sys.stderr,
             )
             return 2
-        models[name] = load_model(path)
+        try:
+            models[name] = load_model(path)
+        except SimulatorError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     rows = []
     for policy in policies:

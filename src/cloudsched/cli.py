@@ -75,13 +75,17 @@ _TOP_KEYS = {
 
 def load_config_file(path: str) -> dict:
     """Read and validate the YAML config; unknown keys are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+    with open(path, "rb") as fh:
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, RecursionError) as exc:
+            detail = " ".join(str(exc).split())  # YAML errors span several lines
+            raise ConfigError(f"config {path!r} is not valid YAML: {detail}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a mapping")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     for section, allowed in (("pm", _PM_KEYS), ("power", _POWER_KEYS), ("training", _TRAINING_KEYS)):
         sub = doc.get(section)
         if sub is None:
@@ -90,7 +94,7 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"config section {section!r} must be a mapping")
         bad = set(sub) - allowed
         if bad:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
+            raise ConfigError(f"unknown keys in {section!r}: {sorted(bad, key=str)}")
     return doc
 
 

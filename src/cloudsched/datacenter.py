@@ -141,13 +141,14 @@ class DatacenterState:
     pms: tuple[PhysicalMachine, ...]
     vms: dict[str, VirtualMachine]
     resources: ResourceSnapshot  # row i is pms[i]; never changed once the state is built
+    rows: dict[str, int]  # PM id -> row; built once, shared by every later state
     clock: int = 0
 
     def row(self, pm_id: str) -> int:
         """The PM's row in `pms` and in the resource columns."""
         try:
-            return self.resources.pm_ids.index(pm_id)
-        except ValueError:
+            return self.rows[pm_id]
+        except KeyError:
             raise NotFoundError(f"unknown PM {pm_id!r}") from None
 
 
@@ -171,7 +172,8 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
         powered_on=np.zeros(pm_count, dtype=bool),
         utilisation=np.zeros(pm_count),
     )
-    return DatacenterState(pms=pms, vms={}, resources=resources, clock=0)
+    rows = {pm.id: i for i, pm in enumerate(pms)}
+    return DatacenterState(pms=pms, vms={}, resources=resources, rows=rows, clock=0)
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
@@ -274,11 +276,14 @@ def snapshot(state: DatacenterState) -> ResourceSnapshot:
 def validate(state: DatacenterState) -> None:
     """Raise DomainError if any structural invariant is broken (test hook).
 
-    Besides capacity and placement consistency, every resource column
-    must equal a rescan of the running VMs.
+    Besides capacity and placement consistency, the PM-id -> row index
+    must match `pms`, and every resource column must equal a rescan of
+    the running VMs.
     """
     pms = state.pms
     n = len(pms)
+    if state.rows != {pm.id: i for i, pm in enumerate(pms)}:
+        raise DomainError("PM row index out of step with the PMs")
     used_cores = np.zeros(n, dtype=int)
     used_ram = np.zeros(n, dtype=int)
     for vm in state.vms.values():

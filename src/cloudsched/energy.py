@@ -19,7 +19,7 @@ import numpy as np
 
 from .datacenter import ResourceSnapshot
 from .errors import CoverageError, DomainError, TraceFormatError
-from .util import is_finite_number
+from .util import decode_utf8, is_finite_number
 
 WATTS_PER_KW = 1000.0
 
@@ -141,27 +141,34 @@ class PriceSeries:
 
 
 def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> PriceSeries:
-    """Per-location daily sinusoid around 0.10/kWh with seeded phase and noise."""
+    """Per-location daily sinusoid around 0.10/kWh with seeded phase and noise.
+
+    One call draws a row of horizon + 1 uniforms u per location: the phase,
+    then each hour's noise, in the order scalar draws would take them.
+    `uniform(lo, hi)` is lo + (hi - lo) * u, so the phase is 24.0 * u and
+    the noise -0.01 + 0.02 * u, bit for bit.  The sine is libm's
+    `math.sin`, whose result does not depend on numpy's SIMD paths.
+    """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    prices: dict[str, tuple[float, ...]] = {}
-    for location in locations:
-        phase = float(rng.uniform(0.0, 24.0))
-        series = []
-        for hour in range(horizon):
-            base = 0.10 + 0.04 * math.sin(2.0 * math.pi * (hour + phase) / 24.0)
-            noise = float(rng.uniform(-0.01, 0.01))
-            series.append(max(0.01, base + noise))
-        prices[location] = tuple(series)
+    u = rng.random((len(locations), horizon + 1))
+    phase = 24.0 * u[:, :1]
+    noise = -0.01 + 0.02 * u[:, 1:]
+    angle = 2.0 * math.pi * (np.arange(horizon) + phase) / 24.0
+    sine = np.fromiter(map(math.sin, angle.ravel().tolist()), float, angle.size)
+    base = 0.10 + 0.04 * sine.reshape(angle.shape)
+    series = np.maximum(0.01, base + noise)
+    prices = dict(zip(locations, map(tuple, series.tolist())))
     return PriceSeries(prices=prices, horizon=horizon)
 
 
 def load_price_series(content: bytes | str) -> PriceSeries:
     """Parse the `hour,<loc>,...` CSV format, checking coverage, signs and finiteness."""
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(content)))
+    try:
+        rows = list(csv.reader(io.StringIO(decode_utf8(content, "price file"))))
+    except csv.Error as exc:
+        raise TraceFormatError(f"malformed price CSV: {exc}") from None
     rows = [r for r in rows if r and any(c.strip() for c in r)]
     if not rows:
         raise TraceFormatError("empty price file")

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DomainError, ShapeError, TraceFormatError
+from ..util import parse_file, parse_json
 from .graph import FEATURE_DIM, ClusterPartition, StateGraph, _normalize
 
 
@@ -351,10 +352,7 @@ def _positive_int(value, key: str) -> int:
 
 
 def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid checkpoint JSON: {exc}") from None
+    doc = parse_json(text, "checkpoint JSON")
     if not isinstance(doc, dict):
         raise TraceFormatError("checkpoint must be a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
@@ -366,14 +364,23 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     if not isinstance(dims, list) or len(dims) < 2:
         raise TraceFormatError("checkpoint 'dims' must list at least two sizes")
     dims = [_positive_int(d, "dims") for d in dims]
-    if kind == "gcn":
-        model = new_gcn_model(seed=0, dims=tuple(dims))
-    else:
-        steps = _positive_int(_checkpoint_field(doc, "steps"), "steps")
-        model = new_gated_model(seed=0, hidden=dims[1], steps=steps)
     params = _checkpoint_field(doc, "params")
     if not isinstance(params, list):
         raise TraceFormatError("checkpoint 'params' must be a list of arrays")
+    # The dims size the model built below, before any parameter is read, so
+    # they may not ask for more layer values than the checkpoint holds.
+    held = sum(len(values) for values in params if isinstance(values, list))
+    if kind == "gcn":
+        needed = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+    else:
+        steps = _positive_int(_checkpoint_field(doc, "steps"), "steps")
+        needed = dims[1] * (7 * dims[1] + 3)
+    if needed > held:
+        raise TraceFormatError(f"checkpoint 'dims' need {needed} layer values, it holds {held}")
+    if kind == "gcn":
+        model = new_gcn_model(seed=0, dims=tuple(dims))
+    else:
+        model = new_gated_model(seed=0, hidden=dims[1], steps=steps)
     names = [name for name, _ in model.parameters()]
     if len(params) != len(names):
         raise TraceFormatError(
@@ -392,5 +399,4 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
 
 
 def load_model(path) -> GcnModel | GatedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    return parse_file(path, model_from_json)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 from .datacenter import (
@@ -43,6 +44,7 @@ from .scheduler import (
     consolidate,
     schedule,
 )
+from .util import parse_file
 from .workload import (
     WorkloadRequest,
     WorkloadSet,
@@ -112,8 +114,7 @@ def _load_workload(config: SimConfig) -> tuple[WorkloadRequest, ...]:
     if config.requests is not None:
         requests = tuple(config.requests)
     elif config.workload_file is not None:
-        with open(config.workload_file, "r", encoding="utf-8") as fh:
-            requests = workload_from_json(fh.read()).requests
+        requests = parse_file(config.workload_file, workload_from_json).requests
     elif config.trace_dir is not None:
         requests = ingest_trace_dir(config.trace_dir, config.horizon).requests
     else:
@@ -136,7 +137,7 @@ def ingest_trace_dir(trace_dir: str, horizon: int) -> WorkloadSet:
     paths = sorted(p for p in Path(trace_dir).iterdir() if p.is_file())
     if not paths:
         raise ConfigError(f"no trace files in {trace_dir!r}")
-    traces = [parse_trace_file(p.read_bytes(), name=p.stem) for p in paths]
+    traces = [parse_file(p, partial(parse_trace_file, name=p.stem)) for p in paths]
     start = min(t.samples[0].timestamp_ms for t in traces if t.samples)
     requests = []
     for trace in traces:
@@ -151,8 +152,7 @@ def _load_prices(config: SimConfig, locations: tuple[str, ...]) -> PriceSeries:
     if config.prices is not None:
         series = config.prices
     elif config.price_file is not None:
-        with open(config.price_file, "r", encoding="utf-8") as fh:
-            series = load_price_series(fh.read())
+        series = parse_file(config.price_file, load_price_series)
     else:
         series = generate_price_series(locations, config.horizon, config.seed)
 

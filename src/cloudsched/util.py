@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import TraceFormatError
 
 
 def is_finite_number(value) -> bool:
@@ -25,4 +28,38 @@ def atomic_write_text(path, text: str) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
+
+
+def decode_utf8(content: bytes | str, what: str) -> str:
+    """`content` as text; bytes that are not UTF-8 raise TraceFormatError naming `what`."""
+    if isinstance(content, str):
+        return content
+    try:
+        return content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"{what} is not UTF-8 text (byte {content[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+
+
+def parse_json(content: bytes | str, what: str):
+    """The JSON document in `content`; malformed input raises TraceFormatError naming `what`."""
+    text = decode_utf8(content, what)
+    try:
+        return json.loads(text)
+    # JSONDecodeError and an integer literal over Python's digit limit are
+    # ValueErrors; deep nesting exhausts the decoder's recursion.
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(f"invalid {what}: {exc}") from None
+
+
+def parse_file(path, parse):
+    """`parse` applied to the bytes of the file at `path`; its format errors name the file."""
+    with open(path, "rb") as fh:
+        content = fh.read()
+    try:
+        return parse(content)
+    except TraceFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
         raise

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TraceFormatError
+from .util import decode_utf8, parse_json
 
 # Generator bounds for the default scenario; trace-derived requests are
 # clamped into the same envelope.
@@ -102,9 +103,7 @@ def parse_trace_file(content: bytes | str, name: str = "trace") -> VmTrace:
     Usage above provisioned capacity is clamped and counted rather than
     rejected; structural problems raise :class:`TraceFormatError`.
     """
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
-    lines = content.splitlines()
+    lines = decode_utf8(content, f"trace {name!r}").splitlines()
     if not lines or not lines[0].strip():
         raise TraceFormatError("empty trace file")
 
@@ -186,7 +185,11 @@ def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
     """Draw `count` requests uniformly over the default scenario bounds.
 
     Pure function of (count, horizon, seed): the same arguments always
-    return the same WorkloadSet.
+    return the same WorkloadSet.  One bounded-integer call draws all
+    5 x count numbers; numpy takes each from the same 32-bit stream
+    whether the call is scalar or broadcast, so request i gets the
+    arrival, duration, core index, frequency and RAM index that five
+    scalar draws in that order would give it.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -194,23 +197,20 @@ def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
         raise DomainError("horizon must be >= 1")
 
     rng = np.random.default_rng(seed)
-    requests = []
-    for i in range(count):
-        arrival = int(rng.integers(0, horizon))
-        duration = int(rng.integers(DURATION_MIN_H, DURATION_MAX_H + 1))
-        cores = int(rng.choice(CORE_CHOICES))
-        frequency = int(rng.integers(FREQ_MIN_MHZ, FREQ_MAX_MHZ + 1))
-        ram = int(rng.choice(RAM_CHOICES_GIB))
-        requests.append(
-            WorkloadRequest(
-                id=f"vm-{i:04d}",
-                cpu_frequency=frequency,
-                cores=cores,
-                ram=ram,
-                duration=duration,
-                arrival=arrival,
-            )
+    low = (0, DURATION_MIN_H, 0, FREQ_MIN_MHZ, 0)
+    high = (horizon, DURATION_MAX_H + 1, len(CORE_CHOICES), FREQ_MAX_MHZ + 1, len(RAM_CHOICES_GIB))
+    draws = rng.integers(np.tile(low, count), np.tile(high, count)).reshape(count, 5)
+    requests = [
+        WorkloadRequest(
+            id=f"vm-{i:04d}",
+            cpu_frequency=frequency,
+            cores=CORE_CHOICES[core_index],
+            ram=RAM_CHOICES_GIB[ram_index],
+            duration=duration,
+            arrival=arrival,
         )
+        for i, (arrival, duration, core_index, frequency, ram_index) in enumerate(draws.tolist())
+    ]
     requests.sort(key=lambda r: (r.arrival, r.id))
     return WorkloadSet(requests=tuple(requests), source="synthetic", seed=seed)
 
@@ -232,10 +232,7 @@ def workload_to_json(workload: WorkloadSet) -> str:
 
 
 def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid workload JSON: {exc}") from None
+    rows = parse_json(text, "workload JSON")
     if not isinstance(rows, list):
         raise TraceFormatError("workload JSON must be an array of request objects")
     requests = []

@@ -6,7 +6,11 @@ Each function here is the plain loop that a vectorised or cached path in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from cloudsched.energy import PriceSeries
 
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
@@ -31,8 +35,57 @@ from cloudsched.gnn.models import (
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
+from cloudsched.workload import (
+    CORE_CHOICES,
+    DURATION_MAX_H,
+    DURATION_MIN_H,
+    FREQ_MAX_MHZ,
+    FREQ_MIN_MHZ,
+    RAM_CHOICES_GIB,
+    WorkloadRequest,
+    WorkloadSet,
+)
 
 from helpers import entry, snapshot_from_entries
+
+
+def synthetic_by_scalar_draws(count, horizon, seed) -> WorkloadSet:
+    """`generate_synthetic` with one scalar RNG call per number, five per request."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for i in range(count):
+        arrival = int(rng.integers(0, horizon))
+        duration = int(rng.integers(DURATION_MIN_H, DURATION_MAX_H + 1))
+        cores = int(rng.choice(CORE_CHOICES))
+        frequency = int(rng.integers(FREQ_MIN_MHZ, FREQ_MAX_MHZ + 1))
+        ram = int(rng.choice(RAM_CHOICES_GIB))
+        requests.append(
+            WorkloadRequest(
+                id=f"vm-{i:04d}",
+                cpu_frequency=frequency,
+                cores=cores,
+                ram=ram,
+                duration=duration,
+                arrival=arrival,
+            )
+        )
+    requests.sort(key=lambda r: (r.arrival, r.id))
+    return WorkloadSet(requests=tuple(requests), source="synthetic", seed=seed)
+
+
+def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:
+    """`generate_price_series` with one scalar RNG call per phase and per hour's noise."""
+    rng = np.random.default_rng(seed)
+    prices = {}
+    for location in locations:
+        phase = float(rng.uniform(0.0, 24.0))
+        series = []
+        for hour in range(horizon):
+            base = 0.10 + 0.04 * math.sin(2.0 * math.pi * (hour + phase) / 24.0)
+            noise = float(rng.uniform(-0.01, 0.01))
+            series.append(max(0.01, base + noise))
+        prices[location] = tuple(series)
+    return PriceSeries(prices=prices, horizon=horizon)
 
 
 def snapshot_by_pm_scan(state):

@@ -161,6 +161,29 @@ class TestSimulate:
         assert err.count("error:") == 1 and "finite" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "qos.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag", ["--config", "--model", "--trace-dir", "--price-file", "--workload-file"]
+    )
+    def test_non_utf8_input_is_one_error_line(self, tiny_files, tmp_path, capsys, flag):
+        bad = tmp_path / "traces" / "bad.bin"  # UTF-8 text up to one 0xff byte
+        bad.parent.mkdir()
+        bad.write_bytes(b"hour,loc-0\n0,0.1\xff\n")
+        args = tiny_simulate_args(tiny_files, tmp_path / "out")
+        if flag == "--trace-dir":
+            at = args.index("--workload-file")
+            args[at : at + 2] = [flag, str(bad.parent)]
+        elif flag == "--model":
+            args += ["--policy", "counter", flag, str(bad)]
+        elif flag == "--config":
+            args += [flag, str(bad)]
+        else:
+            args[args.index(flag) + 1] = str(bad)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert "bad.bin" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     def test_counter_without_model_is_config_error(self, tiny_files, tmp_path):
         args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--policy", "counter"])
         assert main(args) == 2
@@ -299,6 +322,18 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("pm_count: 2\nbogus_key: 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "text", ["a: [\n", "[" * 1000 + "\n", "1: 2\nseed: 0\n", "pm:\n  1: 2\n  ram: 8\n"],
+        ids=["unclosed", "deep", "int-key", "int-pm-key"],
+    )
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_nested_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

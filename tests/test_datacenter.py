@@ -105,6 +105,17 @@ class TestPlace:
         with pytest.raises(NotFoundError):
             place(state, "vm-x", "pm-9")
 
+    def test_row_index_built_once_and_shared(self):
+        state = new_datacenter(3)
+        assert state.rows == {"pm-0": 0, "pm-1": 1, "pm-2": 2}
+        placed = place(admit(state, req(duration=1)), "vm-x", "pm-2")
+        moved = migrate(placed, "vm-x", "pm-1")
+        finished, _ = remove_finished(with_clock(moved, 1))
+        assert all(s.rows is state.rows for s in (placed, moved, finished))
+        assert [state.row(f"pm-{i}") for i in range(3)] == [0, 1, 2]
+        with pytest.raises(NotFoundError, match="pm-3"):
+            state.row("pm-3")
+
     def test_start_hour_set_once(self):
         state = admit(with_clock(new_datacenter(2), 4), req(duration=10))
         state = place(state, "vm-x", "pm-0")
@@ -238,6 +249,13 @@ class TestValidate:
         validate(state)
         with pytest.raises(DomainError, match=name):
             validate(self.with_column(state, name, 0, value))
+
+    def test_row_index_out_of_step_with_pms(self):
+        state = self.one_vm_state()
+        with pytest.raises(DomainError, match="row index"):
+            validate(replace(state, rows={"pm-0": 1, "pm-1": 0}))
+        with pytest.raises(DomainError, match="row index"):
+            validate(replace(state, rows={"pm-0": 0}))
 
     @pytest.mark.parametrize("row,value", [(0, False), (1, True)])
     def test_power_column_out_of_step_with_hosting(self, row, value):

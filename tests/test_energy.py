@@ -18,6 +18,7 @@ from cloudsched.errors import CoverageError, DomainError, TraceFormatError
 from cloudsched.workload import WorkloadRequest
 
 from helpers import price_series_to_csv
+from slow_reference import prices_by_scalar_draws
 
 REL = 1e-9
 
@@ -110,6 +111,42 @@ class TestGeneratePriceSeries:
     def test_cardinality(self):
         series = generate_price_series(["a", "b"], 24, seed=3)
         assert sum(len(p) for p in series.prices.values()) == 48
+
+    @staticmethod
+    def assert_same_prices(series, expected):
+        """Same keys in the same order, and every price the same float to the bit."""
+        assert series.horizon == expected.horizon
+        assert list(series.prices) == list(expected.prices)
+        for location, prices in expected.prices.items():
+            assert [p.hex() for p in series.prices[location]] == [p.hex() for p in prices]
+
+    @pytest.mark.parametrize(
+        "locations,horizon,seed",
+        [
+            (["a"], 1, 0),
+            ([], 5, 0),
+            (["a", "b", "a"], 3, 1),
+            (["loc-0", "loc-1"], 48, 2**63 - 1),
+        ],
+        ids=["horizon-1", "no-locations", "duplicates", "max-seed"],
+    )
+    def test_matches_scalar_draws_at_the_edges(self, locations, horizon, seed):
+        self.assert_same_prices(
+            generate_price_series(locations, horizon, seed),
+            prices_by_scalar_draws(locations, horizon, seed),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([f"loc-{i}" for i in range(12)]), max_size=40),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_matches_scalar_draws(self, locations, horizon, seed):
+        self.assert_same_prices(
+            generate_price_series(locations, horizon, seed),
+            prices_by_scalar_draws(locations, horizon, seed),
+        )
 
 
 class TestLoadPriceSeries:

@@ -34,3 +34,12 @@ def test_run_comparison_missing_checkpoint_names_the_train_command(tmp_path):
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
     assert f"cloudsched train --policy counter --seed 0 --out {tmp_path}" in done.stderr
     assert not (tmp_path / "seed_sweep.csv").exists()
+
+
+def test_run_comparison_malformed_checkpoint_is_one_error_line(tmp_path):
+    (tmp_path / "model_counter.json").write_text('{"kind": "gcn"}\n')
+    done = run_comparison("--policies", "counter", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+    assert "model_counter.json" in done.stderr
+    assert not (tmp_path / "seed_sweep.csv").exists()

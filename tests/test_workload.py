@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cloudsched.errors import DomainError, TraceFormatError
 from cloudsched.workload import (
@@ -15,6 +15,7 @@ from cloudsched.workload import (
 )
 
 from helpers import serialize_trace
+from slow_reference import synthetic_by_scalar_draws
 
 HEADER = (
     "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
@@ -187,6 +188,25 @@ class TestGenerateSynthetic:
     def test_zero_count_rejected(self):
         with pytest.raises(DomainError):
             generate_synthetic(0, 10, seed=1)
+
+    # Horizon 1 is integers(0, 1), which draws nothing; 2**63 - 1 is the
+    # largest seed the CLI's int flag passes through.
+    @pytest.mark.parametrize(
+        "count,horizon,seed", [(1, 1, 0), (300, 1, 5), (50, 200, 2**63 - 1), (1, 1, 2**63 - 1)]
+    )
+    def test_matches_scalar_draws_at_the_edges(self, count, horizon, seed):
+        expected = workload_to_json(synthetic_by_scalar_draws(count, horizon, seed))
+        assert workload_to_json(generate_synthetic(count, horizon, seed)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_matches_scalar_draws(self, count, horizon, seed):
+        expected = workload_to_json(synthetic_by_scalar_draws(count, horizon, seed))
+        assert workload_to_json(generate_synthetic(count, horizon, seed)) == expected
 
     @given(
         st.integers(min_value=1, max_value=40),
