@@ -44,37 +44,53 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
-_PM_KEYS = {"cores", "ram", "max_frequency"}
-_POWER_KEYS = {
-    "idle_power",
-    "peak_power",
-    "cooling_coefficient",
-    "extra_coefficient",
-    "migration_penalty",
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each config value must be: (test, description for the error), or
+# None for a section and for the `pm:` and `power:` values, which the
+# dataclasses they build check.
+_INT = (_is_int, "an integer")
+_NUMBER = (is_finite_number, "a finite number")
+_PM_KEYS = dict.fromkeys(("cores", "ram", "max_frequency"))
+_POWER_KEYS = dict.fromkeys(
+    ("idle_power", "peak_power", "cooling_coefficient", "extra_coefficient", "migration_penalty")
+)
+_TRAINING_KEYS = {
+    **dict.fromkeys(("episodes", "epochs", "batch_clusters", "clusters"), _INT),
+    "learning_rate": _NUMBER,
 }
-_TRAINING_KEYS = {"episodes", "epochs", "learning_rate", "batch_clusters", "clusters"}
 _TOP_KEYS = {
-    "pm_count",
-    "vm_count",
-    "horizon",
-    "seed",
-    "policy",
-    "model_path",
-    "workload_file",
-    "trace_dir",
-    "price_file",
-    "consolidation_threshold",
-    "log_scores",
-    "out_dir",
-    "verbosity",
-    "pm",
-    "power",
-    "training",
+    **dict.fromkeys(("pm_count", "vm_count", "horizon"), _INT),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    **dict.fromkeys(
+        ("policy", "model_path", "workload_file", "trace_dir", "price_file", "out_dir", "verbosity"),
+        (lambda v: isinstance(v, str), "a string"),
+    ),
+    "consolidation_threshold": _NUMBER,
+    "log_scores": (lambda v: isinstance(v, bool), "true or false"),
+    **dict.fromkeys(("pm", "power", "training")),
 }
+
+
+def _check_keys(values: dict, kinds: dict, section: str | None = None) -> None:
+    """Reject unknown keys, and values of the wrong kind, in one config mapping."""
+    unknown = set(values) - set(kinds)
+    if unknown:
+        where = f"config section {section!r}" if section else "config"
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    for key, value in values.items():
+        if kinds[key] is not None:
+            test, what = kinds[key]
+            if not test(value):
+                name = f"{section}.{key}" if section else key
+                raise ConfigError(f"config {name!r} must be {what}, got {value!r}")
 
 
 def load_config_file(path: str) -> dict:
-    """Read and validate the YAML config; unknown keys are rejected."""
+    """Read and validate the YAML config; unknown keys and mistyped values are rejected."""
     with open(path, "rb") as fh:
         try:
             doc = yaml.safe_load(fh) or {}
@@ -83,18 +99,14 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"config {path!r} is not valid YAML: {detail}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a mapping")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
-    for section, allowed in (("pm", _PM_KEYS), ("power", _POWER_KEYS), ("training", _TRAINING_KEYS)):
+    _check_keys(doc, _TOP_KEYS)
+    for section, kinds in (("pm", _PM_KEYS), ("power", _POWER_KEYS), ("training", _TRAINING_KEYS)):
         sub = doc.get(section)
         if sub is None:
             continue
         if not isinstance(sub, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        bad = set(sub) - allowed
-        if bad:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(bad, key=str)}")
+        _check_keys(sub, kinds, section)
     return doc
 
 
@@ -111,10 +123,6 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
             return flag
         return cfg.get(key, default)
 
-    threshold = cfg.get("consolidation_threshold", 0.25)
-    if not is_finite_number(threshold):
-        raise ConfigError(f"consolidation_threshold must be a finite number, got {threshold!r}")
-
     return SimConfig(
         pm_count=pick(getattr(args, "pm_count", None), "pm_count", 8),
         pm_template=template,
@@ -127,8 +135,8 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
         trace_dir=pick(getattr(args, "trace_dir", None), "trace_dir", None),
         price_file=pick(getattr(args, "price_file", None), "price_file", None),
         seed=pick(args.seed, "seed", 0),
-        consolidation_threshold=threshold,
-        log_scores=bool(args.log_scores or cfg.get("log_scores", False)),
+        consolidation_threshold=cfg.get("consolidation_threshold", 0.25),
+        log_scores=args.log_scores or cfg.get("log_scores", False),
     )
 
 
@@ -163,7 +171,7 @@ def cmd_train(cfg: dict, args) -> int:
     if policy not in MODEL_POLICIES:
         raise ConfigError(f"--policy must be one of {MODEL_POLICIES}, got {policy!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    tcfg = cfg.get("training", {})
+    tcfg = cfg.get("training") or {}
     defaults = TrainConfig()
     episodes = args.episodes if args.episodes is not None else tcfg.get("episodes", 3)
     epochs = args.epochs if args.epochs is not None else tcfg.get("epochs", defaults.epochs)

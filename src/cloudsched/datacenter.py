@@ -9,24 +9,21 @@ The state holds each PM's resources as the columns of a
 `ResourceSnapshot`.  `place`, `migrate` and `remove_finished` check a
 request against its PM's row, then update that row in a copy of the
 columns, so no operation rescans the VMs; `snapshot` is a column copy.
+
+`vms` holds the live VMs only: a VM is pending until `place` sets its
+`placed_on` and `start_hour`, and it runs until `remove_finished` drops
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NotFoundError
 from .util import is_finite_number
 from .workload import WorkloadRequest
-
-
-class VmState(str, Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    FINISHED = "finished"
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,8 @@ DEFAULT_PM_TEMPLATE = PhysicalMachine(
 class VirtualMachine:
     id: str
     request: WorkloadRequest
-    state: VmState = VmState.PENDING
-    placed_on: str | None = None
+    placed_on: str | None = None  # None while pending
     start_hour: int | None = None
-    migrations: int = 0
 
 
 @dataclass(eq=False)
@@ -216,36 +211,33 @@ def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
     if vm is None:
         raise NotFoundError(f"unknown VM {vm_id!r}")
     row = state.row(pm_id)
-    if vm.state is not VmState.PENDING:
-        raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot place")
+    if vm.placed_on is not None:
+        raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
     _check_fit(state.resources, row, vm.request)
 
     vms = dict(state.vms)
-    vms[vm_id] = replace(vm, state=VmState.RUNNING, placed_on=pm_id, start_hour=state.clock)
+    vms[vm_id] = replace(vm, placed_on=pm_id, start_hour=state.clock)
     resources = state.resources.copy()
     resources.place(row, vm.request)
     return replace(state, vms=vms, resources=resources)
 
 
-def remove_finished(state: DatacenterState) -> tuple[DatacenterState, list[str]]:
-    """Finish every running VM whose duration has elapsed; power off emptied PMs."""
+def remove_finished(state: DatacenterState) -> DatacenterState:
+    """Drop every running VM whose duration has elapsed; power off emptied PMs."""
     finished = [
-        vm.id
+        vm
         for vm in state.vms.values()
-        if vm.state is VmState.RUNNING
-        and state.clock >= vm.start_hour + vm.request.duration
+        if vm.placed_on is not None and state.clock >= vm.start_hour + vm.request.duration
     ]
     if not finished:
-        return state, []
-    finished.sort()
+        return state
 
     vms = dict(state.vms)
     resources = state.resources.copy()
-    for vm_id in finished:
-        vm = vms[vm_id]
+    for vm in finished:
         resources.release(state.row(vm.placed_on), vm.request)
-        vms[vm_id] = replace(vm, state=VmState.FINISHED, placed_on=None)
-    return replace(state, vms=vms, resources=resources), finished
+        del vms[vm.id]
+    return replace(state, vms=vms, resources=resources)
 
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
@@ -253,15 +245,15 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     vm = state.vms.get(vm_id)
     if vm is None:
         raise NotFoundError(f"unknown VM {vm_id!r}")
-    if vm.state is not VmState.RUNNING:
-        raise DomainError(f"VM {vm_id!r} is {vm.state.value}, cannot migrate")
+    if vm.placed_on is None:
+        raise DomainError(f"VM {vm_id!r} is pending, cannot migrate")
     dst = state.row(dst_pm)
     if dst_pm == vm.placed_on:
         raise DomainError(f"VM {vm_id!r} already on {dst_pm}")
     _check_fit(state.resources, dst, vm.request)
 
     vms = dict(state.vms)
-    vms[vm_id] = replace(vm, placed_on=dst_pm, migrations=vm.migrations + 1)
+    vms[vm_id] = replace(vm, placed_on=dst_pm)
     resources = state.resources.copy()
     resources.release(state.row(vm.placed_on), vm.request)
     resources.place(dst, vm.request)
@@ -287,8 +279,8 @@ def validate(state: DatacenterState) -> None:
     used_cores = np.zeros(n, dtype=int)
     used_ram = np.zeros(n, dtype=int)
     for vm in state.vms.values():
-        if (vm.state is VmState.RUNNING) != (vm.placed_on is not None):
-            raise DomainError(f"{vm.id}: {vm.state.value} VM placement mismatch")
+        if (vm.placed_on is None) != (vm.start_hour is None):
+            raise DomainError(f"{vm.id}: placement and start hour out of step")
         if vm.placed_on is not None:
             row = state.row(vm.placed_on)
             used_cores[row] += vm.request.cores

@@ -83,16 +83,12 @@ def build_state_graph(
     features[n_pm:, 2] = (req_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ
     features[n_pm:, 3] = req_duration / NORM_DURATION_H
 
-    # ResourceSnapshot.fits for every (VM, PM) pair at once.
-    fits = (
-        (snapshot.free_cores[None, :] >= req_cores[:, None])
-        & (snapshot.free_ram[None, :] >= req_ram[:, None])
-        & (snapshot.max_frequency[None, :] >= req_frequency[:, None])
-    )
     adjacency = np.zeros((n, n))
     adjacency[:n_pm, :n_pm] = 1.0 - np.eye(n_pm)
-    adjacency[n_pm:, :n_pm] = fits
-    adjacency[:n_pm, n_pm:] = fits.T
+    for node, request in enumerate(pending, start=n_pm):
+        fits = snapshot.fits(request)
+        adjacency[node, :n_pm] = fits
+        adjacency[:n_pm, node] = fits
 
     return StateGraph(
         node_ids=snapshot.pm_ids + tuple(r.id for r in pending),

@@ -178,11 +178,9 @@ def restrict_graph(
     if not nodes:
         raise DomainError(f"no nodes in clusters {sorted(selected)}")
     feats = graph.features[nodes]
-    adj = graph.adjacency[np.ix_(nodes, nodes)].copy()
-    for a, i in enumerate(nodes):
-        for b, j in enumerate(nodes):
-            if partition.cluster_of[i] != partition.cluster_of[j]:
-                adj[a, b] = 0.0
+    cluster = np.asarray(partition.cluster_of)[nodes]
+    same = cluster[:, None] == cluster[None, :]
+    adj = np.where(same, graph.adjacency[np.ix_(nodes, nodes)], 0.0)
     return nodes, feats, adj
 
 
@@ -319,6 +317,9 @@ def score_placements(
 # Checkpoint format: parameters are flattened row-major in the order given
 # by Model.parameters() (layer weights/biases in depth order, then readout).
 CHECKPOINT_SCHEMA = 1
+# A gated model runs `steps` propagation rounds for every scored request,
+# so a checkpoint asking for more than this is rejected as corrupt.
+MAX_GATED_STEPS = 64
 
 
 def model_to_json(model: GcnModel | GatedModel) -> str:
@@ -374,6 +375,8 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
         needed = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
     else:
         steps = _positive_int(_checkpoint_field(doc, "steps"), "steps")
+        if steps > MAX_GATED_STEPS:
+            raise TraceFormatError(f"checkpoint 'steps' is {steps}, at most {MAX_GATED_STEPS}")
         needed = dims[1] * (7 * dims[1] + 3)
     if needed > held:
         raise TraceFormatError(f"checkpoint 'dims' need {needed} layer values, it holds {held}")

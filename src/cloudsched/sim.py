@@ -199,16 +199,12 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         horizon=config.horizon,
         policy=config.policy,
     )
-    waiting: list[WorkloadRequest] = []
 
     for hour in range(config.horizon):
-        state = with_clock(state, hour)
-        state, _finished = remove_finished(state)
-
-        new_requests = arrivals.get(hour, [])
-        for request in new_requests:
+        state = remove_finished(with_clock(state, hour))
+        for request in arrivals.get(hour, []):
             state = admit(state, request)
-        pending = sorted(waiting + new_requests, key=lambda r: (r.arrival, r.id))
+        pending = [vm.request for vm in state.vms.values() if vm.placed_on is None]
 
         snap = snapshot(state)
         price_now = {loc: prices.price(loc, hour) for loc in set(locations)}
@@ -216,6 +212,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
         for vm_id, pm_id in decision.assignments:
             state = place(state, vm_id, pm_id)
+        result.placed += len(decision.assignments)
         migrations = consolidate(
             policy, state, price_now, threshold=config.consolidation_threshold
         )
@@ -224,8 +221,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         decision.migrations = migrations
         result.migration_count += len(migrations)
 
-        by_id = {r.id: r for r in pending}
-        waiting = [by_id[vm_id] for vm_id in decision.deferred]
+        result.deferred = len(decision.deferred)  # the last hour's count stays
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
@@ -266,8 +262,6 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
             event["scores"] = decision.scores
         result.events.append(event)
 
-    result.placed = sum(1 for vm in state.vms.values() if vm.start_hour is not None)
-    result.deferred = len(waiting)
     return result
 
 

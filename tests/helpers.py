@@ -115,10 +115,8 @@ def state_dump(state: DatacenterState) -> dict:
         "vms": [
             {
                 "id": vm.id,
-                "state": vm.state.value,
                 "placed_on": vm.placed_on,
                 "start_hour": vm.start_hour,
-                "migrations": vm.migrations,
                 "request": {
                     "id": vm.request.id,
                     "cpu_frequency": vm.request.cpu_frequency,

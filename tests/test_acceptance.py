@@ -15,7 +15,6 @@ import pytest
 from cloudsched.cli import main
 from cloudsched.datacenter import (
     DEFAULT_PM_TEMPLATE,
-    VmState,
     admit,
     migrate,
     new_datacenter,
@@ -258,13 +257,13 @@ def test_ac7_capacity_safety_1000_sequences():
                         state = place(state, r.id, f"pm-{int(rng.integers(pm_count))}")
                     elif kind == 1:
                         running = sorted(
-                            v.id for v in state.vms.values() if v.state is VmState.RUNNING
+                            v.id for v in state.vms.values() if v.placed_on is not None
                         )
                         if running:
                             vm = running[int(rng.integers(len(running)))]
                             state = migrate(state, vm, f"pm-{int(rng.integers(pm_count))}")
                     elif kind == 2:
-                        state, _ = remove_finished(state)
+                        state = remove_finished(state)
                     else:
                         state = with_clock(state, state.clock + 1)
                 except (CapacityError, DomainError, NotFoundError):

@@ -4,7 +4,13 @@ from pathlib import Path
 import pytest
 
 from cloudsched.cli import build_parser, main
-from cloudsched.gnn.models import load_model, new_gcn_model, model_to_json, score_placements
+from cloudsched.gnn.models import (
+    load_model,
+    model_to_json,
+    new_gated_model,
+    new_gcn_model,
+    score_placements,
+)
 from cloudsched.util import atomic_write_text
 from cloudsched.workload import workload_to_json
 
@@ -247,8 +253,9 @@ class TestSimulate:
             '{"schema_version": 1, "kind": "gcn", "params": []}\n',
             '{"schema_version": 1, "kind": "gcn", "dims": [5, 2], "params": '
             '[["x"], [0.0, 0.0], [0.0], [0.0]]}\n',
+            json.dumps({**json.loads(model_to_json(new_gated_model(seed=0))), "steps": 10**9}),
         ],
-        ids=["array", "no-dims", "string-param"],
+        ids=["array", "no-dims", "string-param", "gated-steps-1e9"],
     )
     def test_malformed_checkpoint_is_config_error(self, tiny_files, tmp_path, capsys, text):
         bad = tiny_files["dir"] / "bad.json"
@@ -352,6 +359,53 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and key in err
         assert not (tmp_path / "out" / "qos.json").exists()
+
+    @pytest.mark.parametrize(
+        "yaml_text,key",
+        [
+            ('pm_count: "abc"\n', "pm_count"),
+            ("pm_count: true\n", "pm_count"),
+            ("horizon: 2.5\n", "horizon"),
+            ("horizon:\n", "horizon"),
+            ("vm_count: 1.5\n", "vm_count"),
+            ('seed: "x"\n', "seed"),
+            ("seed: -1\n", "seed"),
+            ("training:\n  epochs: x\n", "training.epochs"),
+            ("training:\n  learning_rate: .nan\n", "training.learning_rate"),
+            ("workload_file: 0\n", "workload_file"),
+            ("price_file: 7\n", "price_file"),
+            ("out_dir: 1\n", "out_dir"),
+            ("policy: 5\n", "policy"),
+            ("verbosity: [info]\n", "verbosity"),
+            ('log_scores: "no"\n', "log_scores"),
+        ],
+        ids=[
+            "count-string", "count-bool", "horizon-float", "horizon-null", "vm-count-float",
+            "seed-string", "seed-negative", "epochs-string", "lr-nan", "workload-fd",
+            "price-fd", "out-dir-int", "policy-int", "verbosity-list", "log-scores-string",
+        ],
+    )
+    def test_mistyped_value_is_one_error_line(self, tiny_files, tmp_path, capsys, yaml_text, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert f"config {key!r} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_log_scores_bool_from_file(self, tiny_files, tmp_path, value):
+        checkpoint = tmp_path / "model.json"
+        atomic_write_text(checkpoint, model_to_json(new_gcn_model(seed=0)))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"log_scores: {str(value).lower()}\n")
+        out = tmp_path / "out"
+        extra = ["--policy", "counter", "--model", str(checkpoint), "--config", str(cfg)]
+        assert main(tiny_simulate_args(tiny_files, out, extra=extra)) == 0
+        events = [json.loads(line) for line in (out / "decisions.jsonl").read_text().splitlines()]
+        assert any("scores" in e for e in events) is value
 
     def test_file_values_used_and_flags_override(self, tiny_files, tmp_path):
         cfg = tmp_path / "cfg.yaml"

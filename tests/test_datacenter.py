@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from cloudsched.datacenter import (
     DEFAULT_PM_TEMPLATE,
-    VmState,
     admit,
     migrate,
     new_datacenter,
@@ -110,7 +109,7 @@ class TestPlace:
         assert state.rows == {"pm-0": 0, "pm-1": 1, "pm-2": 2}
         placed = place(admit(state, req(duration=1)), "vm-x", "pm-2")
         moved = migrate(placed, "vm-x", "pm-1")
-        finished, _ = remove_finished(with_clock(moved, 1))
+        finished = remove_finished(with_clock(moved, 1))
         assert all(s.rows is state.rows for s in (placed, moved, finished))
         assert [state.row(f"pm-{i}") for i in range(3)] == [0, 1, 2]
         with pytest.raises(NotFoundError, match="pm-3"):
@@ -129,22 +128,30 @@ class TestRemoveFinished:
     def test_duration_elapsed_powers_off(self):
         state = admit(new_datacenter(1), req(duration=1))
         state = place(state, "vm-x", "pm-0")
-        state, finished = remove_finished(with_clock(state, 1))
-        assert finished == ["vm-x"]
-        assert state.vms["vm-x"].state is VmState.FINISHED
+        state = remove_finished(with_clock(state, 1))
+        assert state.vms == {}
         assert powered_on(state) == set()
+        validate(state)
+
+    def test_only_elapsed_vms_leave(self):
+        state = admit(admit(new_datacenter(2), req(duration=1)), req(id="vm-y", duration=3))
+        state = place(place(state, "vm-x", "pm-0"), "vm-y", "pm-1")
+        state = admit(state, req(id="vm-z"))  # pending: never finishes
+        state = remove_finished(with_clock(state, 2))
+        assert list(state.vms) == ["vm-y", "vm-z"]
+        assert powered_on(state) == {"pm-1"}
+        validate(state)
 
     def test_48h_still_running_at_47(self):
         state = admit(new_datacenter(1), req(duration=48))
         state = place(state, "vm-x", "pm-0")
-        state, finished = remove_finished(with_clock(state, 47))
-        assert finished == []
-        assert state.vms["vm-x"].state is VmState.RUNNING
+        after = remove_finished(with_clock(state, 47))
+        assert after.vms["vm-x"] == state.vms["vm-x"]
+        assert after.vms["vm-x"].placed_on == "pm-0"
 
     def test_empty_state_identity(self):
         state = new_datacenter(2)
-        after, finished = remove_finished(state)
-        assert finished == [] and after == state
+        assert remove_finished(state) is state
 
 
 class TestMigrate:
@@ -175,15 +182,14 @@ class TestMigrate:
             migrate(state, "vm-x", "pm-9")
         assert state_dump(state) == before
 
-    def test_migration_counter(self):
-        state = self.two_pm_one_vm()
-        state = migrate(state, "vm-x", "pm-1")
-        state = migrate(state, "vm-x", "pm-0")
-        assert state.vms["vm-x"].migrations == 2
-
     def test_noop_rejected(self):
         with pytest.raises(DomainError):
             migrate(self.two_pm_one_vm(), "vm-x", "pm-0")
+
+    def test_pending_vm_rejected(self):
+        state = admit(new_datacenter(2), req())
+        with pytest.raises(DomainError, match="pending"):
+            migrate(state, "vm-x", "pm-1")
 
 
 class TestSnapshot:
@@ -257,6 +263,13 @@ class TestValidate:
         with pytest.raises(DomainError, match="row index"):
             validate(replace(state, rows={"pm-0": 0}))
 
+    @pytest.mark.parametrize("field,value", [("start_hour", None), ("placed_on", None)])
+    def test_placement_out_of_step_with_start_hour(self, field, value):
+        state = self.one_vm_state()
+        vm = replace(state.vms["vm-x"], **{field: value})
+        with pytest.raises(DomainError, match="start hour"):
+            validate(replace(state, vms={"vm-x": vm}))
+
     @pytest.mark.parametrize("row,value", [(0, False), (1, True)])
     def test_power_column_out_of_step_with_hosting(self, row, value):
         state = self.one_vm_state()
@@ -296,11 +309,11 @@ def test_random_operations_keep_invariants(ops, pm_count):
             if kind == "admit_place":
                 state = place(state, r.id, pm_id)
             elif kind == "migrate":
-                running = [v.id for v in state.vms.values() if v.state is VmState.RUNNING]
+                running = [v.id for v in state.vms.values() if v.placed_on is not None]
                 if running:
                     state = migrate(state, running[0], pm_id)
             elif kind == "finish":
-                state, _ = remove_finished(state)
+                state = remove_finished(state)
             elif kind == "tick":
                 state = with_clock(state, state.clock + 1)
         except (CapacityError, DomainError, NotFoundError):

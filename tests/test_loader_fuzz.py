@@ -8,11 +8,14 @@ cases are inputs that once ended in some other exception.
 import json
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from cloudsched.cli import _build_sim_config, build_parser, load_config_file
 from cloudsched.energy import load_price_series
 from cloudsched.errors import SimulatorError, TraceFormatError
 from cloudsched.gnn.models import model_from_json
+from cloudsched.util import is_finite_number
 from cloudsched.workload import parse_trace_file, workload_from_json
 
 LOADERS = {
@@ -94,6 +97,54 @@ def test_workload_json_like_input(rows):
 )
 def test_checkpoint_like_input(doc):
     parses_or_rejects(model_from_json, json.dumps(doc))
+
+
+def config_sections(keys):
+    return st.fixed_dictionaries({}, optional={k: JSON_VALUES for k in keys}) | JSON_VALUES
+
+
+CONFIG_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{
+            k: JSON_VALUES
+            for k in (
+                "pm_count", "vm_count", "horizon", "seed", "policy", "model_path",
+                "workload_file", "trace_dir", "price_file", "consolidation_threshold",
+                "log_scores", "out_dir", "verbosity", "bogus",
+            )
+        },
+        "pm": config_sections(("cores", "ram", "max_frequency")),
+        "power": config_sections(("idle_power", "peak_power", "migration_penalty")),
+        "training": config_sections(("episodes", "epochs", "learning_rate", "clusters")),
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.yaml"
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_config_like_input(config_path, doc):
+    """An accepted config builds a scenario whose values have the types the simulator reads."""
+    config_path.write_text(yaml.safe_dump(doc))
+    try:
+        cfg = load_config_file(str(config_path))
+        config = _build_sim_config(cfg, build_parser().parse_args(["simulate"]))
+    except SimulatorError:
+        return
+    ints = (config.pm_count, config.vm_count, config.horizon, config.seed)
+    assert all(type(v) is int for v in ints) and config.seed >= 0
+    paths = (config.model_path, config.workload_file, config.trace_dir, config.price_file)
+    assert all(v is None or type(v) is str for v in paths)
+    assert type(config.policy) is str and type(config.log_scores) is bool
+    assert is_finite_number(config.consolidation_threshold)
+    training = cfg.get("training") or {}
+    assert all(type(training[k]) is int for k in ("episodes", "epochs", "clusters") if k in training)
+    assert is_finite_number(training.get("learning_rate", 0.0))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from cloudsched.datacenter import new_datacenter, snapshot
 from cloudsched.errors import DomainError, ShapeError, TraceFormatError
 from cloudsched.gnn.graph import StateGraph, build_state_graph, partition_graph
 from cloudsched.gnn.models import (
+    MAX_GATED_STEPS,
     GatedModel,
     gated_forward,
     gcn_forward,
@@ -238,6 +239,10 @@ class TestCheckpoints:
         g = self.graph()
         assert score_placements(m, g, 3) == score_placements(back, g, 3)
 
+    def test_gated_steps_bound_loads(self):
+        m = new_gated_model(seed=37, steps=MAX_GATED_STEPS)
+        assert model_from_json(model_to_json(m)).steps == MAX_GATED_STEPS
+
     def test_rejects_non_finite_parameters(self):
         for value in ("NaN", "Infinity"):
             doc = json.loads(model_to_json(new_gcn_model(seed=0)))
@@ -283,6 +288,7 @@ class TestCheckpoints:
         ]
         if kind == "gated":
             cases += [broken(steps=None), broken(steps=0), broken(steps=1.5)]
+            cases += [broken(steps=MAX_GATED_STEPS + 1)]
         for text in cases:
             with pytest.raises(TraceFormatError):
                 model_from_json(text)
