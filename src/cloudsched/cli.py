@@ -50,11 +50,14 @@ def _is_int(value) -> bool:
 
 
 # What each config value must be: (test, description for the error), or
-# None for a section and for the `pm:` and `power:` values, which the
-# dataclasses they build check.
+# None for a section and for the `power:` values, which `PowerModel` checks.
+# The `pm:` values fill int64 resource columns.
 _INT = (_is_int, "an integer")
 _NUMBER = (is_finite_number, "a finite number")
-_PM_KEYS = dict.fromkeys(("cores", "ram", "max_frequency"))
+_PM_KEYS = dict.fromkeys(
+    ("cores", "ram", "max_frequency"),
+    (lambda v: _is_int(v) and 0 < v < 2**63, "a finite positive integer below 2**63"),
+)
 _POWER_KEYS = dict.fromkeys(
     ("idle_power", "peak_power", "cooling_coefficient", "extra_coefficient", "migration_penalty")
 )
@@ -337,6 +340,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config_file(args.config) if args.config else {}
         if not args.verbose and cfg.get("verbosity") == "info":
             logging.getLogger().setLevel(logging.INFO)

@@ -12,7 +12,8 @@ columns, so no operation rescans the VMs; `snapshot` is a column copy.
 
 `vms` holds the live VMs only: a VM is pending until `place` sets its
 `placed_on` and `start_hour`, and it runs until `remove_finished` drops
-it.
+it.  The operations build each new state and VM with its constructor, not
+`dataclasses.replace`, which costs several times more per call.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
-    return replace(state, clock=hour)
+    return DatacenterState(state.pms, state.vms, state.resources, state.rows, hour)
 
 
 def admit(state: DatacenterState, request: WorkloadRequest) -> DatacenterState:
@@ -180,8 +181,8 @@ def admit(state: DatacenterState, request: WorkloadRequest) -> DatacenterState:
     if request.id in state.vms:
         raise DomainError(f"VM id {request.id!r} already admitted")
     vms = dict(state.vms)
-    vms[request.id] = VirtualMachine(id=request.id, request=request)
-    return replace(state, vms=vms)
+    vms[request.id] = VirtualMachine(request.id, request)
+    return DatacenterState(state.pms, vms, state.resources, state.rows, state.clock)
 
 
 def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
@@ -216,10 +217,10 @@ def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
     _check_fit(state.resources, row, vm.request)
 
     vms = dict(state.vms)
-    vms[vm_id] = replace(vm, placed_on=pm_id, start_hour=state.clock)
+    vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
     resources = state.resources.copy()
     resources.place(row, vm.request)
-    return replace(state, vms=vms, resources=resources)
+    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
 
 
 def remove_finished(state: DatacenterState) -> DatacenterState:
@@ -237,7 +238,7 @@ def remove_finished(state: DatacenterState) -> DatacenterState:
     for vm in finished:
         resources.release(state.row(vm.placed_on), vm.request)
         del vms[vm.id]
-    return replace(state, vms=vms, resources=resources)
+    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
 
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
@@ -253,11 +254,11 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     _check_fit(state.resources, dst, vm.request)
 
     vms = dict(state.vms)
-    vms[vm_id] = replace(vm, placed_on=dst_pm)
+    vms[vm_id] = VirtualMachine(vm_id, vm.request, dst_pm, vm.start_hour)
     resources = state.resources.copy()
     resources.release(state.row(vm.placed_on), vm.request)
     resources.place(dst, vm.request)
-    return replace(state, vms=vms, resources=resources)
+    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
 
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:

@@ -13,12 +13,12 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .datacenter import ResourceSnapshot
-from .errors import CoverageError, DomainError, TraceFormatError
+from .errors import DomainError, TraceFormatError
 from .util import decode_utf8, is_finite_number
 
 WATTS_PER_KW = 1000.0
@@ -45,8 +45,13 @@ class PowerModel:
 DEFAULT_POWER_MODEL = PowerModel()
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
+    """One interval's energy split and its cost.
+
+    A named tuple, not a dataclass, because billing builds one per PM and
+    hour: a tuple is built without `__init__` or per-field `setattr`.
+    """
+
     processor: float  # kWh
     cooling: float
     extra: float
@@ -98,7 +103,7 @@ def step_energy(
     (default) penalty lands on the destination's extra component so it
     can be billed at that PM's location.  The per-PM parts are computed
     elementwise over the snapshot's columns; the aggregates add them up
-    one PM at a time, in PM order.
+    one PM at a time, in PM order (`_fold`, not the builtin `sum`).
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
@@ -110,7 +115,20 @@ def step_energy(
     extra = model.extra_coefficient * processor
     extra += model.migration_penalty * np.array([arrivals[pm] for pm in snapshot.pm_ids])
     columns = (processor.tolist(), cooling.tolist(), extra.tolist())
-    return columns, EnergyBreakdown.make(*(sum(column) for column in columns))
+    return columns, EnergyBreakdown.make(*map(_fold, columns))
+
+
+def _fold(column: list[float]) -> float:
+    """Left-to-right float sum.
+
+    The builtin `sum` of floats is this fold on Python 3.11 and earlier,
+    but a compensated sum from 3.12 on, which changes the last bits of
+    the aggregates and so the outputs.
+    """
+    total = 0.0
+    for value in column:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -128,12 +146,6 @@ class PriceSeries:
                 )
             if any(p < 0 for p in series):
                 raise DomainError(f"location {location!r} has a negative price")
-
-    def price(self, location: str, hour: int) -> float:
-        series = self.prices.get(location)
-        if series is None or not 0 <= hour < self.horizon:
-            raise CoverageError(location, hour)
-        return series[hour]
 
     @property
     def locations(self) -> tuple[str, ...]:

@@ -77,8 +77,10 @@ class Policy:
         price at each PM of `working` (None: unpriced); the graph
         networks read the same feasibility off `working` through the
         state graph.  Scores are keyed by row, in ascending row order.
-        first_fit and random pick without scoring, so they return their
-        pick alone (random draws once per request).
+        The heuristics return their pick alone: first_fit and random pick
+        without scoring (random draws once per request), and
+        best_fit_energy keeps only its lowest incremental energy, the
+        first one on a tie, as `_argmin`'s scan would.
         """
         if self.kind == "first_fit":
             return {int(candidates[0]): 0.0}
@@ -86,7 +88,8 @@ class Policy:
             return {int(candidates[int(self._rng.integers(len(candidates)))]): 0.0}
         if self.kind == "best_fit_energy":
             energy = incremental_energy(working, candidates, request, self.power)
-            return dict(zip(candidates.tolist(), energy.tolist()))
+            best = int(np.argmin(energy))  # never NaN: pm_power rejects it
+            return {int(candidates[best]): float(energy[best])}
         graph = build_state_graph(working, [request], prices)
         return score_placements(self.model, graph, len(working))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace as dc_replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .datacenter import (
@@ -187,7 +187,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     requests = _load_workload(config)
     state = new_datacenter(config.pm_count, config.pm_template)
     locations = tuple(pm.location for pm in state.pms)
-    prices = _load_prices(config, locations)
+    series = _load_prices(config, locations).prices  # coverage checked there
+    priced = sorted(set(locations))
 
     arrivals: dict[int, list[WorkloadRequest]] = {}
     for request in requests:
@@ -207,7 +208,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         pending = [vm.request for vm in state.vms.values() if vm.placed_on is None]
 
         snap = snapshot(state)
-        price_now = {loc: prices.price(loc, hour) for loc in set(locations)}
+        price_now = {loc: series[loc][hour] for loc in priced}
         decision = schedule(policy, snap, pending, price_now, recorder=sample_recorder)
 
         for vm_id, pm_id in decision.assignments:
@@ -230,15 +231,14 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
             snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
         hour_cost = 0.0
-        rows = zip(snap_after.pm_ids, snap_after.locations, processor, cooling, extra)
+        append_row = result.pm_energy_rows.append
+        rows = zip(snap_after.pm_ids, locations, processor, cooling, extra)
         for pm_id, location, p, c, e in rows:
             price = price_now[location]
             total = p + c + e
             cost = total * price
             hour_cost += cost
-            result.pm_energy_rows.append(
-                (hour, pm_id, location, EnergyBreakdown(p, c, e, total, cost), price)
-            )
+            append_row((hour, pm_id, location, EnergyBreakdown(p, c, e, total, cost), price))
         hourly = EnergyBreakdown.make(
             aggregate.processor, aggregate.cooling, aggregate.extra, hour_cost
         )
@@ -247,9 +247,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
         result.utilisation.append(snap_after.utilisation.tolist())
         result.powered_on.append(snap_after.powered_on.tolist())
-        result.prices_by_hour.append(
-            {loc: price_now[loc] for loc in sorted(set(locations))}
-        )
+        result.prices_by_hour.append(price_now)
 
         event = {
             "hour": hour,
@@ -345,7 +343,53 @@ def result_to_json(result: SimResult) -> str:
         "deferred": result.deferred,
         "migrations": result.migration_count,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _dumps_indented(doc, "") + "\n"
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _dumps_indented(value, pad: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`, byte for byte.
+
+    `pad` is the indentation of the line the value starts on.  With an
+    indent set, `json` runs its pure-Python encoder, so here each list or
+    dict whose values are all scalars is one call of the C encoder, with
+    the newline and indent folded into its item separator.  Only
+    containers of containers recurse in Python.
+    """
+    if isinstance(value, dict):
+        flat = set(map(type, value.values())) <= _SCALAR_TYPES
+    elif isinstance(value, (list, tuple)):
+        flat = set(map(type, value)) <= _SCALAR_TYPES
+    else:
+        return json.dumps(value, allow_nan=False)
+
+    inner = pad + "  "
+    if flat:
+        text = _flat_encoder(inner)(value)
+        if len(text) == 2:  # [] or {}
+            return text
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
+    if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            # json converts such keys to strings after sorting; let it.
+            text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+            return text.replace("\n", "\n" + pad)  # strings hold no raw newline
+        items = [
+            json.dumps(key) + ": " + _dumps_indented(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    items = [_dumps_indented(item, inner) for item in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(inner: str):
+    """The C encoder's `encode` for a flat list or dict whose items sit at `inner`."""
+    separators = (",\n" + inner, ": ")
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=separators).encode
 
 
 def _breakdown_dict(b: EnergyBreakdown) -> dict:
@@ -373,12 +417,12 @@ def qos_to_json(report: QoSReport) -> str:
 
 def energy_report_csv(result: SimResult) -> str:
     """Per-PM hourly series: fixed 6-decimal formatting for golden files."""
+    row = "%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f"
     lines = ["hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost"]
-    for hour, pm, location, b, price in result.pm_energy_rows:
-        lines.append(
-            f"{hour},{pm},{location},{b.processor:.6f},{b.cooling:.6f},"
-            f"{b.extra:.6f},{b.total:.6f},{price:.6f},{b.cost:.6f}"
-        )
+    lines += [
+        row % (hour, pm, location, b.processor, b.cooling, b.extra, b.total, price, b.cost)
+        for hour, pm, location, b, price in result.pm_energy_rows
+    ]
     return "\n".join(lines) + "\n"
 
 

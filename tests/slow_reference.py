@@ -88,6 +88,17 @@ def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:
     return PriceSeries(prices=prices, horizon=horizon)
 
 
+def energy_report_csv_by_fstring(result) -> str:
+    """`energy_report_csv` with one f-string per row."""
+    lines = ["hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost"]
+    for hour, pm, location, b, price in result.pm_energy_rows:
+        lines.append(
+            f"{hour},{pm},{location},{b.processor:.6f},{b.cooling:.6f},"
+            f"{b.extra:.6f},{b.total:.6f},{price:.6f},{b.cost:.6f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def snapshot_by_pm_scan(state):
     """Per-PM free resources, rescanning every VM's `placed_on` for each PM."""
     entries = {}

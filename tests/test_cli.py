@@ -324,6 +324,22 @@ class TestCompare:
         assert main(["compare", "--policies", "counter", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--pm-count", "2", "--vm-count", "3", "--horizon", "3"],
+        ["train", "--policy", "counter", "--pm-count", "2", "--vm-count", "3", "--horizon", "3"],
+    ],
+    ids=["simulate", "train"],
+)
+def test_negative_seed_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: --seed must be a non-negative integer, got -1"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -425,6 +441,37 @@ class TestConfigFile:
         ]) == 0
         doc2 = json.loads((out2 / "result.json").read_text())
         assert doc2["horizon"] == 2 and len(doc2["hourly_energy"]) == 2
+
+    @pytest.mark.parametrize(
+        "yaml_text,key",
+        [
+            ("pm:\n  cores: 2.5\n", "pm.cores"),
+            ("pm:\n  cores: 100000000000000000000\n", "pm.cores"),
+            ("pm:\n  cores: 9223372036854775808\n", "pm.cores"),
+            ("pm:\n  ram: 0\n", "pm.ram"),
+            ("pm:\n  ram: true\n", "pm.ram"),
+            ("pm:\n  max_frequency: -3400\n", "pm.max_frequency"),
+            ('pm:\n  max_frequency: "3400"\n', "pm.max_frequency"),
+        ],
+        ids=["cores-float", "cores-1e20", "cores-2**63", "ram-zero", "ram-bool",
+             "frequency-negative", "frequency-string"],
+    )
+    def test_bad_pm_value_is_one_error_line(self, tiny_files, tmp_path, capsys, yaml_text, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml_text)
+        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert f"config {key!r} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
+    def test_largest_pm_value_loads(self, tiny_files, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"pm:\n  ram: {2**63 - 1}\n")
+        out = tmp_path / "out"
+        assert main(tiny_simulate_args(tiny_files, out, extra=["--config", str(cfg)])) == 0
+        assert json.loads((out / "result.json").read_text())["placed"] == 3
 
     def test_pm_section_applies(self, tiny_files, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -9,12 +9,13 @@ from cloudsched.energy import (
     DEFAULT_POWER_MODEL,
     EnergyBreakdown,
     PowerModel,
+    ZERO_ENERGY,
     generate_price_series,
     load_price_series,
     pm_power,
     step_energy,
 )
-from cloudsched.errors import CoverageError, DomainError, TraceFormatError
+from cloudsched.errors import DomainError, TraceFormatError
 from cloudsched.workload import WorkloadRequest
 
 from helpers import price_series_to_csv
@@ -45,6 +46,34 @@ class TestPmPower:
             pm_power(1.1, True)
         with pytest.raises(DomainError):
             pm_power(-0.1, True)
+
+
+class TestEnergyBreakdown:
+    def test_make_sums_the_parts(self):
+        b = EnergyBreakdown.make(0.1, 0.2, 0.3, cost=0.5)
+        parts = (b.processor, b.cooling, b.extra, b.total, b.cost)
+        assert parts == (0.1, 0.2, 0.3, 0.1 + 0.2 + 0.3, 0.5)
+        assert EnergyBreakdown.make(1.0, 2.0, 3.0).cost == 0.0
+        assert EnergyBreakdown(1.0, 2.0, 3.0, 6.0).cost == 0.0
+
+    def test_plus_adds_each_part_and_resums_the_total(self):
+        a = EnergyBreakdown.make(0.1, 0.2, 0.3, 1.0)
+        b = EnergyBreakdown.make(0.7, 0.11, 0.13, 2.0)
+        total = a.plus(b)
+        assert total == EnergyBreakdown.make(0.1 + 0.7, 0.2 + 0.11, 0.3 + 0.13, 3.0)
+        assert total.total == (0.1 + 0.7) + (0.2 + 0.11) + (0.3 + 0.13)
+        assert type(total) is EnergyBreakdown
+
+    def test_zero_energy(self):
+        assert ZERO_ENERGY == EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+        b = EnergyBreakdown.make(0.25, 0.5, 0.125, 3.0)
+        assert ZERO_ENERGY.plus(b) == b
+
+    def test_fields_in_order(self):
+        assert EnergyBreakdown._fields == ("processor", "cooling", "extra", "total", "cost")
+        b = EnergyBreakdown.make(1.0, 2.0, 4.0, 8.0)
+        with pytest.raises(AttributeError):
+            b.total = 0.0  # a breakdown is a value
 
 
 class TestStepEnergy:
@@ -153,8 +182,8 @@ class TestLoadPriceSeries:
     def test_fixture(self, data_dir):
         series = load_price_series((data_dir / "prices_small.csv").read_bytes())
         assert series.horizon == 3
-        assert series.price("loc-0", 0) == 0.10
-        assert series.price("loc-1", 2) == 0.14
+        assert series.prices["loc-0"][0] == 0.10
+        assert series.prices["loc-1"][2] == 0.14
 
     def test_negative_price(self):
         with pytest.raises(TraceFormatError, match="negative"):
@@ -176,13 +205,6 @@ class TestLoadPriceSeries:
     def test_round_trip(self):
         series = generate_price_series(["a", "b"], 12, seed=9)
         assert load_price_series(price_series_to_csv(series)) == series
-
-    def test_coverage_accessor(self):
-        series = load_price_series("hour,a\n0,0.1\n")
-        with pytest.raises(CoverageError):
-            series.price("a", 1)
-        with pytest.raises(CoverageError):
-            series.price("zz", 0)
 
 
 def make_snapshot(core_counts):

@@ -107,15 +107,18 @@ class TestSchedule:
         snap = snapshot_from_entries(entries)
         r = req()
         assert Policy("first_fit").score(snap, r, rows(1), None) == {1: 0.0}
+        # best_fit_energy returns its pick alone: the powered-on PM's lower energy
         energies = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
-        assert energies == {
-            row: incremental_energy(snap, rows(row), r, DEFAULT_POWER_MODEL).item()
-            for row in (0, 1)
-        }
+        assert energies == {1: incremental_energy(snap, rows(1), r, DEFAULT_POWER_MODEL).item()}
         assert all(type(k) is int and type(v) is float for k, v in energies.items())
         policies = [Policy("random", rng_seed=5) for _ in range(2)]
         picks = [p.score(snap, r, rows(0, 1), None) for p in policies]
         assert picks[0] == picks[1] and len(picks[0]) == 1
+
+    def test_best_fit_ties_go_to_the_first_row(self):
+        snap = snapshot(new_datacenter(4))  # every PM off and empty: equal energies
+        picks = Policy("best_fit_energy").score(snap, req(), rows(1, 2, 3), None)
+        assert list(picks) == [1]
 
     def test_wrong_model_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,10 @@
+import importlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudsched.energy import EnergyBreakdown, PriceSeries
 from cloudsched.errors import ConfigError, CoverageError
@@ -10,6 +13,7 @@ from cloudsched.sim import (
     QoSReport,
     SimConfig,
     SimResult,
+    _dumps_indented,
     compare,
     comparison_to_csv,
     compute_qos,
@@ -22,8 +26,11 @@ from cloudsched.sim import (
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
+from slow_reference import energy_report_csv_by_fstring
+from test_goldens import SCENARIO
 
 REL = 1e-9
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 class TestRun:
@@ -211,6 +218,114 @@ class TestSerialization:
         doc = json.loads(result_to_json(run(tiny_config())))
         assert doc["placed"] == 3
         assert doc["totals"]["total_kwh"] == pytest.approx(0.57375, rel=REL)
+
+    @pytest.mark.parametrize("policy", ["first_fit", "best_fit_energy"])
+    def test_energy_report_matches_fstring_writer(self, policy):
+        result = run(SimConfig(policy=policy, **SCENARIO))
+        assert energy_report_csv(result) == energy_report_csv_by_fstring(result)
+
+    def test_pm_energy_rows_read_as_the_benchmark_reads_them(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))  # bench imports its siblings by name
+        sweep_problems = importlib.import_module("bench").sweep_problems
+        result = run(SimConfig(policy="best_fit_energy", **SCENARIO))
+        assert len(result.pm_energy_rows) == SCENARIO["pm_count"] * SCENARIO["horizon"]
+        for row in result.pm_energy_rows:
+            hour, pm, location, b, price = row
+            assert row[3] is b and type(hour) is int and type(price) is float
+            assert location == "loc-" + pm.removeprefix("pm-")
+            assert b.total == b.processor + b.cooling + b.extra
+            assert b.cost == b.total * price
+        # the checks benchmarks/bench.py runs on every sweep operation
+        qos = compute_qos(result)
+        assert sweep_problems(result, qos, SCENARIO["vm_count"]) == []
+
+    def test_hourly_aggregates_are_left_folds_of_the_pm_rows(self):
+        # The builtin sum of floats is compensated from Python 3.12 on, so
+        # the aggregates must equal this explicit loop on every version.
+        result = run(SimConfig(policy="first_fit", **SCENARIO))
+        folds = [[0.0] * 4 for _ in range(SCENARIO["horizon"])]
+        for hour, _pm, _location, b, _price in result.pm_energy_rows:
+            fold = folds[hour]
+            fold[0] += b.processor
+            fold[1] += b.cooling
+            fold[2] += b.extra
+            fold[3] += b.cost
+        for hourly, (processor, cooling, extra, cost) in zip(result.hourly, folds):
+            assert hourly == EnergyBreakdown.make(processor, cooling, extra, cost)
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats()  # NaN and infinity included: both writers must reject them
+    | st.sampled_from([0.0, -0.0, 1e-300, 1.7976931348623157e308])
+    | st.text()
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=6),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_DOCUMENTS)
+def test_indented_writer_matches_json_dumps(doc):
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _dumps_indented(doc, "")
+    else:
+        assert _dumps_indented(doc, "") == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        {"é": ["ü", "\n", "\u2028", -0.0, 10**30, None, True]},
+        {"k": {3: [1], 1: {"x": 2}}},  # non-str keys in a nested dict: json converts them
+    ],
+    ids=["empty-dict", "empty-list", "nested-empty", "scalars", "int-keys"],
+)
+def test_indented_writer_edge_cases(doc):
+    assert _dumps_indented(doc, "") == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_indented_writer_rejects_non_finite(bad):
+    for doc in ({"a": [1.0, bad]}, {"a": {"b": [[bad]]}}, [bad]):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _dumps_indented(doc, "")
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0000005, 0.0000015, 2.5e-7, 1e22])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10**6),
+            st.text(max_size=6),
+            st.text(max_size=6),
+            st.tuples(*[_CSV_FLOATS] * 5).map(lambda parts: EnergyBreakdown(*parts)),
+            _CSV_FLOATS,
+        ),
+        max_size=20,
+    )
+)
+def test_energy_report_matches_fstring_writer_on_any_rows(rows):
+    result = SimResult(pm_ids=(), pm_locations=(), horizon=0, policy="p", pm_energy_rows=rows)
+    assert energy_report_csv(result) == energy_report_csv_by_fstring(result)
 
 
 NAN = float("nan")
