@@ -19,7 +19,7 @@ from .datacenter import DEFAULT_PM_TEMPLATE
 from .energy import DEFAULT_POWER_MODEL, PowerModel
 from .errors import ConfigError, DivergenceError, SimulatorError
 from .gnn.graph import partition_graph
-from .gnn.models import model_to_json, new_gated_model, new_gcn_model
+from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_model
 from .gnn.training import TrainConfig, loss_trace_to_csv, train
 from .scheduler import MODEL_POLICIES, POLICY_KINDS, collect_training_data
 from .sim import (
@@ -33,6 +33,7 @@ from .sim import (
     qos_to_json,
     result_to_json,
     run,
+    seed_sweep_to_csv,
 )
 from .util import atomic_write_text, is_finite_number
 from .workload import generate_synthetic, workload_to_json
@@ -113,34 +114,29 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+# The scenario values a flag or a config key can set.  Each config key is
+# the `SimConfig` field's name, and so is each flag, except `--model`.
+_SCENARIO_FIELDS = (
+    "pm_count", "vm_count", "horizon", "policy", "model_path", "workload_file",
+    "trace_dir", "price_file", "seed", "consolidation_threshold", "log_scores",
+)
+_FLAG_NAMES = {"model_path": "model"}
+
+
 def _build_sim_config(cfg: dict, args) -> SimConfig:
-    template = DEFAULT_PM_TEMPLATE
+    """The scenario: each value from its flag, else the config file, else `SimConfig`."""
+    values = {}
     if cfg.get("pm"):
-        template = dc_replace(template, **cfg["pm"])
-    power = DEFAULT_POWER_MODEL
+        values["pm_template"] = dc_replace(DEFAULT_PM_TEMPLATE, **cfg["pm"])
     if cfg.get("power"):
-        power = PowerModel(**{**power.__dict__, **cfg["power"]})
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return cfg.get(key, default)
-
-    return SimConfig(
-        pm_count=pick(getattr(args, "pm_count", None), "pm_count", 8),
-        pm_template=template,
-        vm_count=pick(getattr(args, "vm_count", None), "vm_count", 60),
-        horizon=pick(getattr(args, "horizon", None), "horizon", 120),
-        power=power,
-        policy=pick(args.policy, "policy", "first_fit"),
-        model_path=pick(getattr(args, "model", None), "model_path", None),
-        workload_file=pick(getattr(args, "workload_file", None), "workload_file", None),
-        trace_dir=pick(getattr(args, "trace_dir", None), "trace_dir", None),
-        price_file=pick(getattr(args, "price_file", None), "price_file", None),
-        seed=pick(args.seed, "seed", 0),
-        consolidation_threshold=cfg.get("consolidation_threshold", 0.25),
-        log_scores=args.log_scores or cfg.get("log_scores", False),
-    )
+        values["power"] = PowerModel(**{**DEFAULT_POWER_MODEL.__dict__, **cfg["power"]})
+    for name in _SCENARIO_FIELDS:
+        value = getattr(args, _FLAG_NAMES.get(name, name), None)  # None: flag unset or absent
+        if value is None:
+            value = cfg.get(name)
+        if value is not None:
+            values[name] = value
+    return SimConfig(**values)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -152,15 +148,12 @@ def _out_dir(cfg: dict, args) -> Path:
 
 def cmd_gen_workload(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    count = args.count if args.count is not None else cfg.get("vm_count", 60)
-    horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 120)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    trace_dir = args.trace_dir if args.trace_dir is not None else cfg.get("trace_dir")
-
-    if trace_dir:
-        workload = ingest_trace_dir(trace_dir, horizon)
+    scenario = _build_sim_config(cfg, args)
+    if scenario.trace_dir:
+        workload = ingest_trace_dir(scenario.trace_dir, scenario.horizon)
     else:
-        workload = generate_synthetic(count, horizon, seed)
+        count = args.count if args.count is not None else scenario.vm_count
+        workload = generate_synthetic(count, scenario.horizon, scenario.seed)
     target = out / "workloads.json"
     atomic_write_text(target, workload_to_json(workload))
     log.info("wrote %d requests to %s", len(workload.requests), target)
@@ -173,7 +166,6 @@ def cmd_train(cfg: dict, args) -> int:
     policy = args.policy if args.policy is not None else cfg.get("policy")
     if policy not in MODEL_POLICIES:
         raise ConfigError(f"--policy must be one of {MODEL_POLICIES}, got {policy!r}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     tcfg = cfg.get("training") or {}
     defaults = TrainConfig()
     episodes = args.episodes if args.episodes is not None else tcfg.get("episodes", 3)
@@ -190,6 +182,7 @@ def cmd_train(cfg: dict, args) -> int:
     # collection, model init and SGD each get their own offset from it, so
     # `--seed 0` is the recipe of the committed checkpoints.
     scenario = _build_sim_config(cfg, args)
+    seed = scenario.seed
     samples = collect_training_data(scenario, episodes=episodes, seed=100 + seed)
     log.info("collected %d training samples from %d episodes", len(samples), episodes)
 
@@ -250,21 +243,27 @@ def cmd_compare(cfg: dict, args) -> int:
         if policy not in POLICY_KINDS:
             raise ConfigError(f"unknown policy {policy!r}")
 
-    base = _build_sim_config(cfg, args)
-    configs = []
-    for policy in policies:
-        model_path = None
-        if policy == "counter":
-            model_path = args.model_counter or cfg.get("model_path")
-        elif policy == "hunter":
-            model_path = args.model_hunter or cfg.get("model_path")
-        if policy in MODEL_POLICIES and model_path is None:
-            raise ConfigError(f"policy {policy!r} needs --model-{policy}")
-        configs.append(dc_replace(base, policy=policy, model_path=model_path))
+    models = {}
+    for policy in MODEL_POLICIES:
+        if policy not in policies:
+            continue
+        path = getattr(args, f"model_{policy}") or cfg.get("model_path")
+        if path is None:
+            raise ConfigError(
+                f"policy {policy!r} needs --model-{policy}; "
+                f"`cloudsched train --policy {policy} --seed 0 --out {out}` "
+                f"writes {out / f'model_{policy}.json'}"
+            )
+        models[policy] = load_model(path)  # once, for every seed
 
-    table = compare(configs)
+    # Score logging is off: compare writes no decision log.
+    base = dc_replace(_build_sim_config(cfg, args), model_path=None, log_scores=False)
+    configs = [dc_replace(base, policy=policy, model=models.get(policy)) for policy in policies]
+    table = compare(configs, seeds=args.seeds)
     atomic_write_text(out / "comparison.csv", comparison_to_csv(table))
+    atomic_write_text(out / "seed_sweep.csv", seed_sweep_to_csv(table))
     print(out / "comparison.csv")
+    print(out / "seed_sweep.csv")
     for (a, b), delta in table.deltas.items():
         energy = delta["energy_pct"]
         cost = delta["cost_pct"]
@@ -279,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="YAML configuration file")
     common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
     common.add_argument("--seed", type=int, metavar="N", help="master RNG seed")
-    common.add_argument("--policy", metavar="NAME", choices=POLICY_KINDS, help="scheduling policy")
-    common.add_argument(
-        "--log-scores", action="store_true", help="include per-PM scores in the decision log"
-    )
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
 
     parser = argparse.ArgumentParser(
@@ -298,6 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_workload)
 
     p = sub.add_parser("train", parents=[common], help="train a scheduler model")
+    p.add_argument(
+        "--policy", metavar="NAME", choices=POLICY_KINDS, help="model to train: counter or hunter"
+    )
     p.add_argument("--episodes", type=int, help="teacher episodes to collect")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--lr", type=float, help="SGD learning rate")
@@ -309,6 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", parents=[common], help="run one simulation")
+    p.add_argument("--policy", metavar="NAME", choices=POLICY_KINDS, help="scheduling policy")
+    p.add_argument(
+        "--log-scores",
+        action="store_true",
+        default=None,  # unset: the config file decides
+        help="include per-PM scores in the decision log",
+    )
     p.add_argument("--model", metavar="PATH", help="model checkpoint for counter/hunter")
     p.add_argument("--pm-count", type=int, help="number of PMs")
     p.add_argument("--vm-count", type=int, help="number of synthetic VMs")
@@ -318,8 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price-file", metavar="PATH", help="price CSV input")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", parents=[common], help="compare policies on one scenario")
+    p = sub.add_parser("compare", parents=[common], help="compare policies on shared scenarios")
     p.add_argument("--policies", required=True, metavar="A,B,...", help="comma-separated policies")
+    p.add_argument(
+        "--seeds",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run each policy at seeds S..S+N-1, where S is --seed (default: 1)",
+    )
     p.add_argument("--model-counter", metavar="PATH", help="checkpoint for the counter policy")
     p.add_argument("--model-hunter", metavar="PATH", help="checkpoint for the hunter policy")
     p.add_argument("--pm-count", type=int, help="number of PMs")

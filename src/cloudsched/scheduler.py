@@ -37,7 +37,6 @@ CONSOLIDATION_THRESHOLD = 0.25
 class ScheduleDecision:
     assignments: list[tuple[str, str]] = field(default_factory=list)  # (vm, pm)
     deferred: list[str] = field(default_factory=list)
-    migrations: list[tuple[str, str]] = field(default_factory=list)  # (vm, dst pm)
     scores: dict[str, dict[str, float]] = field(default_factory=dict)  # vm -> pm -> score
 
 

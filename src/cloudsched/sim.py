@@ -9,7 +9,8 @@ second snapshot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+import statistics
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -219,7 +220,6 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         )
         for vm_id, dst in migrations:
             state = migrate(state, vm_id, dst)
-        decision.migrations = migrations
         result.migration_count += len(migrations)
 
         result.deferred = len(decision.deferred)  # the last hour's count stays
@@ -283,14 +283,28 @@ def compute_qos(result: SimResult) -> QoSReport:
 
 @dataclass
 class ComparisonTable:
+    """A policy comparison: each policy's medians, their deltas, and every run.
+
+    `rows` holds one report per policy with the median of each QoS column
+    over its seeds (at an even seed count a count column can be a half).
+    `runs` holds `(policy, seed, report)` in policy-major order.
+    """
+
     rows: list[tuple[str, QoSReport]]
     deltas: dict[tuple[str, str], dict[str, float | None]]
+    runs: list[tuple[str, int, QoSReport]]
 
 
-def compare(configs: list[SimConfig]) -> ComparisonTable:
-    """Run several policies over identical workload/price realizations."""
+def compare(configs: list[SimConfig], seeds: int = 1) -> ComparisonTable:
+    """Run several policies over identical workload/price realizations.
+
+    Each config runs at seeds `config.seed ... config.seed + seeds - 1`;
+    the deltas compare the policies' medians.
+    """
     if not configs:
         raise ConfigError("compare needs at least one config")
+    if seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {seeds}")
     stripped = [
         dc_replace(c, policy="first_fit", model=None, model_path=None) for c in configs
     ]
@@ -301,9 +315,15 @@ def compare(configs: list[SimConfig]) -> ComparisonTable:
                 "comparisons must share workload and price seeds"
             )
 
+    runs = []
     rows = []
     for config in configs:
-        rows.append((config.policy, compute_qos(run(config))))
+        reports = []
+        for seed in range(config.seed, config.seed + seeds):
+            report = compute_qos(run(dc_replace(config, seed=seed)))
+            runs.append((config.policy, seed, report))
+            reports.append(report)
+        rows.append((config.policy, _median_report(reports)))
 
     deltas: dict[tuple[str, str], dict[str, float | None]] = {}
     for i in range(len(rows)):
@@ -313,7 +333,17 @@ def compare(configs: list[SimConfig]) -> ComparisonTable:
                 "energy_pct": _pct_delta(a.total_energy, b.total_energy),
                 "cost_pct": _pct_delta(a.total_cost, b.total_cost),
             }
-    return ComparisonTable(rows=rows, deltas=deltas)
+    return ComparisonTable(rows=rows, deltas=deltas, runs=runs)
+
+
+def _median_report(reports: list[QoSReport]) -> QoSReport:
+    """The median of each column; one report is its own median."""
+    return QoSReport(
+        **{
+            f.name: statistics.median(getattr(q, f.name) for q in reports)
+            for f in fields(QoSReport)
+        }
+    )
 
 
 def _pct_delta(base: float, other: float) -> float | None:
@@ -432,11 +462,25 @@ def decision_log_jsonl(result: SimResult) -> str:
     )
 
 
+_QOS_COLUMNS = "max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"
+
+
+def _qos_csv(r: QoSReport) -> str:
+    return (
+        f"{r.max_pm_utilisation:.6f},{r.mean_active_pm_count:.6f},"
+        f"{r.total_energy:.6f},{r.total_cost:.6f},{r.placed},{r.deferred},{r.migrated}"
+    )
+
+
 def comparison_to_csv(table: ComparisonTable) -> str:
-    lines = ["policy,max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"]
-    for policy, r in table.rows:
-        lines.append(
-            f"{policy},{r.max_pm_utilisation:.6f},{r.mean_active_pm_count:.6f},"
-            f"{r.total_energy:.6f},{r.total_cost:.6f},{r.placed},{r.deferred},{r.migrated}"
-        )
+    """One row of medians per policy."""
+    lines = ["policy," + _QOS_COLUMNS]
+    lines += [f"{policy},{_qos_csv(r)}" for policy, r in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+def seed_sweep_to_csv(table: ComparisonTable) -> str:
+    """One row per policy and seed, in the order they ran."""
+    lines = ["policy,seed," + _QOS_COLUMNS]
+    lines += [f"{policy},{seed},{_qos_csv(r)}" for policy, seed, r in table.runs]
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from cloudsched.cli import build_parser, main
+from cloudsched.cli import _build_sim_config, build_parser, main
 from cloudsched.gnn.models import (
     load_model,
     model_to_json,
@@ -11,10 +12,13 @@ from cloudsched.gnn.models import (
     new_gcn_model,
     score_placements,
 )
+from cloudsched.sim import SimConfig, compare
 from cloudsched.util import atomic_write_text
 from cloudsched.workload import workload_to_json
 
 from conftest import tiny_requests
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -320,8 +324,74 @@ class TestCompare:
     def test_unknown_policy(self, tmp_path):
         assert main(["compare", "--policies", "bogus", "--out", str(tmp_path)]) == 2
 
-    def test_learned_policy_without_checkpoint(self, tmp_path):
+    def test_learned_policy_without_checkpoint(self, tmp_path, capsys):
         assert main(["compare", "--policies", "counter", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert f"cloudsched train --policy counter --seed 0 --out {tmp_path}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_malformed_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "model_counter.json"
+        bad.write_text('{"kind": "gcn"}\n')
+        out = tmp_path / "out"
+        args = ["compare", "--policies", "counter", "--model-counter", str(bad), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert "model_counter.json" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_seed_sweep_writes_one_row_per_policy_and_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "compare", "--policies", "first_fit,random", "--seeds", "3", "--seed", "5",
+            "--pm-count", "4", "--vm-count", "12", "--horizon", "10", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            str(out / "comparison.csv"), str(out / "seed_sweep.csv")
+        ]
+        lines = (out / "seed_sweep.csv").read_text().splitlines()
+        assert lines[0] == (
+            "policy,seed,max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"
+        )
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [policy, seed] for policy in ("first_fit", "random") for seed in ("5", "6", "7")
+        ]
+        medians = (out / "comparison.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in medians[1:]] == ["first_fit", "random"]
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_is_one_error_line(self, tmp_path, capsys, seeds):
+        out = tmp_path / "out"
+        args = ["compare", "--policies", "first_fit", "--seeds", seeds, "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"error: seeds must be at least 1, got {seeds}"]
+        assert not any(out.iterdir())
+
+    def test_config_log_scores_is_ignored(self, tiny_files, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(configs, seeds=1):
+            seen.extend(configs)
+            return compare(configs, seeds)
+
+        monkeypatch.setattr("cloudsched.cli.compare", spy)
+        checkpoint = tmp_path / "model.json"
+        atomic_write_text(checkpoint, model_to_json(new_gcn_model(seed=0)))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("log_scores: true\n")
+        assert main([
+            "compare", "--policies", "counter,first_fit", "--model-counter", str(checkpoint),
+            "--pm-count", "2", "--horizon", "3", "--config", str(cfg),
+            "--workload-file", str(tiny_files["workload"]),
+            "--price-file", str(tiny_files["prices"]),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert [c.policy for c in seen] == ["counter", "first_fit"]
+        assert not any(c.log_scores for c in seen)
+        assert seen[0].model is not None and seen[0].model_path is None
 
 
 @pytest.mark.parametrize(
@@ -484,9 +554,7 @@ class TestConfigFile:
         assert doc["placed"] == 3
 
 
-HELP_FLAGS = [
-    "--config", "--out", "--seed", "--policy", "--log-scores",
-]
+COMMON_FLAGS = ["--config", "--out", "--seed", "--verbose"]
 
 
 class TestHelp:
@@ -500,17 +568,53 @@ class TestHelp:
 
     @pytest.mark.parametrize("sub,extra", [
         ("gen-workload", ["--count", "--horizon", "--trace-dir"]),
-        ("train", ["--episodes", "--epochs", "--lr", "--batch-clusters", "--clusters"]),
-        ("simulate", ["--model", "--pm-count", "--vm-count", "--horizon",
-                      "--workload-file", "--trace-dir", "--price-file"]),
-        ("compare", ["--policies", "--model-counter", "--model-hunter"]),
+        ("train", ["--policy", "--episodes", "--epochs", "--lr", "--batch-clusters",
+                   "--clusters", "--pm-count", "--vm-count", "--horizon"]),
+        ("simulate", ["--policy", "--log-scores", "--model", "--pm-count", "--vm-count",
+                      "--horizon", "--workload-file", "--trace-dir", "--price-file"]),
+        ("compare", ["--policies", "--seeds", "--model-counter", "--model-hunter",
+                     "--pm-count", "--vm-count", "--horizon", "--workload-file",
+                     "--price-file"]),
     ])
     def test_every_flag_documented(self, capsys, sub, extra):
+        """Each subcommand takes exactly the common flags and its own."""
+        parser = build_parser()
         with pytest.raises(SystemExit):
-            build_parser().parse_args([sub, "--help"])
+            parser.parse_args([sub, "--help"])
         out = capsys.readouterr().out
-        for flag in HELP_FLAGS + extra:
+        for flag in COMMON_FLAGS + extra:
             assert flag in out, f"{flag} missing from {sub} --help"
+        subparser = parser._subparsers._group_actions[0].choices[sub]
+        taken = {a.option_strings[-1] for a in subparser._actions if a.option_strings}
+        assert taken == {"--help", *COMMON_FLAGS, *extra}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-workload"], ["train"], ["simulate"], ["compare", "--policies", "first_fit"]],
+    ids=["gen-workload", "train", "simulate", "compare"],
+)
+def test_unset_flags_give_the_default_scenario(argv):
+    assert _build_sim_config({}, build_parser().parse_args(argv)) == SimConfig()
+
+
+def readme_commands() -> list[str]:
+    """Every `cloudsched ...` command in README's code blocks, continuations joined."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    blocks = text.split("```")[1::2]
+    return [line for block in blocks for line in block.splitlines() if line.startswith("cloudsched ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_log_scores_flag_adds_scores(tiny_files, tmp_path):

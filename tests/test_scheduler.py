@@ -63,7 +63,7 @@ def reference_first_fit(snap, pending):
 class TestSchedule:
     def test_empty_pending(self):
         d = schedule(Policy("first_fit"), snapshot(new_datacenter(2)), [])
-        assert d.assignments == [] and d.deferred == [] and d.migrations == []
+        assert d.assignments == [] and d.deferred == []
 
     def test_first_fit_lowest_id(self):
         d = schedule(Policy("first_fit"), snapshot(new_datacenter(8)), [req()])

@@ -1,6 +1,7 @@
 import importlib
 import json
-from dataclasses import replace
+import statistics
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from cloudsched.sim import (
     qos_to_json,
     result_to_json,
     run,
+    seed_sweep_to_csv,
 )
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
@@ -198,6 +200,48 @@ class TestCompare:
         lines = comparison_to_csv(table).splitlines()
         assert lines[0] == "policy,max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"
         assert lines[1].startswith("first_fit,0.500000,1.000000,0.573750,")
+
+    def test_seed_sweep_keeps_every_run_and_reports_medians(self):
+        configs = [
+            SimConfig(pm_count=4, vm_count=12, horizon=10, policy=policy, seed=2)
+            for policy in ("first_fit", "random")
+        ]
+        table = compare(configs, seeds=3)
+        assert [(p, s) for p, s, _ in table.runs] == [
+            (p, s) for p in ("first_fit", "random") for s in (2, 3, 4)
+        ]
+        for policy, seed, report in table.runs:
+            config = configs[0] if policy == "first_fit" else configs[1]
+            assert report == compute_qos(run(replace(config, seed=seed)))
+        for policy, medians in table.rows:
+            reports = [q for p, _, q in table.runs if p == policy]
+            for f in fields(QoSReport):
+                column = [getattr(q, f.name) for q in reports]
+                assert getattr(medians, f.name) == statistics.median(column)
+        (a, first), (b, second) = table.rows
+        assert table.deltas[(a, b)]["energy_pct"] == pytest.approx(
+            100 * (second.total_energy - first.total_energy) / first.total_energy, rel=REL
+        )
+
+    def test_one_seed_is_one_run_per_policy(self):
+        table = compare([tiny_config("first_fit"), tiny_config("best_fit_energy")])
+        assert table.runs == [(p, 0, q) for p, q in table.rows]
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_no_seeds_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            compare([tiny_config()], seeds=seeds)
+
+    def test_seed_sweep_csv_format(self):
+        table = compare([tiny_config(), tiny_config("random")], seeds=2)
+        lines = seed_sweep_to_csv(table).splitlines()
+        assert lines[0] == (
+            "policy,seed,max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"
+        )
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["first_fit", "0"], ["first_fit", "1"], ["random", "0"], ["random", "1"]
+        ]
+        assert lines[1] == "first_fit,0,0.500000,1.000000,0.573750,0.057375,3,0,0"
 
 
 class TestSerialization:
