@@ -324,7 +324,10 @@ class TestCompare:
     def test_unknown_policy(self, tmp_path):
         assert main(["compare", "--policies", "bogus", "--out", str(tmp_path)]) == 2
 
-    def test_learned_policy_without_checkpoint(self, tmp_path, capsys):
+    def test_learned_policy_without_checkpoint(self, tmp_path):
+        assert main(["compare", "--policies", "counter", "--out", str(tmp_path)]) == 2
+
+    def test_missing_checkpoint_names_the_train_command(self, tmp_path, capsys):
         assert main(["compare", "--policies", "counter", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
