@@ -18,10 +18,9 @@ import yaml
 from .datacenter import DEFAULT_PM_TEMPLATE
 from .energy import DEFAULT_POWER_MODEL, PowerModel
 from .errors import ConfigError, DivergenceError, SimulatorError
-from .gnn.graph import partition_graph
 from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_model
 from .gnn.training import TrainConfig, loss_trace_to_csv, train
-from .scheduler import MODEL_POLICIES, POLICY_KINDS, collect_training_data
+from .scheduler import MODEL_POLICIES, POLICY_KINDS, POLICY_MODELS, collect_training_data
 from .sim import (
     SimConfig,
     compare,
@@ -168,39 +167,29 @@ def cmd_train(cfg: dict, args) -> int:
         raise ConfigError(f"--policy must be one of {MODEL_POLICIES}, got {policy!r}")
     tcfg = cfg.get("training") or {}
     defaults = TrainConfig()
-    episodes = args.episodes if args.episodes is not None else tcfg.get("episodes", 3)
-    epochs = args.epochs if args.epochs is not None else tcfg.get("epochs", defaults.epochs)
-    lr = args.lr if args.lr is not None else tcfg.get("learning_rate", defaults.learning_rate)
-    batch_clusters = (
-        args.batch_clusters
-        if args.batch_clusters is not None
-        else tcfg.get("batch_clusters", defaults.batch_clusters)
-    )
-    clusters = args.clusters if args.clusters is not None else tcfg.get("clusters", 2)
+
+    def setting(flag, key, default):
+        return flag if flag is not None else tcfg.get(key, default)
 
     # The scenario (workload and prices) uses the seed itself; teacher
     # collection, model init and SGD each get their own offset from it, so
     # `--seed 0` is the recipe of the committed checkpoints.
     scenario = _build_sim_config(cfg, args)
     seed = scenario.seed
-    samples = collect_training_data(scenario, episodes=episodes, seed=100 + seed)
-    log.info("collected %d training samples from %d episodes", len(samples), episodes)
-
-    if policy == "counter":
-        model = new_gcn_model(seed=1 + seed)
-        partitions = [partition_graph(s.graph, k=min(clusters, s.graph.n_nodes)) for s in samples]
-    else:
-        model = new_gated_model(seed=1 + seed)
-        partitions = None
-
-    trained, losses = train(
-        model,
-        samples,
-        partitions=partitions,
-        config=TrainConfig(
-            epochs=epochs, learning_rate=lr, batch_clusters=batch_clusters, seed=2 + seed
-        ),
+    config = TrainConfig(
+        epochs=setting(args.epochs, "epochs", defaults.epochs),
+        learning_rate=setting(args.lr, "learning_rate", defaults.learning_rate),
+        batch_clusters=setting(args.batch_clusters, "batch_clusters", defaults.batch_clusters),
+        seed=2 + seed,
+        episodes=setting(args.episodes, "episodes", defaults.episodes),
+        clusters=setting(args.clusters, "clusters", defaults.clusters),
     )
+    samples = collect_training_data(scenario, episodes=config.episodes, seed=100 + seed)
+    log.info("collected %d training samples from %d episodes", len(samples), config.episodes)
+
+    # `train` partitions the GCN's samples into `config.clusters` clusters.
+    model = new_gcn_model(seed=1 + seed) if policy == "counter" else new_gated_model(seed=1 + seed)
+    trained, losses = train(model, samples, config=config)
 
     model_path = out / f"model_{policy}.json"
     loss_path = out / f"loss_{policy}.csv"
@@ -254,7 +243,14 @@ def cmd_compare(cfg: dict, args) -> int:
                 f"`cloudsched train --policy {policy} --seed 0 --out {out}` "
                 f"writes {out / f'model_{policy}.json'}"
             )
-        models[policy] = load_model(path)  # once, for every seed
+        model = load_model(path)  # once, for every seed
+        expected = POLICY_MODELS[policy].kind
+        if model.kind != expected:
+            raise ConfigError(
+                f"{path} holds a {model.kind!r} checkpoint, policy {policy!r} needs a "
+                f"{expected!r} one; pass it with --model-{policy}"
+            )
+        models[policy] = model
 
     # Score logging is off: compare writes no decision log.
     base = dc_replace(_build_sim_config(cfg, args), model_path=None, log_scores=False)

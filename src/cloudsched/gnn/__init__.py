@@ -10,8 +10,6 @@ from .graph import (
 from .models import (
     GatedModel,
     GcnModel,
-    gated_forward,
-    gcn_forward,
     load_model,
     model_from_json,
     model_to_json,
@@ -35,8 +33,6 @@ __all__ = [
     "partition_graph",
     "GatedModel",
     "GcnModel",
-    "gated_forward",
-    "gcn_forward",
     "load_model",
     "model_from_json",
     "model_to_json",

@@ -33,6 +33,10 @@ NORM_DURATION_H = float(DURATION_MAX_H)
 FREQ_BASE_MHZ = float(FREQ_MIN_MHZ)
 FREQ_SPAN_MHZ = float(FREQ_MAX_MHZ - FREQ_MIN_MHZ)
 NORM_PRICE = 0.15  # upper bound of the synthetic price generator
+# A request's (cores, RAM, frequency, duration) row maps to its features
+# as (row - _VM_OFFSET) / _VM_SCALE.
+_VM_OFFSET = np.array([0.0, 0.0, FREQ_BASE_MHZ, 0.0])
+_VM_SCALE = np.array([NORM_CORES, NORM_RAM_GIB, FREQ_SPAN_MHZ, NORM_DURATION_H])
 
 
 @dataclass
@@ -53,6 +57,33 @@ def pm_prices(snapshot: ResourceSnapshot, price_now: dict[str, float] | None) ->
     return np.array([price_now.get(location, 0.0) for location in snapshot.locations], dtype=float)
 
 
+def node_features(
+    snapshot: ResourceSnapshot,
+    pending: Sequence[WorkloadRequest],
+    prices: np.ndarray | None = None,
+) -> np.ndarray:
+    """The state graph's feature rows: the PMs in snapshot order, then the requests.
+
+    The PM rows come straight from the snapshot's columns; `prices` is
+    `pm_prices(snapshot, price_now)`, or None for no prices.
+    """
+    n_pm = len(snapshot)
+    vms = np.array(
+        [(r.cores, r.ram, r.cpu_frequency, r.duration) for r in pending], dtype=float
+    ).reshape(len(pending), 4)
+
+    features = np.zeros((n_pm + len(pending), FEATURE_DIM))
+    np.divide(snapshot.free_cores, snapshot.cores, out=features[:n_pm, 0])
+    np.divide(snapshot.free_ram, snapshot.ram, out=features[:n_pm, 1])
+    features[:n_pm, 2] = snapshot.utilisation
+    features[:n_pm, 3] = snapshot.powered_on
+    if prices is not None:
+        np.divide(prices, NORM_PRICE, out=features[:n_pm, 4])
+    # Subtracting 0.0 leaves the other three columns as they are.
+    np.divide(vms - _VM_OFFSET, _VM_SCALE, out=features[n_pm:, :4])
+    return features
+
+
 def build_state_graph(
     snapshot: ResourceSnapshot,
     pending: Sequence[WorkloadRequest],
@@ -60,29 +91,10 @@ def build_state_graph(
 ) -> StateGraph:
     """Assemble the graph a scheduler scores: PM clique + feasible VM-PM edges.
 
-    The PM rows come straight from the snapshot's columns; `prices` is
-    `pm_prices(snapshot, price_now)`, or None for no prices.
+    The features are `node_features(snapshot, pending, prices)`.
     """
     n_pm = len(snapshot)
     n = n_pm + len(pending)
-
-    vms = np.array(
-        [(r.cores, r.ram, r.cpu_frequency, r.duration) for r in pending], dtype=float
-    ).reshape(len(pending), 4)
-    req_cores, req_ram, req_frequency, req_duration = vms.T
-
-    features = np.zeros((n, FEATURE_DIM))
-    features[:n_pm, 0] = snapshot.free_cores / snapshot.cores
-    features[:n_pm, 1] = snapshot.free_ram / snapshot.ram
-    features[:n_pm, 2] = snapshot.utilisation
-    features[:n_pm, 3] = snapshot.powered_on
-    if prices is not None:
-        features[:n_pm, 4] = prices / NORM_PRICE
-    features[n_pm:, 0] = req_cores / NORM_CORES
-    features[n_pm:, 1] = req_ram / NORM_RAM_GIB
-    features[n_pm:, 2] = (req_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ
-    features[n_pm:, 3] = req_duration / NORM_DURATION_H
-
     adjacency = np.zeros((n, n))
     adjacency[:n_pm, :n_pm] = 1.0 - np.eye(n_pm)
     for node, request in enumerate(pending, start=n_pm):
@@ -93,9 +105,31 @@ def build_state_graph(
     return StateGraph(
         node_ids=snapshot.pm_ids + tuple(r.id for r in pending),
         kinds=("pm",) * n_pm + ("vm",) * len(pending),
-        features=features,
+        features=node_features(snapshot, pending, prices),
         adjacency=adjacency,
     )
+
+
+def state_a_hat(fits: np.ndarray) -> np.ndarray:
+    """The normalised adjacency of a one-VM state graph, from the VM's 0/1 fits mask.
+
+    Equal, bit for bit, to `_normalize` of the graph's adjacency, without
+    building it (Kipf & Welling's D^-1/2 (A+I) D^-1/2).  The PMs form a
+    clique, so A + I is all ones on the PM block: PM i has degree
+    n + f_i, the VM 1 + sum(f), and with s = 1/sqrt(deg) every unit entry
+    of A + I becomes s_i * s_j, which is `_normalize`'s (1 * s_i) * s_j.
+    The VM's row and column then carry their 0/1 factor f; an entry that
+    is 0 in A + I comes out +0.0 in both.
+    """
+    n = fits.shape[0]
+    deg = np.empty(n + 1)
+    np.add(n, fits, out=deg[:n])
+    deg[n] = 1.0 + fits.sum()
+    inv_sqrt_deg = 1.0 / np.sqrt(deg)
+    a_hat = np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg)
+    a_hat[n, :n] *= fits
+    a_hat[:n, n] *= fits
+    return a_hat
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:

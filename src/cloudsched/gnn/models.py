@@ -3,7 +3,9 @@
 Both map a state graph to node embeddings and share a linear readout
 that scores a (VM, PM) node pair; the scheduler treats that score as
 predicted incremental energy and takes the argmin.  Everything is dense
-numpy: the graphs here stay well under a hundred nodes.
+numpy.  A scored graph has one node per PM plus the request, so it grows
+with the datacenter: 9 nodes in the default 8-PM scenario and the
+training samples, 65 at 64 PMs, 129 at 128 PMs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..datacenter import ResourceSnapshot
 from ..errors import DomainError, ShapeError, TraceFormatError
 from ..util import parse_file, parse_json
-from .graph import FEATURE_DIM, ClusterPartition, StateGraph, _normalize
+from ..workload import WorkloadRequest
+from .graph import FEATURE_DIM, ClusterPartition, StateGraph, node_features, state_a_hat
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -184,16 +188,6 @@ def restrict_graph(
     return nodes, feats, adj
 
 
-def _check_feature_dim(model, graph: StateGraph):
-    d = graph.features.shape[1]
-    if isinstance(model, GcnModel):
-        expected = model.weights[0].shape[0]
-        if d != expected:
-            raise ShapeError(f"graph features have dim {d}, model expects {expected}")
-    elif d > model.hidden:
-        raise ShapeError(f"cannot pad {d} features into hidden size {model.hidden}")
-
-
 def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None):
     """Run all layers with caches: returns (activations, propagated, pre-activations).
 
@@ -219,21 +213,20 @@ def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=No
     return hs, ahs, zs
 
 
-def gcn_forward(model: GcnModel, graph: StateGraph) -> np.ndarray:
-    """Node embeddings after the GCN layers over the full graph."""
-    _check_feature_dim(model, graph)
-    hs, _, _ = gcn_layers(model, _normalize(graph.adjacency), graph.features)
-    return hs[-1]
-
-
 def pad_features(feats: np.ndarray, hidden: int) -> np.ndarray:
+    if feats.shape[1] > hidden:
+        raise ShapeError(f"cannot pad {feats.shape[1]} features into hidden size {hidden}")
     padded = np.zeros((feats.shape[0], hidden))
     padded[:, : feats.shape[1]] = feats
     return padded
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
+    """x <- 1 / (1 + exp(-x)), the same operations as the out-of-place form."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None):
@@ -241,8 +234,11 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None)
 
     One batched product gives m @ w_g for all three gates and another
     h @ u_g for z and r; each slice is the same matrix product as an
-    unstacked gate, so the results are too.  `a_h0`, when given, is
-    a_hat @ h0.  Each cache is (h_prev, a_hat @ h_prev, m, [z, r], r * h_prev, c).
+    unstacked gate, so the results are too.  The gates' sigmoid and tanh
+    run in place, and (1 - z) * h + z * c is two products and one
+    in-place add, the same operations as the expression.  `a_h0`, when
+    given, is a_hat @ h0.  Each cache is
+    (h_prev, a_hat @ h_prev, m, [z, r], 1 - [z, r], r * h_prev, c).
     """
     u_zr, b_zr = model.U[:2], model.B[:2, None]
     caches = []
@@ -255,29 +251,18 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None)
         mw = np.matmul(m, model.W)
         zr = mw[:2] + np.matmul(h, u_zr)
         zr += b_zr
-        zr = _sigmoid(zr)
+        _sigmoid_in_place(zr)
         z, r = zr
+        one_minus_zr = 1.0 - zr
         rh = r * h
-        c = np.tanh(mw[2] + np.dot(rh, model.u_c) + model.b_c)
-        h_next = (1.0 - z) * h + z * c
-        caches.append((h, ah, m, zr, rh, c))
+        c = mw[2] + np.dot(rh, model.u_c)
+        c += model.b_c
+        np.tanh(c, out=c)
+        h_next = one_minus_zr[0] * h
+        h_next += z * c
+        caches.append((h, ah, m, zr, one_minus_zr, rh, c))
         h = h_next
     return h, caches
-
-
-def gated_forward(model: GatedModel, graph: StateGraph) -> np.ndarray:
-    """Node embeddings after K gated propagation rounds over the full graph."""
-    _check_feature_dim(model, graph)
-    a_hat = _normalize(graph.adjacency)
-    h0 = pad_features(graph.features, model.hidden)
-    h, _ = gated_steps(model, a_hat, h0)
-    return h
-
-
-def embed(model: GcnModel | GatedModel, graph: StateGraph) -> np.ndarray:
-    if isinstance(model, GcnModel):
-        return gcn_forward(model, graph)
-    return gated_forward(model, graph)
 
 
 def pair_vector(
@@ -288,30 +273,42 @@ def pair_vector(
 
 
 def score_placements(
-    model: GcnModel | GatedModel, graph: StateGraph, vm_node: int
+    model: GcnModel | GatedModel,
+    snapshot: ResourceSnapshot,
+    request: WorkloadRequest,
+    candidates: np.ndarray,
+    prices: np.ndarray | None,
 ) -> dict[int, float]:
-    """Score every PM connected to the VM node; unconnected PMs are omitted.
+    """Score each candidate PM row for one request; the scores are keyed by row.
 
-    One `pair_vector` row per connected PM, read out with one `np.vecdot`:
-    it takes the same per-row dot product as `pair @ readout_w[:, 0]`, so
-    every score is bit-identical to the per-pair readout (the
+    The network runs on the state graph `build_state_graph(snapshot,
+    [request], prices)`, without building it: the features are
+    `node_features`, and `a_hat` is `state_a_hat` of the fits mask.
+    `candidates` holds the ascending rows of the PMs that fit the request
+    (the VM node's neighbours), and the readout takes one row per
+    candidate.  One `np.vecdot` reads them all out: it takes the same
+    per-row dot product as `pair @ readout_w[:, 0]`, so every score is
+    bit-identical to a per-pair readout over the graph (the
     matrix-vector product `P @ readout_w` is not).
     """
-    if not 0 <= vm_node < graph.n_nodes or graph.kinds[vm_node] != "vm":
-        raise DomainError(f"node {vm_node} is not a VM node")
-    h = embed(model, graph)
-    linked = np.flatnonzero(graph.adjacency[vm_node]).tolist()
-    pms = [node for node in linked if graph.kinds[node] == "pm"]
-    if not pms:
-        return {}
-    n_h, n_x = h.shape[1], graph.features.shape[1]
-    pairs = np.empty((len(pms), 2 * (n_h + n_x)))
-    pairs[:, :n_h] = h[vm_node]
-    pairs[:, n_h : n_h + n_x] = graph.features[vm_node]
-    pairs[:, n_h + n_x : 2 * n_h + n_x] = h[pms]
-    pairs[:, 2 * n_h + n_x :] = graph.features[pms]
+    n = len(snapshot)
+    feats = node_features(snapshot, [request], prices)
+    fits = np.zeros(n)
+    fits[candidates] = 1.0
+    a_hat = state_a_hat(fits)
+    if isinstance(model, GcnModel):
+        hs, _, _ = gcn_layers(model, a_hat, feats)
+        h = hs[-1]
+    else:
+        h, _ = gated_steps(model, a_hat, pad_features(feats, model.hidden))
+    n_h, n_x = h.shape[1], feats.shape[1]
+    pairs = np.empty((len(candidates), 2 * (n_h + n_x)))
+    pairs[:, :n_h] = h[n]
+    pairs[:, n_h : n_h + n_x] = feats[n]
+    pairs[:, n_h + n_x : 2 * n_h + n_x] = h[candidates]
+    pairs[:, 2 * n_h + n_x :] = feats[candidates]
     scores = np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
-    return dict(zip(pms, scores.tolist()))
+    return dict(zip(candidates.tolist(), scores.tolist()))
 
 
 # Checkpoint format: parameters are flattened row-major in the order given

@@ -45,10 +45,19 @@ class TrainSample:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training recipe.
+
+    `episodes` is the number of teacher episodes `cloudsched train`
+    collects, and `clusters` the clusters per sample graph when `train`
+    partitions the GCN's samples itself.
+    """
+
     epochs: int = 200
     learning_rate: float = 0.01
     batch_clusters: int = 1
     seed: int = 0
+    episodes: int = 3
+    clusters: int = 2
 
 
 class StepGraph(NamedTuple):
@@ -123,7 +132,7 @@ def gated_loss_and_grads(model: GatedModel, grads: GatedModel, g: StepGraph, lab
     dp_zr, dp_c = dp[:2], dp[2]
     last = len(caches) - 1
     for step in range(last, -1, -1):
-        h_prev, ah, m, zr, rh, c = caches[step]
+        h_prev, ah, m, zr, one_minus_zr, rh, c = caches[step]
         z, r = zr
 
         np.multiply(d_h, c - h_prev, out=dp[0])
@@ -131,7 +140,6 @@ def gated_loss_and_grads(model: GatedModel, grads: GatedModel, g: StepGraph, lab
         d_rh = np.dot(dp_c, u_c_t)
         np.multiply(d_rh, h_prev, out=dp[1])
         dp_zr *= zr
-        one_minus_zr = 1.0 - zr
         dp_zr *= one_minus_zr
 
         dmw = np.matmul(dp, w_t)
@@ -216,7 +224,9 @@ def train(
 
     use_clusters = isinstance(model, GcnModel)
     if use_clusters and partitions is None:
-        partitions = [partition_graph(s.graph, k=min(2, s.graph.n_nodes)) for s in dataset]
+        partitions = [
+            partition_graph(s.graph, k=min(config.clusters, s.graph.n_nodes)) for s in dataset
+        ]
     loss_and_grads = gcn_loss_and_grads if use_clusters else gated_loss_and_grads
 
     graphs: dict[tuple[int, tuple[int, ...] | None], StepGraph] = {}

@@ -29,6 +29,7 @@ from .workload import WorkloadRequest
 
 POLICY_KINDS = ("first_fit", "best_fit_energy", "random", "counter", "hunter")
 MODEL_POLICIES = ("counter", "hunter")
+POLICY_MODELS = {"counter": GcnModel, "hunter": GatedModel}  # the network each one scores with
 
 CONSOLIDATION_THRESHOLD = 0.25
 
@@ -52,7 +53,7 @@ class Policy:
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}")
         if self.kind in MODEL_POLICIES:
-            expected = GcnModel if self.kind == "counter" else GatedModel
+            expected = POLICY_MODELS[self.kind]
             if not isinstance(self.model, expected):
                 raise ConfigError(f"policy {self.kind!r} needs a {expected.__name__} attached")
         self._rng = np.random.default_rng(self.rng_seed)
@@ -74,8 +75,8 @@ class Policy:
         `candidates` holds the ascending row numbers of the PMs in
         `working` that can host the request, and `prices` the current
         price at each PM of `working` (None: unpriced); the graph
-        networks read the same feasibility off `working` through the
-        state graph.  Scores are keyed by row, in ascending row order.
+        networks score the candidates on the request's state graph over
+        `working`.  Scores are keyed by row, in ascending row order.
         The heuristics return their pick alone: first_fit and random pick
         without scoring (random draws once per request), and
         best_fit_energy keeps only its lowest incremental energy, the
@@ -89,8 +90,7 @@ class Policy:
             energy = incremental_energy(working, candidates, request, self.power)
             best = int(np.argmin(energy))  # never NaN: pm_power rejects it
             return {int(candidates[best]): float(energy[best])}
-        graph = build_state_graph(working, [request], prices)
-        return score_placements(self.model, graph, len(working))
+        return score_placements(self.model, working, request, candidates, prices)
 
 
 def incremental_energy(
@@ -187,16 +187,35 @@ def consolidate(
     underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
     prices = pm_prices(snap, price_now)
 
-    hosted: dict[str, list] = {}
+    hosted: dict[str, list] = {snap.pm_ids[row]: [] for row in underloaded.tolist()}
     for vm in state.vms.values():
-        if vm.placed_on is not None:
-            hosted.setdefault(vm.placed_on, []).append(vm)
+        if vm.placed_on in hosted:
+            hosted[vm.placed_on].append(vm)
+    sources = [  # (row, its VMs largest first), least utilised first
+        (row, sorted(vms, key=lambda v: (-v.request.cores, v.id)))
+        for row, vms in zip(underloaded.tolist(), hosted.values())
+        if vms
+    ]
+    if not sources:
+        return []
 
-    for source in underloaded:
-        vms = sorted(hosted.get(snap.pm_ids[source], []), key=lambda v: (-v.request.cores, v.id))
-        rows = on[on != source]
-        if not vms or not snap.fits(vms[0].request)[rows].any():
+    # The snapshot stays as it is until a plan is returned, so one mask
+    # screens every source: can its first VM go to another powered-on PM?
+    first = np.array(
+        [(v[0].request.cores, v[0].request.ram, v[0].request.cpu_frequency) for _, v in sources]
+    )
+    source_rows = np.array([row for row, _ in sources])
+    movable = (
+        (snap.free_cores[on] >= first[:, :1])
+        & (snap.free_ram[on] >= first[:, 1:2])
+        & (snap.max_frequency[on] >= first[:, 2:])
+        & (on != source_rows[:, None])
+    )
+
+    for (source, vms), screened in zip(sources, movable.any(axis=1).tolist()):
+        if not screened:
             continue  # the first VM has nowhere to go, so no plan empties this PM
+        rows = on[on != source]
         working = snap.take(rows)
         working_prices = prices[rows]
 

@@ -7,11 +7,12 @@ Each function here is the plain loop that a vectorised or cached path in
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from cloudsched.datacenter import snapshot
 from cloudsched.energy import PriceSeries
-
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
     FREQ_BASE_MHZ,
@@ -21,13 +22,16 @@ from cloudsched.gnn.graph import (
     NORM_PRICE,
     NORM_RAM_GIB,
     StateGraph,
+    _normalize,
+    build_state_graph,
     normalize_adjacency,
     partition_graph,
+    pm_prices,
 )
 from cloudsched.gnn.models import (
     GcnModel,
-    gated_forward,
-    gcn_forward,
+    gated_steps,
+    gcn_layers,
     model_from_json,
     model_to_json,
     pad_features,
@@ -35,6 +39,7 @@ from cloudsched.gnn.models import (
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
+from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES, _argmin
 from cloudsched.workload import (
     CORE_CHOICES,
     DURATION_MAX_H,
@@ -172,6 +177,19 @@ def build_state_graph_by_element(entries, pending, price_now=None) -> StateGraph
     )
 
 
+def gcn_forward(model, graph: StateGraph) -> np.ndarray:
+    """Node embeddings after the GCN layers over the dense normalised graph."""
+    hs, _, _ = gcn_layers(model, _normalize(graph.adjacency), graph.features)
+    return hs[-1]
+
+
+def gated_forward(model, graph: StateGraph) -> np.ndarray:
+    """Node embeddings after K gated propagation rounds over the dense normalised graph."""
+    h0 = pad_features(graph.features, model.hidden)
+    h, _ = gated_steps(model, _normalize(graph.adjacency), h0)
+    return h
+
+
 def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
     """Every connected PM's score from its own `pair_vector` and one dot each."""
     h = gcn_forward(model, graph) if isinstance(model, GcnModel) else gated_forward(model, graph)
@@ -181,6 +199,49 @@ def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
             pair = pair_vector(h, graph.features, vm_node, pm_node)
             scores[pm_node] = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     return scores
+
+
+def consolidate_by_source(policy, state, price_now=None, threshold=CONSOLIDATION_THRESHOLD):
+    """`consolidate` with each underloaded source screened on its own, and
+    each request scored on its own dense state graph."""
+    if policy.kind not in MODEL_POLICIES:
+        return []
+
+    snap = snapshot(state)
+    on = np.flatnonzero(snap.powered_on)
+    low = on[snap.utilisation[on] < threshold]
+    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
+    prices = pm_prices(snap, price_now)
+
+    hosted = {}
+    for vm in state.vms.values():
+        if vm.placed_on is not None:
+            hosted.setdefault(vm.placed_on, []).append(vm)
+
+    for source in underloaded:
+        vms = sorted(hosted.get(snap.pm_ids[source], []), key=lambda v: (-v.request.cores, v.id))
+        rows = on[on != source]
+        if not vms or not snap.fits(vms[0].request)[rows].any():
+            continue
+        working = snap.take(rows)
+        working_prices = prices[rows]
+
+        plan = []
+        for vm in vms:
+            if not working.fits(vm.request).any():
+                break
+            remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
+            graph = build_state_graph(
+                working, [replace(vm.request, duration=remaining)], working_prices
+            )
+            dst = _argmin(score_placements_by_pair(policy.model, graph, len(working)))
+            plan.append((vm.id, working.pm_ids[dst]))
+            working.place(dst, vm.request)
+        else:
+            saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
+            if plan and saving > 0:
+                return plan
+    return []
 
 
 def _gcn_layers(model, a_hat, feats):

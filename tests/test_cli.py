@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cloudsched.cli import _build_sim_config, build_parser, main
@@ -80,12 +81,14 @@ class TestTrain:
         assert main(self.base_args(tmp_path)) == 0
         model = load_model(tmp_path / "model_counter.json")
         from cloudsched.datacenter import new_datacenter, snapshot
-        from cloudsched.gnn.graph import build_state_graph
 
-        graph = build_state_graph(snapshot(new_datacenter(2)), [tiny_requests()[0]])
-        first = score_placements(model, graph, 2)
-        again = score_placements(load_model(tmp_path / "model_counter.json"), graph, 2)
-        assert first == again
+        snap, request = snapshot(new_datacenter(2)), tiny_requests()[0]
+        rows = np.flatnonzero(snap.fits(request))
+        first = score_placements(model, snap, request, rows, None)
+        again = score_placements(
+            load_model(tmp_path / "model_counter.json"), snap, request, rows, None
+        )
+        assert first == again and len(first) == 2
         assert (tmp_path / "loss_counter.csv").read_text().startswith("epoch,mean_loss")
 
     def test_zero_lr_keeps_initial_weights(self, tmp_path):
@@ -343,6 +346,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
         assert "model_counter.json" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    def test_config_checkpoint_of_the_wrong_kind_is_one_error_line(self, tmp_path, capsys):
+        checkpoint = tmp_path / "counter.json"
+        atomic_write_text(checkpoint, model_to_json(new_gcn_model(seed=0)))
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"model_path: {checkpoint}\n")
+        out = tmp_path / "out"
+        args = ["compare", "--policies", "counter,hunter", "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"error: {checkpoint} holds a 'gcn' checkpoint, policy 'hunter' needs a 'gated' one; "
+            "pass it with --model-hunter"
+        ]
         assert not any(out.iterdir())
 
     def test_seed_sweep_writes_one_row_per_policy_and_seed(self, tmp_path, capsys):

@@ -9,14 +9,16 @@ from cloudsched.errors import DomainError
 from cloudsched.gnn.graph import (
     ClusterPartition,
     StateGraph,
+    _normalize,
     build_state_graph,
     normalize_adjacency,
     partition_graph,
     pm_prices,
+    state_a_hat,
 )
 from cloudsched.workload import WorkloadRequest
 
-from helpers import cut_edges, pm_entries, snapshot_from_entries
+from helpers import cut_edges, entry, pm_entries, snapshot_from_entries
 from slow_reference import build_state_graph_by_element
 
 
@@ -89,6 +91,27 @@ def test_build_state_graph_matches_element_loop(inputs):
     assert fast.adjacency.dtype == slow.adjacency.dtype == np.float64
     assert fast.features.tobytes() == slow.features.tobytes()
     assert fast.adjacency.tobytes() == slow.adjacency.tobytes()
+
+
+def assert_a_hat_matches_the_graph(snap, req):
+    dense = _normalize(build_state_graph(snap, [req]).adjacency)
+    closed = state_a_hat(snap.fits(req).astype(float))
+    assert closed.dtype == dense.dtype and closed.shape == dense.shape
+    assert closed.tobytes() == dense.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=130))
+def test_state_a_hat_matches_normalised_graph_bit_for_bit(fits):
+    # PM i has a free core for the one-core request exactly when fits[i]
+    entries = {f"pm-{i}": entry(free_cores=int(f), loc=f"loc-{i}") for i, f in enumerate(fits)}
+    assert_a_hat_matches_the_graph(snapshot_from_entries(entries), request(cores=1, ram=1))
+
+
+@pytest.mark.parametrize("pms", [1, 2, 64, 128])
+@pytest.mark.parametrize("freq", [2000, 3500], ids=["every-pm-fits", "no-pm-fits"])
+def test_state_a_hat_matches_normalised_graph_at_the_edges(pms, freq):
+    assert_a_hat_matches_the_graph(snapshot(new_datacenter(pms)), request(freq))
 
 
 class TestNormalizeAdjacency:

@@ -11,8 +11,6 @@ from cloudsched.gnn.graph import StateGraph, build_state_graph, partition_graph
 from cloudsched.gnn.models import (
     MAX_GATED_STEPS,
     GatedModel,
-    gated_forward,
-    gcn_forward,
     model_from_json,
     model_to_json,
     new_gated_model,
@@ -24,7 +22,7 @@ from cloudsched.gnn.models import (
 from cloudsched.workload import WorkloadRequest
 
 from helpers import gcn_forward_restricted, pm_entries, snapshot_from_entries
-from slow_reference import score_placements_by_pair
+from slow_reference import gated_forward, gcn_forward, score_placements_by_pair
 
 CHECKPOINTS = {
     name: model_from_json((Path(__file__).parent / "data" / f"{name}.json").read_text())
@@ -149,18 +147,21 @@ class TestGatedForward:
             new_gated_model(seed=0, steps=0)
 
 
+def score(model, snap, req, prices=None):
+    """`score_placements` over every PM that fits the request."""
+    return score_placements(model, snap, req, np.flatnonzero(snap.fits(req)), prices)
+
+
 class TestScorePlacements:
     def test_no_feasible_pm_empty_map(self):
         snap = snapshot(new_datacenter(2))
-        g = build_state_graph(snap, [request(freq=3500)])
-        assert score_placements(new_gcn_model(seed=1), g, vm_node=2) == {}
+        assert score(new_gcn_model(seed=1), snap, request(freq=3500)) == {}
 
     def test_zero_weights_all_scores_equal_bias(self):
         snap = snapshot(new_datacenter(3))
-        g = build_state_graph(snap, [request()])
         m = zero_model()
         m.readout_b[0] = 0.7
-        scores = score_placements(m, g, vm_node=3)
+        scores = score(m, snap, request())
         assert len(scores) == 3
         assert all(s == 0.7 for s in scores.values())
 
@@ -170,74 +171,92 @@ class TestScorePlacements:
 
         state = admit(state, request(id="w0", cores=8))
         state = place(state, "w0", "pm-0")
-        g = build_state_graph(snapshot(state), [request(id="vm-1")])
-        scores = score_placements(new_gcn_model(seed=3), g, vm_node=2)
+        scores = score(new_gcn_model(seed=3), snapshot(state), request(id="vm-1"))
         assert len(scores) == 2
 
-    def test_non_vm_node_rejected(self):
-        g = build_state_graph(snapshot(new_datacenter(2)), [request()])
-        with pytest.raises(DomainError):
-            score_placements(new_gcn_model(seed=1), g, vm_node=0)
+    def test_only_the_candidates_are_scored(self):
+        snap = snapshot(new_datacenter(4))
+        scores = score_placements(new_gcn_model(seed=1), snap, request(), np.array([1, 3]), None)
+        assert list(scores) == [1, 3]
 
     def test_gated_scoring_works(self):
-        g = build_state_graph(snapshot(new_datacenter(2)), [request()])
-        scores = score_placements(new_gated_model(seed=1), g, vm_node=2)
+        scores = score(new_gated_model(seed=1), snapshot(new_datacenter(2)), request())
         assert len(scores) == 2
+
+    def test_gated_hidden_smaller_than_features_rejected(self):
+        with pytest.raises(ShapeError):
+            score(new_gated_model(seed=1, hidden=3), snapshot(new_datacenter(2)), request())
 
 
 @st.composite
-def scored_graphs(draw):
-    """A state graph over 8-40 PMs with 1-3 pending VMs, the last fitting nowhere."""
-    entries = draw(pm_entries(min_pms=8, max_pms=40))
+def scored_snapshots(draw):
+    """A snapshot of 1-40 PMs, a request that fits on none, some or every PM, and prices or None."""
+    entries = draw(pm_entries(min_pms=1, max_pms=40))
+    reach = draw(st.sampled_from(["some", "none", "all"]))
+    if reach == "all":
+        for e in entries.values():
+            e["free_cores"], e["free_ram"], e["max_frequency"] = e["cores"], e["ram"], 3400
     snap = snapshot_from_entries(entries)
-    pending = [
-        WorkloadRequest(
-            id=f"vm-{j}",
-            cpu_frequency=draw(st.integers(1600, 3400)),
-            cores=draw(st.sampled_from([1, 2, 4, 8, 16])),
-            ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
-            duration=draw(st.integers(1, 48)),
-            arrival=0,
-        )
-        for j in range(draw(st.integers(0, 2)))
-    ]
-    pending.append(request(id="vm-nowhere", freq=3500))
-    prices = np.array([draw(st.floats(0.0, 0.15)) for _ in entries])
-    return build_state_graph(snap, pending, prices), len(entries)
+    req = WorkloadRequest(
+        id="vm-0",
+        cpu_frequency=3500 if reach == "none" else draw(st.integers(1600, 3400)),
+        cores=draw(st.sampled_from([1, 2, 4, 8])),
+        ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        duration=draw(st.integers(1, 48)),
+        arrival=0,
+    )
+    prices = None
+    if draw(st.booleans()):
+        prices = np.array([draw(st.floats(0.0, 0.15)) for _ in entries])
+    return snap, req, prices
+
+
+def assert_scores_match_the_graph(model, snap, req, prices):
+    fast = score(model, snap, req, prices)
+    slow = score_placements_by_pair(model, build_state_graph(snap, [req], prices), len(snap))
+    assert list(fast) == list(slow)
+    assert [type(k) for k in fast] == [int] * len(fast)
+    assert [s.hex() for s in fast.values()] == [s.hex() for s in slow.values()]
 
 
 @pytest.mark.parametrize("name", sorted(CHECKPOINTS))
-@settings(max_examples=60, deadline=None)
-@given(scored_graphs())
+@settings(max_examples=80, deadline=None)
+@given(scored_snapshots())
 def test_score_placements_matches_per_pair_readout_bit_for_bit(name, inputs):
-    model = CHECKPOINTS[name]
-    graph, n_pm = inputs
-    for vm_node in range(n_pm, graph.n_nodes):
-        fast = score_placements(model, graph, vm_node)
-        slow = score_placements_by_pair(model, graph, vm_node)
-        assert list(fast) == list(slow)
-        assert [type(k) for k in fast] == [int] * len(fast)
-        assert [s.hex() for s in fast.values()] == [s.hex() for s in slow.values()]
-    assert fast == {}  # the last VM fits nowhere
+    assert_scores_match_the_graph(CHECKPOINTS[name], *inputs)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+@pytest.mark.parametrize(
+    "pms, req, prices",
+    [
+        (1, request(), None),  # a single PM, the one candidate
+        (1, request(freq=3500), [0.1]),  # a single PM, no candidate
+        (64, request(), None),  # every PM a candidate
+        (64, request(freq=3500), None),  # no candidate
+    ],
+    ids=["one-pm", "one-pm-no-fit", "all-64", "none-of-64"],
+)
+def test_score_placements_matches_the_graph_at_the_edges(name, pms, req, prices):
+    prices = None if prices is None else np.array(prices)
+    assert_scores_match_the_graph(CHECKPOINTS[name], snapshot(new_datacenter(pms)), req, prices)
 
 
 class TestCheckpoints:
-    def graph(self):
-        return build_state_graph(snapshot(new_datacenter(3)), [request()])
+    def scores(self, model):
+        return score(model, snapshot(new_datacenter(3)), request())
 
     def test_gcn_round_trip_score_identical(self):
         m = new_gcn_model(seed=31)
         back = model_from_json(model_to_json(m))
-        g = self.graph()
-        assert score_placements(m, g, 3) == score_placements(back, g, 3)
+        assert self.scores(m) == self.scores(back)
 
     def test_gated_round_trip_score_identical(self):
         m = new_gated_model(seed=37)
         back = model_from_json(model_to_json(m))
         assert isinstance(back, GatedModel)
         assert back.steps == m.steps
-        g = self.graph()
-        assert score_placements(m, g, 3) == score_placements(back, g, 3)
+        assert self.scores(m) == self.scores(back)
 
     def test_gated_steps_bound_loads(self):
         m = new_gated_model(seed=37, steps=MAX_GATED_STEPS)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from cloudsched.datacenter import (
     place,
     snapshot,
     validate,
+    with_clock,
 )
 from cloudsched.energy import DEFAULT_POWER_MODEL, pm_power
 from cloudsched.errors import ConfigError
-from cloudsched.gnn.models import new_gated_model, new_gcn_model
+from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
 from cloudsched.scheduler import (
+    MODEL_POLICIES,
     Policy,
     _argmin,
     collect_training_data,
@@ -25,6 +29,12 @@ from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
 from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
+from slow_reference import consolidate_by_source
+
+CHECKPOINTS = {
+    "counter": load_model(Path(__file__).parent / "data" / "counter.json"),
+    "hunter": load_model(Path(__file__).parent / "data" / "hunter.json"),
+}
 
 
 def req(id="vm-0", cores=4, ram=4, freq=2000, duration=8, arrival=0):
@@ -240,6 +250,69 @@ class TestConsolidate:
         assert consolidate(Policy("best_fit_energy"), state) == []
         # an attached model does not turn consolidation on for a heuristic
         assert consolidate(Policy("first_fit", model=new_gcn_model(seed=1)), state) == []
+
+
+def hosting(placements):
+    """A datacenter of len(placements) PMs; PM i hosts the (cores, ram) VMs listed for it."""
+    state = new_datacenter(len(placements))
+    for i, vms in enumerate(placements):
+        for j, (cores, ram) in enumerate(vms):
+            r = req(id=f"vm-{i}-{j}", cores=cores, ram=ram, duration=10)
+            state = place(admit(state, r), r.id, f"pm-{i}")
+    return state
+
+
+class TestConsolidationScreen:
+    """pm-0's VM fits only on pm-0 itself: pm-1 has no free core, and every
+    other PM has less than its 8 GiB of RAM free."""
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    def test_no_source_passes_and_nothing_is_scored(self, kind):
+        state = hosting([[(1, 8)], [(32, 1)], [(2, 9)]])
+        policy = Policy(kind, model=CHECKPOINTS[kind])
+        calls = []
+        policy.score = lambda *args: calls.append(args)
+        assert consolidate(policy, state) == consolidate_by_source(policy, state) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    def test_the_next_source_is_still_emptied(self, kind):
+        state = hosting([[(1, 8)], [(32, 1)], [(2, 2), (1, 7)], [(8, 9)]])
+        policy = Policy(kind, model=CHECKPOINTS[kind])
+        plan = consolidate(policy, state)
+        assert plan == consolidate_by_source(policy, state)
+        assert [vm for vm, _ in plan] == ["vm-2-0", "vm-2-1"]
+
+
+@st.composite
+def datacenter_states(draw):
+    """1-10 PMs hosting up to 24 VMs, each placed where it fits, at a drawn hour."""
+    state = new_datacenter(draw(st.integers(1, 10)))
+    for i in range(draw(st.integers(0, 24))):
+        r = req(
+            id=f"vm-{i:02d}",
+            cores=draw(st.sampled_from([1, 2, 4, 8, 16])),
+            ram=draw(st.integers(1, 8)),
+            freq=draw(st.integers(1600, 3400)),
+            duration=draw(st.integers(1, 48)),
+        )
+        fits = np.flatnonzero(state.resources.fits(r)).tolist()
+        if fits:
+            state = with_clock(state, draw(st.integers(0, 12)))
+            state = place(admit(state, r), r.id, f"pm-{draw(st.sampled_from(fits))}")
+    return with_clock(state, draw(st.integers(0, 60)))
+
+
+@pytest.mark.parametrize("kind", MODEL_POLICIES)
+@settings(max_examples=60, deadline=None)
+@given(datacenter_states(), st.booleans(), st.sampled_from([0.25, 0.5, 1.0]))
+def test_consolidate_matches_per_source_loop(kind, state, priced, threshold):
+    policy = Policy(kind, model=CHECKPOINTS[kind])
+    price_now = None
+    if priced:
+        price_now = {pm.location: 0.01 * (i + 1) for i, pm in enumerate(state.pms)}
+    fast = consolidate(policy, state, price_now, threshold)
+    assert fast == consolidate_by_source(policy, state, price_now, threshold)
 
 
 class TestCollectTrainingData:

@@ -111,6 +111,15 @@ class TestTrain:
         )
         assert len(losses) == 5
 
+    def test_default_partitions_take_config_clusters(self):
+        data = [random_sample(40 + i, n=7, label=0.1 * i) for i in range(3)]
+        config = TrainConfig(epochs=4, batch_clusters=2, seed=5, clusters=3)
+        parts = [partition_graph(s.graph, k=3) for s in data]
+        implicit = train(new_gcn_model(seed=2), data, config=config)
+        explicit = train(new_gcn_model(seed=2), data, partitions=parts, config=config)
+        assert implicit[1] == explicit[1]
+        assert model_to_json(implicit[0]) == model_to_json(explicit[0])
+
     def assert_matches_uncached_loop(self, model):
         # batch_clusters=2 on k=3 draws an extra cluster per step, so the
         # cache keys vary and the RNG stream must stay in the uncached order.
