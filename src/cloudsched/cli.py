@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .datacenter import DEFAULT_PM_TEMPLATE
-from .energy import DEFAULT_POWER_MODEL, PowerModel
+from .energy import DEFAULT_POWER_MODEL, PowerModel, load_price_series
 from .errors import ConfigError, DivergenceError, SimulatorError
 from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_model
 from .gnn.training import TrainConfig, loss_trace_to_csv, train
@@ -28,14 +28,13 @@ from .sim import (
     compute_qos,
     decision_log_jsonl,
     energy_report_csv,
-    ingest_trace_dir,
     qos_to_json,
     result_to_json,
     run,
     seed_sweep_to_csv,
 )
-from .util import atomic_write_text, is_finite_number
-from .workload import generate_synthetic, workload_to_json
+from .util import atomic_write_text, is_finite_number, parse_file
+from .workload import generate_synthetic, ingest_trace_dir, workload_from_json, workload_to_json
 
 log = logging.getLogger("cloudsched")
 
@@ -113,29 +112,75 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
-# The scenario values a flag or a config key can set.  Each config key is
-# the `SimConfig` field's name, and so is each flag, except `--model`.
+# The `SimConfig` fields a flag or a config key of the same name can set.
+# The path keys are no fields: `_load_checkpoint` and `_read_inputs` read
+# their files into `model`, `requests` and `prices`.
 _SCENARIO_FIELDS = (
-    "pm_count", "vm_count", "horizon", "policy", "model_path", "workload_file",
-    "trace_dir", "price_file", "seed", "consolidation_threshold", "log_scores",
+    "pm_count", "vm_count", "horizon", "policy", "seed", "consolidation_threshold", "log_scores",
 )
-_FLAG_NAMES = {"model_path": "model"}
+_TRAIN_FLAGS = {"learning_rate": "lr"}  # every other `training:` key is its flag's name
+
+
+def _setting(args, cfg: dict, name: str, flag: str | None = None):
+    """`name`'s value from its flag (named `flag`, else `name`), else from `cfg`; None if unset."""
+    value = getattr(args, flag or name, None)  # None: flag unset or absent
+    return value if value is not None else cfg.get(name)
 
 
 def _build_sim_config(cfg: dict, args) -> SimConfig:
     """The scenario: each value from its flag, else the config file, else `SimConfig`."""
-    values = {}
+    values = {name: _setting(args, cfg, name) for name in _SCENARIO_FIELDS}
     if cfg.get("pm"):
         values["pm_template"] = dc_replace(DEFAULT_PM_TEMPLATE, **cfg["pm"])
     if cfg.get("power"):
         values["power"] = PowerModel(**{**DEFAULT_POWER_MODEL.__dict__, **cfg["power"]})
-    for name in _SCENARIO_FIELDS:
-        value = getattr(args, _FLAG_NAMES.get(name, name), None)  # None: flag unset or absent
-        if value is None:
-            value = cfg.get(name)
-        if value is not None:
-            values[name] = value
-    return SimConfig(**values)
+    return SimConfig(**{k: v for k, v in values.items() if v is not None})
+
+
+def _build_train_config(cfg: dict, args, seed: int) -> TrainConfig:
+    """The recipe: each value from its flag, else `training:`, else `TrainConfig`."""
+    section = cfg.get("training") or {}
+    values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _TRAINING_KEYS}
+    return TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
+
+
+def _read_inputs(config: SimConfig, cfg: dict, args) -> SimConfig:
+    """`config` with the workload and prices its flags or config file name, each read once."""
+    workload_file = _setting(args, cfg, "workload_file")
+    trace_dir = _setting(args, cfg, "trace_dir")
+    if workload_file is not None and trace_dir is not None:
+        raise ConfigError(
+            f"a workload file ({workload_file}) and a trace directory ({trace_dir}) "
+            "are both given; give one workload source"
+        )
+    if workload_file is not None:
+        config = dc_replace(config, requests=parse_file(workload_file, workload_from_json).requests)
+    elif trace_dir is not None:
+        config = dc_replace(config, requests=ingest_trace_dir(trace_dir, config.horizon).requests)
+    price_file = _setting(args, cfg, "price_file")
+    if price_file is not None:
+        config = dc_replace(config, prices=parse_file(price_file, load_price_series))
+    return config
+
+
+def _load_checkpoint(policy: str, path: str | None, flag: str, out: Path):
+    """The checkpoint a learned `policy` scores with, kind-checked; None for a heuristic."""
+    if policy not in MODEL_POLICIES:
+        return None
+    if path is None:
+        raise ConfigError(
+            f"policy {policy!r} needs {flag}; "
+            f"`cloudsched train --policy {policy} --seed 0 --out {out}` "
+            f"writes {out / f'model_{policy}.json'}"
+        )
+    model = load_model(path)
+    expected = POLICY_MODELS[policy].kind
+    if model.kind != expected:
+        raise ConfigError(
+            f"{path} holds a {model.kind!r} checkpoint, policy {policy!r} needs a "
+            f"{expected!r} one; pass it with {flag}"
+        )
+    return model
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -148,8 +193,9 @@ def _out_dir(cfg: dict, args) -> Path:
 def cmd_gen_workload(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     scenario = _build_sim_config(cfg, args)
-    if scenario.trace_dir:
-        workload = ingest_trace_dir(scenario.trace_dir, scenario.horizon)
+    trace_dir = _setting(args, cfg, "trace_dir")
+    if trace_dir is not None:
+        workload = ingest_trace_dir(trace_dir, scenario.horizon)
     else:
         count = args.count if args.count is not None else scenario.vm_count
         workload = generate_synthetic(count, scenario.horizon, scenario.seed)
@@ -165,25 +211,12 @@ def cmd_train(cfg: dict, args) -> int:
     policy = args.policy if args.policy is not None else cfg.get("policy")
     if policy not in MODEL_POLICIES:
         raise ConfigError(f"--policy must be one of {MODEL_POLICIES}, got {policy!r}")
-    tcfg = cfg.get("training") or {}
-    defaults = TrainConfig()
-
-    def setting(flag, key, default):
-        return flag if flag is not None else tcfg.get(key, default)
-
     # The scenario (workload and prices) uses the seed itself; teacher
     # collection, model init and SGD each get their own offset from it, so
     # `--seed 0` is the recipe of the committed checkpoints.
-    scenario = _build_sim_config(cfg, args)
+    scenario = _read_inputs(_build_sim_config(cfg, args), cfg, args)
     seed = scenario.seed
-    config = TrainConfig(
-        epochs=setting(args.epochs, "epochs", defaults.epochs),
-        learning_rate=setting(args.lr, "learning_rate", defaults.learning_rate),
-        batch_clusters=setting(args.batch_clusters, "batch_clusters", defaults.batch_clusters),
-        seed=2 + seed,
-        episodes=setting(args.episodes, "episodes", defaults.episodes),
-        clusters=setting(args.clusters, "clusters", defaults.clusters),
-    )
+    config = _build_train_config(cfg, args, seed=2 + seed)
     samples = collect_training_data(scenario, episodes=config.episodes, seed=100 + seed)
     log.info("collected %d training samples from %d episodes", len(samples), config.episodes)
 
@@ -204,6 +237,9 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_simulate(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     config = _build_sim_config(cfg, args)
+    model_path = _setting(args, cfg, "model_path", flag="model")
+    model = _load_checkpoint(config.policy, model_path, "--model", out)
+    config = _read_inputs(dc_replace(config, model=model), cfg, args)
     result = run(config)
     report = compute_qos(result)
 
@@ -232,28 +268,14 @@ def cmd_compare(cfg: dict, args) -> int:
         if policy not in POLICY_KINDS:
             raise ConfigError(f"unknown policy {policy!r}")
 
-    models = {}
+    models = {}  # each checkpoint read once, for every seed
     for policy in MODEL_POLICIES:
-        if policy not in policies:
-            continue
-        path = getattr(args, f"model_{policy}") or cfg.get("model_path")
-        if path is None:
-            raise ConfigError(
-                f"policy {policy!r} needs --model-{policy}; "
-                f"`cloudsched train --policy {policy} --seed 0 --out {out}` "
-                f"writes {out / f'model_{policy}.json'}"
-            )
-        model = load_model(path)  # once, for every seed
-        expected = POLICY_MODELS[policy].kind
-        if model.kind != expected:
-            raise ConfigError(
-                f"{path} holds a {model.kind!r} checkpoint, policy {policy!r} needs a "
-                f"{expected!r} one; pass it with --model-{policy}"
-            )
-        models[policy] = model
+        if policy in policies:
+            path = _setting(args, cfg, "model_path", flag=f"model_{policy}")
+            models[policy] = _load_checkpoint(policy, path, f"--model-{policy}", out)
 
     # Score logging is off: compare writes no decision log.
-    base = dc_replace(_build_sim_config(cfg, args), model_path=None, log_scores=False)
+    base = _read_inputs(dc_replace(_build_sim_config(cfg, args), log_scores=False), cfg, args)
     configs = [dc_replace(base, policy=policy, model=models.get(policy)) for policy in policies]
     table = compare(configs, seeds=args.seeds)
     atomic_write_text(out / "comparison.csv", comparison_to_csv(table))

@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError
 from .gnn.graph import build_state_graph, pm_prices
 from .gnn.models import GatedModel, GcnModel, score_placements
 from .gnn.training import TrainSample
-from .workload import WorkloadRequest
+from .workload import WorkloadRequest, generate_synthetic
 
 POLICY_KINDS = ("first_fit", "best_fit_energy", "random", "counter", "hunter")
 MODEL_POLICIES = ("counter", "hunter")
@@ -240,8 +240,9 @@ def collect_training_data(scenario, episodes: int = 1, seed: int = 0) -> list[Tr
     """Gather (graph, pair, realized-energy) samples from teacher episodes.
 
     The teacher is the best_fit_energy heuristic.  Each episode re-runs
-    the scenario with a reseeded workload; one sample is recorded per
-    successful placement.  Pure function of (scenario, episodes, seed).
+    the scenario; a scenario without `requests` gets a synthetic workload
+    drawn at `seed + episode`.  One sample is recorded per successful
+    placement.  Pure function of (scenario, episodes, seed).
     """
     from . import sim  # placed here: sim drives the scheduler, not vice versa
 
@@ -250,12 +251,9 @@ def collect_training_data(scenario, episodes: int = 1, seed: int = 0) -> list[Tr
 
     samples: list[TrainSample] = []
     for episode in range(episodes):
-        cfg = dc_replace(
-            scenario,
-            policy="best_fit_energy",
-            model=None,
-            model_path=None,
-            workload_seed=seed + episode,
-        )
+        cfg = dc_replace(scenario, policy="best_fit_energy", model=None)
+        if cfg.requests is None:
+            workload = generate_synthetic(cfg.vm_count, cfg.horizon, seed + episode)
+            cfg = dc_replace(cfg, requests=workload.requests)
         sim.run(cfg, sample_recorder=samples.append)
     return samples

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field, fields, replace as dc_replace
-from functools import lru_cache, partial
-from pathlib import Path
+from functools import lru_cache
 
 from .datacenter import (
     DEFAULT_PM_TEMPLATE,
@@ -32,33 +31,26 @@ from .energy import (
     PriceSeries,
     ZERO_ENERGY,
     generate_price_series,
-    load_price_series,
     step_energy,
 )
 from .errors import ConfigError, CoverageError
-from .gnn.models import GatedModel, GcnModel, load_model
+from .gnn.models import GatedModel, GcnModel
 from .scheduler import (
     CONSOLIDATION_THRESHOLD,
-    MODEL_POLICIES,
     Policy,
     SampleRecorder,
     consolidate,
     schedule,
 )
-from .util import parse_file
-from .workload import (
-    WorkloadRequest,
-    WorkloadSet,
-    derive_request,
-    generate_synthetic,
-    parse_trace_file,
-    workload_from_json,
-)
+from .workload import WorkloadRequest, generate_synthetic
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One scenario; defaults are the 8-PM / 60-VM / 120-hour setup."""
+    """One scenario; defaults are the 8-PM / 60-VM / 120-hour setup.
+
+    Every input is a value: unset `requests` and `prices` are drawn from `seed`.
+    """
 
     pm_count: int = 8
     pm_template: PhysicalMachine = DEFAULT_PM_TEMPLATE
@@ -67,13 +59,8 @@ class SimConfig:
     power: PowerModel = DEFAULT_POWER_MODEL
     policy: str = "first_fit"
     model: GcnModel | GatedModel | None = None
-    model_path: str | None = None
     requests: tuple[WorkloadRequest, ...] | None = None
-    workload_file: str | None = None
-    trace_dir: str | None = None
-    workload_seed: int | None = None  # None: fall back to seed
     prices: PriceSeries | None = None
-    price_file: str | None = None
     seed: int = 0
     consolidation_threshold: float = CONSOLIDATION_THRESHOLD
     log_scores: bool = False
@@ -114,13 +101,8 @@ class QoSReport:
 def _load_workload(config: SimConfig) -> tuple[WorkloadRequest, ...]:
     if config.requests is not None:
         requests = tuple(config.requests)
-    elif config.workload_file is not None:
-        requests = parse_file(config.workload_file, workload_from_json).requests
-    elif config.trace_dir is not None:
-        requests = ingest_trace_dir(config.trace_dir, config.horizon).requests
     else:
-        seed = config.workload_seed if config.workload_seed is not None else config.seed
-        requests = generate_synthetic(config.vm_count, config.horizon, seed).requests
+        requests = generate_synthetic(config.vm_count, config.horizon, config.seed).requests
 
     ids = [r.id for r in requests]
     if len(set(ids)) != len(ids):
@@ -133,27 +115,9 @@ def _load_workload(config: SimConfig) -> tuple[WorkloadRequest, ...]:
     return requests
 
 
-def ingest_trace_dir(trace_dir: str, horizon: int) -> WorkloadSet:
-    """Derive one request per trace file; arrivals follow relative trace starts."""
-    paths = sorted(p for p in Path(trace_dir).iterdir() if p.is_file())
-    if not paths:
-        raise ConfigError(f"no trace files in {trace_dir!r}")
-    traces = [parse_file(p, partial(parse_trace_file, name=p.stem)) for p in paths]
-    start = min(t.samples[0].timestamp_ms for t in traces if t.samples)
-    requests = []
-    for trace in traces:
-        offset_h = int((trace.samples[0].timestamp_ms - start) // 3_600_000)
-        arrival = min(offset_h, horizon - 1)
-        requests.append(derive_request(trace, arrival=arrival))
-    requests.sort(key=lambda r: (r.arrival, r.id))
-    return WorkloadSet(requests=tuple(requests), source="trace", seed=None)
-
-
 def _load_prices(config: SimConfig, locations: tuple[str, ...]) -> PriceSeries:
     if config.prices is not None:
         series = config.prices
-    elif config.price_file is not None:
-        series = parse_file(config.price_file, load_price_series)
     else:
         series = generate_price_series(locations, config.horizon, config.seed)
 
@@ -166,14 +130,9 @@ def _load_prices(config: SimConfig, locations: tuple[str, ...]) -> PriceSeries:
 
 
 def _load_policy(config: SimConfig) -> Policy:
-    model = config.model
-    if config.policy in MODEL_POLICIES and model is None:
-        if config.model_path is None:
-            raise ConfigError(f"policy {config.policy!r} needs a model or model_path")
-        model = load_model(config.model_path)
     return Policy(
         kind=config.policy,
-        model=model,
+        model=config.model,
         rng_seed=config.seed,
         power=config.power,
         record_scores=config.log_scores,
@@ -305,9 +264,7 @@ def compare(configs: list[SimConfig], seeds: int = 1) -> ComparisonTable:
         raise ConfigError("compare needs at least one config")
     if seeds < 1:
         raise ConfigError(f"seeds must be at least 1, got {seeds}")
-    stripped = [
-        dc_replace(c, policy="first_fit", model=None, model_path=None) for c in configs
-    ]
+    stripped = [dc_replace(c, policy="first_fit", model=None) for c in configs]
     for i, other in enumerate(stripped[1:], start=1):
         if other != stripped[0]:
             raise ConfigError(

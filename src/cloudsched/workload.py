@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, TraceFormatError
-from .util import decode_utf8, parse_json
+from .errors import ConfigError, DomainError, TraceFormatError
+from .util import decode_utf8, parse_file, parse_json
 
 # Generator bounds for the default scenario; trace-derived requests are
 # clamped into the same envelope.
@@ -179,6 +181,24 @@ def derive_request(trace: VmTrace, arrival: int, request_id: str | None = None) 
         duration=duration,
         arrival=arrival,
     )
+
+
+def ingest_trace_dir(trace_dir: str, horizon: int) -> WorkloadSet:
+    """Derive one request per trace file; arrivals follow relative trace starts."""
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+    paths = sorted(p for p in Path(trace_dir).iterdir() if p.is_file())
+    if not paths:
+        raise ConfigError(f"no trace files in {trace_dir!r}")
+    traces = [parse_file(p, partial(parse_trace_file, name=p.stem)) for p in paths]
+    start = min(t.samples[0].timestamp_ms for t in traces if t.samples)
+    requests = []
+    for trace in traces:
+        offset_h = int((trace.samples[0].timestamp_ms - start) // MS_PER_HOUR)
+        arrival = min(offset_h, horizon - 1)
+        requests.append(derive_request(trace, arrival=arrival))
+    requests.sort(key=lambda r: (r.arrival, r.id))
+    return WorkloadSet(requests=tuple(requests), source="trace", seed=None)
 
 
 def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:

@@ -197,9 +197,29 @@ class TestSimulate:
         assert "bad.bin" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "qos.json").exists()
 
-    def test_counter_without_model_is_config_error(self, tiny_files, tmp_path):
-        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--policy", "counter"])
+    def test_counter_without_model_is_config_error(self, tiny_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(tiny_simulate_args(tiny_files, out, extra=["--policy", "counter"])) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"error: policy 'counter' needs --model; `cloudsched train --policy counter "
+            f"--seed 0 --out {out}` writes {out / 'model_counter.json'}"
+        ]
+
+    def test_checkpoint_of_the_wrong_kind_is_one_error_line(self, tmp_path, capsys, data_dir):
+        checkpoint = data_dir / "hunter.json"
+        out = tmp_path / "out"
+        args = [
+            "simulate", "--policy", "counter", "--model", str(checkpoint),
+            "--pm-count", "2", "--horizon", "3", "--vm-count", "3", "--out", str(out),
+        ]
         assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            f"error: {checkpoint} holds a 'gated' checkpoint, policy 'counter' needs a "
+            "'gcn' one; pass it with --model"
+        ]
+        assert not any(out.iterdir())
 
     def test_missing_workload_file_is_io_error(self, tmp_path):
         assert main([
@@ -221,6 +241,14 @@ class TestSimulate:
         ]) == 0
         doc = json.loads((out / "result.json").read_text())
         assert doc["placed"] == 1 and doc["deferred"] == 0
+
+    def test_trace_dir_with_zero_horizon_names_the_horizon(self, tmp_path, capsys, data_dir):
+        tracedir = tmp_path / "traces"
+        tracedir.mkdir()
+        (tracedir / "vm1.csv").write_bytes((data_dir / "bitbrains_sample.csv").read_bytes())
+        args = ["simulate", "--trace-dir", str(tracedir), "--horizon", "0"]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["error: horizon must be >= 1"]
 
     def test_all_zero_core_trace_is_config_error(self, tmp_path, capsys):
         tracedir = tmp_path / "traces"
@@ -412,7 +440,27 @@ class TestCompare:
         ]) == 0
         assert [c.policy for c in seen] == ["counter", "first_fit"]
         assert not any(c.log_scores for c in seen)
-        assert seen[0].model is not None and seen[0].model_path is None
+        assert seen[0].model is not None
+
+    def test_each_input_file_is_read_once(self, tiny_files, tmp_path, monkeypatch):
+        import cloudsched.util
+
+        reads = []
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(Path(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cloudsched.util, "open", counting_open, raising=False)
+        assert main([
+            "compare", "--policies", "first_fit,best_fit_energy", "--seeds", "3",
+            "--pm-count", "2", "--horizon", "3",
+            "--workload-file", str(tiny_files["workload"]),
+            "--price-file", str(tiny_files["prices"]),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert reads.count(tiny_files["workload"]) == 1
+        assert reads.count(tiny_files["prices"]) == 1
 
 
 @pytest.mark.parametrize(
@@ -429,6 +477,36 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["error: --seed must be a non-negative integer, got -1"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,yaml_text",
+    [
+        (["simulate", "--workload-file", "{w}", "--trace-dir", "{t}"], ""),
+        (["simulate", "--trace-dir", "{t}"], "workload_file: {w}\n"),
+        (["simulate", "--workload-file", "{w}"], "trace_dir: {t}\n"),
+        (["simulate"], "workload_file: {w}\ntrace_dir: {t}\n"),
+        (["compare", "--policies", "first_fit", "--workload-file", "{w}"], "trace_dir: {t}\n"),
+        (["train", "--policy", "counter"], "workload_file: {w}\ntrace_dir: {t}\n"),
+    ],
+    ids=["simulate-flags", "simulate-trace-flag", "simulate-file-flag", "simulate-keys",
+         "compare", "train"],
+)
+def test_two_workload_sources_is_one_error_line(tiny_files, tmp_path, capsys, argv, yaml_text):
+    tracedir = tmp_path / "traces"
+    tracedir.mkdir()
+    paths = {"w": tiny_files["workload"], "t": tracedir}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml_text.format(**paths))
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        f"error: a workload file ({paths['w']}) and a trace directory ({tracedir}) "
+        "are both given; give one workload source"
+    ]
+    assert not any(out.iterdir())
 
 
 class TestConfigFile:

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.cli import _build_sim_config, build_parser, load_config_file
+from cloudsched.cli import _build_sim_config, _build_train_config, build_parser, load_config_file
 from cloudsched.energy import load_price_series
 from cloudsched.errors import SimulatorError, TraceFormatError
 from cloudsched.gnn.models import model_from_json
@@ -116,9 +116,16 @@ CONFIG_DOCS = st.fixed_dictionaries(
         },
         "pm": config_sections(("cores", "ram", "max_frequency")),
         "power": config_sections(("idle_power", "peak_power", "migration_penalty")),
-        "training": config_sections(("episodes", "epochs", "learning_rate", "clusters")),
+        "training": config_sections(
+            ("episodes", "epochs", "learning_rate", "batch_clusters", "clusters")
+        ),
     },
 )
+PATH_KEYS = ("model_path", "workload_file", "trace_dir", "price_file")
+
+# Each subcommand's flags, all unset, parsed once for every example.
+SIMULATE_ARGS = build_parser().parse_args(["simulate"])
+TRAIN_ARGS = build_parser().parse_args(["train"])
 
 
 @pytest.fixture(scope="module")
@@ -129,22 +136,22 @@ def config_path(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(doc=CONFIG_DOCS)
 def test_config_like_input(config_path, doc):
-    """An accepted config builds a scenario whose values have the types the simulator reads."""
+    """An accepted config builds a scenario and a training recipe of the types their users read."""
     config_path.write_text(yaml.safe_dump(doc))
     try:
         cfg = load_config_file(str(config_path))
-        config = _build_sim_config(cfg, build_parser().parse_args(["simulate"]))
+        config = _build_sim_config(cfg, SIMULATE_ARGS)
+        recipe = _build_train_config(cfg, TRAIN_ARGS, seed=config.seed)
     except SimulatorError:
         return
     ints = (config.pm_count, config.vm_count, config.horizon, config.seed)
     assert all(type(v) is int for v in ints) and config.seed >= 0
-    paths = (config.model_path, config.workload_file, config.trace_dir, config.price_file)
-    assert all(v is None or type(v) is str for v in paths)
+    assert all(cfg.get(k) is None or type(cfg[k]) is str for k in PATH_KEYS)
     assert type(config.policy) is str and type(config.log_scores) is bool
     assert is_finite_number(config.consolidation_threshold)
-    training = cfg.get("training") or {}
-    assert all(type(training[k]) is int for k in ("episodes", "epochs", "clusters") if k in training)
-    assert is_finite_number(training.get("learning_rate", 0.0))
+    counts = (recipe.epochs, recipe.batch_clusters, recipe.seed, recipe.episodes, recipe.clusters)
+    assert all(type(v) is int for v in counts)
+    assert is_finite_number(recipe.learning_rate)
 
 
 @pytest.mark.parametrize(
