@@ -9,6 +9,7 @@ The state holds each PM's resources as the columns of a
 `ResourceSnapshot`.  `place`, `migrate` and `remove_finished` check a
 request against its PM's row, then update that row in a copy of the
 columns, so no operation rescans the VMs; `snapshot` is a column copy.
+`admit` and `place` take a whole hour's batch and copy once for it.
 
 `vms` holds the live VMs only: a VM is pending until `place` sets its
 `placed_on` and `start_hour`, and it runs until `remove_finished` drops
@@ -19,6 +20,7 @@ it.  The operations build each new state and VM with its constructor, not
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -176,12 +178,19 @@ def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
     return DatacenterState(state.pms, state.vms, state.resources, state.rows, hour)
 
 
-def admit(state: DatacenterState, request: WorkloadRequest) -> DatacenterState:
-    """Register a pending VM for a request; placement happens separately."""
-    if request.id in state.vms:
-        raise DomainError(f"VM id {request.id!r} already admitted")
+def admit(state: DatacenterState, requests: Sequence[WorkloadRequest]) -> DatacenterState:
+    """Register a pending VM for each request, in order; placement happens separately.
+
+    One hour's arrivals are one batch: `vms` is copied once for all of
+    them.  The first duplicate id raises, leaving the input state as it was.
+    """
+    if not requests:
+        return state
     vms = dict(state.vms)
-    vms[request.id] = VirtualMachine(request.id, request)
+    for request in requests:
+        if request.id in vms:
+            raise DomainError(f"VM id {request.id!r} already admitted")
+        vms[request.id] = VirtualMachine(request.id, request)
     return DatacenterState(state.pms, vms, state.resources, state.rows, state.clock)
 
 
@@ -206,20 +215,28 @@ def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
         )
 
 
-def place(state: DatacenterState, vm_id: str, pm_id: str) -> DatacenterState:
-    """Start a pending VM on a PM, booting the PM if needed."""
-    vm = state.vms.get(vm_id)
-    if vm is None:
-        raise NotFoundError(f"unknown VM {vm_id!r}")
-    row = state.row(pm_id)
-    if vm.placed_on is not None:
-        raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
-    _check_fit(state.resources, row, vm.request)
+def place(state: DatacenterState, assignments: Sequence[tuple[str, str]]) -> DatacenterState:
+    """Start each pending VM on its PM, in order, booting PMs as needed.
 
+    `assignments` holds `(vm id, pm id)` pairs, one hour's placements in
+    one batch: `vms` and the resource columns are copied once for all of
+    them, and each VM is checked against the columns as the earlier ones
+    left them.  The first bad pair raises, leaving the input state as it was.
+    """
+    if not assignments:
+        return state
     vms = dict(state.vms)
-    vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
     resources = state.resources.copy()
-    resources.place(row, vm.request)
+    for vm_id, pm_id in assignments:
+        vm = vms.get(vm_id)
+        if vm is None:
+            raise NotFoundError(f"unknown VM {vm_id!r}")
+        row = state.row(pm_id)
+        if vm.placed_on is not None:
+            raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
+        _check_fit(resources, row, vm.request)
+        vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
+        resources.place(row, vm.request)
     return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
 
 

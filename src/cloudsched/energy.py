@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .datacenter import ResourceSnapshot
-from .errors import DomainError, TraceFormatError
+from .errors import DomainError, NotFoundError, TraceFormatError
 from .util import decode_utf8, is_finite_number
 
 WATTS_PER_KW = 1000.0
@@ -94,16 +94,17 @@ def step_energy(
     model: PowerModel = DEFAULT_POWER_MODEL,
     migrations: Sequence[str] = (),
     dt: float = 1.0,
-) -> tuple[tuple[list[float], list[float], list[float]], EnergyBreakdown]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], EnergyBreakdown]:
     """Energy drawn over one interval: the per-PM parts and their aggregate.
 
     Returns the (processor, cooling, extra) kWh of every PM as three
-    lists in snapshot order, and the aggregate breakdown.  `migrations`
+    arrays in snapshot order, and the aggregate breakdown.  `migrations`
     lists the destination PM id of each migration; each 0.01 kWh
     (default) penalty lands on the destination's extra component so it
-    can be billed at that PM's location.  The per-PM parts are computed
+    can be billed at that PM's location, and a destination that is not in
+    the snapshot raises `NotFoundError`.  The per-PM parts are computed
     elementwise over the snapshot's columns; the aggregates add them up
-    one PM at a time, in PM order (`_fold`, not the builtin `sum`).
+    one PM at a time, in PM order (`left_fold`, not the builtin `sum`).
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
@@ -111,14 +112,18 @@ def step_energy(
     watts = pm_power(snapshot.utilisation, snapshot.powered_on, model)
     processor = watts * dt / WATTS_PER_KW
     cooling = model.cooling_coefficient * processor
-    arrivals = Counter(migrations)
     extra = model.extra_coefficient * processor
-    extra += model.migration_penalty * np.array([arrivals[pm] for pm in snapshot.pm_ids])
-    columns = (processor.tolist(), cooling.tolist(), extra.tolist())
-    return columns, EnergyBreakdown.make(*map(_fold, columns))
+    for pm_id, count in Counter(migrations).items():
+        try:
+            row = snapshot.pm_ids.index(pm_id)
+        except ValueError:
+            raise NotFoundError(f"migration to unknown PM {pm_id!r}") from None
+        extra[row] += model.migration_penalty * count
+    columns = (processor, cooling, extra)
+    return columns, EnergyBreakdown.make(*(left_fold(column.tolist()) for column in columns))
 
 
-def _fold(column: list[float]) -> float:
+def left_fold(column: list[float]) -> float:
     """Left-to-right float sum.
 
     The builtin `sum` of floats is this fold on Python 3.11 and earlier,

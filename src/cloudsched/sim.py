@@ -3,7 +3,9 @@
 Each hour: retire finished VMs, deliver arrivals, snapshot resources,
 schedule, execute placements and consolidation migrations, then bill the
 energy drawn over the hour at each PM location's current price from a
-second snapshot.
+second snapshot.  An hour's arrivals are admitted, and its placements
+made, as one batch each, and the hour is billed elementwise over the PMs
+into the result's `PmBilling` columns.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import json
 import statistics
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import lru_cache
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .datacenter import (
     DEFAULT_PM_TEMPLATE,
@@ -31,6 +37,7 @@ from .energy import (
     PriceSeries,
     ZERO_ENERGY,
     generate_price_series,
+    left_fold,
     step_energy,
 )
 from .errors import ConfigError, CoverageError
@@ -66,6 +73,24 @@ class SimConfig:
     log_scores: bool = False
 
 
+class PmBilling(NamedTuple):
+    """Per-PM billing columns: row h holds hour h, column i PM i.
+
+    The fields are in `energy_report.csv`'s column order.
+    """
+
+    processor: np.ndarray  # kWh
+    cooling: np.ndarray
+    extra: np.ndarray
+    total: np.ndarray
+    price: np.ndarray  # per kWh at the PM's location
+    cost: np.ndarray
+
+
+def _no_billing() -> PmBilling:
+    return PmBilling(*[np.zeros((0, 0))] * len(PmBilling._fields))
+
+
 @dataclass
 class SimResult:
     pm_ids: tuple[str, ...]
@@ -76,15 +101,50 @@ class SimResult:
     powered_on: list[list[bool]] = field(default_factory=list)
     hourly: list[EnergyBreakdown] = field(default_factory=list)
     prices_by_hour: list[dict[str, float]] = field(default_factory=list)
-    pm_energy_rows: list[tuple[int, str, str, EnergyBreakdown, float]] = field(
-        default_factory=list
-    )  # (hour, pm, location, breakdown incl cost, price)
+    pm_billing: PmBilling = field(default_factory=_no_billing)
     events: list[dict] = field(default_factory=list)
     deferred_hours: dict[str, int] = field(default_factory=dict)
     totals: EnergyBreakdown = ZERO_ENERGY
     placed: int = 0
     deferred: int = 0
     migration_count: int = 0
+
+    def billing_rows(self) -> Iterator[tuple]:
+        """`(hour, pm, location, *PmBilling fields)` per PM and hour, hour-major.
+
+        Built lazily, one hour of Python floats at a time.
+        """
+        return chain.from_iterable(
+            zip(
+                repeat(hour),
+                self.pm_ids,
+                self.pm_locations,
+                *(column[hour].tolist() for column in self.pm_billing),
+            )
+            for hour in range(len(self.pm_billing.processor))
+        )
+
+    @property
+    def pm_energy_rows(self) -> "PmEnergyRows":
+        """`(hour, pm, location, breakdown incl. cost, price)` per PM and hour."""
+        return PmEnergyRows(self)
+
+
+class PmEnergyRows:
+    """A result's billing columns read as rows, each built when it is reached.
+
+    It holds no row, so reading it never keeps a second copy of the billing.
+    """
+
+    def __init__(self, result: SimResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return self._result.pm_billing.processor.size
+
+    def __iter__(self) -> Iterator[tuple[int, str, str, EnergyBreakdown, float]]:
+        for hour, pm, location, p, c, e, total, price, cost in self._result.billing_rows():
+            yield hour, pm, location, EnergyBreakdown(p, c, e, total, cost), price
 
 
 @dataclass(frozen=True)
@@ -160,19 +220,19 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         horizon=config.horizon,
         policy=config.policy,
     )
+    price_matrix = np.array([series[loc][: config.horizon] for loc in locations]).T  # [hour][pm]
+    pm_hours = []  # per hour: (processor, cooling, extra, total, cost) over the PMs
 
     for hour in range(config.horizon):
         state = remove_finished(with_clock(state, hour))
-        for request in arrivals.get(hour, []):
-            state = admit(state, request)
+        state = admit(state, arrivals.get(hour, ()))
         pending = [vm.request for vm in state.vms.values() if vm.placed_on is None]
 
         snap = snapshot(state)
         price_now = {loc: series[loc][hour] for loc in priced}
         decision = schedule(policy, snap, pending, price_now, recorder=sample_recorder)
 
-        for vm_id, pm_id in decision.assignments:
-            state = place(state, vm_id, pm_id)
+        state = place(state, decision.assignments)
         result.placed += len(decision.assignments)
         migrations = consolidate(
             policy, state, price_now, threshold=config.consolidation_threshold
@@ -189,17 +249,11 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         (processor, cooling, extra), aggregate = step_energy(
             snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
-        hour_cost = 0.0
-        append_row = result.pm_energy_rows.append
-        rows = zip(snap_after.pm_ids, locations, processor, cooling, extra)
-        for pm_id, location, p, c, e in rows:
-            price = price_now[location]
-            total = p + c + e
-            cost = total * price
-            hour_cost += cost
-            append_row((hour, pm_id, location, EnergyBreakdown(p, c, e, total, cost), price))
+        total = processor + cooling + extra
+        cost = total * price_matrix[hour]
+        pm_hours.append((processor, cooling, extra, total, cost))
         hourly = EnergyBreakdown.make(
-            aggregate.processor, aggregate.cooling, aggregate.extra, hour_cost
+            aggregate.processor, aggregate.cooling, aggregate.extra, left_fold(cost.tolist())
         )
         result.hourly.append(hourly)
         result.totals = result.totals.plus(hourly)
@@ -219,6 +273,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
             event["scores"] = decision.scores
         result.events.append(event)
 
+    processor, cooling, extra, total, cost = map(np.array, zip(*pm_hours))
+    result.pm_billing = PmBilling(processor, cooling, extra, total, price_matrix, cost)
     return result
 
 
@@ -406,10 +462,7 @@ def energy_report_csv(result: SimResult) -> str:
     """Per-PM hourly series: fixed 6-decimal formatting for golden files."""
     row = "%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f"
     lines = ["hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost"]
-    lines += [
-        row % (hour, pm, location, b.processor, b.cooling, b.extra, b.total, price, b.cost)
-        for hour, pm, location, b, price in result.pm_energy_rows
-    ]
+    lines += [row % cells for cells in result.billing_rows()]
     return "\n".join(lines) + "\n"
 
 

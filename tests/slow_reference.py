@@ -1,18 +1,27 @@
 """Straightforward reference versions of the simulator's fast paths.
 
-Each function here is the plain loop that a vectorised or cached path in
-`cloudsched` replaces.  The equivalence tests compare the two bit for bit.
+Each function here is the plain loop that a vectorised, cached or
+columnar path in `cloudsched` replaces.  The equivalence tests compare
+the two bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
 from cloudsched.datacenter import snapshot
-from cloudsched.energy import PriceSeries
+from cloudsched.energy import (
+    DEFAULT_POWER_MODEL,
+    WATTS_PER_KW,
+    ZERO_ENERGY,
+    EnergyBreakdown,
+    PowerModel,
+    PriceSeries,
+)
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
     FREQ_BASE_MHZ,
@@ -93,15 +102,52 @@ def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:
     return PriceSeries(prices=prices, horizon=horizon)
 
 
-def energy_report_csv_by_fstring(result) -> str:
-    """`energy_report_csv` with one f-string per row."""
+def energy_report_csv_by_fstring(rows) -> str:
+    """`energy_report_csv` with one f-string per `pm_energy_rows` row."""
     lines = ["hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost"]
-    for hour, pm, location, b, price in result.pm_energy_rows:
+    for hour, pm, location, b, price in rows:
         lines.append(
             f"{hour},{pm},{location},{b.processor:.6f},{b.cooling:.6f},"
             f"{b.extra:.6f},{b.total:.6f},{price:.6f},{b.cost:.6f}"
         )
     return "\n".join(lines) + "\n"
+
+
+def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_MODEL):
+    """A run's billing rebuilt one PM-hour at a time: `(hourly, totals, pm_energy_rows)`.
+
+    Reads each hour's utilisation, power states and migration destinations
+    from the result, computes each PM's energy from scalars, folds the
+    hour's aggregates left to right over the PMs, and bills every row at
+    its location's price with its own `EnergyBreakdown`.
+    """
+    hourly = []
+    totals = ZERO_ENERGY
+    rows = []
+    for hour in range(result.horizon):
+        arrivals = Counter(dst for _vm, dst in result.events[hour]["migrations"])
+        price_now = {loc: prices.prices[loc][hour] for loc in sorted(set(result.pm_locations))}
+        processor_sum = cooling_sum = extra_sum = hour_cost = 0.0
+        pms = zip(
+            result.pm_ids, result.pm_locations, result.utilisation[hour], result.powered_on[hour]
+        )
+        for pm_id, location, util, on in pms:
+            watts = power.idle_power + (power.peak_power - power.idle_power) * util if on else 0.0
+            p = watts * 1.0 / WATTS_PER_KW
+            c = power.cooling_coefficient * p
+            e = power.extra_coefficient * p + power.migration_penalty * arrivals[pm_id]
+            processor_sum += p
+            cooling_sum += c
+            extra_sum += e
+            price = price_now[location]
+            total = p + c + e
+            cost = total * price
+            hour_cost += cost
+            rows.append((hour, pm_id, location, EnergyBreakdown(p, c, e, total, cost), price))
+        hour_energy = EnergyBreakdown.make(processor_sum, cooling_sum, extra_sum, hour_cost)
+        hourly.append(hour_energy)
+        totals = totals.plus(hour_energy)
+    return hourly, totals, rows
 
 
 def snapshot_by_pm_scan(state):

@@ -253,8 +253,8 @@ def test_ac7_capacity_safety_1000_sequences():
                             duration=int(rng.integers(1, 8)),
                             arrival=state.clock,
                         )
-                        state = admit(state, r)
-                        state = place(state, r.id, f"pm-{int(rng.integers(pm_count))}")
+                        state = admit(state, [r])
+                        state = place(state, [(r.id, f"pm-{int(rng.integers(pm_count))}")])
                     elif kind == 1:
                         running = sorted(
                             v.id for v in state.vms.values() if v.placed_on is not None
@@ -285,9 +285,9 @@ def test_ac7_capacity_safety_1000_sequences():
             kind = ("first_fit", "best_fit_energy", "random")[int(rng.integers(3))]
             decision = schedule(Policy(kind, rng_seed=seed), snapshot(state), pending)
             for r in pending:
-                state = admit(state, r)
+                state = admit(state, [r])
             for vm_id, pm_id in decision.assignments:
-                state = place(state, vm_id, pm_id)  # must never raise
+                state = place(state, [(vm_id, pm_id)])  # must never raise
                 validate(state)
         sequences += 1
     assert sequences == 1000

@@ -15,7 +15,7 @@ from cloudsched.energy import (
     pm_power,
     step_energy,
 )
-from cloudsched.errors import DomainError, TraceFormatError
+from cloudsched.errors import DomainError, NotFoundError, TraceFormatError
 from cloudsched.workload import WorkloadRequest
 
 from helpers import price_series_to_csv
@@ -81,11 +81,11 @@ class TestStepEnergy:
         # 32-core PM hosting nothing cannot be powered on, so use the
         # smallest VM and the exact linear formula to pin the idle block.
         state = new_datacenter(1)
-        state = admit(
-            state,
-            WorkloadRequest(id="w", cpu_frequency=2000, cores=1, ram=1, duration=4, arrival=0),
+        request = WorkloadRequest(
+            id="w", cpu_frequency=2000, cores=1, ram=1, duration=4, arrival=0
         )
-        state = place(state, "w", "pm-0")
+        state = admit(state, [request])
+        state = place(state, [("w", "pm-0")])
         columns, agg = step_energy(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
         watts = 100.0 + 100.0 * (1 / 32)
         assert agg.processor == approx(watts / 1000)
@@ -118,8 +118,12 @@ class TestStepEnergy:
         (processor, _, extra), agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-1"])
         assert extra[1] == approx(0.01)
         assert extra[0] == 0.0
-        assert processor == [0.0, 0.0]
+        assert processor.tolist() == [0.0, 0.0]
         assert agg.extra == approx(0.01)
+
+    def test_penalty_to_an_unknown_pm_raises(self):
+        with pytest.raises(NotFoundError, match="pm-9"):
+            step_energy(snapshot(new_datacenter(2)), migrations=["pm-1", "pm-9"])
 
     def test_dt_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -215,8 +219,8 @@ def make_snapshot(core_counts):
             r = WorkloadRequest(
                 id=f"w{i}", cpu_frequency=2000, cores=cores, ram=1, duration=4, arrival=0
             )
-            state = admit(state, r)
-            state = place(state, f"w{i}", f"pm-{i}")
+            state = admit(state, [r])
+            state = place(state, [(f"w{i}", f"pm-{i}")])
     return snapshot(state)
 
 

@@ -169,8 +169,8 @@ class TestScorePlacements:
         state = new_datacenter(2)
         from cloudsched.datacenter import admit, place
 
-        state = admit(state, request(id="w0", cores=8))
-        state = place(state, "w0", "pm-0")
+        state = admit(state, [request(id="w0", cores=8)])
+        state = place(state, [("w0", "pm-0")])
         scores = score(new_gcn_model(seed=3), snapshot(state), request(id="vm-1"))
         assert len(scores) == 2
 

@@ -197,8 +197,8 @@ class TestConsolidate:
         state = new_datacenter(2)
         for i, pm in enumerate(["pm-0", "pm-1"]):
             r = req(id=f"vm-{i}", cores=1, ram=1, duration=10)
-            state = admit(state, r)
-            state = place(state, f"vm-{i}", pm)
+            state = admit(state, [r])
+            state = place(state, [(f"vm-{i}", pm)])
         return state
 
     def test_emptying_one_pm_is_worth_it(self):
@@ -225,15 +225,15 @@ class TestConsolidate:
         state = new_datacenter(2)
         for i, pm in enumerate(["pm-0", "pm-1"]):
             r = req(id=f"vm-{i}", cores=16, ram=8, duration=10)
-            state = admit(state, r)
-            state = place(state, f"vm-{i}", pm)
+            state = admit(state, [r])
+            state = place(state, [(f"vm-{i}", pm)])
         policy = Policy("counter", model=new_gcn_model(seed=1))
         assert consolidate(policy, state) == []
 
     def test_single_powered_pm_nowhere_to_go(self):
         state = new_datacenter(2)
-        state = admit(state, req(id="vm-0", cores=1, ram=1))
-        state = place(state, "vm-0", "pm-0")
+        state = admit(state, [req(id="vm-0", cores=1, ram=1)])
+        state = place(state, [("vm-0", "pm-0")])
         policy = Policy("counter", model=new_gcn_model(seed=1))
         assert consolidate(policy, state) == []
 
@@ -258,7 +258,7 @@ def hosting(placements):
     for i, vms in enumerate(placements):
         for j, (cores, ram) in enumerate(vms):
             r = req(id=f"vm-{i}-{j}", cores=cores, ram=ram, duration=10)
-            state = place(admit(state, r), r.id, f"pm-{i}")
+            state = place(admit(state, [r]), [(r.id, f"pm-{i}")])
     return state
 
 
@@ -299,7 +299,7 @@ def datacenter_states(draw):
         fits = np.flatnonzero(state.resources.fits(r)).tolist()
         if fits:
             state = with_clock(state, draw(st.integers(0, 12)))
-            state = place(admit(state, r), r.id, f"pm-{draw(st.sampled_from(fits))}")
+            state = place(admit(state, [r]), [(r.id, f"pm-{draw(st.sampled_from(fits))}")])
     return with_clock(state, draw(st.integers(0, 60)))
 
 

@@ -4,13 +4,16 @@ import statistics
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.energy import EnergyBreakdown, PriceSeries
+from cloudsched.energy import EnergyBreakdown, PriceSeries, generate_price_series
 from cloudsched.errors import ConfigError, CoverageError
-from cloudsched.gnn.models import model_to_json, new_gated_model
+from cloudsched.gnn.models import load_model, model_to_json, new_gated_model
+from cloudsched.scheduler import MODEL_POLICIES, POLICY_KINDS
 from cloudsched.sim import (
+    PmBilling,
     QoSReport,
     SimConfig,
     SimResult,
@@ -28,8 +31,8 @@ from cloudsched.sim import (
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
-from slow_reference import energy_report_csv_by_fstring
-from test_goldens import SCENARIO
+from slow_reference import bill_by_row, energy_report_csv_by_fstring
+from test_goldens import DATA, SCENARIO
 
 REL = 1e-9
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -266,7 +269,7 @@ class TestSerialization:
     @pytest.mark.parametrize("policy", ["first_fit", "best_fit_energy"])
     def test_energy_report_matches_fstring_writer(self, policy):
         result = run(SimConfig(policy=policy, **SCENARIO))
-        assert energy_report_csv(result) == energy_report_csv_by_fstring(result)
+        assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
 
     def test_pm_energy_rows_read_as_the_benchmark_reads_them(self, monkeypatch):
         monkeypatch.syspath_prepend(str(BENCHMARKS))  # bench imports its siblings by name
@@ -354,22 +357,74 @@ def test_indented_writer_rejects_non_finite(bad):
 _CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0000005, 0.0000015, 2.5e-7, 1e22])
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**6),
-            st.text(max_size=6),
-            st.text(max_size=6),
-            st.tuples(*[_CSV_FLOATS] * 5).map(lambda parts: EnergyBreakdown(*parts)),
-            _CSV_FLOATS,
-        ),
-        max_size=20,
+@st.composite
+def _billed_results(draw):
+    """A `SimResult` holding only billing columns, of any floats and PM names."""
+    hours = draw(st.integers(min_value=0, max_value=4))
+    pm_count = draw(st.integers(min_value=0, max_value=4))
+    names = st.lists(st.text(max_size=6), min_size=pm_count, max_size=pm_count).map(tuple)
+    cells = st.lists(_CSV_FLOATS, min_size=hours * pm_count, max_size=hours * pm_count)
+    columns = [
+        np.array(draw(cells), dtype=float).reshape(hours, pm_count) for _ in PmBilling._fields
+    ]
+    return SimResult(
+        pm_ids=draw(names),
+        pm_locations=draw(names),
+        horizon=hours,
+        policy="p",
+        pm_billing=PmBilling(*columns),
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(_billed_results())
+def test_energy_report_matches_fstring_writer_on_any_rows(result):
+    assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+MODELS = {policy: load_model(DATA / f"{policy}.json") for policy in MODEL_POLICIES}
+
+
+def _check_against_row_billing(config: SimConfig):
+    """Run the scenario and compare its billing with the per-row reference."""
+    result = run(config)
+    prices = generate_price_series(result.pm_locations, config.horizon, config.seed)
+    hourly, totals, rows = bill_by_row(result, prices, config.power)
+    assert result.hourly == hourly
+    assert result.totals == totals
+    assert list(result.pm_energy_rows) == rows
+    assert energy_report_csv(result) == energy_report_csv_by_fstring(rows)
+    return result
+
+
+@pytest.mark.parametrize("policy", MODEL_POLICIES)
+def test_columnar_billing_matches_row_reference_with_migrations(policy):
+    result = _check_against_row_billing(
+        SimConfig(policy=policy, model=MODELS[policy], **SCENARIO)
+    )
+    assert result.migration_count > 0  # so penalties are billed on destinations
+
+
+# Long horizons leave stragglers on part-empty PMs, so the learned
+# policies migrate in about a third of these scenarios.
+@settings(max_examples=40, deadline=None)
+@given(
+    policy=st.sampled_from(POLICY_KINDS),
+    pm_count=st.integers(min_value=1, max_value=8),
+    vms_per_pm=st.integers(min_value=1, max_value=8),
+    horizon=st.integers(min_value=1, max_value=72),
+    seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_energy_report_matches_fstring_writer_on_any_rows(rows):
-    result = SimResult(pm_ids=(), pm_locations=(), horizon=0, policy="p", pm_energy_rows=rows)
-    assert energy_report_csv(result) == energy_report_csv_by_fstring(result)
+def test_columnar_billing_matches_row_reference(policy, pm_count, vms_per_pm, horizon, seed):
+    config = SimConfig(
+        pm_count=pm_count,
+        vm_count=pm_count * vms_per_pm,
+        horizon=horizon,
+        policy=policy,
+        model=MODELS.get(policy),
+        seed=seed,
+    )
+    _check_against_row_billing(config)
 
 
 NAN = float("nan")
