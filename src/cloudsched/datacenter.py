@@ -73,11 +73,12 @@ class ResourceSnapshot:
     """Live resources of every PM as columns, one array per field in PM order.
 
     A `DatacenterState` holds one as its resource state.  Schedulers and
-    billing read a `copy()`; `schedule` and `consolidate` update theirs in
-    place with `place`.  Utilisation is the allocated-core fraction,
-    computed as int / int like `used / cores`, and a PM is powered on
-    exactly when some of its cores are allocated (every request takes at
-    least one core, so that is when it hosts a VM).
+    billing read it as it is; `schedule` places on a `copy()` and
+    `consolidate` on a `take`, each in place with `place`.  Utilisation
+    is the allocated-core fraction, computed as int / int like
+    `used / cores`, and a PM is powered on exactly when some of its cores
+    are allocated (every request takes at least one core, so that is when
+    it hosts a VM).
     """
 
     pm_ids: tuple[str, ...]

@@ -181,7 +181,8 @@ def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> 
 
 
 def load_price_series(content: bytes | str) -> PriceSeries:
-    """Parse the `hour,<loc>,...` CSV format, checking coverage, signs and finiteness."""
+    """Parse the `hour,<loc>,...` CSV format, checking coverage, signs, finiteness
+    and that no location repeats."""
     try:
         rows = list(csv.reader(io.StringIO(decode_utf8(content, "price file"))))
     except csv.Error as exc:
@@ -193,6 +194,9 @@ def load_price_series(content: bytes | str) -> PriceSeries:
     if not header or header[0] != "hour" or len(header) < 2:
         raise TraceFormatError("header must be 'hour,<location>,...'", line=1)
     locations = header[1:]
+    repeated = [loc for loc, count in Counter(locations).items() if count > 1]
+    if repeated:
+        raise TraceFormatError(f"location {repeated[0]!r} repeats in the header", line=1)
 
     columns: dict[str, list[float]] = {loc: [] for loc in locations}
     for lineno, row in enumerate(rows[1:], start=2):

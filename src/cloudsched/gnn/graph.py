@@ -51,12 +51,6 @@ class StateGraph:
         return len(self.node_ids)
 
 
-def pm_prices(snapshot: ResourceSnapshot, price_now: dict[str, float] | None) -> np.ndarray:
-    """The current price at each PM's location, in snapshot order (0 where unpriced)."""
-    price_now = price_now or {}
-    return np.array([price_now.get(location, 0.0) for location in snapshot.locations], dtype=float)
-
-
 def node_features(
     snapshot: ResourceSnapshot,
     pending: Sequence[WorkloadRequest],
@@ -65,7 +59,7 @@ def node_features(
     """The state graph's feature rows: the PMs in snapshot order, then the requests.
 
     The PM rows come straight from the snapshot's columns; `prices` is
-    `pm_prices(snapshot, price_now)`, or None for no prices.
+    the current price at each PM, in snapshot order, or None for no prices.
     """
     n_pm = len(snapshot)
     vms = np.array(

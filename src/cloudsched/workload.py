@@ -251,7 +251,11 @@ def workload_to_json(workload: WorkloadSet) -> str:
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
+_INTEGER_FIELDS = ("cpu_frequency", "cores", "ram", "duration", "arrival")
+
+
 def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
+    """Read the on-disk format; every numeric field must be a JSON integer."""
     rows = parse_json(text, "workload JSON")
     if not isinstance(rows, list):
         raise TraceFormatError("workload JSON must be an array of request objects")
@@ -261,17 +265,15 @@ def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
             for key, value in row.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise TraceFormatError(f"non-finite {key!r} in request object at index {i}")
+                if key in _INTEGER_FIELDS and type(value) is not int:  # nor a bool
+                    raise TraceFormatError(
+                        f"{key!r} must be an integer, got {type(value).__name__}, "
+                        f"in request object at index {i}"
+                    )
         try:
-            requests.append(
-                WorkloadRequest(
-                    id=str(row["id"]),
-                    cpu_frequency=int(row["cpu_frequency"]),
-                    cores=int(row["cores"]),
-                    ram=int(row["ram"]),
-                    duration=int(row["duration"]),
-                    arrival=int(row["arrival"]),
-                )
-            )
+            request_id = str(row["id"])
+            numbers = {key: row[key] for key in _INTEGER_FIELDS}
+            requests.append(WorkloadRequest(id=request_id, **numbers))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"bad request object at index {i}: {exc}") from None
     requests.sort(key=lambda r: (r.arrival, r.id))

@@ -1,7 +1,8 @@
 """Snapshot constructors, serialisers and graph diagnostics that only the tests need.
 
 `snapshot_from_entries` assembles a columnar resource snapshot from one
-plain dict per PM.  The serialisers write a structure back out in a
+plain dict per PM, and `pm_prices` a per-PM price row from a
+`{location: price}` dict.  The serialisers write a structure back out in a
 stable, comparable form, so tests can check purity (a state is
 unchanged) and parser round trips.  `cut_edges` and
 `gcn_forward_restricted` inspect a cluster partition.  `gradient_check`
@@ -62,6 +63,12 @@ def snapshot_from_entries(entries: dict[str, dict]) -> ResourceSnapshot:
             [(row["cores"] - row["free_cores"]) / row["cores"] for row in rows], dtype=float
         ),
     )
+
+
+def pm_prices(snapshot: ResourceSnapshot, price_now: dict[str, float] | None) -> np.ndarray:
+    """The current price at each PM's location, in snapshot order (0 where unpriced)."""
+    price_now = price_now or {}
+    return np.array([price_now.get(location, 0.0) for location in snapshot.locations], dtype=float)
 
 
 def snapshot_columns(snap: ResourceSnapshot) -> dict:

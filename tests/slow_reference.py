@@ -35,7 +35,6 @@ from cloudsched.gnn.graph import (
     build_state_graph,
     normalize_adjacency,
     partition_graph,
-    pm_prices,
 )
 from cloudsched.gnn.models import (
     GcnModel,
@@ -116,8 +115,9 @@ def energy_report_csv_by_fstring(rows) -> str:
 def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_MODEL):
     """A run's billing rebuilt one PM-hour at a time: `(hourly, totals, pm_energy_rows)`.
 
-    Reads each hour's utilisation, power states and migration destinations
-    from the result, computes each PM's energy from scalars, folds the
+    Reads each hour's utilisation and migration destinations from the
+    result, takes a PM as powered on when its utilisation is above zero,
+    computes each PM's energy from scalars, folds the
     hour's aggregates left to right over the PMs, and bills every row at
     its location's price with its own `EnergyBreakdown`.
     """
@@ -128,10 +128,9 @@ def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_M
         arrivals = Counter(dst for _vm, dst in result.events[hour]["migrations"])
         price_now = {loc: prices.prices[loc][hour] for loc in sorted(set(result.pm_locations))}
         processor_sum = cooling_sum = extra_sum = hour_cost = 0.0
-        pms = zip(
-            result.pm_ids, result.pm_locations, result.utilisation[hour], result.powered_on[hour]
-        )
-        for pm_id, location, util, on in pms:
+        pms = zip(result.pm_ids, result.pm_locations, result.utilisation[hour].tolist())
+        for pm_id, location, util in pms:
+            on = util > 0
             watts = power.idle_power + (power.peak_power - power.idle_power) * util if on else 0.0
             p = watts * 1.0 / WATTS_PER_KW
             c = power.cooling_coefficient * p
@@ -148,6 +147,22 @@ def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_M
         hourly.append(hour_energy)
         totals = totals.plus(hour_energy)
     return hourly, totals, rows
+
+
+def qos_by_row(result):
+    """`(max utilisation, mean active PMs)` summed over Python lists, one PM-hour at a time.
+
+    A PM is on in an hour when its utilisation is above zero; the mean is
+    the number of powered-on PM-hours over the number of hours.
+    """
+    utilisation = result.utilisation.tolist()
+    powered_on = [[u > 0 for u in row] for row in utilisation]
+    max_util = max((u for row in utilisation for u in row), default=0.0)
+    if powered_on:
+        mean_active = sum(sum(row) for row in powered_on) / len(powered_on)
+    else:
+        mean_active = 0.0
+    return max_util, mean_active
 
 
 def snapshot_by_pm_scan(state):
@@ -247,9 +262,12 @@ def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
     return scores
 
 
-def consolidate_by_source(policy, state, price_now=None, threshold=CONSOLIDATION_THRESHOLD):
+def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_THRESHOLD):
     """`consolidate` with each underloaded source screened on its own, and
-    each request scored on its own dense state graph."""
+    each request scored on its own dense state graph.
+
+    Unpriced (`prices` None) is a zero price at every PM.
+    """
     if policy.kind not in MODEL_POLICIES:
         return []
 
@@ -257,7 +275,8 @@ def consolidate_by_source(policy, state, price_now=None, threshold=CONSOLIDATION
     on = np.flatnonzero(snap.powered_on)
     low = on[snap.utilisation[on] < threshold]
     underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
-    prices = pm_prices(snap, price_now)
+    if prices is None:
+        prices = np.zeros(len(snap))
 
     hosted = {}
     for vm in state.vms.values():

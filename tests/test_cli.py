@@ -153,6 +153,16 @@ class TestSimulate:
         assert err.count("error:") == 1 and "index 0" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "qos.json").exists()
 
+    def test_non_integer_workload_field_is_one_error_line(self, tiny_files, tmp_path, capsys):
+        rows = json.loads(tiny_files["workload"].read_text())
+        rows[0].update(cores=2.7, ram=True, duration="3")
+        tiny_files["workload"].write_text(json.dumps(rows))
+        assert main(tiny_simulate_args(tiny_files, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+        assert "'cores' must be an integer" in err and "index 0" in err
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     @pytest.mark.parametrize(
         "yaml_text",
         [

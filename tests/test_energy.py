@@ -202,6 +202,10 @@ class TestLoadPriceSeries:
             with pytest.raises(TraceFormatError, match="line 2: non-finite price for 'loc-0'"):
                 load_price_series(f"hour,loc-0\n0,{cell}\n1,0.1\n")
 
+    def test_repeated_location_is_a_header_error(self):
+        with pytest.raises(TraceFormatError, match="line 1: location 'loc-0' repeats"):
+            load_price_series("hour,loc-0,loc-0\n0,0.1,0.1\n1,0.1,0.1\n")
+
     def test_ragged_row(self):
         with pytest.raises(TraceFormatError, match="line 3"):
             load_price_series("hour,a,b\n0,0.1,0.2\n1,0.1\n")

@@ -308,11 +308,11 @@ def datacenter_states(draw):
 @given(datacenter_states(), st.booleans(), st.sampled_from([0.25, 0.5, 1.0]))
 def test_consolidate_matches_per_source_loop(kind, state, priced, threshold):
     policy = Policy(kind, model=CHECKPOINTS[kind])
-    price_now = None
+    prices = None
     if priced:
-        price_now = {pm.location: 0.01 * (i + 1) for i, pm in enumerate(state.pms)}
-    fast = consolidate(policy, state, price_now, threshold)
-    assert fast == consolidate_by_source(policy, state, price_now, threshold)
+        prices = 0.01 * np.arange(1, len(state.pms) + 1)
+    fast = consolidate(policy, state, prices, threshold)
+    assert fast == consolidate_by_source(policy, state, prices, threshold)
 
 
 class TestCollectTrainingData:

@@ -31,7 +31,7 @@ from cloudsched.sim import (
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
-from slow_reference import bill_by_row, energy_report_csv_by_fstring
+from slow_reference import bill_by_row, energy_report_csv_by_fstring, qos_by_row
 from test_goldens import DATA, SCENARIO
 
 REL = 1e-9
@@ -76,7 +76,8 @@ class TestRun:
 
     def test_energy_lower_bound(self):
         result = run(SimConfig(seed=3))
-        floor = sum(sum(row) for row in result.powered_on) * 0.1
+        powered_on = (result.utilisation > 0).tolist()
+        floor = sum(sum(row) for row in powered_on) * 0.1
         assert result.totals.processor >= floor - 1e-9
 
     def test_determinism_byte_identical(self):
@@ -154,7 +155,7 @@ class TestComputeQos:
     def test_31_of_32_cores(self):
         result = SimResult(
             pm_ids=("pm-0",), pm_locations=("loc-0",), horizon=1, policy="first_fit",
-            utilisation=[[31 / 32]], powered_on=[[True]],
+            utilisation=np.array([[31 / 32]]),
         )
         assert compute_qos(result).max_pm_utilisation == 0.96875
 
@@ -395,6 +396,14 @@ def _check_against_row_billing(config: SimConfig):
     assert list(result.pm_energy_rows) == rows
     assert energy_report_csv(result) == energy_report_csv_by_fstring(rows)
     return result
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_qos_matches_row_formula_on_golden_runs(policy):
+    result = run(SimConfig(policy=policy, model=MODELS.get(policy), **SCENARIO))
+    q = compute_qos(result)
+    assert (q.max_pm_utilisation, q.mean_active_pm_count) == qos_by_row(result)
+    assert type(q.max_pm_utilisation) is float and type(q.mean_active_pm_count) is float
 
 
 @pytest.mark.parametrize("policy", MODEL_POLICIES)

@@ -248,6 +248,18 @@ class TestWorkloadJson:
         with pytest.raises(TraceFormatError, match=f"non-finite '{key}'.*index 1"):
             workload_from_json(text)
 
+    @pytest.mark.parametrize("key", ["cores", "ram", "cpu_frequency", "duration", "arrival"])
+    @pytest.mark.parametrize(
+        "value",
+        [2.7, 3.0, True, False, "3"],
+        ids=["float", "whole-float", "true", "false", "string"],
+    )
+    def test_non_integer_field_names_key_and_index(self, key, value):
+        rows = json.loads(workload_to_json(generate_synthetic(2, 4, seed=0)))
+        rows[1][key] = value
+        with pytest.raises(TraceFormatError, match=f"'{key}' must be an integer.*index 1"):
+            workload_from_json(json.dumps(rows))
+
 
 def test_request_validation():
     from cloudsched.workload import WorkloadRequest
