@@ -14,7 +14,6 @@ import json
 import statistics
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import lru_cache
-from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -108,21 +107,6 @@ class SimResult:
     deferred: int = 0
     migration_count: int = 0
 
-    def billing_rows(self) -> Iterator[tuple]:
-        """`(hour, pm, location, *PmBilling fields)` per PM and hour, hour-major.
-
-        Built lazily, one hour of Python floats at a time.
-        """
-        return chain.from_iterable(
-            zip(
-                repeat(hour),
-                self.pm_ids,
-                self.pm_locations,
-                *(column[hour].tolist() for column in self.pm_billing),
-            )
-            for hour in range(len(self.pm_billing.processor))
-        )
-
     @property
     def pm_energy_rows(self) -> "PmEnergyRows":
         """`(hour, pm, location, breakdown incl. cost, price)` per PM and hour."""
@@ -142,8 +126,16 @@ class PmEnergyRows:
         return self._result.pm_billing.processor.size
 
     def __iter__(self) -> Iterator[tuple[int, str, str, EnergyBreakdown, float]]:
-        for hour, pm, location, p, c, e, total, price, cost in self._result.billing_rows():
-            yield hour, pm, location, EnergyBreakdown(p, c, e, total, cost), price
+        """Hour-major; each hour's columns become Python floats when it is reached."""
+        result = self._result
+        for hour in range(len(result.pm_billing.processor)):
+            rows = zip(
+                result.pm_ids,
+                result.pm_locations,
+                *(column[hour].tolist() for column in result.pm_billing),
+            )
+            for pm, location, p, c, e, total, price, cost in rows:
+                yield hour, pm, location, EnergyBreakdown(p, c, e, total, cost), price
 
 
 @dataclass(frozen=True)
@@ -361,17 +353,18 @@ def _pct_delta(base: float, other: float) -> float | None:
 
 
 def result_to_json(result: SimResult) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` of the run, plus a newline.
+
+    The `[hour][pm]` blocks are written from the run's arrays, one hour at a
+    time, formatting each distinct float once; the rest goes through
+    `_dumps_indented`.
+    """
     doc = {
         "policy": result.policy,
         "horizon": result.horizon,
         "pm_ids": list(result.pm_ids),
         "pm_locations": list(result.pm_locations),
-        "utilisation": result.utilisation.tolist(),
-        "powered_on": (result.utilisation > 0).tolist(),
         "hourly_energy": [_breakdown_dict(b) for b in result.hourly],
-        "prices_by_hour": [
-            dict(zip(result.pm_locations, row)) for row in result.pm_billing.price.tolist()
-        ],
         "totals": _breakdown_dict(result.totals),
         "events": result.events,
         "deferred_hours": {k: result.deferred_hours[k] for k in sorted(result.deferred_hours)},
@@ -379,7 +372,92 @@ def result_to_json(result: SimResult) -> str:
         "deferred": result.deferred,
         "migrations": result.migration_count,
     }
-    return _dumps_indented(doc, "") + "\n"
+    texts = {key: _dumps_indented(value, "  ") for key, value in doc.items()}
+    texts["utilisation"], texts["powered_on"] = _utilisation_blocks(result.utilisation)
+    texts["prices_by_hour"] = _prices_block(result.pm_locations, result.pm_billing.price)
+    pieces = []
+    for key in sorted(texts):
+        pieces += [",\n  ", json.dumps(key), ": ", texts[key]]
+    pieces[0] = "{\n  "
+    pieces.append("\n}\n")
+    return "".join(pieces)  # one copy of each block, straight into the document
+
+
+def _distinct_texts(values: np.ndarray, *formats) -> tuple[np.ndarray, ...]:
+    """`(index, *texts)`: each format applied once per distinct float of `values`.
+
+    Floats are distinct by bit pattern, not by value: -0.0 == 0.0, but they
+    print differently.  Each format gets a Python float; `texts[index]` is
+    then every cell's text.  The index has `values`' shape and the narrowest
+    unsigned type that holds it, because a writer keeps it for the whole run.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    floats = bits.view(np.float64).tolist()
+    index = index.reshape(values.shape).astype(np.min_scalar_type(len(floats)))
+    texts = (np.array(list(map(fmt, floats)), dtype=object) for fmt in formats)
+    return index, *texts
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Raise as `json.dumps(..., allow_nan=False)` does on a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+
+
+def _json_block(texts: np.ndarray, index: np.ndarray, prefixes: list[str], brackets: str) -> str:
+    """A top-level `[hour][pm]` block: hour h's list or dict holds `prefixes[i] + texts[index[h, i]]`.
+
+    It is built one hour at a time, so only that hour's cells are gathered.
+    """
+    if not prefixes:
+        return _json_container("[]", [brackets] * len(index), "  ")
+    cells = np.empty((len(prefixes), 2), dtype=object)  # (separator and prefix, text) per PM
+    cells[:, 0] = [",\n      " + prefix for prefix in prefixes]
+    cells[0, 0] = prefixes[0]
+    rows = []
+    for row in index:
+        cells[:, 1] = texts[row]
+        rows.append(_json_container(brackets, ["".join(cells.ravel().tolist())], "    "))
+    return _json_container("[]", rows, "  ")
+
+
+def _utilisation_blocks(utilisation: np.ndarray) -> tuple[str, str]:
+    """`utilisation` and `powered_on` (utilisation above 0) as their JSON blocks."""
+    _require_finite(utilisation)
+    index, floats, powered_on = _distinct_texts(
+        utilisation, float.__repr__, lambda u: json.dumps(u > 0)
+    )
+    prefixes = [""] * index.shape[1]
+    return _json_block(floats, index, prefixes, "[]"), _json_block(powered_on, index, prefixes, "[]")
+
+
+def _prices_block(locations: tuple[str, ...], price: np.ndarray) -> str:
+    """`prices_by_hour`: each hour's `dict(zip(locations, price[hour]))`, as JSON."""
+    if not len(price):  # a result without billing has a (0, 0) price array
+        return "[]"
+    # A repeated location keeps its last column, as dict(zip(...)) does.
+    last = {location: i for i, location in enumerate(locations)}
+    keys = sorted(last)
+    price = price[:, [last[key] for key in keys]]
+    _require_finite(price)
+    index, texts = _distinct_texts(price, float.__repr__)
+    return _json_block(texts, index, [json.dumps(key) + ": " for key in keys], "{}")
+
+
+def _json_container(brackets: str, items: list[str], pad: str) -> str:
+    """`json`'s indented layout of a list or dict (`brackets` "[]" or "{}") of encoded items.
+
+    `pad` is the indentation of the line the container starts on.
+    """
+    if not items:
+        return brackets
+    inner = pad + "  "
+    pieces = [",\n" + inner] * (2 * len(items) + 1)  # items at odd places, separators between
+    pieces[0] = brackets[0] + "\n" + inner
+    pieces[1::2] = items
+    pieces[-1] = "\n" + pad + brackets[1]
+    return "".join(pieces)  # one copy of the items
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -416,9 +494,8 @@ def _dumps_indented(value, pad: str) -> str:
             json.dumps(key) + ": " + _dumps_indented(item, inner)
             for key, item in sorted(value.items())
         ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    items = [_dumps_indented(item, inner) for item in value]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return _json_container("{}", items, pad)
+    return _json_container("[]", [_dumps_indented(item, inner) for item in value], pad)
 
 
 @lru_cache(maxsize=None)
@@ -451,18 +528,41 @@ def qos_to_json(report: QoSReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+_CSV_HEADER = "hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost\n"
+
+
 def energy_report_csv(result: SimResult) -> str:
-    """Per-PM hourly series: fixed 6-decimal formatting for golden files."""
-    row = "%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f"
-    lines = ["hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost"]
-    lines += [row % cells for cells in result.billing_rows()]
-    return "\n".join(lines) + "\n"
+    """Per-PM hourly series: fixed 6-decimal formatting for golden files.
+
+    Row by row it is `"%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f"` of `(hour,
+    pm, location, *PmBilling fields)`, hour-major.
+    """
+    # join() drains the generator first, so its tables are gone before the copy.
+    return "".join(_energy_report_chunks(result))
+
+
+def _energy_report_chunks(result: SimResult) -> Iterator[str]:
+    """The header, then one string per hour, formatting each column's distinct floats once."""
+    yield _CSV_HEADER
+    hours, pm_count = result.pm_billing.processor.shape
+    if not hours:
+        return
+    columns = [_distinct_texts(column, ",%.6f".__mod__) for column in result.pm_billing]
+    cells = np.empty((pm_count, len(columns) + 3), dtype=object)  # one hour's rows
+    cells[:, 1] = [",%s,%s" % names for names in zip(result.pm_ids, result.pm_locations)]
+    cells[:, -1] = "\n"
+    for hour in range(hours):
+        cells[:, 0] = "%d" % hour
+        for k, (index, texts) in enumerate(columns, start=2):
+            cells[:, k] = texts[index[hour]]
+        yield "".join(cells.ravel().tolist())
+
+
+_encode_event = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def decision_log_jsonl(result: SimResult) -> str:
-    return "".join(
-        json.dumps(event, sort_keys=True, allow_nan=False) + "\n" for event in result.events
-    )
+    return "".join(_encode_event(event) + "\n" for event in result.events)
 
 
 _QOS_COLUMNS = "max_util,mean_active_pms,total_kwh,total_cost,placed,deferred,migrations"

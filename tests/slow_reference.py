@@ -7,6 +7,7 @@ the two bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -110,6 +111,39 @@ def energy_report_csv_by_fstring(rows) -> str:
             f"{b.extra:.6f},{b.total:.6f},{price:.6f},{b.cost:.6f}"
         )
     return "\n".join(lines) + "\n"
+
+
+def result_to_json_by_dict(result) -> str:
+    """`result_to_json` as one document of Python objects given to `json.dumps`."""
+
+    def breakdown(b: EnergyBreakdown) -> dict:
+        return {
+            "processor_kwh": b.processor,
+            "cooling_kwh": b.cooling,
+            "extra_kwh": b.extra,
+            "total_kwh": b.total,
+            "cost": b.cost,
+        }
+
+    doc = {
+        "policy": result.policy,
+        "horizon": result.horizon,
+        "pm_ids": list(result.pm_ids),
+        "pm_locations": list(result.pm_locations),
+        "utilisation": result.utilisation.tolist(),
+        "powered_on": (result.utilisation > 0).tolist(),
+        "hourly_energy": [breakdown(b) for b in result.hourly],
+        "prices_by_hour": [
+            dict(zip(result.pm_locations, row)) for row in result.pm_billing.price.tolist()
+        ],
+        "totals": breakdown(result.totals),
+        "events": result.events,
+        "deferred_hours": {k: result.deferred_hours[k] for k in sorted(result.deferred_hours)},
+        "placed": result.placed,
+        "deferred": result.deferred,
+        "migrations": result.migration_count,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_MODEL):

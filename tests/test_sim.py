@@ -31,10 +31,17 @@ from cloudsched.sim import (
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
-from slow_reference import bill_by_row, energy_report_csv_by_fstring, qos_by_row
+from slow_reference import (
+    bill_by_row,
+    energy_report_csv_by_fstring,
+    qos_by_row,
+    result_to_json_by_dict,
+)
 from test_goldens import DATA, SCENARIO
 
 REL = 1e-9
+NAN = float("nan")
+INF = float("inf")
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -356,6 +363,17 @@ def test_indented_writer_rejects_non_finite(bad):
 
 
 _CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0000005, 0.0000015, 2.5e-7, 1e22])
+# A small pool, so one array often holds both 0.0 and -0.0 (equal values
+# that print differently) and repeats: a writer that caches a value's text
+# by value rather than by bits fails.
+_FLOAT_POOL = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1e22])
+
+
+def _matrix(draw, hours: int, pm_count: int, cells) -> np.ndarray:
+    """An `[hour][pm]` float array drawn from `cells` or from the small pool."""
+    cell = draw(st.sampled_from([cells, _FLOAT_POOL]))
+    values = draw(st.lists(cell, min_size=hours * pm_count, max_size=hours * pm_count))
+    return np.array(values, dtype=float).reshape(hours, pm_count)
 
 
 @st.composite
@@ -364,10 +382,7 @@ def _billed_results(draw):
     hours = draw(st.integers(min_value=0, max_value=4))
     pm_count = draw(st.integers(min_value=0, max_value=4))
     names = st.lists(st.text(max_size=6), min_size=pm_count, max_size=pm_count).map(tuple)
-    cells = st.lists(_CSV_FLOATS, min_size=hours * pm_count, max_size=hours * pm_count)
-    columns = [
-        np.array(draw(cells), dtype=float).reshape(hours, pm_count) for _ in PmBilling._fields
-    ]
+    columns = [_matrix(draw, hours, pm_count, _CSV_FLOATS) for _ in PmBilling._fields]
     return SimResult(
         pm_ids=draw(names),
         pm_locations=draw(names),
@@ -381,6 +396,47 @@ def _billed_results(draw):
 @given(_billed_results())
 def test_energy_report_matches_fstring_writer_on_any_rows(result):
     assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _FLOAT_POOL
+
+
+@st.composite
+def _json_results(draw):
+    """A `SimResult` of any finite floats, with repeated and non-ASCII locations."""
+    hours = draw(st.integers(min_value=0, max_value=4))
+    pm_count = draw(st.integers(min_value=0, max_value=4))
+    locations = st.lists(
+        st.sampled_from(["loc-0", "loc-1", "é", "\u65e5\u672c", ""]),
+        min_size=pm_count,
+        max_size=pm_count,
+    )
+    breakdowns = st.lists(_JSON_FLOATS, min_size=5, max_size=5).map(lambda v: EnergyBreakdown(*v))
+    price = _matrix(draw, hours, pm_count, _JSON_FLOATS)  # the only billing column it writes
+    return SimResult(
+        pm_ids=tuple(f"pm-{i}" for i in range(pm_count)),
+        pm_locations=tuple(draw(locations)),
+        horizon=hours,
+        policy="p",
+        utilisation=_matrix(draw, hours, pm_count, _JSON_FLOATS),
+        hourly=draw(st.lists(breakdowns, min_size=hours, max_size=hours)),
+        pm_billing=PmBilling(*[price] * len(PmBilling._fields)),
+        totals=draw(breakdowns),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(_json_results())
+def test_result_json_matches_dict_writer_on_any_result(result):
+    assert result_to_json(result) == result_to_json_by_dict(result)
+
+
+def test_energy_report_writes_non_finite_cells():
+    # Unlike the JSON writers, the CSV keeps `%.6f`'s text for them.
+    result = run(tiny_config())
+    result.pm_billing.price[1, 0] = NAN
+    result.pm_billing.cost[1, 0] = -INF
+    assert energy_report_csv(result).splitlines()[3].split(",")[-2:] == ["nan", "-inf"]
 
 
 MODELS = {policy: load_model(DATA / f"{policy}.json") for policy in MODEL_POLICIES}
@@ -436,12 +492,17 @@ def test_columnar_billing_matches_row_reference(policy, pm_count, vms_per_pm, ho
     _check_against_row_billing(config)
 
 
-NAN = float("nan")
-
-
 def _nan_result():
     result = run(tiny_config())
     result.totals = EnergyBreakdown.make(NAN, 0.0, 0.0)
+    return result
+
+
+def _non_finite_cell(column: str, bad: float):
+    """The tiny run with one `[hour][pm]` cell of `utilisation` or a billing column set to `bad`."""
+    result = run(tiny_config())
+    cells = result.utilisation if column == "utilisation" else getattr(result.pm_billing, column)
+    cells[1, 0] = bad
     return result
 
 
@@ -466,12 +527,26 @@ def _nan_workload():
     "write",
     [
         lambda: result_to_json(_nan_result()),
+        lambda: result_to_json(_non_finite_cell("utilisation", NAN)),
+        lambda: result_to_json(_non_finite_cell("utilisation", -INF)),
+        lambda: result_to_json(_non_finite_cell("price", NAN)),
+        lambda: result_to_json(_non_finite_cell("price", INF)),
         lambda: qos_to_json(replace(compute_qos(run(tiny_config())), total_cost=NAN)),
         lambda: decision_log_jsonl(_nan_event()),
         lambda: model_to_json(_nan_model()),
         lambda: workload_to_json(_nan_workload()),
     ],
-    ids=["result", "qos", "decisions", "checkpoint", "workload"],
+    ids=[
+        "result",
+        "result-utilisation-nan",
+        "result-utilisation-inf",
+        "result-price-nan",
+        "result-price-inf",
+        "qos",
+        "decisions",
+        "checkpoint",
+        "workload",
+    ],
 )
 def test_json_writers_reject_nan(write):
     # JSON has no NaN: a writer raises rather than emit a non-standard token.
