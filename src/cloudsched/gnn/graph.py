@@ -62,9 +62,7 @@ def node_features(
     the current price at each PM, in snapshot order, or None for no prices.
     """
     n_pm = len(snapshot)
-    vms = np.array(
-        [(r.cores, r.ram, r.cpu_frequency, r.duration) for r in pending], dtype=float
-    ).reshape(len(pending), 4)
+    vms = np.array([_request_values(r) for r in pending], dtype=float).reshape(len(pending), 4)
 
     features = np.zeros((n_pm + len(pending), FEATURE_DIM))
     np.divide(snapshot.free_cores, snapshot.cores, out=features[:n_pm, 0])
@@ -76,6 +74,39 @@ def node_features(
     # Subtracting 0.0 leaves the other three columns as they are.
     np.divide(vms - _VM_OFFSET, _VM_SCALE, out=features[n_pm:, :4])
     return features
+
+
+def _request_values(request: WorkloadRequest) -> tuple[int, int, int, int]:
+    return request.cores, request.ram, request.cpu_frequency, request.duration
+
+
+class WorkingFeatures:
+    """`node_features(working, [request], prices)`, kept for one working snapshot.
+
+    Built with `node_features` when the working snapshot is made, with a
+    last row for the request.  A placement changes one PM's row, so after
+    each `working.place(row, ...)` the caller calls `placed(row)`, which
+    rewrites that row alone with `node_features`' operations; the price
+    column never changes, since prices are fixed for the hour.
+    `for_request` writes only the request row and returns the matrix.
+    """
+
+    def __init__(self, working: ResourceSnapshot, prices: np.ndarray | None):
+        self.working = working
+        self.values = np.zeros((len(working) + 1, FEATURE_DIM))
+        self.values[:-1] = node_features(working, [], prices)
+
+    def placed(self, row: int) -> None:
+        working, x = self.working, self.values[row]
+        x[0] = working.free_cores[row] / working.cores[row]
+        x[1] = working.free_ram[row] / working.ram[row]
+        x[2] = working.utilisation[row]
+        x[3] = working.powered_on[row]
+
+    def for_request(self, request: WorkloadRequest) -> np.ndarray:
+        vm = np.array(_request_values(request), dtype=float)
+        np.divide(vm - _VM_OFFSET, _VM_SCALE, out=self.values[-1, :4])
+        return self.values
 
 
 def build_state_graph(

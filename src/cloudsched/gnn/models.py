@@ -17,11 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..datacenter import ResourceSnapshot
 from ..errors import DomainError, ShapeError, TraceFormatError
 from ..util import parse_file, parse_json
-from ..workload import WorkloadRequest
-from .graph import FEATURE_DIM, ClusterPartition, StateGraph, node_features, state_a_hat
+from .graph import FEATURE_DIM, ClusterPartition, StateGraph, state_a_hat
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -273,26 +271,23 @@ def pair_vector(
 
 
 def score_placements(
-    model: GcnModel | GatedModel,
-    snapshot: ResourceSnapshot,
-    request: WorkloadRequest,
-    candidates: np.ndarray,
-    prices: np.ndarray | None,
-) -> dict[int, float]:
-    """Score each candidate PM row for one request; the scores are keyed by row.
+    model: GcnModel | GatedModel, feats: np.ndarray, candidates: np.ndarray
+) -> np.ndarray:
+    """Score each candidate PM row for one request, in the order of `candidates`.
 
-    The network runs on the state graph `build_state_graph(snapshot,
-    [request], prices)`, without building it: the features are
-    `node_features`, and `a_hat` is `state_a_hat` of the fits mask.
-    `candidates` holds the ascending rows of the PMs that fit the request
-    (the VM node's neighbours), and the readout takes one row per
-    candidate.  One `np.vecdot` reads them all out: it takes the same
-    per-row dot product as `pair @ readout_w[:, 0]`, so every score is
-    bit-identical to a per-pair readout over the graph (the
-    matrix-vector product `P @ readout_w` is not).
+    `feats` is the request's state-graph feature matrix,
+    `node_features(snapshot, [request], prices)`: one row per PM, then
+    the request's; the scheduler keeps it as a `WorkingFeatures` and
+    writes only what changed.  `candidates` holds the ascending rows of
+    the PMs that fit the request (the VM node's neighbours), so `a_hat`
+    is `state_a_hat` of that fits mask, and no graph is built.  The
+    readout takes one row per candidate, and one `np.vecdot` reads them
+    all out: it takes the same per-row dot product as
+    `pair @ readout_w[:, 0]`, so every score is bit-identical to a
+    per-pair readout over the graph (the matrix-vector product
+    `P @ readout_w` is not).
     """
-    n = len(snapshot)
-    feats = node_features(snapshot, [request], prices)
+    n = feats.shape[0] - 1
     fits = np.zeros(n)
     fits[candidates] = 1.0
     a_hat = state_a_hat(fits)
@@ -307,8 +302,7 @@ def score_placements(
     pairs[:, n_h : n_h + n_x] = feats[n]
     pairs[:, n_h + n_x : 2 * n_h + n_x] = h[candidates]
     pairs[:, 2 * n_h + n_x :] = feats[candidates]
-    scores = np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
-    return dict(zip(candidates.tolist(), scores.tolist()))
+    return np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
 
 
 # Checkpoint format: parameters are flattened row-major in the order given

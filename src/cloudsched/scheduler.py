@@ -4,12 +4,13 @@ Five interchangeable policies share one driver: pending requests are
 processed in arrival order against a working copy of the resource
 snapshot, so a single step can fill a PM.  `Policy.score` is the one
 place a policy's rule lives: it maps the feasible PMs for one request to
-scores and the driver takes the argmin (ties go to the first PM in
-snapshot order).  The working copy is columnar: a request's candidates
-are one vectorised mask and a placement updates one row in place.  The
-learned policies score with a graph network; the consolidator then tries
-to empty one underloaded PM per step when the predicted saving is
-positive.
+an array of scores and `schedule` takes the argmin (ties go to the first
+PM in snapshot order).  The working copy is columnar: a request's
+candidates are one vectorised mask and a placement updates one row in
+place.  The learned policies score with a graph network over a feature
+matrix kept beside the working copy, patched one row per placement; the
+consolidator then tries to empty one underloaded PM per step when the
+predicted saving is positive.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .datacenter import DatacenterState, ResourceSnapshot
 from .datacenter import snapshot as dc_snapshot  # noqa: F401
 from .energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from .errors import ConfigError, DomainError
-from .gnn.graph import build_state_graph
+from .gnn.graph import WorkingFeatures, build_state_graph
 from .gnn.models import GatedModel, GcnModel, score_placements
 from .gnn.training import TrainSample
 from .workload import WorkloadRequest, generate_synthetic
@@ -70,29 +71,34 @@ class Policy:
         working: ResourceSnapshot,
         request: WorkloadRequest,
         candidates: np.ndarray,
-        prices: np.ndarray | None,
-    ) -> dict[int, float]:
+        features: WorkingFeatures | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Score the feasible PMs for one request; the lowest score wins.
 
         `candidates` holds the ascending row numbers of the PMs in
-        `working` that can host the request, and `prices` the current
-        price at each PM of `working` (None: unpriced); the graph
-        networks score the candidates on the request's state graph over
-        `working`.  Scores are keyed by row, in ascending row order.
-        The heuristics return their pick alone: first_fit and random pick
-        without scoring (random draws once per request), and
-        best_fit_energy keeps only its lowest incremental energy, the
-        first one on a tie, as `_argmin`'s scan would.
+        `working` that can host the request.  Returns `(rows, scores)`,
+        two aligned arrays in ascending row order.  The graph networks
+        score every candidate from `features`, the feature matrix kept
+        for `working` (None for the heuristics), after writing the
+        request's row into it.  The heuristics return their pick alone:
+        first_fit and random pick without scoring (random draws once per
+        request), and best_fit_energy keeps only its lowest incremental
+        energy, the first one on a tie, as `_argmin` would.
         """
         if self.kind == "first_fit":
-            return {int(candidates[0]): 0.0}
+            return candidates[:1], _NO_SCORE
         if self.kind == "random":
-            return {int(candidates[int(self._rng.integers(len(candidates)))]): 0.0}
+            pick = int(self._rng.integers(len(candidates)))
+            return candidates[pick : pick + 1], _NO_SCORE
         if self.kind == "best_fit_energy":
             energy = incremental_energy(working, candidates, request, self.power)
             best = int(np.argmin(energy))  # never NaN: pm_power rejects it
-            return {int(candidates[best]): float(energy[best])}
-        return score_placements(self.model, working, request, candidates, prices)
+            return candidates[best : best + 1], energy[best : best + 1]
+        return candidates, score_placements(self.model, features.for_request(request), candidates)
+
+
+_NO_SCORE = np.zeros(1)  # the score of a pick made without scoring
+_NO_SCORE.flags.writeable = False  # shared by every such pick
 
 
 def incremental_energy(
@@ -117,15 +123,19 @@ def incremental_energy(
     return (after - before) * dt / 1000.0 * overhead
 
 
-def _argmin(scores: dict[int, float]) -> int:
-    """The row with the lowest score: a strict `<` scan in row order."""
-    best_row = None
-    best = None
-    for row, score in scores.items():
-        if best is None or score < best:
-            best = score
-            best_row = row
-    return best_row
+def _argmin(rows: np.ndarray, scores: np.ndarray) -> int:
+    """The row with the lowest score, as a strict `<` scan in row order picks it.
+
+    Ties go to the first row, a NaN in the first position wins, and a
+    later NaN never does.  `argmin` gives the first minimum, or the
+    first NaN if there is one, so only a later NaN needs a second look.
+    """
+    if len(rows) == 1:  # a heuristic's pick: skips an argmin call per request
+        return int(rows[0])
+    best = scores.argmin()
+    if best and scores[best] != scores[best]:
+        best = np.nanargmin(scores)  # scores[0] is a number
+    return int(rows[best])
 
 
 SampleRecorder = Callable[[TrainSample], None]
@@ -141,8 +151,12 @@ def schedule(
     """Assign each pending request per the policy, or defer it.
 
     `prices` is the per-PM price row in snapshot order (None: unpriced).
+    The requests are placed on one working copy of `snapshot`; for a
+    learned policy, its feature matrix is built once per call and patched
+    one PM row per placement.
     """
     working = snapshot.copy()
+    features = WorkingFeatures(working, prices) if policy.kind in MODEL_POLICIES else None
     decision = ScheduleDecision()
 
     for request in sorted(pending, key=lambda r: (r.arrival, r.id)):
@@ -150,10 +164,11 @@ def schedule(
         if not candidates.size:
             decision.deferred.append(request.id)
             continue
-        scores = policy.score(working, request, candidates, prices)
-        chosen = _argmin(scores)
+        rows, scores = policy.score(working, request, candidates, features)
+        chosen = _argmin(rows, scores)
         if policy.logs_scores:
-            decision.scores[request.id] = {working.pm_ids[row]: s for row, s in scores.items()}
+            pm_ids = map(working.pm_ids.__getitem__, rows.tolist())
+            decision.scores[request.id] = dict(zip(pm_ids, scores.tolist()))
 
         if recorder is not None:
             graph = build_state_graph(working, [request], prices)
@@ -166,6 +181,8 @@ def schedule(
 
         decision.assignments.append((request.id, working.pm_ids[chosen]))
         working.place(chosen, request)
+        if features is not None:
+            features.placed(chosen)
 
     return decision
 
@@ -178,10 +195,15 @@ def consolidate(
 ) -> list[tuple[str, str]]:
     """Plan migrations emptying at most one underloaded PM this step.
 
-    Only the learned policies consolidate.  A PM below the utilisation
-    threshold is emptied only if every VM fits on other powered-on PMs
-    and the reclaimed idle energy beats the migration penalties.
-    `prices` is as for `schedule`; the state's columns are only read.
+    Only the learned policies consolidate.  The PMs below the utilisation
+    threshold are tried least utilised first, and one is emptied only if
+    every VM fits on other powered-on PMs and the reclaimed idle energy
+    beats the migration penalties.  One mask screens every VM of every
+    such PM first, so a PM with a VM that fits on no other powered-on PM
+    is skipped before anything is scored.  Each PM tried is planned on
+    one `take` of the other powered-on PMs, with one kept feature matrix,
+    moving its largest VMs first.  `prices` is as for `schedule`; the
+    state's columns are only read.
     """
     if policy.kind not in MODEL_POLICIES:
         return []
@@ -189,50 +211,48 @@ def consolidate(
     snap = state.resources
     on = np.flatnonzero(snap.powered_on)
     low = on[snap.utilisation[on] < threshold]
-    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
-
-    hosted: dict[str, list] = {snap.pm_ids[row]: [] for row in underloaded.tolist()}
-    for vm in state.vms.values():
-        if vm.placed_on in hosted:
-            hosted[vm.placed_on].append(vm)
-    sources = [  # (row, its VMs largest first), least utilised first
-        (row, sorted(vms, key=lambda v: (-v.request.cores, v.id)))
-        for row, vms in zip(underloaded.tolist(), hosted.values())
-        if vms
-    ]
-    if not sources:
+    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]  # least utilised first
+    source_of = {snap.pm_ids[row]: i for i, row in enumerate(underloaded.tolist())}
+    moving = [vm for vm in state.vms.values() if vm.placed_on in source_of]
+    if not moving:
         return []
 
-    # The columns stay as they are until a plan is returned, so one mask
-    # screens every source: can its first VM go to another powered-on PM?
-    first = np.array(
-        [(v[0].request.cores, v[0].request.ram, v[0].request.cpu_frequency) for _, v in sources]
-    )
-    source_rows = np.array([row for row, _ in sources])
+    # A plan only fills the other PMs, and the columns stay as they are
+    # until one is returned, so a VM that fits on no other powered-on PM
+    # now can never move.  One mask screens every VM of every source, and
+    # a source holding such a VM is skipped before anything is scored.
+    need = np.array([(vm.request.cores, vm.request.ram, vm.request.cpu_frequency) for vm in moving])
+    index = np.array([source_of[vm.placed_on] for vm in moving])
     movable = (
-        (snap.free_cores[on] >= first[:, :1])
-        & (snap.free_ram[on] >= first[:, 1:2])
-        & (snap.max_frequency[on] >= first[:, 2:])
-        & (on != source_rows[:, None])
-    )
+        (snap.free_cores[on] >= need[:, :1])
+        & (snap.free_ram[on] >= need[:, 1:2])
+        & (snap.max_frequency[on] >= need[:, 2:])
+        & (on != underloaded[index][:, None])
+    ).any(axis=1)
+    blocked = set(index[~movable].tolist())
+    hosted: dict[int, list] = {}
+    for vm, i in zip(moving, index.tolist()):
+        if i not in blocked:
+            hosted.setdefault(i, []).append(vm)
 
-    for (source, vms), screened in zip(sources, movable.any(axis=1).tolist()):
-        if not screened:
-            continue  # the first VM has nowhere to go, so no plan empties this PM
+    for i in sorted(hosted):
+        source = underloaded[i]
         rows = on[on != source]
         working = snap.take(rows)
-        working_prices = None if prices is None else prices[rows]
+        features = WorkingFeatures(working, None if prices is None else prices[rows])
 
         plan: list[tuple[str, str]] = []
-        for vm in vms:
-            candidates = np.flatnonzero(working.fits(vm.request))
+        for vm in sorted(hosted[i], key=lambda v: (-v.request.cores, v.id)):  # largest first
+            r = vm.request
+            candidates = np.flatnonzero(working.fits(r))
             if not candidates.size:
                 break
-            remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
-            scoring_request = dc_replace(vm.request, duration=remaining)
-            dst = _argmin(policy.score(working, scoring_request, candidates, working_prices))
+            remaining = max(1, vm.start_hour + r.duration - state.clock)
+            scoring = WorkloadRequest(r.id, r.cpu_frequency, r.cores, r.ram, remaining, r.arrival)
+            dst = _argmin(*policy.score(working, scoring, candidates, features))
             plan.append((vm.id, working.pm_ids[dst]))
-            working.place(dst, vm.request)
+            working.place(dst, r)
+            features.placed(dst)
         else:  # every VM found a destination
             saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
             if plan and saving > 0:

@@ -48,7 +48,7 @@ from cloudsched.gnn.models import (
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
-from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES, _argmin
+from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES
 from cloudsched.workload import (
     CORE_CHOICES,
     DURATION_MAX_H,
@@ -296,6 +296,17 @@ def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
     return scores
 
 
+def argmin_by_scan(scores: dict[int, float]) -> int:
+    """The row with the lowest score: a strict `<` scan over `{row: score}` in row order."""
+    best_row = None
+    best = None
+    for row, score in scores.items():
+        if best is None or score < best:
+            best = score
+            best_row = row
+    return best_row
+
+
 def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_THRESHOLD):
     """`consolidate` with each underloaded source screened on its own, and
     each request scored on its own dense state graph.
@@ -333,7 +344,7 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
             graph = build_state_graph(
                 working, [replace(vm.request, duration=remaining)], working_prices
             )
-            dst = _argmin(score_placements_by_pair(policy.model, graph, len(working)))
+            dst = argmin_by_scan(score_placements_by_pair(policy.model, graph, len(working)))
             plan.append((vm.id, working.pm_ids[dst]))
             working.place(dst, vm.request)
         else:

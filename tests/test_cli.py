@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cloudsched.cli import _build_sim_config, build_parser, main
+from cloudsched.gnn.graph import node_features
 from cloudsched.gnn.models import (
     load_model,
     model_to_json,
@@ -84,11 +85,10 @@ class TestTrain:
 
         snap, request = snapshot(new_datacenter(2)), tiny_requests()[0]
         rows = np.flatnonzero(snap.fits(request))
-        first = score_placements(model, snap, request, rows, None)
-        again = score_placements(
-            load_model(tmp_path / "model_counter.json"), snap, request, rows, None
-        )
-        assert first == again and len(first) == 2
+        features = node_features(snap, [request])
+        first = score_placements(model, features, rows)
+        again = score_placements(load_model(tmp_path / "model_counter.json"), features, rows)
+        assert first.tolist() == again.tolist() and len(first) == 2
         assert (tmp_path / "loss_counter.csv").read_text().startswith("epoch,mean_loss")
 
     def test_zero_lr_keeps_initial_weights(self, tmp_path):

@@ -9,8 +9,10 @@ from cloudsched.errors import DomainError
 from cloudsched.gnn.graph import (
     ClusterPartition,
     StateGraph,
+    WorkingFeatures,
     _normalize,
     build_state_graph,
+    node_features,
     normalize_adjacency,
     partition_graph,
     state_a_hat,
@@ -204,3 +206,40 @@ class TestPartitionGraph:
 def test_cluster_partition_validation():
     with pytest.raises(DomainError):
         ClusterPartition(cluster_of=(0, 0, 0), k=2)  # cluster 1 empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_features_match_node_features(data):
+    """After any placements on a copy or a take, priced or not, the kept
+    matrix equals `node_features` of the working snapshot, byte for byte."""
+    snap = snapshot_from_entries(data.draw(pm_entries(min_pms=1, max_pms=12), label="pms"))
+    if data.draw(st.booleans(), label="take"):
+        order = data.draw(st.permutations(range(len(snap))), label="order")
+        working = snap.take(np.array(order[: data.draw(st.integers(1, len(order)))]))
+    else:
+        working = snap.copy()
+    prices = data.draw(
+        st.none()
+        | st.lists(st.floats(0.0, 0.15), min_size=len(working), max_size=len(working)).map(
+            np.array
+        ),
+        label="prices",
+    )
+    features = WorkingFeatures(working, prices)
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        r = request(
+            freq=data.draw(st.integers(1600, 3500)),
+            cores=data.draw(st.sampled_from([1, 2, 4, 8, 16])),
+            ram=data.draw(st.sampled_from([1, 2, 4, 8, 16])),
+            duration=data.draw(st.integers(1, 48)),
+        )
+        kept = features.for_request(r)
+        assert kept.tobytes() == node_features(working, [r], prices).tobytes()
+        fits = np.flatnonzero(working.fits(r)).tolist()
+        if fits:
+            row = data.draw(st.sampled_from(fits), label="row")
+            working.place(row, r)
+            features.placed(row)
+            kept = features.for_request(r)
+            assert kept.tobytes() == node_features(working, [r], prices).tobytes()

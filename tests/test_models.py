@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cloudsched.datacenter import new_datacenter, snapshot
 from cloudsched.errors import DomainError, ShapeError, TraceFormatError
-from cloudsched.gnn.graph import StateGraph, build_state_graph, partition_graph
+from cloudsched.gnn.graph import StateGraph, build_state_graph, node_features, partition_graph
 from cloudsched.gnn.models import (
     MAX_GATED_STEPS,
     GatedModel,
@@ -148,8 +148,10 @@ class TestGatedForward:
 
 
 def score(model, snap, req, prices=None):
-    """`score_placements` over every PM that fits the request."""
-    return score_placements(model, snap, req, np.flatnonzero(snap.fits(req)), prices)
+    """`score_placements` over every PM that fits the request, keyed by row."""
+    rows = np.flatnonzero(snap.fits(req))
+    scores = score_placements(model, node_features(snap, [req], prices), rows)
+    return dict(zip(rows.tolist(), scores.tolist()))
 
 
 class TestScorePlacements:
@@ -176,8 +178,9 @@ class TestScorePlacements:
 
     def test_only_the_candidates_are_scored(self):
         snap = snapshot(new_datacenter(4))
-        scores = score_placements(new_gcn_model(seed=1), snap, request(), np.array([1, 3]), None)
-        assert list(scores) == [1, 3]
+        features = node_features(snap, [request()])
+        scores = score_placements(new_gcn_model(seed=1), features, np.array([1, 3]))
+        assert scores.shape == (2,)
 
     def test_gated_scoring_works(self):
         scores = score(new_gated_model(seed=1), snapshot(new_datacenter(2)), request())

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from cloudsched.datacenter import (
 )
 from cloudsched.energy import DEFAULT_POWER_MODEL, pm_power
 from cloudsched.errors import ConfigError
+from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
 from cloudsched.scheduler import (
     MODEL_POLICIES,
@@ -29,7 +31,7 @@ from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
 from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
-from slow_reference import consolidate_by_source
+from slow_reference import argmin_by_scan, consolidate_by_source
 
 CHECKPOINTS = {
     "counter": load_model(Path(__file__).parent / "data" / "counter.json"),
@@ -116,19 +118,20 @@ class TestSchedule:
         entries = {"pm-0": entry(), "pm-1": entry(free_cores=16, free_ram=8, powered_on=True)}
         snap = snapshot_from_entries(entries)
         r = req()
-        assert Policy("first_fit").score(snap, r, rows(1), None) == {1: 0.0}
+        picked, scores = Policy("first_fit").score(snap, r, rows(1), None)
+        assert (picked.tolist(), scores.tolist()) == ([1], [0.0])
         # best_fit_energy returns its pick alone: the powered-on PM's lower energy
-        energies = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
-        assert energies == {1: incremental_energy(snap, rows(1), r, DEFAULT_POWER_MODEL).item()}
-        assert all(type(k) is int and type(v) is float for k, v in energies.items())
+        picked, energies = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
+        energy = incremental_energy(snap, rows(1), r, DEFAULT_POWER_MODEL)
+        assert (picked.tolist(), energies.tolist()) == ([1], energy.tolist())
         policies = [Policy("random", rng_seed=5) for _ in range(2)]
-        picks = [p.score(snap, r, rows(0, 1), None) for p in policies]
+        picks = [p.score(snap, r, rows(0, 1), None)[0].tolist() for p in policies]
         assert picks[0] == picks[1] and len(picks[0]) == 1
 
     def test_best_fit_ties_go_to_the_first_row(self):
         snap = snapshot(new_datacenter(4))  # every PM off and empty: equal energies
-        picks = Policy("best_fit_energy").score(snap, req(), rows(1, 2, 3), None)
-        assert list(picks) == [1]
+        picked, _ = Policy("best_fit_energy").score(snap, req(), rows(1, 2, 3), None)
+        assert picked.tolist() == [1]
 
     def test_wrong_model_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -164,14 +167,15 @@ class TestModelScores:
             "pm-1": entry(),
         })
         policy = Policy("counter", model=new_gcn_model(seed=1))
-        scores = policy.score(snap, req(cores=8), rows(1), np.zeros(2))
-        assert list(scores) == [1]
+        features = WorkingFeatures(snap, np.zeros(2))
+        picked, scores = policy.score(snap, req(cores=8), rows(1), features)
+        assert picked.tolist() == [1] and scores.shape == (1,)
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
         policy = Policy("counter", model=new_gcn_model(seed=2))
-        scores = policy.score(snap, req(), rows(0, 1, 2), np.zeros(3))
-        values = list(scores.values())
+        _, scores = policy.score(snap, req(), rows(0, 1, 2), WorkingFeatures(snap, np.zeros(3)))
+        values = scores.tolist()
         assert max(values) - min(values) <= 1e-9  # feature-identical PMs
         d = schedule(policy, snap, [req()])
         assert d.assignments == [("vm-0", "pm-0")]
@@ -179,17 +183,51 @@ class TestModelScores:
     def test_hunter_score_runs(self):
         snap = snapshot(new_datacenter(2))
         policy = Policy("hunter", model=new_gated_model(seed=1))
-        scores = policy.score(snap, req(), rows(0, 1), np.zeros(2))
-        assert set(scores) == {0, 1}
+        picked, scores = policy.score(snap, req(), rows(0, 1), WorkingFeatures(snap, np.zeros(2)))
+        assert picked.tolist() == [0, 1] and scores.shape == (2,)
 
     def test_argmin_invariant_to_constant_shift(self):
-        scores = {0: 0.4, 1: 0.1, 2: 0.2}
-        shifted = {k: v + 123.0 for k, v in scores.items()}
-        assert _argmin(scores) == _argmin(shifted) == 1
+        scores = np.array([0.4, 0.1, 0.2])
+        assert _argmin(rows(0, 1, 2), scores) == _argmin(rows(0, 1, 2), scores + 123.0) == 1
 
     def test_argmin_ties_go_to_the_first_row(self):
-        assert _argmin({2: 0.5, 4: 0.1, 7: 0.1}) == 4
-        assert _argmin({3: 0.0, 5: -0.0}) == 3
+        assert _argmin(rows(2, 4, 7), np.array([0.5, 0.1, 0.1])) == 4
+        assert _argmin(rows(3, 5), np.array([0.0, -0.0])) == 3
+
+    @pytest.mark.parametrize(
+        "scores, expected",
+        [
+            ({2: 0.5, 4: 0.1, 7: 0.1}, 4),
+            ({3: 0.0, 5: -0.0}, 3),
+            ({1: 0.2}, 1),
+            ({1: math.nan, 2: -1.0, 3: -math.inf}, 1),
+            ({1: math.nan, 2: math.nan}, 1),
+            ({0: 0.3, 1: math.nan, 2: 0.2}, 2),
+            ({0: 0.1, 1: math.nan, 2: 0.2}, 0),
+            ({0: math.inf, 1: math.nan, 2: math.inf}, 0),
+        ],
+        ids=[
+            "tie", "signed-zero-tie", "one-row", "nan-first", "all-nan",
+            "later-nan", "later-nan-after-min", "later-nan-among-inf",
+        ],
+    )
+    def test_argmin_rule(self, scores, expected):
+        """Ties go to the first row, a NaN in the first position wins, a later NaN never does."""
+        assert argmin_by_scan(scores) == expected
+        assert _argmin(np.array(list(scores)), np.array(list(scores.values()))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, math.nan, math.inf, -math.inf]) | st.floats(),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_argmin_matches_the_scan(self, scores):
+        candidates = np.arange(len(scores)) * 3 + 1
+        by_row = dict(zip(candidates.tolist(), scores))
+        assert _argmin(candidates, np.array(scores)) == argmin_by_scan(by_row)
 
 
 class TestConsolidate:
@@ -269,6 +307,17 @@ class TestConsolidationScreen:
     @pytest.mark.parametrize("kind", MODEL_POLICIES)
     def test_no_source_passes_and_nothing_is_scored(self, kind):
         state = hosting([[(1, 8)], [(32, 1)], [(2, 9)]])
+        policy = Policy(kind, model=CHECKPOINTS[kind])
+        calls = []
+        policy.score = lambda *args: calls.append(args)
+        assert consolidate(policy, state) == consolidate_by_source(policy, state) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    def test_a_smaller_vm_with_nowhere_to_go_blocks_its_source(self, kind):
+        # pm-0's largest VM (4 cores) fits on pm-2, but its 8-GiB VM fits on
+        # no other PM; pm-2's 9-GiB VM fits nowhere either.
+        state = hosting([[(4, 1), (1, 8)], [(32, 1)], [(2, 9)]])
         policy = Policy(kind, model=CHECKPOINTS[kind])
         calls = []
         policy.score = lambda *args: calls.append(args)
