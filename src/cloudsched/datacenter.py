@@ -20,6 +20,7 @@ it.  The operations build each new state and VM with its constructor, not
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,11 @@ class ResourceSnapshot:
 
     def __len__(self) -> int:
         return len(self.pm_ids)
+
+    @cached_property
+    def same_cores(self) -> bool:
+        """Whether every PM has the same core count; a PM's cores never change."""
+        return bool((self.cores == self.cores[0]).all())
 
     def fits(self, request: WorkloadRequest) -> np.ndarray:
         """Mask of the PMs with the cores, RAM and frequency the request needs."""

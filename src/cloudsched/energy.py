@@ -3,7 +3,9 @@
 Total energy per interval splits into processor, cooling and extra
 components.  The processor part follows a linear power model between
 idle and peak wattage; cooling and extra overheads are proportional to
-it, with a flat per-migration penalty folded into extra.
+it, with a flat per-migration penalty folded into extra.  A run is billed
+once, after its last hour: `step_energy` takes the run's `[hour][pm]`
+utilisation and prices and returns every PM-hour's energy and cost.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .datacenter import ResourceSnapshot
 from .errors import DomainError, NotFoundError, TraceFormatError
 from .util import decode_utf8, is_finite_number
 
@@ -48,8 +49,8 @@ DEFAULT_POWER_MODEL = PowerModel()
 class EnergyBreakdown(NamedTuple):
     """One interval's energy split and its cost.
 
-    A named tuple, not a dataclass, because billing builds one per PM and
-    hour: a tuple is built without `__init__` or per-field `setattr`.
+    A named tuple, not a dataclass, because `pm_energy_rows` builds one per
+    PM and hour: a tuple is built without `__init__` or per-field `setattr`.
     """
 
     processor: float  # kWh
@@ -89,51 +90,63 @@ def pm_power(utilisation, powered_on, model: PowerModel = DEFAULT_POWER_MODEL):
     return watts if watts.ndim else float(watts)
 
 
-def step_energy(
-    snapshot: ResourceSnapshot,
-    model: PowerModel = DEFAULT_POWER_MODEL,
-    migrations: Sequence[str] = (),
-    dt: float = 1.0,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], EnergyBreakdown]:
-    """Energy drawn over one interval: the per-PM parts and their aggregate.
+class PmBilling(NamedTuple):
+    """Per-PM billing columns: row h holds interval h, column i PM i.
 
-    Returns the (processor, cooling, extra) kWh of every PM as three
-    arrays in snapshot order, and the aggregate breakdown.  `migrations`
-    lists the destination PM id of each migration; each 0.01 kWh
-    (default) penalty lands on the destination's extra component so it
-    can be billed at that PM's location, and a destination that is not in
-    the snapshot raises `NotFoundError`.  The per-PM parts are computed
-    elementwise over the snapshot's columns; the aggregates add them up
-    one PM at a time, in PM order (`left_fold`, not the builtin `sum`).
+    The fields are in `energy_report.csv`'s column order.
+    """
+
+    processor: np.ndarray  # kWh
+    cooling: np.ndarray
+    extra: np.ndarray
+    total: np.ndarray
+    price: np.ndarray  # per kWh at the PM's location
+    cost: np.ndarray
+
+
+def step_energy(
+    utilisation: np.ndarray,
+    prices: np.ndarray,
+    pm_ids: Sequence[str],
+    model: PowerModel = DEFAULT_POWER_MODEL,
+    migrations: Sequence[Sequence[str]] = (),
+    dt: float = 1.0,
+) -> tuple[PmBilling, list[EnergyBreakdown]]:
+    """Bill a whole run at once: every PM's energy and cost, and each interval's sums.
+
+    `utilisation` and `prices` are `[interval][pm]` arrays, and a PM is
+    powered on in an interval when its utilisation is above zero.
+    `migrations` holds one list per interval (or none at all) of the
+    destination PM id of each migration; each 0.01 kWh (default) penalty
+    lands on the destination's extra component so it is billed at that
+    PM's price, and a destination not in `pm_ids` raises `NotFoundError`.
+    The per-PM parts are computed elementwise, and each interval's
+    aggregate adds them up one PM at a time, in PM order: a left fold, as
+    `np.add.reduce` (pairwise) and the builtin `sum` (compensated from
+    Python 3.12 on) are not.
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
 
-    watts = pm_power(snapshot.utilisation, snapshot.powered_on, model)
+    watts = pm_power(utilisation, utilisation > 0, model)
     processor = watts * dt / WATTS_PER_KW
     cooling = model.cooling_coefficient * processor
     extra = model.extra_coefficient * processor
-    for pm_id, count in Counter(migrations).items():
-        try:
-            row = snapshot.pm_ids.index(pm_id)
-        except ValueError:
-            raise NotFoundError(f"migration to unknown PM {pm_id!r}") from None
-        extra[row] += model.migration_penalty * count
-    columns = (processor, cooling, extra)
-    return columns, EnergyBreakdown.make(*(left_fold(column.tolist()) for column in columns))
+    rows = {pm_id: row for row, pm_id in enumerate(pm_ids)}
+    for hour, destinations in enumerate(migrations):
+        for pm_id, count in Counter(destinations).items():
+            if pm_id not in rows:
+                raise NotFoundError(f"migration to unknown PM {pm_id!r}")
+            extra[hour, rows[pm_id]] += model.migration_penalty * count
+    total = processor + cooling + extra
+    cost = total * prices
+    billing = PmBilling(processor, cooling, extra, total, prices, cost)
 
-
-def left_fold(column: list[float]) -> float:
-    """Left-to-right float sum.
-
-    The builtin `sum` of floats is this fold on Python 3.11 and earlier,
-    but a compensated sum from 3.12 on, which changes the last bits of
-    the aggregates and so the outputs.
-    """
-    total = 0.0
-    for value in column:
-        total += value
-    return total
+    parts = np.stack((processor, cooling, extra, cost), axis=-1)  # [interval][pm][part]
+    sums = np.zeros(parts.shape[::2])
+    for column in parts.swapaxes(0, 1):  # one PM's [interval][part], in PM order
+        sums += column
+    return billing, [EnergyBreakdown.make(*row) for row in sums.tolist()]
 
 
 @dataclass(frozen=True)

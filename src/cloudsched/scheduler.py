@@ -16,6 +16,7 @@ predicted saving is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,10 +81,11 @@ class Policy:
         two aligned arrays in ascending row order.  The graph networks
         score every candidate from `features`, the feature matrix kept
         for `working` (None for the heuristics), after writing the
-        request's row into it.  The heuristics return their pick alone:
-        first_fit and random pick without scoring (random draws once per
-        request), and best_fit_energy keeps only its lowest incremental
-        energy, the first one on a tie, as `_argmin` would.
+        request's row into it; a lone candidate is returned unscored
+        unless scores are logged.  The heuristics return their pick
+        alone and unscored: first_fit takes the first candidate, random
+        draws once per request, and best_fit_energy takes the PM whose
+        power rises least (`_least_power_increase`).
         """
         if self.kind == "first_fit":
             return candidates[:1], _NO_SCORE
@@ -91,14 +93,41 @@ class Policy:
             pick = int(self._rng.integers(len(candidates)))
             return candidates[pick : pick + 1], _NO_SCORE
         if self.kind == "best_fit_energy":
-            energy = incremental_energy(working, candidates, request, self.power)
-            best = int(np.argmin(energy))  # never NaN: pm_power rejects it
-            return candidates[best : best + 1], energy[best : best + 1]
+            pick = _least_power_increase(working, candidates, request, self.power)
+            return candidates[pick : pick + 1], _NO_SCORE
+        if len(candidates) == 1 and not self.logs_scores:  # nothing to rank
+            return candidates, _NO_SCORE
         return candidates, score_placements(self.model, features.for_request(request), candidates)
 
 
 _NO_SCORE = np.zeros(1)  # the score of a pick made without scoring
 _NO_SCORE.flags.writeable = False  # shared by every such pick
+
+
+def _least_power_increase(
+    snap: ResourceSnapshot, rows: np.ndarray, request: WorkloadRequest, power: PowerModel
+) -> int:
+    """The position in `rows` of the PM with the least incremental energy, the first on a tie.
+
+    Power is linear in utilisation and a PM is off exactly when it hosts
+    nothing, so hosting c cores on PM i raises its draw by exactly
+    `(peak - idle) * c / cores_i + idle * [i is off]` watts; the cooling
+    and extra overheads scale every PM's rise alike.  When every PM has
+    the same core count, the first term is common to all, so the pick is
+    the first powered-on PM, or else the first PM (Beloglazov & Buyya's
+    least power increase over identical hosts).  Otherwise the exact
+    rises are compared as fractions of the power model's floats.  Unlike
+    the float difference `incremental_energy` takes, neither depends on
+    how the rises round.
+    """
+    on = snap.powered_on[rows]
+    if snap.same_cores:
+        return int(on.argmax())  # the first True, or 0 if there is none
+    idle = Fraction(power.idle_power)
+    slope = (Fraction(power.peak_power) - idle) * request.cores
+    cores = snap.cores[rows].tolist()
+    rises = [slope / n + (0 if o else idle) for n, o in zip(cores, on.tolist())]
+    return rises.index(min(rises))
 
 
 def incremental_energy(
@@ -111,8 +140,9 @@ def incremental_energy(
     """Total-energy delta (kWh) of hosting the request for `dt` hours, per PM row.
 
     Includes the idle block if the PM has to boot, plus the proportional
-    cooling/extra overheads; this is both the best-fit objective and the
-    training label.
+    cooling/extra overheads; this is the training label.  best_fit_energy
+    ranks by the exact rise instead (`_least_power_increase`), which this
+    float difference can misorder by its rounding.
     """
     before = pm_power(snap.utilisation[rows], snap.powered_on[rows], power)
     cores = snap.cores[rows]
@@ -199,11 +229,12 @@ def consolidate(
     threshold are tried least utilised first, and one is emptied only if
     every VM fits on other powered-on PMs and the reclaimed idle energy
     beats the migration penalties.  One mask screens every VM of every
-    such PM first, so a PM with a VM that fits on no other powered-on PM
-    is skipped before anything is scored.  Each PM tried is planned on
-    one `take` of the other powered-on PMs, with one kept feature matrix,
-    moving its largest VMs first.  `prices` is as for `schedule`; the
-    state's columns are only read.
+    such PM first, so a PM with a VM that fits on no other powered-on PM,
+    or whose VMs need more cores or RAM in all than the other powered-on
+    PMs have free, is skipped before anything is scored.  Each PM tried
+    is planned on one `take` of the other powered-on PMs, with one kept
+    feature matrix, moving its largest VMs first.  `prices` is as for
+    `schedule`; the state's columns are only read.
     """
     if policy.kind not in MODEL_POLICIES:
         return []
@@ -229,7 +260,13 @@ def consolidate(
         & (snap.max_frequency[on] >= need[:, 2:])
         & (on != underloaded[index][:, None])
     ).any(axis=1)
-    blocked = set(index[~movable].tolist())
+    # Nor can a source whose VMs need more cores or RAM in all than the
+    # other powered-on PMs have free between them.
+    demand = np.zeros((len(underloaded), 2), dtype=need.dtype)
+    np.add.at(demand, index, need[:, :2])
+    free = np.stack((snap.free_cores, snap.free_ram), axis=1)
+    short = (demand > free[on].sum(axis=0) - free[underloaded]).any(axis=1)
+    blocked = set(index[~movable].tolist()) | set(np.flatnonzero(short).tolist())
     hosted: dict[int, list] = {}
     for vm, i in zip(moving, index.tolist()):
         if i not in blocked:

@@ -1,10 +1,12 @@
 """Hourly simulation loop, QoS reporting, and policy comparison.
 
 Each hour: retire finished VMs, deliver arrivals, schedule, execute
-placements and consolidation migrations, then bill the energy drawn over
-the hour.  Scheduling, consolidation and billing read the state's resource
-columns and the hour's row of the run's `[hour][pm]` price matrix.  A run
-keeps each per-PM-hour fact once, as an `[hour][pm]` array; what
+placements and consolidation migrations, then record the hour's
+utilisation row and migration destinations.  Scheduling and consolidation
+read the state's resource columns and the hour's row of the run's
+`[hour][pm]` price matrix.  The run is billed once, after the last hour,
+by one `step_energy` call over the `[hour][pm]` utilisation and prices.
+A run keeps each per-PM-hour fact once, as an `[hour][pm]` array; what
 `result.json` writes besides is derived from those arrays.
 """
 
@@ -13,8 +15,8 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field, fields, replace as dc_replace
-from functools import lru_cache
-from typing import Iterator, NamedTuple
+from functools import lru_cache, reduce
+from typing import Iterator
 
 import numpy as np
 
@@ -31,11 +33,11 @@ from .datacenter import (
 from .energy import (
     DEFAULT_POWER_MODEL,
     EnergyBreakdown,
+    PmBilling,
     PowerModel,
     PriceSeries,
     ZERO_ENERGY,
     generate_price_series,
-    left_fold,
     step_energy,
 )
 from .errors import ConfigError, CoverageError
@@ -69,20 +71,6 @@ class SimConfig:
     seed: int = 0
     consolidation_threshold: float = CONSOLIDATION_THRESHOLD
     log_scores: bool = False
-
-
-class PmBilling(NamedTuple):
-    """Per-PM billing columns: row h holds hour h, column i PM i.
-
-    The fields are in `energy_report.csv`'s column order.
-    """
-
-    processor: np.ndarray  # kWh
-    cooling: np.ndarray
-    extra: np.ndarray
-    total: np.ndarray
-    price: np.ndarray  # per kWh at the PM's location
-    cost: np.ndarray
 
 
 def _no_billing() -> PmBilling:
@@ -212,7 +200,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     )
     price_matrix = np.array([series[loc][: config.horizon] for loc in locations]).T  # [hour][pm]
     utilisation = []  # per hour, over the PMs
-    pm_hours = []  # per hour: (processor, cooling, extra, total, cost) over the PMs
+    destinations = []  # per hour: the PM each migration went to
 
     for hour in range(config.horizon):
         state = remove_finished(with_clock(state, hour))
@@ -233,18 +221,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         for vm_id in decision.deferred:
             result.deferred_hours[vm_id] = result.deferred_hours.get(vm_id, 0) + 1
 
-        (processor, cooling, extra), aggregate = step_energy(
-            state.resources, config.power, migrations=[dst for _, dst in migrations], dt=1.0
-        )
-        total = processor + cooling + extra
-        cost = total * prices
-        pm_hours.append((processor, cooling, extra, total, cost))
         utilisation.append(state.resources.utilisation)  # a built state's columns never change
-        hourly = EnergyBreakdown.make(
-            aggregate.processor, aggregate.cooling, aggregate.extra, left_fold(cost.tolist())
-        )
-        result.hourly.append(hourly)
-        result.totals = result.totals.plus(hourly)
+        destinations.append([dst for _, dst in migrations])
 
         event = {
             "hour": hour,
@@ -258,8 +236,10 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         result.events.append(event)
 
     result.utilisation = np.array(utilisation)
-    processor, cooling, extra, total, cost = map(np.array, zip(*pm_hours))
-    result.pm_billing = PmBilling(processor, cooling, extra, total, price_matrix, cost)
+    result.pm_billing, result.hourly = step_energy(
+        result.utilisation, price_matrix, result.pm_ids, config.power, destinations, dt=1.0
+    )
+    result.totals = reduce(EnergyBreakdown.plus, result.hourly, ZERO_ENERGY)
     return result
 
 

@@ -22,6 +22,7 @@ from cloudsched.energy import (
     EnergyBreakdown,
     PowerModel,
     PriceSeries,
+    pm_power,
 )
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
@@ -48,7 +49,7 @@ from cloudsched.gnn.models import (
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
-from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES
+from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES, incremental_energy
 from cloudsched.workload import (
     CORE_CHOICES,
     DURATION_MAX_H,
@@ -181,6 +182,49 @@ def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_M
         hourly.append(hour_energy)
         totals = totals.plus(hour_energy)
     return hourly, totals, rows
+
+
+def left_fold(column: list[float]) -> float:
+    """Left-to-right float sum.
+
+    The builtin `sum` of floats is this fold on Python 3.11 and earlier,
+    but a compensated sum from 3.12 on, which changes the last bits.
+    """
+    total = 0.0
+    for value in column:
+        total += value
+    return total
+
+
+def bill_by_hour(utilisation, prices, pm_ids, power=DEFAULT_POWER_MODEL, migrations=(), dt=1.0):
+    """A run's billing one hour at a time: `(columns, hourly, totals)`.
+
+    Each hour is billed by the same elementwise operations over its row
+    of `utilisation` and `prices`, and its aggregates are `left_fold`s
+    over that hour's Python floats; the totals add the hours up with
+    `EnergyBreakdown.plus`.  `columns` are the six `PmBilling` fields as
+    `[hour][pm]` arrays.
+    """
+    rows, hourly, totals = [], [], ZERO_ENERGY
+    for hour, (util, price) in enumerate(zip(utilisation, prices)):
+        watts = pm_power(util, util > 0, power)
+        processor = watts * dt / WATTS_PER_KW
+        cooling = power.cooling_coefficient * processor
+        extra = power.extra_coefficient * processor
+        for pm_id, count in Counter(migrations[hour] if migrations else ()).items():
+            extra[list(pm_ids).index(pm_id)] += power.migration_penalty * count
+        total = processor + cooling + extra
+        cost = total * price
+        rows.append((processor, cooling, extra, total, price, cost))
+        sums = [left_fold(column.tolist()) for column in (processor, cooling, extra, cost)]
+        hourly.append(EnergyBreakdown.make(*sums))
+        totals = totals.plus(hourly[-1])
+    return tuple(map(np.array, zip(*rows))), hourly, totals
+
+
+def best_fit_by_float_argmin(snap, rows, request, power=DEFAULT_POWER_MODEL) -> int:
+    """The position in `rows` of the lowest float `incremental_energy`, the first on a tie."""
+    return int(np.argmin(incremental_energy(snap, rows, request, power)))
 
 
 def qos_by_row(result):

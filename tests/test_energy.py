@@ -1,5 +1,7 @@
 import math
+from functools import reduce
 
+import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,20 @@ from cloudsched.errors import DomainError, NotFoundError, TraceFormatError
 from cloudsched.workload import WorkloadRequest
 
 from helpers import price_series_to_csv
-from slow_reference import prices_by_scalar_draws
+from slow_reference import bill_by_hour, prices_by_scalar_draws
 
 REL = 1e-9
+
+
+def bill_one_hour(snap, model=DEFAULT_POWER_MODEL, migrations=(), dt=1.0):
+    """`step_energy` of one unpriced hour in the snapshot's state: `(columns, aggregate)`.
+
+    The columns are that hour's processor, cooling and extra energy per PM.
+    """
+    billing, (aggregate,) = step_energy(
+        snap.utilisation[None], np.zeros((1, len(snap))), snap.pm_ids, model, [migrations], dt
+    )
+    return tuple(column[0] for column in billing[:3]), aggregate
 
 
 def approx(x, rel=REL):
@@ -86,7 +99,7 @@ class TestStepEnergy:
         )
         state = admit(state, [request])
         state = place(state, [("w", "pm-0")])
-        columns, agg = step_energy(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
+        columns, agg = bill_one_hour(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
         watts = 100.0 + 100.0 * (1 / 32)
         assert agg.processor == approx(watts / 1000)
         assert agg.cooling == approx(0.3 * watts / 1000)
@@ -105,17 +118,19 @@ class TestStepEnergy:
         assert b.total == approx(0.135)
 
     def test_all_off_zero(self):
-        _, agg = step_energy(snapshot(new_datacenter(3)))
+        _, agg = bill_one_hour(snapshot(new_datacenter(3)))
         assert agg == EnergyBreakdown.make(0.0, 0.0, 0.0)
 
     def test_migration_penalty_isolated(self):
-        _, agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-0", "pm-1"])
+        _, agg = bill_one_hour(snapshot(new_datacenter(2)), migrations=["pm-0", "pm-1"])
         assert agg.extra == approx(0.02)
         assert agg.total == approx(0.02)
         assert agg.processor == 0.0
 
     def test_penalty_lands_on_destination(self):
-        (processor, _, extra), agg = step_energy(snapshot(new_datacenter(2)), migrations=["pm-1"])
+        (processor, _, extra), agg = bill_one_hour(
+            snapshot(new_datacenter(2)), migrations=["pm-1"]
+        )
         assert extra[1] == approx(0.01)
         assert extra[0] == 0.0
         assert processor.tolist() == [0.0, 0.0]
@@ -123,11 +138,11 @@ class TestStepEnergy:
 
     def test_penalty_to_an_unknown_pm_raises(self):
         with pytest.raises(NotFoundError, match="pm-9"):
-            step_energy(snapshot(new_datacenter(2)), migrations=["pm-1", "pm-9"])
+            bill_one_hour(snapshot(new_datacenter(2)), migrations=["pm-1", "pm-9"])
 
     def test_dt_must_be_positive(self):
         with pytest.raises(DomainError):
-            step_energy(snapshot(new_datacenter(1)), dt=0.0)
+            bill_one_hour(snapshot(new_datacenter(1)), dt=0.0)
 
 
 class TestGeneratePriceSeries:
@@ -235,8 +250,8 @@ core_lists = st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_si
 @given(core_lists)
 def test_additivity_two_hours(cores):
     snap = make_snapshot(cores)
-    _, two = step_energy(snap, dt=2.0)
-    _, one = step_energy(snap, dt=1.0)
+    _, two = bill_one_hour(snap, dt=2.0)
+    _, one = bill_one_hour(snap, dt=1.0)
     assert two.total == pytest.approx(2 * one.total, rel=REL)
 
 
@@ -244,7 +259,7 @@ def test_additivity_two_hours(cores):
 @given(core_lists)
 def test_eq1_closure_and_lower_bound(cores):
     snap = make_snapshot(cores)
-    columns, agg = step_energy(snap, dt=1.0)
+    columns, agg = bill_one_hour(snap, dt=1.0)
     assert agg.total == pytest.approx(agg.processor + agg.cooling + agg.extra, rel=REL)
     assert all(len(column) == len(cores) for column in columns)
     assert (agg.processor, agg.cooling, agg.extra) == tuple(sum(column) for column in columns)
@@ -264,9 +279,48 @@ def test_monotone_in_utilisation(a, b):
     hi = [max(x, y) for x, y in zip(a, b)]
     if [bool(x) for x in lo] != [bool(x) for x in hi]:
         return  # power-on sets differ; monotonicity contract does not apply
-    _, lo_agg = step_energy(make_snapshot(lo))
-    _, hi_agg = step_energy(make_snapshot(hi))
+    _, lo_agg = bill_one_hour(make_snapshot(lo))
+    _, hi_agg = bill_one_hour(make_snapshot(hi))
     assert hi_agg.processor >= lo_agg.processor - 1e-12
+
+
+@st.composite
+def runs_to_bill(draw):
+    """`(utilisation, prices, pm_ids, power, migrations)` of a 1-30 hour, 1-12 PM run."""
+    hours, pm_count = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    cores = draw(st.sampled_from([24, 32, 48]))
+    cells = hours * pm_count
+    used = draw(st.lists(st.integers(0, cores), min_size=cells, max_size=cells))
+    utilisation = np.array(used).reshape(hours, pm_count) / cores
+    prices = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
+    prices = prices.reshape(hours, pm_count)
+    pm_ids = tuple(f"pm-{i}" for i in range(pm_count))
+    destinations = st.lists(st.sampled_from(pm_ids), max_size=6)
+    migrations = draw(st.lists(destinations, min_size=hours, max_size=hours))
+    power = PowerModel(
+        idle_power=draw(st.sampled_from([100.0, 97.3])),
+        peak_power=draw(st.sampled_from([200.0, 251.7])),
+        migration_penalty=draw(st.sampled_from([0.01, 0.037])),
+    )
+    return utilisation, prices, pm_ids, power, migrations
+
+
+def hexes(breakdown):
+    return [float.hex(value) for value in breakdown]
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs_to_bill())
+def test_billing_a_run_once_equals_billing_it_hour_by_hour(run):
+    utilisation, prices, pm_ids, power, migrations = run
+    billing, hourly = step_energy(utilisation, prices, pm_ids, power, migrations)
+    columns, hourly_ref, totals_ref = bill_by_hour(utilisation, prices, pm_ids, power, migrations)
+    for column, reference in zip(billing, columns):
+        assert column.shape == reference.shape
+        assert column.tobytes() == reference.tobytes()
+    assert [hexes(b) for b in hourly] == [hexes(b) for b in hourly_ref]
+    # `run` adds the hours up this way
+    assert hexes(reduce(EnergyBreakdown.plus, hourly, ZERO_ENERGY)) == hexes(totals_ref)
 
 
 def test_power_model_validation():

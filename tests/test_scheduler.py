@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cloudsched.datacenter import (
     admit,
@@ -14,8 +14,9 @@ from cloudsched.datacenter import (
     validate,
     with_clock,
 )
-from cloudsched.energy import DEFAULT_POWER_MODEL, pm_power
+from cloudsched.energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from cloudsched.errors import ConfigError
+from cloudsched import scheduler
 from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
 from cloudsched.scheduler import (
@@ -31,7 +32,7 @@ from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
 from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
-from slow_reference import argmin_by_scan, consolidate_by_source
+from slow_reference import argmin_by_scan, best_fit_by_float_argmin, consolidate_by_source
 
 CHECKPOINTS = {
     "counter": load_model(Path(__file__).parent / "data" / "counter.json"),
@@ -120,10 +121,9 @@ class TestSchedule:
         r = req()
         picked, scores = Policy("first_fit").score(snap, r, rows(1), None)
         assert (picked.tolist(), scores.tolist()) == ([1], [0.0])
-        # best_fit_energy returns its pick alone: the powered-on PM's lower energy
+        # best_fit_energy returns its pick alone and unscored: the powered-on PM
         picked, energies = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
-        energy = incremental_energy(snap, rows(1), r, DEFAULT_POWER_MODEL)
-        assert (picked.tolist(), energies.tolist()) == ([1], energy.tolist())
+        assert (picked.tolist(), energies.tolist()) == ([1], [0.0])
         policies = [Policy("random", rng_seed=5) for _ in range(2)]
         picks = [p.score(snap, r, rows(0, 1), None)[0].tolist() for p in policies]
         assert picks[0] == picks[1] and len(picks[0]) == 1
@@ -132,6 +132,45 @@ class TestSchedule:
         snap = snapshot(new_datacenter(4))  # every PM off and empty: equal energies
         picked, _ = Policy("best_fit_energy").score(snap, req(), rows(1, 2, 3), None)
         assert picked.tolist() == [1]
+
+    def test_best_fit_takes_the_first_powered_on_pm_on_24_cores(self):
+        # Every powered-on 24-core PM's power rises by the same 100 W * 4 / 24,
+        # but the float differences round apart and would pick pm-1.
+        snap = snapshot_from_entries({
+            "pm-0": entry(free_cores=23, cores=24, powered_on=True),
+            "pm-1": entry(free_cores=21, cores=24, powered_on=True),
+        })
+        r = req(cores=4, ram=1)
+        assert best_fit_by_float_argmin(snap, rows(0, 1), r) == 1
+        picked, scores = Policy("best_fit_energy").score(snap, r, rows(0, 1), None)
+        assert (picked.tolist(), scores.tolist()) == ([0], [0.0])
+
+    @pytest.mark.parametrize("cores", [[32, 32, 32], [8, 64, 16]], ids=["same", "mixed"])
+    def test_best_fit_with_peak_equal_to_idle(self, cores):
+        # Hosting adds no watts to a powered-on PM, whatever its size.
+        snap = snapshot_from_entries({
+            "pm-0": entry(free_cores=cores[0], cores=cores[0]),
+            "pm-1": entry(free_cores=cores[1] - 1, cores=cores[1], powered_on=True),
+            "pm-2": entry(free_cores=cores[2] - 1, cores=cores[2], powered_on=True),
+        })
+        flat = Policy("best_fit_energy", power=PowerModel(idle_power=150.0, peak_power=150.0))
+        assert flat.score(snap, req(cores=4, ram=1), rows(0, 1, 2), None)[0].tolist() == [1]
+
+    def test_best_fit_on_mixed_cores_compares_exact_rises(self):
+        # peak > 2 * idle: booting the 64-core pm-1 (300 W * 8 / 64 + 100 W)
+        # costs less than loading the 10-core pm-0 (300 W * 8 / 10).
+        snap = snapshot_from_entries({
+            "pm-0": entry(free_cores=9, cores=10, powered_on=True),
+            "pm-1": entry(free_cores=64, cores=64),
+            "pm-2": entry(free_cores=63, cores=64, powered_on=True),
+        })
+        steep = PowerModel(idle_power=100.0, peak_power=400.0)
+        r = req(cores=8, ram=1)
+        policy = Policy("best_fit_energy", power=steep)
+        assert policy.score(snap, r, rows(0, 1), None)[0].tolist() == [1]
+        assert best_fit_by_float_argmin(snap, rows(0, 1), r, steep) == 1
+        # the powered-on 64-core PM beats both
+        assert policy.score(snap, r, rows(0, 1, 2), None)[0].tolist() == [2]
 
     def test_wrong_model_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -170,6 +209,21 @@ class TestModelScores:
         features = WorkingFeatures(snap, np.zeros(2))
         picked, scores = policy.score(snap, req(cores=8), rows(1), features)
         assert picked.tolist() == [1] and scores.shape == (1,)
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    def test_a_lone_candidate_is_scored_only_when_scores_are_logged(self, kind, monkeypatch):
+        snap = snapshot_from_entries({"pm-0": entry(free_cores=2), "pm-1": entry()})
+        calls = []
+        score = scheduler.score_placements
+        monkeypatch.setattr(
+            scheduler, "score_placements", lambda *args: calls.append(args) or score(*args)
+        )
+        quiet = schedule(Policy(kind, model=CHECKPOINTS[kind]), snap, [req(cores=8)])
+        assert (quiet.assignments, quiet.scores, calls) == ([("vm-0", "pm-1")], {}, [])
+        logged = Policy(kind, model=CHECKPOINTS[kind], record_scores=True)
+        d = schedule(logged, snap, [req(cores=8)])
+        assert d.assignments == quiet.assignments and len(calls) == 1
+        assert list(d.scores["vm-0"]) == ["pm-1"] and d.scores["vm-0"]["pm-1"] != 0.0
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
@@ -325,12 +379,65 @@ class TestConsolidationScreen:
         assert calls == []
 
     @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    def test_a_source_larger_than_the_free_room_is_not_scored(self, kind):
+        # Each of pm-0's 3-core VMs fits on pm-1, but pm-1 has only 4 cores
+        # free for their 6.
+        state = hosting([[(3, 1), (3, 1)], [(28, 12)]])
+        policy = Policy(kind, model=CHECKPOINTS[kind])
+        calls = []
+        policy.score = lambda *args: calls.append(args)
+        assert consolidate(policy, state) == consolidate_by_source(policy, state) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
     def test_the_next_source_is_still_emptied(self, kind):
         state = hosting([[(1, 8)], [(32, 1)], [(2, 2), (1, 7)], [(8, 9)]])
         policy = Policy(kind, model=CHECKPOINTS[kind])
         plan = consolidate(policy, state)
         assert plan == consolidate_by_source(policy, state)
         assert [vm for vm, _ in plan] == ["vm-2-0", "vm-2-1"]
+
+
+@st.composite
+def best_fit_cases(draw, core_choices):
+    """`(snapshot, candidate rows, request)`: 1-12 PMs, each on exactly when it hosts cores."""
+    entries = {}
+    for i in range(draw(st.integers(1, 12))):
+        cores = draw(st.sampled_from(core_choices))
+        free_cores = draw(st.integers(0, cores))
+        entries[f"pm-{i}"] = entry(
+            free_cores=free_cores, cores=cores, powered_on=free_cores < cores, loc=f"loc-{i}"
+        )
+    snap = snapshot_from_entries(entries)
+    r = req(cores=draw(st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16])), ram=1)
+    candidates = np.flatnonzero(snap.fits(r))
+    assume(candidates.size)
+    return snap, candidates, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(best_fit_cases([32]))
+def test_best_fit_rule_equals_the_float_argmin_on_32_cores(case):
+    snap, candidates, r = case
+    picked, _ = Policy("best_fit_energy").score(snap, r, candidates, None)
+    assert picked.tolist() == [candidates[best_fit_by_float_argmin(snap, candidates, r)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    best_fit_cases([8, 10, 16, 24, 32, 48, 64]),
+    st.sampled_from([(100.0, 200.0), (100.0, 400.0), (97.3, 251.7), (150.0, 150.0)]),
+)
+def test_best_fit_rule_equals_a_clear_float_argmin_on_mixed_cores(case, watts):
+    # Where the lowest float energy beats every other by far more than its
+    # rounding, the exact rule must pick the same PM.
+    snap, candidates, r = case
+    power = PowerModel(idle_power=watts[0], peak_power=watts[1])
+    energy = incremental_energy(snap, candidates, r, power)
+    best = best_fit_by_float_argmin(snap, candidates, r, power)
+    assume(np.all(np.delete(energy, best) - energy[best] > 1e-9 * energy[best]))
+    picked, _ = Policy("best_fit_energy", power=power).score(snap, r, candidates, None)
+    assert picked.tolist() == [candidates[best]]
 
 
 @st.composite
