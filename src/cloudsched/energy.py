@@ -162,7 +162,11 @@ class PriceSeries:
                 raise DomainError(
                     f"location {location!r} covers {len(series)} hours, horizon is {self.horizon}"
                 )
-            if any(p < 0 for p in series):
+            # A running minimum that ends as a number >= 0 never met a
+            # negative: one below the minimum so far would have replaced it,
+            # and a NaN never does.  Only a series whose minimum is negative
+            # or NaN (a NaN first) is scanned price by price.
+            if not min(series, default=0.0) >= 0 and any(p < 0 for p in series):
                 raise DomainError(f"location {location!r} has a negative price")
 
     @property

@@ -186,28 +186,54 @@ def restrict_graph(
     return nodes, feats, adj
 
 
-def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None):
+class GcnBuffers:
+    """The arrays one GCN forward writes, sized for n-node graphs.
+
+    `gcn_layers` fills `ahs[l]` (a_hat @ hs[l]; `ahs[0]` is the caller's
+    a_hat @ feats when given, else `a_feats`), `zs[l]` and
+    `hs[l + 1] = relu(zs[l])`; the last layer's output is `zs[-1]`
+    itself, and `hs[0]` is the input.  A set is reused for every forward
+    on graphs of its node count, so what it returns is overwritten by the
+    next one.
+    """
+
+    def __init__(self, model: GcnModel, n: int):
+        d = model.dims
+        self.a_feats = np.empty((n, d[0]))
+        self.ahs, self.zs, self.hs = [self.a_feats], [], [None]
+        for k in d[1:-1]:  # a hidden layer's z, relu(z) and a_hat @ relu(z)
+            block = np.empty((3, n, k))
+            self.zs.append(block[0])
+            self.hs.append(block[1])
+            self.ahs.append(block[2])
+        self.zs.append(np.empty((n, d[-1])))
+        self.hs.append(self.zs[-1])
+
+
+def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None, buffers=None):
     """Run all layers with caches: returns (activations, propagated, pre-activations).
 
     Layer l maps hs[l] to hs[l + 1] through ahs[l] = a_hat @ hs[l] and
     zs[l] = ahs[l] @ W_l + b_l.  `a_feats`, when given, is a_hat @ feats.
+    Every array is written into `buffers` (a fresh `GcnBuffers` when None)
+    with the same products and sums as the out-of-place expressions, so
+    the results are bit-identical to them.
     """
     if feats.shape[1] != model.weights[0].shape[0]:
         raise ShapeError(
             f"features dim {feats.shape[1]} != first layer dim {model.weights[0].shape[0]}"
         )
-    hs, ahs, zs = [feats], [], []
-    ah = np.dot(a_hat, feats) if a_feats is None else a_feats
-    last = len(model.weights) - 1
-    for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.dot(ah, w) + b
-        ahs.append(ah)
-        zs.append(z)
+    b = GcnBuffers(model, feats.shape[0]) if buffers is None else buffers
+    hs, ahs, zs = b.hs, b.ahs, b.zs
+    hs[0] = feats
+    ahs[0] = np.dot(a_hat, feats, out=b.a_feats) if a_feats is None else a_feats
+    last = len(zs) - 1
+    for layer, (w, bias) in enumerate(zip(model.weights, model.biases)):
+        z = np.dot(ahs[layer], w, out=zs[layer])
+        z += bias
         if layer < last:
-            hs.append(np.maximum(z, 0.0))
-            ah = np.dot(a_hat, hs[-1])
-        else:
-            hs.append(z)
+            np.maximum(z, 0.0, out=hs[layer + 1])
+            np.dot(a_hat, hs[layer + 1], out=ahs[layer + 1])
     return hs, ahs, zs
 
 
@@ -227,47 +253,70 @@ def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None):
+class GatedBuffers:
+    """The arrays one gated forward writes, sized for n-node graphs.
+
+    Step k writes its own `a_hat @ h`, m, m @ W (3 gates, whose planes
+    then become the gates z, r and c), 1 - [z, r], r * h and next state,
+    so every step's cache survives until the backward reads it.  All of
+    them are planes of one block, allocated at once, and the slices each
+    step reads are taken here once, as are the views of the stacked z and
+    r parameters.  Those stay valid because a model's `flat` is only ever
+    updated in place.  A set is reused for every forward on graphs of its
+    node count, so what it returns is overwritten by the next one.
+    """
+
+    def __init__(self, model: GatedModel, n: int):
+        self.u_zr, self.b_zr = model.U[:2], model.B[:2, None]
+        # Planes: h @ u_zr (2), (r * h) @ u_c, z * c, then 9 per step:
+        # a_hat @ h, m, m @ W -> [z, r, c] (3), 1 - [z, r] (2), r * h, next h.
+        block = np.empty((4 + 9 * model.steps, n, model.hidden))
+        self.hu, self.rhu, self.zc = block[0:2], block[2], block[3]
+        self.steps = [
+            (block[i], block[i + 1], block[i + 2 : i + 5], block[i + 2 : i + 4], block[i + 2],
+             block[i + 3], block[i + 4], block[i + 5 : i + 7], block[i + 5], block[i + 7], block[i + 8])
+            for i in range(4, len(block), 9)
+        ]  # fmt: skip
+
+
+def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None, buffers=None):
     """Unroll the GRU propagation, caching per-step tensors for backprop.
 
     One batched product gives m @ w_g for all three gates and another
     h @ u_g for z and r; each slice is the same matrix product as an
-    unstacked gate, so the results are too.  The gates' sigmoid and tanh
-    run in place, and (1 - z) * h + z * c is two products and one
-    in-place add, the same operations as the expression.  `a_h0`, when
-    given, is a_hat @ h0.  Each cache is
+    unstacked gate, so the results are too.  Every product, sum, gate
+    and state is written into `buffers` (a fresh `GatedBuffers` when
+    None): each gate's pre-activation is summed into its m @ w_g plane,
+    the sigmoid and tanh run in place, and (1 - z) * h + z * c is two
+    products and one in-place add, the same operations as the
+    out-of-place expressions.  `a_h0`, when given, is a_hat @ h0.
+    Returns (last state, caches), one cache per step:
     (h_prev, a_hat @ h_prev, m, [z, r], 1 - [z, r], r * h_prev, c).
     """
-    u_zr, b_zr = model.U[:2], model.B[:2, None]
+    b = GatedBuffers(model, h0.shape[0]) if buffers is None else buffers
     caches = []
     h = h0
-    ah = np.dot(a_hat, h0) if a_h0 is None else a_h0
-    for step in range(model.steps):
-        if step:
-            ah = np.dot(a_hat, h)
-        m = np.dot(ah, model.w_msg)
-        mw = np.matmul(m, model.W)
-        zr = mw[:2] + np.matmul(h, u_zr)
-        zr += b_zr
+    for step, (ah, m, mw, zr, z, r, c, omz, omz_z, rh, h_next) in enumerate(b.steps):
+        if step or a_h0 is None:
+            np.dot(a_hat, h, out=ah)
+        else:
+            ah = a_h0
+        np.dot(ah, model.w_msg, out=m)
+        np.matmul(m, model.W, out=mw)
+        np.matmul(h, b.u_zr, out=b.hu)
+        zr += b.hu
+        zr += b.b_zr
         _sigmoid_in_place(zr)
-        z, r = zr
-        one_minus_zr = 1.0 - zr
-        rh = r * h
-        c = mw[2] + np.dot(rh, model.u_c)
+        np.subtract(1.0, zr, out=omz)
+        np.multiply(r, h, out=rh)
+        c += np.dot(rh, model.u_c, out=b.rhu)
         c += model.b_c
         np.tanh(c, out=c)
-        h_next = one_minus_zr[0] * h
-        h_next += z * c
-        caches.append((h, ah, m, zr, one_minus_zr, rh, c))
+        np.multiply(omz_z, h, out=h_next)
+        h_next += np.multiply(z, c, out=b.zc)
+        caches.append((h, ah, m, zr, omz, rh, c))
         h = h_next
     return h, caches
-
-
-def pair_vector(
-    h: np.ndarray, feats: np.ndarray, vm_pos: int, pm_pos: int
-) -> np.ndarray:
-    """Readout input: [h_vm ; x_vm ; h_pm ; x_pm]."""
-    return np.concatenate([h[vm_pos], feats[vm_pos], h[pm_pos], feats[pm_pos]])
 
 
 def score_placements(
@@ -281,7 +330,9 @@ def score_placements(
     writes only what changed.  `candidates` holds the ascending rows of
     the PMs that fit the request (the VM node's neighbours), so `a_hat`
     is `state_a_hat` of that fits mask, and no graph is built.  The
-    readout takes one row per candidate, and one `np.vecdot` reads them
+    forward is training's, in a fresh buffer set per call, so no score
+    shares memory with another call's.  The readout takes one row per
+    candidate, and one `np.vecdot` reads them
     all out: it takes the same per-row dot product as
     `pair @ readout_w[:, 0]`, so every score is bit-identical to a
     per-pair readout over the graph (the matrix-vector product

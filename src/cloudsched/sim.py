@@ -521,21 +521,32 @@ def energy_report_csv(result: SimResult) -> str:
     return "".join(_energy_report_chunks(result))
 
 
-def _energy_report_chunks(result: SimResult) -> Iterator[str]:
-    """The header, then one string per hour, formatting each column's distinct floats once."""
+# Rows per joined block.  One join per hour costs more than the rows it
+# writes at small PM counts, so whole hours are gathered up to this many rows.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) -> Iterator[str]:
+    """The header, then one string per block of whole hours (at most
+    `block_rows` rows, or one hour), formatting each column's distinct
+    floats once."""
     yield _CSV_HEADER
     hours, pm_count = result.pm_billing.processor.shape
     if not hours:
         return
     columns = [_distinct_texts(column, ",%.6f".__mod__) for column in result.pm_billing]
-    cells = np.empty((pm_count, len(columns) + 3), dtype=object)  # one hour's rows
-    cells[:, 1] = [",%s,%s" % names for names in zip(result.pm_ids, result.pm_locations)]
-    cells[:, -1] = "\n"
-    for hour in range(hours):
-        cells[:, 0] = "%d" % hour
+    block = min(hours, max(1, block_rows // pm_count)) if pm_count else hours
+    cells = np.empty((block, pm_count, len(columns) + 3), dtype=object)  # [hour][pm][cell]
+    cells[:, :, 1] = [",%s,%s" % names for names in zip(result.pm_ids, result.pm_locations)]
+    cells[:, :, -1] = "\n"
+    hour_texts = np.array(["%d" % hour for hour in range(hours)], dtype=object)
+    for start in range(0, hours, block):
+        stop = min(start + block, hours)
+        rows = cells[: stop - start]
+        rows[:, :, 0] = hour_texts[start:stop, None]
         for k, (index, texts) in enumerate(columns, start=2):
-            cells[:, k] = texts[index[hour]]
-        yield "".join(cells.ravel().tolist())
+            rows[:, :, k] = texts[index[start:stop]]
+        yield "".join(rows.ravel().tolist())
 
 
 _encode_event = json.JSONEncoder(sort_keys=True, allow_nan=False).encode

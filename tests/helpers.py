@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from cloudsched.datacenter import DatacenterState, ResourceSnapshot
 from cloudsched.energy import PriceSeries
 from cloudsched.gnn.graph import ClusterPartition, StateGraph, normalize_adjacency
-from cloudsched.gnn.models import GcnModel, gated_steps, gcn_layers, pair_vector, restrict_graph
+from cloudsched.gnn.models import GcnModel, gated_steps, gcn_layers, restrict_graph
 from cloudsched.gnn.training import (
     TrainSample,
     _sample_graph,
     gated_loss_and_grads,
     gcn_loss_and_grads,
+    step_buffers,
 )
 from cloudsched.workload import VmTrace
 
@@ -161,6 +162,8 @@ def gcn_forward_restricted(
 
 def sample_loss(model, sample: TrainSample) -> float:
     """Full-graph squared error for one sample (used by the gradient check)."""
+    from slow_reference import pair_vector  # slow_reference imports this module
+
     g = _sample_graph(model, sample)
     if isinstance(model, GcnModel):
         h_last = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)[0][-1]
@@ -174,7 +177,9 @@ def sample_loss(model, sample: TrainSample) -> float:
 def analytic_grads(model, sample: TrainSample) -> dict[str, np.ndarray]:
     grads = model.with_flat(np.empty_like(model.flat))
     loss_and_grads = gcn_loss_and_grads if isinstance(model, GcnModel) else gated_loss_and_grads
-    loss_and_grads(model, grads, _sample_graph(model, sample), sample.label)
+    g = _sample_graph(model, sample)
+    buffers = step_buffers(model, grads, sample.graph.n_nodes)
+    loss_and_grads(model, grads, g, sample.label, buffers)
     return dict(grads.parameters())
 
 

@@ -45,7 +45,6 @@ from cloudsched.gnn.models import (
     model_from_json,
     model_to_json,
     pad_features,
-    pair_vector,
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
@@ -327,6 +326,11 @@ def gated_forward(model, graph: StateGraph) -> np.ndarray:
     h0 = pad_features(graph.features, model.hidden)
     h, _ = gated_steps(model, _normalize(graph.adjacency), h0)
     return h
+
+
+def pair_vector(h: np.ndarray, feats: np.ndarray, vm_pos: int, pm_pos: int) -> np.ndarray:
+    """Readout input: [h_vm ; x_vm ; h_pm ; x_pm], concatenated afresh."""
+    return np.concatenate([h[vm_pos], feats[vm_pos], h[pm_pos], feats[pm_pos]])
 
 
 def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:

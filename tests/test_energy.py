@@ -11,6 +11,7 @@ from cloudsched.energy import (
     DEFAULT_POWER_MODEL,
     EnergyBreakdown,
     PowerModel,
+    PriceSeries,
     ZERO_ENERGY,
     generate_price_series,
     load_price_series,
@@ -195,6 +196,67 @@ class TestGeneratePriceSeries:
             generate_price_series(locations, horizon, seed),
             prices_by_scalar_draws(locations, horizon, seed),
         )
+
+
+def rejects_by_generator(prices: dict) -> str | None:
+    """The first location a per-price generator scan finds a negative in, else None."""
+    for location, series in prices.items():
+        if any(p < 0 for p in series):
+            return location
+    return None
+
+
+# NaN compares false both ways, so a running minimum that meets one first
+# never moves; -0.0 is not negative; ints of any size compare exactly.
+_PRICES = (
+    st.floats()
+    | st.sampled_from([float("nan"), -0.0, 0.0, -5e-324, float("-inf")])
+    | st.integers()
+    | st.booleans()
+)
+
+
+@st.composite
+def price_tables(draw):
+    """`{location: prices}` with every series one horizon long."""
+    horizon = draw(st.integers(min_value=0, max_value=6))
+    series = st.lists(_PRICES, min_size=horizon, max_size=horizon).map(tuple)
+    count = draw(st.integers(min_value=1, max_value=4))
+    return horizon, {f"loc-{i}": draw(series) for i in range(count)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(price_tables())
+def test_price_series_sign_check_matches_a_generator_scan(table):
+    horizon, prices = table
+    bad = rejects_by_generator(prices)
+    if bad is None:
+        PriceSeries(prices=prices, horizon=horizon)
+    else:
+        with pytest.raises(DomainError, match=f"location '{bad}' has a negative price"):
+            PriceSeries(prices=prices, horizon=horizon)
+
+
+@pytest.mark.parametrize(
+    "series, negative",
+    [
+        ((float("nan"), -1.0), True),
+        ((1.0, float("nan"), -1.0), True),
+        ((float("nan"), 1.0), False),
+        ((-0.0, 0.0), False),
+        ((2, -(10**400)), True),
+        ((10**400, 0.5), False),
+        ((), False),
+    ],
+    ids=["nan-first", "nan-between", "nan-only", "negative-zero", "huge-negative-int", "huge-int", "empty"],
+)
+def test_price_series_sign_check_edges(series, negative):
+    prices = {"a": series}
+    if negative:
+        with pytest.raises(DomainError, match="'a' has a negative price"):
+            PriceSeries(prices=prices, horizon=len(series))
+    else:
+        PriceSeries(prices=prices, horizon=len(series))
 
 
 class TestLoadPriceSeries:

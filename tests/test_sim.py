@@ -17,7 +17,9 @@ from cloudsched.sim import (
     QoSReport,
     SimConfig,
     SimResult,
+    _CSV_BLOCK_ROWS,
     _dumps_indented,
+    _energy_report_chunks,
     compare,
     comparison_to_csv,
     compute_qos,
@@ -377,9 +379,9 @@ def _matrix(draw, hours: int, pm_count: int, cells) -> np.ndarray:
 
 
 @st.composite
-def _billed_results(draw):
+def _billed_results(draw, max_hours=4):
     """A `SimResult` holding only billing columns, of any floats and PM names."""
-    hours = draw(st.integers(min_value=0, max_value=4))
+    hours = draw(st.integers(min_value=0, max_value=max_hours))
     pm_count = draw(st.integers(min_value=0, max_value=4))
     names = st.lists(st.text(max_size=6), min_size=pm_count, max_size=pm_count).map(tuple)
     columns = [_matrix(draw, hours, pm_count, _CSV_FLOATS) for _ in PmBilling._fields]
@@ -395,6 +397,37 @@ def _billed_results(draw):
 @settings(max_examples=50, deadline=None)
 @given(_billed_results())
 def test_energy_report_matches_fstring_writer_on_any_rows(result):
+    assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_billed_results(max_hours=9), st.integers(min_value=1, max_value=7))
+def test_energy_report_blocks_of_any_size_match_fstring_writer(result, block_rows):
+    # Small blocks, so most horizons end in a part block and some blocks
+    # hold fewer rows than one hour has PMs.
+    text = "".join(_energy_report_chunks(result, block_rows))
+    assert text == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.sampled_from([(130, 8), (7, 300), (2, _CSV_BLOCK_ROWS), (3, _CSV_BLOCK_ROWS + 1)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_energy_report_full_size_blocks_match_fstring_writer(shape, seed):
+    # At the writer's own block size: 130 hours of 8 PMs are one full block
+    # of 128 hours and a part block; 7 hours of 300 PMs are two blocks of 3
+    # and one of 1; above 1,024 PMs each hour is a block of its own.
+    hours, pm_count = shape
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([rng.uniform(-2.0, 2.0, 40), [0.0, -0.0, NAN, INF, 1e22, 5e-7, 2.5e-7]])
+    result = SimResult(
+        pm_ids=tuple(f"pm-{i}" for i in range(pm_count)),
+        pm_locations=tuple(f"loc-{i % 3}" for i in range(pm_count)),
+        horizon=hours,
+        policy="p",
+        pm_billing=PmBilling(*[rng.choice(pool, (hours, pm_count)) for _ in PmBilling._fields]),
+    )
     assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
 
 

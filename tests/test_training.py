@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cloudsched.errors import DivergenceError, DomainError
-from cloudsched.gnn.graph import StateGraph, partition_graph
-from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model
+from cloudsched.gnn import training
+from cloudsched.gnn.graph import FEATURE_DIM, StateGraph, partition_graph
+from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model, score_placements
 from cloudsched.gnn.training import TrainConfig, TrainSample, loss_trace_to_csv, train
 
 from helpers import gradient_check
@@ -120,13 +121,13 @@ class TestTrain:
         assert implicit[1] == explicit[1]
         assert model_to_json(implicit[0]) == model_to_json(explicit[0])
 
-    def assert_matches_uncached_loop(self, model):
+    def assert_matches_uncached_loop(self, model, sizes=(7, 7, 7, 7), batch_clusters=2):
         # batch_clusters=2 on k=3 draws an extra cluster per step, so the
         # cache keys vary and the RNG stream must stay in the uncached order.
         # The reference has its own unstacked kernels and per-array update.
-        data = [random_sample(40 + i, n=7, label=0.1 * i) for i in range(4)]
+        data = [random_sample(40 + i, n=n, label=0.1 * i) for i, n in enumerate(sizes)]
         parts = [partition_graph(s.graph, k=3) for s in data]
-        config = TrainConfig(epochs=6, batch_clusters=2, seed=5)
+        config = TrainConfig(epochs=6, batch_clusters=batch_clusters, seed=5)
         fast, fast_losses = train(model, data, partitions=parts, config=config)
         slow, slow_losses = train_uncached(model, data, partitions=parts, config=config)
         assert fast_losses == slow_losses
@@ -151,6 +152,47 @@ class TestTrain:
         self.assert_matches_uncached_loop(model)
 
     @pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
+    def test_mixed_node_counts_match_uncached_loop(self, make_model):
+        # Steps alternate between the buffer sets of several node counts
+        # (the GCN's restricted graphs add more counts than the samples have).
+        self.assert_matches_uncached_loop(make_model(seed=2), sizes=(5, 7, 9, 7, 5, 9))
+
+    def test_gcn_without_cluster_draws_matches_uncached_loop(self, monkeypatch):
+        # batch_clusters=1 never wants an extra cluster, so `train` takes every
+        # step's clusters from its table and never calls `_choose_clusters`.
+        def no_draw(*args):
+            raise AssertionError("a cluster was drawn")
+
+        monkeypatch.setattr(training, "_choose_clusters", no_draw)
+        self.assert_matches_uncached_loop(
+            new_gcn_model(seed=2), sizes=(5, 7, 9, 7), batch_clusters=1
+        )
+
+    @pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
+    def test_trained_model_shares_no_memory_with_a_buffer(self, make_model, monkeypatch):
+        made = []
+        real = training.step_buffers
+        monkeypatch.setattr(training, "step_buffers", lambda *args: made.append(real(*args)) or made[-1])
+        data = [random_sample(40 + i, n=n, label=0.1) for i, n in enumerate((5, 7))]
+        trained, _ = train(make_model(seed=2), data, config=TrainConfig(epochs=2))
+        assert made
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays(item)
+
+        for buffers in made:
+            for name, value in vars(buffers).items():
+                for arr in arrays(value):
+                    # The parameter views a set reads are views of the returned
+                    # model; every array it writes lies outside it.
+                    if arr.base is not trained.flat:
+                        assert not np.shares_memory(arr, trained.flat), name
+
+    @pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
     def test_trained_copy_shares_no_memory(self, make_model):
         init = make_model(seed=2)
         trained, _ = train(init, self.dataset([0.1]), config=TrainConfig(epochs=1))
@@ -162,6 +204,18 @@ class TestTrain:
     def test_label_validation(self):
         with pytest.raises(DomainError):
             random_sample(1, label=-0.1)
+
+
+@pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
+def test_a_later_score_leaves_an_earlier_one_unchanged(make_model):
+    model = make_model(seed=4)
+    rng = np.random.default_rng(8)
+    first_feats, second_feats = rng.standard_normal((2, 9, FEATURE_DIM))
+    first = score_placements(model, first_feats, np.array([0, 2, 5]))
+    kept = first.copy()
+    second = score_placements(model, second_feats, np.array([1, 3, 4, 7]))
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
 
 
 def test_loss_trace_csv_format():
