@@ -6,22 +6,25 @@ never corrupt the live inventory.  The simulation loop owns exactly one
 state at a time.
 
 The state holds each PM's resources as the columns of a
-`ResourceSnapshot`.  `place`, `migrate` and `remove_finished` check a
-request against its PM's row, then update that row in a copy of the
-columns, so no operation rescans the VMs; `snapshot` is a column copy.
-`admit` and `place` take a whole hour's batch and copy once for it.
-
-`vms` holds the live VMs only: a VM is pending until `place` sets its
-`placed_on` and `start_hour`, and it runs until `remove_finished` drops
-it.  The operations build each new state and VM with its constructor, not
-`dataclasses.replace`, which costs several times more per call.
+`ResourceSnapshot`, and its live VMs as the columns of `LiveVms`, one
+row per VM in admission order: host row, cores, RAM, frequency, start
+and finish hour, id and request.  The host column is the one record of
+placement.  Each operation works on whole columns: `admit` appends an
+hour's batch, `place` tests and books a batch in one vectorised update,
+and `remove_finished` picks the finished VMs with one mask over the
+finish column and releases them together.  Only `migrate`, one VM at a
+time, and a batch that fails its vectorised test fall back to updating
+one row after another.  A built state's columns are never written;
+an operation copies the columns it changes and shares the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from itertools import compress
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,6 +129,26 @@ class ResourceSnapshot:
             self.pm_ids, self.locations, *(getattr(self, c).copy() for c in self._COLUMNS)
         )
 
+    def booked(self, free_cores: np.ndarray, free_ram: np.ndarray) -> "ResourceSnapshot":
+        """A snapshot with these free columns, sharing the fixed ones.
+
+        Power state and utilisation follow from the free cores as in
+        `place`: on while some core is allocated, and `used / cores` as
+        int / int.
+        """
+        cores = self.cores
+        return ResourceSnapshot(
+            self.pm_ids,
+            self.locations,
+            free_cores,
+            cores,
+            free_ram,
+            self.ram,
+            self.max_frequency,
+            free_cores < cores,
+            (cores - free_cores) / cores,
+        )
+
     def place(self, row: int, request: WorkloadRequest) -> None:
         """Book the request on one PM of this (working) snapshot, in place."""
         self._book(row, request.cores, request.ram)
@@ -141,11 +164,86 @@ class ResourceSnapshot:
         self.utilisation[row] = (self.cores[row] - self.free_cores[row]) / self.cores[row]
 
 
+UNSET = -1  # the host row and start hour of a pending VM
+NEVER = np.iinfo(np.int64).max  # the finish hour of a pending VM
+
+
+@dataclass(frozen=True, eq=False)
+class LiveVms:
+    """The live VMs as columns, one row per VM, in admission order.
+
+    `values` holds the int columns (cores, RAM, frequency, host row,
+    start hour, finish hour), which the properties name; `ids` and
+    `requests` hold the objects.  A pending VM has no host row or start hour
+    (`UNSET`) and never finishes (`NEVER`); `place` sets all three, the
+    finish to start + duration.  No column of a built `LiveVms` is ever
+    written: an operation builds a new one, sharing what it does not
+    change.
+    """
+
+    values: np.ndarray  # (VMs, 6) int
+    ids: tuple[str, ...]
+    requests: tuple[WorkloadRequest, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def cores(self) -> np.ndarray:
+        return self.values[:, 0]
+
+    @property
+    def ram(self) -> np.ndarray:
+        return self.values[:, 1]
+
+    @property
+    def frequency(self) -> np.ndarray:
+        return self.values[:, 2]
+
+    @property
+    def host(self) -> np.ndarray:
+        return self.values[:, 3]
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.values[:, 4]
+
+    @property
+    def finish(self) -> np.ndarray:
+        return self.values[:, 5]
+
+    def kept(self, keep: np.ndarray) -> "LiveVms":
+        """The rows where the mask `keep` is set, in order."""
+        flags = keep.tolist()
+        return LiveVms(
+            self.values.take(keep.nonzero()[0], axis=0),
+            tuple(compress(self.ids, flags)),
+            tuple(compress(self.requests, flags)),
+        )
+
+    def hosted(self, values: np.ndarray) -> "LiveVms":
+        """The same VMs with these int columns."""
+        return LiveVms(values, self.ids, self.requests)
+
+    @cached_property
+    def waiting(self) -> dict[str, int]:
+        """The pending VMs' rows by id, in admission order."""
+        ids = self.ids
+        return {ids[row]: row for row in (self.host == UNSET).nonzero()[0].tolist()}
+
+    def pending_requests(self) -> list[WorkloadRequest]:
+        """The pending VMs' requests, in admission order."""
+        return list(map(self.requests.__getitem__, self.waiting.values()))
+
+
+_NO_VMS = LiveVms(np.zeros((0, 6), dtype=int), (), ())
+
+
 @dataclass(frozen=True)
 class DatacenterState:
     pms: tuple[PhysicalMachine, ...]
-    vms: dict[str, VirtualMachine]
-    resources: ResourceSnapshot  # row i is pms[i]; never changed once the state is built
+    live: LiveVms
+    resources: ResourceSnapshot  # row i is pms[i]
     rows: dict[str, int]  # PM id -> row; built once, shared by every later state
     clock: int = 0
 
@@ -155,6 +253,27 @@ class DatacenterState:
             return self.rows[pm_id]
         except KeyError:
             raise NotFoundError(f"unknown PM {pm_id!r}") from None
+
+    @property
+    def vms(self) -> Mapping[str, VirtualMachine]:
+        """The live VMs by id, in admission order, built from the columns.
+
+        A read-only view for tests and callers outside the hour loop; no
+        operation reads it.
+        """
+        live = self.live
+        placed = zip(live.ids, live.requests, live.host.tolist(), live.start.tolist())
+        return MappingProxyType(
+            {
+                vm_id: VirtualMachine(
+                    vm_id,
+                    request,
+                    None if host == UNSET else self.pms[host].id,
+                    None if start == UNSET else start,
+                )
+                for vm_id, request, host, start in placed
+            }
+        )
 
 
 def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLATE) -> DatacenterState:
@@ -178,27 +297,35 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
         utilisation=np.zeros(pm_count),
     )
     rows = {pm.id: i for i, pm in enumerate(pms)}
-    return DatacenterState(pms=pms, vms={}, resources=resources, rows=rows, clock=0)
+    return DatacenterState(pms=pms, live=_NO_VMS, resources=resources, rows=rows, clock=0)
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
-    return DatacenterState(state.pms, state.vms, state.resources, state.rows, hour)
+    return DatacenterState(state.pms, state.live, state.resources, state.rows, hour)
 
 
 def admit(state: DatacenterState, requests: Sequence[WorkloadRequest]) -> DatacenterState:
     """Register a pending VM for each request, in order; placement happens separately.
 
-    One hour's arrivals are one batch: `vms` is copied once for all of
-    them.  The first duplicate id raises, leaving the input state as it was.
+    One hour's arrivals are one batch, appended to the columns at once.
+    The first duplicate id raises, leaving the input state as it was.
     """
     if not requests:
         return state
-    vms = dict(state.vms)
-    for request in requests:
-        if request.id in vms:
-            raise DomainError(f"VM id {request.id!r} already admitted")
-        vms[request.id] = VirtualMachine(request.id, request)
-    return DatacenterState(state.pms, vms, state.resources, state.rows, state.clock)
+    live = state.live
+    ids = tuple(r.id for r in requests)
+    if len(set(ids)) < len(ids) or not set(ids).isdisjoint(live.ids):
+        seen = set(live.ids)
+        for request in requests:
+            if request.id in seen:
+                raise DomainError(f"VM id {request.id!r} already admitted")
+            seen.add(request.id)
+    k = len(live)
+    values = np.empty((k + len(requests), 6), dtype=int)
+    values[:k] = live.values
+    values[k:] = [(r.cores, r.ram, r.cpu_frequency, UNSET, UNSET, NEVER) for r in requests]
+    live = LiveVms(values, live.ids + ids, live.requests + tuple(requests))
+    return DatacenterState(state.pms, live, state.resources, state.rows, state.clock)
 
 
 def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
@@ -223,66 +350,115 @@ def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
 
 
 def place(state: DatacenterState, assignments: Sequence[tuple[str, str]]) -> DatacenterState:
-    """Start each pending VM on its PM, in order, booting PMs as needed.
+    """Start each pending VM on its PM, booting PMs as needed.
 
     `assignments` holds `(vm id, pm id)` pairs, one hour's placements in
-    one batch: `vms` and the resource columns are copied once for all of
-    them, and each VM is checked against the columns as the earlier ones
-    left them.  The first bad pair raises, leaving the input state as it was.
+    one batch, tested and booked in one update of the columns.  Every
+    request takes some cores and RAM, so the pairs fit one after another
+    exactly when no PM's free cores or RAM go below zero after the whole
+    batch.  A batch that fails this test is checked pair by pair, in
+    order, against what the earlier pairs left, and its first bad pair
+    raises, leaving the input state as it was.
     """
     if not assignments:
         return state
-    vms = dict(state.vms)
+    live, res = state.live, state.resources
+    waiting = live.waiting
+    vm_rows = [waiting.get(vm_id) for vm_id, _ in assignments]
+    pm_rows = [state.rows.get(pm_id) for _, pm_id in assignments]
+    if None in vm_rows or None in pm_rows or len(set(vm_rows)) < len(vm_rows):
+        return _place_in_order(state, assignments)
+    clock, requests = state.clock, live.requests
+    vms = np.array(vm_rows)
+    placed = np.array(
+        [(pm, clock, clock + requests[vm].duration) for vm, pm in zip(vm_rows, pm_rows)]
+    )
+    pms, need = placed[:, 0], live.values.take(vms, axis=0)
+    free_cores, free_ram = res.free_cores.copy(), res.free_ram.copy()
+    np.subtract.at(free_cores, pms, need[:, 0])
+    np.subtract.at(free_ram, pms, need[:, 1])
+    room = np.concatenate((free_cores[pms], free_ram[pms], res.max_frequency[pms] - need[:, 2]))
+    if min(room.tolist()) < 0:  # a few values: cheaper than a numpy reduction
+        return _place_in_order(state, assignments)
+    values = live.values.copy()
+    values[vms, 3:] = placed
+    return DatacenterState(
+        state.pms, live.hosted(values), res.booked(free_cores, free_ram), state.rows, clock
+    )
+
+
+def _place_in_order(state: DatacenterState, assignments: Sequence[tuple[str, str]]):
+    """`place`, one pair after another on copies of the columns.
+
+    A batch that fails `place`'s test comes here, so its first bad pair
+    raises the error a one-pair batch would.
+    """
+    live = state.live
+    row_of = {vm_id: i for i, vm_id in enumerate(live.ids)}
+    values = live.values.copy()
     resources = state.resources.copy()
     for vm_id, pm_id in assignments:
-        vm = vms.get(vm_id)
-        if vm is None:
+        i = row_of.get(vm_id)
+        if i is None:
             raise NotFoundError(f"unknown VM {vm_id!r}")
         row = state.row(pm_id)
-        if vm.placed_on is not None:
-            raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
-        _check_fit(resources, row, vm.request)
-        vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
-        resources.place(row, vm.request)
-    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
+        host = values[i, 3]
+        if host != UNSET:
+            raise DomainError(f"VM {vm_id!r} already runs on {state.pms[host].id}, cannot place")
+        request = live.requests[i]
+        _check_fit(resources, row, request)
+        values[i, 3:] = row, state.clock, state.clock + request.duration
+        resources.place(row, request)
+    return DatacenterState(state.pms, live.hosted(values), resources, state.rows, state.clock)
 
 
 def remove_finished(state: DatacenterState) -> DatacenterState:
-    """Drop every running VM whose duration has elapsed; power off emptied PMs."""
-    finished = [
-        vm
-        for vm in state.vms.values()
-        if vm.placed_on is not None and state.clock >= vm.start_hour + vm.request.duration
-    ]
-    if not finished:
-        return state
+    """Drop every running VM whose duration has elapsed; power off emptied PMs.
 
-    vms = dict(state.vms)
-    resources = state.resources.copy()
-    for vm in finished:
-        resources.release(state.row(vm.placed_on), vm.request)
-        del vms[vm.id]
-    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
+    One mask over the finish hours picks the finished VMs, and their
+    cores and RAM go back to their PMs in one update (integer sums, so
+    the order cannot matter).
+    """
+    live, res = state.live, state.resources
+    done = live.finish <= state.clock
+    finished = done.nonzero()[0]
+    if not finished.size:
+        return state
+    freed = live.values.take(finished, axis=0)
+    free_cores, free_ram = res.free_cores.copy(), res.free_ram.copy()
+    np.add.at(free_cores, freed[:, 3], freed[:, 0])
+    np.add.at(free_ram, freed[:, 3], freed[:, 1])
+    return DatacenterState(
+        state.pms,
+        live.kept(~done),
+        res.booked(free_cores, free_ram),
+        state.rows,
+        state.clock,
+    )
 
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     """Move a running VM to another PM atomically."""
-    vm = state.vms.get(vm_id)
-    if vm is None:
-        raise NotFoundError(f"unknown VM {vm_id!r}")
-    if vm.placed_on is None:
+    live = state.live
+    try:
+        i = live.ids.index(vm_id)
+    except ValueError:
+        raise NotFoundError(f"unknown VM {vm_id!r}") from None
+    src = int(live.host[i])
+    if src == UNSET:
         raise DomainError(f"VM {vm_id!r} is pending, cannot migrate")
     dst = state.row(dst_pm)
-    if dst_pm == vm.placed_on:
+    if dst == src:
         raise DomainError(f"VM {vm_id!r} already on {dst_pm}")
-    _check_fit(state.resources, dst, vm.request)
+    request = live.requests[i]
+    _check_fit(state.resources, dst, request)
 
-    vms = dict(state.vms)
-    vms[vm_id] = VirtualMachine(vm_id, vm.request, dst_pm, vm.start_hour)
+    values = live.values.copy()
+    values[i, 3] = dst
     resources = state.resources.copy()
-    resources.release(state.row(vm.placed_on), vm.request)
-    resources.place(dst, vm.request)
-    return DatacenterState(state.pms, vms, resources, state.rows, state.clock)
+    resources.release(src, request)
+    resources.place(dst, request)
+    return DatacenterState(state.pms, live.hosted(values), resources, state.rows, state.clock)
 
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:
@@ -293,23 +469,54 @@ def snapshot(state: DatacenterState) -> ResourceSnapshot:
 def validate(state: DatacenterState) -> None:
     """Raise DomainError if any structural invariant is broken (test hook).
 
-    Besides capacity and placement consistency, the PM-id -> row index
-    must match `pms`, and every resource column must equal a rescan of
-    the running VMs.
+    The VM columns must be one length and agree with their requests:
+    unique ids, host rows in range, a start hour exactly on the placed
+    VMs, and finish = start + duration (`NEVER` while pending).  The
+    PM-id -> row index must match `pms`, no PM may be over capacity, and
+    every resource column must equal a rescan of the running VMs.
     """
     pms = state.pms
     n = len(pms)
     if state.rows != {pm.id: i for i, pm in enumerate(pms)}:
         raise DomainError("PM row index out of step with the PMs")
+
+    live = state.live
+    if live.values.shape != (len(live.ids), 6) or len(live.requests) != len(live.ids):
+        raise DomainError("VM columns of unequal length")
+    ids, requests = live.ids, live.requests
+    if len(set(ids)) < len(ids):
+        twice = next(vm_id for i, vm_id in enumerate(ids) if vm_id in ids[:i])
+        raise DomainError(f"{twice}: VM id listed twice")
+    for name, column, field in (
+        ("ids", ids, "id"),
+        ("cores", live.cores.tolist(), "cores"),
+        ("ram", live.ram.tolist(), "ram"),
+        ("frequency", live.frequency.tolist(), "cpu_frequency"),
+    ):
+        stale = [i for i, (v, r) in enumerate(zip(column, requests)) if v != getattr(r, field)]
+        if stale:
+            raise DomainError(f"{ids[stale[0]]}: {name} out of step with its request")
+    host, start = live.host, live.start
+    pending = host == UNSET
+    duration = np.array([r.duration for r in requests], dtype=int)
+    checks = (
+        ((host < UNSET) | (host >= n), "host row out of range"),
+        (pending != (start == UNSET), "placement and start hour out of step"),
+        (
+            live.finish != np.where(pending, NEVER, start + duration),
+            "finish hour out of step with start + duration",
+        ),
+    )
+    for bad, what in checks:
+        stale = np.flatnonzero(bad)
+        if stale.size:
+            raise DomainError(f"{ids[stale[0]]}: {what}")
+
+    placed = ~pending
     used_cores = np.zeros(n, dtype=int)
     used_ram = np.zeros(n, dtype=int)
-    for vm in state.vms.values():
-        if (vm.placed_on is None) != (vm.start_hour is None):
-            raise DomainError(f"{vm.id}: placement and start hour out of step")
-        if vm.placed_on is not None:
-            row = state.row(vm.placed_on)
-            used_cores[row] += vm.request.cores
-            used_ram[row] += vm.request.ram
+    np.add.at(used_cores, host[placed], live.cores[placed])
+    np.add.at(used_ram, host[placed], live.ram[placed])
     for pm, cores, ram in zip(pms, used_cores.tolist(), used_ram.tolist()):
         if cores > pm.cores:
             raise DomainError(f"{pm.id}: core capacity exceeded ({cores}/{pm.cores})")

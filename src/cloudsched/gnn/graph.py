@@ -55,24 +55,29 @@ def node_features(
     snapshot: ResourceSnapshot,
     pending: Sequence[WorkloadRequest],
     prices: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The state graph's feature rows: the PMs in snapshot order, then the requests.
 
     The PM rows come straight from the snapshot's columns; `prices` is
-    the current price at each PM, in snapshot order, or None for no prices.
+    the current price at each PM, in snapshot order, or None for no prices
+    (a zero column).  The rows are written into `out` when given.
     """
     n_pm = len(snapshot)
-    vms = np.array([_request_values(r) for r in pending], dtype=float).reshape(len(pending), 4)
-
-    features = np.zeros((n_pm + len(pending), FEATURE_DIM))
+    features = np.empty((n_pm + len(pending), FEATURE_DIM)) if out is None else out
     np.divide(snapshot.free_cores, snapshot.cores, out=features[:n_pm, 0])
     np.divide(snapshot.free_ram, snapshot.ram, out=features[:n_pm, 1])
     features[:n_pm, 2] = snapshot.utilisation
     features[:n_pm, 3] = snapshot.powered_on
-    if prices is not None:
+    if prices is None:
+        features[:n_pm, 4] = 0.0
+    else:
         np.divide(prices, NORM_PRICE, out=features[:n_pm, 4])
-    # Subtracting 0.0 leaves the other three columns as they are.
-    np.divide(vms - _VM_OFFSET, _VM_SCALE, out=features[n_pm:, :4])
+    if pending:
+        vms = np.array([_request_values(r) for r in pending], dtype=float)
+        # Subtracting 0.0 leaves the other three columns as they are.
+        np.divide(vms - _VM_OFFSET, _VM_SCALE, out=features[n_pm:, :4])
+        features[n_pm:, 4] = 0.0
     return features
 
 
@@ -94,7 +99,7 @@ class WorkingFeatures:
     def __init__(self, working: ResourceSnapshot, prices: np.ndarray | None):
         self.working = working
         self.values = np.zeros((len(working) + 1, FEATURE_DIM))
-        self.values[:-1] = node_features(working, [], prices)
+        node_features(working, [], prices, out=self.values[:-1])
 
     def placed(self, row: int) -> None:
         working, x = self.working, self.values[row]
@@ -104,8 +109,18 @@ class WorkingFeatures:
         x[3] = working.powered_on[row]
 
     def for_request(self, request: WorkloadRequest) -> np.ndarray:
-        vm = np.array(_request_values(request), dtype=float)
-        np.divide(vm - _VM_OFFSET, _VM_SCALE, out=self.values[-1, :4])
+        """The matrix with the request's row written.
+
+        The row is `node_features`' `(row - offset) / scale` in Python
+        floats: the same IEEE divisions of the same doubles (an offset of
+        0.0 changes nothing), without the numpy calls.
+        """
+        self.values[-1, :4] = (
+            request.cores / NORM_CORES,
+            request.ram / NORM_RAM_GIB,
+            (request.cpu_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ,
+            request.duration / NORM_DURATION_H,
+        )
         return self.values
 
 
@@ -135,7 +150,9 @@ def build_state_graph(
     )
 
 
-def state_a_hat(fits: np.ndarray) -> np.ndarray:
+def state_a_hat(
+    fits: np.ndarray, out: np.ndarray | None = None, deg: np.ndarray | None = None
+) -> np.ndarray:
     """The normalised adjacency of a one-VM state graph, from the VM's 0/1 fits mask.
 
     Equal, bit for bit, to `_normalize` of the graph's adjacency, without
@@ -144,14 +161,15 @@ def state_a_hat(fits: np.ndarray) -> np.ndarray:
     n + f_i, the VM 1 + sum(f), and with s = 1/sqrt(deg) every unit entry
     of A + I becomes s_i * s_j, which is `_normalize`'s (1 * s_i) * s_j.
     The VM's row and column then carry their 0/1 factor f; an entry that
-    is 0 in A + I comes out +0.0 in both.
+    is 0 in A + I comes out +0.0 in both.  `out` ((n + 1) x (n + 1)) and
+    `deg` (n + 1) are written when given, else allocated.
     """
     n = fits.shape[0]
-    deg = np.empty(n + 1)
+    deg = np.empty(n + 1) if deg is None else deg
     np.add(n, fits, out=deg[:n])
     deg[n] = 1.0 + fits.sum()
-    inv_sqrt_deg = 1.0 / np.sqrt(deg)
-    a_hat = np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg)
+    inv_sqrt_deg = np.divide(1.0, np.sqrt(deg, out=deg), out=deg)
+    a_hat = np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg, out=out)
     a_hat[n, :n] *= fits
     a_hat[:n, n] *= fits
     return a_hat

@@ -27,14 +27,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of `flat`, one per shape, in order."""
+def _views(flat: np.ndarray, shapes, align: int = 1) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape, in order.
+
+    With `align`, each view starts a multiple of `align` elements in.
+    """
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
         views.append(flat[start : start + size].reshape(shape))
-        start += size
+        start += -(-size // align) * align
     return views
+
+
+# Buffers carved from one block start on 64-byte boundaries (8 float64s),
+# as separately allocated arrays could.
+_ALIGN = 8
+
+
+def _carved_size(shapes) -> int:
+    """How many elements `_views(..., align=_ALIGN)` spans for these shapes."""
+    return sum(-(-math.prod(shape) // _ALIGN) * _ALIGN for shape in shapes)
 
 
 @dataclass(eq=False)
@@ -194,20 +207,32 @@ class GcnBuffers:
     `hs[l + 1] = relu(zs[l])`; the last layer's output is `zs[-1]`
     itself, and `hs[0]` is the input.  A set is reused for every forward
     on graphs of its node count, so what it returns is overwritten by the
-    next one.
+    next one.  All of them are views of `memory` (`size(model, n)`
+    elements, allocated when not given).
     """
 
-    def __init__(self, model: GcnModel, n: int):
-        d = model.dims
-        self.a_feats = np.empty((n, d[0]))
+    def __init__(self, model: GcnModel, n: int, memory: np.ndarray | None = None):
+        shapes = self.shapes(model, n)
+        if memory is None:
+            memory = np.empty(_carved_size(shapes))
+        views = _views(memory, shapes, _ALIGN)
+        self.a_feats = views[0]
         self.ahs, self.zs, self.hs = [self.a_feats], [], [None]
-        for k in d[1:-1]:  # a hidden layer's z, relu(z) and a_hat @ relu(z)
-            block = np.empty((3, n, k))
+        for block in views[1:-1]:  # a hidden layer's z, relu(z) and a_hat @ relu(z)
             self.zs.append(block[0])
             self.hs.append(block[1])
             self.ahs.append(block[2])
-        self.zs.append(np.empty((n, d[-1])))
+        self.zs.append(views[-1])
         self.hs.append(self.zs[-1])
+
+    @staticmethod
+    def shapes(model: GcnModel, n: int) -> list[tuple[int, ...]]:
+        d = model.dims
+        return [(n, d[0])] + [(3, n, k) for k in d[1:-1]] + [(n, d[-1])]
+
+    @classmethod
+    def size(cls, model: GcnModel, n: int) -> int:
+        return _carved_size(cls.shapes(model, n))
 
 
 def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None, buffers=None):
@@ -263,20 +288,33 @@ class GatedBuffers:
     step reads are taken here once, as are the views of the stacked z and
     r parameters.  Those stay valid because a model's `flat` is only ever
     updated in place.  A set is reused for every forward on graphs of its
-    node count, so what it returns is overwritten by the next one.
+    node count, so what it returns is overwritten by the next one.  The
+    block is a view of `memory` (`size(model, n)` elements, allocated
+    when not given).
     """
 
-    def __init__(self, model: GatedModel, n: int):
+    def __init__(self, model: GatedModel, n: int, memory: np.ndarray | None = None):
         self.u_zr, self.b_zr = model.U[:2], model.B[:2, None]
         # Planes: h @ u_zr (2), (r * h) @ u_c, z * c, then 9 per step:
         # a_hat @ h, m, m @ W -> [z, r, c] (3), 1 - [z, r] (2), r * h, next h.
-        block = np.empty((4 + 9 * model.steps, n, model.hidden))
+        shape = self.shape(model, n)
+        if memory is None:
+            memory = np.empty(math.prod(shape))
+        block = memory[: math.prod(shape)].reshape(shape)
         self.hu, self.rhu, self.zc = block[0:2], block[2], block[3]
         self.steps = [
             (block[i], block[i + 1], block[i + 2 : i + 5], block[i + 2 : i + 4], block[i + 2],
              block[i + 3], block[i + 4], block[i + 5 : i + 7], block[i + 5], block[i + 7], block[i + 8])
             for i in range(4, len(block), 9)
         ]  # fmt: skip
+
+    @staticmethod
+    def shape(model: GatedModel, n: int) -> tuple[int, int, int]:
+        return (4 + 9 * model.steps, n, model.hidden)
+
+    @classmethod
+    def size(cls, model: GatedModel, n: int) -> int:
+        return _carved_size([cls.shape(model, n)])
 
 
 def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None, buffers=None):
@@ -319,8 +357,64 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
     return h, caches
 
 
+class ScoringWorkspace:
+    """Every array `score_placements` writes for `model`, on up to `pm_count` PMs.
+
+    A graph of n PMs (n + 1 nodes) is scored in the fits mask, degrees
+    and `a_hat` of `state_a_hat`, one `GcnBuffers` or `GatedBuffers`
+    set, the gated model's zero-padded input, and the readout's pair
+    rows.  All of them live in one zeroed block, one segment each, sized
+    for `pm_count`; each n gets its own views of the same segments, built
+    when first scored, so the memory does not grow with the sizes seen.
+    The padded input's rows are `hidden` wide at every n, so its columns
+    past the features, never written, stay zero.
+    """
+
+    def __init__(self, model: GcnModel | GatedModel, pm_count: int):
+        self.model, self.pm_count = model, pm_count
+        nodes = pm_count + 1
+        width = model.readout_w.shape[0]
+        if isinstance(model, GcnModel):
+            network, hidden = GcnBuffers.size(model, nodes), 0
+        else:
+            if model.hidden < FEATURE_DIM:
+                raise ShapeError(
+                    f"cannot pad {FEATURE_DIM} features into hidden size {model.hidden}"
+                )
+            network, hidden = GatedBuffers.size(model, nodes), model.hidden
+        shapes = [(pm_count,), (nodes,), (nodes * nodes,), (network,), (nodes * hidden,)]
+        shapes.append((pm_count * width,))
+        self._segments = _views(np.zeros(_carved_size(shapes)), shapes, _ALIGN)
+        self._width, self._hidden = width, hidden
+        self._sized: dict[int, tuple] = {}
+
+    def views(self, n: int) -> tuple:
+        """(fits, degrees, a_hat, network buffers, padded input, pair rows) for n PMs."""
+        sized = self._sized.get(n)
+        if sized is None:
+            if n > self.pm_count:
+                raise ShapeError(f"a workspace for {self.pm_count} PMs cannot score {n}")
+            fits, deg, a_hat, network, padded, pairs = self._segments
+            nodes, model = n + 1, self.model
+            buffers = (GcnBuffers if isinstance(model, GcnModel) else GatedBuffers)(
+                model, nodes, network
+            )
+            sized = self._sized[n] = (
+                fits[:n],
+                deg[:nodes],
+                a_hat[: nodes * nodes].reshape(nodes, nodes),
+                buffers,
+                padded[: nodes * self._hidden].reshape(nodes, self._hidden),
+                pairs[: n * self._width].reshape(n, self._width),
+            )
+        return sized
+
+
 def score_placements(
-    model: GcnModel | GatedModel, feats: np.ndarray, candidates: np.ndarray
+    model: GcnModel | GatedModel,
+    feats: np.ndarray,
+    candidates: np.ndarray,
+    workspace: ScoringWorkspace | None = None,
 ) -> np.ndarray:
     """Score each candidate PM row for one request, in the order of `candidates`.
 
@@ -330,25 +424,29 @@ def score_placements(
     writes only what changed.  `candidates` holds the ascending rows of
     the PMs that fit the request (the VM node's neighbours), so `a_hat`
     is `state_a_hat` of that fits mask, and no graph is built.  The
-    forward is training's, in a fresh buffer set per call, so no score
-    shares memory with another call's.  The readout takes one row per
-    candidate, and one `np.vecdot` reads them
-    all out: it takes the same per-row dot product as
-    `pair @ readout_w[:, 0]`, so every score is bit-identical to a
-    per-pair readout over the graph (the matrix-vector product
-    `P @ readout_w` is not).
+    forward is training's, written into `workspace` (one for the
+    model, for at least this many PMs; a fresh one when None), and the
+    returned scores are a new array.  The readout takes one row per
+    candidate, and one `np.vecdot` reads them all out: it takes the same
+    per-row dot product as `pair @ readout_w[:, 0]`, so every score is
+    bit-identical to a per-pair readout over the graph (the
+    matrix-vector product `P @ readout_w` is not).
     """
     n = feats.shape[0] - 1
-    fits = np.zeros(n)
+    if workspace is None:
+        workspace = ScoringWorkspace(model, n)
+    fits, deg, a_hat, buffers, padded, pairs = workspace.views(n)
+    fits.fill(0.0)
     fits[candidates] = 1.0
-    a_hat = state_a_hat(fits)
+    state_a_hat(fits, a_hat, deg)
     if isinstance(model, GcnModel):
-        hs, _, _ = gcn_layers(model, a_hat, feats)
+        hs, _, _ = gcn_layers(model, a_hat, feats, buffers=buffers)
         h = hs[-1]
     else:
-        h, _ = gated_steps(model, a_hat, pad_features(feats, model.hidden))
+        padded[:, : feats.shape[1]] = feats
+        h, _ = gated_steps(model, a_hat, padded, buffers=buffers)
     n_h, n_x = h.shape[1], feats.shape[1]
-    pairs = np.empty((len(candidates), 2 * (n_h + n_x)))
+    pairs = pairs[: len(candidates)]
     pairs[:, :n_h] = h[n]
     pairs[:, n_h : n_h + n_x] = feats[n]
     pairs[:, n_h + n_x : 2 * n_h + n_x] = h[candidates]

@@ -27,7 +27,7 @@ from .datacenter import snapshot as dc_snapshot  # noqa: F401
 from .energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from .errors import ConfigError, DomainError
 from .gnn.graph import WorkingFeatures, build_state_graph
-from .gnn.models import GatedModel, GcnModel, score_placements
+from .gnn.models import GatedModel, GcnModel, ScoringWorkspace, score_placements
 from .gnn.training import TrainSample
 from .workload import WorkloadRequest, generate_synthetic
 
@@ -61,6 +61,7 @@ class Policy:
             if not isinstance(self.model, expected):
                 raise ConfigError(f"policy {self.kind!r} needs a {expected.__name__} attached")
         self._rng = np.random.default_rng(self.rng_seed)
+        self._workspace: ScoringWorkspace | None = None
 
     @property
     def logs_scores(self) -> bool:
@@ -82,7 +83,10 @@ class Policy:
         score every candidate from `features`, the feature matrix kept
         for `working` (None for the heuristics), after writing the
         request's row into it; a lone candidate is returned unscored
-        unless scores are logged.  The heuristics return their pick
+        unless scores are logged.  Every score is written into one
+        `ScoringWorkspace` the policy keeps for its model, sized by the
+        largest snapshot scored so far (the first `schedule` call's, all
+        the PMs).  The heuristics return their pick
         alone and unscored: first_fit takes the first candidate, random
         draws once per request, and best_fit_energy takes the PM whose
         power rises least (`_least_power_increase`).
@@ -97,7 +101,12 @@ class Policy:
             return candidates[pick : pick + 1], _NO_SCORE
         if len(candidates) == 1 and not self.logs_scores:  # nothing to rank
             return candidates, _NO_SCORE
-        return candidates, score_placements(self.model, features.for_request(request), candidates)
+        workspace = self._workspace
+        stale = workspace is None or workspace.model is not self.model
+        if stale or workspace.pm_count < len(working):
+            workspace = self._workspace = ScoringWorkspace(self.model, len(working))
+        feats = features.for_request(request)
+        return candidates, score_placements(self.model, feats, candidates, workspace)
 
 
 _NO_SCORE = np.zeros(1)  # the score of a pick made without scoring
@@ -190,7 +199,7 @@ def schedule(
     decision = ScheduleDecision()
 
     for request in sorted(pending, key=lambda r: (r.arrival, r.id)):
-        candidates = np.flatnonzero(working.fits(request))
+        candidates = working.fits(request).nonzero()[0]
         if not candidates.size:
             decision.deferred.append(request.id)
             continue
@@ -239,55 +248,62 @@ def consolidate(
     if policy.kind not in MODEL_POLICIES:
         return []
 
-    snap = state.resources
-    on = np.flatnonzero(snap.powered_on)
+    snap, live = state.resources, state.live
+    on = snap.powered_on.nonzero()[0]
     low = on[snap.utilisation[on] < threshold]
-    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]  # least utilised first
-    source_of = {snap.pm_ids[row]: i for i, row in enumerate(underloaded.tolist())}
-    moving = [vm for vm in state.vms.values() if vm.placed_on in source_of]
-    if not moving:
+    if not low.size:
         return []
+    underloaded = low[snap.utilisation[low].argsort(kind="stable")]  # least utilised first
 
     # A plan only fills the other PMs, and the columns stay as they are
-    # until one is returned, so a VM that fits on no other powered-on PM
-    # now can never move.  One mask screens every VM of every source, and
-    # a source holding such a VM is skipped before anything is scored.
-    need = np.array([(vm.request.cores, vm.request.ram, vm.request.cpu_frequency) for vm in moving])
-    index = np.array([source_of[vm.placed_on] for vm in moving])
-    movable = (
-        (snap.free_cores[on] >= need[:, :1])
-        & (snap.free_ram[on] >= need[:, 1:2])
-        & (snap.max_frequency[on] >= need[:, 2:])
-        & (on != underloaded[index][:, None])
-    ).any(axis=1)
-    # Nor can a source whose VMs need more cores or RAM in all than the
-    # other powered-on PMs have free between them.
-    demand = np.zeros((len(underloaded), 2), dtype=need.dtype)
-    np.add.at(demand, index, need[:, :2])
-    free = np.stack((snap.free_cores, snap.free_ram), axis=1)
-    short = (demand > free[on].sum(axis=0) - free[underloaded]).any(axis=1)
-    blocked = set(index[~movable].tolist()) | set(np.flatnonzero(short).tolist())
-    hosted: dict[int, list] = {}
-    for vm, i in zip(moving, index.tolist()):
-        if i not in blocked:
-            hosted.setdefault(i, []).append(vm)
+    # until one is returned.  So a source is skipped before anything is
+    # scored when its VMs need more cores or RAM in all than the other
+    # powered-on PMs have free.  What they need is what the source has
+    # allocated, cores - free; against the others' free, total - free,
+    # that is cores > total (and likewise for RAM).
+    free_cores, free_ram = snap.free_cores, snap.free_ram
+    tried = (snap.cores[underloaded] <= free_cores[on].sum()) & (
+        snap.ram[underloaded] <= free_ram[on].sum()
+    )
+    if not tried.any():
+        return []
+    # Nor can a source holding a VM that fits on no other powered-on PM
+    # now: one mask screens every VM of every source.  source_of[row] is
+    # the position in `underloaded` of the PM at that row, else -1; a
+    # pending VM's host row, -1, reads the extra last slot.
+    source_of = np.full(len(snap) + 1, -1)
+    source_of[underloaded] = np.arange(len(underloaded))
+    index = source_of[live.host]
+    moving = (index >= 0).nonzero()[0]
+    index = index[moving]
+    need = live.values.take(moving, axis=0)
+    room = np.array((free_cores, free_ram, snap.max_frequency)).take(on, axis=1)
+    fits = (room >= need[:, :3, None]).all(axis=1)  # VM x powered-on PM
+    fits &= on != underloaded[index, None]
+    tried[index[~fits.any(axis=1)]] = False
 
-    for i in sorted(hosted):
+    ids, requests, finish = live.ids, live.requests, live.finish
+    for i in tried.nonzero()[0].tolist():
         source = underloaded[i]
         rows = on[on != source]
         working = snap.take(rows)
         features = WorkingFeatures(working, None if prices is None else prices[rows])
+        vms = moving[index == i]
+        rows_of_vms = vms.tolist()
+        largest_first = sorted(
+            zip((-live.cores[vms]).tolist(), map(ids.__getitem__, rows_of_vms), rows_of_vms)
+        )
 
         plan: list[tuple[str, str]] = []
-        for vm in sorted(hosted[i], key=lambda v: (-v.request.cores, v.id)):  # largest first
-            r = vm.request
-            candidates = np.flatnonzero(working.fits(r))
+        for _, vm_id, vm in largest_first:
+            r = requests[vm]
+            candidates = working.fits(r).nonzero()[0]
             if not candidates.size:
                 break
-            remaining = max(1, vm.start_hour + r.duration - state.clock)
+            remaining = max(1, int(finish[vm]) - state.clock)
             scoring = WorkloadRequest(r.id, r.cpu_frequency, r.cores, r.ram, remaining, r.arrival)
             dst = _argmin(*policy.score(working, scoring, candidates, features))
-            plan.append((vm.id, working.pm_ids[dst]))
+            plan.append((vm_id, working.pm_ids[dst]))
             working.place(dst, r)
             features.placed(dst)
         else:  # every VM found a destination

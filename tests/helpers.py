@@ -81,6 +81,23 @@ def snapshot_columns(snap: ResourceSnapshot) -> dict:
     return doc
 
 
+def state_columns(state: DatacenterState) -> dict:
+    """The clock and every column of a state, numbers as their bytes, for `==` bit for bit."""
+    live, res = state.live, state.resources
+    doc = {
+        "clock": state.clock,
+        "vm_values": (live.values.dtype.str, live.values.shape, live.values.tobytes()),
+        "vm_ids": live.ids,
+        "vm_requests": live.requests,
+        "pm_ids": res.pm_ids,
+        "locations": res.locations,
+    }
+    for name in ResourceSnapshot._COLUMNS:
+        column = getattr(res, name)
+        doc[name] = (column.dtype.str, column.shape, column.tobytes())
+    return doc
+
+
 @st.composite
 def pm_entries(draw, min_pms: int = 1, max_pms: int = 6) -> dict[str, dict]:
     """Hypothesis: `entry` dicts for pm-0.. with mixed sizes, loads and power states."""

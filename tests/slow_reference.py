@@ -14,7 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from cloudsched.datacenter import snapshot
+from cloudsched.datacenter import (
+    NEVER,
+    UNSET,
+    DatacenterState,
+    LiveVms,
+    VirtualMachine,
+    snapshot,
+)
 from cloudsched.energy import (
     DEFAULT_POWER_MODEL,
     WATTS_PER_KW,
@@ -24,8 +31,10 @@ from cloudsched.energy import (
     PriceSeries,
     pm_power,
 )
+from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.gnn.graph import (
     FEATURE_DIM,
+    WorkingFeatures,
     FREQ_BASE_MHZ,
     FREQ_SPAN_MHZ,
     NORM_CORES,
@@ -48,7 +57,12 @@ from cloudsched.gnn.models import (
     restrict_graph,
 )
 from cloudsched.gnn.training import _choose_clusters
-from cloudsched.scheduler import CONSOLIDATION_THRESHOLD, MODEL_POLICIES, incremental_energy
+from cloudsched.scheduler import (
+    CONSOLIDATION_THRESHOLD,
+    MODEL_POLICIES,
+    _argmin,
+    incremental_energy,
+)
 from cloudsched.workload import (
     CORE_CHOICES,
     DURATION_MAX_H,
@@ -353,6 +367,141 @@ def argmin_by_scan(scores: dict[int, float]) -> int:
             best = score
             best_row = row
     return best_row
+
+
+def state_from_vms(state, vms: dict, resources, clock: int) -> DatacenterState:
+    """`state` with these VM objects (in order) as its columns, and these resources."""
+    rows = {pm.id: i for i, pm in enumerate(state.pms)}
+    values = [
+        (vm.request.cores, vm.request.ram, vm.request.cpu_frequency, UNSET, UNSET, NEVER)
+        if vm.placed_on is None
+        else (
+            vm.request.cores,
+            vm.request.ram,
+            vm.request.cpu_frequency,
+            rows[vm.placed_on],
+            vm.start_hour,
+            vm.start_hour + vm.request.duration,
+        )
+        for vm in vms.values()
+    ]
+    live = LiveVms(
+        np.array(values, dtype=int).reshape(len(vms), 6),
+        tuple(vm.id for vm in vms.values()),
+        tuple(vm.request for vm in vms.values()),
+    )
+    return DatacenterState(state.pms, live, resources, state.rows, clock)
+
+
+def _check_fit_by_row(resources, row, request):
+    pm_id = resources.pm_ids[row]
+    free_cores = int(resources.free_cores[row])
+    if free_cores < request.cores:
+        raise CapacityError("cores", f"{pm_id}: {request.cores} cores requested, {free_cores} free")
+    free_ram = int(resources.free_ram[row])
+    if free_ram < request.ram:
+        raise CapacityError("ram", f"{pm_id}: {request.ram} GiB requested, {free_ram} free")
+    max_frequency = int(resources.max_frequency[row])
+    if max_frequency < request.cpu_frequency:
+        raise CapacityError(
+            "frequency", f"{pm_id}: {request.cpu_frequency} MHz requested, max {max_frequency}"
+        )
+
+
+def place_one_by_one(state, assignments):
+    """`place` on VM objects: each pair checked and booked in order on a copy."""
+    if not assignments:
+        return state
+    vms = dict(state.vms)
+    resources = state.resources.copy()
+    for vm_id, pm_id in assignments:
+        vm = vms.get(vm_id)
+        if vm is None:
+            raise NotFoundError(f"unknown VM {vm_id!r}")
+        row = state.row(pm_id)
+        if vm.placed_on is not None:
+            raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
+        _check_fit_by_row(resources, row, vm.request)
+        vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
+        resources.place(row, vm.request)
+    return state_from_vms(state, vms, resources, state.clock)
+
+
+def remove_finished_by_scan(state):
+    """`remove_finished` scanning every VM object, releasing the finished ones one by one."""
+    finished = [
+        vm
+        for vm in state.vms.values()
+        if vm.placed_on is not None and state.clock >= vm.start_hour + vm.request.duration
+    ]
+    if not finished:
+        return state
+    vms = dict(state.vms)
+    resources = state.resources.copy()
+    for vm in finished:
+        resources.release(state.row(vm.placed_on), vm.request)
+        del vms[vm.id]
+    return state_from_vms(state, vms, resources, state.clock)
+
+
+def consolidate_by_vm_objects(policy, state, prices=None, threshold=CONSOLIDATION_THRESHOLD):
+    """`consolidate` screening its sources by walking every VM object.
+
+    Each source's demand is the sum of its VMs' requests, and the plan
+    is made exactly as `consolidate` makes it.
+    """
+    if policy.kind not in MODEL_POLICIES:
+        return []
+
+    snap = state.resources
+    on = np.flatnonzero(snap.powered_on)
+    low = on[snap.utilisation[on] < threshold]
+    underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
+    source_of = {snap.pm_ids[row]: i for i, row in enumerate(underloaded.tolist())}
+    moving = [vm for vm in state.vms.values() if vm.placed_on in source_of]
+    if not moving:
+        return []
+
+    need = np.array([(vm.request.cores, vm.request.ram, vm.request.cpu_frequency) for vm in moving])
+    index = np.array([source_of[vm.placed_on] for vm in moving])
+    movable = (
+        (snap.free_cores[on] >= need[:, :1])
+        & (snap.free_ram[on] >= need[:, 1:2])
+        & (snap.max_frequency[on] >= need[:, 2:])
+        & (on != underloaded[index][:, None])
+    ).any(axis=1)
+    demand = np.zeros((len(underloaded), 2), dtype=need.dtype)
+    np.add.at(demand, index, need[:, :2])
+    free = np.stack((snap.free_cores, snap.free_ram), axis=1)
+    short = (demand > free[on].sum(axis=0) - free[underloaded]).any(axis=1)
+    blocked = set(index[~movable].tolist()) | set(np.flatnonzero(short).tolist())
+    hosted = {}
+    for vm, i in zip(moving, index.tolist()):
+        if i not in blocked:
+            hosted.setdefault(i, []).append(vm)
+
+    for i in sorted(hosted):
+        source = underloaded[i]
+        rows = on[on != source]
+        working = snap.take(rows)
+        features = WorkingFeatures(working, None if prices is None else prices[rows])
+        plan = []
+        for vm in sorted(hosted[i], key=lambda v: (-v.request.cores, v.id)):
+            r = vm.request
+            candidates = np.flatnonzero(working.fits(r))
+            if not candidates.size:
+                break
+            remaining = max(1, vm.start_hour + r.duration - state.clock)
+            scoring = replace(r, duration=remaining)
+            dst = _argmin(*policy.score(working, scoring, candidates, features))
+            plan.append((vm.id, working.pm_ids[dst]))
+            working.place(dst, r)
+            features.placed(dst)
+        else:
+            saving = policy.power.idle_power / 1000.0 - policy.power.migration_penalty * len(plan)
+            if plan and saving > 0:
+                return plan
+    return []
 
 
 def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_THRESHOLD):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cloudsched import datacenter, sim
 from cloudsched.datacenter import (
     DEFAULT_PM_TEMPLATE,
+    UNSET,
     ResourceSnapshot,
     admit,
     migrate,
@@ -20,8 +21,15 @@ from cloudsched.datacenter import (
 from cloudsched.errors import CapacityError, DomainError, NotFoundError
 from cloudsched.workload import WorkloadRequest
 
-from helpers import entry, powered_on, snapshot_columns, snapshot_from_entries, state_dump
-from slow_reference import snapshot_by_pm_scan
+from helpers import (
+    entry,
+    powered_on,
+    snapshot_columns,
+    snapshot_from_entries,
+    state_columns,
+    state_dump,
+)
+from slow_reference import place_one_by_one, remove_finished_by_scan, snapshot_by_pm_scan
 
 BIG_RAM = replace(DEFAULT_PM_TEMPLATE, ram=64)
 
@@ -191,26 +199,27 @@ def test_batch_checks_items_against_the_earlier_ones():
 
 
 def test_an_hour_copies_the_state_once_for_its_batches(monkeypatch):
-    copies = Counter()
-    copy_columns = ResourceSnapshot.copy
+    # Each batch builds one new state, whatever its size: admit one set of
+    # VM columns, place one set of VM columns and one of resource columns.
+    built = Counter()
 
-    def counting_copy(self):
-        copies["columns"] += 1
-        return copy_columns(self)
+    def counting(name, cls):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return cls(*args, **kwargs)
 
-    def counting_dict(*args, **kwargs):
-        copies["vms"] += 1
-        return dict(*args, **kwargs)
+        monkeypatch.setattr(datacenter, cls.__name__, build)
 
-    monkeypatch.setattr(ResourceSnapshot, "copy", counting_copy)
-    monkeypatch.setattr(datacenter, "dict", counting_dict, raising=False)
+    counting("state", datacenter.DatacenterState)
+    counting("vms", datacenter.LiveVms)
+    counting("columns", ResourceSnapshot)
     calls = []
 
     def counted(op):
         def call(state, batch):
-            copies.clear()
+            built.clear()
             new_state = op(state, batch)
-            calls.append((op.__name__, len(batch), dict(copies)))
+            calls.append((op.__name__, len(batch), dict(built)))
             return new_state
 
         return call
@@ -220,11 +229,14 @@ def test_an_hour_copies_the_state_once_for_its_batches(monkeypatch):
     horizon = 6
     sim.run(sim.SimConfig(pm_count=4, vm_count=40, horizon=horizon, seed=3))
 
-    for name, copied in (("admit", {"vms": 1}), ("place", {"vms": 1, "columns": 1})):
+    for name, made_once in (
+        ("admit", {"state": 1, "vms": 1}),
+        ("place", {"state": 1, "vms": 1, "columns": 1}),
+    ):
         batches = [(size, made) for op, size, made in calls if op == name]
         assert len(batches) == horizon  # one call per hour
         assert max(size for size, _ in batches) > 1
-        assert all(made == (copied if size else {}) for size, made in batches)
+        assert all(made == (made_once if size else {}) for size, made in batches)
 
 
 class TestRemoveFinished:
@@ -367,12 +379,62 @@ class TestValidate:
         with pytest.raises(DomainError, match="row index"):
             validate(replace(state, rows={"pm-0": 0}))
 
+    def with_vm_column(self, state, name, row, value):
+        """The state with one VM cell overwritten, its input untouched."""
+        live = state.live
+        if name in ("ids", "requests"):
+            column = list(getattr(live, name))
+            column[row] = value
+            return replace(state, live=replace(live, **{name: tuple(column)}))
+        live = live.hosted(live.values.copy())
+        getattr(live, name)[row] = value
+        return replace(state, live=live)
+
+    # A placed VM whose start hour is unset, or a pending one with a start hour.
     @pytest.mark.parametrize("field,value", [("start_hour", None), ("placed_on", None)])
     def test_placement_out_of_step_with_start_hour(self, field, value):
         state = self.one_vm_state()
-        vm = replace(state.vms["vm-x"], **{field: value})
-        with pytest.raises(DomainError, match="start hour"):
-            validate(replace(state, vms={"vm-x": vm}))
+        column = {"start_hour": "start", "placed_on": "host"}[field]
+        with pytest.raises(DomainError, match="vm-x: placement and start hour"):
+            validate(self.with_vm_column(state, column, 0, UNSET))
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("host", 2, "host row out of range"),
+            ("host", -2, "host row out of range"),
+            ("start", 3, "finish hour out of step with start [+] duration"),
+            ("finish", 7, "finish hour out of step with start [+] duration"),
+            ("cores", 5, "cores out of step with its request"),
+            ("ram", 9, "ram out of step with its request"),
+            ("frequency", 2100, "frequency out of step with its request"),
+            ("ids", "vm-y", "ids out of step with its request"),
+        ],
+    )
+    def test_vm_column_out_of_step(self, column, value, message):
+        state = self.one_vm_state()
+        validate(state)
+        with pytest.raises(DomainError, match=message):
+            validate(self.with_vm_column(state, column, 0, value))
+
+    def test_pending_vm_with_a_finish_hour(self):
+        state = admit(self.one_vm_state(), [req(id="vm-y")])
+        validate(state)
+        with pytest.raises(DomainError, match="vm-y: finish hour"):
+            validate(self.with_vm_column(state, "finish", 1, 2))
+
+    def test_vm_id_listed_twice(self):
+        state = admit(self.one_vm_state(), [req(id="vm-y")])
+        twice = self.with_vm_column(state, "ids", 1, "vm-x")
+        twice = self.with_vm_column(twice, "requests", 1, req())
+        with pytest.raises(DomainError, match="vm-x: VM id listed twice"):
+            validate(twice)
+
+    def test_vm_columns_of_unequal_length(self):
+        state = self.one_vm_state()
+        live = replace(state.live, requests=state.live.requests[:0])
+        with pytest.raises(DomainError, match="unequal length"):
+            validate(replace(state, live=live))
 
     @pytest.mark.parametrize("row,value", [(0, False), (1, True)])
     def test_power_column_out_of_step_with_hosting(self, row, value):
@@ -426,3 +488,101 @@ def test_random_operations_keep_invariants(ops, pm_count):
             assert state_dump(given) == before  # nor do successful ops change their input
         validate(state)
         assert snapshot_columns(snapshot(state)) == snapshot_columns(snapshot_by_pm_scan(state))
+
+
+# The columnar operations against the per-VM loops they replace, on states
+# built by random operation sequences, with their columns compared bit for bit.
+
+
+@st.composite
+def live_states(draw):
+    """1-4 PMs and up to 16 VMs admitted over the hours, some placed, some finished."""
+    pm_count = draw(st.integers(1, 4))
+    state = new_datacenter(pm_count, BIG_RAM)
+    for i in range(draw(st.integers(0, 16))):
+        state = with_clock(state, state.clock + draw(st.integers(0, 2)))
+        r = req(
+            id=f"vm-{i:02d}",
+            cores=draw(st.sampled_from([1, 2, 4, 8, 16, 32])),
+            ram=draw(st.integers(1, 24)),
+            freq=draw(st.sampled_from([1600, 3400, 3500])),
+            duration=draw(st.integers(1, 6)),
+            arrival=state.clock,
+        )
+        state = admit(state, [r])
+        fits = np.flatnonzero(state.resources.fits(r)).tolist()
+        if fits and draw(st.booleans()):
+            state = place(state, [(r.id, f"pm-{draw(st.sampled_from(fits))}")])
+        if draw(st.booleans()):
+            state = remove_finished(state)
+    validate(state)
+    return state
+
+
+def outcome(op, *args):
+    """What an operation returns, or the type and text of what it raises."""
+    try:
+        return state_columns(op(*args))
+    except (CapacityError, DomainError, NotFoundError) as error:
+        return type(error), str(error)
+
+
+@st.composite
+def placement_batches(draw, state):
+    """A batch of (vm, pm) pairs.
+
+    Half the time every pair fits after the earlier ones; otherwise the
+    pairs are mostly pending VMs on any PM, with unknown, placed and
+    repeated VMs and unknown PMs among them.
+    """
+    ids = list(state.vms) + ["vm-ghost"]
+    pending = [vm.id for vm in state.vms.values() if vm.placed_on is None]
+    if pending and draw(st.booleans()):
+        working, batch = state.resources.copy(), []
+        for vm_id in draw(st.permutations(pending))[: draw(st.integers(1, len(pending)))]:
+            request = state.vms[vm_id].request
+            fits = np.flatnonzero(working.fits(request)).tolist()
+            if fits:
+                row = draw(st.sampled_from(fits))
+                working.place(row, request)
+                batch.append((vm_id, f"pm-{row}"))
+        return batch
+    vm_ids = st.sampled_from(pending) | st.sampled_from(ids) if pending else st.sampled_from(ids)
+    pm_ids = st.sampled_from([f"pm-{i}" for i in range(len(state.pms))] + ["pm-9"])
+    return draw(st.lists(st.tuples(vm_ids, pm_ids), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_place_matches_the_per_assignment_loop(data):
+    state = data.draw(live_states())
+    batch = data.draw(placement_batches(state))
+    before = state_columns(state)
+    placed = outcome(place, state, batch)
+    assert placed == outcome(place_one_by_one, state, batch)
+    assert state_columns(state) == before
+    if isinstance(placed, dict):
+        validate(place(state, batch))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_place_fails_at_a_bad_pair_in_the_middle_as_the_loop_does(k):
+    state = _batch_base()
+    good = [(f"vm-{i}", "pm-1") for i in range(3)]
+    for bad in (("vm-big", "pm-0"), ("vm-ghost", "pm-1"), ("vm-run", "pm-1"), ("vm-0", "pm-9")):
+        batch = good[:k] + [bad] + good[k:]
+        assert isinstance(outcome(place, state, batch), tuple)
+        assert outcome(place, state, batch) == outcome(place_one_by_one, state, batch)
+    twice = good[:k + 1] + [good[k]]
+    assert outcome(place, state, twice) == outcome(place_one_by_one, state, twice)
+    assert outcome(place, state, twice)[1] == f"VM 'vm-{k}' already runs on pm-1, cannot place"
+
+
+@settings(max_examples=150, deadline=None)
+@given(live_states(), st.integers(0, 8))
+def test_remove_finished_matches_the_scan_after_a_clock_jump(state, hours):
+    state = with_clock(state, state.clock + hours)
+    before = state_columns(state)
+    assert outcome(remove_finished, state) == outcome(remove_finished_by_scan, state)
+    assert state_columns(state) == before
+    validate(remove_finished(state))

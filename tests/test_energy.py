@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cloudsched.datacenter import DEFAULT_PM_TEMPLATE, admit, new_datacenter, place, snapshot
 from cloudsched.energy import (
@@ -348,17 +349,20 @@ def test_monotone_in_utilisation(a, b):
 
 @st.composite
 def runs_to_bill(draw):
-    """`(utilisation, prices, pm_ids, power, migrations)` of a 1-30 hour, 1-12 PM run."""
+    """`(utilisation, prices, pm_ids, power, migrations)` of a 1-30 hour, 1-12 PM run.
+
+    The `[hour][pm]` arrays are drawn as arrays, which costs far fewer
+    draws than one list element per cell.  Each hour has up to six
+    migrations, one per non-negative cell of a `[hour][6]` array of PM rows.
+    """
     hours, pm_count = draw(st.integers(1, 30)), draw(st.integers(1, 12))
     cores = draw(st.sampled_from([24, 32, 48]))
-    cells = hours * pm_count
-    used = draw(st.lists(st.integers(0, cores), min_size=cells, max_size=cells))
-    utilisation = np.array(used).reshape(hours, pm_count) / cores
-    prices = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
-    prices = prices.reshape(hours, pm_count)
+    shape = (hours, pm_count)
+    utilisation = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, cores))) / cores
+    prices = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
     pm_ids = tuple(f"pm-{i}" for i in range(pm_count))
-    destinations = st.lists(st.sampled_from(pm_ids), max_size=6)
-    migrations = draw(st.lists(destinations, min_size=hours, max_size=hours))
+    moves = draw(hnp.arrays(np.int64, (hours, 6), elements=st.integers(-1, pm_count - 1)))
+    migrations = [[pm_ids[row] for row in hour if row >= 0] for hour in moves.tolist()]
     power = PowerModel(
         idle_power=draw(st.sampled_from([100.0, 97.3])),
         peak_power=draw(st.sampled_from([200.0, 251.7])),

@@ -123,6 +123,11 @@ CONFIG_DOCS = st.fixed_dictionaries(
 )
 PATH_KEYS = ("model_path", "workload_file", "trace_dir", "price_file")
 
+# libyaml's emitter, when PyYAML has it, writes each document several times
+# faster than the pure-Python one `yaml.safe_dump` uses; the layout can
+# differ, but the text loads back to the same value.
+SAFE_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 # Each subcommand's flags, all unset, parsed once for every example.
 SIMULATE_ARGS = build_parser().parse_args(["simulate"])
 TRAIN_ARGS = build_parser().parse_args(["train"])
@@ -137,7 +142,7 @@ def config_path(tmp_path_factory):
 @given(doc=CONFIG_DOCS)
 def test_config_like_input(config_path, doc):
     """An accepted config builds a scenario and a training recipe of the types their users read."""
-    config_path.write_text(yaml.safe_dump(doc))
+    config_path.write_text(yaml.dump(doc, Dumper=SAFE_DUMPER))
     try:
         cfg = load_config_file(str(config_path))
         config = _build_sim_config(cfg, SIMULATE_ARGS)

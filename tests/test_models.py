@@ -11,6 +11,8 @@ from cloudsched.gnn.graph import StateGraph, build_state_graph, node_features, p
 from cloudsched.gnn.models import (
     MAX_GATED_STEPS,
     GatedModel,
+    GcnModel,
+    ScoringWorkspace,
     model_from_json,
     model_to_json,
     new_gated_model,
@@ -243,6 +245,36 @@ def test_score_placements_matches_per_pair_readout_bit_for_bit(name, inputs):
 def test_score_placements_matches_the_graph_at_the_edges(name, pms, req, prices):
     prices = None if prices is None else np.array(prices)
     assert_scores_match_the_graph(CHECKPOINTS[name], snapshot(new_datacenter(pms)), req, prices)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+@settings(max_examples=30, deadline=None)
+@given(st.lists(scored_snapshots(), min_size=1, max_size=6))
+def test_one_workspace_scores_every_size_as_a_fresh_one(name, cases):
+    # Graphs of several sizes, in any order, share one workspace's memory;
+    # each score equals a fresh workspace's bit for bit and is its own array.
+    model = CHECKPOINTS[name]
+    workspace = ScoringWorkspace(model, max(len(snap) for snap, _, _ in cases))
+    kept = []
+    for snap, req, prices in cases:
+        feats, rows = node_features(snap, [req], prices), np.flatnonzero(snap.fits(req))
+        shared = score_placements(model, feats, rows, workspace)
+        fresh = score_placements(model, feats, rows)
+        assert [s.hex() for s in shared.tolist()] == [s.hex() for s in fresh.tolist()]
+        kept.append((shared, shared.copy()))
+    block = workspace._segments[0].base
+    for fits, deg, a_hat, buffers, padded, pairs in workspace._sized.values():
+        network = buffers.zs[-1] if isinstance(model, GcnModel) else buffers.hu
+        assert all(v.base is block for v in (fits, deg, a_hat, network, padded, pairs))
+    assert all(np.array_equal(a, b) for a, b in kept)  # no later score wrote into an earlier one
+
+
+def test_a_workspace_refuses_a_larger_graph():
+    model = CHECKPOINTS["counter"]
+    snap = snapshot(new_datacenter(3))
+    with pytest.raises(ShapeError, match="2 PMs cannot score 3"):
+        workspace = ScoringWorkspace(model, 2)
+        score_placements(model, node_features(snap, [request()]), np.arange(3), workspace)
 
 
 class TestCheckpoints:

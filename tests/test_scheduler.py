@@ -32,7 +32,12 @@ from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
 from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump
-from slow_reference import argmin_by_scan, best_fit_by_float_argmin, consolidate_by_source
+from slow_reference import (
+    argmin_by_scan,
+    best_fit_by_float_argmin,
+    consolidate_by_source,
+    consolidate_by_vm_objects,
+)
 
 CHECKPOINTS = {
     "counter": load_model(Path(__file__).parent / "data" / "counter.json"),
@@ -224,6 +229,18 @@ class TestModelScores:
         d = schedule(logged, snap, [req(cores=8)])
         assert d.assignments == quiet.assignments and len(calls) == 1
         assert list(d.scores["vm-0"]) == ["pm-1"] and d.scores["vm-0"]["pm-1"] != 0.0
+
+    def test_a_policy_keeps_one_scoring_workspace(self):
+        policy = Policy("counter", model=CHECKPOINTS["counter"])
+        small, large = snapshot(new_datacenter(3)), snapshot(new_datacenter(5))
+        schedule(policy, small, [req()])
+        kept = policy._workspace
+        schedule(policy, small, [req(id="vm-1")])
+        assert policy._workspace is kept and kept.pm_count == 3
+        schedule(policy, large, [req(id="vm-2")])  # a larger snapshot gets a larger one
+        assert policy._workspace.pm_count == 5
+        schedule(policy, small, [req(id="vm-3")])
+        assert policy._workspace.pm_count == 5
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
@@ -442,7 +459,10 @@ def test_best_fit_rule_equals_a_clear_float_argmin_on_mixed_cores(case, watts):
 
 @st.composite
 def datacenter_states(draw):
-    """1-10 PMs hosting up to 24 VMs, each placed where it fits, at a drawn hour."""
+    """1-10 PMs hosting up to 24 VMs, each placed where it fits, at a drawn hour.
+
+    Some VMs are left pending, as a deferred request is.
+    """
     state = new_datacenter(draw(st.integers(1, 10)))
     for i in range(draw(st.integers(0, 24))):
         r = req(
@@ -455,7 +475,9 @@ def datacenter_states(draw):
         fits = np.flatnonzero(state.resources.fits(r)).tolist()
         if fits:
             state = with_clock(state, draw(st.integers(0, 12)))
-            state = place(admit(state, [r]), [(r.id, f"pm-{draw(st.sampled_from(fits))}")])
+            state = admit(state, [r])
+            if draw(st.integers(0, 5)):
+                state = place(state, [(r.id, f"pm-{draw(st.sampled_from(fits))}")])
     return with_clock(state, draw(st.integers(0, 60)))
 
 
@@ -469,6 +491,26 @@ def test_consolidate_matches_per_source_loop(kind, state, priced, threshold):
         prices = 0.01 * np.arange(1, len(state.pms) + 1)
     fast = consolidate(policy, state, prices, threshold)
     assert fast == consolidate_by_source(policy, state, prices, threshold)
+    assert fast == consolidate_by_vm_objects(policy, state, prices, threshold)
+
+
+@pytest.mark.parametrize("kind", MODEL_POLICIES)
+@settings(max_examples=40, deadline=None)
+@given(datacenter_states(), st.sampled_from([0.25, 0.5, 1.0]))
+def test_consolidate_scores_what_the_vm_object_screen_scores(kind, state, threshold):
+    # The column screen skips the same sources, so the same requests are scored.
+    def scored(plan_with):
+        policy = Policy(kind, model=CHECKPOINTS[kind])
+        score, calls = policy.score, []
+
+        def recording(working, request, candidates, features):
+            calls.append((request, len(working), candidates.tolist()))
+            return score(working, request, candidates, features)
+
+        policy.score = recording
+        return plan_with(policy, state, None, threshold), calls
+
+    assert scored(consolidate) == scored(consolidate_by_vm_objects)
 
 
 class TestCollectTrainingData:
