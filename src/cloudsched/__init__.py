@@ -6,7 +6,6 @@ from .datacenter import (
     DEFAULT_PM_TEMPLATE,
     DatacenterState,
     PhysicalMachine,
-    VirtualMachine,
     new_datacenter,
     snapshot,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ScheduleDecision",
     "SimConfig",
     "SimResult",
-    "VirtualMachine",
     "WorkloadRequest",
     "WorkloadSet",
     "compare",

@@ -6,24 +6,24 @@ never corrupt the live inventory.  The simulation loop owns exactly one
 state at a time.
 
 The state holds each PM's resources as the columns of a
-`ResourceSnapshot`, and its live VMs as the columns of `LiveVms`, one
-row per VM in admission order: host row, cores, RAM, frequency, start
-and finish hour, id and request.  The host column is the one record of
-placement.  Each operation works on whole columns: `admit` appends an
-hour's batch, `place` tests and books a batch in one vectorised update,
-and `remove_finished` picks the finished VMs with one mask over the
-finish column and releases them together.  Only `migrate`, one VM at a
-time, and a batch that fails its vectorised test fall back to updating
-one row after another.  A built state's columns are never written;
-an operation copies the columns it changes and shares the others.
+`ResourceSnapshot`, its running VMs as the columns of `RunningVms`, one
+row per VM in the order they were placed (cores, RAM, frequency, host
+row, start and finish hour, id and request), and its pending requests
+in a mapping by id, in admission order.  A VM is in exactly one of the
+two, and its host row is the one record of its placement.  `admit` adds
+an hour's batch to the pending mapping; `place` checks a batch pair by
+pair, moves it from the pending mapping to the end of the columns, and
+recomputes the PMs' power and utilisation once; `remove_finished`
+finds the finished VMs with one mask over the finish column, not a
+walk over every VM, and releases them in one update.  A built state's
+columns and mapping are never written: an operation copies what it
+changes and shares the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,14 +62,6 @@ DEFAULT_PM_TEMPLATE = PhysicalMachine(
     max_frequency=3400,
     ram=16,
 )
-
-
-@dataclass(frozen=True)
-class VirtualMachine:
-    id: str
-    request: WorkloadRequest
-    placed_on: str | None = None  # None while pending
-    start_hour: int | None = None
 
 
 @dataclass(eq=False)
@@ -151,34 +143,25 @@ class ResourceSnapshot:
 
     def place(self, row: int, request: WorkloadRequest) -> None:
         """Book the request on one PM of this (working) snapshot, in place."""
-        self._book(row, request.cores, request.ram)
-
-    def release(self, row: int, request: WorkloadRequest) -> None:
-        """Give the request's cores and RAM back to one PM, in place."""
-        self._book(row, -request.cores, -request.ram)
-
-    def _book(self, row: int, cores: int, ram: int) -> None:
-        self.free_cores[row] -= cores
-        self.free_ram[row] -= ram
+        self.free_cores[row] -= request.cores
+        self.free_ram[row] -= request.ram
         self.powered_on[row] = self.free_cores[row] < self.cores[row]
         self.utilisation[row] = (self.cores[row] - self.free_cores[row]) / self.cores[row]
 
 
-UNSET = -1  # the host row and start hour of a pending VM
-NEVER = np.iinfo(np.int64).max  # the finish hour of a pending VM
+LAST_HOUR = int(np.iinfo(int).max)  # the finish hour of a VM outlasting every int64 hour
 
 
 @dataclass(frozen=True, eq=False)
-class LiveVms:
-    """The live VMs as columns, one row per VM, in admission order.
+class RunningVms:
+    """The running VMs as columns, one row per VM, in the order they were placed.
 
     `values` holds the int columns (cores, RAM, frequency, host row,
     start hour, finish hour), which the properties name; `ids` and
-    `requests` hold the objects.  A pending VM has no host row or start hour
-    (`UNSET`) and never finishes (`NEVER`); `place` sets all three, the
-    finish to start + duration.  No column of a built `LiveVms` is ever
-    written: an operation builds a new one, sharing what it does not
-    change.
+    `requests` hold the objects.  The finish hour is start + duration,
+    capped at `LAST_HOUR` so that it fits the column: no run's clock
+    reaches it.  No column of a built `RunningVms` is ever written: an
+    operation builds a new one, sharing what it does not change.
     """
 
     values: np.ndarray  # (VMs, 6) int
@@ -212,37 +195,15 @@ class LiveVms:
     def finish(self) -> np.ndarray:
         return self.values[:, 5]
 
-    def kept(self, keep: np.ndarray) -> "LiveVms":
-        """The rows where the mask `keep` is set, in order."""
-        flags = keep.tolist()
-        return LiveVms(
-            self.values.take(keep.nonzero()[0], axis=0),
-            tuple(compress(self.ids, flags)),
-            tuple(compress(self.requests, flags)),
-        )
 
-    def hosted(self, values: np.ndarray) -> "LiveVms":
-        """The same VMs with these int columns."""
-        return LiveVms(values, self.ids, self.requests)
-
-    @cached_property
-    def waiting(self) -> dict[str, int]:
-        """The pending VMs' rows by id, in admission order."""
-        ids = self.ids
-        return {ids[row]: row for row in (self.host == UNSET).nonzero()[0].tolist()}
-
-    def pending_requests(self) -> list[WorkloadRequest]:
-        """The pending VMs' requests, in admission order."""
-        return list(map(self.requests.__getitem__, self.waiting.values()))
-
-
-_NO_VMS = LiveVms(np.zeros((0, 6), dtype=int), (), ())
+_NO_VMS = RunningVms(np.zeros((0, 6), dtype=int), (), ())
 
 
 @dataclass(frozen=True)
 class DatacenterState:
     pms: tuple[PhysicalMachine, ...]
-    live: LiveVms
+    running: RunningVms
+    pending: Mapping[str, WorkloadRequest]  # admitted, not placed: by id, in admission order
     resources: ResourceSnapshot  # row i is pms[i]
     rows: dict[str, int]  # PM id -> row; built once, shared by every later state
     clock: int = 0
@@ -253,27 +214,6 @@ class DatacenterState:
             return self.rows[pm_id]
         except KeyError:
             raise NotFoundError(f"unknown PM {pm_id!r}") from None
-
-    @property
-    def vms(self) -> Mapping[str, VirtualMachine]:
-        """The live VMs by id, in admission order, built from the columns.
-
-        A read-only view for tests and callers outside the hour loop; no
-        operation reads it.
-        """
-        live = self.live
-        placed = zip(live.ids, live.requests, live.host.tolist(), live.start.tolist())
-        return MappingProxyType(
-            {
-                vm_id: VirtualMachine(
-                    vm_id,
-                    request,
-                    None if host == UNSET else self.pms[host].id,
-                    None if start == UNSET else start,
-                )
-                for vm_id, request, host, start in placed
-            }
-        )
 
 
 def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLATE) -> DatacenterState:
@@ -297,51 +237,49 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
         utilisation=np.zeros(pm_count),
     )
     rows = {pm.id: i for i, pm in enumerate(pms)}
-    return DatacenterState(pms=pms, live=_NO_VMS, resources=resources, rows=rows, clock=0)
+    return DatacenterState(pms, _NO_VMS, {}, resources, rows, 0)
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
-    return DatacenterState(state.pms, state.live, state.resources, state.rows, hour)
+    return DatacenterState(
+        state.pms, state.running, state.pending, state.resources, state.rows, hour
+    )
 
 
 def admit(state: DatacenterState, requests: Sequence[WorkloadRequest]) -> DatacenterState:
     """Register a pending VM for each request, in order; placement happens separately.
 
-    One hour's arrivals are one batch, appended to the columns at once.
-    The first duplicate id raises, leaving the input state as it was.
+    One hour's arrivals are one batch, added to one copy of the pending
+    mapping.  The first duplicate id raises, leaving the input state as it was.
     """
     if not requests:
         return state
-    live = state.live
-    ids = tuple(r.id for r in requests)
-    if len(set(ids)) < len(ids) or not set(ids).isdisjoint(live.ids):
-        seen = set(live.ids)
+    pending = dict(state.pending)
+    pending.update((r.id, r) for r in requests)
+    running_ids = state.running.ids
+    if len(pending) < len(state.pending) + len(requests) or not pending.keys().isdisjoint(
+        running_ids
+    ):
+        seen = set(running_ids).union(state.pending)
         for request in requests:
             if request.id in seen:
                 raise DomainError(f"VM id {request.id!r} already admitted")
             seen.add(request.id)
-    k = len(live)
-    values = np.empty((k + len(requests), 6), dtype=int)
-    values[:k] = live.values
-    values[k:] = [(r.cores, r.ram, r.cpu_frequency, UNSET, UNSET, NEVER) for r in requests]
-    live = LiveVms(values, live.ids + ids, live.requests + tuple(requests))
-    return DatacenterState(state.pms, live, state.resources, state.rows, state.clock)
+    return DatacenterState(
+        state.pms, state.running, pending, state.resources, state.rows, state.clock
+    )
 
 
-def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
-    pm_id = resources.pm_ids[row]
-    free_cores = int(resources.free_cores[row])
+def _check_fit(pm_id: str, free_cores: int, free_ram: int, max_frequency: int, request):
     if free_cores < request.cores:
         raise CapacityError(
             "cores",
             f"{pm_id}: {request.cores} cores requested, {free_cores} free",
         )
-    free_ram = int(resources.free_ram[row])
     if free_ram < request.ram:
         raise CapacityError(
             "ram", f"{pm_id}: {request.ram} GiB requested, {free_ram} free"
         )
-    max_frequency = int(resources.max_frequency[row])
     if max_frequency < request.cpu_frequency:
         raise CapacityError(
             "frequency",
@@ -349,67 +287,63 @@ def _check_fit(resources: ResourceSnapshot, row: int, request: WorkloadRequest):
         )
 
 
+def _not_pending(state: DatacenterState, batch: dict[str, int], vm_id: str, pm_id: str):
+    """Raise what placing a VM that is not pending raises.
+
+    An unknown VM raises before its PM is looked up.  A running one,
+    placed before this batch or earlier in it (`batch`: id -> PM row),
+    raises after, as a pending VM would.
+    """
+    row = batch.get(vm_id)
+    if row is None:
+        try:
+            row = int(state.running.host[state.running.ids.index(vm_id)])
+        except ValueError:
+            raise NotFoundError(f"unknown VM {vm_id!r}") from None
+    state.row(pm_id)
+    raise DomainError(f"VM {vm_id!r} already runs on {state.pms[row].id}, cannot place")
+
+
 def place(state: DatacenterState, assignments: Sequence[tuple[str, str]]) -> DatacenterState:
-    """Start each pending VM on its PM, booting PMs as needed.
+    """Start each pending VM on its PM, in order, booting PMs as needed.
 
     `assignments` holds `(vm id, pm id)` pairs, one hour's placements in
-    one batch, tested and booked in one update of the columns.  Every
-    request takes some cores and RAM, so the pairs fit one after another
-    exactly when no PM's free cores or RAM go below zero after the whole
-    batch.  A batch that fails this test is checked pair by pair, in
-    order, against what the earlier pairs left, and its first bad pair
-    raises, leaving the input state as it was.
+    one batch.  Each VM is checked against the free cores and RAM the
+    earlier pairs left; the batch's VMs are then appended to the running
+    columns together, and the PMs' power and utilisation follow from
+    their free cores once.  The first bad pair raises, leaving the input
+    state as it was.
     """
     if not assignments:
         return state
-    live, res = state.live, state.resources
-    waiting = live.waiting
-    vm_rows = [waiting.get(vm_id) for vm_id, _ in assignments]
-    pm_rows = [state.rows.get(pm_id) for _, pm_id in assignments]
-    if None in vm_rows or None in pm_rows or len(set(vm_rows)) < len(vm_rows):
-        return _place_in_order(state, assignments)
-    clock, requests = state.clock, live.requests
-    vms = np.array(vm_rows)
-    placed = np.array(
-        [(pm, clock, clock + requests[vm].duration) for vm, pm in zip(vm_rows, pm_rows)]
-    )
-    pms, need = placed[:, 0], live.values.take(vms, axis=0)
+    res, clock = state.resources, state.clock
+    pm_ids, max_frequency = res.pm_ids, res.max_frequency
+    pending = dict(state.pending)
     free_cores, free_ram = res.free_cores.copy(), res.free_ram.copy()
-    np.subtract.at(free_cores, pms, need[:, 0])
-    np.subtract.at(free_ram, pms, need[:, 1])
-    room = np.concatenate((free_cores[pms], free_ram[pms], res.max_frequency[pms] - need[:, 2]))
-    if min(room.tolist()) < 0:  # a few values: cheaper than a numpy reduction
-        return _place_in_order(state, assignments)
-    values = live.values.copy()
-    values[vms, 3:] = placed
-    return DatacenterState(
-        state.pms, live.hosted(values), res.booked(free_cores, free_ram), state.rows, clock
-    )
-
-
-def _place_in_order(state: DatacenterState, assignments: Sequence[tuple[str, str]]):
-    """`place`, one pair after another on copies of the columns.
-
-    A batch that fails `place`'s test comes here, so its first bad pair
-    raises the error a one-pair batch would.
-    """
-    live = state.live
-    row_of = {vm_id: i for i, vm_id in enumerate(live.ids)}
-    values = live.values.copy()
-    resources = state.resources.copy()
+    batch: dict[str, int] = {}  # the placed VMs' PM rows, by id in order
+    requests, values = [], []
     for vm_id, pm_id in assignments:
-        i = row_of.get(vm_id)
-        if i is None:
-            raise NotFoundError(f"unknown VM {vm_id!r}")
+        request = pending.pop(vm_id, None)
+        if request is None:
+            _not_pending(state, batch, vm_id, pm_id)
         row = state.row(pm_id)
-        host = values[i, 3]
-        if host != UNSET:
-            raise DomainError(f"VM {vm_id!r} already runs on {state.pms[host].id}, cannot place")
-        request = live.requests[i]
-        _check_fit(resources, row, request)
-        values[i, 3:] = row, state.clock, state.clock + request.duration
-        resources.place(row, request)
-    return DatacenterState(state.pms, live.hosted(values), resources, state.rows, state.clock)
+        cores, ram = int(free_cores[row]), int(free_ram[row])
+        _check_fit(pm_ids[row], cores, ram, int(max_frequency[row]), request)
+        free_cores[row] = cores - request.cores
+        free_ram[row] = ram - request.ram
+        batch[vm_id] = row
+        requests.append(request)
+        finish = min(clock + request.duration, LAST_HOUR)
+        values.append((request.cores, request.ram, request.cpu_frequency, row, clock, finish))
+    running = state.running
+    running = RunningVms(
+        np.concatenate((running.values, np.array(values, dtype=int))),
+        running.ids + tuple(batch),
+        running.requests + tuple(requests),
+    )
+    return DatacenterState(
+        state.pms, running, pending, res.booked(free_cores, free_ram), state.rows, clock
+    )
 
 
 def remove_finished(state: DatacenterState) -> DatacenterState:
@@ -419,18 +353,23 @@ def remove_finished(state: DatacenterState) -> DatacenterState:
     cores and RAM go back to their PMs in one update (integer sums, so
     the order cannot matter).
     """
-    live, res = state.live, state.resources
-    done = live.finish <= state.clock
+    running, res = state.running, state.resources
+    done = running.finish <= state.clock
     finished = done.nonzero()[0]
     if not finished.size:
         return state
-    freed = live.values.take(finished, axis=0)
+    freed = running.values.take(finished, axis=0)
     free_cores, free_ram = res.free_cores.copy(), res.free_ram.copy()
     np.add.at(free_cores, freed[:, 3], freed[:, 0])
     np.add.at(free_ram, freed[:, 3], freed[:, 1])
+    ids, requests = list(running.ids), list(running.requests)
+    for row in reversed(finished.tolist()):  # a few rows: cheaper than a pass over every VM
+        del ids[row], requests[row]
+    kept = running.values.take((~done).nonzero()[0], axis=0)
     return DatacenterState(
         state.pms,
-        live.kept(~done),
+        RunningVms(kept, tuple(ids), tuple(requests)),
+        state.pending,
         res.booked(free_cores, free_ram),
         state.rows,
         state.clock,
@@ -439,26 +378,37 @@ def remove_finished(state: DatacenterState) -> DatacenterState:
 
 def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     """Move a running VM to another PM atomically."""
-    live = state.live
+    running = state.running
     try:
-        i = live.ids.index(vm_id)
+        i = running.ids.index(vm_id)
     except ValueError:
+        if vm_id in state.pending:
+            raise DomainError(f"VM {vm_id!r} is pending, cannot migrate") from None
         raise NotFoundError(f"unknown VM {vm_id!r}") from None
-    src = int(live.host[i])
-    if src == UNSET:
-        raise DomainError(f"VM {vm_id!r} is pending, cannot migrate")
+    src = int(running.host[i])
     dst = state.row(dst_pm)
     if dst == src:
         raise DomainError(f"VM {vm_id!r} already on {dst_pm}")
-    request = live.requests[i]
-    _check_fit(state.resources, dst, request)
+    request = running.requests[i]
+    res = state.resources
+    cores, ram = int(res.free_cores[dst]), int(res.free_ram[dst])
+    _check_fit(dst_pm, cores, ram, int(res.max_frequency[dst]), request)
 
-    values = live.values.copy()
+    values = running.values.copy()
     values[i, 3] = dst
-    resources = state.resources.copy()
-    resources.release(src, request)
-    resources.place(dst, request)
-    return DatacenterState(state.pms, live.hosted(values), resources, state.rows, state.clock)
+    free_cores, free_ram = res.free_cores.copy(), res.free_ram.copy()
+    free_cores[src] += request.cores
+    free_ram[src] += request.ram
+    free_cores[dst] = cores - request.cores
+    free_ram[dst] = ram - request.ram
+    return DatacenterState(
+        state.pms,
+        RunningVms(values, running.ids, running.requests),
+        state.pending,
+        res.booked(free_cores, free_ram),
+        state.rows,
+        state.clock,
+    )
 
 
 def snapshot(state: DatacenterState) -> ResourceSnapshot:
@@ -469,41 +419,46 @@ def snapshot(state: DatacenterState) -> ResourceSnapshot:
 def validate(state: DatacenterState) -> None:
     """Raise DomainError if any structural invariant is broken (test hook).
 
-    The VM columns must be one length and agree with their requests:
-    unique ids, host rows in range, a start hour exactly on the placed
-    VMs, and finish = start + duration (`NEVER` while pending).  The
-    PM-id -> row index must match `pms`, no PM may be over capacity, and
-    every resource column must equal a rescan of the running VMs.
+    The running VMs' columns must be one length and agree with their
+    requests: host rows in range, start hours of at least 0, and
+    finish = start + duration (capped at `LAST_HOUR`).  Each pending
+    request must be listed under its own id, and no id may be listed
+    twice, running or pending.  The PM-id -> row index must match `pms`,
+    no PM may be over capacity, and every resource column must equal a
+    rescan of the running VMs.
     """
     pms = state.pms
     n = len(pms)
     if state.rows != {pm.id: i for i, pm in enumerate(pms)}:
         raise DomainError("PM row index out of step with the PMs")
 
-    live = state.live
-    if live.values.shape != (len(live.ids), 6) or len(live.requests) != len(live.ids):
+    running = state.running
+    ids, requests = running.ids, running.requests
+    if running.values.shape != (len(ids), 6) or len(requests) != len(ids):
         raise DomainError("VM columns of unequal length")
-    ids, requests = live.ids, live.requests
-    if len(set(ids)) < len(ids):
-        twice = next(vm_id for i, vm_id in enumerate(ids) if vm_id in ids[:i])
+    for vm_id, request in state.pending.items():
+        if request.id != vm_id:
+            raise DomainError(f"{vm_id}: pending id out of step with its request")
+    listed = ids + tuple(state.pending)
+    if len(set(listed)) < len(listed):
+        twice = next(vm_id for i, vm_id in enumerate(listed) if vm_id in listed[:i])
         raise DomainError(f"{twice}: VM id listed twice")
     for name, column, field in (
         ("ids", ids, "id"),
-        ("cores", live.cores.tolist(), "cores"),
-        ("ram", live.ram.tolist(), "ram"),
-        ("frequency", live.frequency.tolist(), "cpu_frequency"),
+        ("cores", running.cores.tolist(), "cores"),
+        ("ram", running.ram.tolist(), "ram"),
+        ("frequency", running.frequency.tolist(), "cpu_frequency"),
     ):
         stale = [i for i, (v, r) in enumerate(zip(column, requests)) if v != getattr(r, field)]
         if stale:
             raise DomainError(f"{ids[stale[0]]}: {name} out of step with its request")
-    host, start = live.host, live.start
-    pending = host == UNSET
-    duration = np.array([r.duration for r in requests], dtype=int)
+    host, start = running.host, running.start
+    finish = [min(s + r.duration, LAST_HOUR) for s, r in zip(start.tolist(), requests)]
     checks = (
-        ((host < UNSET) | (host >= n), "host row out of range"),
-        (pending != (start == UNSET), "placement and start hour out of step"),
+        ((host < 0) | (host >= n), "host row out of range"),
+        (start < 0, "start hour out of range"),
         (
-            live.finish != np.where(pending, NEVER, start + duration),
+            running.finish != np.array(finish, dtype=int),
             "finish hour out of step with start + duration",
         ),
     )
@@ -512,11 +467,10 @@ def validate(state: DatacenterState) -> None:
         if stale.size:
             raise DomainError(f"{ids[stale[0]]}: {what}")
 
-    placed = ~pending
     used_cores = np.zeros(n, dtype=int)
     used_ram = np.zeros(n, dtype=int)
-    np.add.at(used_cores, host[placed], live.cores[placed])
-    np.add.at(used_ram, host[placed], live.ram[placed])
+    np.add.at(used_cores, host, running.cores)
+    np.add.at(used_ram, host, running.ram)
     for pm, cores, ram in zip(pms, used_cores.tolist(), used_ram.tolist()):
         if cores > pm.cores:
             raise DomainError(f"{pm.id}: core capacity exceeded ({cores}/{pm.cores})")

@@ -27,27 +27,19 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _views(flat: np.ndarray, shapes, align: int = 1) -> list[np.ndarray]:
-    """Consecutive views of `flat`, one per shape, in order.
-
-    With `align`, each view starts a multiple of `align` elements in.
-    """
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape, in order."""
     views, start = [], 0
     for shape in shapes:
         size = math.prod(shape)
         views.append(flat[start : start + size].reshape(shape))
-        start += -(-size // align) * align
+        start += size
     return views
 
 
-# Buffers carved from one block start on 64-byte boundaries (8 float64s),
-# as separately allocated arrays could.
-_ALIGN = 8
-
-
-def _carved_size(shapes) -> int:
-    """How many elements `_views(..., align=_ALIGN)` spans for these shapes."""
-    return sum(-(-math.prod(shape) // _ALIGN) * _ALIGN for shape in shapes)
+def _size(shapes) -> int:
+    """How many elements `_views` spans for these shapes."""
+    return sum(map(math.prod, shapes))
 
 
 @dataclass(eq=False)
@@ -214,8 +206,8 @@ class GcnBuffers:
     def __init__(self, model: GcnModel, n: int, memory: np.ndarray | None = None):
         shapes = self.shapes(model, n)
         if memory is None:
-            memory = np.empty(_carved_size(shapes))
-        views = _views(memory, shapes, _ALIGN)
+            memory = np.empty(_size(shapes))
+        views = _views(memory, shapes)
         self.a_feats = views[0]
         self.ahs, self.zs, self.hs = [self.a_feats], [], [None]
         for block in views[1:-1]:  # a hidden layer's z, relu(z) and a_hat @ relu(z)
@@ -232,7 +224,7 @@ class GcnBuffers:
 
     @classmethod
     def size(cls, model: GcnModel, n: int) -> int:
-        return _carved_size(cls.shapes(model, n))
+        return _size(cls.shapes(model, n))
 
 
 def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None, buffers=None):
@@ -314,7 +306,7 @@ class GatedBuffers:
 
     @classmethod
     def size(cls, model: GatedModel, n: int) -> int:
-        return _carved_size([cls.shape(model, n)])
+        return math.prod(cls.shape(model, n))
 
 
 def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None, buffers=None):
@@ -384,7 +376,7 @@ class ScoringWorkspace:
             network, hidden = GatedBuffers.size(model, nodes), model.hidden
         shapes = [(pm_count,), (nodes,), (nodes * nodes,), (network,), (nodes * hidden,)]
         shapes.append((pm_count * width,))
-        self._segments = _views(np.zeros(_carved_size(shapes)), shapes, _ALIGN)
+        self._segments = _views(np.zeros(_size(shapes)), shapes)
         self._width, self._hidden = width, hidden
         self._sized: dict[int, tuple] = {}
 

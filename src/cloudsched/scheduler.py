@@ -248,7 +248,7 @@ def consolidate(
     if policy.kind not in MODEL_POLICIES:
         return []
 
-    snap, live = state.resources, state.live
+    snap, running = state.resources, state.running
     on = snap.powered_on.nonzero()[0]
     low = on[snap.utilisation[on] < threshold]
     if not low.size:
@@ -269,20 +269,19 @@ def consolidate(
         return []
     # Nor can a source holding a VM that fits on no other powered-on PM
     # now: one mask screens every VM of every source.  source_of[row] is
-    # the position in `underloaded` of the PM at that row, else -1; a
-    # pending VM's host row, -1, reads the extra last slot.
-    source_of = np.full(len(snap) + 1, -1)
+    # the position in `underloaded` of the PM at that row, else -1.
+    source_of = np.full(len(snap), -1)
     source_of[underloaded] = np.arange(len(underloaded))
-    index = source_of[live.host]
+    index = source_of[running.host]
     moving = (index >= 0).nonzero()[0]
     index = index[moving]
-    need = live.values.take(moving, axis=0)
+    need = running.values.take(moving, axis=0)
     room = np.array((free_cores, free_ram, snap.max_frequency)).take(on, axis=1)
     fits = (room >= need[:, :3, None]).all(axis=1)  # VM x powered-on PM
     fits &= on != underloaded[index, None]
     tried[index[~fits.any(axis=1)]] = False
 
-    ids, requests, finish = live.ids, live.requests, live.finish
+    ids, requests, start = running.ids, running.requests, running.start
     for i in tried.nonzero()[0].tolist():
         source = underloaded[i]
         rows = on[on != source]
@@ -291,7 +290,7 @@ def consolidate(
         vms = moving[index == i]
         rows_of_vms = vms.tolist()
         largest_first = sorted(
-            zip((-live.cores[vms]).tolist(), map(ids.__getitem__, rows_of_vms), rows_of_vms)
+            zip((-running.cores[vms]).tolist(), map(ids.__getitem__, rows_of_vms), rows_of_vms)
         )
 
         plan: list[tuple[str, str]] = []
@@ -300,7 +299,7 @@ def consolidate(
             candidates = working.fits(r).nonzero()[0]
             if not candidates.size:
                 break
-            remaining = max(1, int(finish[vm]) - state.clock)
+            remaining = max(1, int(start[vm]) + r.duration - state.clock)
             scoring = WorkloadRequest(r.id, r.cpu_frequency, r.cores, r.ram, remaining, r.arrival)
             dst = _argmin(*policy.score(working, scoring, candidates, features))
             plan.append((vm_id, working.pm_ids[dst]))

@@ -205,7 +205,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     for hour in range(config.horizon):
         state = remove_finished(with_clock(state, hour))
         state = admit(state, arrivals.get(hour, ()))
-        pending = state.live.pending_requests()
+        pending = list(state.pending.values())
 
         prices = price_matrix[hour]
         decision = schedule(policy, state.resources, pending, prices, recorder=sample_recorder)

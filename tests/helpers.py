@@ -4,12 +4,15 @@
 plain dict per PM, and `pm_prices` a per-PM price row from a
 `{location: price}` dict.  The serialisers write a structure back out in a
 stable, comparable form, so tests can check purity (a state is
-unchanged) and parser round trips.  `cut_edges` and
+unchanged) and parser round trips; `state_vms` reads a state's VMs as
+`VirtualMachine` objects.  `cut_edges` and
 `gcn_forward_restricted` inspect a cluster partition.  `gradient_check`
 compares the training code's analytic gradients with central differences.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from cloudsched.gnn.training import (
     gcn_loss_and_grads,
     step_buffers,
 )
-from cloudsched.workload import VmTrace
+from cloudsched.workload import VmTrace, WorkloadRequest
 
 
 def entry(free_cores=32, free_ram=16, powered_on=False, cores=32, ram=16, freq=3400, loc="loc-0"):
@@ -83,12 +86,13 @@ def snapshot_columns(snap: ResourceSnapshot) -> dict:
 
 def state_columns(state: DatacenterState) -> dict:
     """The clock and every column of a state, numbers as their bytes, for `==` bit for bit."""
-    live, res = state.live, state.resources
+    running, res = state.running, state.resources
     doc = {
         "clock": state.clock,
-        "vm_values": (live.values.dtype.str, live.values.shape, live.values.tobytes()),
-        "vm_ids": live.ids,
-        "vm_requests": live.requests,
+        "vm_values": (running.values.dtype.str, running.values.shape, running.values.tobytes()),
+        "vm_ids": running.ids,
+        "vm_requests": running.requests,
+        "pending": list(state.pending.items()),
         "pm_ids": res.pm_ids,
         "locations": res.locations,
     }
@@ -96,6 +100,28 @@ def state_columns(state: DatacenterState) -> dict:
         column = getattr(res, name)
         doc[name] = (column.dtype.str, column.shape, column.tobytes())
     return doc
+
+
+@dataclass(frozen=True)
+class VirtualMachine:
+    """One live VM as an object: what a test asks of it."""
+
+    id: str
+    request: WorkloadRequest
+    placed_on: str | None = None  # None while pending
+    start_hour: int | None = None
+
+
+def state_vms(state: DatacenterState) -> dict[str, VirtualMachine]:
+    """The live VMs by id: the running ones in row order, then the pending ones."""
+    running = state.running
+    placed = zip(running.ids, running.requests, running.host.tolist(), running.start.tolist())
+    vms = {
+        vm_id: VirtualMachine(vm_id, request, state.pms[host].id, start)
+        for vm_id, request, host, start in placed
+    }
+    vms.update((vm_id, VirtualMachine(vm_id, request)) for vm_id, request in state.pending.items())
+    return vms
 
 
 @st.composite
@@ -151,7 +177,7 @@ def state_dump(state: DatacenterState) -> dict:
                     "arrival": vm.request.arrival,
                 },
             }
-            for vm in sorted(state.vms.values(), key=lambda v: v.id)
+            for vm in sorted(state_vms(state).values(), key=lambda v: v.id)
         ],
         "resources": snapshot_columns(state.resources),
     }

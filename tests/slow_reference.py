@@ -14,14 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from cloudsched.datacenter import (
-    NEVER,
-    UNSET,
-    DatacenterState,
-    LiveVms,
-    VirtualMachine,
-    snapshot,
-)
+from cloudsched.datacenter import LAST_HOUR, DatacenterState, RunningVms, snapshot
 from cloudsched.energy import (
     DEFAULT_POWER_MODEL,
     WATTS_PER_KW,
@@ -74,7 +67,7 @@ from cloudsched.workload import (
     WorkloadSet,
 )
 
-from helpers import entry, snapshot_from_entries
+from helpers import VirtualMachine, entry, snapshot_from_entries, state_vms
 
 
 def synthetic_by_scalar_draws(count, horizon, seed) -> WorkloadSet:
@@ -259,8 +252,9 @@ def qos_by_row(result):
 def snapshot_by_pm_scan(state):
     """Per-PM free resources, rescanning every VM's `placed_on` for each PM."""
     entries = {}
+    vms = state_vms(state).values()
     for pm in state.pms:
-        hosted = [vm.request for vm in state.vms.values() if vm.placed_on == pm.id]
+        hosted = [vm.request for vm in vms if vm.placed_on == pm.id]
         used_cores = sum(r.cores for r in hosted)
         used_ram = sum(r.ram for r in hosted)
         entries[pm.id] = entry(
@@ -370,27 +364,28 @@ def argmin_by_scan(scores: dict[int, float]) -> int:
 
 
 def state_from_vms(state, vms: dict, resources, clock: int) -> DatacenterState:
-    """`state` with these VM objects (in order) as its columns, and these resources."""
+    """`state` with these VM objects as its columns (the placed ones, in
+    order) and its pending mapping (the others, in order), and these resources."""
     rows = {pm.id: i for i, pm in enumerate(state.pms)}
+    running = [vm for vm in vms.values() if vm.placed_on is not None]
     values = [
-        (vm.request.cores, vm.request.ram, vm.request.cpu_frequency, UNSET, UNSET, NEVER)
-        if vm.placed_on is None
-        else (
+        (
             vm.request.cores,
             vm.request.ram,
             vm.request.cpu_frequency,
             rows[vm.placed_on],
             vm.start_hour,
-            vm.start_hour + vm.request.duration,
+            min(vm.start_hour + vm.request.duration, LAST_HOUR),
         )
-        for vm in vms.values()
+        for vm in running
     ]
-    live = LiveVms(
-        np.array(values, dtype=int).reshape(len(vms), 6),
-        tuple(vm.id for vm in vms.values()),
-        tuple(vm.request for vm in vms.values()),
+    columns = RunningVms(
+        np.array(values, dtype=int).reshape(len(running), 6),
+        tuple(vm.id for vm in running),
+        tuple(vm.request for vm in running),
     )
-    return DatacenterState(state.pms, live, resources, state.rows, clock)
+    pending = {vm.id: vm.request for vm in vms.values() if vm.placed_on is None}
+    return DatacenterState(state.pms, columns, pending, resources, state.rows, clock)
 
 
 def _check_fit_by_row(resources, row, request):
@@ -409,10 +404,14 @@ def _check_fit_by_row(resources, row, request):
 
 
 def place_one_by_one(state, assignments):
-    """`place` on VM objects: each pair checked and booked in order on a copy."""
+    """`place` on VM objects: each pair checked and booked in order on a copy.
+
+    A placed VM moves to the end of the mapping, as `place` appends it
+    to the running columns.
+    """
     if not assignments:
         return state
-    vms = dict(state.vms)
+    vms = state_vms(state)
     resources = state.resources.copy()
     for vm_id, pm_id in assignments:
         vm = vms.get(vm_id)
@@ -422,6 +421,7 @@ def place_one_by_one(state, assignments):
         if vm.placed_on is not None:
             raise DomainError(f"VM {vm_id!r} already runs on {vm.placed_on}, cannot place")
         _check_fit_by_row(resources, row, vm.request)
+        del vms[vm_id]
         vms[vm_id] = VirtualMachine(vm_id, vm.request, pm_id, state.clock)
         resources.place(row, vm.request)
     return state_from_vms(state, vms, resources, state.clock)
@@ -431,15 +431,21 @@ def remove_finished_by_scan(state):
     """`remove_finished` scanning every VM object, releasing the finished ones one by one."""
     finished = [
         vm
-        for vm in state.vms.values()
+        for vm in state_vms(state).values()
         if vm.placed_on is not None and state.clock >= vm.start_hour + vm.request.duration
     ]
     if not finished:
         return state
-    vms = dict(state.vms)
+    vms = state_vms(state)
     resources = state.resources.copy()
     for vm in finished:
-        resources.release(state.row(vm.placed_on), vm.request)
+        row = state.row(vm.placed_on)
+        resources.free_cores[row] += vm.request.cores
+        resources.free_ram[row] += vm.request.ram
+        resources.powered_on[row] = resources.free_cores[row] < resources.cores[row]
+        resources.utilisation[row] = (
+            resources.cores[row] - resources.free_cores[row]
+        ) / resources.cores[row]
         del vms[vm.id]
     return state_from_vms(state, vms, resources, state.clock)
 
@@ -458,7 +464,7 @@ def consolidate_by_vm_objects(policy, state, prices=None, threshold=CONSOLIDATIO
     low = on[snap.utilisation[on] < threshold]
     underloaded = low[np.argsort(snap.utilisation[low], kind="stable")]
     source_of = {snap.pm_ids[row]: i for i, row in enumerate(underloaded.tolist())}
-    moving = [vm for vm in state.vms.values() if vm.placed_on in source_of]
+    moving = [vm for vm in state_vms(state).values() if vm.placed_on in source_of]
     if not moving:
         return []
 
@@ -521,7 +527,7 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
         prices = np.zeros(len(snap))
 
     hosted = {}
-    for vm in state.vms.values():
+    for vm in state_vms(state).values():
         if vm.placed_on is not None:
             hosted.setdefault(vm.placed_on, []).append(vm)
 

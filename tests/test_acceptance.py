@@ -33,7 +33,7 @@ from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.workload import WorkloadRequest
 
 from conftest import DATA, tiny_config, tiny_requests
-from helpers import gradient_check
+from helpers import gradient_check, state_vms
 
 from dataclasses import replace
 
@@ -257,7 +257,7 @@ def test_ac7_capacity_safety_1000_sequences():
                         state = place(state, [(r.id, f"pm-{int(rng.integers(pm_count))}")])
                     elif kind == 1:
                         running = sorted(
-                            v.id for v in state.vms.values() if v.placed_on is not None
+                            v.id for v in state_vms(state).values() if v.placed_on is not None
                         )
                         if running:
                             vm = running[int(rng.integers(len(running)))]

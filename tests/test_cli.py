@@ -314,6 +314,21 @@ class TestSimulate:
         assert not (tmp_path / "out" / "qos.json").exists()
 
 
+    def test_request_fields_past_int64_run_like_merely_too_large_ones(self, tiny_files, tmp_path):
+        # vm-b needs more cores than any PM has, and vm-c outlasts the
+        # horizon; values past what an int64 holds change no output.
+        rows = json.loads(tiny_files["workload"].read_text())
+
+        def outputs(cores, duration, out):
+            rows[1]["cores"], rows[2]["duration"] = cores, duration
+            tiny_files["workload"].write_text(json.dumps(rows))
+            assert main(tiny_simulate_args(tiny_files, out)) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        huge = outputs(10**20, 2**63 - 1, tmp_path / "huge")
+        assert huge == outputs(33, 10**6, tmp_path / "large")
+        assert json.loads(huge["qos.json"])["placed"] == 2
+
 class TestCompare:
     def test_two_heuristics(self, tiny_files, tmp_path):
         out = tmp_path / "out"

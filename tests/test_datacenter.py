@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cloudsched import datacenter, sim
 from cloudsched.datacenter import (
     DEFAULT_PM_TEMPLATE,
-    UNSET,
+    LAST_HOUR,
     ResourceSnapshot,
+    RunningVms,
     admit,
     migrate,
     new_datacenter,
@@ -28,6 +29,7 @@ from helpers import (
     snapshot_from_entries,
     state_columns,
     state_dump,
+    state_vms,
 )
 from slow_reference import place_one_by_one, remove_finished_by_scan, snapshot_by_pm_scan
 
@@ -129,10 +131,10 @@ class TestPlace:
     def test_start_hour_set_once(self):
         state = admit(with_clock(new_datacenter(2), 4), [req(duration=10)])
         state = place(state, [("vm-x", "pm-0")])
-        assert state.vms["vm-x"].start_hour == 4
+        assert state_vms(state)["vm-x"].start_hour == 4
         with pytest.raises(DomainError):  # a running VM is never placed again
             place(with_clock(state, 7), [("vm-x", "pm-1")])
-        assert state.vms["vm-x"].start_hour == 4
+        assert state_vms(state)["vm-x"].start_hour == 4
 
 
 def _batch_base():
@@ -193,14 +195,17 @@ def test_batch_checks_items_against_the_earlier_ones():
     state = _batch_base()
     with pytest.raises(DomainError, match="VM id 'vm-new' already admitted"):
         admit(state, [req(id="vm-new"), req(id="vm-new")])
+    with pytest.raises(DomainError, match="VM id 'vm-1' already admitted"):  # pending
+        admit(state, [req(id="vm-new"), req(id="vm-1"), req(id="vm-run")])
     with pytest.raises(DomainError, match="VM 'vm-0' already runs on pm-0, cannot place"):
         place(state, [("vm-0", "pm-0"), ("vm-0", "pm-1")])
     assert state_dump(state) == state_dump(_batch_base())
 
 
 def test_an_hour_copies_the_state_once_for_its_batches(monkeypatch):
-    # Each batch builds one new state, whatever its size: admit one set of
-    # VM columns, place one set of VM columns and one of resource columns.
+    # Each batch builds one new state, whatever its size: admit one pending
+    # mapping; place one pending mapping, one set of VM columns and one of
+    # resource columns.
     built = Counter()
 
     def counting(name, cls):
@@ -208,11 +213,12 @@ def test_an_hour_copies_the_state_once_for_its_batches(monkeypatch):
             built[name] += 1
             return cls(*args, **kwargs)
 
-        monkeypatch.setattr(datacenter, cls.__name__, build)
+        monkeypatch.setattr(datacenter, cls.__name__, build, raising=False)
 
     counting("state", datacenter.DatacenterState)
-    counting("vms", datacenter.LiveVms)
+    counting("vms", datacenter.RunningVms)
     counting("columns", ResourceSnapshot)
+    counting("pending", dict)
     calls = []
 
     def counted(op):
@@ -230,8 +236,8 @@ def test_an_hour_copies_the_state_once_for_its_batches(monkeypatch):
     sim.run(sim.SimConfig(pm_count=4, vm_count=40, horizon=horizon, seed=3))
 
     for name, made_once in (
-        ("admit", {"state": 1, "vms": 1}),
-        ("place", {"state": 1, "vms": 1, "columns": 1}),
+        ("admit", {"state": 1, "pending": 1}),
+        ("place", {"state": 1, "pending": 1, "vms": 1, "columns": 1}),
     ):
         batches = [(size, made) for op, size, made in calls if op == name]
         assert len(batches) == horizon  # one call per hour
@@ -244,7 +250,7 @@ class TestRemoveFinished:
         state = admit(new_datacenter(1), [req(duration=1)])
         state = place(state, [("vm-x", "pm-0")])
         state = remove_finished(with_clock(state, 1))
-        assert state.vms == {}
+        assert state_vms(state) == {}
         assert powered_on(state) == set()
         validate(state)
 
@@ -253,7 +259,7 @@ class TestRemoveFinished:
         state = place(state, [("vm-x", "pm-0"), ("vm-y", "pm-1")])
         state = admit(state, [req(id="vm-z")])  # pending: never finishes
         state = remove_finished(with_clock(state, 2))
-        assert list(state.vms) == ["vm-y", "vm-z"]
+        assert list(state_vms(state)) == ["vm-y", "vm-z"]
         assert powered_on(state) == {"pm-1"}
         validate(state)
 
@@ -261,8 +267,8 @@ class TestRemoveFinished:
         state = admit(new_datacenter(1), [req(duration=48)])
         state = place(state, [("vm-x", "pm-0")])
         after = remove_finished(with_clock(state, 47))
-        assert after.vms["vm-x"] == state.vms["vm-x"]
-        assert after.vms["vm-x"].placed_on == "pm-0"
+        assert state_vms(after)["vm-x"] == state_vms(state)["vm-x"]
+        assert state_vms(after)["vm-x"].placed_on == "pm-0"
 
     def test_empty_state_identity(self):
         state = new_datacenter(2)
@@ -277,7 +283,7 @@ class TestMigrate:
     def test_consolidation_base_case(self):
         state = migrate(self.two_pm_one_vm(), "vm-x", "pm-1")
         assert powered_on(state) == {"pm-1"}
-        assert state.vms["vm-x"].placed_on == "pm-1"
+        assert state_vms(state)["vm-x"].placed_on == "pm-1"
 
     def test_full_destination_atomic(self):
         state = new_datacenter(2, BIG_RAM)
@@ -380,23 +386,23 @@ class TestValidate:
             validate(replace(state, rows={"pm-0": 0}))
 
     def with_vm_column(self, state, name, row, value):
-        """The state with one VM cell overwritten, its input untouched."""
-        live = state.live
+        """The state with one running VM's cell overwritten, its input untouched."""
+        running = state.running
         if name in ("ids", "requests"):
-            column = list(getattr(live, name))
+            column = list(getattr(running, name))
             column[row] = value
-            return replace(state, live=replace(live, **{name: tuple(column)}))
-        live = live.hosted(live.values.copy())
-        getattr(live, name)[row] = value
-        return replace(state, live=live)
+            return replace(state, running=replace(running, **{name: tuple(column)}))
+        running = replace(running, values=running.values.copy())
+        getattr(running, name)[row] = value
+        return replace(state, running=running)
 
-    # A placed VM whose start hour is unset, or a pending one with a start hour.
+    # A running VM with no host row, or with no start hour.
     @pytest.mark.parametrize("field,value", [("start_hour", None), ("placed_on", None)])
     def test_placement_out_of_step_with_start_hour(self, field, value):
         state = self.one_vm_state()
         column = {"start_hour": "start", "placed_on": "host"}[field]
-        with pytest.raises(DomainError, match="vm-x: placement and start hour"):
-            validate(self.with_vm_column(state, column, 0, UNSET))
+        with pytest.raises(DomainError, match=f"vm-x: {column} (row|hour) out of range"):
+            validate(self.with_vm_column(state, column, 0, -1))
 
     @pytest.mark.parametrize(
         "column,value,message",
@@ -405,6 +411,7 @@ class TestValidate:
             ("host", -2, "host row out of range"),
             ("start", 3, "finish hour out of step with start [+] duration"),
             ("finish", 7, "finish hour out of step with start [+] duration"),
+            ("finish", LAST_HOUR, "finish hour out of step with start [+] duration"),
             ("cores", 5, "cores out of step with its request"),
             ("ram", 9, "ram out of step with its request"),
             ("frequency", 2100, "frequency out of step with its request"),
@@ -417,24 +424,25 @@ class TestValidate:
         with pytest.raises(DomainError, match=message):
             validate(self.with_vm_column(state, column, 0, value))
 
-    def test_pending_vm_with_a_finish_hour(self):
+    def test_pending_request_under_another_id(self):
         state = admit(self.one_vm_state(), [req(id="vm-y")])
         validate(state)
-        with pytest.raises(DomainError, match="vm-y: finish hour"):
-            validate(self.with_vm_column(state, "finish", 1, 2))
+        with pytest.raises(DomainError, match="vm-y: pending id out of step with its request"):
+            validate(replace(state, pending={"vm-y": req(id="vm-z")}))
 
     def test_vm_id_listed_twice(self):
-        state = admit(self.one_vm_state(), [req(id="vm-y")])
-        twice = self.with_vm_column(state, "ids", 1, "vm-x")
-        twice = self.with_vm_column(twice, "requests", 1, req())
+        state = self.one_vm_state()  # vm-x runs
         with pytest.raises(DomainError, match="vm-x: VM id listed twice"):
-            validate(twice)
+            validate(replace(state, pending={"vm-x": req()}))
+        twice = RunningVms(np.repeat(state.running.values, 2, axis=0), ("vm-x",) * 2, (req(),) * 2)
+        with pytest.raises(DomainError, match="vm-x: VM id listed twice"):
+            validate(replace(state, running=twice))
 
     def test_vm_columns_of_unequal_length(self):
         state = self.one_vm_state()
-        live = replace(state.live, requests=state.live.requests[:0])
+        running = replace(state.running, requests=state.running.requests[:0])
         with pytest.raises(DomainError, match="unequal length"):
-            validate(replace(state, live=live))
+            validate(replace(state, running=running))
 
     @pytest.mark.parametrize("row,value", [(0, False), (1, True)])
     def test_power_column_out_of_step_with_hosting(self, row, value):
@@ -475,7 +483,7 @@ def test_random_operations_keep_invariants(ops, pm_count):
             if kind == "admit_place":
                 state = place(state, [(r.id, pm_id)])
             elif kind == "migrate":
-                running = [v.id for v in state.vms.values() if v.placed_on is not None]
+                running = [v.id for v in state_vms(state).values() if v.placed_on is not None]
                 if running:
                     state = migrate(state, running[0], pm_id)
             elif kind == "finish":
@@ -535,12 +543,12 @@ def placement_batches(draw, state):
     pairs are mostly pending VMs on any PM, with unknown, placed and
     repeated VMs and unknown PMs among them.
     """
-    ids = list(state.vms) + ["vm-ghost"]
-    pending = [vm.id for vm in state.vms.values() if vm.placed_on is None]
+    ids = list(state_vms(state)) + ["vm-ghost"]
+    pending = [vm.id for vm in state_vms(state).values() if vm.placed_on is None]
     if pending and draw(st.booleans()):
         working, batch = state.resources.copy(), []
         for vm_id in draw(st.permutations(pending))[: draw(st.integers(1, len(pending)))]:
-            request = state.vms[vm_id].request
+            request = state_vms(state)[vm_id].request
             fits = np.flatnonzero(working.fits(request)).tolist()
             if fits:
                 row = draw(st.sampled_from(fits))
@@ -586,3 +594,20 @@ def test_remove_finished_matches_the_scan_after_a_clock_jump(state, hours):
     assert outcome(remove_finished, state) == outcome(remove_finished_by_scan, state)
     assert state_columns(state) == before
     validate(remove_finished(state))
+
+
+def test_request_fields_past_int64_are_kept_exactly():
+    # A finish hour past what the column holds is capped at LAST_HOUR, an
+    # hour no clock reaches; a request too large for every PM stays pending.
+    state = admit(with_clock(new_datacenter(2), 5), [req(duration=2**63 - 1)])
+    state = admit(state, [req(id="vm-huge", cores=10**20)])
+    state = place(state, [("vm-x", "pm-0")])
+    assert state.running.finish.tolist() == [LAST_HOUR]
+    assert state_vms(state)["vm-x"].request.duration == 2**63 - 1
+    validate(state)
+    late = with_clock(state, LAST_HOUR - 1)
+    assert outcome(remove_finished, late) == outcome(remove_finished_by_scan, late)
+    assert len(remove_finished(late).running) == 1
+    with pytest.raises(CapacityError, match=f"pm-1: {10**20} cores requested, 32 free"):
+        place(state, [("vm-huge", "pm-1")])
+    assert list(state.pending) == ["vm-huge"]
