@@ -110,26 +110,22 @@ def step_energy(
     pm_ids: Sequence[str],
     model: PowerModel = DEFAULT_POWER_MODEL,
     migrations: Sequence[Sequence[str]] = (),
-    dt: float = 1.0,
 ) -> tuple[PmBilling, list[EnergyBreakdown]]:
-    """Bill a whole run at once: every PM's energy and cost, and each interval's sums.
+    """Bill a whole run at once: every PM's energy and cost, and each hour's sums.
 
-    `utilisation` and `prices` are `[interval][pm]` arrays, and a PM is
-    powered on in an interval when its utilisation is above zero.
-    `migrations` holds one list per interval (or none at all) of the
+    `utilisation` and `prices` are `[hour][pm]` arrays, and a PM is
+    powered on in an hour when its utilisation is above zero.
+    `migrations` holds one list per hour (or none at all) of the
     destination PM id of each migration; each 0.01 kWh (default) penalty
     lands on the destination's extra component so it is billed at that
     PM's price, and a destination not in `pm_ids` raises `NotFoundError`.
-    The per-PM parts are computed elementwise, and each interval's
+    The per-PM parts are computed elementwise, and each hour's
     aggregate adds them up one PM at a time, in PM order: a left fold, as
     `np.add.reduce` (pairwise) and the builtin `sum` (compensated from
     Python 3.12 on) are not.
     """
-    if dt <= 0:
-        raise DomainError("dt must be > 0")
-
     watts = pm_power(utilisation, utilisation > 0, model)
-    processor = watts * dt / WATTS_PER_KW
+    processor = watts / WATTS_PER_KW
     cooling = model.cooling_coefficient * processor
     extra = model.extra_coefficient * processor
     rows = {pm_id: row for row, pm_id in enumerate(pm_ids)}
@@ -142,9 +138,9 @@ def step_energy(
     cost = total * prices
     billing = PmBilling(processor, cooling, extra, total, prices, cost)
 
-    parts = np.stack((processor, cooling, extra, cost), axis=-1)  # [interval][pm][part]
+    parts = np.stack((processor, cooling, extra, cost), axis=-1)  # [hour][pm][part]
     sums = np.zeros(parts.shape[::2])
-    for column in parts.swapaxes(0, 1):  # one PM's [interval][part], in PM order
+    for column in parts.swapaxes(0, 1):  # one PM's [hour][part], in PM order
         sums += column
     return billing, [EnergyBreakdown.make(*row) for row in sums.tolist()]
 

@@ -1,16 +1,15 @@
-"""State graphs over PM and VM nodes, and their clustering.
+"""State graphs over the PMs and one request, and their clustering.
 
 Every scheduling decision is scored on a small featured graph: one node
 per PM (complete subgraph, they share the same infrastructure) plus one
-node per pending VM, linked to every PM that could host it.  Features
-are min-max normalized against the largest-PM envelope so the networks
-see values in roughly [0, 1].
+last node for the request being placed, linked to every PM that could
+host it.  Features are min-max normalized against the largest-PM
+envelope so the networks see values in roughly [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,73 +32,40 @@ NORM_DURATION_H = float(DURATION_MAX_H)
 FREQ_BASE_MHZ = float(FREQ_MIN_MHZ)
 FREQ_SPAN_MHZ = float(FREQ_MAX_MHZ - FREQ_MIN_MHZ)
 NORM_PRICE = 0.15  # upper bound of the synthetic price generator
-# A request's (cores, RAM, frequency, duration) row maps to its features
-# as (row - _VM_OFFSET) / _VM_SCALE.
-_VM_OFFSET = np.array([0.0, 0.0, FREQ_BASE_MHZ, 0.0])
-_VM_SCALE = np.array([NORM_CORES, NORM_RAM_GIB, FREQ_SPAN_MHZ, NORM_DURATION_H])
 
 
 @dataclass
 class StateGraph:
-    node_ids: tuple[str, ...]  # PM ids first, then VM ids
-    kinds: tuple[str, ...]  # "pm" | "vm" per node
-    features: np.ndarray  # n x FEATURE_DIM
+    features: np.ndarray  # n x FEATURE_DIM: the PMs, then the request
     adjacency: np.ndarray  # n x n symmetric 0/1, zero diagonal
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
-
-
-def node_features(
-    snapshot: ResourceSnapshot,
-    pending: Sequence[WorkloadRequest],
-    prices: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The state graph's feature rows: the PMs in snapshot order, then the requests.
-
-    The PM rows come straight from the snapshot's columns; `prices` is
-    the current price at each PM, in snapshot order, or None for no prices
-    (a zero column).  The rows are written into `out` when given.
-    """
-    n_pm = len(snapshot)
-    features = np.empty((n_pm + len(pending), FEATURE_DIM)) if out is None else out
-    np.divide(snapshot.free_cores, snapshot.cores, out=features[:n_pm, 0])
-    np.divide(snapshot.free_ram, snapshot.ram, out=features[:n_pm, 1])
-    features[:n_pm, 2] = snapshot.utilisation
-    features[:n_pm, 3] = snapshot.powered_on
-    if prices is None:
-        features[:n_pm, 4] = 0.0
-    else:
-        np.divide(prices, NORM_PRICE, out=features[:n_pm, 4])
-    if pending:
-        vms = np.array([_request_values(r) for r in pending], dtype=float)
-        # Subtracting 0.0 leaves the other three columns as they are.
-        np.divide(vms - _VM_OFFSET, _VM_SCALE, out=features[n_pm:, :4])
-        features[n_pm:, 4] = 0.0
-    return features
-
-
-def _request_values(request: WorkloadRequest) -> tuple[int, int, int, int]:
-    return request.cores, request.ram, request.cpu_frequency, request.duration
+        return self.features.shape[0]
 
 
 class WorkingFeatures:
-    """`node_features(working, [request], prices)`, kept for one working snapshot.
+    """The state graph's feature matrix, kept for one working snapshot.
 
-    Built with `node_features` when the working snapshot is made, with a
-    last row for the request.  A placement changes one PM's row, so after
+    One row per PM, in snapshot order, then a last row for the request.
+    The PM rows come straight from the snapshot's columns; `prices` is
+    the current price at each PM, in snapshot order, or None for no
+    prices (a zero column).  A placement changes one PM's row, so after
     each `working.place(row, ...)` the caller calls `placed(row)`, which
-    rewrites that row alone with `node_features`' operations; the price
-    column never changes, since prices are fixed for the hour.
-    `for_request` writes only the request row and returns the matrix.
+    rewrites that row alone with the same divisions; the price column
+    never changes, since prices are fixed for the hour.  `for_request`
+    writes only the request row and returns the matrix.
     """
 
     def __init__(self, working: ResourceSnapshot, prices: np.ndarray | None):
         self.working = working
-        self.values = np.zeros((len(working) + 1, FEATURE_DIM))
-        node_features(working, [], prices, out=self.values[:-1])
+        self.values = x = np.zeros((len(working) + 1, FEATURE_DIM))
+        np.divide(working.free_cores, working.cores, out=x[:-1, 0])
+        np.divide(working.free_ram, working.ram, out=x[:-1, 1])
+        x[:-1, 2] = working.utilisation
+        x[:-1, 3] = working.powered_on
+        if prices is not None:
+            np.divide(prices, NORM_PRICE, out=x[:-1, 4])
 
     def placed(self, row: int) -> None:
         working, x = self.working, self.values[row]
@@ -109,12 +75,7 @@ class WorkingFeatures:
         x[3] = working.powered_on[row]
 
     def for_request(self, request: WorkloadRequest) -> np.ndarray:
-        """The matrix with the request's row written.
-
-        The row is `node_features`' `(row - offset) / scale` in Python
-        floats: the same IEEE divisions of the same doubles (an offset of
-        0.0 changes nothing), without the numpy calls.
-        """
+        """The matrix with the request's row written; its price column stays 0."""
         self.values[-1, :4] = (
             request.cores / NORM_CORES,
             request.ram / NORM_RAM_GIB,
@@ -125,29 +86,19 @@ class WorkingFeatures:
 
 
 def build_state_graph(
-    snapshot: ResourceSnapshot,
-    pending: Sequence[WorkloadRequest],
-    prices: np.ndarray | None = None,
+    snapshot: ResourceSnapshot, request: WorkloadRequest, prices: np.ndarray | None = None
 ) -> StateGraph:
-    """Assemble the graph a scheduler scores: PM clique + feasible VM-PM edges.
+    """Assemble the graph a scheduler scores: PM clique + the request's feasible edges.
 
-    The features are `node_features(snapshot, pending, prices)`.
+    The features are `WorkingFeatures(snapshot, prices).for_request(request)`.
     """
-    n_pm = len(snapshot)
-    n = n_pm + len(pending)
-    adjacency = np.zeros((n, n))
-    adjacency[:n_pm, :n_pm] = 1.0 - np.eye(n_pm)
-    for node, request in enumerate(pending, start=n_pm):
-        fits = snapshot.fits(request)
-        adjacency[node, :n_pm] = fits
-        adjacency[:n_pm, node] = fits
-
-    return StateGraph(
-        node_ids=snapshot.pm_ids + tuple(r.id for r in pending),
-        kinds=("pm",) * n_pm + ("vm",) * len(pending),
-        features=node_features(snapshot, pending, prices),
-        adjacency=adjacency,
-    )
+    n = len(snapshot)
+    adjacency = np.zeros((n + 1, n + 1))
+    adjacency[:n, :n] = 1.0 - np.eye(n)
+    fits = snapshot.fits(request)
+    adjacency[n, :n] = fits
+    adjacency[:n, n] = fits
+    return StateGraph(WorkingFeatures(snapshot, prices).for_request(request), adjacency)
 
 
 def state_a_hat(
@@ -155,13 +106,14 @@ def state_a_hat(
 ) -> np.ndarray:
     """The normalised adjacency of a one-VM state graph, from the VM's 0/1 fits mask.
 
-    Equal, bit for bit, to `_normalize` of the graph's adjacency, without
-    building it (Kipf & Welling's D^-1/2 (A+I) D^-1/2).  The PMs form a
-    clique, so A + I is all ones on the PM block: PM i has degree
-    n + f_i, the VM 1 + sum(f), and with s = 1/sqrt(deg) every unit entry
-    of A + I becomes s_i * s_j, which is `_normalize`'s (1 * s_i) * s_j.
-    The VM's row and column then carry their 0/1 factor f; an entry that
-    is 0 in A + I comes out +0.0 in both.  `out` ((n + 1) x (n + 1)) and
+    Equal, bit for bit, to `normalize_adjacency` of the graph's
+    adjacency, without building it (Kipf & Welling's
+    D^-1/2 (A+I) D^-1/2).  The PMs form a clique, so A + I is all ones on
+    the PM block: PM i has degree n + f_i, the VM 1 + sum(f), and with
+    s = 1/sqrt(deg) every unit entry of A + I becomes s_i * s_j, which is
+    `normalize_adjacency`'s (1 * s_i) * s_j.  The VM's row and column
+    then carry their 0/1 factor f; an entry that is 0 in A + I comes out
+    +0.0 in both.  `out` ((n + 1) x (n + 1)) and
     `deg` (n + 1) are written when given, else allocated.
     """
     n = fits.shape[0]
@@ -178,11 +130,7 @@ def state_a_hat(
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Return D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
 
-    This public entry point validates its input: A must be square,
-    symmetric, 0/1 with a zero diagonal.  The model forwards and the
-    trainer call the unchecked `_normalize` directly, because a
-    `StateGraph`'s adjacency, and any cluster restriction of it, is valid
-    by construction.
+    A must be square, symmetric, 0/1 with a zero diagonal.
     """
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -193,12 +141,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise DomainError("adjacency diagonal must be zero")
     if not np.all((a == 0) | (a == 1)):
         raise DomainError("adjacency entries must be 0 or 1")
-    return _normalize(a)
-
-
-def _normalize(adjacency: np.ndarray) -> np.ndarray:
-    """`normalize_adjacency` without the input checks."""
-    a_loop = adjacency + np.eye(adjacency.shape[0])
+    a_loop = a + np.eye(a.shape[0])
     inv_sqrt_deg = 1.0 / np.sqrt(a_loop.sum(axis=1))
     return a_loop * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 

@@ -64,6 +64,8 @@ class GcnModel:
 
     def __post_init__(self):
         d = self.dims
+        if d[0] != FEATURE_DIM:
+            raise ShapeError(f"first layer dim {d[0]} != features dim {FEATURE_DIM}")
         shapes = []
         for i in range(len(d) - 1):
             shapes += [(d[i], d[i + 1]), (d[i + 1],)]
@@ -109,6 +111,8 @@ class GatedModel:
     def __post_init__(self):
         if self.steps < 1:
             raise DomainError("propagation steps must be >= 1")
+        if self.hidden < FEATURE_DIM:
+            raise ShapeError(f"cannot pad {FEATURE_DIM} features into hidden size {self.hidden}")
         h = self.hidden
         block = 2 * h * h + h
         self.w_msg = self.flat[: h * h].reshape(h, h)
@@ -236,10 +240,6 @@ def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=No
     with the same products and sums as the out-of-place expressions, so
     the results are bit-identical to them.
     """
-    if feats.shape[1] != model.weights[0].shape[0]:
-        raise ShapeError(
-            f"features dim {feats.shape[1]} != first layer dim {model.weights[0].shape[0]}"
-        )
     b = GcnBuffers(model, feats.shape[0]) if buffers is None else buffers
     hs, ahs, zs = b.hs, b.ahs, b.zs
     hs[0] = feats
@@ -255,8 +255,6 @@ def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=No
 
 
 def pad_features(feats: np.ndarray, hidden: int) -> np.ndarray:
-    if feats.shape[1] > hidden:
-        raise ShapeError(f"cannot pad {feats.shape[1]} features into hidden size {hidden}")
     padded = np.zeros((feats.shape[0], hidden))
     padded[:, : feats.shape[1]] = feats
     return padded
@@ -319,33 +317,37 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
     None): each gate's pre-activation is summed into its m @ w_g plane,
     the sigmoid and tanh run in place, and (1 - z) * h + z * c is two
     products and one in-place add, the same operations as the
-    out-of-place expressions.  `a_h0`, when given, is a_hat @ h0.
+    out-of-place expressions.  A gate whose pre-activation is so negative
+    that exp(-x) overflows saturates at 1 / (1 + inf) = 0, the right
+    value, so the overflow is not reported.  `a_h0`, when given, is
+    a_hat @ h0.
     Returns (last state, caches), one cache per step:
     (h_prev, a_hat @ h_prev, m, [z, r], 1 - [z, r], r * h_prev, c).
     """
     b = GatedBuffers(model, h0.shape[0]) if buffers is None else buffers
     caches = []
     h = h0
-    for step, (ah, m, mw, zr, z, r, c, omz, omz_z, rh, h_next) in enumerate(b.steps):
-        if step or a_h0 is None:
-            np.dot(a_hat, h, out=ah)
-        else:
-            ah = a_h0
-        np.dot(ah, model.w_msg, out=m)
-        np.matmul(m, model.W, out=mw)
-        np.matmul(h, b.u_zr, out=b.hu)
-        zr += b.hu
-        zr += b.b_zr
-        _sigmoid_in_place(zr)
-        np.subtract(1.0, zr, out=omz)
-        np.multiply(r, h, out=rh)
-        c += np.dot(rh, model.u_c, out=b.rhu)
-        c += model.b_c
-        np.tanh(c, out=c)
-        np.multiply(omz_z, h, out=h_next)
-        h_next += np.multiply(z, c, out=b.zc)
-        caches.append((h, ah, m, zr, omz, rh, c))
-        h = h_next
+    with np.errstate(over="ignore"):
+        for step, (ah, m, mw, zr, z, r, c, omz, omz_z, rh, h_next) in enumerate(b.steps):
+            if step or a_h0 is None:
+                np.dot(a_hat, h, out=ah)
+            else:
+                ah = a_h0
+            np.dot(ah, model.w_msg, out=m)
+            np.matmul(m, model.W, out=mw)
+            np.matmul(h, b.u_zr, out=b.hu)
+            zr += b.hu
+            zr += b.b_zr
+            _sigmoid_in_place(zr)
+            np.subtract(1.0, zr, out=omz)
+            np.multiply(r, h, out=rh)
+            c += np.dot(rh, model.u_c, out=b.rhu)
+            c += model.b_c
+            np.tanh(c, out=c)
+            np.multiply(omz_z, h, out=h_next)
+            h_next += np.multiply(z, c, out=b.zc)
+            caches.append((h, ah, m, zr, omz, rh, c))
+            h = h_next
     return h, caches
 
 
@@ -369,10 +371,6 @@ class ScoringWorkspace:
         if isinstance(model, GcnModel):
             network, hidden = GcnBuffers.size(model, nodes), 0
         else:
-            if model.hidden < FEATURE_DIM:
-                raise ShapeError(
-                    f"cannot pad {FEATURE_DIM} features into hidden size {model.hidden}"
-                )
             network, hidden = GatedBuffers.size(model, nodes), model.hidden
         shapes = [(pm_count,), (nodes,), (nodes * nodes,), (network,), (nodes * hidden,)]
         shapes.append((pm_count * width,))
@@ -411,11 +409,12 @@ def score_placements(
     """Score each candidate PM row for one request, in the order of `candidates`.
 
     `feats` is the request's state-graph feature matrix,
-    `node_features(snapshot, [request], prices)`: one row per PM, then
-    the request's; the scheduler keeps it as a `WorkingFeatures` and
-    writes only what changed.  `candidates` holds the ascending rows of
-    the PMs that fit the request (the VM node's neighbours), so `a_hat`
-    is `state_a_hat` of that fits mask, and no graph is built.  The
+    `WorkingFeatures(snapshot, prices).for_request(request)`: one row per
+    PM, then the request's; the scheduler keeps one `WorkingFeatures`
+    per working snapshot and writes only what changed.  `candidates`
+    holds the ascending rows of the PMs that fit the request (the VM
+    node's neighbours), so `a_hat` is `state_a_hat` of that fits mask,
+    and no graph is built.  The
     forward is training's, written into `workspace` (one for the
     model, for at least this many PMs; a fresh one when None), and the
     returned scores are a new array.  The readout takes one row per
@@ -497,6 +496,14 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     if not isinstance(dims, list) or len(dims) < 2:
         raise TraceFormatError("checkpoint 'dims' must list at least two sizes")
     dims = [_positive_int(d, "dims") for d in dims]
+    if kind == "gcn" and dims[0] != FEATURE_DIM:
+        raise TraceFormatError(
+            f"checkpoint 'dims' start at {dims[0]}, the node features are {FEATURE_DIM} wide"
+        )
+    if kind == "gated" and dims[1] < FEATURE_DIM:
+        raise TraceFormatError(
+            f"checkpoint hidden size {dims[1]} cannot hold the {FEATURE_DIM} node features"
+        )
     params = _checkpoint_field(doc, "params")
     if not isinstance(params, list):
         raise TraceFormatError("checkpoint 'params' must be a list of arrays")

@@ -22,7 +22,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import DivergenceError, DomainError
-from .graph import FEATURE_DIM, ClusterPartition, StateGraph, _normalize, partition_graph
+from .graph import (
+    FEATURE_DIM,
+    ClusterPartition,
+    StateGraph,
+    normalize_adjacency,
+    partition_graph,
+)
 from .models import (
     GatedBuffers,
     GatedModel,
@@ -37,17 +43,25 @@ from .models import (
 
 @dataclass(frozen=True)
 class TrainSample:
+    """One placement: its state graph, the chosen PM's node and its label.
+
+    The request is the graph's last node, and `pm_node` one of the PM
+    nodes before it.
+    """
+
     graph: StateGraph
-    vm_node: int
     pm_node: int
     label: float  # realized incremental energy, kWh
 
     def __post_init__(self):
-        n = self.graph.n_nodes
-        if not (0 <= self.vm_node < n and 0 <= self.pm_node < n):
-            raise DomainError("sample node indices out of range")
+        if not 0 <= self.pm_node < self.vm_node:
+            raise DomainError("sample PM node out of range")
         if self.label < 0:
             raise DomainError("label must be >= 0")
+
+    @property
+    def vm_node(self) -> int:
+        return self.graph.n_nodes - 1
 
 
 @dataclass(frozen=True)
@@ -316,7 +330,7 @@ def _sample_graph(
     else:
         nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
         vm_pos, pm_pos = nodes.index(sample.vm_node), nodes.index(sample.pm_node)
-    a_hat = _normalize(adj)
+    a_hat = normalize_adjacency(adj)
     if isinstance(model, GcnModel):
         inputs, e = feats, model.dims[-1]
     else:

@@ -144,9 +144,8 @@ def incremental_energy(
     rows: np.ndarray,
     request: WorkloadRequest,
     power: PowerModel,
-    dt: float = 1.0,
 ) -> np.ndarray:
-    """Total-energy delta (kWh) of hosting the request for `dt` hours, per PM row.
+    """Total-energy delta (kWh) of hosting the request for one hour, per PM row.
 
     Includes the idle block if the PM has to boot, plus the proportional
     cooling/extra overheads; this is the training label.  best_fit_energy
@@ -159,7 +158,7 @@ def incremental_energy(
     after_util = (used + request.cores) / cores
     after = pm_power(after_util, True, power)
     overhead = 1.0 + power.cooling_coefficient + power.extra_coefficient
-    return (after - before) * dt / 1000.0 * overhead
+    return (after - before) / 1000.0 * overhead
 
 
 def _argmin(rows: np.ndarray, scores: np.ndarray) -> int:
@@ -210,13 +209,9 @@ def schedule(
             decision.scores[request.id] = dict(zip(pm_ids, scores.tolist()))
 
         if recorder is not None:
-            graph = build_state_graph(working, [request], prices)
+            graph = build_state_graph(working, request, prices)
             label = incremental_energy(working, np.array([chosen]), request, policy.power)
-            recorder(
-                TrainSample(
-                    graph=graph, vm_node=len(working), pm_node=chosen, label=float(label[0])
-                )
-            )
+            recorder(TrainSample(graph=graph, pm_node=chosen, label=float(label[0])))
 
         decision.assignments.append((request.id, working.pm_ids[chosen]))
         working.place(chosen, request)

@@ -237,7 +237,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
 
     result.utilisation = np.array(utilisation)
     result.pm_billing, result.hourly = step_energy(
-        result.utilisation, price_matrix, result.pm_ids, config.power, destinations, dt=1.0
+        result.utilisation, price_matrix, result.pm_ids, config.power, destinations
     )
     result.totals = reduce(EnergyBreakdown.plus, result.hourly, ZERO_ENERGY)
     return result

@@ -12,6 +12,7 @@ compares the training code's analytic gradients with central differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,20 +125,42 @@ def state_vms(state: DatacenterState) -> dict[str, VirtualMachine]:
     return vms
 
 
+# `pm_entries` draws each PM as one integer whose mixed-radix digits are its
+# fields: a core count choice, a RAM choice, free cores (0-32, taken modulo
+# cores + 1), free RAM (0-64, modulo RAM + 1), the power state and MHz above
+# 1600.  Every combination is one code, and one draw per PM costs a sixth of
+# one draw per field.
+_PM_RADICES = (3, 2, 33, 65, 2, 1801)
+_PM_CODES = st.integers(0, math.prod(_PM_RADICES) - 1)
+
+
+def _pm_fields(code: int) -> list[int]:
+    fields = []
+    for radix in _PM_RADICES:
+        code, digit = divmod(code, radix)
+        fields.append(digit)
+    return fields
+
+
 @st.composite
 def pm_entries(draw, min_pms: int = 1, max_pms: int = 6) -> dict[str, dict]:
-    """Hypothesis: `entry` dicts for pm-0.. with mixed sizes, loads and power states."""
+    """Hypothesis: `entry` dicts for pm-0.. with mixed sizes, loads and power states.
+
+    8, 16 or 32 cores, 16 or 64 GiB, free cores in [0, cores], free RAM
+    in [0, ram], either power state and 1600-3400 MHz.
+    """
+    n = draw(st.integers(min_pms, max_pms))
     entries = {}
-    for i in range(draw(st.integers(min_pms, max_pms))):
-        cores = draw(st.sampled_from([8, 16, 32]))
-        ram = draw(st.sampled_from([16, 64]))
+    for i, code in enumerate(draw(st.lists(_PM_CODES, min_size=n, max_size=n))):
+        core_choice, ram_choice, free_cores, free_ram, on, mhz = _pm_fields(code)
+        cores, ram = (8, 16, 32)[core_choice], (16, 64)[ram_choice]
         entries[f"pm-{i}"] = entry(
-            free_cores=draw(st.integers(0, cores)),
-            free_ram=draw(st.integers(0, ram)),
-            powered_on=draw(st.booleans()),
+            free_cores=free_cores % (cores + 1),
+            free_ram=free_ram % (ram + 1),
+            powered_on=bool(on),
             cores=cores,
             ram=ram,
-            freq=draw(st.integers(1600, 3400)),
+            freq=1600 + mhz,
             loc=f"loc-{i}",
         )
     return entries

@@ -35,7 +35,6 @@ from cloudsched.gnn.graph import (
     NORM_PRICE,
     NORM_RAM_GIB,
     StateGraph,
-    _normalize,
     build_state_graph,
     normalize_adjacency,
     partition_graph,
@@ -202,7 +201,7 @@ def left_fold(column: list[float]) -> float:
     return total
 
 
-def bill_by_hour(utilisation, prices, pm_ids, power=DEFAULT_POWER_MODEL, migrations=(), dt=1.0):
+def bill_by_hour(utilisation, prices, pm_ids, power=DEFAULT_POWER_MODEL, migrations=()):
     """A run's billing one hour at a time: `(columns, hourly, totals)`.
 
     Each hour is billed by the same elementwise operations over its row
@@ -214,7 +213,7 @@ def bill_by_hour(utilisation, prices, pm_ids, power=DEFAULT_POWER_MODEL, migrati
     rows, hourly, totals = [], [], ZERO_ENERGY
     for hour, (util, price) in enumerate(zip(utilisation, prices)):
         watts = pm_power(util, util > 0, power)
-        processor = watts * dt / WATTS_PER_KW
+        processor = watts / WATTS_PER_KW
         cooling = power.cooling_coefficient * processor
         extra = power.extra_coefficient * processor
         for pm_id, count in Counter(migrations[hour] if migrations else ()).items():
@@ -277,13 +276,12 @@ def _fits(e, req) -> bool:
     )
 
 
-def build_state_graph_by_element(entries, pending, price_now=None) -> StateGraph:
-    """The state graph of per-PM `entry` dicts, filled one row and one edge at a time."""
+def build_state_graph_by_element(entries, req, price_now=None) -> StateGraph:
+    """The state graph of per-PM `entry` dicts and one request, one row and one edge at a time."""
     pm_ids = list(entries)
     n_pm = len(pm_ids)
-    n = n_pm + len(pending)
 
-    features = np.zeros((n, FEATURE_DIM))
+    features = np.zeros((n_pm + 1, FEATURE_DIM))
     for i, pm_id in enumerate(pm_ids):
         e = entries[pm_id]
         price = 0.0
@@ -296,43 +294,35 @@ def build_state_graph_by_element(entries, pending, price_now=None) -> StateGraph
             1.0 if e["powered_on"] else 0.0,
             price / NORM_PRICE,
         )
-    for j, req in enumerate(pending):
-        features[n_pm + j] = (
-            req.cores / NORM_CORES,
-            req.ram / NORM_RAM_GIB,
-            (req.cpu_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ,
-            req.duration / NORM_DURATION_H,
-            0.0,
-        )
+    features[n_pm] = (
+        req.cores / NORM_CORES,
+        req.ram / NORM_RAM_GIB,
+        (req.cpu_frequency - FREQ_BASE_MHZ) / FREQ_SPAN_MHZ,
+        req.duration / NORM_DURATION_H,
+        0.0,
+    )
 
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((n_pm + 1, n_pm + 1))
     for i in range(n_pm):
         for j in range(i + 1, n_pm):
             adjacency[i, j] = adjacency[j, i] = 1.0
-    for j, req in enumerate(pending):
-        v = n_pm + j
-        for i, pm_id in enumerate(pm_ids):
-            if _fits(entries[pm_id], req):
-                adjacency[i, v] = adjacency[v, i] = 1.0
+    for i, pm_id in enumerate(pm_ids):
+        if _fits(entries[pm_id], req):
+            adjacency[i, n_pm] = adjacency[n_pm, i] = 1.0
 
-    return StateGraph(
-        node_ids=tuple(pm_ids) + tuple(r.id for r in pending),
-        kinds=("pm",) * n_pm + ("vm",) * len(pending),
-        features=features,
-        adjacency=adjacency,
-    )
+    return StateGraph(features=features, adjacency=adjacency)
 
 
 def gcn_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after the GCN layers over the dense normalised graph."""
-    hs, _, _ = gcn_layers(model, _normalize(graph.adjacency), graph.features)
+    hs, _, _ = gcn_layers(model, normalize_adjacency(graph.adjacency), graph.features)
     return hs[-1]
 
 
 def gated_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after K gated propagation rounds over the dense normalised graph."""
     h0 = pad_features(graph.features, model.hidden)
-    h, _ = gated_steps(model, _normalize(graph.adjacency), h0)
+    h, _ = gated_steps(model, normalize_adjacency(graph.adjacency), h0)
     return h
 
 
@@ -341,12 +331,13 @@ def pair_vector(h: np.ndarray, feats: np.ndarray, vm_pos: int, pm_pos: int) -> n
     return np.concatenate([h[vm_pos], feats[vm_pos], h[pm_pos], feats[pm_pos]])
 
 
-def score_placements_by_pair(model, graph, vm_node) -> dict[int, float]:
-    """Every connected PM's score from its own `pair_vector` and one dot each."""
+def score_placements_by_pair(model, graph) -> dict[int, float]:
+    """Each PM linked to the request (the last node), scored by its own `pair_vector` and dot."""
     h = gcn_forward(model, graph) if isinstance(model, GcnModel) else gated_forward(model, graph)
+    vm_node = graph.n_nodes - 1
     scores = {}
-    for pm_node, kind in enumerate(graph.kinds):
-        if kind == "pm" and graph.adjacency[vm_node, pm_node]:
+    for pm_node in range(vm_node):
+        if graph.adjacency[vm_node, pm_node]:
             pair = pair_vector(h, graph.features, vm_node, pm_node)
             scores[pm_node] = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     return scores
@@ -544,10 +535,9 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
             if not working.fits(vm.request).any():
                 break
             remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
-            graph = build_state_graph(
-                working, [replace(vm.request, duration=remaining)], working_prices
-            )
-            dst = argmin_by_scan(score_placements_by_pair(policy.model, graph, len(working)))
+            scoring = replace(vm.request, duration=remaining)
+            graph = build_state_graph(working, scoring, working_prices)
+            dst = argmin_by_scan(score_placements_by_pair(policy.model, graph))
             plan.append((vm.id, working.pm_ids[dst]))
             working.place(dst, vm.request)
         else:

@@ -135,13 +135,8 @@ def _random_check_sample(rng):
     a = a + a.T
     from cloudsched.gnn.graph import StateGraph
 
-    graph = StateGraph(
-        node_ids=tuple(f"n{i}" for i in range(n)),
-        kinds=("pm",) * (n - 1) + ("vm",),
-        features=rng.standard_normal((n, 5)),
-        adjacency=a,
-    )
-    return TrainSample(graph=graph, vm_node=n - 1, pm_node=int(rng.integers(n - 1)),
+    graph = StateGraph(features=rng.standard_normal((n, 5)), adjacency=a)
+    return TrainSample(graph=graph, pm_node=int(rng.integers(n - 1)),
                        label=float(rng.uniform(0, 0.3)))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cloudsched.cli import _build_sim_config, build_parser, main
-from cloudsched.gnn.graph import node_features
+from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import (
     load_model,
     model_to_json,
@@ -85,7 +85,7 @@ class TestTrain:
 
         snap, request = snapshot(new_datacenter(2)), tiny_requests()[0]
         rows = np.flatnonzero(snap.fits(request))
-        features = node_features(snap, [request])
+        features = WorkingFeatures(snap, None).for_request(request)
         first = score_placements(model, features, rows)
         again = score_placements(load_model(tmp_path / "model_counter.json"), features, rows)
         assert first.tolist() == again.tolist() and len(first) == 2
@@ -229,6 +229,40 @@ class TestSimulate:
             f"error: {checkpoint} holds a 'gated' checkpoint, policy 'counter' needs a "
             "'gcn' one; pass it with --model"
         ]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "policy, doc, message",
+        [
+            (
+                "counter",
+                {"kind": "gcn", "dims": [6, 16, 16], "params": [96, 16, 256, 16, 44, 1]},
+                "checkpoint 'dims' start at 6, the node features are 5 wide",
+            ),
+            (
+                "hunter",
+                {"kind": "gated", "dims": [5, 4], "steps": 2,
+                 "params": [16] + [16, 16, 4] * 3 + [18, 1]},
+                "checkpoint hidden size 4 cannot hold the 5 node features",
+            ),
+        ],
+        ids=["gcn-6-wide", "gated-hidden-4"],
+    )
+    def test_checkpoint_of_the_wrong_input_width_is_one_error_line(
+        self, tmp_path, capsys, policy, doc, message
+    ):
+        # Well-formed checkpoints whose first layer cannot take the node
+        # features are rejected when loaded, naming the file.
+        checkpoint = tmp_path / "narrow.json"
+        params = [[0.0] * size for size in doc["params"]]
+        checkpoint.write_text(json.dumps({**doc, "schema_version": 1, "params": params}))
+        out = tmp_path / "out"
+        args = [
+            "simulate", "--policy", policy, "--model", str(checkpoint),
+            "--pm-count", "2", "--horizon", "3", "--vm-count", "3", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {checkpoint}: {message}"]
         assert not any(out.iterdir())
 
     def test_missing_workload_file_is_io_error(self, tmp_path):

@@ -28,13 +28,13 @@ from slow_reference import bill_by_hour, prices_by_scalar_draws
 REL = 1e-9
 
 
-def bill_one_hour(snap, model=DEFAULT_POWER_MODEL, migrations=(), dt=1.0):
+def bill_one_hour(snap, model=DEFAULT_POWER_MODEL, migrations=()):
     """`step_energy` of one unpriced hour in the snapshot's state: `(columns, aggregate)`.
 
     The columns are that hour's processor, cooling and extra energy per PM.
     """
     billing, (aggregate,) = step_energy(
-        snap.utilisation[None], np.zeros((1, len(snap))), snap.pm_ids, model, [migrations], dt
+        snap.utilisation[None], np.zeros((1, len(snap))), snap.pm_ids, model, [migrations]
     )
     return tuple(column[0] for column in billing[:3]), aggregate
 
@@ -101,7 +101,7 @@ class TestStepEnergy:
         )
         state = admit(state, [request])
         state = place(state, [("w", "pm-0")])
-        columns, agg = bill_one_hour(snapshot(state), DEFAULT_POWER_MODEL, dt=1.0)
+        columns, agg = bill_one_hour(snapshot(state), DEFAULT_POWER_MODEL)
         watts = 100.0 + 100.0 * (1 / 32)
         assert agg.processor == approx(watts / 1000)
         assert agg.cooling == approx(0.3 * watts / 1000)
@@ -141,10 +141,6 @@ class TestStepEnergy:
     def test_penalty_to_an_unknown_pm_raises(self):
         with pytest.raises(NotFoundError, match="pm-9"):
             bill_one_hour(snapshot(new_datacenter(2)), migrations=["pm-1", "pm-9"])
-
-    def test_dt_must_be_positive(self):
-        with pytest.raises(DomainError):
-            bill_one_hour(snapshot(new_datacenter(1)), dt=0.0)
 
 
 class TestGeneratePriceSeries:
@@ -313,8 +309,12 @@ core_lists = st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_si
 @given(core_lists)
 def test_additivity_two_hours(cores):
     snap = make_snapshot(cores)
-    _, two = bill_one_hour(snap, dt=2.0)
-    _, one = bill_one_hour(snap, dt=1.0)
+    _, one = bill_one_hour(snap)
+    _, hourly = step_energy(
+        np.repeat(snap.utilisation[None], 2, axis=0), np.zeros((2, len(snap))), snap.pm_ids
+    )
+    assert hourly == [one, one]
+    two = reduce(EnergyBreakdown.plus, hourly, ZERO_ENERGY)
     assert two.total == pytest.approx(2 * one.total, rel=REL)
 
 
@@ -322,7 +322,7 @@ def test_additivity_two_hours(cores):
 @given(core_lists)
 def test_eq1_closure_and_lower_bound(cores):
     snap = make_snapshot(cores)
-    columns, agg = bill_one_hour(snap, dt=1.0)
+    columns, agg = bill_one_hour(snap)
     assert agg.total == pytest.approx(agg.processor + agg.cooling + agg.extra, rel=REL)
     assert all(len(column) == len(cores) for column in columns)
     assert (agg.processor, agg.cooling, agg.extra) == tuple(sum(column) for column in columns)

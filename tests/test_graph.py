@@ -10,9 +10,7 @@ from cloudsched.gnn.graph import (
     ClusterPartition,
     StateGraph,
     WorkingFeatures,
-    _normalize,
     build_state_graph,
-    node_features,
     normalize_adjacency,
     partition_graph,
     state_a_hat,
@@ -31,63 +29,58 @@ def request(freq=2000, cores=4, ram=8, duration=24):
 
 class TestBuildStateGraph:
     def test_pm_clique_8(self):
-        graph = build_state_graph(snapshot(new_datacenter(8)), [])
-        assert graph.n_nodes == 8
-        assert graph.adjacency.sum() / 2 == 28  # C(8,2)
+        graph = build_state_graph(snapshot(new_datacenter(8)), request(freq=3500))
+        assert graph.n_nodes == 9
+        assert graph.adjacency.sum() / 2 == 28  # C(8,2): the request fits nowhere
 
     def test_smallest_bipartite(self):
-        graph = build_state_graph(snapshot(new_datacenter(1)), [request()])
+        graph = build_state_graph(snapshot(new_datacenter(1)), request())
         assert graph.n_nodes == 2
         assert graph.adjacency.sum() / 2 == 1
 
     def test_infeasible_vm_gets_no_edge(self):
-        graph = build_state_graph(snapshot(new_datacenter(1)), [request(freq=3500)])
+        graph = build_state_graph(snapshot(new_datacenter(1)), request(freq=3500))
         assert graph.n_nodes == 2
         assert graph.adjacency.sum() == 0
 
     def test_feature_rows(self):
         snap = snapshot(new_datacenter(1))
         prices = pm_prices(snap, {"loc-0": 0.12})
-        graph = build_state_graph(snap, [request(freq=2500, cores=8, ram=4, duration=12)], prices)
+        graph = build_state_graph(snap, request(freq=2500, cores=8, ram=4, duration=12), prices)
         np.testing.assert_allclose(graph.features[0], [1.0, 1.0, 0.0, 0.0, 0.12 / 0.15])
         np.testing.assert_allclose(
             graph.features[1], [8 / 32, 4 / 64, (2500 - 1600) / 1800, 12 / 48, 0.0]
         )
-        assert graph.kinds == ("pm", "vm")
 
 
 @st.composite
 def graph_inputs(draw):
     entries = draw(pm_entries())
     n_pm = len(entries)
-    # requests up to 40 cores / 70 GiB / 3500 MHz: some fit nowhere
-    pending = [
-        WorkloadRequest(
-            id=f"vm-{j}",
-            cpu_frequency=draw(st.integers(1600, 3500)),
-            cores=draw(st.integers(1, 40)),
-            ram=draw(st.integers(1, 70)),
-            duration=draw(st.integers(1, 48)),
-            arrival=0,
-        )
-        for j in range(draw(st.integers(0, 4)))
-    ]
+    # a request up to 40 cores / 70 GiB / 3500 MHz: some fit nowhere
+    req = WorkloadRequest(
+        id="vm-0",
+        cpu_frequency=draw(st.integers(1600, 3500)),
+        cores=draw(st.integers(1, 40)),
+        ram=draw(st.integers(1, 70)),
+        duration=draw(st.integers(1, 48)),
+        arrival=0,
+    )
     # None, or prices for a subset of the locations (the rest are missing)
     priced = draw(st.none() | st.lists(st.integers(0, n_pm - 1), unique=True))
     price_now = None
     if priced is not None:
         price_now = {f"loc-{i}": draw(st.floats(0.0, 0.15)) for i in priced}
-    return entries, pending, price_now
+    return entries, req, price_now
 
 
 @settings(max_examples=150, deadline=None)
 @given(graph_inputs())
 def test_build_state_graph_matches_element_loop(inputs):
-    entries, pending, price_now = inputs
+    entries, req, price_now = inputs
     snap = snapshot_from_entries(entries)
-    fast = build_state_graph(snap, pending, pm_prices(snap, price_now))
-    slow = build_state_graph_by_element(entries, pending, price_now)
-    assert fast.node_ids == slow.node_ids and fast.kinds == slow.kinds
+    fast = build_state_graph(snap, req, pm_prices(snap, price_now))
+    slow = build_state_graph_by_element(entries, req, price_now)
     assert fast.features.dtype == slow.features.dtype == np.float64
     assert fast.adjacency.dtype == slow.adjacency.dtype == np.float64
     assert fast.features.tobytes() == slow.features.tobytes()
@@ -95,7 +88,7 @@ def test_build_state_graph_matches_element_loop(inputs):
 
 
 def assert_a_hat_matches_the_graph(snap, req):
-    dense = _normalize(build_state_graph(snap, [req]).adjacency)
+    dense = normalize_adjacency(build_state_graph(snap, req).adjacency)
     closed = state_a_hat(snap.fits(req).astype(float))
     assert closed.dtype == dense.dtype and closed.shape == dense.shape
     assert closed.tobytes() == dense.tobytes()
@@ -151,12 +144,7 @@ class TestNormalizeAdjacency:
 
 def graph_from_adjacency(a: np.ndarray) -> StateGraph:
     n = a.shape[0]
-    return StateGraph(
-        node_ids=tuple(f"n{i}" for i in range(n)),
-        kinds=("pm",) * n,
-        features=np.zeros((n, 5)),
-        adjacency=a.astype(float),
-    )
+    return StateGraph(features=np.zeros((n, 5)), adjacency=a.astype(float))
 
 
 def two_triangles() -> StateGraph:
@@ -191,14 +179,14 @@ class TestPartitionGraph:
             partition_graph(two_triangles(), k=7)
 
     def test_every_cluster_nonempty(self):
-        g = build_state_graph(snapshot(new_datacenter(5)), [request()])
+        g = build_state_graph(snapshot(new_datacenter(5)), request())
         for k in range(1, g.n_nodes + 1):
             p = partition_graph(g, k=k)
             assert p.k == k
             assert set(p.cluster_of) == set(range(k))
 
     def test_deterministic(self):
-        g = build_state_graph(snapshot(new_datacenter(5)), [request()])
+        g = build_state_graph(snapshot(new_datacenter(5)), request())
         assert partition_graph(g, k=3) == partition_graph(g, k=3)
         assert partition_graph(two_triangles(), k=2) == partition_graph(two_triangles(), k=2)
 
@@ -210,9 +198,9 @@ def test_cluster_partition_validation():
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_kept_features_match_node_features(data):
+def test_kept_features_match_fresh_ones(data):
     """After any placements on a copy or a take, priced or not, the kept
-    matrix equals `node_features` of the working snapshot, byte for byte."""
+    matrix equals a fresh `WorkingFeatures` of the working snapshot, byte for byte."""
     snap = snapshot_from_entries(data.draw(pm_entries(min_pms=1, max_pms=12), label="pms"))
     if data.draw(st.booleans(), label="take"):
         order = data.draw(st.permutations(range(len(snap))), label="order")
@@ -235,11 +223,11 @@ def test_kept_features_match_node_features(data):
             duration=data.draw(st.integers(1, 48)),
         )
         kept = features.for_request(r)
-        assert kept.tobytes() == node_features(working, [r], prices).tobytes()
+        assert kept.tobytes() == WorkingFeatures(working, prices).for_request(r).tobytes()
         fits = np.flatnonzero(working.fits(r)).tolist()
         if fits:
             row = data.draw(st.sampled_from(fits), label="row")
             working.place(row, r)
             features.placed(row)
             kept = features.for_request(r)
-            assert kept.tobytes() == node_features(working, [r], prices).tobytes()
+            assert kept.tobytes() == WorkingFeatures(working, prices).for_request(r).tobytes()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.datacenter import new_datacenter, snapshot
+from cloudsched.datacenter import admit, new_datacenter, place, snapshot
 from cloudsched.errors import DomainError, ShapeError, TraceFormatError
-from cloudsched.gnn.graph import StateGraph, build_state_graph, node_features, partition_graph
+from cloudsched.gnn.graph import StateGraph, WorkingFeatures, build_state_graph, partition_graph
 from cloudsched.gnn.models import (
     MAX_GATED_STEPS,
     GatedModel,
@@ -36,18 +36,12 @@ def request(id="vm-0", freq=2000, cores=4, ram=8):
     return WorkloadRequest(id=id, cpu_frequency=freq, cores=cores, ram=ram, duration=24, arrival=0)
 
 
-def random_graph(n, seed, p=0.5, n_vm=0):
+def random_graph(n, seed, p=0.5):
     rng = np.random.default_rng(seed)
     a = (rng.random((n, n)) < p).astype(float)
     a = np.triu(a, 1)
     a = a + a.T
-    kinds = ("pm",) * (n - n_vm) + ("vm",) * n_vm
-    return StateGraph(
-        node_ids=tuple(f"n{i}" for i in range(n)),
-        kinds=kinds,
-        features=rng.standard_normal((n, 5)),
-        adjacency=a,
-    )
+    return StateGraph(features=rng.standard_normal((n, 5)), adjacency=a)
 
 
 def zero_model(dims=(5, 16, 16)):
@@ -77,10 +71,8 @@ class TestGcnForward:
         np.testing.assert_allclose(gcn_forward(m, g), g.features)
 
     def test_shape_error(self):
-        g = random_graph(4, seed=3)
-        m = new_gcn_model(seed=0, dims=(7, 4))
-        with pytest.raises(ShapeError):
-            gcn_forward(m, g)
+        with pytest.raises(ShapeError, match="first layer dim 7 != features dim 5"):
+            new_gcn_model(seed=0, dims=(7, 4))
 
     def test_cluster_restriction_on_disconnected_graph(self):
         # two components; partition aligns with them, so masking removes no edges
@@ -88,12 +80,7 @@ class TestGcnForward:
         for i, j in [(0, 1), (1, 2), (3, 4), (4, 5)]:
             a[i, j] = a[j, i] = 1.0
         rng = np.random.default_rng(7)
-        g = StateGraph(
-            node_ids=tuple(f"n{i}" for i in range(6)),
-            kinds=("pm",) * 6,
-            features=rng.standard_normal((6, 5)),
-            adjacency=a,
-        )
+        g = StateGraph(features=rng.standard_normal((6, 5)), adjacency=a)
         part = partition_graph(g, k=2)
         m = new_gcn_model(seed=5)
         full = gcn_forward(m, g)
@@ -108,12 +95,7 @@ class TestGcnForward:
         h = gcn_forward(m, g)
         rng = np.random.default_rng(17)
         perm = rng.permutation(7)
-        g_perm = StateGraph(
-            node_ids=tuple(g.node_ids[i] for i in perm),
-            kinds=tuple(g.kinds[i] for i in perm),
-            features=g.features[perm],
-            adjacency=g.adjacency[np.ix_(perm, perm)],
-        )
+        g_perm = StateGraph(g.features[perm], g.adjacency[np.ix_(perm, perm)])
         np.testing.assert_allclose(gcn_forward(m, g_perm), h[perm], atol=1e-12)
 
 
@@ -152,7 +134,7 @@ class TestGatedForward:
 def score(model, snap, req, prices=None):
     """`score_placements` over every PM that fits the request, keyed by row."""
     rows = np.flatnonzero(snap.fits(req))
-    scores = score_placements(model, node_features(snap, [req], prices), rows)
+    scores = score_placements(model, WorkingFeatures(snap, prices).for_request(req), rows)
     return dict(zip(rows.tolist(), scores.tolist()))
 
 
@@ -171,8 +153,6 @@ class TestScorePlacements:
 
     def test_two_distinct_pms_two_scores(self):
         state = new_datacenter(2)
-        from cloudsched.datacenter import admit, place
-
         state = admit(state, [request(id="w0", cores=8)])
         state = place(state, [("w0", "pm-0")])
         scores = score(new_gcn_model(seed=3), snapshot(state), request(id="vm-1"))
@@ -180,7 +160,7 @@ class TestScorePlacements:
 
     def test_only_the_candidates_are_scored(self):
         snap = snapshot(new_datacenter(4))
-        features = node_features(snap, [request()])
+        features = WorkingFeatures(snap, None).for_request(request())
         scores = score_placements(new_gcn_model(seed=1), features, np.array([1, 3]))
         assert scores.shape == (2,)
 
@@ -189,8 +169,22 @@ class TestScorePlacements:
         assert len(scores) == 2
 
     def test_gated_hidden_smaller_than_features_rejected(self):
-        with pytest.raises(ShapeError):
-            score(new_gated_model(seed=1, hidden=3), snapshot(new_datacenter(2)), request())
+        with pytest.raises(ShapeError, match="cannot pad 5 features into hidden size 3"):
+            new_gated_model(seed=1, hidden=3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_saturated_gate_scores_without_a_warning():
+    # A duration of 2**63 - 1 drives a gate's exp(-x) to inf, so the gate is
+    # 1 / (1 + inf) = 0; the scores are those of an exp that warned, bit for bit.
+    state = admit(new_datacenter(3), [WorkloadRequest("w0", 2000, 8, 4, 5, 0)])
+    snap = snapshot(place(state, [("w0", "pm-1")]))
+    scores = score(CHECKPOINTS["hunter"], snap, WorkloadRequest("vm-0", 2000, 4, 8, 2**63 - 1, 0))
+    assert [s.hex() for s in scores.values()] == [
+        "-0x1.f757062d67f7dp+51",
+        "-0x1.f757062d67f7ep+51",
+        "-0x1.f757062d67f7dp+51",
+    ]
 
 
 @st.composite
@@ -218,7 +212,7 @@ def scored_snapshots(draw):
 
 def assert_scores_match_the_graph(model, snap, req, prices):
     fast = score(model, snap, req, prices)
-    slow = score_placements_by_pair(model, build_state_graph(snap, [req], prices), len(snap))
+    slow = score_placements_by_pair(model, build_state_graph(snap, req, prices))
     assert list(fast) == list(slow)
     assert [type(k) for k in fast] == [int] * len(fast)
     assert [s.hex() for s in fast.values()] == [s.hex() for s in slow.values()]
@@ -257,7 +251,8 @@ def test_one_workspace_scores_every_size_as_a_fresh_one(name, cases):
     workspace = ScoringWorkspace(model, max(len(snap) for snap, _, _ in cases))
     kept = []
     for snap, req, prices in cases:
-        feats, rows = node_features(snap, [req], prices), np.flatnonzero(snap.fits(req))
+        feats = WorkingFeatures(snap, prices).for_request(req)
+        rows = np.flatnonzero(snap.fits(req))
         shared = score_placements(model, feats, rows, workspace)
         fresh = score_placements(model, feats, rows)
         assert [s.hex() for s in shared.tolist()] == [s.hex() for s in fresh.tolist()]
@@ -274,7 +269,8 @@ def test_a_workspace_refuses_a_larger_graph():
     snap = snapshot(new_datacenter(3))
     with pytest.raises(ShapeError, match="2 PMs cannot score 3"):
         workspace = ScoringWorkspace(model, 2)
-        score_placements(model, node_features(snap, [request()]), np.arange(3), workspace)
+        feats = WorkingFeatures(snap, None).for_request(request())
+        score_placements(model, feats, np.arange(3), workspace)
 
 
 class TestCheckpoints:

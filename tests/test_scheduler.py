@@ -481,8 +481,6 @@ def datacenter_states(draw):
     return with_clock(state, draw(st.integers(0, 60)))
 
 
-# A duration past LAST_HOUR saturates the gated model's sigmoid.
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 @pytest.mark.parametrize("kind", MODEL_POLICIES)
 @settings(max_examples=60, deadline=None)
 @given(datacenter_states(), st.booleans(), st.sampled_from([0.25, 0.5, 1.0]))
@@ -496,8 +494,6 @@ def test_consolidate_matches_per_source_loop(kind, state, priced, threshold):
     assert fast == consolidate_by_vm_objects(policy, state, prices, threshold)
 
 
-# A duration past LAST_HOUR saturates the gated model's sigmoid.
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 @pytest.mark.parametrize("kind", MODEL_POLICIES)
 @settings(max_examples=40, deadline=None)
 @given(datacenter_states(), st.sampled_from([0.25, 0.5, 1.0]))

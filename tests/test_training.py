@@ -16,13 +16,8 @@ def random_sample(seed, n=5, label=0.1):
     a = (rng.random((n, n)) < 0.6).astype(float)
     a = np.triu(a, 1)
     a = a + a.T
-    graph = StateGraph(
-        node_ids=tuple(f"n{i}" for i in range(n)),
-        kinds=("pm",) * (n - 1) + ("vm",),
-        features=rng.standard_normal((n, 5)),
-        adjacency=a,
-    )
-    return TrainSample(graph=graph, vm_node=n - 1, pm_node=0, label=label)
+    graph = StateGraph(features=rng.standard_normal((n, 5)), adjacency=a)
+    return TrainSample(graph=graph, pm_node=0, label=label)
 
 
 class TestGradientCheck:
@@ -204,6 +199,13 @@ class TestTrain:
     def test_label_validation(self):
         with pytest.raises(DomainError):
             random_sample(1, label=-0.1)
+
+    def test_pm_node_must_be_a_pm(self):
+        graph = random_sample(1, n=5).graph
+        assert TrainSample(graph=graph, pm_node=3, label=0.1).vm_node == 4
+        for pm_node in (-1, 4, 5):  # before the first node, the request, past the end
+            with pytest.raises(DomainError, match="PM node"):
+                TrainSample(graph=graph, pm_node=pm_node, label=0.1)
 
 
 @pytest.mark.parametrize("make_model", [new_gcn_model, new_gated_model], ids=["gcn", "gated"])
