@@ -68,9 +68,10 @@ _TOP_KEYS = {
     **dict.fromkeys(("pm_count", "vm_count", "horizon"), _INT),
     "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     **dict.fromkeys(
-        ("policy", "model_path", "workload_file", "trace_dir", "price_file", "out_dir", "verbosity"),
+        ("policy", "model_path", "workload_file", "trace_dir", "price_file", "out_dir"),
         (lambda v: isinstance(v, str), "a string"),
     ),
+    "verbosity": (lambda v: v in ("info", "warning"), "'info' or 'warning'"),
     "consolidation_threshold": _NUMBER,
     "log_scores": (lambda v: isinstance(v, bool), "true or false"),
     **dict.fromkeys(("pm", "power", "training")),

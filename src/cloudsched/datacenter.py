@@ -78,7 +78,6 @@ class ResourceSnapshot:
     """
 
     pm_ids: tuple[str, ...]
-    locations: tuple[str, ...]
     free_cores: np.ndarray  # int
     cores: np.ndarray
     free_ram: np.ndarray  # int, GiB
@@ -112,14 +111,11 @@ class ResourceSnapshot:
         picked = rows.tolist()
         return ResourceSnapshot(
             tuple(map(self.pm_ids.__getitem__, picked)),
-            tuple(map(self.locations.__getitem__, picked)),
             *(getattr(self, c)[rows] for c in self._COLUMNS),
         )
 
     def copy(self) -> "ResourceSnapshot":
-        return ResourceSnapshot(
-            self.pm_ids, self.locations, *(getattr(self, c).copy() for c in self._COLUMNS)
-        )
+        return ResourceSnapshot(self.pm_ids, *(getattr(self, c).copy() for c in self._COLUMNS))
 
     def booked(self, free_cores: np.ndarray, free_ram: np.ndarray) -> "ResourceSnapshot":
         """A snapshot with these free columns, sharing the fixed ones.
@@ -131,7 +127,6 @@ class ResourceSnapshot:
         cores = self.cores
         return ResourceSnapshot(
             self.pm_ids,
-            self.locations,
             free_cores,
             cores,
             free_ram,
@@ -227,7 +222,6 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
     ram = np.fromiter((pm.ram for pm in pms), int, pm_count)
     resources = ResourceSnapshot(
         pm_ids=tuple(pm.id for pm in pms),
-        locations=tuple(pm.location for pm in pms),
         free_cores=cores.copy(),
         cores=cores,
         free_ram=ram.copy(),
@@ -478,9 +472,7 @@ def validate(state: DatacenterState) -> None:
             raise DomainError(f"{pm.id}: ram capacity exceeded ({ram}/{pm.ram})")
 
     res = state.resources
-    if res.pm_ids != tuple(pm.id for pm in pms) or res.locations != tuple(
-        pm.location for pm in pms
-    ):
+    if res.pm_ids != tuple(pm.id for pm in pms):
         raise DomainError("resource rows out of step with the PMs")
     cores = np.array([pm.cores for pm in pms])
     ram = np.array([pm.ram for pm in pms])

@@ -5,14 +5,16 @@ that scores a (VM, PM) node pair; the scheduler treats that score as
 predicted incremental energy and takes the argmin.  Everything is dense
 numpy.  A scored graph has one node per PM plus the request, so it grows
 with the datacenter: 9 nodes in the default 8-PM scenario and the
-training samples, 65 at 64 PMs, 129 at 128 PMs.
+training samples, 65 at 64 PMs, 129 at 128 PMs.  Each network's
+parameters are stated once, as a (name, shape) layout that its views,
+first draw and checkpoint reader and writer all follow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,11 +22,6 @@ import numpy as np
 from ..errors import DomainError, ShapeError, TraceFormatError
 from ..util import parse_file, parse_json
 from .graph import FEATURE_DIM, ClusterPartition, StateGraph, state_a_hat
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -42,8 +39,68 @@ def _size(shapes) -> int:
     return sum(map(math.prod, shapes))
 
 
+Layout = list[tuple[str, tuple[int, ...]]]
+
+
+def _readout(embedding: int) -> Layout:
+    """The pair readout over [h_vm ; x_vm ; h_pm ; x_pm]."""
+    return [("readout_w", (2 * (embedding + FEATURE_DIM), 1)), ("readout_b", (1,))]
+
+
+def gcn_layout(dims: Sequence[int]) -> Layout:
+    """(name, shape) of every GCN parameter, in `flat` and checkpoint order."""
+    layout = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        layout += [(f"W{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+    return layout + _readout(dims[-1])
+
+
+def gated_layout(hidden: int) -> Layout:
+    """(name, shape) of every gated parameter, in `flat` and checkpoint order."""
+    square, gates = (hidden, hidden), []
+    for gate in "zrc":
+        gates += [(f"w_{gate}", square), (f"u_{gate}", square), (f"b_{gate}", (hidden,))]
+    return [("w_msg", square)] + gates + _readout(hidden)
+
+
+def _first_draw(seed: int, layout: Layout) -> np.ndarray:
+    """A new `flat`: Glorot-uniform for each matrix and zeros for each vector, in layout order."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(_size(shape for _, shape in layout))
+    for (_, shape), view in zip(layout, _views(flat, [shape for _, shape in layout])):
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / sum(shape))
+            view[...] = rng.uniform(-limit, limit, size=shape)
+    return flat
+
+
+class _Network:
+    """A network whose parameters are views of one float64 vector, `flat`.
+
+    `_bind` makes one view per layout entry, an attribute of the entry's
+    name; `parameters()` lists them in layout (and checkpoint) order.  Copy
+    a model with `copy()` (which re-binds the views), not `copy.deepcopy`.
+    """
+
+    def _bind(self, layout: Layout) -> list[np.ndarray]:
+        views = _views(self.flat, [shape for _, shape in layout])
+        self._parameters = [(name, view) for (name, _), view in zip(layout, views)]
+        self.__dict__.update(self._parameters)
+        return views
+
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        return list(self._parameters)
+
+    def with_flat(self, flat: np.ndarray):
+        """A model of the same shape over another parameter vector."""
+        return replace(self, flat=flat)
+
+    def copy(self):
+        return self.with_flat(self.flat.copy())
+
+
 @dataclass(eq=False)
-class GcnModel:
+class GcnModel(_Network):
     """Stacked graph convolutions (ReLU, identity on last) + pair readout.
 
     The readout scores [h_vm ; x_vm ; h_pm ; x_pm]: raw node features ride
@@ -53,9 +110,8 @@ class GcnModel:
     features cancel out of its row), and the scorer could no longer tell
     a powered-on PM from a powered-off one.
 
-    All parameters live in one float64 vector, `flat`, in `parameters()`
-    order; every named array is a view into it.  Copy a model with
-    `copy()` (which re-binds the views), not `copy.deepcopy`.
+    `flat` follows `gcn_layout(dims)`: W0, b0, W1, b1, ..., readout_w,
+    readout_b; `weights` and `biases` list the layers' views.
     """
 
     dims: tuple[int, ...]
@@ -63,44 +119,21 @@ class GcnModel:
     kind: str = field(default="gcn", init=False)
 
     def __post_init__(self):
-        d = self.dims
-        if d[0] != FEATURE_DIM:
-            raise ShapeError(f"first layer dim {d[0]} != features dim {FEATURE_DIM}")
-        shapes = []
-        for i in range(len(d) - 1):
-            shapes += [(d[i], d[i + 1]), (d[i + 1],)]
-        shapes += [(2 * (d[-1] + d[0]), 1), (1,)]
-        views = _views(self.flat, shapes)
-        self.weights = views[0:-2:2]
-        self.biases = views[1:-2:2]
-        self.readout_w, self.readout_b = views[-2:]  # (2 * (embedding + feature dim), 1), (1,)
-
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        params = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            params.append((f"W{i}", w))
-            params.append((f"b{i}", b))
-        params.append(("readout_w", self.readout_w))
-        params.append(("readout_b", self.readout_b))
-        return params
-
-    def with_flat(self, flat: np.ndarray) -> "GcnModel":
-        """A model of the same shape over another parameter vector."""
-        return GcnModel(self.dims, flat)
-
-    def copy(self) -> "GcnModel":
-        return self.with_flat(self.flat.copy())
+        if self.dims[0] != FEATURE_DIM:
+            raise ShapeError(f"first layer dim {self.dims[0]} != features dim {FEATURE_DIM}")
+        views = self._bind(gcn_layout(self.dims))
+        self.weights, self.biases = views[0:-2:2], views[1:-2:2]
 
 
 @dataclass(eq=False)
-class GatedModel:
+class GatedModel(_Network):
     """GRU-gated message passing unrolled for a fixed number of steps.
 
-    `flat` holds w_msg, then one [w_g, u_g, b_g] block per gate g in
-    z, r, c order, then the readout.  The blocks are equally long, so
-    `W`, `U` (3, hidden, hidden) and `B` (3, hidden) stack the three gates
-    as strided views, and one batched product covers all of them.  As for
-    `GcnModel`, every named array is a view into `flat`.
+    `flat` follows `gated_layout(hidden)`: w_msg, then one [w_g, u_g, b_g]
+    block per gate g in z, r, c order, then the readout.  The blocks are
+    equally long, so `W`, `U` (3, hidden, hidden) and `B` (3, hidden)
+    stack the three gates as strided views of `flat` too, and one batched
+    product covers all of them.
     """
 
     hidden: int
@@ -113,65 +146,24 @@ class GatedModel:
             raise DomainError("propagation steps must be >= 1")
         if self.hidden < FEATURE_DIM:
             raise ShapeError(f"cannot pad {FEATURE_DIM} features into hidden size {self.hidden}")
+        self._bind(gated_layout(self.hidden))
         h = self.hidden
-        block = 2 * h * h + h
-        self.w_msg = self.flat[: h * h].reshape(h, h)
-        gates = self.flat[h * h : h * h + 3 * block].reshape(3, block)
+        gates = self.flat[h * h : -self.readout_w.size - 1].reshape(3, -1)
         self.W = gates[:, : h * h].reshape(3, h, h)
         self.U = gates[:, h * h : 2 * h * h].reshape(3, h, h)
         self.B = gates[:, 2 * h * h :]
-        self.w_z, self.w_r, self.w_c = self.W
-        self.u_z, self.u_r, self.u_c = self.U
-        self.b_z, self.b_r, self.b_c = self.B
-        self.readout_w, self.readout_b = _views(
-            self.flat[h * h + 3 * block :], [(2 * (h + FEATURE_DIM), 1), (1,)]
-        )
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("w_msg", self.w_msg),
-            ("w_z", self.w_z),
-            ("u_z", self.u_z),
-            ("b_z", self.b_z),
-            ("w_r", self.w_r),
-            ("u_r", self.u_r),
-            ("b_r", self.b_r),
-            ("w_c", self.w_c),
-            ("u_c", self.u_c),
-            ("b_c", self.b_c),
-            ("readout_w", self.readout_w),
-            ("readout_b", self.readout_b),
-        ]
-
-    def with_flat(self, flat: np.ndarray) -> "GatedModel":
-        """A model of the same shape over another parameter vector."""
-        return GatedModel(self.hidden, self.steps, flat)
-
-    def copy(self) -> "GatedModel":
-        return self.with_flat(self.flat.copy())
-
-
-def _pack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in arrays])
+    @property
+    def dims(self) -> tuple[int, int]:  # as a checkpoint states them
+        return (FEATURE_DIM, self.hidden)
 
 
 def new_gcn_model(seed: int, dims: Sequence[int] = (FEATURE_DIM, 16, 16)) -> GcnModel:
-    rng = np.random.default_rng(seed)
-    weights = [_glorot(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    readout_w = _glorot(rng, 2 * (dims[-1] + dims[0]), 1)
-    layers = [a for pair in zip(weights, biases) for a in pair]
-    return GcnModel(tuple(dims), _pack(layers + [readout_w, np.zeros(1)]))
+    return GcnModel(tuple(dims), _first_draw(seed, gcn_layout(dims)))
 
 
 def new_gated_model(seed: int, hidden: int = 16, steps: int = 2) -> GatedModel:
-    rng = np.random.default_rng(seed)
-    w_msg = _glorot(rng, hidden, hidden)
-    gates = []
-    for _ in range(3):  # z, r, c
-        gates += [_glorot(rng, hidden, hidden), _glorot(rng, hidden, hidden), np.zeros(hidden)]
-    readout_w = _glorot(rng, 2 * (hidden + FEATURE_DIM), 1)
-    return GatedModel(hidden, steps, _pack([w_msg] + gates + [readout_w, np.zeros(1)]))
+    return GatedModel(hidden, steps, _first_draw(seed, gated_layout(hidden)))
 
 
 def restrict_graph(
@@ -445,8 +437,8 @@ def score_placements(
     return np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
 
 
-# Checkpoint format: parameters are flattened row-major in the order given
-# by Model.parameters() (layer weights/biases in depth order, then readout).
+# Checkpoint format: `dims` (and a gated model's `steps`) size the network;
+# `params` holds one row-major array per layout entry, in layout order.
 CHECKPOINT_SCHEMA = 1
 # A gated model runs `steps` propagation rounds for every scored request,
 # so a checkpoint asking for more than this is rejected as corrupt.
@@ -457,12 +449,10 @@ def model_to_json(model: GcnModel | GatedModel) -> str:
     doc = {
         "schema_version": CHECKPOINT_SCHEMA,
         "kind": model.kind,
+        "dims": list(model.dims),
         "params": [arr.reshape(-1).tolist() for _, arr in model.parameters()],
     }
-    if isinstance(model, GcnModel):
-        doc["dims"] = list(model.dims)
-    else:
-        doc["dims"] = [FEATURE_DIM, model.hidden]
+    if isinstance(model, GatedModel):
         doc["steps"] = model.steps
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
@@ -496,48 +486,46 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     if not isinstance(dims, list) or len(dims) < 2:
         raise TraceFormatError("checkpoint 'dims' must list at least two sizes")
     dims = [_positive_int(d, "dims") for d in dims]
-    if kind == "gcn" and dims[0] != FEATURE_DIM:
-        raise TraceFormatError(
-            f"checkpoint 'dims' start at {dims[0]}, the node features are {FEATURE_DIM} wide"
-        )
-    if kind == "gated" and dims[1] < FEATURE_DIM:
-        raise TraceFormatError(
-            f"checkpoint hidden size {dims[1]} cannot hold the {FEATURE_DIM} node features"
-        )
-    params = _checkpoint_field(doc, "params")
-    if not isinstance(params, list):
-        raise TraceFormatError("checkpoint 'params' must be a list of arrays")
-    # The dims size the model built below, before any parameter is read, so
-    # they may not ask for more layer values than the checkpoint holds.
-    held = sum(len(values) for values in params if isinstance(values, list))
     if kind == "gcn":
-        needed = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        if dims[0] != FEATURE_DIM:
+            raise TraceFormatError(
+                f"checkpoint 'dims' start at {dims[0]}, the node features are {FEATURE_DIM} wide"
+            )
+        layout = gcn_layout(dims)
     else:
+        if dims[1] < FEATURE_DIM:
+            raise TraceFormatError(
+                f"checkpoint hidden size {dims[1]} cannot hold the {FEATURE_DIM} node features"
+            )
+        if dims != [FEATURE_DIM, dims[1]]:
+            raise TraceFormatError(f"gated checkpoint 'dims' {dims} are not [{FEATURE_DIM}, hidden]")
         steps = _positive_int(_checkpoint_field(doc, "steps"), "steps")
         if steps > MAX_GATED_STEPS:
             raise TraceFormatError(f"checkpoint 'steps' is {steps}, at most {MAX_GATED_STEPS}")
-        needed = dims[1] * (7 * dims[1] + 3)
+        layout = gated_layout(dims[1])
+    params = _checkpoint_field(doc, "params")
+    if not isinstance(params, list):
+        raise TraceFormatError("checkpoint 'params' must be a list of arrays")
+    # Checked before any array is built, so the dims cannot make the
+    # reader allocate more than the file holds.
+    needed = _size(shape for _, shape in layout)
+    held = sum(len(values) for values in params if isinstance(values, list))
     if needed > held:
-        raise TraceFormatError(f"checkpoint 'dims' need {needed} layer values, it holds {held}")
-    if kind == "gcn":
-        model = new_gcn_model(seed=0, dims=tuple(dims))
-    else:
-        model = new_gated_model(seed=0, hidden=dims[1], steps=steps)
-    names = [name for name, _ in model.parameters()]
-    if len(params) != len(names):
-        raise TraceFormatError(
-            f"checkpoint has {len(params)} parameter arrays, expected {len(names)}"
-        )
-    for (name, arr), values in zip(model.parameters(), params):
+        raise TraceFormatError(f"checkpoint 'dims' need {needed} values, it holds {held}")
+    if len(params) != len(layout):
+        raise TraceFormatError(f"checkpoint has {len(params)} parameter arrays, not {len(layout)}")
+    arrays = []
+    for (name, shape), values in zip(layout, params):
         if not isinstance(values, list) or not all(_is_number(v) for v in values):
             raise TraceFormatError(f"parameter {name!r} must be a list of numbers")
-        flat = np.asarray(values, dtype=float)
-        if flat.size != arr.size:
-            raise TraceFormatError(f"parameter {name!r} has {flat.size} values, expected {arr.size}")
-        if not np.isfinite(flat).all():
+        arr, size = np.asarray(values, dtype=float), math.prod(shape)
+        if arr.size != size:
+            raise TraceFormatError(f"parameter {name!r} has {arr.size} values, expected {size}")
+        if not np.isfinite(arr).all():
             raise TraceFormatError(f"parameter {name!r} has non-finite values")
-        arr[...] = flat.reshape(arr.shape)
-    return model
+        arrays.append(arr)
+    flat = np.concatenate(arrays)
+    return GcnModel(tuple(dims), flat) if kind == "gcn" else GatedModel(dims[1], steps, flat)
 
 
 def load_model(path) -> GcnModel | GatedModel:

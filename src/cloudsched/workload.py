@@ -78,11 +78,9 @@ class VmTrace:
 
 @dataclass(frozen=True)
 class WorkloadSet:
-    """Requests sorted by arrival (ties by id), plus provenance."""
+    """Requests sorted by arrival (ties by id)."""
 
     requests: tuple[WorkloadRequest, ...]
-    source: str  # "synthetic" | "trace"
-    seed: int | None = None
 
 
 # Bitbrains fastStorage/Rnd header cells, normalized to lowercase.
@@ -198,7 +196,7 @@ def ingest_trace_dir(trace_dir: str, horizon: int) -> WorkloadSet:
         arrival = min(offset_h, horizon - 1)
         requests.append(derive_request(trace, arrival=arrival))
     requests.sort(key=lambda r: (r.arrival, r.id))
-    return WorkloadSet(requests=tuple(requests), source="trace", seed=None)
+    return WorkloadSet(requests=tuple(requests))
 
 
 def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
@@ -232,7 +230,7 @@ def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
         for i, (arrival, duration, core_index, frequency, ram_index) in enumerate(draws.tolist())
     ]
     requests.sort(key=lambda r: (r.arrival, r.id))
-    return WorkloadSet(requests=tuple(requests), source="synthetic", seed=seed)
+    return WorkloadSet(requests=tuple(requests))
 
 
 def workload_to_json(workload: WorkloadSet) -> str:
@@ -254,7 +252,7 @@ def workload_to_json(workload: WorkloadSet) -> str:
 _INTEGER_FIELDS = ("cpu_frequency", "cores", "ram", "duration", "arrival")
 
 
-def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
+def workload_from_json(text: str | bytes) -> WorkloadSet:
     """Read the on-disk format; every numeric field must be a JSON integer."""
     rows = parse_json(text, "workload JSON")
     if not isinstance(rows, list):
@@ -277,4 +275,4 @@ def workload_from_json(text: str | bytes, source: str = "trace") -> WorkloadSet:
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"bad request object at index {i}: {exc}") from None
     requests.sort(key=lambda r: (r.arrival, r.id))
-    return WorkloadSet(requests=tuple(requests), source=source, seed=None)
+    return WorkloadSet(requests=tuple(requests))

@@ -1,11 +1,11 @@
 """Snapshot constructors, serialisers and graph diagnostics that only the tests need.
 
 `snapshot_from_entries` assembles a columnar resource snapshot from one
-plain dict per PM, and `pm_prices` a per-PM price row from a
-`{location: price}` dict.  The serialisers write a structure back out in a
-stable, comparable form, so tests can check purity (a state is
-unchanged) and parser round trips; `state_vms` reads a state's VMs as
-`VirtualMachine` objects.  `cut_edges` and
+plain dict per PM, and `pm_prices` a per-PM price row from the PMs'
+locations and a `{location: price}` dict.  The serialisers write a
+structure back out in a stable, comparable form, so tests can check
+purity (a state is unchanged) and parser round trips; `state_vms` reads
+a state's VMs as `VirtualMachine` objects.  `cut_edges` and
 `gcn_forward_restricted` inspect a cluster partition.  `gradient_check`
 compares the training code's analytic gradients with central differences.
 """
@@ -13,6 +13,7 @@ compares the training code's analytic gradients with central differences.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,6 @@ def snapshot_from_entries(entries: dict[str, dict]) -> ResourceSnapshot:
 
     return ResourceSnapshot(
         pm_ids=tuple(entries),
-        locations=tuple(row["location"] for row in rows),
         free_cores=column("free_cores", int),
         cores=column("cores", int),
         free_ram=column("free_ram", int),
@@ -70,15 +70,15 @@ def snapshot_from_entries(entries: dict[str, dict]) -> ResourceSnapshot:
     )
 
 
-def pm_prices(snapshot: ResourceSnapshot, price_now: dict[str, float] | None) -> np.ndarray:
-    """The current price at each PM's location, in snapshot order (0 where unpriced)."""
+def pm_prices(locations: Iterable[str], price_now: dict[str, float] | None) -> np.ndarray:
+    """The current price at each of the PMs' locations, in PM order (0 where unpriced)."""
     price_now = price_now or {}
-    return np.array([price_now.get(location, 0.0) for location in snapshot.locations], dtype=float)
+    return np.array([price_now.get(location, 0.0) for location in locations], dtype=float)
 
 
 def snapshot_columns(snap: ResourceSnapshot) -> dict:
     """Every field of a snapshot as plain values, each column with its dtype, for `==`."""
-    doc = {"pm_ids": snap.pm_ids, "locations": snap.locations}
+    doc = {"pm_ids": snap.pm_ids}
     for name in ResourceSnapshot._COLUMNS:
         column = getattr(snap, name)
         doc[name] = (column.dtype.str, column.tolist())
@@ -95,7 +95,7 @@ def state_columns(state: DatacenterState) -> dict:
         "vm_requests": running.requests,
         "pending": list(state.pending.items()),
         "pm_ids": res.pm_ids,
-        "locations": res.locations,
+        "pm_locations": tuple(pm.location for pm in state.pms),
     }
     for name in ResourceSnapshot._COLUMNS:
         column = getattr(res, name)

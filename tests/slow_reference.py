@@ -90,7 +90,7 @@ def synthetic_by_scalar_draws(count, horizon, seed) -> WorkloadSet:
             )
         )
     requests.sort(key=lambda r: (r.arrival, r.id))
-    return WorkloadSet(requests=tuple(requests), source="synthetic", seed=seed)
+    return WorkloadSet(requests=tuple(requests))
 
 
 def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:

@@ -28,7 +28,7 @@ def tiny_files(tmp_path: Path) -> dict:
     workload = tmp_path / "workload.json"
     from cloudsched.workload import WorkloadSet
 
-    workload.write_text(workload_to_json(WorkloadSet(tiny_requests(), source="synthetic")))
+    workload.write_text(workload_to_json(WorkloadSet(tiny_requests())))
     prices = tmp_path / "prices.csv"
     prices.write_text(
         "hour,loc-0,loc-1\n0,0.10,0.10\n1,0.10,0.10\n2,0.10,0.10\n"
@@ -245,8 +245,14 @@ class TestSimulate:
                  "params": [16] + [16, 16, 4] * 3 + [18, 1]},
                 "checkpoint hidden size 4 cannot hold the 5 node features",
             ),
+            (
+                "hunter",
+                {"kind": "gated", "dims": [7, 16], "steps": 2,
+                 "params": [256] + [256, 256, 16] * 3 + [42, 1]},
+                "gated checkpoint 'dims' [7, 16] are not [5, hidden]",
+            ),
         ],
-        ids=["gcn-6-wide", "gated-hidden-4"],
+        ids=["gcn-6-wide", "gated-hidden-4", "gated-7-wide"],
     )
     def test_checkpoint_of_the_wrong_input_width_is_one_error_line(
         self, tmp_path, capsys, policy, doc, message
@@ -621,12 +627,14 @@ class TestConfigFile:
             ("out_dir: 1\n", "out_dir"),
             ("policy: 5\n", "policy"),
             ("verbosity: [info]\n", "verbosity"),
+            ("verbosity: debug\n", "verbosity"),
             ('log_scores: "no"\n', "log_scores"),
         ],
         ids=[
             "count-string", "count-bool", "horizon-float", "horizon-null", "vm-count-float",
             "seed-string", "seed-negative", "epochs-string", "lr-nan", "workload-fd",
-            "price-fd", "out-dir-int", "policy-int", "verbosity-list", "log-scores-string",
+            "price-fd", "out-dir-int", "policy-int", "verbosity-list",
+            "verbosity-debug", "log-scores-string",
         ],
     )
     def test_mistyped_value_is_one_error_line(self, tiny_files, tmp_path, capsys, yaml_text, key):

@@ -345,7 +345,7 @@ class TestSnapshot:
         state = place(admit(new_datacenter(3), [req()]), [("vm-x", "pm-2")])
         snap = snapshot(state)
         sub = snap.take(np.array([2, 0]))
-        assert sub.pm_ids == ("pm-2", "pm-0") and sub.locations == ("loc-2", "loc-0")
+        assert sub.pm_ids == ("pm-2", "pm-0")
         assert sub.free_cores.tolist() == [28, 32] and sub.powered_on.tolist() == [True, False]
         sub.place(1, req())
         assert snapshot_columns(snap) == snapshot_columns(snapshot(state))

@@ -44,8 +44,9 @@ class TestBuildStateGraph:
         assert graph.adjacency.sum() == 0
 
     def test_feature_rows(self):
-        snap = snapshot(new_datacenter(1))
-        prices = pm_prices(snap, {"loc-0": 0.12})
+        state = new_datacenter(1)
+        snap = snapshot(state)
+        prices = pm_prices([pm.location for pm in state.pms], {"loc-0": 0.12})
         graph = build_state_graph(snap, request(freq=2500, cores=8, ram=4, duration=12), prices)
         np.testing.assert_allclose(graph.features[0], [1.0, 1.0, 0.0, 0.0, 0.12 / 0.15])
         np.testing.assert_allclose(
@@ -79,7 +80,8 @@ def graph_inputs(draw):
 def test_build_state_graph_matches_element_loop(inputs):
     entries, req, price_now = inputs
     snap = snapshot_from_entries(entries)
-    fast = build_state_graph(snap, req, pm_prices(snap, price_now))
+    locations = [row["location"] for row in entries.values()]
+    fast = build_state_graph(snap, req, pm_prices(locations, price_now))
     slow = build_state_graph_by_element(entries, req, price_now)
     assert fast.features.dtype == slow.features.dtype == np.float64
     assert fast.adjacency.dtype == slow.adjacency.dtype == np.float64

@@ -1,18 +1,28 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cloudsched.datacenter import admit, new_datacenter, place, snapshot
 from cloudsched.errors import DomainError, ShapeError, TraceFormatError
-from cloudsched.gnn.graph import StateGraph, WorkingFeatures, build_state_graph, partition_graph
+from cloudsched.gnn.graph import (
+    FEATURE_DIM,
+    StateGraph,
+    WorkingFeatures,
+    build_state_graph,
+    partition_graph,
+)
 from cloudsched.gnn.models import (
     MAX_GATED_STEPS,
     GatedModel,
     GcnModel,
     ScoringWorkspace,
+    gated_layout,
+    gcn_layout,
     model_from_json,
     model_to_json,
     new_gated_model,
@@ -26,8 +36,9 @@ from cloudsched.workload import WorkloadRequest
 from helpers import gcn_forward_restricted, pm_entries, snapshot_from_entries
 from slow_reference import gated_forward, gcn_forward, score_placements_by_pair
 
+ROOT = Path(__file__).parent.parent
 CHECKPOINTS = {
-    name: model_from_json((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    name: model_from_json((ROOT / "tests" / "data" / f"{name}.json").read_text())
     for name in ("counter", "hunter")
 }
 
@@ -342,3 +353,46 @@ class TestCheckpoints:
         for text in cases:
             with pytest.raises(TraceFormatError):
                 model_from_json(text)
+
+    @pytest.mark.parametrize(
+        "dims", [[7, 16], [5, 16, 99], [16, 16]], ids=["7-wide", "three-sizes", "16-wide"]
+    )
+    def test_gated_dims_other_than_features_and_hidden_rejected(self, dims):
+        # A gated checkpoint is written with dims [5, hidden]; any other
+        # dims would load as that and not write back as they were read.
+        doc = json.loads(model_to_json(new_gated_model(seed=0)))
+        with pytest.raises(TraceFormatError, match="'dims'"):
+            model_from_json(json.dumps({**doc, "dims": dims}))
+
+
+@st.composite
+def checkpoint_texts(draw):
+    """A checkpoint as the writer lays it out: GCN or gated dims, finite parameters."""
+    if draw(st.booleans()):
+        dims = [FEATURE_DIM] + draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        doc, layout = {"kind": "gcn", "dims": dims}, gcn_layout(dims)
+    else:
+        hidden = draw(st.integers(5, 8))
+        doc = {"kind": "gated", "dims": [FEATURE_DIM, hidden], "steps": draw(st.integers(1, 3))}
+        layout = gated_layout(hidden)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    doc["params"] = [
+        draw(arrays(np.float64, math.prod(shape), elements=finite)).tolist() for _, shape in layout
+    ]
+    return json.dumps({**doc, "schema_version": 1}, sort_keys=True, allow_nan=False) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoint_texts())
+def test_checkpoint_reads_and_writes_back_byte_for_byte(text):
+    assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["tests/data/counter.json", "tests/data/hunter.json",
+     "benchmarks/goldens/counter.json", "benchmarks/goldens/hunter.json"],
+)  # fmt: skip
+def test_committed_checkpoint_reads_and_writes_back_byte_for_byte(path):
+    text = (ROOT / path).read_text()
+    assert model_to_json(model_from_json(text)) == text

@@ -553,7 +553,7 @@ def _nan_model():
 
 def _nan_workload():
     request = WorkloadRequest(id="vm-0", cpu_frequency=NAN, cores=1, ram=1, duration=1, arrival=0)
-    return WorkloadSet(requests=(request,), source="synthetic")
+    return WorkloadSet(requests=(request,))
 
 
 @pytest.mark.parametrize(
