@@ -101,32 +101,6 @@ def build_state_graph(
     return StateGraph(WorkingFeatures(snapshot, prices).for_request(request), adjacency)
 
 
-def state_a_hat(
-    fits: np.ndarray, out: np.ndarray | None = None, deg: np.ndarray | None = None
-) -> np.ndarray:
-    """The normalised adjacency of a one-VM state graph, from the VM's 0/1 fits mask.
-
-    Equal, bit for bit, to `normalize_adjacency` of the graph's
-    adjacency, without building it (Kipf & Welling's
-    D^-1/2 (A+I) D^-1/2).  The PMs form a clique, so A + I is all ones on
-    the PM block: PM i has degree n + f_i, the VM 1 + sum(f), and with
-    s = 1/sqrt(deg) every unit entry of A + I becomes s_i * s_j, which is
-    `normalize_adjacency`'s (1 * s_i) * s_j.  The VM's row and column
-    then carry their 0/1 factor f; an entry that is 0 in A + I comes out
-    +0.0 in both.  `out` ((n + 1) x (n + 1)) and
-    `deg` (n + 1) are written when given, else allocated.
-    """
-    n = fits.shape[0]
-    deg = np.empty(n + 1) if deg is None else deg
-    np.add(n, fits, out=deg[:n])
-    deg[n] = 1.0 + fits.sum()
-    inv_sqrt_deg = np.divide(1.0, np.sqrt(deg, out=deg), out=deg)
-    a_hat = np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg, out=out)
-    a_hat[n, :n] *= fits
-    a_hat[:n, n] *= fits
-    return a_hat
-
-
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """Return D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I.
 

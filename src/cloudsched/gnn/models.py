@@ -2,10 +2,10 @@
 
 Both map a state graph to node embeddings and share a linear readout
 that scores a (VM, PM) node pair; the scheduler treats that score as
-predicted incremental energy and takes the argmin.  Everything is dense
-numpy.  A scored graph has one node per PM plus the request, so it grows
-with the datacenter: 9 nodes in the default 8-PM scenario and the
-training samples, 65 at 64 PMs, 129 at 128 PMs.  Each network's
+predicted incremental energy and takes the argmin.  A state graph has
+one node per PM plus the request.  Training runs on dense graphs;
+scoring builds no graph and no n x n array, since the normalised
+adjacency has only three distinct rows (`score_placements`).  Each network's
 parameters are stated once, as a (name, shape) layout that its views,
 first draw and checkpoint reader and writer all follow.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError, TraceFormatError
 from ..util import parse_file, parse_json
-from .graph import FEATURE_DIM, ClusterPartition, StateGraph, state_a_hat
+from .graph import FEATURE_DIM, ClusterPartition, StateGraph
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -104,11 +104,11 @@ class GcnModel(_Network):
     """Stacked graph convolutions (ReLU, identity on last) + pair readout.
 
     The readout scores [h_vm ; x_vm ; h_pm ; x_pm]: raw node features ride
-    along with the convolved embeddings because on an equal-degree PM
-    clique the normalized propagation gives every PM the same embedding
-    (the self-loop weight equals the neighbour weight, so a node's own
-    features cancel out of its row), and the scorer could no longer tell
-    a powered-on PM from a powered-off one.
+    along with the convolved embeddings because on the PM clique the
+    normalized propagation gives every PM the request fits the same
+    embedding (the self-loop weight equals the neighbour weight, so a
+    node's own features cancel out of its row): the candidates are
+    ranked by their raw features alone.
 
     `flat` follows `gcn_layout(dims)`: W0, b0, W1, b1, ..., readout_w,
     readout_b; `weights` and `biases` list the layers' views.
@@ -299,6 +299,29 @@ class GatedBuffers:
         return math.prod(cls.shape(model, n))
 
 
+def _gru_update(model: GatedModel, b: GatedBuffers, h: np.ndarray, step: tuple) -> np.ndarray:
+    """One GRU update of every node's state h into `step`, whose [z, r, c] planes hold m @ W.
+
+    Each gate's pre-activation is summed into its plane, the sigmoid and
+    tanh run in place, and (1 - z) * h + z * c is two products and one
+    in-place add, the same operations as the out-of-place expressions.
+    Returns the next state, the step's last plane.
+    """
+    _, _, _, zr, z, r, c, omz, omz_z, rh, h_next = step
+    np.matmul(h, b.u_zr, out=b.hu)
+    zr += b.hu
+    zr += b.b_zr
+    _sigmoid_in_place(zr)
+    np.subtract(1.0, zr, out=omz)
+    np.multiply(r, h, out=rh)
+    c += np.dot(rh, model.u_c, out=b.rhu)
+    c += model.b_c
+    np.tanh(c, out=c)
+    np.multiply(omz_z, h, out=h_next)
+    h_next += np.multiply(z, c, out=b.zc)
+    return h_next
+
+
 def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None, buffers=None):
     """Unroll the GRU propagation, caching per-step tensors for backprop.
 
@@ -306,10 +329,7 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
     h @ u_g for z and r; each slice is the same matrix product as an
     unstacked gate, so the results are too.  Every product, sum, gate
     and state is written into `buffers` (a fresh `GatedBuffers` when
-    None): each gate's pre-activation is summed into its m @ w_g plane,
-    the sigmoid and tanh run in place, and (1 - z) * h + z * c is two
-    products and one in-place add, the same operations as the
-    out-of-place expressions.  A gate whose pre-activation is so negative
+    None) by `_gru_update`.  A gate whose pre-activation is so negative
     that exp(-x) overflows saturates at 1 / (1 + inf) = 0, the right
     value, so the overflow is not reported.  `a_h0`, when given, is
     a_hat @ h0.
@@ -320,24 +340,15 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
     caches = []
     h = h0
     with np.errstate(over="ignore"):
-        for step, (ah, m, mw, zr, z, r, c, omz, omz_z, rh, h_next) in enumerate(b.steps):
-            if step or a_h0 is None:
+        for k, step in enumerate(b.steps):
+            ah, m, mw, zr, _, _, c, omz, _, rh, _ = step
+            if k or a_h0 is None:
                 np.dot(a_hat, h, out=ah)
             else:
                 ah = a_h0
             np.dot(ah, model.w_msg, out=m)
             np.matmul(m, model.W, out=mw)
-            np.matmul(h, b.u_zr, out=b.hu)
-            zr += b.hu
-            zr += b.b_zr
-            _sigmoid_in_place(zr)
-            np.subtract(1.0, zr, out=omz)
-            np.multiply(r, h, out=rh)
-            c += np.dot(rh, model.u_c, out=b.rhu)
-            c += model.b_c
-            np.tanh(c, out=c)
-            np.multiply(omz_z, h, out=h_next)
-            h_next += np.multiply(z, c, out=b.zc)
+            h_next = _gru_update(model, b, h, step)
             caches.append((h, ah, m, zr, omz, rh, c))
             h = h_next
     return h, caches
@@ -346,49 +357,47 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
 class ScoringWorkspace:
     """Every array `score_placements` writes for `model`, on up to `pm_count` PMs.
 
-    A graph of n PMs (n + 1 nodes) is scored in the fits mask, degrees
-    and `a_hat` of `state_a_hat`, one `GcnBuffers` or `GatedBuffers`
-    set, the gated model's zero-padded input, and the readout's pair
-    rows.  All of them live in one zeroed block, one segment each, sized
-    for `pm_count`; each n gets its own views of the same segments, built
-    when first scored, so the memory does not grow with the sizes seen.
-    The padded input's rows are `hidden` wide at every n, so its columns
-    past the features, never written, stay zero.
+    A graph of n PMs is scored in its node kinds, its three `a_hat` rows
+    and the network's buffers: the GCN's `GcnBuffers` of three rows, or
+    the gated model's three-row messages (a_hat @ h, m, m @ W), its
+    `GatedBuffers` of n + 1 rows and its zero-padded input.  The floats
+    are segments of one zeroed block sized for `pm_count`, O(PMs x
+    hidden); each n gets its own views of them, so the memory does not
+    grow with the sizes seen.  The padded rows are `hidden` wide at
+    every n, so their columns past the features stay zero.  `readout`
+    splits the readout weights: h_vm, x_vm, h_pm, x_pm.
     """
 
     def __init__(self, model: GcnModel | GatedModel, pm_count: int):
         self.model, self.pm_count = model, pm_count
         nodes = pm_count + 1
-        width = model.readout_w.shape[0]
+        self._kinds = np.empty(nodes, dtype=np.intp)
         if isinstance(model, GcnModel):
-            network, hidden = GcnBuffers.size(model, nodes), 0
+            e, network = model.dims[-1], [(GcnBuffers.size(model, 3),)]
         else:
-            network, hidden = GatedBuffers.size(model, nodes), model.hidden
-        shapes = [(pm_count,), (nodes,), (nodes * nodes,), (network,), (nodes * hidden,)]
-        shapes.append((pm_count * width,))
+            e = model.hidden
+            network = [(5, 3, e), (GatedBuffers.size(model, nodes),), (nodes * e,)]
+        shapes = [(3 * nodes,)] + network  # the a_hat rows, then the network's
         self._segments = _views(np.zeros(_size(shapes)), shapes)
-        self._width, self._hidden = width, hidden
+        w, f = model.readout_w[:, 0], FEATURE_DIM
+        self.readout = (w[:e], w[e : e + f], w[e + f : 2 * e + f], w[2 * e + f :])
         self._sized: dict[int, tuple] = {}
 
     def views(self, n: int) -> tuple:
-        """(fits, degrees, a_hat, network buffers, padded input, pair rows) for n PMs."""
+        """(node kinds, `a_hat` rows, network buffers) for n PMs."""
         sized = self._sized.get(n)
         if sized is None:
             if n > self.pm_count:
                 raise ShapeError(f"a workspace for {self.pm_count} PMs cannot score {n}")
-            fits, deg, a_hat, network, padded, pairs = self._segments
             nodes, model = n + 1, self.model
-            buffers = (GcnBuffers if isinstance(model, GcnModel) else GatedBuffers)(
-                model, nodes, network
-            )
-            sized = self._sized[n] = (
-                fits[:n],
-                deg[:nodes],
-                a_hat[: nodes * nodes].reshape(nodes, nodes),
-                buffers,
-                padded[: nodes * self._hidden].reshape(nodes, self._hidden),
-                pairs[: n * self._width].reshape(n, self._width),
-            )
+            if isinstance(model, GcnModel):
+                network = GcnBuffers(model, 3, self._segments[1])
+            else:
+                messages, buffers, padded = self._segments[1:]
+                padded = padded[: nodes * model.hidden].reshape(nodes, model.hidden)
+                network = (messages, GatedBuffers(model, nodes, buffers), padded)
+            a_rows = self._segments[0][: 3 * nodes].reshape(3, nodes)
+            sized = self._sized[n] = (self._kinds[:nodes], a_rows, network)
         return sized
 
 
@@ -400,41 +409,50 @@ def score_placements(
 ) -> np.ndarray:
     """Score each candidate PM row for one request, in the order of `candidates`.
 
-    `feats` is the request's state-graph feature matrix,
-    `WorkingFeatures(snapshot, prices).for_request(request)`: one row per
-    PM, then the request's; the scheduler keeps one `WorkingFeatures`
-    per working snapshot and writes only what changed.  `candidates`
-    holds the ascending rows of the PMs that fit the request (the VM
-    node's neighbours), so `a_hat` is `state_a_hat` of that fits mask,
-    and no graph is built.  The
-    forward is training's, written into `workspace` (one for the
-    model, for at least this many PMs; a fresh one when None), and the
-    returned scores are a new array.  The readout takes one row per
-    candidate, and one `np.vecdot` reads them all out: it takes the same
-    per-row dot product as `pair @ readout_w[:, 0]`, so every score is
-    bit-identical to a per-pair readout over the graph (the
-    matrix-vector product `P @ readout_w` is not).
+    `feats` is `WorkingFeatures(snapshot, prices).for_request(request)`:
+    one row per PM, then the request's.  `candidates` holds the ascending
+    rows of the PMs that fit the request.  No graph is built: on a PM
+    clique plus the request's star, a node's row of `a_hat` depends only
+    on its kind (PM the request does not fit, PM it fits, request), so
+    a_hat @ X is three rows, gathered to the nodes by kind.  The GCN runs
+    every layer on them (after the first, the nodes of one kind share a
+    state, so propagation is 3 x 3: s_r * s_t * count of kind t).  The
+    gated model's messages take three rows, its GRU update every node.
+    The scores equal the dense forward's to rounding.  All is written
+    into `workspace` (for at least n PMs; a fresh one when None); the
+    scores are a new array.
     """
-    n = feats.shape[0] - 1
+    n, k = feats.shape[0] - 1, len(candidates)
     if workspace is None:
         workspace = ScoringWorkspace(model, n)
-    fits, deg, a_hat, buffers, padded, pairs = workspace.views(n)
-    fits.fill(0.0)
-    fits[candidates] = 1.0
-    state_a_hat(fits, a_hat, deg)
+    kinds, a_rows, network = workspace.views(n)
+    s0, s1, sv = 1.0 / math.sqrt(n), 1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(1 + k)
+    by_kind = np.array([[s0 * s0, s0 * s1, 0], [s1 * s0, s1 * s1, s1 * sv], [0, sv * s1, sv * sv]])
+    kinds[:n] = 0
+    kinds[candidates] = 1
+    kinds[n] = 2
+    np.take(by_kind, kinds, axis=1, out=a_rows, mode="clip")
     if isinstance(model, GcnModel):
-        hs, _, _ = gcn_layers(model, a_hat, feats, buffers=buffers)
-        h = hs[-1]
+        np.dot(a_rows, feats, out=network.a_feats)
+        by_kind *= (n - k, k, 1)
+        hs, _, _ = gcn_layers(model, by_kind, feats, network.a_feats, network)
+        h_vm, h_pm = hs[-1][2], hs[-1][1]
     else:
-        padded[:, : feats.shape[1]] = feats
-        h, _ = gated_steps(model, a_hat, padded, buffers=buffers)
-    n_h, n_x = h.shape[1], feats.shape[1]
-    pairs = pairs[: len(candidates)]
-    pairs[:, :n_h] = h[n]
-    pairs[:, n_h : n_h + n_x] = feats[n]
-    pairs[:, n_h + n_x : 2 * n_h + n_x] = h[candidates]
-    pairs[:, 2 * n_h + n_x :] = feats[candidates]
-    return np.vecdot(pairs, model.readout_w[:, 0]) + model.readout_b[0]
+        messages, buffers, h = network
+        h[:, : feats.shape[1]] = feats
+        with np.errstate(over="ignore"):
+            for step in buffers.steps:
+                np.dot(a_rows, h, out=messages[0])
+                np.dot(messages[0], model.w_msg, out=messages[1])
+                np.matmul(messages[1], model.W, out=messages[2:])
+                np.take(messages[2:], kinds, axis=1, out=step[2], mode="clip")
+                h = _gru_update(model, buffers, h, step)
+        h_vm, h_pm = h[n], h[candidates]
+    w_hv, w_xv, w_hp, w_xp = workspace.readout
+    scores = feats[candidates] @ w_xp
+    scores += h_pm @ w_hp
+    scores += h_vm @ w_hv + feats[n] @ w_xv + model.readout_b[0]
+    return scores
 
 
 # Checkpoint format: `dims` (and a gated model's `steps`) size the network;
@@ -518,7 +536,11 @@ def model_from_json(text: str | bytes) -> GcnModel | GatedModel:
     for (name, shape), values in zip(layout, params):
         if not isinstance(values, list) or not all(_is_number(v) for v in values):
             raise TraceFormatError(f"parameter {name!r} must be a list of numbers")
-        arr, size = np.asarray(values, dtype=float), math.prod(shape)
+        try:
+            arr, size = np.asarray(values, dtype=float), math.prod(shape)
+        except OverflowError:
+            message = f"parameter {name!r} has a value too large for a float"
+            raise TraceFormatError(message) from None
         if arr.size != size:
             raise TraceFormatError(f"parameter {name!r} has {arr.size} values, expected {size}")
         if not np.isfinite(arr).all():

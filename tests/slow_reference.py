@@ -47,6 +47,7 @@ from cloudsched.gnn.models import (
     model_to_json,
     pad_features,
     restrict_graph,
+    score_placements,
 )
 from cloudsched.gnn.training import _choose_clusters
 from cloudsched.scheduler import (
@@ -313,6 +314,26 @@ def build_state_graph_by_element(entries, req, price_now=None) -> StateGraph:
     return StateGraph(features=features, adjacency=adjacency)
 
 
+def state_a_hat(fits: np.ndarray) -> np.ndarray:
+    """The normalised adjacency of a one-VM state graph, from the VM's 0/1 fits mask.
+
+    Equal, bit for bit, to `normalize_adjacency` of the graph's
+    adjacency, without building it (Kipf & Welling's
+    D^-1/2 (A+I) D^-1/2).  The PMs form a clique, so A + I is all ones on
+    the PM block: PM i has degree n + f_i, the VM 1 + sum(f), and with
+    s = 1/sqrt(deg) every unit entry of A + I becomes s_i * s_j, which is
+    `normalize_adjacency`'s (1 * s_i) * s_j.  The VM's row and column
+    then carry their 0/1 factor f; an entry that is 0 in A + I comes out
+    +0.0 in both.
+    """
+    n = fits.shape[0]
+    inv_sqrt_deg = 1.0 / np.sqrt(np.append(n + fits, 1.0 + fits.sum()))
+    a_hat = np.multiply.outer(inv_sqrt_deg, inv_sqrt_deg)
+    a_hat[n, :n] *= fits
+    a_hat[:n, n] *= fits
+    return a_hat
+
+
 def gcn_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after the GCN layers over the dense normalised graph."""
     hs, _, _ = gcn_layers(model, normalize_adjacency(graph.adjacency), graph.features)
@@ -503,7 +524,13 @@ def consolidate_by_vm_objects(policy, state, prices=None, threshold=CONSOLIDATIO
 
 def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_THRESHOLD):
     """`consolidate` with each underloaded source screened on its own, and
-    each request scored on its own dense state graph.
+    a dense state graph built for each request.
+
+    The destination is the argmin of `score_placements` on that graph's
+    features and fits: the scorer itself is checked against the dense
+    forward within a bound (test_models), and where the scores differ by
+    less than that, as they do when a duration near 2**63 makes every
+    score about 2**51, rounding alone picks the argmin.
 
     Unpriced (`prices` None) is a zero price at every PM.
     """
@@ -537,7 +564,9 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
             remaining = max(1, vm.start_hour + vm.request.duration - state.clock)
             scoring = replace(vm.request, duration=remaining)
             graph = build_state_graph(working, scoring, working_prices)
-            dst = argmin_by_scan(score_placements_by_pair(policy.model, graph))
+            fits = np.flatnonzero(graph.adjacency[-1])
+            scores = score_placements(policy.model, graph.features, fits)
+            dst = fits[argmin_by_scan(dict(enumerate(scores.tolist())))]
             plan.append((vm.id, working.pm_ids[dst]))
             working.place(dst, vm.request)
         else:

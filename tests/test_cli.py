@@ -339,8 +339,11 @@ class TestSimulate:
             '{"schema_version": 1, "kind": "gcn", "dims": [5, 2], "params": '
             '[["x"], [0.0, 0.0], [0.0], [0.0]]}\n',
             json.dumps({**json.loads(model_to_json(new_gated_model(seed=0))), "steps": 10**9}),
+            # W0's first value is an integer no float can hold
+            '{"schema_version": 1, "kind": "gcn", "dims": [5, 2], "params": '
+            f'[[{10**400}{", 0" * 9}], [0, 0], [0{", 0" * 13}], [0]]}}\n',
         ],
-        ids=["array", "no-dims", "string-param", "gated-steps-1e9"],
+        ids=["array", "no-dims", "string-param", "gated-steps-1e9", "int-past-float"],
     )
     def test_malformed_checkpoint_is_config_error(self, tiny_files, tmp_path, capsys, text):
         bad = tiny_files["dir"] / "bad.json"

@@ -19,9 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from cloudsched.datacenter import new_datacenter
+from cloudsched.energy import generate_price_series
 from cloudsched.gnn.models import load_model
 from cloudsched.scheduler import MODEL_POLICIES, POLICY_KINDS
 from cloudsched.sim import SimConfig, decision_log_jsonl, energy_report_csv, result_to_json, run
+from cloudsched.workload import generate_synthetic
 
 DATA = Path(__file__).parent / "data"
 SCENARIO = dict(pm_count=16, vm_count=128, horizon=48, seed=1)
@@ -61,6 +64,34 @@ def logged_score_digests(policy: str) -> dict[str, str]:
 def test_logged_scores_match_golden(policy):
     goldens = json.loads((DATA / "policy_goldens.json").read_text())
     assert logged_score_digests(policy) == goldens["log_scores"][policy]
+
+
+BENCHMARK_GOLDENS = Path(__file__).parent.parent / "benchmarks" / "goldens"
+
+
+@pytest.mark.parametrize("policy", MODEL_POLICIES)
+def test_benchmark_scenario_matches_its_golden(policy):
+    # Sim seed 0 of the learned benchmark sweep (64 PMs, 512 VMs, 120 h),
+    # built as the benchmark builds it, against its committed digests.
+    locations = tuple(pm.location for pm in new_datacenter(64).pms)
+    config = SimConfig(
+        pm_count=64,
+        vm_count=512,
+        horizon=120,
+        policy=policy,
+        model=load_model(BENCHMARK_GOLDENS / f"{policy}.json"),
+        requests=generate_synthetic(512, 120, 0).requests,
+        prices=generate_price_series(locations, 120, 0),
+        seed=0,
+    )
+    result = run(config)
+    outputs = {
+        "result.json": result_to_json(result),
+        "energy_report.csv": energy_report_csv(result),
+        "decisions.jsonl": decision_log_jsonl(result),
+    }
+    goldens = json.loads((BENCHMARK_GOLDENS / "sweep_learned.json").read_text())
+    assert digests(outputs) == goldens[f"{policy}/seed=0"]
 
 
 if __name__ == "__main__":

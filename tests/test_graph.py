@@ -13,12 +13,11 @@ from cloudsched.gnn.graph import (
     build_state_graph,
     normalize_adjacency,
     partition_graph,
-    state_a_hat,
 )
 from cloudsched.workload import WorkloadRequest
 
 from helpers import cut_edges, entry, pm_entries, pm_prices, snapshot_from_entries
-from slow_reference import build_state_graph_by_element
+from slow_reference import build_state_graph_by_element, state_a_hat
 
 
 def request(freq=2000, cores=4, ram=8, duration=24):

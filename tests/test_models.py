@@ -14,6 +14,7 @@ from cloudsched.gnn.graph import (
     StateGraph,
     WorkingFeatures,
     build_state_graph,
+    normalize_adjacency,
     partition_graph,
 )
 from cloudsched.gnn.models import (
@@ -187,20 +188,21 @@ class TestScorePlacements:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_saturated_gate_scores_without_a_warning():
     # A duration of 2**63 - 1 drives a gate's exp(-x) to inf, so the gate is
-    # 1 / (1 + inf) = 0; the scores are those of an exp that warned, bit for bit.
+    # 1 / (1 + inf) = 0; the scores are those of an exp that warned, bit for
+    # bit.  At about 2**51 the three PMs differ by less than one ulp.
     state = admit(new_datacenter(3), [WorkloadRequest("w0", 2000, 8, 4, 5, 0)])
     snap = snapshot(place(state, [("w0", "pm-1")]))
     scores = score(CHECKPOINTS["hunter"], snap, WorkloadRequest("vm-0", 2000, 4, 8, 2**63 - 1, 0))
-    assert [s.hex() for s in scores.values()] == [
-        "-0x1.f757062d67f7dp+51",
-        "-0x1.f757062d67f7ep+51",
-        "-0x1.f757062d67f7dp+51",
-    ]
+    assert [s.hex() for s in scores.values()] == ["-0x1.f757062d67f7ep+51"] * 3
 
 
 @st.composite
 def scored_snapshots(draw):
-    """A snapshot of 1-40 PMs, a request that fits on none, some or every PM, and prices or None."""
+    """A snapshot of 1-40 PMs, a request that fits on none, some or every PM, and prices or None.
+
+    The request's duration is up to 2**63 - 1 hours, so its feature can
+    dwarf every other.
+    """
     entries = draw(pm_entries(min_pms=1, max_pms=40))
     reach = draw(st.sampled_from(["some", "none", "all"]))
     if reach == "all":
@@ -212,7 +214,7 @@ def scored_snapshots(draw):
         cpu_frequency=3500 if reach == "none" else draw(st.integers(1600, 3400)),
         cores=draw(st.sampled_from([1, 2, 4, 8])),
         ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
-        duration=draw(st.integers(1, 48)),
+        duration=draw(st.integers(1, 48) | st.integers(1, 2**63 - 1)),
         arrival=0,
     )
     prices = None
@@ -221,18 +223,32 @@ def scored_snapshots(draw):
     return snap, req, prices
 
 
+# `score_placements` propagates three rows where the dense forward
+# multiplies by the n x n `a_hat`, so the two round differently.  Over
+# 11,000 random draws (both checkpoints, 1-40 mixed PMs, priced and not,
+# durations up to 2**63 - 1) the largest difference was
+# 2.0e-15 x (|score| + 1); the bound leaves a factor of 50.  Its absolute
+# part covers scores near zero, whose relative error is not small.
+SCORE_BOUND = 1e-13
+
+
 def assert_scores_match_the_graph(model, snap, req, prices):
     fast = score(model, snap, req, prices)
     slow = score_placements_by_pair(model, build_state_graph(snap, req, prices))
     assert list(fast) == list(slow)
     assert [type(k) for k in fast] == [int] * len(fast)
-    assert [s.hex() for s in fast.values()] == [s.hex() for s in slow.values()]
+    fast, slow = np.array(list(fast.values())), np.array(list(slow.values()))
+    assert np.all(np.abs(fast - slow) <= SCORE_BOUND * (np.abs(slow) + 1.0))
+    if len(slow) > 1:
+        best, runner_up = np.partition(slow, 1)[:2]
+        if runner_up - best > 2 * SCORE_BOUND * (np.abs(slow).max() + 1.0):
+            assert np.argmin(fast) == np.argmin(slow)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKPOINTS))
 @settings(max_examples=80, deadline=None)
 @given(scored_snapshots())
-def test_score_placements_matches_per_pair_readout_bit_for_bit(name, inputs):
+def test_score_placements_matches_per_pair_readout_within_the_bound(name, inputs):
     assert_scores_match_the_graph(CHECKPOINTS[name], *inputs)
 
 
@@ -252,6 +268,21 @@ def test_score_placements_matches_the_graph_at_the_edges(name, pms, req, prices)
     assert_scores_match_the_graph(CHECKPOINTS[name], snapshot(new_datacenter(pms)), req, prices)
 
 
+@settings(max_examples=60, deadline=None)
+@given(scored_snapshots())
+def test_dense_pm_rows_depend_only_on_the_fits_bit(inputs):
+    # In the dense forward, a PM's row of a_hat @ X is one of two rows, by
+    # whether the request fits it, so every candidate ends with one GCN
+    # embedding: counter ranks the candidates by their raw features alone.
+    graph = build_state_graph(*inputs)
+    fits = graph.adjacency[-1, :-1] == 1.0
+    propagated = normalize_adjacency(graph.adjacency) @ graph.features
+    embedded = gcn_forward(CHECKPOINTS["counter"], graph)
+    for rows in (propagated[:-1][fits], propagated[:-1][~fits], embedded[:-1][fits]):
+        if len(rows):
+            assert np.all(np.abs(rows - rows[0]) <= 1e-12 * (np.abs(rows).max() + 1.0))
+
+
 @pytest.mark.parametrize("name", sorted(CHECKPOINTS))
 @settings(max_examples=30, deadline=None)
 @given(st.lists(scored_snapshots(), min_size=1, max_size=6))
@@ -269,9 +300,12 @@ def test_one_workspace_scores_every_size_as_a_fresh_one(name, cases):
         assert [s.hex() for s in shared.tolist()] == [s.hex() for s in fresh.tolist()]
         kept.append((shared, shared.copy()))
     block = workspace._segments[0].base
-    for fits, deg, a_hat, buffers, padded, pairs in workspace._sized.values():
-        network = buffers.zs[-1] if isinstance(model, GcnModel) else buffers.hu
-        assert all(v.base is block for v in (fits, deg, a_hat, network, padded, pairs))
+    for _, a_rows, network in workspace._sized.values():
+        if isinstance(model, GcnModel):
+            views = [a_rows, network.zs[-1]]
+        else:
+            views = [a_rows, network[0], network[1].hu, network[2]]
+        assert all(v.base is block for v in views)
     assert all(np.array_equal(a, b) for a, b in kept)  # no later score wrote into an earlier one
 
 
@@ -311,6 +345,12 @@ class TestCheckpoints:
             text = json.dumps(doc).replace(f'"{value}"', value)
             with pytest.raises(TraceFormatError, match="'W0'"):
                 model_from_json(text)
+
+    def test_rejects_an_integer_too_large_for_a_float(self):
+        doc = json.loads(model_to_json(new_gcn_model(seed=0)))
+        doc["params"][0][0] = 10**400
+        with pytest.raises(TraceFormatError, match="'W0' has a value too large for a float"):
+            model_from_json(json.dumps(doc))
 
     def test_rejects_garbage(self):
         with pytest.raises(TraceFormatError):
