@@ -339,18 +339,12 @@ class TestCheckpoints:
         assert model_from_json(model_to_json(m)).steps == MAX_GATED_STEPS
 
     def test_rejects_non_finite_parameters(self):
-        for value in ("NaN", "Infinity"):
+        for value in ("NaN", "Infinity", str(10**400)):  # the last is past any float
             doc = json.loads(model_to_json(new_gcn_model(seed=0)))
             doc["params"][0][3] = value
             text = json.dumps(doc).replace(f'"{value}"', value)
             with pytest.raises(TraceFormatError, match="'W0'"):
                 model_from_json(text)
-
-    def test_rejects_an_integer_too_large_for_a_float(self):
-        doc = json.loads(model_to_json(new_gcn_model(seed=0)))
-        doc["params"][0][0] = 10**400
-        with pytest.raises(TraceFormatError, match="'W0' has a value too large for a float"):
-            model_from_json(json.dumps(doc))
 
     def test_rejects_garbage(self):
         with pytest.raises(TraceFormatError):
