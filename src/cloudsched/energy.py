@@ -145,29 +145,51 @@ def step_energy(
     return billing, [EnergyBreakdown.make(*row) for row in sums.tolist()]
 
 
-@dataclass(frozen=True)
-class PriceSeries:
-    """Hourly electricity prices per location over [0, horizon)."""
+def _as_float(price) -> float:
+    """`float(price)`, or an infinity of its sign for an int past float range."""
+    try:
+        return float(price)
+    except OverflowError:
+        return math.inf if price > 0 else -math.inf
 
-    prices: dict[str, tuple[float, ...]]
-    horizon: int
+
+@dataclass(frozen=True, eq=False)
+class PriceSeries:
+    """Hourly prices over [0, horizon): row i of the read-only float64 matrix
+    `prices` is location i's.  Prices are finite and >= 0; equality is bitwise."""
+
+    locations: tuple[str, ...]
+    prices: np.ndarray
 
     def __post_init__(self):
-        for location, series in self.prices.items():
-            if len(series) != self.horizon:
-                raise DomainError(
-                    f"location {location!r} covers {len(series)} hours, horizon is {self.horizon}"
-                )
-            # A running minimum that ends as a number >= 0 never met a
-            # negative: one below the minimum so far would have replaced it,
-            # and a NaN never does.  Only a series whose minimum is negative
-            # or NaN (a NaN first) is scanned price by price.
-            if not min(series, default=0.0) >= 0 and any(p < 0 for p in series):
-                raise DomainError(f"location {location!r} has a negative price")
+        locations = tuple(self.locations)
+        try:
+            matrix = np.array(self.prices, dtype=np.float64, order="C", copy=None)
+        except OverflowError:
+            matrix = np.array([[_as_float(p) for p in row] for row in self.prices])
+        except ValueError as exc:  # ragged rows or a non-number
+            raise DomainError(f"prices must be one row of numbers per location: {exc}") from None
+        if matrix.ndim != 2 or not len(matrix) == len(set(locations)) == len(locations):
+            raise DomainError(f"need one price row per distinct location, got {matrix.shape}")
+        fine = (matrix >= 0) & np.isfinite(matrix)  # NaN fails both
+        if not fine.all():
+            row = int(fine.all(axis=1).argmin())
+            problem = "negative" if (matrix[row] < 0).any() else "non-finite"
+            raise DomainError(f"location {locations[row]!r} has a {problem} price")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "prices", matrix)
 
     @property
-    def locations(self) -> tuple[str, ...]:
-        return tuple(self.prices)
+    def horizon(self) -> int:
+        return self.prices.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return self is other or (self.locations, self.horizon, self.prices.tobytes()) == (
+            other.locations, other.horizon, other.prices.tobytes()
+        )
 
 
 def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> PriceSeries:
@@ -178,19 +200,21 @@ def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> 
     `uniform(lo, hi)` is lo + (hi - lo) * u, so the phase is 24.0 * u and
     the noise -0.01 + 0.02 * u, bit for bit.  The sine is libm's
     `math.sin`, whose result does not depend on numpy's SIMD paths.
+    A location listed twice keeps its last row, in first-seen order.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.random((len(locations), horizon + 1))
+    rows = {location: row for row, location in enumerate(locations)}
+    if len(rows) < len(locations):
+        u = u[list(rows.values())]
     phase = 24.0 * u[:, :1]
     noise = -0.01 + 0.02 * u[:, 1:]
     angle = 2.0 * math.pi * (np.arange(horizon) + phase) / 24.0
     sine = np.fromiter(map(math.sin, angle.ravel().tolist()), float, angle.size)
     base = 0.10 + 0.04 * sine.reshape(angle.shape)
-    series = np.maximum(0.01, base + noise)
-    prices = dict(zip(locations, map(tuple, series.tolist())))
-    return PriceSeries(prices=prices, horizon=horizon)
+    return PriceSeries(tuple(rows), np.maximum(0.01, base + noise))
 
 
 def load_price_series(content: bytes | str) -> PriceSeries:
@@ -211,7 +235,7 @@ def load_price_series(content: bytes | str) -> PriceSeries:
     if repeated:
         raise TraceFormatError(f"location {repeated[0]!r} repeats in the header", line=1)
 
-    columns: dict[str, list[float]] = {loc: [] for loc in locations}
+    columns: list[list[float]] = [[] for _ in locations]
     for lineno, row in enumerate(rows[1:], start=2):
         expected_hour = lineno - 2
         if len(row) != len(header):
@@ -227,16 +251,14 @@ def load_price_series(content: bytes | str) -> PriceSeries:
             raise TraceFormatError(
                 f"missing hour {expected_hour} (found {hour})", line=lineno
             )
-        for loc, value in zip(locations, values):
+        for loc, value, column in zip(locations, values, columns):
             if not math.isfinite(value):
                 raise TraceFormatError(f"non-finite price for {loc!r}", line=lineno)
             if value < 0:
                 raise TraceFormatError(f"negative price for {loc!r}", line=lineno)
-            columns[loc].append(value)
+            column.append(value)
 
     horizon = len(rows) - 1
     if horizon == 0:
         raise TraceFormatError("price file has a header but no rows")
-    return PriceSeries(
-        prices={loc: tuple(vals) for loc, vals in columns.items()}, horizon=horizon
-    )
+    return PriceSeries(tuple(locations), np.array(columns))

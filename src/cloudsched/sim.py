@@ -154,18 +154,20 @@ def _load_workload(config: SimConfig) -> tuple[WorkloadRequest, ...]:
     return requests
 
 
-def _load_prices(config: SimConfig, locations: tuple[str, ...]) -> PriceSeries:
+def _price_matrix(config: SimConfig, locations: tuple[str, ...]) -> np.ndarray:
+    """The run's `[hour][pm]` prices: each PM's location row, cut to the horizon."""
     if config.prices is not None:
         series = config.prices
     else:
         series = generate_price_series(locations, config.horizon, config.seed)
 
+    rows = {location: row for row, location in enumerate(series.locations)}
     for location in locations:
-        if location not in series.prices:
+        if location not in rows:
             raise CoverageError(location, 0)
     if series.horizon < config.horizon:
         raise CoverageError(locations[0], series.horizon)
-    return series
+    return series.prices[[rows[location] for location in locations], : config.horizon].T
 
 
 def _load_policy(config: SimConfig) -> Policy:
@@ -186,7 +188,7 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     requests = _load_workload(config)
     state = new_datacenter(config.pm_count, config.pm_template)
     locations = tuple(pm.location for pm in state.pms)
-    series = _load_prices(config, locations).prices  # coverage checked there
+    price_matrix = _price_matrix(config, locations)  # coverage checked there
 
     arrivals: dict[int, list[WorkloadRequest]] = {}
     for request in requests:
@@ -198,7 +200,6 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         horizon=config.horizon,
         policy=config.policy,
     )
-    price_matrix = np.array([series[loc][: config.horizon] for loc in locations]).T  # [hour][pm]
     utilisation = []  # per hour, over the PMs
     destinations = []  # per hour: the PM each migration went to
 

@@ -34,7 +34,7 @@ KIB_PER_GIB = 1024 * 1024
 MS_PER_HOUR = 3_600_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadRequest:
     """One user demand: a fixed resource reservation with a duration."""
 

@@ -26,7 +26,7 @@ def tiny_requests() -> tuple[WorkloadRequest, ...]:
 
 def tiny_prices() -> PriceSeries:
     flat = (0.10, 0.10, 0.10)
-    return PriceSeries(prices={"loc-0": flat, "loc-1": flat}, horizon=3)
+    return PriceSeries(("loc-0", "loc-1"), [flat, flat])
 
 
 def tiny_config(policy: str = "first_fit", **overrides) -> SimConfig:

@@ -284,9 +284,8 @@ def serialize_trace(trace: VmTrace) -> str:
 
 
 def price_series_to_csv(series: PriceSeries) -> str:
-    locations = list(series.prices)
-    lines = ["hour," + ",".join(locations)]
+    lines = ["hour," + ",".join(series.locations)]
     for hour in range(series.horizon):
-        cells = [str(hour)] + [repr(series.prices[loc][hour]) for loc in locations]
+        cells = [str(hour)] + [repr(float(p)) for p in series.prices[:, hour]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

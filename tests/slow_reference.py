@@ -95,7 +95,11 @@ def synthetic_by_scalar_draws(count, horizon, seed) -> WorkloadSet:
 
 
 def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:
-    """`generate_price_series` with one scalar RNG call per phase and per hour's noise."""
+    """`generate_price_series` with one scalar RNG call per phase and per hour's noise.
+
+    A location listed twice keeps its last series, in first-seen order, as
+    a dict keeps it.
+    """
     rng = np.random.default_rng(seed)
     prices = {}
     for location in locations:
@@ -106,7 +110,14 @@ def prices_by_scalar_draws(locations, horizon, seed) -> PriceSeries:
             noise = float(rng.uniform(-0.01, 0.01))
             series.append(max(0.01, base + noise))
         prices[location] = tuple(series)
-    return PriceSeries(prices=prices, horizon=horizon)
+    return PriceSeries(tuple(prices), np.reshape(list(prices.values()), (len(prices), horizon)))
+
+
+def price_matrix_by_location(series: PriceSeries, pm_locations, horizon: int) -> np.ndarray:
+    """A run's `[hour][pm]` prices from a `{location: tuple of Python floats}` table:
+    each PM's location tuple, cut to the horizon, stacked and transposed."""
+    by_location = dict(zip(series.locations, map(tuple, series.prices.tolist())))
+    return np.array([by_location[loc][:horizon] for loc in pm_locations]).T
 
 
 def energy_report_csv_by_fstring(rows) -> str:
@@ -167,7 +178,7 @@ def bill_by_row(result, prices: PriceSeries, power: PowerModel = DEFAULT_POWER_M
     rows = []
     for hour in range(result.horizon):
         arrivals = Counter(dst for _vm, dst in result.events[hour]["migrations"])
-        price_now = {loc: prices.prices[loc][hour] for loc in sorted(set(result.pm_locations))}
+        price_now = {loc: float(p) for loc, p in zip(prices.locations, prices.prices[:, hour])}
         processor_sum = cooling_sum = extra_sum = hour_cost = 0.0
         pms = zip(result.pm_ids, result.pm_locations, result.utilisation[hour].tolist())
         for pm_id, location, util in pms:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestStepEnergy:
 class TestGeneratePriceSeries:
     def test_construction_bounds(self):
         series = generate_price_series(["a", "b", "c"], 100, seed=5)
-        for prices in series.prices.values():
+        for prices in series.prices:
             assert all(0.01 <= p <= 0.15 for p in prices)
 
     def test_determinism(self):
@@ -154,17 +155,44 @@ class TestGeneratePriceSeries:
         b = generate_price_series(["a", "b"], 24, seed=3)
         assert a == b
 
+    def test_one_read_only_matrix(self):
+        locations = tuple(f"loc-{i}" for i in range(128))
+        generate_price_series(locations[:2], 2, seed=0)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = generate_price_series(locations, 120, seed=0)
+            net = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        matrix = series.prices
+        assert type(matrix) is np.ndarray and matrix.dtype == np.float64
+        assert matrix.shape == (128, 120) and series.locations == locations
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+        assert net < 1.5 * matrix.nbytes
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.5
+
+    def test_equality_is_bit_for_bit(self):
+        series = generate_price_series(["a", "b"], 4, seed=3)
+        assert series == PriceSeries(("a", "b"), series.prices.copy())
+        assert series != PriceSeries(("b", "a"), series.prices)
+        assert series != PriceSeries(("a", "b"), series.prices[:, :3])
+        zeros = PriceSeries(("a",), [(0.0, 0.1)])
+        assert zeros != PriceSeries(("a",), [(-0.0, 0.1)])
+        assert series != series.locations
+
     def test_cardinality(self):
         series = generate_price_series(["a", "b"], 24, seed=3)
-        assert sum(len(p) for p in series.prices.values()) == 48
+        assert sum(len(p) for p in series.prices) == 48
 
     @staticmethod
     def assert_same_prices(series, expected):
-        """Same keys in the same order, and every price the same float to the bit."""
+        """Same locations in the same order, and every price the same float to the bit."""
         assert series.horizon == expected.horizon
-        assert list(series.prices) == list(expected.prices)
-        for location, prices in expected.prices.items():
-            assert [p.hex() for p in series.prices[location]] == [p.hex() for p in prices]
+        assert series.locations == expected.locations
+        for got, want in zip(series.prices.tolist(), expected.prices.tolist(), strict=True):
+            assert [p.hex() for p in got] == [p.hex() for p in want]
 
     @pytest.mark.parametrize(
         "locations,horizon,seed",
@@ -195,16 +223,27 @@ class TestGeneratePriceSeries:
         )
 
 
-def rejects_by_generator(prices: dict) -> str | None:
-    """The first location a per-price generator scan finds a negative in, else None."""
+def _is_finite_float(price) -> bool:
+    try:
+        return math.isfinite(price)
+    except OverflowError:  # an int past float range
+        return False
+
+
+def rejects_by_generator(prices: dict) -> tuple[str, str] | None:
+    """The first location a per-price generator scan finds a bad price in, and
+    what it found: "negative" if any price is below zero, else "non-finite" for
+    a NaN, +inf or an int past float range; None when every price is fine."""
     for location, series in prices.items():
         if any(p < 0 for p in series):
-            return location
+            return location, "negative"
+        if not all(_is_finite_float(p) for p in series):
+            return location, "non-finite"
     return None
 
 
-# NaN compares false both ways, so a running minimum that meets one first
-# never moves; -0.0 is not negative; ints of any size compare exactly.
+# NaN compares false both ways; -0.0 is not negative; ints of any size
+# compare exactly, and one past float range is not a finite price.
 _PRICES = (
     st.floats()
     | st.sampled_from([float("nan"), -0.0, 0.0, -5e-324, float("-inf")])
@@ -228,40 +267,64 @@ def test_price_series_sign_check_matches_a_generator_scan(table):
     horizon, prices = table
     bad = rejects_by_generator(prices)
     if bad is None:
-        PriceSeries(prices=prices, horizon=horizon)
+        series = PriceSeries(tuple(prices), list(prices.values()))
+        assert series.horizon == horizon
     else:
-        with pytest.raises(DomainError, match=f"location '{bad}' has a negative price"):
-            PriceSeries(prices=prices, horizon=horizon)
+        location, problem = bad
+        with pytest.raises(DomainError, match=f"location '{location}' has a {problem} price"):
+            PriceSeries(tuple(prices), list(prices.values()))
 
 
 @pytest.mark.parametrize(
-    "series, negative",
+    "series, problem",
     [
-        ((float("nan"), -1.0), True),
-        ((1.0, float("nan"), -1.0), True),
-        ((float("nan"), 1.0), False),
-        ((-0.0, 0.0), False),
-        ((2, -(10**400)), True),
-        ((10**400, 0.5), False),
-        ((), False),
+        ((float("nan"), -1.0), "negative"),
+        ((1.0, float("nan"), -1.0), "negative"),
+        ((float("nan"), 1.0), "non-finite"),
+        ((-0.0, 0.0), None),
+        ((2, -(10**400)), "negative"),
+        ((10**400, 0.5), "non-finite"),
+        ((), None),
     ],
     ids=["nan-first", "nan-between", "nan-only", "negative-zero", "huge-negative-int", "huge-int", "empty"],
 )
-def test_price_series_sign_check_edges(series, negative):
-    prices = {"a": series}
-    if negative:
-        with pytest.raises(DomainError, match="'a' has a negative price"):
-            PriceSeries(prices=prices, horizon=len(series))
+def test_price_series_sign_check_edges(series, problem):
+    # A location's negative price is reported before its non-finite one.
+    if problem is None:
+        assert PriceSeries(("a",), [series]).horizon == len(series)
     else:
-        PriceSeries(prices=prices, horizon=len(series))
+        with pytest.raises(DomainError, match=f"'a' has a {problem} price"):
+            PriceSeries(("a",), [series])
+
+
+@pytest.mark.parametrize(
+    "locations, prices",
+    [
+        (("a", "a"), [(0.1,), (0.1,)]),
+        (("a",), [(0.1,), (0.2,)]),
+        (("a", "b"), [(0.1,)]),
+        (("a",), (0.1, 0.2)),
+    ],
+    ids=["repeated-location", "more-rows", "fewer-rows", "one-dimensional"],
+)
+def test_price_series_needs_one_row_per_distinct_location(locations, prices):
+    with pytest.raises(DomainError, match="one price row per distinct location"):
+        PriceSeries(locations, prices)
+
+
+@pytest.mark.parametrize("prices", [[(0.1,), (0.1, 0.2)], [("cheap",)]], ids=["ragged", "text"])
+def test_price_series_needs_rows_of_numbers(prices):
+    with pytest.raises(DomainError, match="one row of numbers per location"):
+        PriceSeries(("a", "b")[: len(prices)], prices)
 
 
 class TestLoadPriceSeries:
     def test_fixture(self, data_dir):
         series = load_price_series((data_dir / "prices_small.csv").read_bytes())
         assert series.horizon == 3
-        assert series.prices["loc-0"][0] == 0.10
-        assert series.prices["loc-1"][2] == 0.14
+        assert series.locations == ("loc-0", "loc-1")
+        assert series.prices[0, 0] == 0.10
+        assert series.prices[1, 2] == 0.14
 
     def test_negative_price(self):
         with pytest.raises(TraceFormatError, match="negative"):

@@ -69,29 +69,42 @@ def test_logged_scores_match_golden(policy):
 BENCHMARK_GOLDENS = Path(__file__).parent.parent / "benchmarks" / "goldens"
 
 
-@pytest.mark.parametrize("policy", MODEL_POLICIES)
-def test_benchmark_scenario_matches_its_golden(policy):
-    # Sim seed 0 of the learned benchmark sweep (64 PMs, 512 VMs, 120 h),
-    # built as the benchmark builds it, against its committed digests.
-    locations = tuple(pm.location for pm in new_datacenter(64).pms)
+def benchmark_digests(policy: str, pm_count: int, vm_count: int) -> dict[str, str]:
+    """Sim seed 0 of a 120-hour benchmark sweep, built as the benchmark builds it."""
+    locations = tuple(pm.location for pm in new_datacenter(pm_count).pms)
+    model = load_model(BENCHMARK_GOLDENS / f"{policy}.json") if policy in MODEL_POLICIES else None
     config = SimConfig(
-        pm_count=64,
-        vm_count=512,
+        pm_count=pm_count,
+        vm_count=vm_count,
         horizon=120,
         policy=policy,
-        model=load_model(BENCHMARK_GOLDENS / f"{policy}.json"),
-        requests=generate_synthetic(512, 120, 0).requests,
+        model=model,
+        requests=generate_synthetic(vm_count, 120, 0).requests,
         prices=generate_price_series(locations, 120, 0),
         seed=0,
     )
     result = run(config)
-    outputs = {
-        "result.json": result_to_json(result),
-        "energy_report.csv": energy_report_csv(result),
-        "decisions.jsonl": decision_log_jsonl(result),
-    }
+    return digests(
+        {
+            "result.json": result_to_json(result),
+            "energy_report.csv": energy_report_csv(result),
+            "decisions.jsonl": decision_log_jsonl(result),
+        }
+    )
+
+
+@pytest.mark.parametrize("policy", MODEL_POLICIES)
+def test_benchmark_scenario_matches_its_golden(policy):
+    # The learned sweep: 64 PMs, 512 VMs, against its committed digests.
     goldens = json.loads((BENCHMARK_GOLDENS / "sweep_learned.json").read_text())
-    assert digests(outputs) == goldens[f"{policy}/seed=0"]
+    assert benchmark_digests(policy, 64, 512) == goldens[f"{policy}/seed=0"]
+
+
+@pytest.mark.parametrize("policy", ["first_fit", "best_fit_energy", "random"])
+def test_heuristic_benchmark_scenario_matches_its_golden(policy):
+    # The heuristic sweep: 128 PMs, 1,024 VMs, billed at 128 locations.
+    goldens = json.loads((BENCHMARK_GOLDENS / "sweep_heuristic.json").read_text())
+    assert benchmark_digests(policy, 128, 1024) == goldens[f"{policy}/seed=0"]
 
 
 if __name__ == "__main__":

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.energy import EnergyBreakdown, PriceSeries, generate_price_series
+from cloudsched.energy import (
+    EnergyBreakdown,
+    PriceSeries,
+    generate_price_series,
+    load_price_series,
+)
 from cloudsched.errors import ConfigError, CoverageError
 from cloudsched.gnn.models import load_model, model_to_json, new_gated_model
 from cloudsched.scheduler import MODEL_POLICIES, POLICY_KINDS
@@ -20,6 +25,7 @@ from cloudsched.sim import (
     _CSV_BLOCK_ROWS,
     _dumps_indented,
     _energy_report_chunks,
+    _price_matrix,
     compare,
     comparison_to_csv,
     compute_qos,
@@ -33,9 +39,11 @@ from cloudsched.sim import (
 from cloudsched.workload import WorkloadRequest, WorkloadSet, workload_to_json
 
 from conftest import tiny_config, tiny_requests
+from helpers import price_series_to_csv
 from slow_reference import (
     bill_by_row,
     energy_report_csv_by_fstring,
+    price_matrix_by_location,
     qos_by_row,
     result_to_json_by_dict,
 )
@@ -134,12 +142,12 @@ class TestRun:
         assert result.deferred_hours["vm-huge"] == 3
 
     def test_price_coverage_checked_before_hour_zero(self):
-        short = PriceSeries(prices={"loc-0": (0.1,), "loc-1": (0.1,)}, horizon=1)
+        short = PriceSeries(("loc-0", "loc-1"), [(0.1,), (0.1,)])
         with pytest.raises(CoverageError):
             run(tiny_config(prices=short))
 
     def test_missing_location_rejected(self):
-        wrong = PriceSeries(prices={"elsewhere": (0.1, 0.1, 0.1)}, horizon=3)
+        wrong = PriceSeries(("elsewhere",), [(0.1, 0.1, 0.1)])
         with pytest.raises(CoverageError):
             run(tiny_config(prices=wrong))
 
@@ -207,6 +215,20 @@ class TestCompare:
     def test_mismatched_scenario_rejected(self):
         with pytest.raises(ConfigError):
             compare([tiny_config(), tiny_config(horizon=4)])
+
+    def test_equal_generated_prices_share_a_scenario(self):
+        first, second = (generate_price_series(("loc-0", "loc-1"), 3, seed=7) for _ in range(2))
+        assert first == second and first is not second
+        table = compare([tiny_config(prices=first), tiny_config("random", prices=second)])
+        assert [policy for policy, _ in table.rows] == ["first_fit", "random"]
+
+    def test_prices_one_ulp_apart_rejected(self):
+        prices = generate_price_series(("loc-0", "loc-1"), 3, seed=7)
+        nudged = prices.prices.copy()
+        nudged[1, 2] = np.nextafter(nudged[1, 2], np.inf)
+        other = PriceSeries(prices.locations, nudged)
+        with pytest.raises(ConfigError, match="differs from config 0"):
+            compare([tiny_config(prices=prices), tiny_config("random", prices=other)])
 
     def test_csv_format(self):
         table = compare([tiny_config()])
@@ -523,6 +545,37 @@ def test_columnar_billing_matches_row_reference(policy, pm_count, vms_per_pm, ho
         seed=seed,
     )
     _check_against_row_billing(config)
+
+
+@st.composite
+def priced_scenarios(draw):
+    """A small run whose price series lists its PMs' locations in any order,
+    with repeats and unused locations, over at least the run's horizon,
+    generated or read back from its CSV; and PM locations that share rows."""
+    pm_count = draw(st.integers(min_value=1, max_value=5))
+    horizon = draw(st.integers(min_value=1, max_value=8))
+    needed = [f"loc-{i}" for i in range(pm_count)]
+    extra = draw(st.lists(st.sampled_from(needed + ["elsewhere", "loc-9"]), max_size=6))
+    listed = draw(st.permutations(needed + extra))
+    longer = horizon + draw(st.integers(min_value=0, max_value=4))
+    series = generate_price_series(listed, longer, draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        series = load_price_series(price_series_to_csv(series))
+    config = SimConfig(pm_count=pm_count, vm_count=2 * pm_count, horizon=horizon, prices=series)
+    shared = draw(st.lists(st.sampled_from(series.locations), min_size=1, max_size=8))
+    return config, tuple(shared)
+
+
+@settings(max_examples=40, deadline=None)
+@given(priced_scenarios())
+def test_run_prices_match_per_location_tuple_stacking(scenario):
+    config, shared = scenario
+    result = run(config)
+    cases = [(result.pm_billing.price, result.pm_locations), (_price_matrix(config, shared), shared)]
+    for got, pm_locations in cases:
+        expected = price_matrix_by_location(config.prices, pm_locations, config.horizon)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def _nan_result():

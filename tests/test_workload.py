@@ -272,3 +272,10 @@ def test_request_validation():
         WorkloadRequest(id="x", cpu_frequency=2000, cores=1, ram=1, duration=0, arrival=0)
     with pytest.raises(DomainError):
         WorkloadRequest(id="x", cpu_frequency=2000, cores=1, ram=1, duration=1, arrival=-1)
+
+
+def test_a_request_is_slotted():
+    from cloudsched.workload import WorkloadRequest
+
+    request = WorkloadRequest(id="x", cpu_frequency=2000, cores=1, ram=1, duration=1, arrival=0)
+    assert not hasattr(request, "__dict__")
