@@ -108,10 +108,11 @@ class GcnModel(_Network):
     normalized propagation gives every PM the request fits the same
     embedding (the self-loop weight equals the neighbour weight, so a
     node's own features cancel out of its row): the candidates are
-    ranked by their raw features alone.
+    ranked by their raw features alone, times `w_xp`.
 
     `flat` follows `gcn_layout(dims)`: W0, b0, W1, b1, ..., readout_w,
-    readout_b; `weights` and `biases` list the layers' views.
+    readout_b; `weights` and `biases` list the layers' views, and `w_xp`
+    is the readout's view over x_pm.
     """
 
     dims: tuple[int, ...]
@@ -123,6 +124,7 @@ class GcnModel(_Network):
             raise ShapeError(f"first layer dim {self.dims[0]} != features dim {FEATURE_DIM}")
         views = self._bind(gcn_layout(self.dims))
         self.weights, self.biases = views[0:-2:2], views[1:-2:2]
+        self.w_xp = self.readout_w[-FEATURE_DIM:, 0]
 
 
 @dataclass(eq=False)

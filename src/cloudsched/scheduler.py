@@ -7,10 +7,10 @@ place a policy's rule lives: it maps the feasible PMs for one request to
 an array of scores and `schedule` takes the argmin (ties go to the first
 PM in snapshot order).  The working copy is columnar: a request's
 candidates are one vectorised mask and a placement updates one row in
-place.  The learned policies score with a graph network over a feature
-matrix kept beside the working copy, patched one row per placement; the
-consolidator then tries to empty one underloaded PM per step when the
-predicted saving is positive.
+place.  The learned policies score a feature matrix kept beside it,
+patched one row per placement: counter by five readout weights, hunter
+with its graph network; the consolidator then tries to empty one
+underloaded PM per step when the predicted saving is positive.
 """
 
 from __future__ import annotations
@@ -79,17 +79,16 @@ class Policy:
 
         `candidates` holds the ascending row numbers of the PMs in
         `working` that can host the request.  Returns `(rows, scores)`,
-        two aligned arrays in ascending row order.  The graph networks
-        score every candidate from `features`, the feature matrix kept
-        for `working` (None for the heuristics), after writing the
-        request's row into it; a lone candidate is returned unscored
-        unless scores are logged.  Every score is written into one
-        `ScoringWorkspace` the policy keeps for its model, sized by the
-        largest snapshot scored so far (the first `schedule` call's, all
-        the PMs).  The heuristics return their pick
-        alone and unscored: first_fit takes the first candidate, random
-        draws once per request, and best_fit_energy takes the PM whose
-        power rises least (`_least_power_increase`).
+        two aligned arrays in ascending row order.  Counter scores by
+        `features` (kept for `working`) times its readout's `w_xp`, the one
+        term of its network score that differs between candidates; as
+        rounded addition is monotone, its pick is one of the network
+        scores' minima.  Hunter scores with its network
+        (`network_scores`); a lone candidate is returned unscored unless
+        scores are logged.  The heuristics return their pick alone and
+        unscored: first_fit takes the first candidate, random draws once
+        per request, and best_fit_energy takes the PM whose power rises
+        least (`_least_power_increase`).
         """
         if self.kind == "first_fit":
             return candidates[:1], _NO_SCORE
@@ -101,12 +100,20 @@ class Policy:
             return candidates[pick : pick + 1], _NO_SCORE
         if len(candidates) == 1 and not self.logs_scores:  # nothing to rank
             return candidates, _NO_SCORE
-        workspace = self._workspace
-        stale = workspace is None or workspace.model is not self.model
-        if stale or workspace.pm_count < len(working):
-            workspace = self._workspace = ScoringWorkspace(self.model, len(working))
+        if self.kind == "counter":
+            return candidates, features.values[candidates] @ self.model.w_xp
+        return candidates, self.network_scores(request, candidates, features)
+
+    def network_scores(
+        self, request: WorkloadRequest, candidates: np.ndarray, features: WorkingFeatures
+    ) -> np.ndarray:
+        """The network's scores, written into the one `ScoringWorkspace` kept
+        for the model, sized by the largest snapshot so far (all the PMs)."""
+        workspace, n = self._workspace, len(features.working)
+        if workspace is None or workspace.model is not self.model or workspace.pm_count < n:
+            workspace = self._workspace = ScoringWorkspace(self.model, n)
         feats = features.for_request(request)
-        return candidates, score_placements(self.model, feats, candidates, workspace)
+        return score_placements(self.model, feats, candidates, workspace)
 
 
 _NO_SCORE = np.zeros(1)  # the score of a pick made without scoring
@@ -205,6 +212,8 @@ def schedule(
         rows, scores = policy.score(working, request, candidates, features)
         chosen = _argmin(rows, scores)
         if policy.logs_scores:
+            if policy.kind == "counter":  # the log shows its network's scores
+                scores = policy.network_scores(request, rows, features)
             pm_ids = map(working.pm_ids.__getitem__, rows.tolist())
             decision.scores[request.id] = dict(zip(pm_ids, scores.tolist()))
 

@@ -213,6 +213,8 @@ def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
         raise DomainError("count must be >= 1")
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    if max(count, horizon) >= 2**63:  # int64 shapes and bounds
+        raise DomainError(f"count and horizon must be below 2**63, got {count} and {horizon}")
 
     rng = np.random.default_rng(seed)
     low = (0, DURATION_MIN_H, 0, FREQ_MIN_MHZ, 0)

@@ -541,7 +541,9 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
     features and fits: the scorer itself is checked against the dense
     forward within a bound (test_models), and where the scores differ by
     less than that, as they do when a duration near 2**63 makes every
-    score about 2**51, rounding alone picks the argmin.
+    score about 2**51, rounding alone picks the argmin.  Counter's is the
+    argmin of the candidates' features times the readout's x_pm weights,
+    the one term of its score that differs between candidates.
 
     Unpriced (`prices` None) is a zero price at every PM.
     """
@@ -576,7 +578,10 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
             scoring = replace(vm.request, duration=remaining)
             graph = build_state_graph(working, scoring, working_prices)
             fits = np.flatnonzero(graph.adjacency[-1])
-            scores = score_placements(policy.model, graph.features, fits)
+            if policy.kind == "counter":
+                scores = graph.features[fits] @ policy.model.readout_w[-FEATURE_DIM:, 0]
+            else:
+                scores = score_placements(policy.model, graph.features, fits)
             dst = fits[argmin_by_scan(dict(enumerate(scores.tolist())))]
             plan.append((vm.id, working.pm_ids[dst]))
             working.place(dst, vm.request)

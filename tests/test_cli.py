@@ -547,6 +547,37 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+# Each asks for more than a 64-bit address space holds, so it fails at once.
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (
+            ["simulate", "--pm-count", "2", "--vm-count", "1", "--horizon", str(10**15)],
+            "error: too large for memory: ",
+        ),
+        (
+            ["simulate", "--pm-count", "2", "--vm-count", "1", "--horizon", "9" * 20],
+            f"error: count and horizon must be below 2**63, got 1 and {'9' * 20}",
+        ),
+        (
+            ["gen-workload", "--count", str(10**14), "--horizon", "2"],
+            "error: too large for memory: ",
+        ),
+        (
+            ["gen-workload", "--count", str(10**20), "--horizon", "2"],
+            f"error: count and horizon must be below 2**63, got {10**20} and 2",
+        ),
+    ],
+    ids=["price-matrix", "int64-horizon", "workload-draws", "int64-count"],
+)
+def test_oversized_run_is_one_error_line(tmp_path, capsys, argv, error):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(error)
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv,yaml_text",
     [

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cloudsched.datacenter import admit, new_datacenter, place, snapshot
@@ -32,6 +32,7 @@ from cloudsched.gnn.models import (
     restrict_graph,
     score_placements,
 )
+from cloudsched.scheduler import Policy, _argmin
 from cloudsched.workload import WorkloadRequest
 
 from helpers import gcn_forward_restricted, pm_entries, snapshot_from_entries
@@ -281,6 +282,26 @@ def test_dense_pm_rows_depend_only_on_the_fits_bit(inputs):
     for rows in (propagated[:-1][fits], propagated[:-1][~fits], embedded[:-1][fits]):
         if len(rows):
             assert np.all(np.abs(rows - rows[0]) <= 1e-12 * (np.abs(rows).max() + 1.0))
+
+
+@pytest.mark.parametrize("model", [CHECKPOINTS["counter"], new_gcn_model(seed=3)])
+@settings(max_examples=80, deadline=None)
+@given(scored_snapshots())
+def test_counter_picks_a_least_network_score(model, inputs):
+    # Counter decides by feats[c] @ w_xp.  Its network score adds to that
+    # one value shared by every candidate, in two rounded additions, and
+    # rounding is monotone: the pick's network score is the least, and
+    # where the least is unique the two picks agree.  No tolerance.
+    snap, req, prices = inputs
+    candidates = np.flatnonzero(snap.fits(req))
+    assume(candidates.size)
+    features = WorkingFeatures(snap, prices)
+    pick = _argmin(*Policy("counter", model=model).score(snap, req, candidates, features))
+    network = score_placements(model, features.for_request(req), candidates)
+    if not np.isnan(network).all():
+        assert network[candidates.tolist().index(pick)] == np.nanmin(network)
+    if np.count_nonzero(network == np.nanmin(network)) == 1:
+        assert pick == _argmin(candidates, network)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKPOINTS))

@@ -18,7 +18,7 @@ from cloudsched.energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from cloudsched.errors import ConfigError
 from cloudsched import scheduler
 from cloudsched.gnn.graph import WorkingFeatures
-from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
+from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model, score_placements
 from cloudsched.scheduler import (
     MODEL_POLICIES,
     Policy,
@@ -231,7 +231,8 @@ class TestModelScores:
         assert list(d.scores["vm-0"]) == ["pm-1"] and d.scores["vm-0"]["pm-1"] != 0.0
 
     def test_a_policy_keeps_one_scoring_workspace(self):
-        policy = Policy("counter", model=CHECKPOINTS["counter"])
+        # Hunter scores every request with its network; counter only logs with it.
+        policy = Policy("hunter", model=CHECKPOINTS["hunter"])
         small, large = snapshot(new_datacenter(3)), snapshot(new_datacenter(5))
         schedule(policy, small, [req()])
         kept = policy._workspace
@@ -241,6 +242,26 @@ class TestModelScores:
         assert policy._workspace.pm_count == 5
         schedule(policy, small, [req(id="vm-3")])
         assert policy._workspace.pm_count == 5
+
+    def test_a_huge_duration_is_placed_by_the_readout_weights(self):
+        # At a duration of 2**63 - 1 every network score rounds to one value
+        # near -2**51, so rounding alone would pick pm-0.  Counter places by
+        # feats[c] @ w_xp instead; pm-1 and pm-3 have one feature row, and
+        # the first of them wins.
+        snap = snapshot_from_entries({
+            "pm-0": entry(),
+            "pm-1": entry(free_cores=24, free_ram=8, powered_on=True),
+            "pm-2": entry(free_cores=8, free_ram=4, powered_on=True),
+            "pm-3": entry(free_cores=24, free_ram=8, powered_on=True),
+        })
+        huge, model = req(duration=2**63 - 1), CHECKPOINTS["counter"]
+        features = WorkingFeatures(snap, None)
+        linear = features.values[:4] @ model.readout_w[-5:, 0]
+        assert linear.argmin() == 1 and linear[1] == linear[3]
+        network = score_placements(model, features.for_request(huge), rows(0, 1, 2, 3))
+        assert len(set(network.tolist())) == 1
+        d = schedule(Policy("counter", model=model), snap, [huge])
+        assert d.assignments == [("vm-0", "pm-1")]
 
     def test_identical_pms_tie_to_lowest_id(self):
         snap = snapshot(new_datacenter(3))
