@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, NotFoundError
-from .util import is_finite_number
+from .util import check_array_shape, is_finite_number
 from .workload import WorkloadRequest
 
 
@@ -212,23 +212,30 @@ class DatacenterState:
 
 
 def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLATE) -> DatacenterState:
-    """Build a fresh state: pm-0..pm-(n-1), one location each, all off."""
+    """Build a fresh state: pm-0..pm-(n-1), one location each, all off.
+
+    The columns are sized before any PM is built, so a count too large
+    for memory fails at once.
+    """
     if pm_count < 1:
         raise DomainError("pm_count must be >= 1")
+    check_array_shape((pm_count,), 8, f"pm_count {pm_count}")
+    cores = np.full(pm_count, template.cores, dtype=int)
+    ram = np.full(pm_count, template.ram, dtype=int)
+    max_frequency = np.full(pm_count, template.max_frequency, dtype=int)
+    powered_on, utilisation = np.zeros(pm_count, dtype=bool), np.zeros(pm_count)
     pms = tuple(
         replace(template, id=f"pm-{i}", location=f"loc-{i}") for i in range(pm_count)
     )
-    cores = np.fromiter((pm.cores for pm in pms), int, pm_count)
-    ram = np.fromiter((pm.ram for pm in pms), int, pm_count)
     resources = ResourceSnapshot(
         pm_ids=tuple(pm.id for pm in pms),
         free_cores=cores.copy(),
         cores=cores,
         free_ram=ram.copy(),
         ram=ram,
-        max_frequency=np.fromiter((pm.max_frequency for pm in pms), int, pm_count),
-        powered_on=np.zeros(pm_count, dtype=bool),
-        utilisation=np.zeros(pm_count),
+        max_frequency=max_frequency,
+        powered_on=powered_on,
+        utilisation=utilisation,
     )
     rows = {pm.id: i for i, pm in enumerate(pms)}
     return DatacenterState(pms, _NO_VMS, {}, resources, rows, 0)

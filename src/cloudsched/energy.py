@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, NotFoundError, TraceFormatError
-from .util import decode_utf8, is_finite_number
+from .util import check_array_shape, decode_utf8, is_finite_number
 
 WATTS_PER_KW = 1000.0
 
@@ -204,6 +204,7 @@ def generate_price_series(locations: Sequence[str], horizon: int, seed: int) -> 
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    check_array_shape((len(locations), horizon + 1), 8, f"horizon {horizon}")
     rng = np.random.default_rng(seed)
     u = rng.random((len(locations), horizon + 1))
     rows = {location: row for row, location in enumerate(locations)}

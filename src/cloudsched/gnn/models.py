@@ -43,8 +43,14 @@ Layout = list[tuple[str, tuple[int, ...]]]
 
 
 def _readout(embedding: int) -> Layout:
-    """The pair readout over [h_vm ; x_vm ; h_pm ; x_pm]."""
+    """The pair readout over [h_vm ; x_vm ; h_pm ; x_pm] (`pair_segments`)."""
     return [("readout_w", (2 * (embedding + FEATURE_DIM), 1)), ("readout_b", (1,))]
+
+
+def pair_segments(pair: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of a readout-long vector's h_vm, x_vm, h_pm and x_pm segments."""
+    half, f = len(pair) // 2, FEATURE_DIM
+    return pair[: half - f], pair[half - f : half], pair[half:-f], pair[-f:]
 
 
 def gcn_layout(dims: Sequence[int]) -> Layout:
@@ -78,14 +84,17 @@ class _Network:
     """A network whose parameters are views of one float64 vector, `flat`.
 
     `_bind` makes one view per layout entry, an attribute of the entry's
-    name; `parameters()` lists them in layout (and checkpoint) order.  Copy
-    a model with `copy()` (which re-binds the views), not `copy.deepcopy`.
+    name, and `w_hv`, `w_xv`, `w_hp` and `w_xp`, the readout weights of
+    each pair segment; `parameters()` lists the entries in layout (and
+    checkpoint) order.  Copy a model with `copy()` (which re-binds the
+    views), not `copy.deepcopy`.
     """
 
     def _bind(self, layout: Layout) -> list[np.ndarray]:
         views = _views(self.flat, [shape for _, shape in layout])
         self._parameters = [(name, view) for (name, _), view in zip(layout, views)]
         self.__dict__.update(self._parameters)
+        self.w_hv, self.w_xv, self.w_hp, self.w_xp = pair_segments(self.readout_w[:, 0])
         return views
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
@@ -111,8 +120,7 @@ class GcnModel(_Network):
     ranked by their raw features alone, times `w_xp`.
 
     `flat` follows `gcn_layout(dims)`: W0, b0, W1, b1, ..., readout_w,
-    readout_b; `weights` and `biases` list the layers' views, and `w_xp`
-    is the readout's view over x_pm.
+    readout_b; `weights` and `biases` list the layers' views.
     """
 
     dims: tuple[int, ...]
@@ -124,7 +132,6 @@ class GcnModel(_Network):
             raise ShapeError(f"first layer dim {self.dims[0]} != features dim {FEATURE_DIM}")
         views = self._bind(gcn_layout(self.dims))
         self.weights, self.biases = views[0:-2:2], views[1:-2:2]
-        self.w_xp = self.readout_w[-FEATURE_DIM:, 0]
 
 
 @dataclass(eq=False)
@@ -169,16 +176,13 @@ def new_gated_model(seed: int, hidden: int = 16, steps: int = 2) -> GatedModel:
 
 
 def restrict_graph(
-    graph: StateGraph, partition: ClusterPartition, clusters: int | Iterable[int]
+    graph: StateGraph, partition: ClusterPartition, clusters: Iterable[int]
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Sub-select nodes of the given cluster(s), keeping intra-cluster edges only.
+    """Sub-select nodes of the given clusters, keeping intra-cluster edges only.
 
     Returns (node indices in original order, features, masked adjacency).
     """
-    if isinstance(clusters, int):
-        selected = {clusters}
-    else:
-        selected = set(clusters)
+    selected = set(clusters)
     nodes = [i for i in range(graph.n_nodes) if partition.cluster_of[i] in selected]
     if not nodes:
         raise DomainError(f"no nodes in clusters {sorted(selected)}")
@@ -192,59 +196,38 @@ def restrict_graph(
 class GcnBuffers:
     """The arrays one GCN forward writes, sized for n-node graphs.
 
-    `gcn_layers` fills `ahs[l]` (a_hat @ hs[l]; `ahs[0]` is the caller's
-    a_hat @ feats when given, else `a_feats`), `zs[l]` and
-    `hs[l + 1] = relu(zs[l])`; the last layer's output is `zs[-1]`
-    itself, and `hs[0]` is the input.  A set is reused for every forward
-    on graphs of its node count, so what it returns is overwritten by the
-    next one.  All of them are views of `memory` (`size(model, n)`
-    elements, allocated when not given).
+    Layer l writes `zs[l]` = ahs[l] @ W_l + b_l and, below the last layer,
+    `hs[l]` = relu(zs[l]) and `ahs[l + 1]` = a_hat @ hs[l]; the last
+    layer's output is `zs[-1]`, which is also `hs[-1]`.  `ahs[0]` is the
+    caller's a_hat @ feats.  A set is reused for every forward on graphs
+    of its node count, so what it returns is overwritten by the next one.
     """
 
-    def __init__(self, model: GcnModel, n: int, memory: np.ndarray | None = None):
-        shapes = self.shapes(model, n)
-        if memory is None:
-            memory = np.empty(_size(shapes))
-        views = _views(memory, shapes)
-        self.a_feats = views[0]
-        self.ahs, self.zs, self.hs = [self.a_feats], [], [None]
-        for block in views[1:-1]:  # a hidden layer's z, relu(z) and a_hat @ relu(z)
-            self.zs.append(block[0])
-            self.hs.append(block[1])
-            self.ahs.append(block[2])
-        self.zs.append(views[-1])
-        self.hs.append(self.zs[-1])
-
-    @staticmethod
-    def shapes(model: GcnModel, n: int) -> list[tuple[int, ...]]:
-        d = model.dims
-        return [(n, d[0])] + [(3, n, k) for k in d[1:-1]] + [(n, d[-1])]
-
-    @classmethod
-    def size(cls, model: GcnModel, n: int) -> int:
-        return _size(cls.shapes(model, n))
+    def __init__(self, model: GcnModel, n: int):
+        hidden = model.dims[1:-1]
+        self.zs = [np.empty((n, k)) for k in model.dims[1:]]
+        self.hs = [np.empty((n, k)) for k in hidden] + self.zs[-1:]
+        self.ahs = [None] + [np.empty((n, k)) for k in hidden]
 
 
-def gcn_layers(model: GcnModel, a_hat: np.ndarray, feats: np.ndarray, a_feats=None, buffers=None):
+def gcn_layers(model: GcnModel, a_hat: np.ndarray, a_feats: np.ndarray, buffers=None):
     """Run all layers with caches: returns (activations, propagated, pre-activations).
 
-    Layer l maps hs[l] to hs[l + 1] through ahs[l] = a_hat @ hs[l] and
-    zs[l] = ahs[l] @ W_l + b_l.  `a_feats`, when given, is a_hat @ feats.
-    Every array is written into `buffers` (a fresh `GcnBuffers` when None)
-    with the same products and sums as the out-of-place expressions, so
-    the results are bit-identical to them.
+    `a_feats` is a_hat @ feats, the first layer's propagated input.  Every
+    array is written into `buffers` (a fresh `GcnBuffers` when None) with
+    the same products and sums as the out-of-place expressions, so the
+    results are bit-identical to them.
     """
-    b = GcnBuffers(model, feats.shape[0]) if buffers is None else buffers
+    b = GcnBuffers(model, a_feats.shape[0]) if buffers is None else buffers
     hs, ahs, zs = b.hs, b.ahs, b.zs
-    hs[0] = feats
-    ahs[0] = np.dot(a_hat, feats, out=b.a_feats) if a_feats is None else a_feats
+    ahs[0] = a_feats
     last = len(zs) - 1
     for layer, (w, bias) in enumerate(zip(model.weights, model.biases)):
         z = np.dot(ahs[layer], w, out=zs[layer])
         z += bias
         if layer < last:
-            np.maximum(z, 0.0, out=hs[layer + 1])
-            np.dot(a_hat, hs[layer + 1], out=ahs[layer + 1])
+            np.maximum(z, 0.0, out=hs[layer])
+            np.dot(a_hat, hs[layer], out=ahs[layer + 1])
     return hs, ahs, zs
 
 
@@ -357,49 +340,40 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
 
 
 class ScoringWorkspace:
-    """Every array `score_placements` writes for `model`, on up to `pm_count` PMs.
+    """Every array `score_placements` writes for a gated model, on up to `pm_count` PMs.
 
-    A graph of n PMs is scored in its node kinds, its three `a_hat` rows
-    and the network's buffers: the GCN's `GcnBuffers` of three rows, or
-    the gated model's three-row messages (a_hat @ h, m, m @ W), its
-    `GatedBuffers` of n + 1 rows and its zero-padded input.  The floats
-    are segments of one zeroed block sized for `pm_count`, O(PMs x
-    hidden); each n gets its own views of them, so the memory does not
-    grow with the sizes seen.  The padded rows are `hidden` wide at
-    every n, so their columns past the features stay zero.  `readout`
-    splits the readout weights: h_vm, x_vm, h_pm, x_pm.
+    A graph of n PMs is scored in its node kinds, its three `a_hat` rows,
+    the three-row messages (a_hat @ h, m, m @ W), the `GatedBuffers` of
+    n + 1 rows and the zero-padded input.  The floats are segments of one
+    zeroed block sized for `pm_count`, O(PMs x hidden); each n gets its
+    own views of them, so the memory does not grow with the sizes seen.
+    The padded rows are `hidden` wide at every n, so their columns past
+    the features stay zero.
     """
 
-    def __init__(self, model: GcnModel | GatedModel, pm_count: int):
+    def __init__(self, model: GatedModel, pm_count: int):
         self.model, self.pm_count = model, pm_count
-        nodes = pm_count + 1
+        nodes, e = pm_count + 1, model.hidden
         self._kinds = np.empty(nodes, dtype=np.intp)
-        if isinstance(model, GcnModel):
-            e, network = model.dims[-1], [(GcnBuffers.size(model, 3),)]
-        else:
-            e = model.hidden
-            network = [(5, 3, e), (GatedBuffers.size(model, nodes),), (nodes * e,)]
-        shapes = [(3 * nodes,)] + network  # the a_hat rows, then the network's
+        shapes = [(3 * nodes,), (5, 3, e), (GatedBuffers.size(model, nodes),), (nodes * e,)]
         self._segments = _views(np.zeros(_size(shapes)), shapes)
-        w, f = model.readout_w[:, 0], FEATURE_DIM
-        self.readout = (w[:e], w[e : e + f], w[e + f : 2 * e + f], w[2 * e + f :])
         self._sized: dict[int, tuple] = {}
 
     def views(self, n: int) -> tuple:
-        """(node kinds, `a_hat` rows, network buffers) for n PMs."""
+        """(node kinds, `a_hat` rows, messages, `GatedBuffers`, padded input) for n PMs."""
         sized = self._sized.get(n)
         if sized is None:
             if n > self.pm_count:
                 raise ShapeError(f"a workspace for {self.pm_count} PMs cannot score {n}")
-            nodes, model = n + 1, self.model
-            if isinstance(model, GcnModel):
-                network = GcnBuffers(model, 3, self._segments[1])
-            else:
-                messages, buffers, padded = self._segments[1:]
-                padded = padded[: nodes * model.hidden].reshape(nodes, model.hidden)
-                network = (messages, GatedBuffers(model, nodes, buffers), padded)
-            a_rows = self._segments[0][: 3 * nodes].reshape(3, nodes)
-            sized = self._sized[n] = (self._kinds[:nodes], a_rows, network)
+            nodes, hidden = n + 1, self.model.hidden
+            a_rows, messages, buffers, padded = self._segments
+            sized = self._sized[n] = (
+                self._kinds[:nodes],
+                a_rows[: 3 * nodes].reshape(3, nodes),
+                messages,
+                GatedBuffers(self.model, nodes, buffers),
+                padded[: nodes * hidden].reshape(nodes, hidden),
+            )
         return sized
 
 
@@ -418,16 +392,19 @@ def score_placements(
     on its kind (PM the request does not fit, PM it fits, request), so
     a_hat @ X is three rows, gathered to the nodes by kind.  The GCN runs
     every layer on them (after the first, the nodes of one kind share a
-    state, so propagation is 3 x 3: s_r * s_t * count of kind t).  The
-    gated model's messages take three rows, its GRU update every node.
-    The scores equal the dense forward's to rounding.  All is written
-    into `workspace` (for at least n PMs; a fresh one when None); the
-    scores are a new array.
+    state, so propagation is 3 x 3: s_r * s_t * count of kind t), in
+    fresh arrays of a few floats each.  The gated model's messages take
+    three rows, its GRU update every node, all written into `workspace`
+    (for at least n PMs; a fresh one when None).  The scores equal the
+    dense forward's to rounding, and are a new array.
     """
     n, k = feats.shape[0] - 1, len(candidates)
-    if workspace is None:
-        workspace = ScoringWorkspace(model, n)
-    kinds, a_rows, network = workspace.views(n)
+    if isinstance(model, GcnModel):
+        kinds, a_rows = np.empty(n + 1, dtype=np.intp), np.empty((3, n + 1))
+    else:
+        if workspace is None:
+            workspace = ScoringWorkspace(model, n)
+        kinds, a_rows, messages, buffers, h = workspace.views(n)
     s0, s1, sv = 1.0 / math.sqrt(n), 1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(1 + k)
     by_kind = np.array([[s0 * s0, s0 * s1, 0], [s1 * s0, s1 * s1, s1 * sv], [0, sv * s1, sv * sv]])
     kinds[:n] = 0
@@ -435,12 +412,10 @@ def score_placements(
     kinds[n] = 2
     np.take(by_kind, kinds, axis=1, out=a_rows, mode="clip")
     if isinstance(model, GcnModel):
-        np.dot(a_rows, feats, out=network.a_feats)
         by_kind *= (n - k, k, 1)
-        hs, _, _ = gcn_layers(model, by_kind, feats, network.a_feats, network)
+        hs, _, _ = gcn_layers(model, by_kind, np.dot(a_rows, feats))
         h_vm, h_pm = hs[-1][2], hs[-1][1]
     else:
-        messages, buffers, h = network
         h[:, : feats.shape[1]] = feats
         with np.errstate(over="ignore"):
             for step in buffers.steps:
@@ -450,10 +425,9 @@ def score_placements(
                 np.take(messages[2:], kinds, axis=1, out=step[2], mode="clip")
                 h = _gru_update(model, buffers, h, step)
         h_vm, h_pm = h[n], h[candidates]
-    w_hv, w_xv, w_hp, w_xp = workspace.readout
-    scores = feats[candidates] @ w_xp
-    scores += h_pm @ w_hp
-    scores += h_vm @ w_hv + feats[n] @ w_xv + model.readout_b[0]
+    scores = feats[candidates] @ model.w_xp
+    scores += h_pm @ model.w_hp
+    scores += h_vm @ model.w_hv + feats[n] @ model.w_xv + model.readout_b[0]
     return scores
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..errors import DivergenceError, DomainError
 from .graph import (
-    FEATURE_DIM,
     ClusterPartition,
     StateGraph,
     normalize_adjacency,
@@ -37,6 +36,7 @@ from .models import (
     gated_steps,
     gcn_layers,
     pad_features,
+    pair_segments,
     restrict_graph,
 )
 
@@ -88,25 +88,25 @@ class StepGraph(NamedTuple):
     hidden size for the gated model) and `a_inputs` is a_hat @ inputs.
     `pair` is the readout input [h_vm ; x_vm ; h_pm ; x_pm], its two
     raw-feature segments filled when the graph is built; each step
-    writes only the two embedding segments.
+    writes only the two embedding segments, `h_vm` and `h_pm`.
     """
 
     a_hat: np.ndarray
-    feats: np.ndarray
     inputs: np.ndarray
     a_inputs: np.ndarray
     vm_pos: int
     pm_pos: int
     pair: np.ndarray
+    h_vm: np.ndarray
+    h_pm: np.ndarray
 
 
-def _readout_buffers(b, model, grads, n: int, e: int, f: int) -> None:
+def _readout_buffers(b, model, grads, n: int) -> None:
     """Give `b` the readout backward's arrays and the readout columns it reads."""
-    b.e, b.f = e, f
     b.readout_w, b.grad_readout_w = model.readout_w[:, 0], grads.readout_w[:, 0]
-    b.dpair = np.empty(2 * (e + f))
-    b.dpair_vm, b.dpair_pm = b.dpair[:e], b.dpair[e + f : 2 * e + f]
-    b.d_h = np.empty((n, e))
+    b.dpair = np.empty_like(b.readout_w)
+    b.dpair_vm, _, b.dpair_pm, _ = pair_segments(b.dpair)
+    b.d_h = np.empty((n, len(b.dpair_vm)))
 
 
 class GcnStepBuffers(GcnBuffers):
@@ -120,7 +120,7 @@ class GcnStepBuffers(GcnBuffers):
     def __init__(self, model: GcnModel, grads: GcnModel, n: int):
         super().__init__(model, n)
         d = model.dims
-        _readout_buffers(self, model, grads, n, d[-1], d[0])
+        _readout_buffers(self, model, grads, n)
         self.masks = [np.empty((n, k), dtype=bool) for k in d[1:-1]]
         self.dzs = [np.empty((n, k)) for k in d[1:-1]]
         self.dzw = [None] + [np.empty((n, k)) for k in d[1:-1]]
@@ -143,7 +143,7 @@ class GatedStepBuffers(GatedBuffers):
     def __init__(self, model: GatedModel, grads: GatedModel, n: int):
         super().__init__(model, n)
         h = model.hidden
-        _readout_buffers(self, model, grads, n, h, FEATURE_DIM)
+        _readout_buffers(self, model, grads, n)
         self.w_t = model.W.transpose(0, 2, 1)
         self.u_zr_t = model.U[:2].transpose(0, 2, 1)
         self.u_c_t = model.u_c.T
@@ -189,9 +189,9 @@ def _pair_backward(model, grads, h_last, g: StepGraph, label, b):
     0.0 + -0.0 is +0.0, so an assignment would leave a -0.0 where the
     sum leaves +0.0.
     """
-    e, f, pair = b.e, b.f, g.pair
-    pair[:e] = h_last[g.vm_pos]
-    pair[e + f : 2 * e + f] = h_last[g.pm_pos]
+    pair = g.pair
+    g.h_vm[:] = h_last[g.vm_pos]
+    g.h_pm[:] = h_last[g.pm_pos]
     score = float(pair @ b.readout_w + model.readout_b[0])
     resid = score - label
 
@@ -213,7 +213,7 @@ def gcn_loss_and_grads(
 
     `b` is `step_buffers(model, grads, n)` for the graph's node count n.
     """
-    hs, ahs, zs = gcn_layers(model, g.a_hat, g.feats, g.a_inputs, b)
+    hs, ahs, zs = gcn_layers(model, g.a_hat, g.a_inputs, b)
     loss, d_h = _pair_backward(model, grads, hs[-1], g, label, b)
 
     last = len(model.weights) - 1
@@ -331,15 +331,12 @@ def _sample_graph(
         nodes, feats, adj = restrict_graph(sample.graph, partition, selected)
         vm_pos, pm_pos = nodes.index(sample.vm_node), nodes.index(sample.pm_node)
     a_hat = normalize_adjacency(adj)
-    if isinstance(model, GcnModel):
-        inputs, e = feats, model.dims[-1]
-    else:
-        inputs, e = pad_features(feats, model.hidden), model.hidden
-    f = feats.shape[1]
-    pair = np.empty(2 * (e + f))
-    pair[e : e + f] = feats[vm_pos]
-    pair[2 * e + f :] = feats[pm_pos]
-    return StepGraph(a_hat, feats, inputs, np.dot(a_hat, inputs), vm_pos, pm_pos, pair)
+    inputs = feats if isinstance(model, GcnModel) else pad_features(feats, model.hidden)
+    pair = np.empty(len(model.readout_w))
+    h_vm, x_vm, h_pm, x_pm = pair_segments(pair)
+    x_vm[:] = feats[vm_pos]
+    x_pm[:] = feats[pm_pos]
+    return StepGraph(a_hat, inputs, np.dot(a_hat, inputs), vm_pos, pm_pos, pair, h_vm, h_pm)
 
 
 def train(

@@ -107,12 +107,15 @@ class Policy:
     def network_scores(
         self, request: WorkloadRequest, candidates: np.ndarray, features: WorkingFeatures
     ) -> np.ndarray:
-        """The network's scores, written into the one `ScoringWorkspace` kept
-        for the model, sized by the largest snapshot so far (all the PMs)."""
+        """The network's scores.  Hunter's are written into the one
+        `ScoringWorkspace` kept for its model, sized by the largest snapshot
+        so far (all the PMs); counter's GCN needs none."""
+        feats = features.for_request(request)
+        if self.kind == "counter":
+            return score_placements(self.model, feats, candidates)
         workspace, n = self._workspace, len(features.working)
         if workspace is None or workspace.model is not self.model or workspace.pm_count < n:
             workspace = self._workspace = ScoringWorkspace(self.model, n)
-        feats = features.for_request(request)
         return score_placements(self.model, feats, candidates, workspace)
 
 

@@ -5,15 +5,26 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
-from .errors import TraceFormatError
+from .errors import DomainError, TraceFormatError
 
 
 def is_finite_number(value) -> bool:
     """True for an int or a finite float (bools are not numbers here)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_array_shape(shape: tuple[int, ...], itemsize: int, what: str) -> None:
+    """Raise DomainError for an array of `itemsize`-byte items that numpy cannot shape.
+
+    numpy refuses, with a ValueError, any shape whose size in bytes passes
+    the largest index; a smaller one too large for memory is a MemoryError.
+    """
+    if math.prod(max(d, 1) for d in shape) * itemsize > sys.maxsize:
+        raise DomainError(f"{what} is too large: numpy cannot make an array of shape {shape}")
 
 
 def atomic_write_text(path, text: str) -> None:

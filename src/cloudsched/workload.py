@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, TraceFormatError
-from .util import decode_utf8, parse_file, parse_json
+from .util import check_array_shape, decode_utf8, parse_file, parse_json
 
 # Generator bounds for the default scenario; trace-derived requests are
 # clamped into the same envelope.
@@ -189,7 +189,10 @@ def ingest_trace_dir(trace_dir: str, horizon: int) -> WorkloadSet:
     if not paths:
         raise ConfigError(f"no trace files in {trace_dir!r}")
     traces = [parse_file(p, partial(parse_trace_file, name=p.stem)) for p in paths]
-    start = min(t.samples[0].timestamp_ms for t in traces if t.samples)
+    for path, trace in zip(paths, traces):
+        if not trace.samples:
+            raise TraceFormatError(f"{path}: trace has no samples")
+    start = min(t.samples[0].timestamp_ms for t in traces)
     requests = []
     for trace in traces:
         offset_h = int((trace.samples[0].timestamp_ms - start) // MS_PER_HOUR)
@@ -215,6 +218,7 @@ def generate_synthetic(count: int, horizon: int, seed: int) -> WorkloadSet:
         raise DomainError("horizon must be >= 1")
     if max(count, horizon) >= 2**63:  # int64 shapes and bounds
         raise DomainError(f"count and horizon must be below 2**63, got {count} and {horizon}")
+    check_array_shape((5 * count,), 8, f"count {count}")
 
     rng = np.random.default_rng(seed)
     low = (0, DURATION_MIN_H, 0, FREQ_MIN_MHZ, 0)

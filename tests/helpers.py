@@ -222,7 +222,8 @@ def gcn_forward_restricted(
 ) -> np.ndarray:
     """GCN node embeddings of the selected clusters, propagated on their subgraph only."""
     _, feats, adj = restrict_graph(graph, partition, clusters)
-    hs, _, _ = gcn_layers(model, normalize_adjacency(adj), feats)
+    a_hat = normalize_adjacency(adj)
+    hs, _, _ = gcn_layers(model, a_hat, a_hat @ feats)
     return hs[-1]
 
 
@@ -232,10 +233,10 @@ def sample_loss(model, sample: TrainSample) -> float:
 
     g = _sample_graph(model, sample)
     if isinstance(model, GcnModel):
-        h_last = gcn_layers(model, g.a_hat, g.feats, g.a_inputs)[0][-1]
+        h_last = gcn_layers(model, g.a_hat, g.a_inputs)[0][-1]
     else:
         h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
-    pair = pair_vector(h_last, g.feats, g.vm_pos, g.pm_pos)
+    pair = pair_vector(h_last, sample.graph.features, g.vm_pos, g.pm_pos)
     score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     return (score - sample.label) ** 2
 

@@ -347,7 +347,8 @@ def state_a_hat(fits: np.ndarray) -> np.ndarray:
 
 def gcn_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after the GCN layers over the dense normalised graph."""
-    hs, _, _ = gcn_layers(model, normalize_adjacency(graph.adjacency), graph.features)
+    a_hat = normalize_adjacency(graph.adjacency)
+    hs, _, _ = gcn_layers(model, a_hat, a_hat @ graph.features)
     return hs[-1]
 
 

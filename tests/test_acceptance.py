@@ -146,7 +146,7 @@ def _relu_kink_free(model, sample, margin=1e-3) -> bool:
     from cloudsched.gnn.models import gcn_layers
 
     a_hat = normalize_adjacency(sample.graph.adjacency)
-    _, _, zs = gcn_layers(model, a_hat, sample.graph.features)
+    _, _, zs = gcn_layers(model, a_hat, a_hat @ sample.graph.features)
     return all(np.abs(z).min() > margin for z in zs[:-1])
 
 

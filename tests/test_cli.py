@@ -68,6 +68,24 @@ class TestGenWorkload:
         assert len(rows) == 1
         assert rows[0]["cores"] == 4 and rows[0]["cpu_frequency"] == 2926
 
+    @pytest.mark.parametrize("beside_a_trace", [True, False], ids=["with-trace", "alone"])
+    def test_header_only_trace_is_one_error_line(
+        self, tmp_path, capsys, data_dir, beside_a_trace
+    ):
+        tracedir = tmp_path / "traces"
+        tracedir.mkdir()
+        if beside_a_trace:
+            (tracedir / "vm1.csv").write_bytes((data_dir / "bitbrains_sample.csv").read_bytes())
+        (tracedir / "empty.csv").write_text(
+            "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];"
+            "CPU usage [MHZ];Memory capacity provisioned [KB]\n"
+        )
+        out = tmp_path / "out"
+        assert main(["gen-workload", "--trace-dir", str(tracedir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"error: {tracedir / 'empty.csv'}: trace has no samples"]
+        assert not (out / "workloads.json").exists()
+
 
 class TestTrain:
     def base_args(self, out, policy="counter", extra=()):
@@ -567,8 +585,26 @@ def test_negative_seed_is_one_error_line(tmp_path, capsys, argv):
             ["gen-workload", "--count", str(10**20), "--horizon", "2"],
             f"error: count and horizon must be below 2**63, got {10**20} and 2",
         ),
+        # Shapes whose bytes pass 2**63 - 1, which numpy refuses outright.
+        (
+            ["gen-workload", "--count", str(2**62), "--horizon", "2"],
+            f"error: count {2**62} is too large: numpy cannot make an array of shape ",
+        ),
+        (
+            ["simulate", "--pm-count", "2", "--vm-count", "1", "--horizon", str(2**62)],
+            f"error: horizon {2**62} is too large: numpy cannot make an array of shape ",
+        ),
+        (
+            ["simulate", "--pm-count", "2", "--vm-count", "1", "--horizon", str(2**63 - 1)],
+            f"error: horizon {2**63 - 1} is too large: numpy cannot make an array of shape ",
+        ),
+        (
+            ["simulate", "--pm-count", "9" * 20, "--vm-count", "1", "--horizon", "2"],
+            f"error: pm_count {'9' * 20} is too large: numpy cannot make an array of shape ",
+        ),
     ],
-    ids=["price-matrix", "int64-horizon", "workload-draws", "int64-count"],
+    ids=["price-matrix", "int64-horizon", "workload-draws", "int64-count", "draws-shape",
+         "price-shape", "price-shape-int64-horizon", "int64-pm-count"],
 )
 def test_oversized_run_is_one_error_line(tmp_path, capsys, argv, error):
     out = tmp_path / "out"

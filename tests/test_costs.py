@@ -1,18 +1,25 @@
-"""Deterministic cost guards: calls counted, not timed, so the bounds are exact."""
+"""Deterministic cost guards: calls and bytes counted, not timed, so the bounds are exact."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from cloudsched import scheduler
+import numpy as np
+import pytest
+
+from cloudsched import scheduler, sim
 from cloudsched.datacenter import new_datacenter, snapshot
 from cloudsched.gnn import models
-from cloudsched.gnn.models import load_model
+from cloudsched.gnn.graph import WorkingFeatures
+from cloudsched.gnn.models import ScoringWorkspace, load_model, score_placements
 from cloudsched.scheduler import Policy, schedule
 from cloudsched.sim import SimConfig, run
 from cloudsched.workload import WorkloadRequest
 
-COUNTER = load_model(Path(__file__).parent / "data" / "counter.json")
+DATA = Path(__file__).parent / "data"
+CHECKPOINTS = {name: load_model(DATA / f"{name}.json") for name in ("counter", "hunter")}
+COUNTER = CHECKPOINTS["counter"]
 SCENARIO = SimConfig(pm_count=8, vm_count=60, policy="counter", model=COUNTER, seed=1)
 
 
@@ -50,8 +57,41 @@ def test_logged_scores_run_the_network_once_per_placed_request(monkeypatch):
     assert sum(n >= 2 for n in scored) > 0 and min(scored) >= 1
 
 
-def test_counter_builds_no_scoring_workspace():
+def test_counter_builds_no_scoring_workspace(monkeypatch):
     policy = Policy("counter", model=COUNTER)
     pending = [WorkloadRequest(f"vm-{i}", 2000, 4, 4, 8, 0) for i in range(6)]
     decision = schedule(policy, snapshot(new_datacenter(4)), pending)
     assert len(decision.assignments) == 6 and policy._workspace is None
+    # Logged scores run counter's GCN without a workspace too.
+    policies, load_policy = [], sim._load_policy
+
+    def kept_policy(config):
+        policies.append(load_policy(config))
+        return policies[-1]
+
+    monkeypatch.setattr(sim, "_load_policy", kept_policy)
+    result = run(replace(SCENARIO, log_scores=True))
+    assert result.placed > 0 and [p._workspace for p in policies] == [None]
+
+
+@pytest.mark.parametrize("pms", [64, 256])
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+def test_one_score_allocates_pms_times_hidden(name, pms):
+    # The peak of one score is bounded by 3 (PMs + 1) x hidden floats; one
+    # stray (PMs + 1)**2 float array (33.8 kB at 64 PMs, 528 kB at 256)
+    # passes it.  Counter scores with no workspace; hunter in a kept one,
+    # whose views its first score makes.
+    model, request = CHECKPOINTS[name], WorkloadRequest("vm-0", 2000, 4, 8, 24, 0)
+    snap = snapshot(new_datacenter(pms))
+    feats = WorkingFeatures(snap, None).for_request(request)
+    candidates = np.flatnonzero(snap.fits(request))
+    assert len(candidates) == pms
+    workspace = ScoringWorkspace(model, pms) if name == "hunter" else None
+    score_placements(model, feats, candidates, workspace)
+    tracemalloc.start()
+    try:
+        score_placements(model, feats, candidates, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (pms + 1) * model.dims[-1] * 8
