@@ -142,7 +142,10 @@ def _build_train_config(cfg: dict, args, seed: int) -> TrainConfig:
     """The recipe: each value from its flag, else `training:`, else `TrainConfig`."""
     section = cfg.get("training") or {}
     values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _TRAINING_KEYS}
-    return TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
+    config = TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
+    if config.epochs < 1:  # the run reports its last epoch's loss
+        raise ConfigError(f"epochs must be at least 1, got {config.epochs}")
+    return config
 
 
 def _read_inputs(config: SimConfig, cfg: dict, args) -> SimConfig:

@@ -337,8 +337,8 @@ def result_to_json(result: SimResult) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` of the run, plus a newline.
 
     The `[hour][pm]` blocks are written from the run's arrays, one hour at a
-    time, formatting each distinct float once; the rest goes through
-    `_dumps_indented`.
+    time, formatting each distinct float once; `events` from each event's
+    fixed keys; the rest goes through `_dumps_indented`.
     """
     doc = {
         "policy": result.policy,
@@ -347,13 +347,13 @@ def result_to_json(result: SimResult) -> str:
         "pm_locations": list(result.pm_locations),
         "hourly_energy": [_breakdown_dict(b) for b in result.hourly],
         "totals": _breakdown_dict(result.totals),
-        "events": result.events,
         "deferred_hours": {k: result.deferred_hours[k] for k in sorted(result.deferred_hours)},
         "placed": result.placed,
         "deferred": result.deferred,
         "migrations": result.migration_count,
     }
     texts = {key: _dumps_indented(value, "  ") for key, value in doc.items()}
+    texts["events"] = _events_block(result.events)
     texts["utilisation"], texts["powered_on"] = _utilisation_blocks(result.utilisation)
     texts["prices_by_hour"] = _prices_block(result.pm_locations, result.pm_billing.price)
     pieces = []
@@ -378,6 +378,25 @@ def _distinct_texts(values: np.ndarray, *formats) -> tuple[np.ndarray, ...]:
     index = index.reshape(values.shape).astype(np.min_scalar_type(len(floats)))
     texts = (np.array(list(map(fmt, floats)), dtype=object) for fmt in formats)
     return index, *texts
+
+
+def _distinct_row_texts(columns, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """`(index, texts)`: `fmt % row` once per distinct row of the stacked `columns`.
+
+    Rows are distinct by their floats' bit patterns, as in `_distinct_texts`.
+    A lexicographic sort of the rows' bits puts equal rows side by side.
+    """
+    rows = np.stack(columns, axis=-1).astype(np.float64, copy=False)  # [hour][pm][column]
+    bits = rows.reshape(-1, len(columns)).view(np.int64)
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    first = np.ones(len(order), dtype=bool)  # the first of each run of equal rows
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    index = np.empty(len(order), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    distinct = bits[first].view(np.float64).tolist()
+    index = index.reshape(rows.shape[:-1]).astype(np.min_scalar_type(len(distinct)))
+    return index, np.array([fmt % tuple(row) for row in distinct], dtype=object)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -426,6 +445,50 @@ def _prices_block(locations: tuple[str, ...], price: np.ndarray) -> str:
     return _json_block(texts, index, [json.dumps(key) + ": " for key in keys], "{}")
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' text of a str
+
+# An event's layout in `events`, with its keys in sorted order.  Its items sit at
+# 6 spaces, a list's items at 8 and a pair's ids at 10.
+_EVENT = (
+    '{\n      "assignments": %s,\n      "deferred": %s,\n      "hour": %d,'
+    '\n      "migrations": %s,\n      "policy": %s%s\n    }'
+)
+_PAIR = "[\n          %s,\n          %s\n        ]"
+
+
+def _events_block(events: list[dict]) -> str:
+    """`events` as `_dumps_indented(events, "  ")` writes the events `run` records.
+
+    Each event is `hour` (an int), `policy`, `assignments` and `migrations`
+    as `[vm, pm]` id pairs, `deferred` ids, and `scores` when they are
+    logged.  Only `scores` goes through `_dumps_indented`.
+    """
+    items = [
+        _EVENT
+        % (
+            _pairs_text(event["assignments"]),
+            _json_container("[]", list(map(_quote, event["deferred"])), "      "),
+            event["hour"],
+            _pairs_text(event["migrations"]),
+            _quote(event["policy"]),
+            _scores_text(event),
+        )
+        for event in events
+    ]
+    return _json_container("[]", items, "  ")
+
+
+def _scores_text(event: dict) -> str:
+    if "scores" not in event:
+        return ""
+    return ',\n      "scores": ' + _dumps_indented(event["scores"], "      ")
+
+
+def _pairs_text(pairs: list[list[str]]) -> str:
+    """An event's `[vm, pm]` pairs, each from one template over its quoted ids."""
+    return _json_container("[]", [_PAIR % (_quote(vm), _quote(pm)) for vm, pm in pairs], "      ")
+
+
 def _json_container(brackets: str, items: list[str], pad: str) -> str:
     """`json`'s indented layout of a list or dict (`brackets` "[]" or "{}") of encoded items.
 
@@ -450,8 +513,9 @@ def _dumps_indented(value, pad: str) -> str:
     `pad` is the indentation of the line the value starts on.  With an
     indent set, `json` runs its pure-Python encoder, so here each list or
     dict whose values are all scalars is one call of the C encoder, with
-    the newline and indent folded into its item separator.  Only
-    containers of containers recurse in Python.
+    the newline and indent folded into its item separator.  So is a list
+    of such non-empty containers.  Only other containers of containers
+    recurse in Python.
     """
     if isinstance(value, dict):
         flat = set(map(type, value.values())) <= _SCALAR_TYPES
@@ -466,6 +530,21 @@ def _dumps_indented(value, pad: str) -> str:
         if len(text) == 2:  # [] or {}
             return text
         return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
+    if isinstance(value, (list, tuple)) and all(map(_full_and_flat, value)):
+        # One C-encoder call with the members' item separator, which it also
+        # puts between members.  A raw newline is never inside a string, and
+        # a scalar never ends in `]`/`}` nor starts with `[`/`{`, so a close
+        # bracket, that separator and an open bracket are always a boundary
+        # between members.  No member is empty, so each one gets its newlines.
+        deep = inner + "  "
+        text = _flat_encoder(deep)(value)
+        for close, open_ in ("][", "]{", "}[", "}{"):
+            boundary = "\n" + inner + close + ",\n" + inner + open_ + "\n" + deep
+            text = text.replace(close + ",\n" + deep + open_, boundary)
+        return (
+            "[\n" + inner + text[1] + "\n" + deep + text[2:-2]
+            + "\n" + inner + text[-2] + "\n" + pad + "]"
+        )
     if isinstance(value, dict):
         if not all(type(key) is str for key in value):
             # json converts such keys to strings after sorting; let it.
@@ -477,6 +556,15 @@ def _dumps_indented(value, pad: str) -> str:
         ]
         return _json_container("{}", items, pad)
     return _json_container("[]", [_dumps_indented(item, inner) for item in value], pad)
+
+
+def _full_and_flat(value) -> bool:
+    """A non-empty list, tuple or dict whose values are all scalars."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return bool(value) and set(map(type, value)) <= _SCALAR_TYPES
 
 
 @lru_cache(maxsize=None)
@@ -529,13 +617,16 @@ _CSV_BLOCK_ROWS = 1024
 
 def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) -> Iterator[str]:
     """The header, then one string per block of whole hours (at most
-    `block_rows` rows, or one hour), formatting each column's distinct
-    floats once."""
+    `block_rows` rows, or one hour).  The four energy cells of a row are
+    one text, formatted once per distinct row; price and cost once per
+    distinct float."""
     yield _CSV_HEADER
     hours, pm_count = result.pm_billing.processor.shape
     if not hours:
         return
-    columns = [_distinct_texts(column, ",%.6f".__mod__) for column in result.pm_billing]
+    energy, prices = result.pm_billing[:4], result.pm_billing[4:]
+    columns = [_distinct_row_texts(energy, ",%.6f,%.6f,%.6f,%.6f")]
+    columns += [_distinct_texts(column, ",%.6f".__mod__) for column in prices]
     block = min(hours, max(1, block_rows // pm_count)) if pm_count else hours
     cells = np.empty((block, pm_count, len(columns) + 3), dtype=object)  # [hour][pm][cell]
     cells[:, :, 1] = [",%s,%s" % names for names in zip(result.pm_ids, result.pm_locations)]

@@ -127,6 +127,27 @@ class TestTrain:
     def test_heuristic_policy_rejected(self, tmp_path):
         assert main(self.base_args(tmp_path, policy="first_fit")) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_no_epochs_is_one_error_line(self, tmp_path, capsys, monkeypatch, epochs, source):
+        def no_teacher(*args, **kwargs):
+            raise AssertionError("teacher collection ran")
+
+        monkeypatch.setattr("cloudsched.cli.collect_training_data", no_teacher)
+        out = tmp_path / "out"
+        args = self.base_args(out)
+        if source == "flag":
+            args[args.index("--epochs") + 1] = str(epochs)
+        else:
+            del args[args.index("--epochs") : args.index("--epochs") + 2]
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"training:\n  epochs: {epochs}\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"error: epochs must be at least 1, got {epochs}"]
+        assert not any(out.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
     def test_divergence_exits_4(self, tmp_path, capsys):
         assert main(self.base_args(tmp_path, extra=["--lr", "1e9", "--epochs", "60"])) == 4

@@ -95,3 +95,23 @@ def test_one_score_allocates_pms_times_hidden(name, pms):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (pms + 1) * model.dims[-1] * 8
+
+
+@pytest.fixture(scope="module")
+def first_fit_128():
+    return run(SimConfig(pm_count=128, vm_count=1024, horizon=120, seed=0))
+
+
+@pytest.mark.parametrize("writer", [sim.result_to_json, sim.energy_report_csv])
+def test_writer_peak_is_three_outputs(first_fit_128, writer):
+    # A writer holds its blocks, then joins them into the output: about 2.7-2.8
+    # outputs at its peak.  One more whole copy of the output fails the bound.
+    writer(first_fit_128)  # one-time imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = writer(first_fit_128)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text.isascii() and peak <= 3 * len(text)

@@ -362,6 +362,26 @@ def test_indented_writer_matches_json_dumps(doc):
         assert _dumps_indented(doc, "") == expected
 
 
+# Strings that look like the brackets and separators the writer looks for.
+_BRACKET_TEXTS = st.sampled_from(["]", "}", "[", "{", "a]", "b}", "[c", "{d", "],\n  [", ""])
+_FLAT_SCALARS = _JSON_SCALARS.filter(lambda v: v == v and v not in (INF, -INF)) | _BRACKET_TEXTS
+_FLAT_MEMBERS = (
+    st.lists(_FLAT_SCALARS, max_size=4)
+    | st.lists(_FLAT_SCALARS, max_size=4).map(tuple)
+    | st.dictionaries(_BRACKET_TEXTS | st.text(max_size=3), _FLAT_SCALARS, max_size=4)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_FLAT_MEMBERS, min_size=1, max_size=5) | st.lists(_FLAT_MEMBERS, max_size=5).map(tuple),
+    st.sampled_from(["", "  ", "      "]),
+)
+def test_indented_writer_matches_json_dumps_on_lists_of_flat_containers(doc, pad):
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    assert _dumps_indented(doc, pad) == expected.replace("\n", "\n" + pad)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -400,13 +420,28 @@ def _matrix(draw, hours: int, pm_count: int, cells) -> np.ndarray:
     return np.array(values, dtype=float).reshape(hours, pm_count)
 
 
+def _near_rows(draw, hours: int, pm_count: int) -> list[np.ndarray]:
+    """Billing columns whose rows repeat a few rows that differ from one base row
+    in one column, often only in the sign of a zero."""
+    base = draw(st.lists(_CSV_FLOATS | _FLOAT_POOL, min_size=6, max_size=6))
+    rows = [base]
+    for column in draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3)):
+        rows.append(base[:column] + [draw(_FLOAT_POOL)] + base[column + 1 :])
+    picks = draw(st.lists(st.sampled_from(rows), min_size=hours * pm_count, max_size=hours * pm_count))
+    table = np.array(picks, dtype=float).reshape(hours, pm_count, 6)
+    return [table[..., k] for k in range(6)]
+
+
 @st.composite
 def _billed_results(draw, max_hours=4):
     """A `SimResult` holding only billing columns, of any floats and PM names."""
     hours = draw(st.integers(min_value=0, max_value=max_hours))
     pm_count = draw(st.integers(min_value=0, max_value=4))
     names = st.lists(st.text(max_size=6), min_size=pm_count, max_size=pm_count).map(tuple)
-    columns = [_matrix(draw, hours, pm_count, _CSV_FLOATS) for _ in PmBilling._fields]
+    if draw(st.booleans()):
+        columns = _near_rows(draw, hours, pm_count)
+    else:
+        columns = [_matrix(draw, hours, pm_count, _CSV_FLOATS) for _ in PmBilling._fields]
     return SimResult(
         pm_ids=draw(names),
         pm_locations=draw(names),
@@ -456,9 +491,30 @@ def test_energy_report_full_size_blocks_match_fstring_writer(shape, seed):
 _JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _FLOAT_POOL
 
 
+# Ids holding JSON's escapes and brackets, non-ASCII or nothing at all.
+_IDS = st.text(st.sampled_from('"\\[]{}\n é\u65e5a'), max_size=4) | st.text(max_size=4)
+_PAIRS = st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=3)
+
+
+@st.composite
+def _events(draw, hour: int) -> dict:
+    """One hour's event as `run` records it; `scores` (vm -> pm -> score) in some."""
+    event = {
+        "hour": hour,
+        "policy": draw(_IDS),
+        "assignments": draw(_PAIRS),
+        "deferred": draw(st.lists(_IDS, max_size=3)),
+        "migrations": draw(_PAIRS),
+    }
+    if draw(st.booleans()):
+        scores = st.dictionaries(_IDS, st.dictionaries(_IDS, _JSON_FLOATS, max_size=3), max_size=3)
+        event["scores"] = draw(scores)
+    return event
+
+
 @st.composite
 def _json_results(draw):
-    """A `SimResult` of any finite floats, with repeated and non-ASCII locations."""
+    """A `SimResult` of any finite floats and ids, with repeated and non-ASCII locations."""
     hours = draw(st.integers(min_value=0, max_value=4))
     pm_count = draw(st.integers(min_value=0, max_value=4))
     locations = st.lists(
@@ -476,6 +532,8 @@ def _json_results(draw):
         utilisation=_matrix(draw, hours, pm_count, _JSON_FLOATS),
         hourly=draw(st.lists(breakdowns, min_size=hours, max_size=hours)),
         pm_billing=PmBilling(*[price] * len(PmBilling._fields)),
+        events=[draw(_events(hour)) for hour in range(hours)],
+        deferred_hours=draw(st.dictionaries(_IDS, st.integers(min_value=1, max_value=2**40))),
         totals=draw(breakdowns),
     )
 
