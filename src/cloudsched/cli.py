@@ -142,10 +142,15 @@ def _build_train_config(cfg: dict, args, seed: int) -> TrainConfig:
     """The recipe: each value from its flag, else `training:`, else `TrainConfig`."""
     section = cfg.get("training") or {}
     values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _TRAINING_KEYS}
-    config = TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
-    if config.epochs < 1:  # the run reports its last epoch's loss
-        raise ConfigError(f"epochs must be at least 1, got {config.epochs}")
-    return config
+    values = {k: v for k, v in values.items() if v is not None}
+    for key, value in values.items():  # a flag's value is not checked on the way in
+        test, what = _TRAINING_KEYS[key]
+        if not test(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        # The run reports its last epoch's loss, and a sample graph is cut into clusters.
+        if key in ("epochs", "batch_clusters", "clusters") and value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
+    return TrainConfig(seed=seed, **values)
 
 
 def _read_inputs(config: SimConfig, cfg: dict, args) -> SimConfig:

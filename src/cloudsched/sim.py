@@ -336,26 +336,29 @@ def _pct_delta(base: float, other: float) -> float | None:
 def result_to_json(result: SimResult) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` of the run, plus a newline.
 
-    The `[hour][pm]` blocks are written from the run's arrays, one hour at a
-    time, formatting each distinct float once; `events` from each event's
-    fixed keys; the rest goes through `_dumps_indented`.
+    Each block is written from its fixed shape: the `[hour][pm]` blocks from
+    the run's arrays, one hour at a time, formatting each distinct float
+    once; `events` and the energy breakdowns from templates; each flat list
+    or dict by one C-encoder call.
     """
-    doc = {
-        "policy": result.policy,
-        "horizon": result.horizon,
-        "pm_ids": list(result.pm_ids),
-        "pm_locations": list(result.pm_locations),
-        "hourly_energy": [_breakdown_dict(b) for b in result.hourly],
-        "totals": _breakdown_dict(result.totals),
-        "deferred_hours": {k: result.deferred_hours[k] for k in sorted(result.deferred_hours)},
-        "placed": result.placed,
-        "deferred": result.deferred,
-        "migrations": result.migration_count,
+    texts = {
+        "policy": _quote(result.policy),
+        "horizon": json.dumps(result.horizon),
+        "pm_ids": _flat_text(result.pm_ids, "  "),
+        "pm_locations": _flat_text(result.pm_locations, "  "),
+        "hourly_energy": _breakdowns_text(
+            _json_container("[]", [_BREAKDOWN.format("    ")] * len(result.hourly), "  "),
+            result.hourly,
+        ),
+        "totals": _breakdowns_text(_BREAKDOWN.format("  "), [result.totals]),
+        "events": _events_block(result.events),
+        "deferred_hours": _flat_text(result.deferred_hours, "  "),
+        "placed": json.dumps(result.placed),
+        "deferred": json.dumps(result.deferred),
+        "migrations": json.dumps(result.migration_count),
+        "prices_by_hour": _prices_block(result.pm_locations, result.pm_billing.price),
     }
-    texts = {key: _dumps_indented(value, "  ") for key, value in doc.items()}
-    texts["events"] = _events_block(result.events)
     texts["utilisation"], texts["powered_on"] = _utilisation_blocks(result.utilisation)
-    texts["prices_by_hour"] = _prices_block(result.pm_locations, result.pm_billing.price)
     pieces = []
     for key in sorted(texts):
         pieces += [",\n  ", json.dumps(key), ": ", texts[key]]
@@ -455,13 +458,34 @@ _EVENT = (
 )
 _PAIR = "[\n          %s,\n          %s\n        ]"
 
+# An `EnergyBreakdown`'s layout, with its keys in sorted order; `{0}` is the
+# indentation of the line it starts on.  `_SORTED_FIELDS` puts its fields in
+# that order.
+_BREAKDOWN = (
+    '{{\n{0}  "cooling_kwh": %s,\n{0}  "cost": %s,\n{0}  "extra_kwh": %s,'
+    '\n{0}  "processor_kwh": %s,\n{0}  "total_kwh": %s\n{0}}}'
+)
+_SORTED_FIELDS = [
+    EnergyBreakdown._fields.index(f) for f in ("cooling", "cost", "extra", "processor", "total")
+]
+
+
+def _breakdowns_text(layout: str, breakdowns: list[EnergyBreakdown]) -> str:
+    """`layout`, one `_BREAKDOWN` per breakdown, filled by one `%` with their fields' texts.
+
+    The fields are read into one array, so no tuple is built per breakdown.
+    """
+    values = np.array(breakdowns, dtype=np.float64).reshape(-1, len(EnergyBreakdown._fields))
+    _require_finite(values)
+    return layout % tuple(map(float.__repr__, values[:, _SORTED_FIELDS].ravel().tolist()))
+
 
 def _events_block(events: list[dict]) -> str:
-    """`events` as `_dumps_indented(events, "  ")` writes the events `run` records.
+    """`events` as `json` writes the events `run` records.
 
     Each event is `hour` (an int), `policy`, `assignments` and `migrations`
     as `[vm, pm]` id pairs, `deferred` ids, and `scores` when they are
-    logged.  Only `scores` goes through `_dumps_indented`.
+    logged.
     """
     items = [
         _EVENT
@@ -479,9 +503,12 @@ def _events_block(events: list[dict]) -> str:
 
 
 def _scores_text(event: dict) -> str:
+    """An event's logged `scores` (vm id -> pm id -> score) entry, or ""."""
     if "scores" not in event:
         return ""
-    return ',\n      "scores": ' + _dumps_indented(event["scores"], "      ")
+    scores = event["scores"]
+    items = [_quote(vm) + ": " + _flat_text(scores[vm], "        ") for vm in sorted(scores)]
+    return ',\n      "scores": ' + _json_container("{}", items, "      ")
 
 
 def _pairs_text(pairs: list[list[str]]) -> str:
@@ -504,67 +531,19 @@ def _json_container(brackets: str, items: list[str], pad: str) -> str:
     return "".join(pieces)  # one copy of the items
 
 
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+def _flat_text(value, pad: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2, allow_nan=False)` of a flat list or dict.
 
-
-def _dumps_indented(value, pad: str) -> str:
-    """`json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`, byte for byte.
-
-    `pad` is the indentation of the line the value starts on.  With an
-    indent set, `json` runs its pure-Python encoder, so here each list or
-    dict whose values are all scalars is one call of the C encoder, with
-    the newline and indent folded into its item separator.  So is a list
-    of such non-empty containers.  Only other containers of containers
-    recurse in Python.
+    `value` holds only scalars; `pad` is the indentation of the line it
+    starts on.  With an indent set, `json` runs its pure-Python encoder, so
+    this is one call of the C encoder, with the newline and indent folded
+    into its item separator.
     """
-    if isinstance(value, dict):
-        flat = set(map(type, value.values())) <= _SCALAR_TYPES
-    elif isinstance(value, (list, tuple)):
-        flat = set(map(type, value)) <= _SCALAR_TYPES
-    else:
-        return json.dumps(value, allow_nan=False)
-
     inner = pad + "  "
-    if flat:
-        text = _flat_encoder(inner)(value)
-        if len(text) == 2:  # [] or {}
-            return text
-        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
-    if isinstance(value, (list, tuple)) and all(map(_full_and_flat, value)):
-        # One C-encoder call with the members' item separator, which it also
-        # puts between members.  A raw newline is never inside a string, and
-        # a scalar never ends in `]`/`}` nor starts with `[`/`{`, so a close
-        # bracket, that separator and an open bracket are always a boundary
-        # between members.  No member is empty, so each one gets its newlines.
-        deep = inner + "  "
-        text = _flat_encoder(deep)(value)
-        for close, open_ in ("][", "]{", "}[", "}{"):
-            boundary = "\n" + inner + close + ",\n" + inner + open_ + "\n" + deep
-            text = text.replace(close + ",\n" + deep + open_, boundary)
-        return (
-            "[\n" + inner + text[1] + "\n" + deep + text[2:-2]
-            + "\n" + inner + text[-2] + "\n" + pad + "]"
-        )
-    if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            # json converts such keys to strings after sorting; let it.
-            text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-            return text.replace("\n", "\n" + pad)  # strings hold no raw newline
-        items = [
-            json.dumps(key) + ": " + _dumps_indented(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return _json_container("{}", items, pad)
-    return _json_container("[]", [_dumps_indented(item, inner) for item in value], pad)
-
-
-def _full_and_flat(value) -> bool:
-    """A non-empty list, tuple or dict whose values are all scalars."""
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return False
-    return bool(value) and set(map(type, value)) <= _SCALAR_TYPES
+    text = _flat_encoder(inner)(value)
+    if len(text) == 2:  # [] or {}
+        return text
+    return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
 
 
 @lru_cache(maxsize=None)
@@ -572,16 +551,6 @@ def _flat_encoder(inner: str):
     """The C encoder's `encode` for a flat list or dict whose items sit at `inner`."""
     separators = (",\n" + inner, ": ")
     return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=separators).encode
-
-
-def _breakdown_dict(b: EnergyBreakdown) -> dict:
-    return {
-        "processor_kwh": b.processor,
-        "cooling_kwh": b.cooling,
-        "extra_kwh": b.extra,
-        "total_kwh": b.total,
-        "cost": b.cost,
-    }
 
 
 def qos_to_json(report: QoSReport) -> str:
@@ -594,7 +563,7 @@ def qos_to_json(report: QoSReport) -> str:
         "deferred": report.deferred,
         "migrated": report.migrated,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _flat_text(doc, "") + "\n"
 
 
 _CSV_HEADER = "hour,pm,location,processor_kwh,cooling_kwh,extra_kwh,total_kwh,price,cost\n"

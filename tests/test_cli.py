@@ -148,6 +148,41 @@ class TestTrain:
         assert err.strip().splitlines() == [f"error: epochs must be at least 1, got {epochs}"]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "flag,key,value,yaml_value",
+        [
+            ("--lr", "learning_rate", "nan", ".nan"),
+            ("--lr", "learning_rate", "inf", ".inf"),
+            ("--lr", "learning_rate", "-inf", "-.inf"),
+            ("--batch-clusters", "batch_clusters", "0", "0"),
+            ("--batch-clusters", "batch_clusters", "-2", "-2"),
+            ("--clusters", "clusters", "0", "0"),
+        ],
+        ids=[
+            "lr-nan", "lr-inf", "lr-neg-inf",
+            "batch-clusters-0", "batch-clusters-neg", "clusters-0",
+        ],
+    )
+    def test_bad_training_setting_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, flag, key, value, yaml_value, source
+    ):
+        def no_teacher(*args, **kwargs):
+            raise AssertionError("teacher collection ran")
+
+        monkeypatch.setattr("cloudsched.cli.collect_training_data", no_teacher)
+        out = tmp_path / "out"
+        if source == "flag":
+            args = self.base_args(out, extra=[f"{flag}={value}"])  # "-inf" alone reads as a flag
+        else:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(f"training:\n  {key}: {yaml_value}\n")
+            args = self.base_args(out, extra=["--config", str(cfg)])
+        assert main(args) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: ") and key in line and line.endswith(f"got {value}")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
     def test_divergence_exits_4(self, tmp_path, capsys):
         assert main(self.base_args(tmp_path, extra=["--lr", "1e9", "--epochs", "60"])) == 4

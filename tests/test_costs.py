@@ -1,5 +1,6 @@
 """Deterministic cost guards: calls and bytes counted, not timed, so the bounds are exact."""
 
+import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,7 @@ from cloudsched.gnn import models
 from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import ScoringWorkspace, load_model, score_placements
 from cloudsched.scheduler import Policy, schedule
-from cloudsched.sim import SimConfig, run
+from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.workload import WorkloadRequest
 
 DATA = Path(__file__).parent / "data"
@@ -115,3 +116,30 @@ def test_writer_peak_is_three_outputs(first_fit_128, writer):
     finally:
         tracemalloc.stop()
     assert text.isascii() and peak <= 3 * len(text)
+
+
+@pytest.fixture(scope="module")
+def logged_counter():
+    return run(replace(SCENARIO, log_scores=True))
+
+
+@pytest.mark.parametrize("name", ["first_fit_128", "logged_counter"])
+def test_json_writers_run_no_pure_python_encoder(request, monkeypatch, name):
+    # `json` builds its pure-Python encoder for each indented dump: a writer
+    # that hands a block to `json.dumps(..., indent=2)` fails here.
+    result = request.getfixturevalue(name)
+    calls, make_iterencode = [], json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_iterencode(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    json.dumps([1], indent=2)
+    assert len(calls) == 1  # the counter sees an indented dump
+    calls.clear()
+    sim.result_to_json(result)
+    sim.qos_to_json(compute_qos(result))
+    sim.decision_log_jsonl(result)
+    assert len(calls) == 0
+    assert any("scores" in event for event in result.events) == (name == "logged_counter")

@@ -22,9 +22,11 @@ from cloudsched.sim import (
     QoSReport,
     SimConfig,
     SimResult,
+    _BREAKDOWN,
     _CSV_BLOCK_ROWS,
-    _dumps_indented,
+    _breakdowns_text,
     _energy_report_chunks,
+    _flat_text,
     _price_matrix,
     compare,
     comparison_to_csv,
@@ -333,77 +335,53 @@ class TestSerialization:
             assert hourly == EnergyBreakdown.make(processor, cooling, extra, cost)
 
 
-_JSON_SCALARS = (
+_FLAT_SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**100), max_value=2**100)
     | st.floats()  # NaN and infinity included: both writers must reject them
     | st.sampled_from([0.0, -0.0, 1e-300, 1.7976931348623157e308])
     | st.text()
+    | st.sampled_from(["]", "}", "[", "{", "],\n  [", ""])
 )
-_JSON_DOCUMENTS = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=6)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=6),
-    max_leaves=60,
+_FLAT_DOCUMENTS = (
+    st.lists(_FLAT_SCALARS, max_size=6)
+    | st.lists(_FLAT_SCALARS, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), _FLAT_SCALARS, max_size=6)
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(_JSON_DOCUMENTS)
-def test_indented_writer_matches_json_dumps(doc):
+@given(_FLAT_DOCUMENTS, st.sampled_from(["", "  ", "        "]))
+def test_indented_writer_matches_json_dumps(doc, pad):
+    # `_flat_text` writes each flat list or dict of result.json and qos.json.
     try:
         expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
         with pytest.raises(ValueError, match="JSON compliant"):
-            _dumps_indented(doc, "")
+            _flat_text(doc, pad)
     else:
-        assert _dumps_indented(doc, "") == expected
-
-
-# Strings that look like the brackets and separators the writer looks for.
-_BRACKET_TEXTS = st.sampled_from(["]", "}", "[", "{", "a]", "b}", "[c", "{d", "],\n  [", ""])
-_FLAT_SCALARS = _JSON_SCALARS.filter(lambda v: v == v and v not in (INF, -INF)) | _BRACKET_TEXTS
-_FLAT_MEMBERS = (
-    st.lists(_FLAT_SCALARS, max_size=4)
-    | st.lists(_FLAT_SCALARS, max_size=4).map(tuple)
-    | st.dictionaries(_BRACKET_TEXTS | st.text(max_size=3), _FLAT_SCALARS, max_size=4)
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(_FLAT_MEMBERS, min_size=1, max_size=5) | st.lists(_FLAT_MEMBERS, max_size=5).map(tuple),
-    st.sampled_from(["", "  ", "      "]),
-)
-def test_indented_writer_matches_json_dumps_on_lists_of_flat_containers(doc, pad):
-    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    assert _dumps_indented(doc, pad) == expected.replace("\n", "\n" + pad)
+        assert _flat_text(doc, pad) == expected.replace("\n", "\n" + pad)
 
 
 @pytest.mark.parametrize(
     "doc",
-    [
-        {},
-        [],
-        {"a": [], "b": {}, "c": [[]], "d": [{}]},
-        {"é": ["ü", "\n", "\u2028", -0.0, 10**30, None, True]},
-        {"k": {3: [1], 1: {"x": 2}}},  # non-str keys in a nested dict: json converts them
-    ],
-    ids=["empty-dict", "empty-list", "nested-empty", "scalars", "int-keys"],
+    [{}, [], ["é", "\n", "\u2028", -0.0, 10**30, None, True]],
+    ids=["empty-dict", "empty-list", "scalars"],
 )
 def test_indented_writer_edge_cases(doc):
-    assert _dumps_indented(doc, "") == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    assert _flat_text(doc, "") == json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_indented_writer_rejects_non_finite(bad):
-    for doc in ({"a": [1.0, bad]}, {"a": {"b": [[bad]]}}, [bad]):
+    for write in (
+        lambda: _flat_text({"a": 1.0, "b": bad}, "  "),
+        lambda: _flat_text([bad], ""),
+        lambda: _breakdowns_text(_BREAKDOWN.format("  "), [EnergyBreakdown(1.0, 0.0, 0.0, bad)]),
+    ):
         with pytest.raises(ValueError, match="JSON compliant"):
-            json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-        with pytest.raises(ValueError, match="JSON compliant"):
-            _dumps_indented(doc, "")
+            write()
 
 
 _CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0000005, 0.0000015, 2.5e-7, 1e22])
@@ -650,6 +628,22 @@ def _non_finite_cell(column: str, bad: float):
     return result
 
 
+def _non_finite_hourly(field: str, bad: float):
+    """The tiny run with one field of one hour's `hourly` breakdown set to `bad`."""
+    result = run(tiny_config())
+    result.hourly[1] = result.hourly[1]._replace(**{field: bad})
+    return result
+
+
+def _nan_score():
+    """A counter run that logs its scores, with one logged score set to NaN."""
+    result = run(tiny_config("counter", model=MODELS["counter"], log_scores=True))
+    scores = next(event["scores"] for event in result.events if "scores" in event)
+    pm_scores = scores[min(scores)]
+    pm_scores[max(pm_scores)] = NAN
+    return result
+
+
 def _nan_event():
     result = run(tiny_config())
     result.events[0]["score"] = NAN
@@ -675,6 +669,10 @@ def _nan_workload():
         lambda: result_to_json(_non_finite_cell("utilisation", -INF)),
         lambda: result_to_json(_non_finite_cell("price", NAN)),
         lambda: result_to_json(_non_finite_cell("price", INF)),
+        lambda: result_to_json(_non_finite_hourly("processor", NAN)),
+        lambda: result_to_json(_non_finite_hourly("cost", INF)),
+        lambda: result_to_json(_non_finite_hourly("total", -INF)),
+        lambda: result_to_json(_nan_score()),
         lambda: qos_to_json(replace(compute_qos(run(tiny_config())), total_cost=NAN)),
         lambda: decision_log_jsonl(_nan_event()),
         lambda: model_to_json(_nan_model()),
@@ -686,6 +684,10 @@ def _nan_workload():
         "result-utilisation-inf",
         "result-price-nan",
         "result-price-inf",
+        "result-hourly-nan",
+        "result-hourly-inf",
+        "result-hourly-neg-inf",
+        "result-score-nan",
         "qos",
         "decisions",
         "checkpoint",
