@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .datacenter import DEFAULT_PM_TEMPLATE
+from .datacenter import DEFAULT_PM_TEMPLATE, PM_SIZE
 from .energy import DEFAULT_POWER_MODEL, PowerModel, load_price_series
 from .errors import ConfigError, DivergenceError, SimulatorError
 from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_model
@@ -33,7 +33,7 @@ from .sim import (
     run,
     seed_sweep_to_csv,
 )
-from .util import atomic_write_text, is_finite_number, parse_file
+from .util import atomic_write_text, is_finite_number, is_int, parse_file
 from .workload import generate_synthetic, ingest_trace_dir, workload_from_json, workload_to_json
 
 log = logging.getLogger("cloudsched")
@@ -44,19 +44,12 @@ EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What each config value must be: (test, description for the error), or
 # None for a section and for the `power:` values, which `PowerModel` checks.
-# The `pm:` values fill int64 resource columns.
-_INT = (_is_int, "an integer")
+# The `pm:` values follow `PhysicalMachine`'s rule, checked here to name the key.
+_INT = (is_int, "an integer")
 _NUMBER = (is_finite_number, "a finite number")
-_PM_KEYS = dict.fromkeys(
-    ("cores", "ram", "max_frequency"),
-    (lambda v: _is_int(v) and 0 < v < 2**63, "a finite positive integer below 2**63"),
-)
+_PM_KEYS = dict.fromkeys(("cores", "ram", "max_frequency"), PM_SIZE)
 _POWER_KEYS = dict.fromkeys(
     ("idle_power", "peak_power", "cooling_coefficient", "extra_coefficient", "migration_penalty")
 )
@@ -66,7 +59,7 @@ _TRAINING_KEYS = {
 }
 _TOP_KEYS = {
     **dict.fromkeys(("pm_count", "vm_count", "horizon"), _INT),
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
     **dict.fromkeys(
         ("policy", "model_path", "workload_file", "trace_dir", "price_file", "out_dir"),
         (lambda v: isinstance(v, str), "a string"),
@@ -139,18 +132,10 @@ def _build_sim_config(cfg: dict, args) -> SimConfig:
 
 
 def _build_train_config(cfg: dict, args, seed: int) -> TrainConfig:
-    """The recipe: each value from its flag, else `training:`, else `TrainConfig`."""
+    """The recipe: each value from its flag, else `training:`; `TrainConfig` checks them."""
     section = cfg.get("training") or {}
     values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _TRAINING_KEYS}
-    values = {k: v for k, v in values.items() if v is not None}
-    for key, value in values.items():  # a flag's value is not checked on the way in
-        test, what = _TRAINING_KEYS[key]
-        if not test(value):
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        # The run reports its last epoch's loss, and a sample graph is cut into clusters.
-        if key in ("epochs", "batch_clusters", "clusters") and value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
-    return TrainConfig(seed=seed, **values)
+    return TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
 
 
 def _read_inputs(config: SimConfig, cfg: dict, args) -> SimConfig:

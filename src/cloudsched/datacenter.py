@@ -5,32 +5,37 @@ new one (or raises, leaving the input untouched), so a failed call can
 never corrupt the live inventory.  The simulation loop owns exactly one
 state at a time.
 
-The state holds each PM's resources as the columns of a
-`ResourceSnapshot`, its running VMs as the columns of `RunningVms`, one
-row per VM in the order they were placed (cores, RAM, frequency, host
-row, start and finish hour, id and request), and its pending requests
-in a mapping by id, in admission order.  A VM is in exactly one of the
-two, and its host row is the one record of its placement.  `admit` adds
-an hour's batch to the pending mapping; `place` checks a batch pair by
-pair, moves it from the pending mapping to the end of the columns, and
-recomputes the PMs' power and utilisation once; `remove_finished`
-finds the finished VMs with one mask over the finish column, not a
-walk over every VM, and releases them in one update.  A built state's
-columns and mapping are never written: an operation copies what it
-changes and shares the rest.
+The state holds its PMs only as rows: each PM's id and resources in the
+columns of a `ResourceSnapshot`, its location in `locations`; `pms`
+reads the rows back as `PhysicalMachine`s.  It holds its running VMs as
+the columns of `RunningVms`, one row per VM in the order they were
+placed (cores, RAM, frequency, host row, start and finish hour, id and
+request), and its pending requests in a mapping by id, in admission
+order.  A VM is in exactly one of the two, and its host row is the one
+record of its placement.  `admit` adds an hour's batch to the pending
+mapping; `place` checks a batch pair by pair, moves it from the pending
+mapping to the end of the columns, and recomputes the PMs' power and
+utilisation once; `remove_finished` finds the finished VMs with one mask
+over the finish column, not a walk over every VM, and releases them in
+one update.  A built state's columns and mapping are never written: an
+operation copies what it changes and shares the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NotFoundError
-from .util import check_array_shape, is_finite_number
+from .util import check_array_shape, is_int
 from .workload import WorkloadRequest
+
+
+# (test, description) of a PM's cores, RAM and MHz: each fills an int64 column.
+PM_SIZE = (lambda v: is_int(v) and 0 < v < 2**63, "a finite positive integer below 2**63")
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,11 @@ class PhysicalMachine:
     ram: int  # GiB
 
     def __post_init__(self):
+        test, what = PM_SIZE
         for name in ("cores", "max_frequency", "ram"):
-            if not is_finite_number(getattr(self, name)):
-                raise DomainError(f"{self.id}: {name} must be a finite number")
-        if self.cores < 1 or self.ram < 1:
-            raise DomainError(f"{self.id}: cores and ram must be >= 1")
+            value = getattr(self, name)
+            if not test(value):
+                raise DomainError(f"{self.id}: {name} must be {what}, got {value!r}")
 
 
 # Default server template for the 8-PM scenario: 32 cores at up to
@@ -196,15 +201,22 @@ _NO_VMS = RunningVms(np.zeros((0, 6), dtype=int), (), ())
 
 @dataclass(frozen=True)
 class DatacenterState:
-    pms: tuple[PhysicalMachine, ...]
+    locations: tuple[str, ...]  # row i's location
     running: RunningVms
     pending: Mapping[str, WorkloadRequest]  # admitted, not placed: by id, in admission order
-    resources: ResourceSnapshot  # row i is pms[i]
+    resources: ResourceSnapshot  # one row per PM
     rows: dict[str, int]  # PM id -> row; built once, shared by every later state
     clock: int = 0
 
+    @cached_property
+    def pms(self) -> tuple[PhysicalMachine, ...]:
+        """Each PM as a record built from its row, once per state that is asked."""
+        res = self.resources
+        sizes = (res.cores.tolist(), res.max_frequency.tolist(), res.ram.tolist())
+        return tuple(map(PhysicalMachine, res.pm_ids, self.locations, *sizes))
+
     def row(self, pm_id: str) -> int:
-        """The PM's row in `pms` and in the resource columns."""
+        """The PM's row in the resource columns."""
         try:
             return self.rows[pm_id]
         except KeyError:
@@ -212,9 +224,9 @@ class DatacenterState:
 
 
 def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLATE) -> DatacenterState:
-    """Build a fresh state: pm-0..pm-(n-1), one location each, all off.
+    """Build a fresh state: pm-0..pm-(n-1) of the template's size at loc-0..loc-(n-1), all off.
 
-    The columns are sized before any PM is built, so a count too large
+    The columns are sized before any PM id is named, so a count too large
     for memory fails at once.
     """
     if pm_count < 1:
@@ -222,28 +234,24 @@ def new_datacenter(pm_count: int, template: PhysicalMachine = DEFAULT_PM_TEMPLAT
     check_array_shape((pm_count,), 8, f"pm_count {pm_count}")
     cores = np.full(pm_count, template.cores, dtype=int)
     ram = np.full(pm_count, template.ram, dtype=int)
-    max_frequency = np.full(pm_count, template.max_frequency, dtype=int)
-    powered_on, utilisation = np.zeros(pm_count, dtype=bool), np.zeros(pm_count)
-    pms = tuple(
-        replace(template, id=f"pm-{i}", location=f"loc-{i}") for i in range(pm_count)
-    )
+    pm_ids = tuple(map("pm-{}".format, range(pm_count)))
     resources = ResourceSnapshot(
-        pm_ids=tuple(pm.id for pm in pms),
+        pm_ids=pm_ids,
         free_cores=cores.copy(),
         cores=cores,
         free_ram=ram.copy(),
         ram=ram,
-        max_frequency=max_frequency,
-        powered_on=powered_on,
-        utilisation=utilisation,
+        max_frequency=np.full(pm_count, template.max_frequency, dtype=int),
+        powered_on=np.zeros(pm_count, dtype=bool),
+        utilisation=np.zeros(pm_count),
     )
-    rows = {pm.id: i for i, pm in enumerate(pms)}
-    return DatacenterState(pms, _NO_VMS, {}, resources, rows, 0)
+    locations = tuple(map("loc-{}".format, range(pm_count)))
+    return DatacenterState(locations, _NO_VMS, {}, resources, dict(zip(pm_ids, range(pm_count))))
 
 
 def with_clock(state: DatacenterState, hour: int) -> DatacenterState:
     return DatacenterState(
-        state.pms, state.running, state.pending, state.resources, state.rows, hour
+        state.locations, state.running, state.pending, state.resources, state.rows, hour
     )
 
 
@@ -267,7 +275,7 @@ def admit(state: DatacenterState, requests: Sequence[WorkloadRequest]) -> Datace
                 raise DomainError(f"VM id {request.id!r} already admitted")
             seen.add(request.id)
     return DatacenterState(
-        state.pms, state.running, pending, state.resources, state.rows, state.clock
+        state.locations, state.running, pending, state.resources, state.rows, state.clock
     )
 
 
@@ -302,7 +310,7 @@ def _not_pending(state: DatacenterState, batch: dict[str, int], vm_id: str, pm_i
         except ValueError:
             raise NotFoundError(f"unknown VM {vm_id!r}") from None
     state.row(pm_id)
-    raise DomainError(f"VM {vm_id!r} already runs on {state.pms[row].id}, cannot place")
+    raise DomainError(f"VM {vm_id!r} already runs on {state.resources.pm_ids[row]}, cannot place")
 
 
 def place(state: DatacenterState, assignments: Sequence[tuple[str, str]]) -> DatacenterState:
@@ -343,7 +351,7 @@ def place(state: DatacenterState, assignments: Sequence[tuple[str, str]]) -> Dat
         running.requests + tuple(requests),
     )
     return DatacenterState(
-        state.pms, running, pending, res.booked(free_cores, free_ram), state.rows, clock
+        state.locations, running, pending, res.booked(free_cores, free_ram), state.rows, clock
     )
 
 
@@ -368,7 +376,7 @@ def remove_finished(state: DatacenterState) -> DatacenterState:
         del ids[row], requests[row]
     kept = running.values.take((~done).nonzero()[0], axis=0)
     return DatacenterState(
-        state.pms,
+        state.locations,
         RunningVms(kept, tuple(ids), tuple(requests)),
         state.pending,
         res.booked(free_cores, free_ram),
@@ -403,7 +411,7 @@ def migrate(state: DatacenterState, vm_id: str, dst_pm: str) -> DatacenterState:
     free_cores[dst] = cores - request.cores
     free_ram[dst] = ram - request.ram
     return DatacenterState(
-        state.pms,
+        state.locations,
         RunningVms(values, running.ids, running.requests),
         state.pending,
         res.booked(free_cores, free_ram),
@@ -424,14 +432,16 @@ def validate(state: DatacenterState) -> None:
     requests: host rows in range, start hours of at least 0, and
     finish = start + duration (capped at `LAST_HOUR`).  Each pending
     request must be listed under its own id, and no id may be listed
-    twice, running or pending.  The PM-id -> row index must match `pms`,
-    no PM may be over capacity, and every resource column must equal a
-    rescan of the running VMs.
+    twice, running or pending.  The PM-id -> row index and the locations
+    must match the resource rows, no PM may be over capacity, and the free,
+    power and utilisation columns must equal a rescan of the running VMs.
     """
-    pms = state.pms
-    n = len(pms)
-    if state.rows != {pm.id: i for i, pm in enumerate(pms)}:
+    res = state.resources
+    n = len(res.pm_ids)
+    if state.rows != dict(zip(res.pm_ids, range(n))):
         raise DomainError("PM row index out of step with the PMs")
+    if len(state.locations) != n:
+        raise DomainError("locations out of step with the PMs")
 
     running = state.running
     ids, requests = running.ids, running.requests
@@ -468,29 +478,20 @@ def validate(state: DatacenterState) -> None:
         if stale.size:
             raise DomainError(f"{ids[stale[0]]}: {what}")
 
-    used_cores = np.zeros(n, dtype=int)
-    used_ram = np.zeros(n, dtype=int)
+    used_cores, used_ram = np.zeros((2, n), dtype=int)
     np.add.at(used_cores, host, running.cores)
     np.add.at(used_ram, host, running.ram)
-    for pm, cores, ram in zip(pms, used_cores.tolist(), used_ram.tolist()):
-        if cores > pm.cores:
-            raise DomainError(f"{pm.id}: core capacity exceeded ({cores}/{pm.cores})")
-        if ram > pm.ram:
-            raise DomainError(f"{pm.id}: ram capacity exceeded ({ram}/{pm.ram})")
+    for name, used, size in (("core", used_cores, res.cores), ("ram", used_ram, res.ram)):
+        over = np.flatnonzero(used > size)
+        if over.size:
+            i = over[0]
+            raise DomainError(f"{res.pm_ids[i]}: {name} capacity exceeded ({used[i]}/{size[i]})")
 
-    res = state.resources
-    if res.pm_ids != tuple(pm.id for pm in pms):
-        raise DomainError("resource rows out of step with the PMs")
-    cores = np.array([pm.cores for pm in pms])
-    ram = np.array([pm.ram for pm in pms])
     expected = {
-        "cores": cores,
-        "ram": ram,
-        "max_frequency": np.array([pm.max_frequency for pm in pms]),
-        "free_cores": cores - used_cores,
-        "free_ram": ram - used_ram,
+        "free_cores": res.cores - used_cores,
+        "free_ram": res.ram - used_ram,
         "powered_on": used_cores > 0,
-        "utilisation": used_cores / cores,
+        "utilisation": used_cores / res.cores,
     }
     for name, column in expected.items():
         stale = np.flatnonzero(getattr(res, name) != column)

@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError, DomainError
+from ..errors import ConfigError, DivergenceError, DomainError
+from ..util import is_finite_number, is_int
 from .graph import (
     ClusterPartition,
     StateGraph,
@@ -79,6 +80,17 @@ class TrainConfig:
     seed: int = 0
     episodes: int = 3
     clusters: int = 2
+
+    def __post_init__(self):
+        # The run reports its last epoch's loss, and a sample graph is cut into clusters.
+        for name in ("epochs", "batch_clusters", "clusters"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
+        if not is_finite_number(self.learning_rate):
+            raise ConfigError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
 
 
 class StepGraph(NamedTuple):

@@ -96,32 +96,14 @@ class SimResult:
     migration_count: int = 0
 
     @property
-    def pm_energy_rows(self) -> "PmEnergyRows":
-        """`(hour, pm, location, breakdown incl. cost, price)` per PM and hour."""
-        return PmEnergyRows(self)
+    def pm_energy_rows(self) -> Iterator[tuple[int, str, str, EnergyBreakdown, float]]:
+        """`(hour, pm, location, breakdown incl. cost, price)` per PM and hour, hour-major.
 
-
-class PmEnergyRows:
-    """A result's billing columns read as rows, each built when it is reached.
-
-    It holds no row, so reading it never keeps a second copy of the billing.
-    """
-
-    def __init__(self, result: SimResult):
-        self._result = result
-
-    def __len__(self) -> int:
-        return self._result.pm_billing.processor.size
-
-    def __iter__(self) -> Iterator[tuple[int, str, str, EnergyBreakdown, float]]:
-        """Hour-major; each hour's columns become Python floats when it is reached."""
-        result = self._result
-        for hour in range(len(result.pm_billing.processor)):
-            rows = zip(
-                result.pm_ids,
-                result.pm_locations,
-                *(column[hour].tolist() for column in result.pm_billing),
-            )
+        A generator: an hour's billing becomes Python floats when it is reached.
+        """
+        billing = self.pm_billing
+        for hour in range(len(billing.processor)):
+            rows = zip(self.pm_ids, self.pm_locations, *(col[hour].tolist() for col in billing))
             for pm, location, p, c, e, total, price, cost in rows:
                 yield hour, pm, location, EnergyBreakdown(p, c, e, total, cost), price
 
@@ -187,16 +169,15 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
     policy = _load_policy(config)
     requests = _load_workload(config)
     state = new_datacenter(config.pm_count, config.pm_template)
-    locations = tuple(pm.location for pm in state.pms)
-    price_matrix = _price_matrix(config, locations)  # coverage checked there
+    price_matrix = _price_matrix(config, state.locations)  # coverage checked there
 
     arrivals: dict[int, list[WorkloadRequest]] = {}
     for request in requests:
         arrivals.setdefault(request.arrival, []).append(request)
 
     result = SimResult(
-        pm_ids=tuple(pm.id for pm in state.pms),
-        pm_locations=locations,
+        pm_ids=state.resources.pm_ids,
+        pm_locations=state.locations,
         horizon=config.horizon,
         policy=config.policy,
     )

@@ -12,6 +12,11 @@ from pathlib import Path
 from .errors import DomainError, TraceFormatError
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_finite_number(value) -> bool:
     """True for an int or a finite float (bools are not numbers here)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)

@@ -95,7 +95,7 @@ def state_columns(state: DatacenterState) -> dict:
         "vm_requests": running.requests,
         "pending": list(state.pending.items()),
         "pm_ids": res.pm_ids,
-        "pm_locations": tuple(pm.location for pm in state.pms),
+        "pm_locations": state.locations,
     }
     for name in ResourceSnapshot._COLUMNS:
         column = getattr(res, name)
@@ -118,7 +118,7 @@ def state_vms(state: DatacenterState) -> dict[str, VirtualMachine]:
     running = state.running
     placed = zip(running.ids, running.requests, running.host.tolist(), running.start.tolist())
     vms = {
-        vm_id: VirtualMachine(vm_id, request, state.pms[host].id, start)
+        vm_id: VirtualMachine(vm_id, request, state.resources.pm_ids[host], start)
         for vm_id, request, host, start in placed
     }
     vms.update((vm_id, VirtualMachine(vm_id, request)) for vm_id, request in state.pending.items())

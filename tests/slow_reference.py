@@ -390,7 +390,7 @@ def argmin_by_scan(scores: dict[int, float]) -> int:
 def state_from_vms(state, vms: dict, resources, clock: int) -> DatacenterState:
     """`state` with these VM objects as its columns (the placed ones, in
     order) and its pending mapping (the others, in order), and these resources."""
-    rows = {pm.id: i for i, pm in enumerate(state.pms)}
+    rows = {pm_id: i for i, pm_id in enumerate(state.resources.pm_ids)}
     running = [vm for vm in vms.values() if vm.placed_on is not None]
     values = [
         (
@@ -409,7 +409,7 @@ def state_from_vms(state, vms: dict, resources, clock: int) -> DatacenterState:
         tuple(vm.request for vm in running),
     )
     pending = {vm.id: vm.request for vm in vms.values() if vm.placed_on is None}
-    return DatacenterState(state.pms, columns, pending, resources, state.rows, clock)
+    return DatacenterState(state.locations, columns, pending, resources, state.rows, clock)
 
 
 def _check_fit_by_row(resources, row, request):

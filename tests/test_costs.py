@@ -1,6 +1,7 @@
 """Deterministic cost guards: calls and bytes counted, not timed, so the bounds are exact."""
 
 import json
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from cloudsched import scheduler, sim
-from cloudsched.datacenter import new_datacenter, snapshot
+from cloudsched.datacenter import PhysicalMachine, new_datacenter, snapshot
 from cloudsched.gnn import models
 from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import ScoringWorkspace, load_model, score_placements
@@ -143,3 +144,38 @@ def test_json_writers_run_no_pure_python_encoder(request, monkeypatch, name):
     sim.decision_log_jsonl(result)
     assert len(calls) == 0
     assert any("scores" in event for event in result.events) == (name == "logged_counter")
+
+
+def profiled(call) -> Counter:
+    """`sys.setprofile`'s events in one `call()`, by kind, and the `PhysicalMachine`s it built."""
+    counts, pm_check = Counter(), PhysicalMachine.__post_init__.__code__
+
+    def profile(frame, event, arg):
+        counts[event] += 1
+        counts["pms"] += event == "call" and frame.f_code is pm_check
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_run_calls_grow_with_the_requests_not_with_pm_pairs():
+    # 4x the PMs and the requests from 32 to 128 PMs: an O(PM**2) step in the
+    # hour loop would show as 16x the calls, a per-PM step per request too.
+    configs = [SimConfig(pm_count=n, vm_count=8 * n, horizon=24, seed=0) for n in (32, 128)]
+    run(configs[0])  # one-time imports and caches
+    small, large = (profiled(lambda: run(config)) for config in configs)
+    assert large["call"] <= 4.5 * small["call"]
+    assert large["c_call"] <= 4.5 * small["c_call"]
+    assert large["pms"] == 0
+
+
+def test_a_state_builds_pm_records_only_when_asked():
+    assert profiled(lambda: new_datacenter(128))["pms"] == 0
+    state = new_datacenter(128)
+    assert profiled(lambda: state.pms)["pms"] == 128
+    assert profiled(lambda: state.pms)["pms"] == 0  # kept for the state's life
+    assert state.pms[5] == PhysicalMachine("pm-5", "loc-5", 32, 3400, 16)

@@ -60,6 +60,30 @@ class TestNewDatacenter:
         with pytest.raises(DomainError):
             new_datacenter(0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("cores", 32.5),
+            ("cores", 2**70),
+            ("cores", 2**63),
+            ("ram", 0),
+            ("ram", True),
+            ("max_frequency", 0),
+            ("max_frequency", -3400),
+        ],
+    )
+    def test_template_size_outside_an_int64_column_is_one_error(self, name, value):
+        # YAML's `pm:` values are held to the same rule, with the same words.
+        with pytest.raises(DomainError) as err:
+            sim.run(sim.SimConfig(pm_template=replace(DEFAULT_PM_TEMPLATE, **{name: value})))
+        what = "a finite positive integer below 2**63"
+        assert str(err.value) == f"pm-template: {name} must be {what}, got {value!r}"
+
+    def test_largest_template_size_fills_the_columns(self):
+        state = new_datacenter(2, replace(DEFAULT_PM_TEMPLATE, ram=2**63 - 1))
+        assert state.resources.free_ram.tolist() == [2**63 - 1] * 2
+        assert state.pms[1].ram == 2**63 - 1
+
     def test_fresh_snapshot_all_idle(self):
         snap = snapshot(new_datacenter(3))
         assert not snap.utilisation.any() and not snap.powered_on.any()
@@ -384,6 +408,20 @@ class TestValidate:
             validate(replace(state, rows={"pm-0": 1, "pm-1": 0}))
         with pytest.raises(DomainError, match="row index"):
             validate(replace(state, rows={"pm-0": 0}))
+        with pytest.raises(DomainError, match="locations out of step"):
+            validate(replace(state, locations=state.locations[:1]))
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("cores", 2, r"pm-0: core capacity exceeded \(4/2\)"),
+            ("ram", 4, r"pm-0: ram capacity exceeded \(8/4\)"),
+        ],
+    )
+    def test_capacity_column_below_the_running_vms(self, name, value, message):
+        state = self.one_vm_state()
+        with pytest.raises(DomainError, match=message):
+            validate(self.with_column(state, name, 0, value))
 
     def with_vm_column(self, state, name, row, value):
         """The state with one running VM's cell overwritten, its input untouched."""

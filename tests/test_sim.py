@@ -309,13 +309,14 @@ class TestSerialization:
         monkeypatch.syspath_prepend(str(BENCHMARKS))  # bench imports its siblings by name
         sweep_problems = importlib.import_module("bench").sweep_problems
         result = run(SimConfig(policy="best_fit_energy", **SCENARIO))
-        assert len(result.pm_energy_rows) == SCENARIO["pm_count"] * SCENARIO["horizon"]
-        for row in result.pm_energy_rows:
+        count = 0
+        for count, row in enumerate(result.pm_energy_rows, start=1):
             hour, pm, location, b, price = row
             assert row[3] is b and type(hour) is int and type(price) is float
             assert location == "loc-" + pm.removeprefix("pm-")
             assert b.total == b.processor + b.cooling + b.extra
             assert b.cost == b.total * price
+        assert count == SCENARIO["pm_count"] * SCENARIO["horizon"]
         # the checks benchmarks/bench.py runs on every sweep operation
         qos = compute_qos(result)
         assert sweep_problems(result, qos, SCENARIO["vm_count"]) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloudsched.errors import DivergenceError, DomainError
+from cloudsched.errors import DivergenceError, DomainError, SimulatorError
 from cloudsched.gnn import training
 from cloudsched.gnn.graph import FEATURE_DIM, StateGraph, partition_graph
 from cloudsched.gnn.models import model_to_json, new_gated_model, new_gcn_model, score_placements
@@ -88,6 +88,24 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
             train(new_gcn_model(seed=1), [])
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("epochs", 0, "epochs must be at least 1, got 0"),
+            ("batch_clusters", 0, "batch_clusters must be at least 1, got 0"),
+            ("clusters", -2, "clusters must be at least 1, got -2"),
+            ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+            ("batch_clusters", True, "batch_clusters must be an integer, got True"),
+            ("learning_rate", float("nan"), "learning_rate must be a finite number, got nan"),
+            ("learning_rate", float("-inf"), "learning_rate must be a finite number, got -inf"),
+        ],
+    )
+    def test_config_out_of_range_is_one_error_before_training(self, name, value, message):
+        # The CLI's messages: it leaves these checks to TrainConfig.
+        with pytest.raises(SimulatorError) as err:
+            train(new_gcn_model(seed=1), self.dataset([0.1]), config=TrainConfig(**{name: value}))
+        assert str(err.value) == message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
     def test_divergence_names_epoch(self):
