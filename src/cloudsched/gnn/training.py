@@ -82,13 +82,17 @@ class TrainConfig:
     clusters: int = 2
 
     def __post_init__(self):
-        # The run reports its last epoch's loss, and a sample graph is cut into clusters.
-        for name in ("epochs", "batch_clusters", "clusters"):
+        # The run reports its last epoch's loss, a sample graph is cut into
+        # clusters, teachers run at least one episode, and numpy seeds take
+        # non-negative ints only.
+        for name in ("epochs", "batch_clusters", "clusters", "episodes"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be at least 1, got {value}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not is_finite_number(self.learning_rate):
             raise ConfigError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
 

@@ -364,8 +364,9 @@ def _distinct_texts(values: np.ndarray, *formats) -> tuple[np.ndarray, ...]:
     return index, *texts
 
 
-def _distinct_row_texts(columns, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """`(index, texts)`: `fmt % row` once per distinct row of the stacked `columns`.
+def _distinct_row_texts(columns, fmt: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """`(index, texts)`: `fmt % row` once per distinct row of the stacked `columns`,
+    as a `_byte_table`.
 
     Rows are distinct by their floats' bit patterns, as in `_distinct_texts`.
     A lexicographic sort of the rows' bits puts equal rows side by side.
@@ -373,14 +374,16 @@ def _distinct_row_texts(columns, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     rows = np.stack(columns, axis=-1).astype(np.float64, copy=False)  # [hour][pm][column]
     bits = rows.reshape(-1, len(columns)).view(np.int64)
     order = np.lexsort(bits.T)
-    bits = bits[order]
-    first = np.ones(len(order), dtype=bool)  # the first of each run of equal rows
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    first = np.zeros(len(order), dtype=bool)  # the first of each run of equal rows
+    first[:1] = True
+    for column in bits.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
     index = np.empty(len(order), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    distinct = bits[first].view(np.float64).tolist()
+    distinct = bits[order[first]].view(np.float64).tolist()
     index = index.reshape(rows.shape[:-1]).astype(np.min_scalar_type(len(distinct)))
-    return index, np.array([fmt % tuple(row) for row in distinct], dtype=object)
+    return index, _byte_table([fmt % tuple(row) for row in distinct])
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -560,35 +563,107 @@ def energy_report_csv(result: SimResult) -> str:
     return "".join(_energy_report_chunks(result))
 
 
-# Rows per joined block.  One join per hour costs more than the rows it
-# writes at small PM counts, so whole hours are gathered up to this many rows.
+# Rows per block.  One block per hour costs more than the rows it writes at
+# small PM counts, so whole hours are gathered up to this many rows.
 _CSV_BLOCK_ROWS = 1024
+
+_PAD = 0xFF  # a cell's padding: never a byte of UTF-8, so deleting it leaves the text
 
 
 def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) -> Iterator[str]:
     """The header, then one string per block of whole hours (at most
-    `block_rows` rows, or one hour).  The four energy cells of a row are
-    one text, formatted once per distinct row; price and cost once per
-    distinct float."""
+    `block_rows` rows, or one hour).
+
+    A block is one `uint8` matrix `[hour][pm][byte]`, filled segment by
+    segment from byte tables: the hour texts, the `,pm,location` texts, the
+    distinct energy-row texts and the price and cost cells.  A table whose
+    texts differ in width pads them with `_PAD`, which the block drops
+    before it is decoded.
+    """
     yield _CSV_HEADER
-    hours, pm_count = result.pm_billing.processor.shape
+    billing = result.pm_billing
+    hours, pm_count = billing.processor.shape
     if not hours:
         return
-    energy, prices = result.pm_billing[:4], result.pm_billing[4:]
-    columns = [_distinct_row_texts(energy, ",%.6f,%.6f,%.6f,%.6f")]
-    columns += [_distinct_texts(column, ",%.6f".__mod__) for column in prices]
+    pairs = zip(result.pm_ids, result.pm_locations)
+    names = _byte_table([(",%s,%s" % pair).encode("utf-8", "surrogatepass") for pair in pairs])
+    hour_texts = _byte_table([b"%d" % hour for hour in range(hours)])
+    energy_index, energy_texts = _distinct_row_texts(billing[:4], b",%.6f,%.6f,%.6f,%.6f")
+    price, cost = (_fixed6_table(column) for column in billing[4:])  # [hour][pm][byte]
+    tables = [hour_texts, names, energy_texts, price, cost]
+    ends = np.cumsum([table.shape[-1] for table in tables]).tolist()
+    hour_at, name_at, energy_at, price_at, cost_at = map(slice, [0] + ends, ends)
+
     block = min(hours, max(1, block_rows // pm_count)) if pm_count else hours
-    cells = np.empty((block, pm_count, len(columns) + 3), dtype=object)  # [hour][pm][cell]
-    cells[:, :, 1] = [",%s,%s" % names for names in zip(result.pm_ids, result.pm_locations)]
-    cells[:, :, -1] = "\n"
-    hour_texts = np.array(["%d" % hour for hour in range(hours)], dtype=object)
+    cells = np.empty((block, pm_count, ends[-1] + 1), dtype=np.uint8)  # [hour][pm][byte]
+    cells[:, :, name_at] = names
+    cells[:, :, -1] = ord("\n")
     for start in range(0, hours, block):
         stop = min(start + block, hours)
         rows = cells[: stop - start]
-        rows[:, :, 0] = hour_texts[start:stop, None]
-        for k, (index, texts) in enumerate(columns, start=2):
-            rows[:, :, k] = texts[index[start:stop]]
-        yield "".join(rows.ravel().tolist())
+        rows[:, :, hour_at] = hour_texts[start:stop, None]
+        rows[:, :, energy_at] = energy_texts[energy_index[start:stop]]
+        rows[:, :, price_at] = price[start:stop]
+        rows[:, :, cost_at] = cost[start:stop]
+        data = rows.reshape(-1)
+        yield str(data[data != _PAD].data, "utf-8", "surrogatepass")
+
+
+def _byte_table(texts: list[bytes]) -> np.ndarray:
+    """`[text][byte]`: the texts left-aligned, each padded with `_PAD` to the longest."""
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    width = int(lengths.max(initial=0))
+    table = np.array(texts, dtype=f"S{max(width, 1)}").view(np.uint8)
+    table = table.reshape(len(texts), max(width, 1))[:, :width]
+    table[np.arange(width) >= lengths[:, None]] = _PAD
+    return table
+
+
+# "%03d" % i for i below 1000, one 3-byte item each
+_DIGITS3 = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="V3")
+
+
+def _fixed6_table(values: np.ndarray) -> np.ndarray:
+    """`values`' shape plus a byte axis: `b",%.6f" % v` of each float, padded as
+    `_byte_table` pads.
+
+    `%.6f` rounds the exact `v * 1e6` to an integer, a tie to even.  Its
+    float product `y` is at most half a spacing of `y` away from it, so
+    where `|frac(y) - 0.5| > 2 * spacing(y)` the exact product lies on the
+    same side of every half-integer as `y`, is no tie, and rounds to
+    `floor(y) + (frac(y) > 0.5)`; the six decimals come from `_DIGITS3`.
+    Every other value goes through `%`: a negative value or -0.0, NaN, an
+    infinity, `y >= 2**53` or `y` close to a tie.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):  # a product past the largest float is inf: not exact
+        y = flat * 1e6
+    exact = ~np.signbit(flat) & (y < 2.0**53)  # NaN fails the comparison
+    y[~exact] = 0.0  # so the integer cast below sees finite values only
+    whole = np.floor(y)
+    frac = y - whole
+    exact &= np.abs(frac - 0.5) > 2 * np.spacing(y)
+    units, micros = np.divmod(whole.astype(np.int64) + (frac > 0.5), 10**6)
+
+    width = len("%d" % units.max(initial=0))  # the widest integer part
+    cells = np.empty((len(flat), width + 8), dtype=np.uint8)
+    cells[:, 0] = ord(",")
+    for k in range(width):  # the integer part's digits, the last first
+        power = 10**k
+        digit = units // power % 10 + ord("0")
+        cells[:, width - k] = np.where(units >= power, digit, _PAD) if k else digit
+    cells[:, width + 1] = ord(".")
+    cells[:, width + 2 : width + 5].view("V3")[:, 0] = np.take(_DIGITS3, micros // 1000)
+    cells[:, width + 5 :].view("V3")[:, 0] = np.take(_DIGITS3, micros % 1000)
+
+    others = np.flatnonzero(~exact)
+    if len(others):
+        texts = _byte_table([b",%.6f" % v for v in flat[others].tolist()])
+        extra = max(0, texts.shape[1] - cells.shape[1])
+        cells = np.pad(cells, ((0, 0), (0, extra)), constant_values=_PAD)
+        cells[others] = _PAD
+        cells[others, : texts.shape[1]] = texts
+    return cells.reshape(*np.shape(values), cells.shape[1])
 
 
 _encode_event = json.JSONEncoder(sort_keys=True, allow_nan=False).encode

@@ -26,6 +26,7 @@ from cloudsched.sim import (
     _CSV_BLOCK_ROWS,
     _breakdowns_text,
     _energy_report_chunks,
+    _fixed6_table,
     _flat_text,
     _price_matrix,
     compare,
@@ -465,6 +466,57 @@ def test_energy_report_full_size_blocks_match_fstring_writer(shape, seed):
         pm_billing=PmBilling(*[rng.choice(pool, (hours, pm_count)) for _ in PmBilling._fields]),
     )
     assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+def test_energy_report_names_round_trip_any_str():
+    # NUL, a Latin-1 letter, a CJK one and a lone surrogate in ids and
+    # locations of different widths, so the names table is padded.
+    rng = np.random.default_rng(7)
+    ids = ("pm-\x00", "\xff", "\u65e5\u672c", "a\ud800b", "")
+    result = SimResult(
+        pm_ids=ids,
+        pm_locations=tuple(reversed(ids)),
+        horizon=12,
+        policy="p",
+        pm_billing=PmBilling(*[rng.uniform(0.0, 3.0, (12, len(ids))) for _ in PmBilling._fields]),
+    )
+    expected = energy_report_csv_by_fstring(result.pm_energy_rows)
+    for block_rows in (_CSV_BLOCK_ROWS, 7, 1):  # one block, part blocks, blocks below one hour
+        text = "".join(_energy_report_chunks(result, block_rows))
+        assert text.encode("utf-8", "surrogatepass") == expected.encode("utf-8", "surrogatepass")
+
+
+def _fixed6_texts(values) -> list[str]:
+    """`_fixed6_table`'s cells of `values` as texts, their padding deleted."""
+    table = _fixed6_table(np.array(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\xff", b"").decode("ascii") for row in table]
+
+
+_LIMIT = 2**53 / 1e6  # above it `y = v * 1e6` has no fraction bits
+_KERNEL_FLOATS = (
+    st.floats()
+    | st.floats(min_value=0.0, max_value=2 * _LIMIT)
+    | st.integers(min_value=0, max_value=2**45).map(lambda k: (2 * k + 1) * 2.0**-7)  # exact ties
+    | st.integers(min_value=-(2**12), max_value=2**12).map(lambda k: _LIMIT + k * np.spacing(_LIMIT))
+    | st.integers(min_value=-(2**20), max_value=2**20).map(lambda k: (k + 0.5) / 1e6)  # near ties
+    | st.sampled_from([0.0, -0.0, 5e-324, 2.5e-7, 5e-7, 1.5e-6, 1e22, NAN, INF, -INF, _LIMIT])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_KERNEL_FLOATS, max_size=12))
+def test_fixed_point_cells_equal_percent_format(values):
+    assert _fixed6_texts(values) == [",%.6f" % v for v in values]
+
+
+def test_fixed_point_cells_on_every_tie_and_width():
+    # Every exact tie below 40 (odd multiples of 2**-7) and every integer-part
+    # width up to the kernel's limit, each next to its neighbouring floats.
+    ties = (2 * np.arange(40 * 64) + 1) * 2.0**-7
+    widths = 10.0 ** np.arange(10) - 1e-7
+    values = np.concatenate([ties, widths, np.nextafter(ties, 0), np.nextafter(widths, np.inf)])
+    assert _fixed6_texts(values) == [",%.6f" % v for v in values.tolist()]
+    assert _fixed6_table(np.zeros((3, 0))).shape == (3, 0, 9)
 
 
 _JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _FLOAT_POOL

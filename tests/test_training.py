@@ -99,6 +99,11 @@ class TestTrain:
             ("batch_clusters", True, "batch_clusters must be an integer, got True"),
             ("learning_rate", float("nan"), "learning_rate must be a finite number, got nan"),
             ("learning_rate", float("-inf"), "learning_rate must be a finite number, got -inf"),
+            ("episodes", 0, "episodes must be at least 1, got 0"),
+            ("episodes", 2.5, "episodes must be an integer, got 2.5"),
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
         ],
     )
     def test_config_out_of_range_is_one_error_before_training(self, name, value, message):
