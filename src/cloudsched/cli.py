@@ -22,6 +22,7 @@ from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_mode
 from .gnn.training import TrainConfig, loss_trace_to_csv, train
 from .scheduler import MODEL_POLICIES, POLICY_KINDS, POLICY_MODELS, collect_training_data
 from .sim import (
+    SCENARIO_RULES,
     SimConfig,
     compare,
     comparison_to_csv,
@@ -58,15 +59,12 @@ _TRAINING_KEYS = {
     "learning_rate": _NUMBER,
 }
 _TOP_KEYS = {
-    **dict.fromkeys(("pm_count", "vm_count", "horizon"), _INT),
-    "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+    **SCENARIO_RULES,
     **dict.fromkeys(
-        ("policy", "model_path", "workload_file", "trace_dir", "price_file", "out_dir"),
+        ("model_path", "workload_file", "trace_dir", "price_file", "out_dir"),
         (lambda v: isinstance(v, str), "a string"),
     ),
     "verbosity": (lambda v: v in ("info", "warning"), "'info' or 'warning'"),
-    "consolidation_threshold": _NUMBER,
-    "log_scores": (lambda v: isinstance(v, bool), "true or false"),
     **dict.fromkeys(("pm", "power", "training")),
 }
 
@@ -109,9 +107,7 @@ def load_config_file(path: str) -> dict:
 # The `SimConfig` fields a flag or a config key of the same name can set.
 # The path keys are no fields: `_load_checkpoint` and `_read_inputs` read
 # their files into `model`, `requests` and `prices`.
-_SCENARIO_FIELDS = (
-    "pm_count", "vm_count", "horizon", "policy", "seed", "consolidation_threshold", "log_scores",
-)
+_SCENARIO_FIELDS = tuple(SCENARIO_RULES)
 _TRAIN_FLAGS = {"learning_rate": "lr"}  # every other `training:` key is its flag's name
 
 

@@ -140,9 +140,10 @@ class GatedModel(_Network):
 
     `flat` follows `gated_layout(hidden)`: w_msg, then one [w_g, u_g, b_g]
     block per gate g in z, r, c order, then the readout.  The blocks are
-    equally long, so `W`, `U` (3, hidden, hidden) and `B` (3, hidden)
-    stack the three gates as strided views of `flat` too, and one batched
-    product covers all of them.
+    equally long, so `gates` (3, 2 hidden**2 + hidden) holds them as rows,
+    and `W`, `U` (3, hidden, hidden) and `B` (3, hidden) stack the three
+    gates as strided views of `flat` too, so one batched product covers
+    all of them.
     """
 
     hidden: int
@@ -157,10 +158,8 @@ class GatedModel(_Network):
             raise ShapeError(f"cannot pad {FEATURE_DIM} features into hidden size {self.hidden}")
         self._bind(gated_layout(self.hidden))
         h = self.hidden
-        gates = self.flat[h * h : -self.readout_w.size - 1].reshape(3, -1)
-        self.W = gates[:, : h * h].reshape(3, h, h)
-        self.U = gates[:, h * h : 2 * h * h].reshape(3, h, h)
-        self.B = gates[:, 2 * h * h :]
+        self.gates = self.flat[h * h : -self.readout_w.size - 1].reshape(3, -1)
+        self.W, self.U, self.B = _gate_views(self.gates, h)
 
     @property
     def dims(self) -> tuple[int, int]:  # as a checkpoint states them
@@ -237,12 +236,30 @@ def pad_features(feats: np.ndarray, hidden: int) -> np.ndarray:
     return padded
 
 
-def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
-    """x <- 1 / (1 + exp(-x)), the same operations as the out-of-place form."""
-    np.negative(x, out=x)
+def _sigmoid_of_negated_in_place(x: np.ndarray) -> np.ndarray:
+    """x <- 1 / (1 + exp(x)): the sigmoid of -x, the out-of-place form's operations."""
     np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
+
+
+# Each gate row's sign in a `GatedBuffers` gate block: the z and r gates'
+# weights and biases are negated there, the candidate gate's are not.
+GATE_SIGNS = np.array([[-1.0], [-1.0], [1.0]])
+
+
+def _gate_views(gates: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, U (3, h, h) and B (3, h): views of a (3, 2 h**2 + h) gate block's rows."""
+    return (
+        gates[:, : h * h].reshape(3, h, h),
+        gates[:, h * h : 2 * h * h].reshape(3, h, h),
+        gates[:, 2 * h * h :],
+    )
+
+
+def flip_gates(model: GatedModel, out: np.ndarray | None = None) -> np.ndarray:
+    """The model's gate block times `GATE_SIGNS`, into `out` when given."""
+    return np.multiply(model.gates, GATE_SIGNS, out=out)
 
 
 class GatedBuffers:
@@ -252,16 +269,36 @@ class GatedBuffers:
     then become the gates z, r and c), 1 - [z, r], r * h and next state,
     so every step's cache survives until the backward reads it.  All of
     them are planes of one block, allocated at once, and the slices each
-    step reads are taken here once, as are the views of the stacked z and
-    r parameters.  Those stay valid because a model's `flat` is only ever
-    updated in place.  A set is reused for every forward on graphs of its
-    node count, so what it returns is overwritten by the next one.  The
-    block is a view of `memory` (`size(model, n)` elements, allocated
-    when not given).
+    step reads are taken here once.  A set is reused for every forward on
+    graphs of its node count, so what it returns is overwritten by the
+    next one.  The block is a view of `memory` (`size(model, n)`
+    elements, allocated when not given).
+
+    The forward reads the gate parameters from `gates`, the model's gate
+    block times `GATE_SIGNS` (`flip_gates`; a copy made here when not
+    given), through the views `W`, `u_zr`, `b_zr`, `u_c` and `b_c`.  So
+    the z and r planes hold minus the pre-activation, and the sigmoid
+    takes exp of it with no negation.  Negation is exact and commutes
+    with round-to-nearest, FMA included, and where it flips a zero's
+    sign, exp(+0) = exp(-0) = 1: every gate is bit for bit the unflipped
+    form's.  `biases`, when given, holds each gate's bias from `gates` in
+    every one of n rows, (3, n, hidden), and the biases are added from
+    it: an add of equal shapes costs under half a broadcast one at 65
+    rows.  Without it they broadcast from `gates`.
     """
 
-    def __init__(self, model: GatedModel, n: int, memory: np.ndarray | None = None):
-        self.u_zr, self.b_zr = model.U[:2], model.B[:2, None]
+    def __init__(
+        self,
+        model: GatedModel,
+        n: int,
+        memory: np.ndarray | None = None,
+        gates: np.ndarray | None = None,
+        biases: np.ndarray | None = None,
+    ):
+        self.gates = flip_gates(model) if gates is None else gates
+        self.W, u, b = _gate_views(self.gates, model.hidden)
+        biases = b[:, None] if biases is None else biases
+        self.u_zr, self.b_zr, self.u_c, self.b_c = u[:2], biases[:2], u[2], biases[2]
         # Planes: h @ u_zr (2), (r * h) @ u_c, z * c, then 9 per step:
         # a_hat @ h, m, m @ W -> [z, r, c] (3), 1 - [z, r] (2), r * h, next h.
         shape = self.shape(model, n)
@@ -284,23 +321,24 @@ class GatedBuffers:
         return math.prod(cls.shape(model, n))
 
 
-def _gru_update(model: GatedModel, b: GatedBuffers, h: np.ndarray, step: tuple) -> np.ndarray:
-    """One GRU update of every node's state h into `step`, whose [z, r, c] planes hold m @ W.
+def _gru_update(b: GatedBuffers, h: np.ndarray, step: tuple) -> np.ndarray:
+    """One GRU update of every node's state h into `step`, whose [z, r, c] planes hold m @ b.W.
 
-    Each gate's pre-activation is summed into its plane, the sigmoid and
-    tanh run in place, and (1 - z) * h + z * c is two products and one
-    in-place add, the same operations as the out-of-place expressions.
-    Returns the next state, the step's last plane.
+    Each gate's pre-activation (minus it, for z and r) is summed into its
+    plane, the sigmoid and tanh run in place, and (1 - z) * h + z * c is
+    two products and one in-place add, the same operations as the
+    out-of-place expressions.  Returns the next state, the step's last
+    plane.
     """
     _, _, _, zr, z, r, c, omz, omz_z, rh, h_next = step
     np.matmul(h, b.u_zr, out=b.hu)
     zr += b.hu
     zr += b.b_zr
-    _sigmoid_in_place(zr)
+    _sigmoid_of_negated_in_place(zr)
     np.subtract(1.0, zr, out=omz)
     np.multiply(r, h, out=rh)
-    c += np.dot(rh, model.u_c, out=b.rhu)
-    c += model.b_c
+    c += np.dot(rh, b.u_c, out=b.rhu)
+    c += b.b_c
     np.tanh(c, out=c)
     np.multiply(omz_z, h, out=h_next)
     h_next += np.multiply(z, c, out=b.zc)
@@ -314,10 +352,11 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
     h @ u_g for z and r; each slice is the same matrix product as an
     unstacked gate, so the results are too.  Every product, sum, gate
     and state is written into `buffers` (a fresh `GatedBuffers` when
-    None) by `_gru_update`.  A gate whose pre-activation is so negative
-    that exp(-x) overflows saturates at 1 / (1 + inf) = 0, the right
-    value, so the overflow is not reported.  `a_h0`, when given, is
-    a_hat @ h0.
+    None) by `_gru_update`, which reads the set's gate block: a given
+    set's must hold `model`'s gates times `GATE_SIGNS`.  A gate whose
+    pre-activation is so negative that exp(-x) overflows saturates at
+    1 / (1 + inf) = 0, the right value, so the overflow is not reported.
+    `a_h0`, when given, is a_hat @ h0.
     Returns (last state, caches), one cache per step:
     (h_prev, a_hat @ h_prev, m, [z, r], 1 - [z, r], r * h_prev, c).
     """
@@ -332,11 +371,21 @@ def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None,
             else:
                 ah = a_h0
             np.dot(ah, model.w_msg, out=m)
-            np.matmul(m, model.W, out=mw)
-            h_next = _gru_update(model, b, h, step)
+            np.matmul(m, b.W, out=mw)
+            h_next = _gru_update(b, h, step)
             caches.append((h, ah, m, zr, omz, rh, c))
             h = h_next
     return h, caches
+
+
+def _a_hat_by_kind(n: int, k: int) -> np.ndarray:
+    """`a_hat`'s entry for each (row, column) pair of node kinds, on n PMs with k candidates.
+
+    The kinds are 0, a PM the request does not fit; 1, one it fits; and
+    2, the request.
+    """
+    s0, s1, sv = 1.0 / math.sqrt(n), 1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(1 + k)
+    return np.array([[s0 * s0, s0 * s1, 0], [s1 * s0, s1 * s1, s1 * sv], [0, sv * s1, sv * sv]])
 
 
 class ScoringWorkspace:
@@ -345,19 +394,28 @@ class ScoringWorkspace:
     A graph of n PMs is scored in its node kinds, its three `a_hat` rows,
     the three-row messages (a_hat @ h, m, m @ W), the `GatedBuffers` of
     n + 1 rows and the zero-padded input.  The floats are segments of one
-    zeroed block sized for `pm_count`, O(PMs x hidden); each n gets its
-    own views of them, so the memory does not grow with the sizes seen.
-    The padded rows are `hidden` wide at every n, so their columns past
-    the features stay zero.
+    zeroed block sized for `pm_count`, O(PMs x hidden), with two more
+    for the model's sign-flipped gate block (`flip_gates`) and its
+    biases spread over every row, made here once: a workspace scores
+    its model as it was when the workspace was built.
+    Each n gets its own views of the segments, so the float memory does
+    not grow with the sizes seen, and its own node kinds, whose request
+    entry is written once.  The padded rows are `hidden` wide at every
+    n, so their columns past the features stay zero.  `by_kind` keeps
+    each (n, candidate count)'s `_a_hat_by_kind`.
     """
 
     def __init__(self, model: GatedModel, pm_count: int):
         self.model, self.pm_count = model, pm_count
         nodes, e = pm_count + 1, model.hidden
-        self._kinds = np.empty(nodes, dtype=np.intp)
-        shapes = [(3 * nodes,), (5, 3, e), (GatedBuffers.size(model, nodes),), (nodes * e,)]
+        buffers = (GatedBuffers.size(model, nodes),)
+        shapes = [(3 * nodes,), (5, 3, e), buffers, (nodes * e,), model.gates.shape, (3, nodes, e)]
         self._segments = _views(np.zeros(_size(shapes)), shapes)
+        *_, gates, biases = self._segments
+        flip_gates(model, out=gates)
+        np.copyto(biases, _gate_views(gates, e)[2][:, None])
         self._sized: dict[int, tuple] = {}
+        self._by_kind: dict[tuple[int, int], np.ndarray] = {}
 
     def views(self, n: int) -> tuple:
         """(node kinds, `a_hat` rows, messages, `GatedBuffers`, padded input) for n PMs."""
@@ -366,15 +424,24 @@ class ScoringWorkspace:
             if n > self.pm_count:
                 raise ShapeError(f"a workspace for {self.pm_count} PMs cannot score {n}")
             nodes, hidden = n + 1, self.model.hidden
-            a_rows, messages, buffers, padded = self._segments
+            a_rows, messages, buffers, padded, gates, biases = self._segments
+            kinds = np.empty(nodes, dtype=np.intp)
+            kinds[n] = 2
             sized = self._sized[n] = (
-                self._kinds[:nodes],
+                kinds,
                 a_rows[: 3 * nodes].reshape(3, nodes),
                 messages,
-                GatedBuffers(self.model, nodes, buffers),
+                GatedBuffers(self.model, nodes, buffers, gates, biases[:, :nodes]),
                 padded[: nodes * hidden].reshape(nodes, hidden),
             )
         return sized
+
+    def by_kind(self, n: int, k: int) -> np.ndarray:
+        """`_a_hat_by_kind(n, k)`, made on first use; the caller must not write it."""
+        table = self._by_kind.get((n, k))
+        if table is None:
+            table = self._by_kind[n, k] = _a_hat_by_kind(n, k)
+        return table
 
 
 def score_placements(
@@ -395,39 +462,42 @@ def score_placements(
     state, so propagation is 3 x 3: s_r * s_t * count of kind t), in
     fresh arrays of a few floats each.  The gated model's messages take
     three rows, its GRU update every node, all written into `workspace`
-    (for at least n PMs; a fresh one when None).  The scores equal the
-    dense forward's to rounding, and are a new array.
+    (for at least n PMs; a fresh one when None).  The readout's term
+    shared by every candidate is summed in Python floats, the same
+    additions in the same order as in float64 scalars.  The scores equal
+    the dense forward's to rounding, and are a new array.
     """
     n, k = feats.shape[0] - 1, len(candidates)
     if isinstance(model, GcnModel):
         kinds, a_rows = np.empty(n + 1, dtype=np.intp), np.empty((3, n + 1))
+        kinds[n] = 2
+        by_kind = _a_hat_by_kind(n, k)
     else:
         if workspace is None:
             workspace = ScoringWorkspace(model, n)
         kinds, a_rows, messages, buffers, h = workspace.views(n)
-    s0, s1, sv = 1.0 / math.sqrt(n), 1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(1 + k)
-    by_kind = np.array([[s0 * s0, s0 * s1, 0], [s1 * s0, s1 * s1, s1 * sv], [0, sv * s1, sv * sv]])
+        by_kind = workspace.by_kind(n, k)
     kinds[:n] = 0
     kinds[candidates] = 1
-    kinds[n] = 2
-    np.take(by_kind, kinds, axis=1, out=a_rows, mode="clip")
+    by_kind.take(kinds, 1, a_rows, "clip")
     if isinstance(model, GcnModel):
         by_kind *= (n - k, k, 1)
         hs, _, _ = gcn_layers(model, by_kind, np.dot(a_rows, feats))
         h_vm, h_pm = hs[-1][2], hs[-1][1]
     else:
         h[:, : feats.shape[1]] = feats
+        ah, m, mw = messages[0], messages[1], messages[2:]
         with np.errstate(over="ignore"):
             for step in buffers.steps:
-                np.dot(a_rows, h, out=messages[0])
-                np.dot(messages[0], model.w_msg, out=messages[1])
-                np.matmul(messages[1], model.W, out=messages[2:])
-                np.take(messages[2:], kinds, axis=1, out=step[2], mode="clip")
-                h = _gru_update(model, buffers, h, step)
-        h_vm, h_pm = h[n], h[candidates]
-    scores = feats[candidates] @ model.w_xp
-    scores += h_pm @ model.w_hp
-    scores += h_vm @ model.w_hv + feats[n] @ model.w_xv + model.readout_b[0]
+                np.dot(a_rows, h, out=ah)
+                np.dot(ah, model.w_msg, out=m)
+                np.matmul(m, buffers.W, out=mw)
+                mw.take(kinds, 1, step[2], "clip")
+                h = _gru_update(buffers, h, step)
+        h_vm, h_pm = h[n], h.take(candidates, 0)
+    scores = feats.take(candidates, 0).dot(model.w_xp)
+    scores += h_pm.dot(model.w_hp)
+    scores += float(h_vm.dot(model.w_hv)) + float(feats[n].dot(model.w_xv)) + model.readout_b.item()
     return scores
 
 

@@ -30,6 +30,7 @@ from .graph import (
     partition_graph,
 )
 from .models import (
+    GATE_SIGNS,
     GatedBuffers,
     GatedModel,
     GcnBuffers,
@@ -154,10 +155,14 @@ class GatedStepBuffers(GatedBuffers):
     step 0's input and its propagation are the caller's, so their
     transposes are taken per call.  The `step_*` arrays hold the
     parameter gradients of the steps before the last, which `+=` adds on.
+    `gate_signs` is `GATE_SIGNS` spread to the gate block's shape, which
+    makes the product that refreshes the forward's flipped gates half as
+    dear as the broadcast one.
     """
 
     def __init__(self, model: GatedModel, grads: GatedModel, n: int):
         super().__init__(model, n)
+        self.gate_signs = np.broadcast_to(GATE_SIGNS, self.gates.shape).copy()
         h = model.hidden
         _readout_buffers(self, model, grads, n)
         self.w_t = model.W.transpose(0, 2, 1)
@@ -189,7 +194,9 @@ def step_buffers(model, grads, n: int) -> GcnStepBuffers | GatedStepBuffers:
     """One step buffer set for `model` on n-node graphs, writing gradients into `grads`.
 
     The set holds views of `model` and `grads`, which stay valid because
-    both flat vectors are only ever updated in place.
+    both flat vectors are only ever updated in place.  A gated set's
+    forward reads its own sign-flipped copy of the gate block instead,
+    which `gated_loss_and_grads` refreshes from `model` at every step.
     """
     if isinstance(model, GcnModel):
         return GcnStepBuffers(model, grads, n)
@@ -259,6 +266,7 @@ def gated_loss_and_grads(
     unstacked loop.  `b` is `step_buffers(model, grads, n)` for the
     graph's node count n.
     """
+    np.multiply(model.gates, b.gate_signs, out=b.gates)  # the model as SGD last left it
     h_last, caches = gated_steps(model, g.a_hat, g.inputs, g.a_inputs, b)
     loss, d_h = _pair_backward(model, grads, h_last, g, label, b)
 

@@ -49,14 +49,29 @@ from .scheduler import (
     consolidate,
     schedule,
 )
+from .util import is_finite_number, is_int
 from .workload import WorkloadRequest, generate_synthetic
+
+
+# (test, description) of each scenario value a config key of the same name
+# sets: `SimConfig` checks its fields by them, and the YAML loader its keys.
+# numpy seeds take non-negative ints only, and consolidation compares a
+# PM's utilisation with the threshold, which NaN or a negative never passes.
+SCENARIO_RULES = {
+    **dict.fromkeys(("pm_count", "vm_count", "horizon"), (is_int, "an integer")),
+    "policy": (lambda v: isinstance(v, str), "a string"),
+    "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+    "consolidation_threshold": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "log_scores": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One scenario; defaults are the 8-PM / 60-VM / 120-hour setup.
 
-    Every input is a value: unset `requests` and `prices` are drawn from `seed`.
+    Every input is a value: unset `requests` and `prices` are drawn from
+    `seed`.  The fields in `SCENARIO_RULES` are checked by their rules.
     """
 
     pm_count: int = 8
@@ -71,6 +86,12 @@ class SimConfig:
     seed: int = 0
     consolidation_threshold: float = CONSOLIDATION_THRESHOLD
     log_scores: bool = False
+
+    def __post_init__(self):
+        for name, (test, what) in SCENARIO_RULES.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def _no_billing() -> PmBilling:

@@ -376,6 +376,50 @@ def score_placements_by_pair(model, graph) -> dict[int, float]:
     return scores
 
 
+def _sigmoid_by_negation(x: np.ndarray) -> np.ndarray:
+    """x <- 1 / (1 + exp(-x)): negate, exp, add one and divide, in place."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def gated_scores_unflipped(model, feats: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Hunter's `score_placements` with the gate weights as the checkpoint holds them.
+
+    The fast path's numpy operations, in its order, on fresh arrays: the
+    three `a_hat` rows gathered by node kind, each step's three-row
+    messages, then the GRU update of every node, whose z and r gates
+    negate their pre-activation x before `exp`.
+    """
+    n, k = feats.shape[0] - 1, len(candidates)
+    s0, s1, sv = 1.0 / math.sqrt(n), 1.0 / math.sqrt(n + 1), 1.0 / math.sqrt(1 + k)
+    by_kind = np.array([[s0 * s0, s0 * s1, 0], [s1 * s0, s1 * s1, s1 * sv], [0, sv * s1, sv * sv]])
+    kinds = np.zeros(n + 1, dtype=np.intp)
+    kinds[candidates] = 1
+    kinds[n] = 2
+    a_rows = by_kind[:, kinds]
+    h = pad_features(feats, model.hidden)
+    with np.errstate(over="ignore"):
+        for _ in range(model.steps):
+            m = np.dot(np.dot(a_rows, h), model.w_msg)
+            gates = np.matmul(m, model.W)[:, kinds]
+            z, r, c = gates
+            zr = gates[:2]
+            zr += np.matmul(h, model.U[:2])
+            zr += model.B[:2, None]
+            _sigmoid_by_negation(zr)
+            one_minus_z = 1.0 - z
+            c += np.dot(r * h, model.u_c)
+            c += model.b_c
+            np.tanh(c, out=c)
+            h = one_minus_z * h + z * c
+    scores = feats[candidates] @ model.w_xp
+    scores += h[candidates] @ model.w_hp
+    scores += h[n] @ model.w_hv + feats[n] @ model.w_xv + model.readout_b[0]
+    return scores
+
+
 def argmin_by_scan(scores: dict[int, float]) -> int:
     """The row with the lowest score: a strict `<` scan over `{row: score}` in row order."""
     best_row = None

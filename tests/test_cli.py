@@ -773,6 +773,17 @@ class TestConfigFile:
         assert f"config {key!r} must be" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "qos.json").exists()
 
+    def test_negative_threshold_is_one_error_line(self, tiny_files, tmp_path, capsys):
+        # A negative threshold used to run with consolidation off and exit 0.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("consolidation_threshold: -5\n")
+        args = tiny_simulate_args(tiny_files, tmp_path / "out", extra=["--config", str(cfg)])
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config 'consolidation_threshold' must be a finite number >= 0, got -5"
+        ]
+        assert not (tmp_path / "out" / "qos.json").exists()
+
     @pytest.mark.parametrize("value", [True, False])
     def test_log_scores_bool_from_file(self, tiny_files, tmp_path, value):
         checkpoint = tmp_path / "model.json"

@@ -35,7 +35,12 @@ from cloudsched.scheduler import Policy, _argmin
 from cloudsched.workload import WorkloadRequest
 
 from helpers import gcn_forward_restricted, pm_entries, snapshot_from_entries
-from slow_reference import gated_forward, gcn_forward, score_placements_by_pair
+from slow_reference import (
+    gated_forward,
+    gated_scores_unflipped,
+    gcn_forward,
+    score_placements_by_pair,
+)
 
 ROOT = Path(__file__).parent.parent
 CHECKPOINTS = {
@@ -323,6 +328,30 @@ def test_one_workspace_scores_every_size_as_a_fresh_one(cases):
     for _, a_rows, messages, buffers, padded in workspace._sized.values():
         assert all(v.base is block for v in [a_rows, messages, buffers.hu, padded])
     assert all(np.array_equal(a, b) for a, b in kept)  # no later score wrote into an earlier one
+
+
+# One workspace per model, kept across every Hypothesis example, so it
+# scores each drawn size after others, larger and smaller.
+UNFLIPPED_CASES = {
+    name: ScoringWorkspace(model, 40)
+    for name, model in [("hunter", CHECKPOINTS["hunter"]), ("3-step", new_gated_model(seed=5, steps=3))]
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFLIPPED_CASES))
+@settings(max_examples=150, deadline=None)
+@given(scored_snapshots())
+def test_gated_scores_equal_the_unflipped_path_bit_for_bit(name, inputs):
+    # The workspace holds the z and r gate weights negated and takes exp of
+    # minus the pre-activation directly; the reference negates, then takes
+    # exp.  Durations up to 2**63 - 1 saturate gates at both ends.
+    workspace = UNFLIPPED_CASES[name]
+    snap, req, prices = inputs
+    feats = WorkingFeatures(snap, prices).for_request(req)
+    rows = np.flatnonzero(snap.fits(req))
+    fast = score_placements(workspace.model, feats, rows, workspace)
+    slow = gated_scores_unflipped(workspace.model, feats, rows)
+    assert [s.hex() for s in fast.tolist()] == [s.hex() for s in slow.tolist()]
 
 
 def test_a_workspace_refuses_a_larger_graph():

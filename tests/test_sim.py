@@ -171,6 +171,38 @@ class TestRun:
             run(tiny_config(requests=late))
 
 
+class TestSimConfigChecks:
+    # Each field a config key sets is checked when the scenario is made,
+    # by the rule and message the YAML loader uses; before, these ended
+    # in a bare TypeError or numpy's ValueError, or (a NaN or negative
+    # threshold) ran with consolidation silently off.
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("pm_count", True, "pm_count must be an integer, got True"),
+            ("vm_count", 1.5, "vm_count must be an integer, got 1.5"),
+            ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+            ("policy", 3, "policy must be a string, got 3"),
+            ("seed", -1, "seed must be a non-negative integer, got -1"),
+            ("consolidation_threshold", NAN, "consolidation_threshold must be a finite number >= 0, got nan"),
+            ("consolidation_threshold", -1, "consolidation_threshold must be a finite number >= 0, got -1"),
+            ("log_scores", "yes", "log_scores must be true or false, got 'yes'"),
+        ],
+        ids=["pm-count-bool", "vm-count-float", "horizon-float", "policy-int", "seed-negative",
+             "threshold-nan", "threshold-negative", "log-scores-string"],
+    )  # fmt: skip
+    def test_a_bad_field_is_a_config_error(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            SimConfig(**{field: value})
+        assert str(info.value) == message
+        with pytest.raises(ConfigError):  # `replace` checks too
+            replace(SimConfig(), **{field: value})
+
+    def test_threshold_edges_run(self):
+        for threshold in (0, 0.0, 1.5):
+            run(tiny_config(consolidation_threshold=threshold))
+
+
 class TestComputeQos:
     def test_31_of_32_cores(self):
         result = SimResult(
