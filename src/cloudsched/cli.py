@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-scores",
         action="store_true",
         default=None,  # unset: the config file decides
-        help="include per-PM scores in the decision log",
+        help="log the per-PM scores each learned policy ranked by "
+        "(counter: its network score less a term every candidate shares)",
     )
     p.add_argument("--model", metavar="PATH", help="model checkpoint for counter/hunter")
     p.add_argument("--pm-count", type=int, help="number of PMs")

@@ -3,11 +3,14 @@
 Both map a state graph to node embeddings and share a linear readout
 that scores a (VM, PM) node pair; the scheduler treats that score as
 predicted incremental energy and takes the argmin.  A state graph has
-one node per PM plus the request.  Training runs on dense graphs;
-scoring builds no graph and no n x n array, since the normalised
-adjacency has only three distinct rows (`score_placements`).  Each network's
-parameters are stated once, as a (name, shape) layout that its views,
-first draw and checkpoint reader and writer all follow.
+one node per PM plus the request.  Training runs both networks on dense
+graphs.  At inference only the gated network runs: its scoring builds
+no graph and no n x n array, since the normalised adjacency has only
+three distinct rows (`score_placements`).  The GCN's candidates differ
+only by their raw features times `w_xp`, which the scheduler reads
+directly.  Each network's parameters are stated once, as a (name, shape)
+layout that its views, first draw and checkpoint reader and writer all
+follow.
 """
 
 from __future__ import annotations
@@ -209,16 +212,14 @@ class GcnBuffers:
         self.ahs = [None] + [np.empty((n, k)) for k in hidden]
 
 
-def gcn_layers(model: GcnModel, a_hat: np.ndarray, a_feats: np.ndarray, buffers=None):
+def gcn_layers(model: GcnModel, a_hat: np.ndarray, a_feats: np.ndarray, buffers: GcnBuffers):
     """Run all layers with caches: returns (activations, propagated, pre-activations).
 
     `a_feats` is a_hat @ feats, the first layer's propagated input.  Every
-    array is written into `buffers` (a fresh `GcnBuffers` when None) with
-    the same products and sums as the out-of-place expressions, so the
-    results are bit-identical to them.
+    array is written into `buffers` with the same products and sums as
+    the out-of-place expressions, so the results are bit-identical to them.
     """
-    b = GcnBuffers(model, a_feats.shape[0]) if buffers is None else buffers
-    hs, ahs, zs = b.hs, b.ahs, b.zs
+    hs, ahs, zs = buffers.hs, buffers.ahs, buffers.zs
     ahs[0] = a_feats
     last = len(zs) - 1
     for layer, (w, bias) in enumerate(zip(model.weights, model.biases)):
@@ -345,34 +346,34 @@ def _gru_update(b: GatedBuffers, h: np.ndarray, step: tuple) -> np.ndarray:
     return h_next
 
 
-def gated_steps(model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0=None, buffers=None):
+def gated_steps(
+    model: GatedModel, a_hat: np.ndarray, h0: np.ndarray, a_h0: np.ndarray, buffers: GatedBuffers
+):
     """Unroll the GRU propagation, caching per-step tensors for backprop.
 
     One batched product gives m @ w_g for all three gates and another
     h @ u_g for z and r; each slice is the same matrix product as an
     unstacked gate, so the results are too.  Every product, sum, gate
-    and state is written into `buffers` (a fresh `GatedBuffers` when
-    None) by `_gru_update`, which reads the set's gate block: a given
-    set's must hold `model`'s gates times `GATE_SIGNS`.  A gate whose
-    pre-activation is so negative that exp(-x) overflows saturates at
-    1 / (1 + inf) = 0, the right value, so the overflow is not reported.
-    `a_h0`, when given, is a_hat @ h0.
+    and state is written into `buffers` by `_gru_update`, which reads the
+    set's gate block: it must hold `model`'s gates times `GATE_SIGNS`.
+    A gate whose pre-activation is so negative that exp(-x) overflows
+    saturates at 1 / (1 + inf) = 0, the right value, so the overflow is
+    not reported.  `a_h0` is a_hat @ h0, the first step's propagation.
     Returns (last state, caches), one cache per step:
     (h_prev, a_hat @ h_prev, m, [z, r], 1 - [z, r], r * h_prev, c).
     """
-    b = GatedBuffers(model, h0.shape[0]) if buffers is None else buffers
     caches = []
     h = h0
     with np.errstate(over="ignore"):
-        for k, step in enumerate(b.steps):
+        for k, step in enumerate(buffers.steps):
             ah, m, mw, zr, _, _, c, omz, _, rh, _ = step
-            if k or a_h0 is None:
+            if k:
                 np.dot(a_hat, h, out=ah)
             else:
                 ah = a_h0
             np.dot(ah, model.w_msg, out=m)
-            np.matmul(m, b.W, out=mw)
-            h_next = _gru_update(b, h, step)
+            np.matmul(m, buffers.W, out=mw)
+            h_next = _gru_update(buffers, h, step)
             caches.append((h, ah, m, zr, omz, rh, c))
             h = h_next
     return h, caches
@@ -389,7 +390,7 @@ def _a_hat_by_kind(n: int, k: int) -> np.ndarray:
 
 
 class ScoringWorkspace:
-    """Every array `score_placements` writes for a gated model, on up to `pm_count` PMs.
+    """Every array `score_placements` writes, on up to `pm_count` PMs.
 
     A graph of n PMs is scored in its node kinds, its three `a_hat` rows,
     the three-row messages (a_hat @ h, m, m @ W), the `GatedBuffers` of
@@ -445,59 +446,40 @@ class ScoringWorkspace:
 
 
 def score_placements(
-    model: GcnModel | GatedModel,
-    feats: np.ndarray,
-    candidates: np.ndarray,
-    workspace: ScoringWorkspace | None = None,
+    model: GatedModel, feats: np.ndarray, candidates: np.ndarray, workspace: ScoringWorkspace
 ) -> np.ndarray:
-    """Score each candidate PM row for one request, in the order of `candidates`.
+    """Hunter's network score of each candidate PM row for one request, in `candidates` order.
 
     `feats` is `WorkingFeatures(snapshot, prices).for_request(request)`:
     one row per PM, then the request's.  `candidates` holds the ascending
     rows of the PMs that fit the request.  No graph is built: on a PM
     clique plus the request's star, a node's row of `a_hat` depends only
     on its kind (PM the request does not fit, PM it fits, request), so
-    a_hat @ X is three rows, gathered to the nodes by kind.  The GCN runs
-    every layer on them (after the first, the nodes of one kind share a
-    state, so propagation is 3 x 3: s_r * s_t * count of kind t), in
-    fresh arrays of a few floats each.  The gated model's messages take
-    three rows, its GRU update every node, all written into `workspace`
-    (for at least n PMs; a fresh one when None).  The readout's term
+    a_hat @ h is three rows, gathered to the nodes by kind.  The messages
+    take three rows, the GRU update every node, all written into
+    `workspace` (for `model` and at least n PMs).  The readout's term
     shared by every candidate is summed in Python floats, the same
     additions in the same order as in float64 scalars.  The scores equal
     the dense forward's to rounding, and are a new array.
     """
-    n, k = feats.shape[0] - 1, len(candidates)
-    if isinstance(model, GcnModel):
-        kinds, a_rows = np.empty(n + 1, dtype=np.intp), np.empty((3, n + 1))
-        kinds[n] = 2
-        by_kind = _a_hat_by_kind(n, k)
-    else:
-        if workspace is None:
-            workspace = ScoringWorkspace(model, n)
-        kinds, a_rows, messages, buffers, h = workspace.views(n)
-        by_kind = workspace.by_kind(n, k)
+    n = feats.shape[0] - 1
+    kinds, a_rows, messages, buffers, h = workspace.views(n)
+    by_kind = workspace.by_kind(n, len(candidates))
     kinds[:n] = 0
     kinds[candidates] = 1
     by_kind.take(kinds, 1, a_rows, "clip")
-    if isinstance(model, GcnModel):
-        by_kind *= (n - k, k, 1)
-        hs, _, _ = gcn_layers(model, by_kind, np.dot(a_rows, feats))
-        h_vm, h_pm = hs[-1][2], hs[-1][1]
-    else:
-        h[:, : feats.shape[1]] = feats
-        ah, m, mw = messages[0], messages[1], messages[2:]
-        with np.errstate(over="ignore"):
-            for step in buffers.steps:
-                np.dot(a_rows, h, out=ah)
-                np.dot(ah, model.w_msg, out=m)
-                np.matmul(m, buffers.W, out=mw)
-                mw.take(kinds, 1, step[2], "clip")
-                h = _gru_update(buffers, h, step)
-        h_vm, h_pm = h[n], h.take(candidates, 0)
+    h[:, : feats.shape[1]] = feats
+    ah, m, mw = messages[0], messages[1], messages[2:]
+    with np.errstate(over="ignore"):
+        for step in buffers.steps:
+            np.dot(a_rows, h, out=ah)
+            np.dot(ah, model.w_msg, out=m)
+            np.matmul(m, buffers.W, out=mw)
+            mw.take(kinds, 1, step[2], "clip")
+            h = _gru_update(buffers, h, step)
     scores = feats.take(candidates, 0).dot(model.w_xp)
-    scores += h_pm.dot(model.w_hp)
-    scores += float(h_vm.dot(model.w_hv)) + float(feats[n].dot(model.w_xv)) + model.readout_b.item()
+    scores += h.take(candidates, 0).dot(model.w_hp)
+    scores += float(h[n].dot(model.w_hv)) + float(feats[n].dot(model.w_xv)) + model.readout_b.item()
     return scores
 
 

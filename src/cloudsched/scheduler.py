@@ -4,13 +4,14 @@ Five interchangeable policies share one driver: pending requests are
 processed in arrival order against a working copy of the resource
 snapshot, so a single step can fill a PM.  `Policy.score` is the one
 place a policy's rule lives: it maps the feasible PMs for one request to
-an array of scores and `schedule` takes the argmin (ties go to the first
-PM in snapshot order).  The working copy is columnar: a request's
-candidates are one vectorised mask and a placement updates one row in
-place.  The learned policies score a feature matrix kept beside it,
-patched one row per placement: counter by five readout weights, hunter
-with its graph network; the consolidator then tries to empty one
-underloaded PM per step when the predicted saving is positive.
+an array of scores, `schedule` takes the argmin (ties go to the first
+PM in snapshot order) and logs those same scores when asked.  The
+working copy is columnar: a request's candidates are one vectorised
+mask and a placement updates one row in place.  The learned policies
+score a feature matrix kept beside it, patched one row per placement:
+counter by five readout weights, hunter with its graph network; the
+consolidator then tries to empty one underloaded PM per step when the
+predicted saving is positive.
 """
 
 from __future__ import annotations
@@ -79,13 +80,15 @@ class Policy:
 
         `candidates` holds the ascending row numbers of the PMs in
         `working` that can host the request.  Returns `(rows, scores)`,
-        two aligned arrays in ascending row order.  Counter scores by
-        `features` (kept for `working`) times its readout's `w_xp`, the one
-        term of its network score that differs between candidates; as
-        rounded addition is monotone, its pick is one of the network
-        scores' minima.  Hunter scores with its network
-        (`network_scores`); a lone candidate is returned unscored unless
-        scores are logged.  The heuristics return their pick alone and
+        two aligned arrays in ascending row order; these scores are the
+        ones `--log-scores` prints.  Counter scores by `features` (kept
+        for `working`) times its readout's `w_xp`, its network score less
+        a term every candidate shares; as rounded addition is monotone,
+        its pick is one of the network scores' minima.  Hunter scores
+        with its network, in the one `ScoringWorkspace` kept for its
+        model, sized by the largest snapshot so far (all the PMs).  A
+        learned policy returns a lone candidate unscored unless scores
+        are logged.  The heuristics return their pick alone and
         unscored: first_fit takes the first candidate, random draws once
         per request, and best_fit_energy takes the PM whose power rises
         least (`_least_power_increase`).
@@ -102,21 +105,11 @@ class Policy:
             return candidates, _NO_SCORE
         if self.kind == "counter":
             return candidates, features.values[candidates] @ self.model.w_xp
-        return candidates, self.network_scores(request, candidates, features)
-
-    def network_scores(
-        self, request: WorkloadRequest, candidates: np.ndarray, features: WorkingFeatures
-    ) -> np.ndarray:
-        """The network's scores.  Hunter's are written into the one
-        `ScoringWorkspace` kept for its model, sized by the largest snapshot
-        so far (all the PMs); counter's GCN needs none."""
-        feats = features.for_request(request)
-        if self.kind == "counter":
-            return score_placements(self.model, feats, candidates)
         workspace, n = self._workspace, len(features.working)
         if workspace is None or workspace.model is not self.model or workspace.pm_count < n:
             workspace = self._workspace = ScoringWorkspace(self.model, n)
-        return score_placements(self.model, feats, candidates, workspace)
+        feats = features.for_request(request)
+        return candidates, score_placements(self.model, feats, candidates, workspace)
 
 
 _NO_SCORE = np.zeros(1)  # the score of a pick made without scoring
@@ -215,8 +208,6 @@ def schedule(
         rows, scores = policy.score(working, request, candidates, features)
         chosen = _argmin(rows, scores)
         if policy.logs_scores:
-            if policy.kind == "counter":  # the log shows its network's scores
-                scores = policy.network_scores(request, rows, features)
             pm_ids = map(working.pm_ids.__getitem__, rows.tolist())
             decision.scores[request.id] = dict(zip(pm_ids, scores.tolist()))
 

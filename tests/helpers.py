@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 from cloudsched.datacenter import DatacenterState, ResourceSnapshot
 from cloudsched.energy import PriceSeries
 from cloudsched.gnn.graph import ClusterPartition, StateGraph, normalize_adjacency
-from cloudsched.gnn.models import GcnModel, gated_steps, gcn_layers, restrict_graph
+from cloudsched.gnn.models import (
+    GatedBuffers,
+    GcnBuffers,
+    GcnModel,
+    gated_steps,
+    gcn_layers,
+    restrict_graph,
+)
 from cloudsched.gnn.training import (
     TrainSample,
     _sample_graph,
@@ -166,6 +173,33 @@ def pm_entries(draw, min_pms: int = 1, max_pms: int = 6) -> dict[str, dict]:
     return entries
 
 
+@st.composite
+def scored_snapshots(draw):
+    """A snapshot of 1-40 PMs, a request that fits on none, some or every PM, and prices or None.
+
+    The request's duration is up to 2**63 - 1 hours, so its feature can
+    dwarf every other.
+    """
+    entries = draw(pm_entries(min_pms=1, max_pms=40))
+    reach = draw(st.sampled_from(["some", "none", "all"]))
+    if reach == "all":
+        for e in entries.values():
+            e["free_cores"], e["free_ram"], e["max_frequency"] = e["cores"], e["ram"], 3400
+    snap = snapshot_from_entries(entries)
+    req = WorkloadRequest(
+        id="vm-0",
+        cpu_frequency=3500 if reach == "none" else draw(st.integers(1600, 3400)),
+        cores=draw(st.sampled_from([1, 2, 4, 8])),
+        ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
+        duration=draw(st.integers(1, 48) | st.integers(1, 2**63 - 1)),
+        arrival=0,
+    )
+    prices = None
+    if draw(st.booleans()):
+        prices = np.array([draw(st.floats(0.0, 0.15)) for _ in entries])
+    return snap, req, prices
+
+
 def powered_on(state: DatacenterState) -> set[str]:
     """Ids of the PMs whose power-state column is on."""
     res = state.resources
@@ -223,7 +257,7 @@ def gcn_forward_restricted(
     """GCN node embeddings of the selected clusters, propagated on their subgraph only."""
     _, feats, adj = restrict_graph(graph, partition, clusters)
     a_hat = normalize_adjacency(adj)
-    hs, _, _ = gcn_layers(model, a_hat, a_hat @ feats)
+    hs, _, _ = gcn_layers(model, a_hat, a_hat @ feats, GcnBuffers(model, len(feats)))
     return hs[-1]
 
 
@@ -231,11 +265,11 @@ def sample_loss(model, sample: TrainSample) -> float:
     """Full-graph squared error for one sample (used by the gradient check)."""
     from slow_reference import pair_vector  # slow_reference imports this module
 
-    g = _sample_graph(model, sample)
+    g, n = _sample_graph(model, sample), sample.graph.n_nodes
     if isinstance(model, GcnModel):
-        h_last = gcn_layers(model, g.a_hat, g.a_inputs)[0][-1]
+        h_last = gcn_layers(model, g.a_hat, g.a_inputs, GcnBuffers(model, n))[0][-1]
     else:
-        h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs)
+        h_last, _ = gated_steps(model, g.a_hat, g.inputs, g.a_inputs, GatedBuffers(model, n))
     pair = pair_vector(h_last, sample.graph.features, g.vm_pos, g.pm_pos)
     score = float(pair @ model.readout_w[:, 0] + model.readout_b[0])
     return (score - sample.label) ** 2

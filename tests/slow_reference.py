@@ -40,7 +40,10 @@ from cloudsched.gnn.graph import (
     partition_graph,
 )
 from cloudsched.gnn.models import (
+    GatedBuffers,
+    GcnBuffers,
     GcnModel,
+    ScoringWorkspace,
     gated_steps,
     gcn_layers,
     model_from_json,
@@ -348,14 +351,14 @@ def state_a_hat(fits: np.ndarray) -> np.ndarray:
 def gcn_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after the GCN layers over the dense normalised graph."""
     a_hat = normalize_adjacency(graph.adjacency)
-    hs, _, _ = gcn_layers(model, a_hat, a_hat @ graph.features)
+    hs, _, _ = gcn_layers(model, a_hat, a_hat @ graph.features, GcnBuffers(model, graph.n_nodes))
     return hs[-1]
 
 
 def gated_forward(model, graph: StateGraph) -> np.ndarray:
     """Node embeddings after K gated propagation rounds over the dense normalised graph."""
-    h0 = pad_features(graph.features, model.hidden)
-    h, _ = gated_steps(model, normalize_adjacency(graph.adjacency), h0)
+    h0, a_hat = pad_features(graph.features, model.hidden), normalize_adjacency(graph.adjacency)
+    h, _ = gated_steps(model, a_hat, h0, a_hat @ h0, GatedBuffers(model, graph.n_nodes))
     return h
 
 
@@ -582,13 +585,14 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
     """`consolidate` with each underloaded source screened on its own, and
     a dense state graph built for each request.
 
-    The destination is the argmin of `score_placements` on that graph's
-    features and fits: the scorer itself is checked against the dense
-    forward within a bound (test_models), and where the scores differ by
-    less than that, as they do when a duration near 2**63 makes every
-    score about 2**51, rounding alone picks the argmin.  Counter's is the
-    argmin of the candidates' features times the readout's x_pm weights,
-    the one term of its score that differs between candidates.
+    Hunter's destination is the argmin of `score_placements` (in a fresh
+    workspace) on that graph's features and fits: the scorer itself is
+    checked against the dense forward within a bound (test_models), and
+    where the scores differ by less than that, as they do when a duration
+    near 2**63 makes every score about 2**51, rounding alone picks the
+    argmin.  Counter's is the argmin of the candidates' features times
+    the readout's x_pm weights, the one term of its score that differs
+    between candidates.
 
     Unpriced (`prices` None) is a zero price at every PM.
     """
@@ -626,7 +630,8 @@ def consolidate_by_source(policy, state, prices=None, threshold=CONSOLIDATION_TH
             if policy.kind == "counter":
                 scores = graph.features[fits] @ policy.model.readout_w[-FEATURE_DIM:, 0]
             else:
-                scores = score_placements(policy.model, graph.features, fits)
+                workspace = ScoringWorkspace(policy.model, len(working))
+                scores = score_placements(policy.model, graph.features, fits, workspace)
             dst = fits[argmin_by_scan(dict(enumerate(scores.tolist())))]
             plan.append((vm.id, working.pm_ids[dst]))
             working.place(dst, vm.request)

@@ -143,10 +143,10 @@ def _random_check_sample(rng):
 def _relu_kink_free(model, sample, margin=1e-3) -> bool:
     """Central differences are no oracle at ReLU kinks; require a margin."""
     from cloudsched.gnn.graph import normalize_adjacency
-    from cloudsched.gnn.models import gcn_layers
+    from cloudsched.gnn.models import GcnBuffers, gcn_layers
 
-    a_hat = normalize_adjacency(sample.graph.adjacency)
-    _, _, zs = gcn_layers(model, a_hat, a_hat @ sample.graph.features)
+    a_hat, n = normalize_adjacency(sample.graph.adjacency), sample.graph.n_nodes
+    _, _, zs = gcn_layers(model, a_hat, a_hat @ sample.graph.features, GcnBuffers(model, n))
     return all(np.abs(z).min() > margin for z in zs[:-1])
 
 

@@ -12,8 +12,8 @@ from cloudsched.gnn.models import (
     model_to_json,
     new_gated_model,
     new_gcn_model,
-    score_placements,
 )
+from cloudsched.scheduler import Policy
 from cloudsched.sim import SimConfig, compare
 from cloudsched.util import atomic_write_text
 from cloudsched.workload import workload_to_json
@@ -102,10 +102,11 @@ class TestTrain:
         from cloudsched.datacenter import new_datacenter, snapshot
 
         snap, request = snapshot(new_datacenter(2)), tiny_requests()[0]
-        rows = np.flatnonzero(snap.fits(request))
-        features = WorkingFeatures(snap, None).for_request(request)
-        first = score_placements(model, features, rows)
-        again = score_placements(load_model(tmp_path / "model_counter.json"), features, rows)
+        rows, features = np.flatnonzero(snap.fits(request)), WorkingFeatures(snap, None)
+        first, again = (  # the scores counter places by
+            Policy("counter", model=m).score(snap, request, rows, features)[1]
+            for m in (model, load_model(tmp_path / "model_counter.json"))
+        )
         assert first.tolist() == again.tolist() and len(first) == 2
         assert (tmp_path / "loss_counter.csv").read_text().startswith("epoch,mean_loss")
 

@@ -15,7 +15,6 @@ from cloudsched.datacenter import PhysicalMachine, new_datacenter, snapshot
 from cloudsched.gnn import models
 from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import ScoringWorkspace, load_model, score_placements
-from cloudsched.scheduler import Policy, schedule
 from cloudsched.sim import SimConfig, compute_qos, run
 from cloudsched.workload import WorkloadRequest
 
@@ -25,46 +24,24 @@ COUNTER = CHECKPOINTS["counter"]
 SCENARIO = SimConfig(pm_count=8, vm_count=60, policy="counter", model=COUNTER, seed=1)
 
 
-def network_calls(monkeypatch) -> tuple[Counter, list[int]]:
-    """Count `gcn_layers` calls, and record each `score_placements` call's candidate count."""
-    calls, scored = Counter(), []
-    gcn_layers, score_placements = models.gcn_layers, scheduler.score_placements
+def network_calls(monkeypatch) -> Counter:
+    """Count the calls of `gcn_layers` and of the scheduler's `score_placements`."""
+    calls = Counter()
+    for module, name in [(models, "gcn_layers"), (scheduler, "score_placements")]:
 
-    def counted_layers(*args, **kwargs):
-        calls["gcn_layers"] += 1
-        return gcn_layers(*args, **kwargs)
+        def counted(*args, name=name, function=getattr(module, name)):
+            calls[name] += 1
+            return function(*args)
 
-    def recorded_scores(model, feats, candidates, workspace=None):
-        scored.append(len(candidates))
-        return score_placements(model, feats, candidates, workspace)
-
-    monkeypatch.setattr(models, "gcn_layers", counted_layers)
-    monkeypatch.setattr(scheduler, "score_placements", recorded_scores)
-    return calls, scored
-
-
-def test_counter_runs_no_network_unless_scores_are_logged(monkeypatch):
-    calls, scored = network_calls(monkeypatch)
-    result = run(SCENARIO)
-    assert result.placed > 0 and result.migration_count > 0  # placements and moves decided
-    assert (calls["gcn_layers"], len(scored)) == (0, 0)
-
-
-def test_logged_scores_run_the_network_once_per_placed_request(monkeypatch):
-    # Every placed request's scores are logged, a lone candidate's too;
-    # consolidation moves are decided, and never logged, without the network.
-    calls, scored = network_calls(monkeypatch)
-    result = run(replace(SCENARIO, log_scores=True))
-    assert len(scored) == calls["gcn_layers"] == result.placed
-    assert sum(n >= 2 for n in scored) > 0 and min(scored) >= 1
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_counter_builds_no_scoring_workspace(monkeypatch):
-    policy = Policy("counter", model=COUNTER)
-    pending = [WorkloadRequest(f"vm-{i}", 2000, 4, 4, 8, 0) for i in range(6)]
-    decision = schedule(policy, snapshot(new_datacenter(4)), pending)
-    assert len(decision.assignments) == 6 and policy._workspace is None
-    # Logged scores run counter's GCN without a workspace too.
+    # Counter decides, and logs, by feats[c] @ w_xp: a run, logged or not,
+    # runs no GCN layer, scores nothing with the network and builds no
+    # workspace, while it places, moves and (when logged) logs scores.
+    calls = network_calls(monkeypatch)
     policies, load_policy = [], sim._load_policy
 
     def kept_policy(config):
@@ -72,23 +49,26 @@ def test_counter_builds_no_scoring_workspace(monkeypatch):
         return policies[-1]
 
     monkeypatch.setattr(sim, "_load_policy", kept_policy)
-    result = run(replace(SCENARIO, log_scores=True))
-    assert result.placed > 0 and [p._workspace for p in policies] == [None]
+    for log_scores in (False, True):
+        result = run(replace(SCENARIO, log_scores=log_scores))
+        assert result.placed > 0 and result.migration_count > 0
+        assert any("scores" in event for event in result.events) == log_scores
+    assert calls == {}
+    assert [p._workspace for p in policies] == [None, None]
 
 
-@pytest.mark.parametrize("pms", [64, 256])
-@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
-def test_one_score_allocates_pms_times_hidden(name, pms):
-    # The peak of one score is bounded by 3 (PMs + 1) x hidden floats; one
+@pytest.mark.parametrize("pms", [64, 256], ids=lambda pms: f"hunter-{pms}")
+def test_one_score_allocates_pms_times_hidden(pms):
+    # The peak of one hunter score, in a kept workspace whose views its
+    # first score makes, is bounded by 3 (PMs + 1) x hidden floats; one
     # stray (PMs + 1)**2 float array (33.8 kB at 64 PMs, 528 kB at 256)
-    # passes it.  Counter scores with no workspace; hunter in a kept one,
-    # whose views its first score makes.
-    model, request = CHECKPOINTS[name], WorkloadRequest("vm-0", 2000, 4, 8, 24, 0)
+    # passes it.
+    model, request = CHECKPOINTS["hunter"], WorkloadRequest("vm-0", 2000, 4, 8, 24, 0)
     snap = snapshot(new_datacenter(pms))
     feats = WorkingFeatures(snap, None).for_request(request)
     candidates = np.flatnonzero(snap.fits(request))
     assert len(candidates) == pms
-    workspace = ScoringWorkspace(model, pms) if name == "hunter" else None
+    workspace = ScoringWorkspace(model, pms)
     score_placements(model, feats, candidates, workspace)
     tracemalloc.start()
     try:
@@ -96,7 +76,7 @@ def test_one_score_allocates_pms_times_hidden(name, pms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * (pms + 1) * model.dims[-1] * 8
+    assert peak <= 3 * (pms + 1) * model.hidden * 8
 
 
 @pytest.fixture(scope="module")

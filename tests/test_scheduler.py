@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cloudsched.datacenter import (
     admit,
@@ -17,8 +17,8 @@ from cloudsched.datacenter import (
 from cloudsched.energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from cloudsched.errors import ConfigError
 from cloudsched import scheduler
-from cloudsched.gnn.graph import WorkingFeatures
-from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model, score_placements
+from cloudsched.gnn.graph import WorkingFeatures, build_state_graph
+from cloudsched.gnn.models import load_model, new_gated_model, new_gcn_model
 from cloudsched.scheduler import (
     MODEL_POLICIES,
     Policy,
@@ -31,12 +31,20 @@ from cloudsched.scheduler import (
 from cloudsched.sim import SimConfig
 from cloudsched.workload import WorkloadRequest
 
-from helpers import entry, snapshot_columns, snapshot_from_entries, state_dump, state_vms
+from helpers import (
+    entry,
+    scored_snapshots,
+    snapshot_columns,
+    snapshot_from_entries,
+    state_dump,
+    state_vms,
+)
 from slow_reference import (
     argmin_by_scan,
     best_fit_by_float_argmin,
     consolidate_by_source,
     consolidate_by_vm_objects,
+    score_placements_by_pair,
 )
 
 CHECKPOINTS = {
@@ -52,6 +60,21 @@ def req(id="vm-0", cores=4, ram=4, freq=2000, duration=8, arrival=0):
 
 def rows(*indices):
     return np.array(indices, dtype=int)
+
+
+# Four PMs and a request of 2**63 - 1 hours, unpriced: pm-1 and pm-3 share
+# the counter checkpoint's least feats[c] @ w_xp, and its network scores of
+# all four round to within one ulp of each other.
+HUGE_DURATION = (
+    snapshot_from_entries({
+        "pm-0": entry(),
+        "pm-1": entry(free_cores=24, free_ram=8, powered_on=True),
+        "pm-2": entry(free_cores=8, free_ram=4, powered_on=True),
+        "pm-3": entry(free_cores=24, free_ram=8, powered_on=True),
+    }),
+    req(duration=2**63 - 1),
+    None,
+)
 
 
 def zeroed(model):
@@ -217,6 +240,7 @@ class TestModelScores:
 
     @pytest.mark.parametrize("kind", MODEL_POLICIES)
     def test_a_lone_candidate_is_scored_only_when_scores_are_logged(self, kind, monkeypatch):
+        # Hunter's network scores it; counter's readout weights do, without the network.
         snap = snapshot_from_entries({"pm-0": entry(free_cores=2), "pm-1": entry()})
         calls = []
         score = scheduler.score_placements
@@ -227,11 +251,11 @@ class TestModelScores:
         assert (quiet.assignments, quiet.scores, calls) == ([("vm-0", "pm-1")], {}, [])
         logged = Policy(kind, model=CHECKPOINTS[kind], record_scores=True)
         d = schedule(logged, snap, [req(cores=8)])
-        assert d.assignments == quiet.assignments and len(calls) == 1
+        assert d.assignments == quiet.assignments and len(calls) == (kind == "hunter")
         assert list(d.scores["vm-0"]) == ["pm-1"] and d.scores["vm-0"]["pm-1"] != 0.0
 
     def test_a_policy_keeps_one_scoring_workspace(self):
-        # Hunter scores every request with its network; counter only logs with it.
+        # Hunter scores every request with its network; counter never runs it.
         policy = Policy("hunter", model=CHECKPOINTS["hunter"])
         small, large = snapshot(new_datacenter(3)), snapshot(new_datacenter(5))
         schedule(policy, small, [req()])
@@ -244,22 +268,19 @@ class TestModelScores:
         assert policy._workspace.pm_count == 5
 
     def test_a_huge_duration_is_placed_by_the_readout_weights(self):
-        # At a duration of 2**63 - 1 every network score rounds to one value
-        # near -2**51, so rounding alone would pick pm-0.  Counter places by
-        # feats[c] @ w_xp instead; pm-1 and pm-3 have one feature row, and
-        # the first of them wins.
-        snap = snapshot_from_entries({
-            "pm-0": entry(),
-            "pm-1": entry(free_cores=24, free_ram=8, powered_on=True),
-            "pm-2": entry(free_cores=8, free_ram=4, powered_on=True),
-            "pm-3": entry(free_cores=24, free_ram=8, powered_on=True),
-        })
-        huge, model = req(duration=2**63 - 1), CHECKPOINTS["counter"]
+        # At a duration of 2**63 - 1 every network score is near -2**51,
+        # where one ulp is wider than the candidates' differences in
+        # feats[c] @ w_xp, so rounding alone orders the network scores.
+        # Counter places by feats[c] @ w_xp instead; pm-1 and pm-3 have one
+        # feature row, and the first of them wins.
+        snap, huge, _ = HUGE_DURATION
+        model = CHECKPOINTS["counter"]
         features = WorkingFeatures(snap, None)
         linear = features.values[:4] @ model.readout_w[-5:, 0]
         assert linear.argmin() == 1 and linear[1] == linear[3]
-        network = score_placements(model, features.for_request(huge), rows(0, 1, 2, 3))
-        assert len(set(network.tolist())) == 1
+        network = list(score_placements_by_pair(model, build_state_graph(snap, huge, None)).values())
+        ulp = np.spacing(max(map(abs, network)))
+        assert np.ptp(network) <= ulp and np.ptp(linear) < ulp
         d = schedule(Policy("counter", model=model), snap, [huge])
         assert d.assignments == [("vm-0", "pm-1")]
 
@@ -320,6 +341,24 @@ class TestModelScores:
         candidates = np.arange(len(scores)) * 3 + 1
         by_row = dict(zip(candidates.tolist(), scores))
         assert _argmin(candidates, np.array(scores)) == argmin_by_scan(by_row)
+
+    @pytest.mark.parametrize("kind", MODEL_POLICIES)
+    @settings(max_examples=100, deadline=None)
+    @given(scored_snapshots())
+    @example(inputs=HUGE_DURATION)
+    def test_the_placed_pm_is_the_scan_minimum_of_its_logged_scores(self, kind, inputs):
+        # The logged scores are the ones the pick was made by: a strict `<`
+        # scan over them, in row order, names the placed PM.  That holds for
+        # durations up to 2**63 - 1 too, where every network score is about
+        # 2**51 and rounding ties candidates that counter's w_xp term tells
+        # apart (`HUGE_DURATION`).
+        snap, request, prices = inputs
+        policy = Policy(kind, model=CHECKPOINTS[kind], record_scores=True)
+        d = schedule(policy, snap, [request], prices)
+        if d.deferred:
+            assert (d.assignments, d.scores) == ([], {})
+        else:
+            assert d.assignments == [("vm-0", argmin_by_scan(d.scores["vm-0"]))]
 
 
 class TestConsolidate:
