@@ -37,11 +37,34 @@ def network_calls(monkeypatch) -> Counter:
     return calls
 
 
-def test_counter_builds_no_scoring_workspace(monkeypatch):
-    # Counter decides, and logs, by feats[c] @ w_xp: a run, logged or not,
-    # runs no GCN layer, scores nothing with the network and builds no
-    # workspace, while it places, moves and (when logged) logs scores.
+def test_counter_runs_no_network_unless_scores_are_logged(monkeypatch):
+    # Counter decides by feats[c] @ w_xp: it places and moves without a
+    # GCN layer or a `score_placements` call.
     calls = network_calls(monkeypatch)
+    result = run(SCENARIO)
+    assert result.placed > 0 and result.migration_count > 0
+    assert calls == {}
+
+
+def test_logged_scores_run_the_network_once_per_placed_request(monkeypatch):
+    # Every placed request's scores are logged, a lone candidate's too;
+    # consolidation moves are decided, and never logged.  The logged scores
+    # are the readout scores counter ranked by, so logging runs no GCN
+    # layer and no `score_placements` either.
+    calls = network_calls(monkeypatch)
+    result = run(replace(SCENARIO, log_scores=True))
+    scored = [len(pms) for e in result.events for pms in e.get("scores", {}).values()]
+    assert len(scored) == result.placed and result.migration_count > 0
+    assert sum(n >= 2 for n in scored) > 0 and min(scored) >= 1
+    assert calls == {}
+
+
+def test_counter_builds_no_scoring_workspace(monkeypatch):
+    policy = scheduler.Policy("counter", model=COUNTER)
+    pending = [WorkloadRequest(f"vm-{i}", 2000, 4, 4, 8, 0) for i in range(6)]
+    decision = scheduler.schedule(policy, snapshot(new_datacenter(4)), pending)
+    assert len(decision.assignments) == 6 and policy._workspace is None
+    # Logged runs build none either.
     policies, load_policy = [], sim._load_policy
 
     def kept_policy(config):
@@ -49,12 +72,8 @@ def test_counter_builds_no_scoring_workspace(monkeypatch):
         return policies[-1]
 
     monkeypatch.setattr(sim, "_load_policy", kept_policy)
-    for log_scores in (False, True):
-        result = run(replace(SCENARIO, log_scores=log_scores))
-        assert result.placed > 0 and result.migration_count > 0
-        assert any("scores" in event for event in result.events) == log_scores
-    assert calls == {}
-    assert [p._workspace for p in policies] == [None, None]
+    result = run(replace(SCENARIO, log_scores=True))
+    assert result.placed > 0 and [p._workspace for p in policies] == [None]
 
 
 @pytest.mark.parametrize("pms", [64, 256], ids=lambda pms: f"hunter-{pms}")
