@@ -20,6 +20,15 @@ from typing import Iterator
 
 import numpy as np
 
+from .cells import (
+    _PAD,
+    _byte_table,
+    _distinct_row_texts,
+    _fixed6_table,
+    _paste,
+    _repr_table,
+    _take_rows,
+)
 from .datacenter import (
     DEFAULT_PM_TEMPLATE,
     PhysicalMachine,
@@ -339,9 +348,8 @@ def result_to_json(result: SimResult) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` of the run, plus a newline.
 
     Each block is written from its fixed shape: the `[hour][pm]` blocks from
-    the run's arrays, one hour at a time, formatting each distinct float
-    once; `events` and the energy breakdowns from templates; each flat list
-    or dict by one C-encoder call.
+    byte tables of the run's arrays; `events` and the energy breakdowns
+    from templates; each flat list or dict by one C-encoder call.
     """
     texts = {
         "policy": _quote(result.policy),
@@ -369,75 +377,61 @@ def result_to_json(result: SimResult) -> str:
     return "".join(pieces)  # one copy of each block, straight into the document
 
 
-def _distinct_texts(values: np.ndarray, *formats) -> tuple[np.ndarray, ...]:
-    """`(index, *texts)`: each format applied once per distinct float of `values`.
-
-    Floats are distinct by bit pattern, not by value: -0.0 == 0.0, but they
-    print differently.  Each format gets a Python float; `texts[index]` is
-    then every cell's text.  The index has `values`' shape and the narrowest
-    unsigned type that holds it, because a writer keeps it for the whole run.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    index = index.reshape(values.shape).astype(np.min_scalar_type(len(floats)))
-    texts = (np.array(list(map(fmt, floats)), dtype=object) for fmt in formats)
-    return index, *texts
-
-
-def _distinct_row_texts(columns, fmt: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """`(index, texts)`: `fmt % row` once per distinct row of the stacked `columns`,
-    as a `_byte_table`.
-
-    Rows are distinct by their floats' bit patterns, as in `_distinct_texts`.
-    A lexicographic sort of the rows' bits puts equal rows side by side.
-    """
-    rows = np.stack(columns, axis=-1).astype(np.float64, copy=False)  # [hour][pm][column]
-    bits = rows.reshape(-1, len(columns)).view(np.int64)
-    order = np.lexsort(bits.T)
-    first = np.zeros(len(order), dtype=bool)  # the first of each run of equal rows
-    first[:1] = True
-    for column in bits.T:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
-    index = np.empty(len(order), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    distinct = bits[order[first]].view(np.float64).tolist()
-    index = index.reshape(rows.shape[:-1]).astype(np.min_scalar_type(len(distinct)))
-    return index, _byte_table([fmt % tuple(row) for row in distinct])
-
-
 def _require_finite(values: np.ndarray) -> None:
     """Raise as `json.dumps(..., allow_nan=False)` does on a NaN or an infinity."""
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
 
 
-def _json_block(texts: np.ndarray, index: np.ndarray, prefixes: list[str], brackets: str) -> str:
-    """A top-level `[hour][pm]` block: hour h's list or dict holds `prefixes[i] + texts[index[h, i]]`.
+def _table_block(cells: np.ndarray, keys: list[bytes], brackets: str) -> str:
+    """A top-level `[hour][pm]` block: hour h's list or dict holds `keys[i] + cells[h, i]`.
 
-    It is built one hour at a time, so only that hour's cells are gathered.
+    `cells` is a `[hour][pm][byte]` table of texts.  The block is one
+    `uint8` matrix of `hours * (PMs + 1) + 1` rows: before each hour's
+    cells, its opening bracket (after the previous hour's closing one);
+    each cell with its separator and key; and last the closing brackets.
+    Its `_PAD` bytes are deleted by one mask, and the rest decoded once.
     """
-    if not prefixes:
-        return _json_container("[]", [brackets] * len(index), "  ")
-    cells = np.empty((len(prefixes), 2), dtype=object)  # (separator and prefix, text) per PM
-    cells[:, 0] = [",\n      " + prefix for prefix in prefixes]
-    cells[0, 0] = prefixes[0]
-    rows = []
-    for row in index:
-        cells[:, 1] = texts[row]
-        rows.append(_json_container(brackets, ["".join(cells.ravel().tolist())], "    "))
-    return _json_container("[]", rows, "  ")
+    hours, pm_count, cell_width = cells.shape
+    if not hours or not pm_count:
+        return _json_container("[]", [brackets] * hours, "  ")
+    opened, closed = (bracket.encode() for bracket in brackets)
+    between = b"\n    " + closed + b",\n    " + opened
+    frames = _byte_table([b"[\n    " + opened, between, b"\n    " + closed + b"\n  ]"])
+    keys = _byte_table([b"\n      " + keys[0]] + [b",\n      " + key for key in keys[1:]])
+    frame_width, key_width = frames.shape[1], keys.shape[1]
+    width = max(frame_width, key_width + cell_width)
+    rows = np.empty((hours * (pm_count + 1) + 1, width), dtype=np.uint8)
+    grid = rows[:-1].reshape(hours, pm_count + 1, width)  # [hour][frame, then cells][byte]
+    grid[:, 0, :frame_width] = frames[1]
+    grid[0, 0, :frame_width] = frames[0]
+    rows[-1, :frame_width] = frames[2]
+    grid[:, 0, frame_width:] = rows[-1, frame_width:] = _PAD
+    _paste(grid[:, 1:, :key_width], keys)
+    _paste(grid[:, 1:, key_width : key_width + cell_width], cells)
+    grid[:, 1:, key_width + cell_width :] = _PAD
+    data = rows.reshape(-1)
+    return str(data[data != _PAD].data, "ascii")
 
 
 def _utilisation_blocks(utilisation: np.ndarray) -> tuple[str, str]:
-    """`utilisation` and `powered_on` (utilisation above 0) as their JSON blocks."""
+    """`utilisation` and `powered_on` (utilisation above 0) as their JSON blocks.
+
+    A run's utilisation holds a few dozen distinct floats, so each is
+    formatted once: distinct by bit pattern, not by value, because -0.0 ==
+    0.0 but they print differently.
+    """
+    utilisation = np.ascontiguousarray(utilisation, dtype=np.float64)
     _require_finite(utilisation)
-    index, floats, powered_on = _distinct_texts(
-        utilisation, float.__repr__, lambda u: json.dumps(u > 0)
-    )
-    prefixes = [""] * index.shape[1]
-    return _json_block(floats, index, prefixes, "[]"), _json_block(powered_on, index, prefixes, "[]")
+    bits = utilisation.view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    first = np.ones(len(distinct), dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    texts = _take_rows(_repr_table(distinct.view(np.float64)), np.searchsorted(distinct, bits))
+    powered_on = _take_rows(_byte_table([b"false", b"true"]), (utilisation > 0).view(np.uint8))
+    keys = [b""] * utilisation.shape[1]
+    return _table_block(texts, keys, "[]"), _table_block(powered_on, keys, "[]")
 
 
 def _prices_block(locations: tuple[str, ...], price: np.ndarray) -> str:
@@ -449,8 +443,7 @@ def _prices_block(locations: tuple[str, ...], price: np.ndarray) -> str:
     keys = sorted(last)
     price = price[:, [last[key] for key in keys]]
     _require_finite(price)
-    index, texts = _distinct_texts(price, float.__repr__)
-    return _json_block(texts, index, [json.dumps(key) + ": " for key in keys], "{}")
+    return _table_block(_repr_table(price), [_quote(key).encode() + b": " for key in keys], "{}")
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' text of a str
@@ -588,8 +581,6 @@ def energy_report_csv(result: SimResult) -> str:
 # small PM counts, so whole hours are gathered up to this many rows.
 _CSV_BLOCK_ROWS = 1024
 
-_PAD = 0xFF  # a cell's padding: never a byte of UTF-8, so deleting it leaves the text
-
 
 def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) -> Iterator[str]:
     """The header, then one string per block of whole hours (at most
@@ -628,63 +619,6 @@ def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) 
         rows[:, :, cost_at] = cost[start:stop]
         data = rows.reshape(-1)
         yield str(data[data != _PAD].data, "utf-8", "surrogatepass")
-
-
-def _byte_table(texts: list[bytes]) -> np.ndarray:
-    """`[text][byte]`: the texts left-aligned, each padded with `_PAD` to the longest."""
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    width = int(lengths.max(initial=0))
-    table = np.array(texts, dtype=f"S{max(width, 1)}").view(np.uint8)
-    table = table.reshape(len(texts), max(width, 1))[:, :width]
-    table[np.arange(width) >= lengths[:, None]] = _PAD
-    return table
-
-
-# "%03d" % i for i below 1000, one 3-byte item each
-_DIGITS3 = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype="V3")
-
-
-def _fixed6_table(values: np.ndarray) -> np.ndarray:
-    """`values`' shape plus a byte axis: `b",%.6f" % v` of each float, padded as
-    `_byte_table` pads.
-
-    `%.6f` rounds the exact `v * 1e6` to an integer, a tie to even.  Its
-    float product `y` is at most half a spacing of `y` away from it, so
-    where `|frac(y) - 0.5| > 2 * spacing(y)` the exact product lies on the
-    same side of every half-integer as `y`, is no tie, and rounds to
-    `floor(y) + (frac(y) > 0.5)`; the six decimals come from `_DIGITS3`.
-    Every other value goes through `%`: a negative value or -0.0, NaN, an
-    infinity, `y >= 2**53` or `y` close to a tie.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    with np.errstate(over="ignore"):  # a product past the largest float is inf: not exact
-        y = flat * 1e6
-    exact = ~np.signbit(flat) & (y < 2.0**53)  # NaN fails the comparison
-    y[~exact] = 0.0  # so the integer cast below sees finite values only
-    whole = np.floor(y)
-    frac = y - whole
-    exact &= np.abs(frac - 0.5) > 2 * np.spacing(y)
-    units, micros = np.divmod(whole.astype(np.int64) + (frac > 0.5), 10**6)
-
-    width = len("%d" % units.max(initial=0))  # the widest integer part
-    cells = np.empty((len(flat), width + 8), dtype=np.uint8)
-    cells[:, 0] = ord(",")
-    for k in range(width):  # the integer part's digits, the last first
-        power = 10**k
-        digit = units // power % 10 + ord("0")
-        cells[:, width - k] = np.where(units >= power, digit, _PAD) if k else digit
-    cells[:, width + 1] = ord(".")
-    cells[:, width + 2 : width + 5].view("V3")[:, 0] = np.take(_DIGITS3, micros // 1000)
-    cells[:, width + 5 :].view("V3")[:, 0] = np.take(_DIGITS3, micros % 1000)
-
-    others = np.flatnonzero(~exact)
-    if len(others):
-        texts = _byte_table([b",%.6f" % v for v in flat[others].tolist()])
-        extra = max(0, texts.shape[1] - cells.shape[1])
-        cells = np.pad(cells, ((0, 0), (0, extra)), constant_values=_PAD)
-        cells[others] = _PAD
-        cells[others, : texts.shape[1]] = texts
-    return cells.reshape(*np.shape(values), cells.shape[1])
 
 
 _encode_event = json.JSONEncoder(sort_keys=True, allow_nan=False).encode

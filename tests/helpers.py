@@ -178,7 +178,8 @@ def scored_snapshots(draw):
     """A snapshot of 1-40 PMs, a request that fits on none, some or every PM, and prices or None.
 
     The request's duration is up to 2**63 - 1 hours, so its feature can
-    dwarf every other.
+    dwarf every other: about half of the draws are at or above 2**40 hours,
+    where rounding decides between candidates' scores.
     """
     entries = draw(pm_entries(min_pms=1, max_pms=40))
     reach = draw(st.sampled_from(["some", "none", "all"]))
@@ -191,7 +192,7 @@ def scored_snapshots(draw):
         cpu_frequency=3500 if reach == "none" else draw(st.integers(1600, 3400)),
         cores=draw(st.sampled_from([1, 2, 4, 8])),
         ram=draw(st.sampled_from([1, 2, 4, 8, 16])),
-        duration=draw(st.integers(1, 48) | st.integers(1, 2**63 - 1)),
+        duration=draw(st.integers(1, 48) | st.integers(2**40, 2**63 - 1)),
         arrival=0,
     )
     prices = None

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudsched import scheduler, sim
+from cloudsched import cells, scheduler, sim
 from cloudsched.datacenter import PhysicalMachine, new_datacenter, snapshot
 from cloudsched.gnn import models
 from cloudsched.gnn.graph import WorkingFeatures
@@ -116,6 +116,24 @@ def test_writer_peak_is_three_outputs(first_fit_128, writer):
     finally:
         tracemalloc.stop()
     assert text.isascii() and peak <= 3 * len(text)
+
+
+def test_json_writes_every_price_without_the_fallback(first_fit_128, monkeypatch):
+    # `_repr_table` formats a cell with `float.__repr__` only in its fallback:
+    # none of the 15,360 prices goes there, and only a few of the distinct
+    # utilisation values do (0.0 and powers of two such as 1.0 and 0.5).
+    formatted, fallback = [], cells._repr_texts
+
+    def counted(floats):
+        formatted.extend(floats)
+        return fallback(floats)
+
+    monkeypatch.setattr(cells, "_repr_texts", counted)
+    sim.result_to_json(first_fit_128)
+    price, utilisation = first_fit_128.pm_billing.price, first_fit_128.utilisation
+    assert price.size == 15360 and not np.isin(price, formatted).any()
+    assert 0 < len(formatted) <= len(np.unique(utilisation)) < 40
+    assert set(formatted) <= set(utilisation.ravel().tolist())
 
 
 @pytest.fixture(scope="module")

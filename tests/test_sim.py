@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cloudsched.cells import _fixed6_table, _repr_table
 from cloudsched.energy import (
     EnergyBreakdown,
     PriceSeries,
@@ -26,7 +27,6 @@ from cloudsched.sim import (
     _CSV_BLOCK_ROWS,
     _breakdowns_text,
     _energy_report_chunks,
-    _fixed6_table,
     _flat_text,
     _price_matrix,
     compare,
@@ -551,6 +551,54 @@ def test_fixed_point_cells_on_every_tie_and_width():
     assert _fixed6_table(np.zeros((3, 0))).shape == (3, 0, 9)
 
 
+def _repr_cell_texts(values) -> list[str]:
+    """`_repr_table`'s cells of `values` as texts, their padding deleted."""
+    table = _repr_table(np.array(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\xff", b"").decode("ascii") for row in table]
+
+
+# Powers of two (where the gap below is half the gap above), powers of ten
+# (where E changes) and the kernel's own range ends.
+_REPR_EDGES = np.concatenate(
+    [2.0 ** np.arange(-40, 61), 10.0 ** np.arange(-5, 18), [1e-4, 1e15, 1e16]]
+)
+
+
+def _stepped(x: float, steps: int) -> float:
+    """The float `steps` floats above `x` (below it for negative steps); `x` > 0."""
+    return float((np.float64(x).view(np.int64) + steps).view(np.float64))
+
+
+_REPR_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.builds(  # 1 to 17 significant digits, around and inside the kernel's range
+        lambda digits, exponent: float(f"{digits}e{exponent}"),
+        st.integers(min_value=1, max_value=17).flatmap(
+            lambda n: st.integers(min_value=10 ** (n - 1), max_value=10**n - 1)
+        ),
+        st.integers(min_value=-25, max_value=17),
+    )
+    | st.builds(_stepped, st.sampled_from(_REPR_EDGES.tolist()), st.integers(-3, 3))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REPR_FLOATS, max_size=12))
+def test_repr_cells_equal_float_repr(values):
+    assert _repr_cell_texts(values) == [repr(v) for v in values]
+
+
+def test_repr_cells_on_every_edge_and_price():
+    # Each edge with its eight neighbours on each side, and the seeded price
+    # matrix of a 128-PM run, which the kernel writes without the fallback.
+    steps = np.arange(-8, 9)
+    edges = (_REPR_EDGES.view(np.int64)[:, None] + steps).view(np.float64).ravel()
+    prices = generate_price_series(tuple(f"loc-{i}" for i in range(128)), 120, 0).prices
+    values = np.concatenate([edges, prices.ravel()])
+    assert _repr_cell_texts(values) == [repr(v) for v in values.tolist()]
+    assert _repr_table(np.zeros((3, 0))).shape[:2] == (3, 0)
+
+
 _JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | _FLOAT_POOL
 
 
@@ -605,6 +653,38 @@ def _json_results(draw):
 @given(_json_results())
 def test_result_json_matches_dict_writer_on_any_result(result):
     assert result_to_json(result) == result_to_json_by_dict(result)
+
+
+def test_result_json_matches_dict_writer_on_large_blocks():
+    # 30 hours of 40 PMs whose locations repeat and hold escapes and
+    # non-ASCII text; kernel cells beside fallback cells of other widths.
+    rng = np.random.default_rng(11)
+    hours, pm_count = 30, 40
+    names = ["loc-0", "é", "日本", "", 'a"b\\', "loc-1", "\ud800"]
+    pool = [0.0, -0.0, 0.5, 1.0, -2.5, 5e-324, 1e-5, 1e15, 1e16, 123456789012345.6, 1e300]
+
+    def cells(low, high):
+        values = rng.uniform(low, high, (hours, pm_count))
+        picked = rng.random((hours, pm_count)) < 0.1
+        values[picked] = rng.choice(pool, picked.sum())
+        return values
+
+    price = cells(0.05, 0.15)
+    result = SimResult(
+        pm_ids=tuple(f"pm-{i}" for i in range(pm_count)),
+        pm_locations=tuple(names[i % len(names)] for i in rng.permutation(pm_count)),
+        horizon=hours,
+        policy="p",
+        utilisation=np.round(cells(0.0, 1.0), 3),
+        pm_billing=PmBilling(*[price] * len(PmBilling._fields)),
+    )
+    assert result_to_json(result) == result_to_json_by_dict(result)
+    for block in (result.utilisation, price):  # the last PM's price is written
+        for bad in (NAN, INF, -INF):
+            block[17, -1], kept = bad, block[17, -1]
+            with pytest.raises(ValueError, match="JSON compliant"):
+                result_to_json(result)
+            block[17, -1] = kept
 
 
 def test_energy_report_writes_non_finite_cells():
