@@ -1,10 +1,10 @@
 """Byte tables of formatted cells, for writers that assemble text from `uint8` matrices.
 
 A table holds one text per cell along its last axis, padded with `_PAD`
-to the table's width.  A writer copies tables into one matrix, deletes
-the padding with one mask and decodes what is left once.  The kernels
-here write `%.6f` and `repr` of whole float arrays, exactly, with Python's
-own formatting as the fallback for the cells they cannot prove.
+to the table's width.  `_grid_texts` writes any `[hour][key]` grid of
+tables as text.  The kernels write `%.6f` and `repr` of whole float
+arrays, exactly, with Python's own formatting as the fallback for the
+cells they cannot prove.
 """
 
 from __future__ import annotations
@@ -26,19 +26,6 @@ def _byte_table(texts: list[bytes]) -> np.ndarray:
     return table
 
 
-def _take_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """`table[index]` of a `[text][byte]` table, each text taken as one item."""
-    width = table.shape[1]
-    items = np.ascontiguousarray(table).view(f"V{width}")[:, 0]
-    return np.take(items, index).view(np.uint8).reshape(*np.shape(index), width)
-
-
-def _paste(target: np.ndarray, table: np.ndarray) -> None:
-    """`target[...] = table` for byte tables, each text copied as one item."""
-    width = table.shape[-1]
-    target.view(f"V{width}")[..., 0] = table.view(f"V{width}")[..., 0]
-
-
 def _with_fallback(cells: np.ndarray, others: np.ndarray, texts: np.ndarray) -> np.ndarray:
     """`cells` with rows `others` replaced by the `_byte_table` `texts`, widened to fit them."""
     extra = max(0, texts.shape[1] - cells.shape[1])
@@ -48,27 +35,83 @@ def _with_fallback(cells: np.ndarray, others: np.ndarray, texts: np.ndarray) -> 
     return cells
 
 
-def _distinct_row_texts(columns, fmt: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """`(index, texts)`: `fmt % row` once per distinct row of the stacked `columns`,
-    as a `_byte_table`.
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: `_distinct_rows` mixes a row's bits by it
 
-    Rows are distinct by their floats' bit patterns, not by value: -0.0 ==
-    0.0, but they print differently.  A lexicographic sort of the rows'
-    bits puts equal rows side by side.
+
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """`(index, rows)`: the distinct rows of the stacked float `columns` as
+    `[row][column]`, and each row's number among them, in the columns' shape.
+
+    Rows are distinct by bits: -0.0 == 0.0 prints apart.  A row's key is
+    its bits mixed as `(c_0 * M + c_1) * M + ...` mod 2**64, numbered by one
+    `searchsorted` into the sorted keys.  `M` is odd, so rows of one key that
+    agree in `c_1 ..` agree in `c_0`: those columns are checked, and where
+    distinct rows share a key, `np.unique` numbers their bytes instead.
     """
-    rows = np.stack(columns, axis=-1).astype(np.float64, copy=False)  # [hour][pm][column]
-    bits = rows.reshape(-1, len(columns)).view(np.int64)
-    order = np.lexsort(bits.T)
-    first = np.zeros(len(order), dtype=bool)  # the first of each run of equal rows
-    first[:1] = True
-    for column in bits.T:
-        column = column[order]
-        first[1:] |= column[1:] != column[:-1]
-    index = np.empty(len(order), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    distinct = bits[order[first]].view(np.float64).tolist()
-    index = index.reshape(rows.shape[:-1]).astype(np.min_scalar_type(len(distinct)))
-    return index, _byte_table([fmt % tuple(row) for row in distinct])
+    bits = [np.ascontiguousarray(c, dtype=np.float64).view(np.uint64).ravel() for c in columns]
+    key = bits[0]
+    for column in bits[1:]:
+        key = key * _MIX + column  # wraps mod 2**64
+    distinct = np.sort(key)
+    starts = np.ones(len(distinct), dtype=bool)  # the first of each run of equal keys
+    starts[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[starts]
+    index = np.searchsorted(distinct, key)
+    if len(bits) == 1:  # the distinct keys are the rows
+        return index.reshape(np.shape(columns[0])), distinct.view(np.float64)[:, None]
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[index] = np.arange(len(key))  # a row of each key
+    if any((column[first][index] != column).any() for column in bits[1:]):
+        rows = np.stack(bits, axis=-1).view(f"V{8 * len(bits)}")[:, 0]
+        first, index = np.unique(rows, return_index=True, return_inverse=True)[1:]
+    rows = np.stack([column[first] for column in bits], axis=-1).view(np.float64)
+    return index.reshape(np.shape(columns[0])), rows
+
+
+_BLOCK_BYTES = 1 << 16  # a `_grid_texts` block: whole hours up to this size, or one hour
+
+
+def _grid_texts(segments, shape: tuple, heads=None, block_bytes=_BLOCK_BYTES) -> list[str]:
+    """The `[hour][key]` grid of `shape` as text, one string per block of
+    whole hours (at most `block_bytes` of matrix, or one hour).
+
+    Hour h is `heads[h]` (an optional `[hour][byte]` table), then its cells,
+    each its segments' texts in order.  A segment is a byte table that
+    broadcasts to `[hour][key][byte]` (of three axes: a row per hour), or
+    `(table, index)`: a `[text][byte]` table and an `[hour][key]` index.  A
+    block is one `uint8` matrix, a row per hour, filled with each text as
+    one void item; one mask deletes its `_PAD` bytes and one UTF-8 decode
+    (lone surrogates let through) makes its string.
+    """
+    hours, keys = shape
+    if not hours:
+        return []
+    heads = np.empty((hours, 0), np.uint8) if heads is None else heads
+    parts = [s if isinstance(s, tuple) else (s, None) for s in segments]
+    widths = [table.shape[-1] for table, _ in parts]
+    head, width = heads.shape[-1], sum(widths)  # of an hour's head and of a cell
+    block = min(hours, max(1, block_bytes // max(1, head + keys * width)))
+    rows = np.empty((block, head + keys * width), dtype=np.uint8)  # an hour per row
+    cells = rows[:, head:].reshape(block, keys, width)
+    places = [rows[:, None, :head], *np.split(cells, np.cumsum(widths)[:-1], axis=-1)]
+    fills = []  # (items, index, place) of each table that differs by hour, as void items
+    for (table, index), place in zip([(heads[:, None], None), *parts], places):
+        if table.shape[-1]:
+            void = f"V{table.shape[-1]}"
+            items, place = table.view(void)[..., 0], place.view(void)[..., 0]
+            if index is None and items.ndim < 2:
+                place[...] = items  # the same in every block
+            else:
+                fills.append((items, index, place))
+    texts = []
+    for start in range(0, hours, block):
+        stop = min(start + block, hours)
+        for items, index, place in fills:
+            taken = items[start:stop] if index is None else items.take(index[start:stop])
+            place[: stop - start] = taken
+        data = rows[: stop - start].reshape(-1)
+        texts.append(str(data[data != _PAD].data, "utf-8", "surrogatepass"))
+    return texts
 
 
 # "%03d" % i for i below 1000, one 3-byte item each
@@ -150,7 +193,8 @@ _LEAD, _LEAD_UNITS, _TRAIL, _TRAIL_TENTHS = (10**4 * k for k in range(1, 5))
 
 
 def _repr_texts(floats: list[float]) -> np.ndarray:
-    """The fallback of `_repr_table`: `float.__repr__` of each float, as a `_byte_table`."""
+    """`float.__repr__` of each float, as a `_byte_table`: `_repr_table`'s
+    fallback, and cheaper than its fixed cost for a few dozen floats."""
     return _byte_table([float.__repr__(v).encode("ascii") for v in floats])
 
 

@@ -477,9 +477,10 @@ def score_placements(
             np.matmul(m, buffers.W, out=mw)
             mw.take(kinds, 1, step[2], "clip")
             h = _gru_update(buffers, h, step)
-    scores = feats.take(candidates, 0).dot(model.w_xp)
-    scores += h.take(candidates, 0).dot(model.w_hp)
-    scores += float(h[n].dot(model.w_hv)) + float(feats[n].dot(model.w_xv)) + model.readout_b.item()
+        scores = feats.take(candidates, 0).dot(model.w_xp)
+        scores += h.take(candidates, 0).dot(model.w_hp)
+        shared = float(h[n].dot(model.w_hv)) + float(feats[n].dot(model.w_xv))
+        scores += shared + model.readout_b.item()
     return scores
 
 

@@ -208,6 +208,8 @@ def schedule(
         rows, scores = policy.score(working, request, candidates, features)
         chosen = _argmin(rows, scores)
         if policy.logs_scores:
+            if not np.isfinite(scores).all():
+                raise DomainError(f"request {request.id!r} has a non-finite score")
             pm_ids = map(working.pm_ids.__getitem__, rows.tolist())
             decision.scores[request.id] = dict(zip(pm_ids, scores.tolist()))
 

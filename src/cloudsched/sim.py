@@ -16,18 +16,13 @@ import json
 import statistics
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from .cells import (
-    _PAD,
-    _byte_table,
-    _distinct_row_texts,
-    _fixed6_table,
-    _paste,
-    _repr_table,
-    _take_rows,
+    _byte_table, _distinct_rows, _fixed6_table, _grid_texts, _repr_table, _repr_texts
 )
 from .datacenter import (
     DEFAULT_PM_TEMPLATE,
@@ -49,7 +44,7 @@ from .energy import (
     generate_price_series,
     step_energy,
 )
-from .errors import ConfigError, CoverageError
+from .errors import ConfigError, CoverageError, DomainError
 from .gnn.models import GatedModel, GcnModel
 from .scheduler import (
     CONSOLIDATION_THRESHOLD,
@@ -192,6 +187,7 @@ def _load_policy(config: SimConfig) -> Policy:
     )
 
 
+@np.errstate(over="ignore")  # an overflow is raised below, as a non-finite total or score
 def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> SimResult:
     """Simulate the scenario hour by hour; deterministic for a fixed config."""
     if config.horizon < 1:
@@ -252,6 +248,8 @@ def run(config: SimConfig, sample_recorder: SampleRecorder | None = None) -> Sim
         result.utilisation, price_matrix, result.pm_ids, config.power, destinations
     )
     result.totals = reduce(EnergyBreakdown.plus, result.hourly, ZERO_ENERGY)
+    if not np.isfinite(result.totals).all():  # every part is >= 0, so no overflow cancels
+        raise DomainError(f"the run's energy or cost overflows: totals {result.totals}")
     return result
 
 
@@ -347,31 +345,29 @@ def _pct_delta(base: float, other: float) -> float | None:
 def result_to_json(result: SimResult) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)` of the run, plus a newline.
 
-    Each block is written from its fixed shape: the `[hour][pm]` blocks from
-    byte tables of the run's arrays; `events` and the energy breakdowns
-    from templates; each flat list or dict by one C-encoder call.
+    Each block is written from its fixed shape: the `[hour][key]` tables by
+    `_grid_texts`, `events` from templates, each flat list or dict by one
+    C-encoder call.
     """
-    texts = {
-        "policy": _quote(result.policy),
-        "horizon": json.dumps(result.horizon),
-        "pm_ids": _flat_text(result.pm_ids, "  "),
-        "pm_locations": _flat_text(result.pm_locations, "  "),
-        "hourly_energy": _breakdowns_text(
-            _json_container("[]", [_BREAKDOWN.format("    ")] * len(result.hourly), "  "),
-            result.hourly,
-        ),
-        "totals": _breakdowns_text(_BREAKDOWN.format("  "), [result.totals]),
-        "events": _events_block(result.events),
-        "deferred_hours": _flat_text(result.deferred_hours, "  "),
-        "placed": json.dumps(result.placed),
-        "deferred": json.dumps(result.deferred),
-        "migrations": json.dumps(result.migration_count),
-        "prices_by_hour": _prices_block(result.pm_locations, result.pm_billing.price),
+    hourly = np.fromiter(chain.from_iterable(result.hourly), np.float64)
+    texts = {  # each block as the list of its texts
+        "policy": [_quote(result.policy)],
+        "horizon": [json.dumps(result.horizon)],
+        "pm_ids": [_flat_text(result.pm_ids, "  ")],
+        "pm_locations": [_flat_text(result.pm_locations, "  ")],
+        "hourly_energy": _dicts_block(_BREAKDOWN_KEYS, hourly.reshape(-1, len(_BREAKDOWN_KEYS))),
+        "totals": [_flat_text(dict(zip(_BREAKDOWN_KEYS, result.totals)), "  ")],
+        "events": [_events_block(result.events)],
+        "deferred_hours": [_flat_text(result.deferred_hours, "  ")],
+        "placed": [json.dumps(result.placed)],
+        "deferred": [json.dumps(result.deferred)],
+        "migrations": [json.dumps(result.migration_count)],
+        "prices_by_hour": _dicts_block(result.pm_locations, result.pm_billing.price),
     }
     texts["utilisation"], texts["powered_on"] = _utilisation_blocks(result.utilisation)
     pieces = []
     for key in sorted(texts):
-        pieces += [",\n  ", json.dumps(key), ": ", texts[key]]
+        pieces += [",\n  ", json.dumps(key), ": ", *texts[key]]
     pieces[0] = "{\n  "
     pieces.append("\n}\n")
     return "".join(pieces)  # one copy of each block, straight into the document
@@ -383,67 +379,53 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValueError("Out of range float values are not JSON compliant")
 
 
-def _table_block(cells: np.ndarray, keys: list[bytes], brackets: str) -> str:
-    """A top-level `[hour][pm]` block: hour h's list or dict holds `keys[i] + cells[h, i]`.
+def _json_grids(keys: list[bytes], brackets: str, hours: int, *cells) -> list[list[str]]:
+    """Top-level `[hour][key]` blocks, one per `_grid_texts` segment in `cells`,
+    each as its texts: hour h's list or dict holds `keys[k]` and cell (h, k).
 
-    `cells` is a `[hour][pm][byte]` table of texts.  The block is one
-    `uint8` matrix of `hours * (PMs + 1) + 1` rows: before each hour's
-    cells, its opening bracket (after the previous hour's closing one);
-    each cell with its separator and key; and last the closing brackets.
-    Its `_PAD` bytes are deleted by one mask, and the rest decoded once.
+    Each hour's head closes the hour before and opens its own; the blocks
+    share those heads and the leads, each cell's separator and key.
     """
-    hours, pm_count, cell_width = cells.shape
-    if not hours or not pm_count:
-        return _json_container("[]", [brackets] * hours, "  ")
+    if not hours or not keys:
+        return [[_json_container("[]", [brackets] * hours, "  ")]] * len(cells)
     opened, closed = (bracket.encode() for bracket in brackets)
-    between = b"\n    " + closed + b",\n    " + opened
-    frames = _byte_table([b"[\n    " + opened, between, b"\n    " + closed + b"\n  ]"])
-    keys = _byte_table([b"\n      " + keys[0]] + [b",\n      " + key for key in keys[1:]])
-    frame_width, key_width = frames.shape[1], keys.shape[1]
-    width = max(frame_width, key_width + cell_width)
-    rows = np.empty((hours * (pm_count + 1) + 1, width), dtype=np.uint8)
-    grid = rows[:-1].reshape(hours, pm_count + 1, width)  # [hour][frame, then cells][byte]
-    grid[:, 0, :frame_width] = frames[1]
-    grid[0, 0, :frame_width] = frames[0]
-    rows[-1, :frame_width] = frames[2]
-    grid[:, 0, frame_width:] = rows[-1, frame_width:] = _PAD
-    _paste(grid[:, 1:, :key_width], keys)
-    _paste(grid[:, 1:, key_width : key_width + cell_width], cells)
-    grid[:, 1:, key_width + cell_width :] = _PAD
-    data = rows.reshape(-1)
-    return str(data[data != _PAD].data, "ascii")
+    heads = _byte_table([b"[\n    " + opened, b"\n    " + closed + b",\n    " + opened])
+    heads = np.repeat(heads, [1, hours - 1], axis=0)  # [hour][byte]
+    leads = _byte_table([b"\n      " + keys[0]] + [b",\n      " + key for key in keys[1:]])
+    ending = f"\n    {brackets[1]}\n  ]"
+    return [_grid_texts([leads, c], (hours, len(keys)), heads) + [ending] for c in cells]
 
 
-def _utilisation_blocks(utilisation: np.ndarray) -> tuple[str, str]:
+# `EnergyBreakdown`'s keys in result.json, in field order
+_BREAKDOWN_KEYS = ("processor_kwh", "cooling_kwh", "extra_kwh", "total_kwh", "cost")
+
+
+def _utilisation_blocks(utilisation: np.ndarray) -> tuple[list[str], list[str]]:
     """`utilisation` and `powered_on` (utilisation above 0) as their JSON blocks.
 
-    A run's utilisation holds a few dozen distinct floats, so each is
-    formatted once: distinct by bit pattern, not by value, because -0.0 ==
-    0.0 but they print differently.
+    A run's PMs share one core count, so its utilisation holds a few dozen
+    distinct floats: both blocks write each one's text once, `repr`'s by
+    `_repr_texts`, and take it by `_distinct_rows`' index.
     """
-    utilisation = np.ascontiguousarray(utilisation, dtype=np.float64)
-    _require_finite(utilisation)
-    bits = utilisation.view(np.int64)
-    distinct = np.sort(bits, axis=None)
-    first = np.ones(len(distinct), dtype=bool)
-    first[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[first]
-    texts = _take_rows(_repr_table(distinct.view(np.float64)), np.searchsorted(distinct, bits))
-    powered_on = _take_rows(_byte_table([b"false", b"true"]), (utilisation > 0).view(np.uint8))
-    keys = [b""] * utilisation.shape[1]
-    return _table_block(texts, keys, "[]"), _table_block(powered_on, keys, "[]")
+    index, distinct = _distinct_rows([utilisation])
+    values = distinct[:, 0]
+    _require_finite(values)
+    powered_on = _byte_table([b"false", b"true"])[(values > 0).view(np.uint8)]
+    hours, pm_count = np.shape(utilisation)
+    cells = (_repr_texts(values.tolist()), index), (powered_on, index)
+    return tuple(_json_grids([b""] * pm_count, "[]", hours, *cells))
 
 
-def _prices_block(locations: tuple[str, ...], price: np.ndarray) -> str:
-    """`prices_by_hour`: each hour's `dict(zip(locations, price[hour]))`, as JSON."""
-    if not len(price):  # a result without billing has a (0, 0) price array
-        return "[]"
-    # A repeated location keeps its last column, as dict(zip(...)) does.
-    last = {location: i for i, location in enumerate(locations)}
+def _dicts_block(names, values: np.ndarray) -> list[str]:
+    """Each hour's `dict(zip(names, values[hour]))` as a JSON block."""
+    if not len(values):  # a result without billing has a (0, 0) price array
+        return ["[]"]
+    last = {name: i for i, name in enumerate(names)}  # a repeated name keeps its last column
     keys = sorted(last)
-    price = price[:, [last[key] for key in keys]]
-    _require_finite(price)
-    return _table_block(_repr_table(price), [_quote(key).encode() + b": " for key in keys], "{}")
+    values = values[:, [last[key] for key in keys]]
+    _require_finite(values)
+    cells = _repr_table(values)
+    return _json_grids([_quote(key).encode() + b": " for key in keys], "{}", len(values), cells)[0]
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' text of a str
@@ -455,27 +437,6 @@ _EVENT = (
     '\n      "migrations": %s,\n      "policy": %s%s\n    }'
 )
 _PAIR = "[\n          %s,\n          %s\n        ]"
-
-# An `EnergyBreakdown`'s layout, with its keys in sorted order; `{0}` is the
-# indentation of the line it starts on.  `_SORTED_FIELDS` puts its fields in
-# that order.
-_BREAKDOWN = (
-    '{{\n{0}  "cooling_kwh": %s,\n{0}  "cost": %s,\n{0}  "extra_kwh": %s,'
-    '\n{0}  "processor_kwh": %s,\n{0}  "total_kwh": %s\n{0}}}'
-)
-_SORTED_FIELDS = [
-    EnergyBreakdown._fields.index(f) for f in ("cooling", "cost", "extra", "processor", "total")
-]
-
-
-def _breakdowns_text(layout: str, breakdowns: list[EnergyBreakdown]) -> str:
-    """`layout`, one `_BREAKDOWN` per breakdown, filled by one `%` with their fields' texts.
-
-    The fields are read into one array, so no tuple is built per breakdown.
-    """
-    values = np.array(breakdowns, dtype=np.float64).reshape(-1, len(EnergyBreakdown._fields))
-    _require_finite(values)
-    return layout % tuple(map(float.__repr__, values[:, _SORTED_FIELDS].ravel().tolist()))
 
 
 def _events_block(events: list[dict]) -> str:
@@ -573,52 +534,23 @@ def energy_report_csv(result: SimResult) -> str:
     Row by row it is `"%d,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f"` of `(hour,
     pm, location, *PmBilling fields)`, hour-major.
     """
-    # join() drains the generator first, so its tables are gone before the copy.
-    return "".join(_energy_report_chunks(result))
+    # The grid's tables are gone before its blocks are joined.
+    return "".join([_CSV_HEADER, *_grid_texts(*_energy_report_grid(result))])
 
 
-# Rows per block.  One block per hour costs more than the rows it writes at
-# small PM counts, so whole hours are gathered up to this many rows.
-_CSV_BLOCK_ROWS = 1024
-
-
-def _energy_report_chunks(result: SimResult, block_rows: int = _CSV_BLOCK_ROWS) -> Iterator[str]:
-    """The header, then one string per block of whole hours (at most
-    `block_rows` rows, or one hour).
-
-    A block is one `uint8` matrix `[hour][pm][byte]`, filled segment by
-    segment from byte tables: the hour texts, the `,pm,location` texts, the
-    distinct energy-row texts and the price and cost cells.  A table whose
-    texts differ in width pads them with `_PAD`, which the block drops
-    before it is decoded.
-    """
-    yield _CSV_HEADER
+def _energy_report_grid(result: SimResult) -> tuple[list, tuple[int, int]]:
+    """`(segments, shape)` of `energy_report.csv`'s rows as an `[hour][pm]` grid:
+    the hour, `,pm,location`, the energy cells (one text per distinct row),
+    the price and cost cells, and a newline."""
     billing = result.pm_billing
-    hours, pm_count = billing.processor.shape
-    if not hours:
-        return
     pairs = zip(result.pm_ids, result.pm_locations)
     names = _byte_table([(",%s,%s" % pair).encode("utf-8", "surrogatepass") for pair in pairs])
-    hour_texts = _byte_table([b"%d" % hour for hour in range(hours)])
-    energy_index, energy_texts = _distinct_row_texts(billing[:4], b",%.6f,%.6f,%.6f,%.6f")
-    price, cost = (_fixed6_table(column) for column in billing[4:])  # [hour][pm][byte]
-    tables = [hour_texts, names, energy_texts, price, cost]
-    ends = np.cumsum([table.shape[-1] for table in tables]).tolist()
-    hour_at, name_at, energy_at, price_at, cost_at = map(slice, [0] + ends, ends)
-
-    block = min(hours, max(1, block_rows // pm_count)) if pm_count else hours
-    cells = np.empty((block, pm_count, ends[-1] + 1), dtype=np.uint8)  # [hour][pm][byte]
-    cells[:, :, name_at] = names
-    cells[:, :, -1] = ord("\n")
-    for start in range(0, hours, block):
-        stop = min(start + block, hours)
-        rows = cells[: stop - start]
-        rows[:, :, hour_at] = hour_texts[start:stop, None]
-        rows[:, :, energy_at] = energy_texts[energy_index[start:stop]]
-        rows[:, :, price_at] = price[start:stop]
-        rows[:, :, cost_at] = cost[start:stop]
-        data = rows.reshape(-1)
-        yield str(data[data != _PAD].data, "utf-8", "surrogatepass")
+    hours = _byte_table([b"%d" % hour for hour in range(len(billing.processor))])
+    index, rows = _distinct_rows(billing[:4])
+    energy = np.concatenate(list(_fixed6_table(rows.T)), axis=-1)  # [row][byte]
+    price, cost = map(_fixed6_table, billing[4:])  # [hour][pm][byte]
+    segments = [hours[:, None], names, (energy, index), price, cost, _byte_table([b"\n"])]
+    return segments, billing.processor.shape
 
 
 _encode_event = json.JSONEncoder(sort_keys=True, allow_nan=False).encode

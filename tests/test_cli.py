@@ -21,6 +21,7 @@ from cloudsched.workload import workload_to_json
 from conftest import tiny_requests
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -669,6 +670,57 @@ def test_oversized_run_is_one_error_line(tmp_path, capsys, argv, error):
     [line] = capsys.readouterr().err.strip().splitlines()
     assert line.startswith(error)
     assert not any(out.iterdir())
+
+
+def _overflowing_prices(path: Path) -> list[str]:
+    """Every price of the default scenario's 8 locations and 120 hours 1e308."""
+    rows = ["hour," + ",".join(f"loc-{i}" for i in range(8))]
+    rows += [f"{hour}," + ",".join(["1e308"] * 8) for hour in range(120)]
+    path.write_text("\n".join(rows) + "\n")
+    return ["--price-file", str(path)]
+
+
+def _overflowing_power(path: Path) -> list[str]:
+    path.write_text(
+        "power: {idle_power: 1.0e+308, peak_power: 1.0e+308, cooling_coefficient: 1.0e+300}\n"
+    )
+    return ["--config", str(path)]
+
+
+def _overflowing_readout(policy: str):
+    """The committed checkpoint with its readout weights all 1.7e308."""
+
+    def args(path: Path) -> list[str]:
+        doc = json.loads((DATA / f"{policy}.json").read_text())
+        doc["params"][-2] = [1.7e308] * len(doc["params"][-2])  # readout_w; readout_b is last
+        path.write_text(json.dumps(doc))
+        return ["--policy", policy, "--model", str(path), "--log-scores"]
+
+    return args
+
+
+# Inputs the loaders accept whose floats overflow in the run: each ends in one
+# `error:` line, with no RuntimeWarning (an error under this suite's filter).
+@pytest.mark.parametrize(
+    "command,inputs,error",
+    [
+        ("simulate", _overflowing_prices, "error: the run's energy or cost overflows: "),
+        ("compare", _overflowing_prices, "error: the run's energy or cost overflows: "),
+        ("simulate", _overflowing_power, "error: the run's energy or cost overflows: "),
+        ("simulate", _overflowing_readout("counter"), "error: request 'vm-"),
+        ("simulate", _overflowing_readout("hunter"), "error: request 'vm-"),
+    ],
+    ids=["prices", "prices-compare", "power", "counter-scores", "hunter-scores"],
+)
+def test_overflowing_run_is_one_error_line(tmp_path, capsys, command, inputs, error):
+    out = tmp_path / "out"
+    argv = [command, *inputs(tmp_path / "input"), "--out", str(out)]
+    if command == "compare":
+        argv += ["--policies", "first_fit,random"]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(error)
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

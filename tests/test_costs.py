@@ -119,9 +119,10 @@ def test_writer_peak_is_three_outputs(first_fit_128, writer):
 
 
 def test_json_writes_every_price_without_the_fallback(first_fit_128, monkeypatch):
-    # `_repr_table` formats a cell with `float.__repr__` only in its fallback:
-    # none of the 15,360 prices goes there, and only a few of the distinct
-    # utilisation values do (0.0 and powers of two such as 1.0 and 0.5).
+    # A cell is formatted by `float.__repr__` only in `_repr_texts`:
+    # `_repr_table`'s fallback, which none of the 15,360 prices or the 600
+    # `hourly_energy` cells reaches, and the writer of the few dozen
+    # distinct utilisation values.
     formatted, fallback = [], cells._repr_texts
 
     def counted(floats):
@@ -129,9 +130,12 @@ def test_json_writes_every_price_without_the_fallback(first_fit_128, monkeypatch
         return fallback(floats)
 
     monkeypatch.setattr(cells, "_repr_texts", counted)
+    monkeypatch.setattr(sim, "_repr_texts", counted)
     sim.result_to_json(first_fit_128)
     price, utilisation = first_fit_128.pm_billing.price, first_fit_128.utilisation
+    hourly = np.array(first_fit_128.hourly)
     assert price.size == 15360 and not np.isin(price, formatted).any()
+    assert hourly.size == 600 and not np.isin(hourly, formatted).any()
     assert 0 < len(formatted) <= len(np.unique(utilisation)) < 40
     assert set(formatted) <= set(utilisation.ravel().tolist())
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.cells import _fixed6_table, _repr_table
+from cloudsched.cells import (
+    _MIX,
+    _byte_table,
+    _distinct_rows,
+    _fixed6_table,
+    _grid_texts,
+    _repr_table,
+)
 from cloudsched.energy import (
     EnergyBreakdown,
     PriceSeries,
@@ -23,12 +30,11 @@ from cloudsched.sim import (
     QoSReport,
     SimConfig,
     SimResult,
-    _BREAKDOWN,
-    _CSV_BLOCK_ROWS,
-    _breakdowns_text,
-    _energy_report_chunks,
+    _CSV_HEADER,
+    _energy_report_grid,
     _flat_text,
     _price_matrix,
+    _utilisation_blocks,
     compare,
     comparison_to_csv,
     compute_qos,
@@ -412,7 +418,7 @@ def test_indented_writer_rejects_non_finite(bad):
     for write in (
         lambda: _flat_text({"a": 1.0, "b": bad}, "  "),
         lambda: _flat_text([bad], ""),
-        lambda: _breakdowns_text(_BREAKDOWN.format("  "), [EnergyBreakdown(1.0, 0.0, 0.0, bad)]),
+        lambda: result_to_json(SimResult((), (), 0, "p", totals=EnergyBreakdown(1.0, 0, 0, bad))),
     ):
         with pytest.raises(ValueError, match="JSON compliant"):
             write()
@@ -471,22 +477,26 @@ def test_energy_report_matches_fstring_writer_on_any_rows(result):
 
 @settings(max_examples=50, deadline=None)
 @given(_billed_results(max_hours=9), st.integers(min_value=1, max_value=7))
-def test_energy_report_blocks_of_any_size_match_fstring_writer(result, block_rows):
-    # Small blocks, so most horizons end in a part block and some blocks
-    # hold fewer rows than one hour has PMs.
-    text = "".join(_energy_report_chunks(result, block_rows))
+def test_energy_report_blocks_of_any_size_match_fstring_writer(result, rows):
+    # Blocks of 1 to 7 rows' bytes, so most horizons end in a part block
+    # and some blocks are smaller than one hour's rows.
+    segments, shape = _energy_report_grid(result)
+    row = sum((s[0] if isinstance(s, tuple) else s).shape[-1] for s in segments)
+    text = _CSV_HEADER + "".join(_grid_texts(segments, shape, block_bytes=rows * row))
     assert text == energy_report_csv_by_fstring(result.pm_energy_rows)
 
 
 @settings(max_examples=8, deadline=None)
 @given(
-    st.sampled_from([(130, 8), (7, 300), (2, _CSV_BLOCK_ROWS), (3, _CSV_BLOCK_ROWS + 1)]),
+    st.sampled_from([(130, 8), (7, 100), (2, 1024), (3, 1025)]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_energy_report_full_size_blocks_match_fstring_writer(shape, seed):
-    # At the writer's own block size: 130 hours of 8 PMs are one full block
-    # of 128 hours and a part block; 7 hours of 300 PMs are two blocks of 3
-    # and one of 1; above 1,024 PMs each hour is a block of its own.
+    # At the writer's own block size.  The pool's 1e22 widens every cell, so
+    # a row is about 200 bytes and a 64 KiB block about 320 rows: 130 hours
+    # of 8 PMs are three blocks of 40 hours and a part block, 7 hours of 100
+    # PMs two blocks of 3 hours and one of 1, and from 1,024 PMs on an hour
+    # passes 64 KiB and is a block of its own.
     hours, pm_count = shape
     rng = np.random.default_rng(seed)
     pool = np.concatenate([rng.uniform(-2.0, 2.0, 40), [0.0, -0.0, NAN, INF, 1e22, 5e-7, 2.5e-7]])
@@ -498,6 +508,81 @@ def test_energy_report_full_size_blocks_match_fstring_writer(shape, seed):
         pm_billing=PmBilling(*[rng.choice(pool, (hours, pm_count)) for _ in PmBilling._fields]),
     )
     assert energy_report_csv(result) == energy_report_csv_by_fstring(result.pm_energy_rows)
+
+
+# Texts of any width, non-ASCII and lone surrogates among them; UTF-8 never
+# holds the pad byte.
+_GRID_TEXTS = st.text(st.sampled_from(["a", ",", "\n", "\xe9", "\u65e5", "\ud800"]), max_size=3)
+
+
+@st.composite
+def _grids(draw):
+    """`(segments, shape, heads, expected)`: a `_grid_texts` input and, per
+    hour, its head and each cell's texts joined by `b"".join`."""
+    hours = draw(st.integers(min_value=0, max_value=4))
+    keys = draw(st.integers(min_value=0, max_value=4))
+    texts = lambda n: [
+        t.encode("utf-8", "surrogatepass")
+        for t in draw(st.lists(_GRID_TEXTS, min_size=n, max_size=n))
+    ]
+    segments, cells = [], [[[] for _ in range(keys)] for _ in range(hours)]
+    for kind in draw(st.lists(st.sampled_from(["grid", "keys", "hours", "index"]), max_size=3)):
+        if kind == "index":
+            table = texts(draw(st.integers(min_value=1, max_value=3)))
+            picks = st.integers(0, len(table) - 1)
+            index = draw(st.lists(picks, min_size=hours * keys, max_size=hours * keys))
+            index = np.array(index, dtype=np.intp).reshape(hours, keys)
+            segments.append((_byte_table(table), index))
+            cell = lambda h, k: table[index[h, k]]
+        elif kind == "grid":
+            flat = texts(hours * keys)
+            segments.append(_byte_table(flat).reshape(hours, keys, -1 if flat else 0))
+            cell = lambda h, k: flat[h * keys + k]
+        elif kind == "keys":
+            row = texts(keys)
+            segments.append(_byte_table(row))
+            cell = lambda h, k: row[k]
+        else:
+            column = texts(hours)
+            segments.append(_byte_table(column)[:, None])
+            cell = lambda h, k: column[h]
+        for h in range(hours):
+            for k in range(keys):
+                cells[h][k].append(cell(h, k))
+    heads = texts(hours) if draw(st.booleans()) else None
+    expected = b"".join(
+        (heads[h] if heads else b"") + b"".join(b"".join(cell) for cell in cells[h])
+        for h in range(hours)
+    )
+    heads = None if heads is None else _byte_table(heads)
+    return segments, (hours, keys), heads, expected.decode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids(), st.integers(min_value=1, max_value=7), st.booleans())
+def test_grid_texts_equal_joined_cells(grid, below, whole):
+    # Blocks of 1 to 7 bytes below one hour's row, or of that many hours.
+    segments, shape, heads, expected = grid
+    hour = sum(t.shape[-1] for t in [heads] if t is not None)
+    hour += shape[1] * sum((s[0] if isinstance(s, tuple) else s).shape[-1] for s in segments)
+    block_bytes = below * max(hour, 1) if whole else max(1, hour - below)
+    texts = _grid_texts(segments, shape, heads, block_bytes)
+    assert "".join(texts) == expected
+    assert len(texts) == -(-shape[0] // (below if whole else 1))
+
+
+def test_distinct_rows_split_rows_that_share_a_key():
+    # (a, b) and (a + 1, b - M) mix to one key mod 2**64: the rows are
+    # numbered by their bytes instead, and -0.0 stays apart from 0.0.
+    a, b = np.float64(1.0).view(np.uint64), np.float64(2.0).view(np.uint64)
+    with np.errstate(over="ignore"):
+        twin = [a + np.uint64(1), b - _MIX]
+    bits = np.array([[a, b], twin, [a, b], [0, 0], [2**63, 0]], dtype=np.uint64)
+    index, rows = _distinct_rows(list(bits.view(np.float64).T))
+    assert index[0] == index[2] and len(set(index.tolist())) == 4
+    assert (rows[index].view(np.uint64) == bits).all()
+    index, rows = _distinct_rows([bits.view(np.float64)[:, 0]])  # one column: no check
+    assert len(rows) == 4 and (rows[index, 0].view(np.uint64) == bits[:, 0]).all()
 
 
 def test_energy_report_names_round_trip_any_str():
@@ -513,8 +598,8 @@ def test_energy_report_names_round_trip_any_str():
         pm_billing=PmBilling(*[rng.uniform(0.0, 3.0, (12, len(ids))) for _ in PmBilling._fields]),
     )
     expected = energy_report_csv_by_fstring(result.pm_energy_rows)
-    for block_rows in (_CSV_BLOCK_ROWS, 7, 1):  # one block, part blocks, blocks below one hour
-        text = "".join(_energy_report_chunks(result, block_rows))
+    for block_bytes in (2**16, 200, 1):  # one block, part blocks, blocks below one hour
+        text = _CSV_HEADER + "".join(_grid_texts(*_energy_report_grid(result), None, block_bytes))
         assert text.encode("utf-8", "surrogatepass") == expected.encode("utf-8", "surrogatepass")
 
 
@@ -655,11 +740,10 @@ def test_result_json_matches_dict_writer_on_any_result(result):
     assert result_to_json(result) == result_to_json_by_dict(result)
 
 
-def test_result_json_matches_dict_writer_on_large_blocks():
-    # 30 hours of 40 PMs whose locations repeat and hold escapes and
-    # non-ASCII text; kernel cells beside fallback cells of other widths.
-    rng = np.random.default_rng(11)
-    hours, pm_count = 30, 40
+def _pooled_result(hours: int, pm_count: int, rng) -> SimResult:
+    """A result whose locations repeat and hold escapes and non-ASCII text,
+    and whose prices and utilisation put kernel cells beside fallback cells
+    of other widths."""
     names = ["loc-0", "é", "日本", "", 'a"b\\', "loc-1", "\ud800"]
     pool = [0.0, -0.0, 0.5, 1.0, -2.5, 5e-324, 1e-5, 1e15, 1e16, 123456789012345.6, 1e300]
 
@@ -670,7 +754,7 @@ def test_result_json_matches_dict_writer_on_large_blocks():
         return values
 
     price = cells(0.05, 0.15)
-    result = SimResult(
+    return SimResult(
         pm_ids=tuple(f"pm-{i}" for i in range(pm_count)),
         pm_locations=tuple(names[i % len(names)] for i in rng.permutation(pm_count)),
         horizon=hours,
@@ -678,6 +762,12 @@ def test_result_json_matches_dict_writer_on_large_blocks():
         utilisation=np.round(cells(0.0, 1.0), 3),
         pm_billing=PmBilling(*[price] * len(PmBilling._fields)),
     )
+
+
+def test_result_json_matches_dict_writer_on_large_blocks():
+    # 30 hours of 40 PMs.
+    result = _pooled_result(30, 40, np.random.default_rng(11))
+    price = result.pm_billing.price
     assert result_to_json(result) == result_to_json_by_dict(result)
     for block in (result.utilisation, price):  # the last PM's price is written
         for bad in (NAN, INF, -INF):
@@ -685,6 +775,16 @@ def test_result_json_matches_dict_writer_on_large_blocks():
             with pytest.raises(ValueError, match="JSON compliant"):
                 result_to_json(result)
             block[17, -1] = kept
+
+
+@pytest.mark.parametrize("shape,blocks", [((130, 8), 1), ((300, 40), 5), ((3, 2400), 3)])
+def test_result_json_matches_dict_writer_at_block_edges(shape, blocks):
+    # At the writer's own 64 KiB blocks `utilisation` (about 26 bytes a
+    # cell) is one block of 130 hours, four blocks of 62 hours and a part
+    # block, or one block per hour: an hour of 2,400 PMs passes 64 KiB.
+    result = _pooled_result(*shape, np.random.default_rng(5))
+    assert len(_utilisation_blocks(result.utilisation)[0]) == blocks + 1  # and the ending
+    assert result_to_json(result) == result_to_json_by_dict(result)
 
 
 def test_energy_report_writes_non_finite_cells():
