@@ -15,11 +15,11 @@ from pathlib import Path
 
 import yaml
 
-from .datacenter import DEFAULT_PM_TEMPLATE, PM_SIZE
-from .energy import DEFAULT_POWER_MODEL, PowerModel, load_price_series
+from .datacenter import DEFAULT_PM_TEMPLATE, PM_RULES
+from .energy import DEFAULT_POWER_MODEL, POWER_RULES, load_price_series
 from .errors import ConfigError, DivergenceError, SimulatorError
 from .gnn.models import load_model, model_to_json, new_gated_model, new_gcn_model
-from .gnn.training import TrainConfig, loss_trace_to_csv, train
+from .gnn.training import TRAINING_RULES, TrainConfig, loss_trace_to_csv, train
 from .scheduler import MODEL_POLICIES, POLICY_KINDS, POLICY_MODELS, collect_training_data
 from .sim import (
     SCENARIO_RULES,
@@ -34,7 +34,7 @@ from .sim import (
     run,
     seed_sweep_to_csv,
 )
-from .util import atomic_write_text, is_finite_number, is_int, parse_file
+from .util import atomic_write_text, check_rules, parse_file
 from .workload import generate_synthetic, ingest_trace_dir, workload_from_json, workload_to_json
 
 log = logging.getLogger("cloudsched")
@@ -45,19 +45,16 @@ EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
 
-# What each config value must be: (test, description for the error), or
-# None for a section and for the `power:` values, which `PowerModel` checks.
-# The `pm:` values follow `PhysicalMachine`'s rule, checked here to name the key.
-_INT = (is_int, "an integer")
-_NUMBER = (is_finite_number, "a finite number")
-_PM_KEYS = dict.fromkeys(("cores", "ram", "max_frequency"), PM_SIZE)
-_POWER_KEYS = dict.fromkeys(
-    ("idle_power", "peak_power", "cooling_coefficient", "extra_coefficient", "migration_penalty")
-)
-_TRAINING_KEYS = {
-    **dict.fromkeys(("episodes", "epochs", "batch_clusters", "clusters"), _INT),
-    "learning_rate": _NUMBER,
+# The config file's sections, each checked by its object's table: `pm:`
+# sets the PM template, `power:` the power model, and `training:` the
+# recipe, whose seed is the scenario's.
+_SECTIONS = {
+    "pm": PM_RULES,
+    "power": POWER_RULES,
+    "training": {k: rule for k, rule in TRAINING_RULES.items() if k != "seed"},
 }
+# What each top-level config value must be.  The scenario keys follow
+# `SimConfig`'s rules; the path keys name files read into its inputs.
 _TOP_KEYS = {
     **SCENARIO_RULES,
     **dict.fromkeys(
@@ -65,26 +62,22 @@ _TOP_KEYS = {
         (lambda v: isinstance(v, str), "a string"),
     ),
     "verbosity": (lambda v: v in ("info", "warning"), "'info' or 'warning'"),
-    **dict.fromkeys(("pm", "power", "training")),
+    **dict.fromkeys(_SECTIONS, (lambda v: v is None or isinstance(v, dict), "a mapping")),
 }
 
 
-def _check_keys(values: dict, kinds: dict, section: str | None = None) -> None:
-    """Reject unknown keys, and values of the wrong kind, in one config mapping."""
-    unknown = set(values) - set(kinds)
+def _check_keys(values: dict, rules: dict, section: str | None = None) -> None:
+    """Reject unknown keys, and values that break their rule, in one config mapping."""
+    unknown = set(values) - set(rules)
     if unknown:
         where = f"config section {section!r}" if section else "config"
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
-    for key, value in values.items():
-        if kinds[key] is not None:
-            test, what = kinds[key]
-            if not test(value):
-                name = f"{section}.{key}" if section else key
-                raise ConfigError(f"config {name!r} must be {what}, got {value!r}")
+    name = f"{section}.{{}}" if section else "{}"
+    check_rules(values, rules, ConfigError, f"config '{name}'")
 
 
 def load_config_file(path: str) -> dict:
-    """Read and validate the YAML config; unknown keys and mistyped values are rejected."""
+    """Read and validate the YAML config; unknown keys and values breaking a rule are rejected."""
     with open(path, "rb") as fh:
         try:
             doc = yaml.safe_load(fh) or {}
@@ -94,20 +87,11 @@ def load_config_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path!r} must be a mapping")
     _check_keys(doc, _TOP_KEYS)
-    for section, kinds in (("pm", _PM_KEYS), ("power", _POWER_KEYS), ("training", _TRAINING_KEYS)):
-        sub = doc.get(section)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config section {section!r} must be a mapping")
-        _check_keys(sub, kinds, section)
+    for section, rules in _SECTIONS.items():
+        _check_keys(doc.get(section) or {}, rules, section)
     return doc
 
 
-# The `SimConfig` fields a flag or a config key of the same name can set.
-# The path keys are no fields: `_load_checkpoint` and `_read_inputs` read
-# their files into `model`, `requests` and `prices`.
-_SCENARIO_FIELDS = tuple(SCENARIO_RULES)
 _TRAIN_FLAGS = {"learning_rate": "lr"}  # every other `training:` key is its flag's name
 
 
@@ -119,18 +103,18 @@ def _setting(args, cfg: dict, name: str, flag: str | None = None):
 
 def _build_sim_config(cfg: dict, args) -> SimConfig:
     """The scenario: each value from its flag, else the config file, else `SimConfig`."""
-    values = {name: _setting(args, cfg, name) for name in _SCENARIO_FIELDS}
+    values = {name: _setting(args, cfg, name) for name in SCENARIO_RULES}
     if cfg.get("pm"):
         values["pm_template"] = dc_replace(DEFAULT_PM_TEMPLATE, **cfg["pm"])
     if cfg.get("power"):
-        values["power"] = PowerModel(**{**DEFAULT_POWER_MODEL.__dict__, **cfg["power"]})
+        values["power"] = dc_replace(DEFAULT_POWER_MODEL, **cfg["power"])
     return SimConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def _build_train_config(cfg: dict, args, seed: int) -> TrainConfig:
     """The recipe: each value from its flag, else `training:`; `TrainConfig` checks them."""
     section = cfg.get("training") or {}
-    values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _TRAINING_KEYS}
+    values = {k: _setting(args, section, k, _TRAIN_FLAGS.get(k)) for k in _SECTIONS["training"]}
     return TrainConfig(seed=seed, **{k: v for k, v in values.items() if v is not None})
 
 
@@ -287,6 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
     common.add_argument("--seed", type=int, metavar="N", help="master RNG seed")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[common])
+    scenario.add_argument("--pm-count", type=int, help="number of PMs")
+    scenario.add_argument("--vm-count", type=int, help="number of synthetic VMs")
+    scenario.add_argument("--horizon", type=int, help="simulation hours")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    inputs.add_argument("--workload-file", metavar="PATH", help="workload JSON input")
+    inputs.add_argument("--price-file", metavar="PATH", help="price CSV input")
 
     parser = argparse.ArgumentParser(
         prog="cloudsched",
@@ -300,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-dir", metavar="DIR", help="derive requests from trace files")
     p.set_defaults(func=cmd_gen_workload)
 
-    p = sub.add_parser("train", parents=[common], help="train a scheduler model")
+    p = sub.add_parser("train", parents=[scenario], help="train a scheduler model")
     p.add_argument(
         "--policy", metavar="NAME", choices=POLICY_KINDS, help="model to train: counter or hunter"
     )
@@ -309,12 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, help="SGD learning rate")
     p.add_argument("--batch-clusters", type=int, help="clusters sampled per step")
     p.add_argument("--clusters", type=int, help="clusters per sample graph")
-    p.add_argument("--pm-count", type=int, help="scenario PM count")
-    p.add_argument("--vm-count", type=int, help="scenario VM count")
-    p.add_argument("--horizon", type=int, help="scenario horizon in hours")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one simulation")
+    p = sub.add_parser("simulate", parents=[inputs], help="run one simulation")
     p.add_argument("--policy", metavar="NAME", choices=POLICY_KINDS, help="scheduling policy")
     p.add_argument(
         "--log-scores",
@@ -324,15 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(counter: its network score less a term every candidate shares)",
     )
     p.add_argument("--model", metavar="PATH", help="model checkpoint for counter/hunter")
-    p.add_argument("--pm-count", type=int, help="number of PMs")
-    p.add_argument("--vm-count", type=int, help="number of synthetic VMs")
-    p.add_argument("--horizon", type=int, help="simulation hours")
-    p.add_argument("--workload-file", metavar="PATH", help="workload JSON input")
     p.add_argument("--trace-dir", metavar="DIR", help="trace directory input")
-    p.add_argument("--price-file", metavar="PATH", help="price CSV input")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", parents=[common], help="compare policies on shared scenarios")
+    p = sub.add_parser("compare", parents=[inputs], help="compare policies on shared scenarios")
     p.add_argument("--policies", required=True, metavar="A,B,...", help="comma-separated policies")
     p.add_argument(
         "--seeds",
@@ -343,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model-counter", metavar="PATH", help="checkpoint for the counter policy")
     p.add_argument("--model-hunter", metavar="PATH", help="checkpoint for the hunter policy")
-    p.add_argument("--pm-count", type=int, help="number of PMs")
-    p.add_argument("--vm-count", type=int, help="number of synthetic VMs")
-    p.add_argument("--horizon", type=int, help="simulation hours")
-    p.add_argument("--workload-file", metavar="PATH", help="workload JSON input")
-    p.add_argument("--price-file", metavar="PATH", help="price CSV input")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -361,8 +339,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.seed is not None:
+            check_rules({"seed": args.seed}, SCENARIO_RULES, ConfigError, "--{}")
         cfg = load_config_file(args.config) if args.config else {}
         if not args.verbose and cfg.get("verbosity") == "info":
             logging.getLogger().setLevel(logging.INFO)

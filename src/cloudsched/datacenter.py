@@ -30,12 +30,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, NotFoundError
-from .util import check_array_shape, is_int
+from .util import check_array_shape, check_rules, is_int
 from .workload import WorkloadRequest
 
 
-# (test, description) of a PM's cores, RAM and MHz: each fills an int64 column.
-PM_SIZE = (lambda v: is_int(v) and 0 < v < 2**63, "a finite positive integer below 2**63")
+# (test, description) of a PM's cores, MHz and RAM: each fills an int64 column.
+# `PhysicalMachine` checks its fields by them, and the YAML loader its `pm:` keys.
+PM_RULES = dict.fromkeys(
+    ("cores", "max_frequency", "ram"),
+    (lambda v: is_int(v) and 0 < v < 2**63, "a finite positive integer below 2**63"),
+)
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,7 @@ class PhysicalMachine:
     ram: int  # GiB
 
     def __post_init__(self):
-        test, what = PM_SIZE
-        for name in ("cores", "max_frequency", "ram"):
-            value = getattr(self, name)
-            if not test(value):
-                raise DomainError(f"{self.id}: {name} must be {what}, got {value!r}")
+        check_rules(vars(self), PM_RULES, DomainError, f"{self.id}: {{}}")
 
 
 # Default server template for the 8-PM scenario: 32 cores at up to

@@ -14,13 +14,13 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotFoundError, TraceFormatError
-from .util import check_array_shape, decode_utf8, is_finite_number
+from .util import FINITE_NUMBER, check_array_shape, check_rules, decode_utf8
 
 WATTS_PER_KW = 1000.0
 
@@ -34,15 +34,16 @@ class PowerModel:
     migration_penalty: float = 0.01  # kWh per migration
 
     def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not is_finite_number(value):
-                raise DomainError(f"power {name} must be a finite number")
+        check_rules(vars(self), POWER_RULES, DomainError, "power {}")
         if not (0 < self.idle_power <= self.peak_power):
             raise DomainError("need 0 < idle_power <= peak_power")
         if min(self.cooling_coefficient, self.extra_coefficient, self.migration_penalty) < 0:
             raise DomainError("coefficients and penalty must be >= 0")
 
 
+# Every power value is a finite number: `PowerModel` checks its fields by
+# this table, and the YAML loader its `power:` keys.
+POWER_RULES = dict.fromkeys((f.name for f in fields(PowerModel)), FINITE_NUMBER)
 DEFAULT_POWER_MODEL = PowerModel()
 
 

@@ -1,10 +1,11 @@
 """Supervised training of the placement scorers.
 
-Labels are realized incremental-energy observations gathered from
-heuristic-driven episodes; the loss is plain squared error on the pair
-score.  The GCN trains on cluster mini-batches (the clusters holding the
-sample's VM and PM nodes are always included so the scored pair exists in
-the restricted forward); the gated baseline trains full-graph.  Updates
+Each label is the analytic one-hour energy increment (`incremental_energy`)
+at the pick of the teacher, the best_fit_energy heuristic; the loss is plain
+squared error on the pair score.  The GCN trains on cluster mini-batches
+(the clusters holding the sample's VM and PM nodes are always included so
+the scored pair exists in the restricted forward); the gated baseline
+trains full-graph.  Updates
 are per-sample SGD, deterministic for a fixed seed.
 
 A step's forward and backward write every product and elementwise result
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DivergenceError, DomainError
-from ..util import is_finite_number, is_int
+from ..util import FINITE_NUMBER, NON_NEGATIVE_INT, POSITIVE_INT, check_rules
 from .graph import (
     ClusterPartition,
     StateGraph,
@@ -53,7 +54,7 @@ class TrainSample:
 
     graph: StateGraph
     pm_node: int
-    label: float  # realized incremental energy, kWh
+    label: float  # the chosen PM's one-hour incremental energy, kWh
 
     def __post_init__(self):
         if not 0 <= self.pm_node < self.vm_node:
@@ -64,6 +65,16 @@ class TrainSample:
     @property
     def vm_node(self) -> int:
         return self.graph.n_nodes - 1
+
+
+# (test, description) of each recipe value: `TrainConfig` checks its fields
+# by them, and the YAML loader its `training:` keys (all but `seed`).  A run
+# needs an epoch, a cluster and an episode; numpy seeds are non-negative.
+TRAINING_RULES = {
+    **dict.fromkeys(("epochs", "batch_clusters", "episodes", "clusters"), POSITIVE_INT),
+    "learning_rate": FINITE_NUMBER,
+    "seed": NON_NEGATIVE_INT,
+}
 
 
 @dataclass(frozen=True)
@@ -83,19 +94,7 @@ class TrainConfig:
     clusters: int = 2
 
     def __post_init__(self):
-        # The run reports its last epoch's loss, a sample graph is cut into
-        # clusters, teachers run at least one episode, and numpy seeds take
-        # non-negative ints only.
-        for name in ("epochs", "batch_clusters", "clusters", "episodes"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigError(f"{name} must be at least 1, got {value}")
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not is_finite_number(self.learning_rate):
-            raise ConfigError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
+        check_rules(vars(self), TRAINING_RULES, ConfigError)
 
 
 class StepGraph(NamedTuple):

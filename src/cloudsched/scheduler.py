@@ -16,6 +16,7 @@ predicted saving is positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,7 +30,8 @@ from .energy import DEFAULT_POWER_MODEL, PowerModel, pm_power
 from .errors import ConfigError, DomainError
 from .gnn.graph import WorkingFeatures, build_state_graph
 from .gnn.models import GatedModel, GcnModel, ScoringWorkspace, score_placements
-from .gnn.training import TrainSample
+from .gnn.training import TRAINING_RULES, TrainSample
+from .util import check_rules
 from .workload import WorkloadRequest, generate_synthetic
 
 POLICY_KINDS = ("first_fit", "best_fit_energy", "random", "counter", "hunter")
@@ -164,18 +166,22 @@ def incremental_energy(
     return (after - before) / 1000.0 * overhead
 
 
-def _argmin(rows: np.ndarray, scores: np.ndarray) -> int:
+def _argmin(rows: np.ndarray, scores: np.ndarray, request_id: str | None = None) -> int:
     """The row with the lowest score, as a strict `<` scan in row order picks it.
 
     Ties go to the first row, a NaN in the first position wins, and a
     later NaN never does.  `argmin` gives the first minimum, or the
     first NaN if there is one, so only a later NaN needs a second look.
+    Given `request_id`, a non-finite winning score raises DomainError
+    naming that request: an overflowing model would pick by row order.
     """
     if len(rows) == 1:  # a heuristic's pick: skips an argmin call per request
         return int(rows[0])
     best = scores.argmin()
     if best and scores[best] != scores[best]:
         best = np.nanargmin(scores)  # scores[0] is a number
+    if request_id is not None and not math.isfinite(scores[best]):
+        raise DomainError(f"request {request_id!r} has a non-finite score")
     return int(rows[best])
 
 
@@ -206,7 +212,7 @@ def schedule(
             decision.deferred.append(request.id)
             continue
         rows, scores = policy.score(working, request, candidates, features)
-        chosen = _argmin(rows, scores)
+        chosen = _argmin(rows, scores, request.id)
         if policy.logs_scores:
             if not np.isfinite(scores).all():
                 raise DomainError(f"request {request.id!r} has a non-finite score")
@@ -301,7 +307,7 @@ def consolidate(
                 break
             remaining = max(1, int(start[vm]) + r.duration - state.clock)
             scoring = WorkloadRequest(r.id, r.cpu_frequency, r.cores, r.ram, remaining, r.arrival)
-            dst = _argmin(*policy.score(working, scoring, candidates, features))
+            dst = _argmin(*policy.score(working, scoring, candidates, features), r.id)
             plan.append((vm_id, working.pm_ids[dst]))
             working.place(dst, r)
             features.placed(dst)
@@ -313,17 +319,17 @@ def consolidate(
 
 
 def collect_training_data(scenario, episodes: int = 1, seed: int = 0) -> list[TrainSample]:
-    """Gather (graph, pair, realized-energy) samples from teacher episodes.
+    """Gather (graph, pair, label) samples from teacher episodes.
 
-    The teacher is the best_fit_energy heuristic.  Each episode re-runs
-    the scenario; a scenario without `requests` gets a synthetic workload
-    drawn at `seed + episode`.  One sample is recorded per successful
-    placement.  Pure function of (scenario, episodes, seed).
+    The teacher is the best_fit_energy heuristic, and each label the
+    analytic one-hour `incremental_energy` of the PM it chose.  Each
+    episode re-runs the scenario; a scenario without `requests` gets a
+    synthetic workload drawn at `seed + episode`.  One sample is recorded
+    per successful placement.  Pure function of (scenario, episodes, seed).
     """
     from . import sim  # placed here: sim drives the scheduler, not vice versa
 
-    if episodes < 1:
-        raise DomainError("episodes must be >= 1")
+    check_rules({"episodes": episodes}, TRAINING_RULES, DomainError)
 
     samples: list[TrainSample] = []
     for episode in range(episodes):

@@ -53,7 +53,7 @@ from .scheduler import (
     consolidate,
     schedule,
 )
-from .util import is_finite_number, is_int
+from .util import NON_NEGATIVE_INT, POSITIVE_INT, check_rules, is_finite_number, is_int
 from .workload import WorkloadRequest, generate_synthetic
 
 
@@ -64,7 +64,7 @@ from .workload import WorkloadRequest, generate_synthetic
 SCENARIO_RULES = {
     **dict.fromkeys(("pm_count", "vm_count", "horizon"), (is_int, "an integer")),
     "policy": (lambda v: isinstance(v, str), "a string"),
-    "seed": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+    "seed": NON_NEGATIVE_INT,
     "consolidation_threshold": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
     "log_scores": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -92,10 +92,7 @@ class SimConfig:
     log_scores: bool = False
 
     def __post_init__(self):
-        for name, (test, what) in SCENARIO_RULES.items():
-            value = getattr(self, name)
-            if not test(value):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        check_rules(vars(self), SCENARIO_RULES, ConfigError)
 
 
 def _no_billing() -> PmBilling:
@@ -291,8 +288,7 @@ def compare(configs: list[SimConfig], seeds: int = 1) -> ComparisonTable:
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
-    if seeds < 1:
-        raise ConfigError(f"seeds must be at least 1, got {seeds}")
+    check_rules({"seeds": seeds}, {"seeds": POSITIVE_INT}, ConfigError)
     stripped = [dc_replace(c, policy="first_fit", model=None) for c in configs]
     for i, other in enumerate(stripped[1:], start=1):
         if other != stripped[0]:

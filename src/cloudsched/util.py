@@ -22,6 +22,24 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+# (test, description) rules that several settings tables share.
+POSITIVE_INT = (lambda v: is_int(v) and v >= 1, "a positive integer")
+NON_NEGATIVE_INT = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
+FINITE_NUMBER = (is_finite_number, "a finite number")
+
+
+def check_rules(values: dict, rules: dict, error: type[Exception], where: str = "{}") -> None:
+    """Raise `error` for the first of `values` that breaks its rule in `rules`.
+
+    `rules` maps a name to `(test, description)`; a name missing from
+    `values` is skipped.  The message is `<where> must be <description>,
+    got <value!r>`, with the name put for `{}` in `where`.
+    """
+    for name, (test, what) in rules.items():
+        if name in values and not test(values[name]):
+            raise error(f"{where.replace('{}', name)} must be {what}, got {values[name]!r}")
+
+
 def check_array_shape(shape: tuple[int, ...], itemsize: int, what: str) -> None:
     """Raise DomainError for an array of `itemsize`-byte items that numpy cannot shape.
 

@@ -1,11 +1,19 @@
 import json
 import shlex
+from dataclasses import fields, replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from cloudsched.cli import _build_sim_config, build_parser, main
+from cloudsched.cli import (
+    _SECTIONS, _TOP_KEYS, _build_sim_config, build_parser, load_config_file, main
+)
+from cloudsched.datacenter import DEFAULT_PM_TEMPLATE, PM_RULES, PhysicalMachine
+from cloudsched.energy import POWER_RULES, PowerModel
+from cloudsched.errors import ConfigError, SimulatorError
 from cloudsched.gnn.graph import WorkingFeatures
 from cloudsched.gnn.models import (
     load_model,
@@ -13,8 +21,9 @@ from cloudsched.gnn.models import (
     new_gated_model,
     new_gcn_model,
 )
+from cloudsched.gnn.training import TRAINING_RULES, TrainConfig
 from cloudsched.scheduler import Policy
-from cloudsched.sim import SimConfig, compare
+from cloudsched.sim import SCENARIO_RULES, SimConfig, compare
 from cloudsched.util import atomic_write_text
 from cloudsched.workload import workload_to_json
 
@@ -147,8 +156,9 @@ class TestTrain:
             args += ["--config", str(cfg)]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == [f"error: epochs must be at least 1, got {epochs}"]
-        assert not any(out.iterdir())
+        name = "epochs" if source == "flag" else "config 'training.epochs'"
+        assert err.strip().splitlines() == [f"error: {name} must be a positive integer, got {epochs}"]
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(
@@ -560,7 +570,7 @@ class TestCompare:
         args = ["compare", "--policies", "first_fit", "--seeds", seeds, "--out", str(out)]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == [f"error: seeds must be at least 1, got {seeds}"]
+        assert err.strip().splitlines() == [f"error: seeds must be a positive integer, got {seeds}"]
         assert not any(out.iterdir())
 
     def test_config_log_scores_is_ignored(self, tiny_files, tmp_path, monkeypatch):
@@ -687,14 +697,14 @@ def _overflowing_power(path: Path) -> list[str]:
     return ["--config", str(path)]
 
 
-def _overflowing_readout(policy: str):
+def _overflowing_readout(policy: str, log_scores: bool = True):
     """The committed checkpoint with its readout weights all 1.7e308."""
 
     def args(path: Path) -> list[str]:
         doc = json.loads((DATA / f"{policy}.json").read_text())
         doc["params"][-2] = [1.7e308] * len(doc["params"][-2])  # readout_w; readout_b is last
         path.write_text(json.dumps(doc))
-        return ["--policy", policy, "--model", str(path), "--log-scores"]
+        return ["--policy", policy, "--model", str(path)] + ["--log-scores"] * log_scores
 
     return args
 
@@ -709,8 +719,14 @@ def _overflowing_readout(policy: str):
         ("simulate", _overflowing_power, "error: the run's energy or cost overflows: "),
         ("simulate", _overflowing_readout("counter"), "error: request 'vm-"),
         ("simulate", _overflowing_readout("hunter"), "error: request 'vm-"),
+        # Unlogged, the winning score is checked: each pick would fall to candidate order.
+        ("simulate", _overflowing_readout("counter", log_scores=False), "error: request 'vm-"),
+        ("simulate", _overflowing_readout("hunter", log_scores=False), "error: request 'vm-"),
     ],
-    ids=["prices", "prices-compare", "power", "counter-scores", "hunter-scores"],
+    ids=[
+        "prices", "prices-compare", "power", "counter-scores", "hunter-scores",
+        "counter-unlogged", "hunter-unlogged",
+    ],
 )
 def test_overflowing_run_is_one_error_line(tmp_path, capsys, command, inputs, error):
     out = tmp_path / "out"
@@ -800,6 +816,7 @@ class TestConfigFile:
             ('seed: "x"\n', "seed"),
             ("seed: -1\n", "seed"),
             ("training:\n  epochs: x\n", "training.epochs"),
+            ("training:\n  epochs: 0\n", "training.epochs"),  # simulate reads no recipe
             ("training:\n  learning_rate: .nan\n", "training.learning_rate"),
             ("workload_file: 0\n", "workload_file"),
             ("price_file: 7\n", "price_file"),
@@ -811,8 +828,8 @@ class TestConfigFile:
         ],
         ids=[
             "count-string", "count-bool", "horizon-float", "horizon-null", "vm-count-float",
-            "seed-string", "seed-negative", "epochs-string", "lr-nan", "workload-fd",
-            "price-fd", "out-dir-int", "policy-int", "verbosity-list",
+            "seed-string", "seed-negative", "epochs-string", "epochs-zero", "lr-nan",
+            "workload-fd", "price-fd", "out-dir-int", "policy-int", "verbosity-list",
             "verbosity-debug", "log-scores-string",
         ],
     )
@@ -908,6 +925,57 @@ class TestConfigFile:
         # 64 GiB PMs change nothing for the tiny workload placement
         doc = json.loads((out / "result.json").read_text())
         assert doc["placed"] == 3
+
+
+# Each settings table, the object that checks its fields by it, and that
+# object's prefix to a field's name in its messages; the key is the config
+# section the table's keys sit in ("" for the top level).
+RULE_TABLES = {
+    "": (SCENARIO_RULES, SimConfig, ""),
+    "pm": (PM_RULES, partial(dc_replace, DEFAULT_PM_TEMPLATE), "pm-template: "),
+    "power": (POWER_RULES, PowerModel, "power "),
+    "training": (TRAINING_RULES, TrainConfig, ""),
+}
+# Each rule is tried with every one of these that it rejects.
+REJECTABLE = [-1, 0, 2**63, 1.5, float("nan"), float("-inf"), True, "x", None, [1]]
+
+
+@pytest.mark.parametrize(
+    "section,name",
+    [(section, name) for section, (rules, *_) in RULE_TABLES.items() for name in rules],
+    ids=lambda v: v or "scenario",
+)
+def test_each_rule_gives_one_message_from_the_object_and_from_the_file(tmp_path, section, name):
+    rules, build, prefix = RULE_TABLES[section]
+    test, what = rules[name]
+    rejected = [v for v in REJECTABLE if not test(v)]
+    assert rejected
+    cfg = tmp_path / "cfg.yaml"
+    for value in rejected:
+        with pytest.raises(SimulatorError) as err:
+            build(**{name: value})
+        assert str(err.value) == f"{prefix}{name} must be {what}, got {value!r}"
+        if section == "training" and name == "seed":
+            continue  # the recipe's seed is the scenario's, set at the top level
+        cfg.write_text(yaml.safe_dump({section: {name: value}} if section else {name: value}))
+        with pytest.raises(ConfigError) as err:
+            load_config_file(str(cfg))
+        key = f"{section}.{name}" if section else name
+        assert str(err.value) == f"config {key!r} must be {what}, got {value!r}"
+
+
+def test_each_config_section_holds_its_objects_fields():
+    def names(cls) -> set[str]:
+        return {f.name for f in fields(cls)}
+
+    assert set(_SECTIONS) == {"pm", "power", "training"}
+    assert set(_SECTIONS["pm"]) == names(PhysicalMachine) - {"id", "location"}
+    assert set(_SECTIONS["power"]) == names(PowerModel)
+    assert set(_SECTIONS["training"]) == names(TrainConfig) - {"seed"}
+    # The other `SimConfig` fields are set by a section or read from a path key.
+    inputs = {"pm_template", "power", "model", "requests", "prices"}
+    assert set(SCENARIO_RULES) == names(SimConfig) - inputs
+    assert set(SCENARIO_RULES) <= set(_TOP_KEYS)
 
 
 COMMON_FLAGS = ["--config", "--out", "--seed", "--verbose"]

@@ -11,7 +11,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from cloudsched.cli import _build_sim_config, _build_train_config, build_parser, load_config_file
+from cloudsched.cli import (
+    _SECTIONS, _TOP_KEYS, _build_sim_config, _build_train_config, build_parser, load_config_file
+)
 from cloudsched.energy import load_price_series
 from cloudsched.errors import SimulatorError, TraceFormatError
 from cloudsched.gnn.models import model_from_json
@@ -103,22 +105,12 @@ def config_sections(keys):
     return st.fixed_dictionaries({}, optional={k: JSON_VALUES for k in keys}) | JSON_VALUES
 
 
+# Every key the loader reads, from the tables it checks them by, and one it does not.
 CONFIG_DOCS = st.fixed_dictionaries(
     {},
     optional={
-        **{
-            k: JSON_VALUES
-            for k in (
-                "pm_count", "vm_count", "horizon", "seed", "policy", "model_path",
-                "workload_file", "trace_dir", "price_file", "consolidation_threshold",
-                "log_scores", "out_dir", "verbosity", "bogus",
-            )
-        },
-        "pm": config_sections(("cores", "ram", "max_frequency")),
-        "power": config_sections(("idle_power", "peak_power", "migration_penalty")),
-        "training": config_sections(
-            ("episodes", "epochs", "learning_rate", "batch_clusters", "clusters")
-        ),
+        **{k: JSON_VALUES for k in [*_TOP_KEYS, "bogus"] if k not in _SECTIONS},
+        **{section: config_sections(rules) for section, rules in _SECTIONS.items()},
     },
 )
 PATH_KEYS = ("model_path", "workload_file", "trace_dir", "price_file")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cloudsched import scheduler
+from cloudsched.energy import DEFAULT_POWER_MODEL
 from cloudsched.errors import DivergenceError, DomainError, SimulatorError
 from cloudsched.gnn import training
 from cloudsched.gnn.graph import FEATURE_DIM, StateGraph, partition_graph
@@ -12,6 +14,7 @@ from cloudsched.gnn.models import (
     score_placements,
 )
 from cloudsched.gnn.training import TrainConfig, TrainSample, loss_trace_to_csv, train
+from cloudsched.sim import SimConfig
 
 from helpers import gradient_check
 from slow_reference import train_uncached
@@ -98,15 +101,15 @@ class TestTrain:
     @pytest.mark.parametrize(
         "name,value,message",
         [
-            ("epochs", 0, "epochs must be at least 1, got 0"),
-            ("batch_clusters", 0, "batch_clusters must be at least 1, got 0"),
-            ("clusters", -2, "clusters must be at least 1, got -2"),
-            ("epochs", 2.0, "epochs must be an integer, got 2.0"),
-            ("batch_clusters", True, "batch_clusters must be an integer, got True"),
+            ("epochs", 0, "epochs must be a positive integer, got 0"),
+            ("batch_clusters", 0, "batch_clusters must be a positive integer, got 0"),
+            ("clusters", -2, "clusters must be a positive integer, got -2"),
+            ("epochs", 2.0, "epochs must be a positive integer, got 2.0"),
+            ("batch_clusters", True, "batch_clusters must be a positive integer, got True"),
             ("learning_rate", float("nan"), "learning_rate must be a finite number, got nan"),
             ("learning_rate", float("-inf"), "learning_rate must be a finite number, got -inf"),
-            ("episodes", 0, "episodes must be at least 1, got 0"),
-            ("episodes", 2.5, "episodes must be an integer, got 2.5"),
+            ("episodes", 0, "episodes must be a positive integer, got 0"),
+            ("episodes", 2.5, "episodes must be a positive integer, got 2.5"),
             ("seed", -1, "seed must be a non-negative integer, got -1"),
             ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
             ("seed", True, "seed must be a non-negative integer, got True"),
@@ -257,3 +260,33 @@ def test_loss_trace_csv_format():
     assert lines[0] == "epoch,mean_loss"
     assert lines[1].startswith("0,")
     assert lines[2].startswith("1,")
+
+
+def test_teacher_labels_are_the_one_hour_increment_at_the_pick(monkeypatch):
+    """Each label is `(peak - idle)·c/cores·k + idle·k·[PM off]`, k = (1 + cooling + extra)/1000.
+
+    So the label knows only whether the chosen PM was on: every powered-on
+    candidate has the same one-hour increment, the teacher's pick among them
+    included.
+    """
+    seen = []  # each recorded sample's working snapshot and request
+    build = scheduler.build_state_graph
+
+    def spy(working, request, prices):
+        seen.append((working.copy(), request))
+        return build(working, request, prices)
+
+    monkeypatch.setattr(scheduler, "build_state_graph", spy)
+    samples = scheduler.collect_training_data(SimConfig(), episodes=3, seed=100)
+    power = DEFAULT_POWER_MODEL
+    k = (1 + power.cooling_coefficient + power.extra_coefficient) / 1000
+    assert len(samples) == len(seen) == 180
+    for sample, (snap, request) in zip(samples, seen):
+        pm = sample.pm_node
+        closed = (power.peak_power - power.idle_power) * request.cores / snap.cores[pm] * k
+        closed += power.idle_power * k * (not snap.powered_on[pm])
+        assert abs(sample.label - closed) <= 1e-12
+        on = (snap.fits(request) & snap.powered_on).nonzero()[0]
+        increments = scheduler.incremental_energy(snap, on, request, power)
+        assert np.abs(increments - sample.label).max(initial=0.0) <= 1e-12
+    assert len({round(s.label, 12) for s in samples}) == 8
